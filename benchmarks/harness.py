@@ -10,9 +10,8 @@ against this file instead of re-deriving throughput claims by hand.
 ``--pipeline`` times the end-to-end Figure 4 pipeline instead and
 writes ``BENCH_pipeline.json``: the sweep with a cold vs a warm
 persistent trace cache, the Monte Carlo large-LLC simulation swept
-across set-shard counts (1 / 2 / 4 / detected cores) plus a
-``shards="auto"`` variant, with per-variant ``parallel_efficiency``,
-shared-memory transport bytes, and the auto-tuner's thresholds — and a
+across set-shard counts (1 / 2 / 4 / detected cores) with per-variant
+``parallel_efficiency`` and shared-memory transport bytes — and a
 ``streaming`` section measuring *peak RSS* (``ru_maxrss``) of chunked
 streaming replay vs monolithic replay of the same seeded synthetic
 MC-style trace on the 8MB LLC, each in its own subprocess so the
@@ -81,8 +80,6 @@ if str(REPO_SRC) not in sys.path:  # allow running without PYTHONPATH
 
 from repro.cachesim import (  # noqa: E402
     PAPER_CACHES,
-    SHARD_AUTO_MIN_REFS,
-    SHARD_REFS_PER_WORKER,
     VERIFICATION_CACHES,
     CacheSimulator,
     expanded_size,
@@ -261,15 +258,13 @@ def _time_sharded(trace, geometry, refs: int, repeats: int, **sim_kwargs):
 
 
 def bench_sharded(tier: str, repeats: int, shard_counts=None) -> dict:
-    """Monte Carlo on the paper's 8MB LLC across shard counts + auto.
+    """Monte Carlo on the paper's 8MB LLC across shard counts.
 
     The sweep covers the historical 1/2/4 points plus the detected core
     count, with ``jobs`` equal to the shard count (what ``--jobs K``
-    selects), and one ``shards="auto"`` variant showing what the tuner
-    actually picks on this host.  Each row records wall time, speedup
-    over single-shard, ``parallel_efficiency`` (speedup / jobs) and the
-    shared-memory transport byte counts; the tuner's thresholds ride
-    along under ``auto_tuner`` so the crossover stays auditable.
+    selects).  Each row records wall time, speedup over single-shard,
+    ``parallel_efficiency`` (speedup / jobs) and the shared-memory
+    transport byte counts.
     """
     cpus = _cpus()
     geometry = PAPER_CACHES["8MB"]
@@ -284,14 +279,9 @@ def bench_sharded(tier: str, repeats: int, shard_counts=None) -> dict:
         )
         variants.append(row)
     baseline = next(v for v in variants if v["shards"] == 1)
-    auto = _time_sharded(
-        trace, geometry, refs, repeats,
-        engine="array", shards="auto", jobs="auto",
-    )
-    auto["plan"] = {"shards": auto["shards"], "jobs": auto["jobs"]}
     base_stats = baseline["stats"]
     base_seconds = baseline["seconds"]
-    for v in variants + [auto]:
+    for v in variants:
         v["identical"] = v.pop("stats") == base_stats
         v["speedup"] = base_seconds / v["seconds"]
         v["parallel_efficiency"] = v["speedup"] / max(1, v["jobs"])
@@ -303,14 +293,7 @@ def bench_sharded(tier: str, repeats: int, shard_counts=None) -> dict:
         "cpus": cpus,
         "expanded_refs": refs,
         "variants": variants,
-        "auto": auto,
-        "auto_tuner": {
-            "min_refs": SHARD_AUTO_MIN_REFS,
-            "refs_per_worker": SHARD_REFS_PER_WORKER,
-            "cpus": cpus,
-            "plan": auto["plan"],
-        },
-        "all_identical": all(v["identical"] for v in variants + [auto]),
+        "all_identical": all(v["identical"] for v in variants),
     }
 
 
@@ -531,7 +514,7 @@ def bench_streaming(
 def run_pipeline(tier: str = "verification", repeats: int = 2) -> dict:
     """End-to-end pipeline benchmark; returns the BENCH_pipeline payload."""
     return {
-        "schema": "BENCH_pipeline/3",
+        "schema": "BENCH_pipeline/4",
         "tier": tier,
         "repeats": repeats,
         "python": platform.python_version(),
@@ -562,30 +545,20 @@ def render_pipeline(payload: dict) -> str:
         f"{sh['cpus']} cpus):"
     )
 
-    def _variant_line(v, tag=""):
+    for v in sh["variants"]:
         transport = v.get("transport")
         shm = (
             f"  shm {transport['shm_bytes'] / 1e6:.1f}MB"
             if transport
             else ""
         )
-        return (
-            f"    {tag}shards={v['shards']} jobs={v['jobs']}: "
+        lines.append(
+            f"    shards={v['shards']} jobs={v['jobs']}: "
             f"{v['seconds'] * 1e3:8.1f}ms  {v['refs_per_sec']:.3g} refs/s  "
             f"speedup {v['speedup']:.2f}x  "
             f"eff {v['parallel_efficiency']:.2f}{shm}  "
             f"identical={v['identical']}"
         )
-
-    for v in sh["variants"]:
-        lines.append(_variant_line(v))
-    lines.append(_variant_line(sh["auto"], tag="auto -> "))
-    tuner = sh["auto_tuner"]
-    lines.append(
-        f"  tuner: min_refs={tuner['min_refs']} "
-        f"refs_per_worker={tuner['refs_per_worker']} -> "
-        f"plan {tuner['plan']}"
-    )
     lines.append(f"  all shard counts identical: {sh['all_identical']}")
     st = payload["streaming"]
     lines.append(

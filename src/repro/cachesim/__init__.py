@@ -15,8 +15,9 @@ Public API
     An LRU, write-back/write-allocate set-associative cache.
 :class:`CacheSimulator`
     Drives a reference trace through a cache, accumulating per-label stats.
-    Two engines sit behind it (``engine="array"|"reference"|"auto"``):
-    the batched numpy :class:`ArrayLRUEngine` and the dict-based oracle.
+    Its engine is fixed at construction from the replacement policy: the
+    batched numpy :class:`ArrayLRUEngine` for LRU, the dict-based oracle
+    for FIFO/random or ``engine="reference"``.
 :class:`ArrayLRUEngine`
     The batched, array-backed LRU engine (bit-identical to the oracle).
 :class:`CacheStats` / :class:`LabelStats`
@@ -33,7 +34,6 @@ from repro.cachesim.configs import (
 )
 from repro.cachesim.cache import SetAssociativeCache
 from repro.cachesim.engine import (
-    AUTO_ARRAY_MIN_REFS,
     ENGINES,
     ArrayLRUEngine,
     CacheEngineError,
@@ -51,12 +51,7 @@ from repro.cachesim.pool import (
     pool_scope,
     shutdown_pool,
 )
-from repro.cachesim.sharding import (
-    SHARD_AUTO_MIN_REFS,
-    SHARD_REFS_PER_WORKER,
-    ShardedLRUSimulator,
-    auto_shard_plan,
-)
+from repro.cachesim.sharding import ShardedLRUSimulator
 from repro.cachesim.simulator import CacheSimulator, simulate_trace
 from repro.cachesim.stats import CacheStats, LabelStats
 
@@ -76,13 +71,9 @@ __all__ = [
     "LabelEstimate",
     "TraceEstimator",
     "expanded_size",
-    "auto_shard_plan",
     "effective_cpus",
     "pool_scope",
     "shutdown_pool",
-    "AUTO_ARRAY_MIN_REFS",
-    "SHARD_AUTO_MIN_REFS",
-    "SHARD_REFS_PER_WORKER",
     "ENGINES",
     "PAPER_CACHES",
     "PROFILING_CACHES",

@@ -20,6 +20,9 @@ from collections import OrderedDict
 from repro.cachesim.configs import CacheGeometry
 from repro.cachesim.stats import CacheStats
 
+#: :meth:`SetAssociativeCache.touch_line` result for a hit.
+HIT = object()
+
 
 class _Line:
     """One resident cache line: dirty bit + owning data-structure label."""
@@ -89,9 +92,18 @@ class SetAssociativeCache:
 
         ``line_id`` is the global line identifier (address // CL).
         """
-        set_idx = line_id % self._num_sets
+        return self.touch_line(line_id, is_write, label) is HIT
+
+    def touch_line(self, line_id: int, is_write: bool, label: str):
+        """Touch one cache line, reporting the residency change.
+
+        Returns :data:`HIT` on a hit, ``None`` on a miss that filled a
+        free way, and the evicted line's label on a miss that evicted
+        one — what residency accounting needs to track which labels
+        hold the cache.
+        """
+        cache_set = self._sets[line_id % self._num_sets]
         tag = line_id // self._num_sets
-        cache_set = self._sets[set_idx]
         stats = self.stats.label(label)
         line = cache_set.get(tag)
         if line is not None:
@@ -100,8 +112,9 @@ class SetAssociativeCache:
                 cache_set.move_to_end(tag)
             if is_write:
                 line.dirty = True
-            return True
+            return HIT
         stats.misses += 1
+        evicted = None
         if len(cache_set) >= self._ways:
             if self.policy == "random":
                 victim_tag = self._rng.choice(list(cache_set))
@@ -112,8 +125,9 @@ class SetAssociativeCache:
                 _, victim = cache_set.popitem(last=False)
             if victim.dirty:
                 self.stats.label(victim.label).writebacks += 1
+            evicted = victim.label
         cache_set[tag] = _Line(is_write, label)
-        return False
+        return evicted
 
     def access(self, address: int, size: int, is_write: bool, label: str) -> int:
         """Access ``size`` bytes at ``address``; returns the number of misses.

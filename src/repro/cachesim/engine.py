@@ -40,10 +40,11 @@ events — deterministic and identical to the OrderedDict oracle.
 
 Wave efficiency scales with the number of sets: a 4096-set cache packs
 thousands of runs per wave, a 64-set cache at most 64.  When a chunk's
-mean wave would be tiny, the engine instead materialises just the
-touched sets into ordered dicts, replays the (already collapsed) runs
-sequentially, and scatters the result back into the arrays — same
-outcome, chosen purely on throughput (``strategy="adaptive"``).
+mean wave would hold fewer than :data:`ADAPTIVE_WAVE_CUTOFF` runs, the
+engine instead materialises just the touched sets into ordered dicts,
+replays the (already collapsed) runs sequentially, and scatters the
+result back into the arrays — same outcome, chosen per chunk purely on
+throughput.
 
 The engine implements the LRU policy only; FIFO/random ablations stay
 on the reference path (:class:`CacheEngineError` enforces the switch).
@@ -62,25 +63,15 @@ from repro.cachesim.stats import CacheStats
 #: :class:`~repro.cachesim.simulator.CacheSimulator`.
 ENGINES = ("auto", "array", "reference")
 
-#: Recognised values for :class:`ArrayLRUEngine`'s ``strategy=``.
-STRATEGIES = ("adaptive", "wave", "scalar")
+#: Default chunk size: references per chunk when
+#: :meth:`~repro.cachesim.simulator.CacheSimulator.run` cuts a trace,
+#: and expanded line touches per engine batch.
+DEFAULT_CHUNK_SIZE = 1 << 18
 
-#: Default number of expanded line touches replayed per batch.
-DEFAULT_CHUNK_SIZE = 1 << 21
-
-#: ``adaptive`` switches a chunk from wave to scalar replay when the
-#: mean wave would hold fewer runs than this (per-wave numpy dispatch
-#: overhead, ~tens of µs, then exceeds the ~1 µs/run sequential cost).
+#: A chunk switches from wave to scalar replay when its mean wave would
+#: hold fewer runs than this (per-wave numpy dispatch overhead, ~tens of
+#: µs, then exceeds the ~1 µs/run sequential cost).
 ADAPTIVE_WAVE_CUTOFF = 128
-
-#: ``engine="auto"`` routes an LRU simulation to the array engine only
-#: when the expanded trace holds at least this many line touches.  Below
-#: it the batching set-up costs dominate and the dict oracle is the
-#: faster path — the committed ``BENCH_cachesim.json`` measured the
-#: array engine at 0.90-0.98x reference on the sub-100k-reference
-#: small-cache rows.  Override per simulator via
-#: ``CacheSimulator(auto_min_refs=...)``.
-AUTO_ARRAY_MIN_REFS = 100_000
 
 #: Residency event kinds (see :meth:`ArrayLRUEngine.replay`).
 EVENT_EVICT = 0
@@ -143,20 +134,12 @@ class ArrayLRUEngine:
     """
 
     def __init__(
-        self,
-        geometry: CacheGeometry,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        strategy: str = "adaptive",
+        self, geometry: CacheGeometry, chunk_size: int = DEFAULT_CHUNK_SIZE
     ):
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {STRATEGIES}, got {strategy!r}"
-            )
         self.geometry = geometry
         self.chunk_size = int(chunk_size)
-        self.strategy = strategy
         num_sets = geometry.num_sets
         shape = (num_sets, geometry.associativity)
         # Invariants the wave kernel relies on: an empty way holds
@@ -199,46 +182,13 @@ class ArrayLRUEngine:
     # ------------------------------------------------------------------
     # state round-trip (set-sharded worker processes)
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Snapshot the full cache state for a worker-process round trip.
-
-        The arrays are copied, so the snapshot stays valid after further
-        replays.  Restore with :meth:`load_state`.
-        """
-        return {
-            "tags": self._tags.copy(),
-            "age": self._age.copy(),
-            "dirty": self._dirty.copy(),
-            "label": self._label.copy(),
-            "clock": self.clock,
-            "labels": list(self._labels),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`.
-
-        The snapshot must come from an engine with the same geometry.
-        """
-        if state["tags"].shape != self._tags.shape:
-            raise ValueError(
-                f"state shape {state['tags'].shape} does not match "
-                f"engine shape {self._tags.shape}"
-            )
-        self._tags[...] = state["tags"]
-        self._age[...] = state["age"]
-        self._dirty[...] = state["dirty"]
-        self._label[...] = state["label"]
-        self.clock = int(state["clock"])
-        self._labels = list(state["labels"])
-        self._label_ids = {name: i for i, name in enumerate(self._labels)}
-
     def shard_state(self, shard: int, num_shards: int) -> dict:
         """Snapshot only the sets owned by ``shard`` (round-robin split).
 
         The sharded simulator partitions sets as ``set % num_shards``;
         a worker replaying one shard only ever touches those rows, so
         shipping ``1/num_shards`` of the state both ways is exact — and
-        ``num_shards``x cheaper than :meth:`state_dict`.  Restore with
+        ``num_shards``x cheaper than the whole state.  Restore with
         :meth:`load_shard_state`.
         """
         rows = slice(shard, None, num_shards)
@@ -500,10 +450,7 @@ class ArrayLRUEngine:
         group_first = np.flatnonzero(group_start)
         group_sizes = np.diff(group_first, append=n_runs)
         n_waves = int(group_sizes.max())
-        if self.strategy == "scalar" or (
-            self.strategy == "adaptive"
-            and n_runs < n_waves * ADAPTIVE_WAVE_CUTOFF
-        ):
+        if n_runs < n_waves * ADAPTIVE_WAVE_CUTOFF:
             # Set-sorted order is already per-set chronological, which
             # is all the sequential replay needs.
             comp = order.take(starts)

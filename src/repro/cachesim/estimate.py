@@ -176,7 +176,6 @@ class TraceEstimator:
         confidence: float = 0.95,
         seed: int = 0,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        strategy: str = "adaptive",
     ):
         if not 0.0 < sample_fraction <= 1.0:
             raise ValueError(
@@ -217,9 +216,7 @@ class TraceEstimator:
         #: Per-set sample rank (0..g-1) or -1 when the set is unsampled.
         self._rank_of_set = rank_of_group[group_of_set]
         self.sampled_sets = int(np.count_nonzero(self._rank_of_set >= 0))
-        self._engine = ArrayLRUEngine(
-            geometry, chunk_size=chunk_size, strategy=strategy
-        )
+        self._engine = ArrayLRUEngine(geometry, chunk_size=chunk_size)
         self._stats = CacheStats()
         self._label_order: list[str] = []
         self._label_seen: set[str] = set()
@@ -349,7 +346,6 @@ def estimate_trace(
     seed: int = 0,
     chunk_refs: int | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    strategy: str = "adaptive",
 ) -> EstimateResult:
     """Pull-mode estimator entry (``mode="estimate"`` behind
     :func:`~repro.cachesim.simulator.simulate_trace`).
@@ -364,7 +360,6 @@ def estimate_trace(
         confidence=confidence,
         seed=seed,
         chunk_size=chunk_size,
-        strategy=strategy,
     )
     if isinstance(trace, ReferenceTrace):
         chunks = (

@@ -7,7 +7,7 @@ entries).  This module owns every flavour of that expansion:
 * :func:`_expand_lines` — full expansion of a trace (the array engine's
   input format);
 * :func:`expanded_size` — the expanded length *without* materialising
-  the stream (what ``engine="auto"`` and the shard auto-tuner route on);
+  the stream (what the bench harness reports refs/s against);
 * :func:`expand_shard` — worker-side expansion of one set-shard's
   partition directly from the compact columns, bit-identical to
   partitioning the full expansion (the zero-copy sharded path ships
@@ -76,8 +76,7 @@ def expanded_size(trace, line_size: int) -> int:
     """Expanded line-touch count of ``trace`` without materialising it.
 
     Exactly ``len(_expand_lines(trace, line_size)[0])``, at the cost of
-    the span arithmetic only — this is what the deferred ``auto``
-    engine routing and the shard auto-tuner decide on.
+    the span arithmetic only.
     """
     n = len(trace.addresses)
     if n == 0:

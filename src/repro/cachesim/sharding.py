@@ -48,13 +48,10 @@ num_sets every set index satisfies ``set % K == set == set %
 num_sets``, so the clamp is behaviour-identical and merely avoids
 spawning shards that cannot own a set.
 
-:func:`auto_shard_plan` is the routing half: given the expanded
-reference count and the visible CPU count it decides whether sharding
-can win at all (never on one CPU, never under
-``SHARD_AUTO_MIN_REFS``) and how many workers the trace can keep busy
-(one per ``SHARD_REFS_PER_WORKER`` expanded refs).  The thresholds are
-recorded in ``BENCH_pipeline.json`` by the harness so they stay
-auditable against measured crossovers.
+Sharding is opt-in: :class:`~repro.cachesim.simulator.CacheSimulator`
+shards only when constructed with an explicit ``shards=K > 1``.  The
+shard sweep in ``BENCH_pipeline.json`` records whether it pays on the
+host that ran it.
 """
 
 from __future__ import annotations
@@ -79,45 +76,8 @@ from repro.cachesim.expand import (
     shard_entry_counts,
     shard_index,
 )
-from repro.cachesim.pool import effective_cpus
 from repro.cachesim.stats import CacheStats
 from repro.trace.io import TraceShmRing, attach_trace_shm, trace_to_shm
-
-#: Below this many expanded references a single array-engine pass is so
-#: fast (tens of milliseconds) that even a warm pool's submit/collect
-#: latency cannot pay for itself — the tuner routes to one shard.
-SHARD_AUTO_MIN_REFS = 1_000_000
-
-#: Target expanded references per worker: enough per-shard replay to
-#: amortise one state round-trip and result pickle.  The tuner opens
-#: one worker per this many refs, capped by CPUs and sets.
-SHARD_REFS_PER_WORKER = 500_000
-
-
-def auto_shard_plan(
-    expanded_refs: int, num_sets: int, cpus: int | None = None
-) -> tuple[int, int]:
-    """Pick ``(shards, jobs)`` for a trace of ``expanded_refs`` touches.
-
-    The decision table (see ``tests/cachesim/test_autotune.py``):
-
-    * 1 visible CPU ⇒ ``(1, 1)`` — parallel replay can never win
-      without a spare core, whatever the trace size;
-    * fewer than :data:`SHARD_AUTO_MIN_REFS` expanded refs ⇒ ``(1, 1)``
-      — replay is too fast to amortise even a warm pool;
-    * otherwise one shard per :data:`SHARD_REFS_PER_WORKER` refs
-      (at least 2), capped by ``cpus`` and ``num_sets``.
-
-    ``cpus`` defaults to the affinity-aware visible CPU count.
-    """
-    if cpus is None:
-        cpus = effective_cpus()
-    if cpus <= 1 or expanded_refs < SHARD_AUTO_MIN_REFS or num_sets < 2:
-        return 1, 1
-    shards = int(
-        min(cpus, num_sets, max(2, expanded_refs // SHARD_REFS_PER_WORKER))
-    )
-    return shards, shards
 
 
 def shard_of_sets(num_sets: int, num_shards: int) -> np.ndarray:
@@ -229,11 +189,7 @@ def _replay_shard_shm(payload: dict):
         # Every view into shm.buf must be gone before close().
         del columns
         shm.close()
-    engine = ArrayLRUEngine(
-        geometry,
-        chunk_size=payload["chunk_size"],
-        strategy=payload["strategy"],
-    )
+    engine = ArrayLRUEngine(geometry, chunk_size=payload["chunk_size"])
     state = payload["state"]
     if state is not None:
         engine.load_shard_state(payload["shard"], payload["num_shards"], state)
@@ -260,9 +216,9 @@ class ShardedLRUSimulator:
     """K independent shard engines presenting the one-engine interface.
 
     Drop-in for :class:`~repro.cachesim.engine.ArrayLRUEngine` as seen
-    by :class:`~repro.cachesim.simulator.CacheSimulator`, plus
-    :meth:`replay_trace`, the preferred entry: it takes the *compact*
-    trace so the pooled path can ship it zero-copy and expand in the
+    by :class:`~repro.cachesim.simulator.CacheSimulator`, except that
+    its replay entry, :meth:`replay_trace`, takes the *compact* trace
+    so the pooled path can ship it zero-copy and expand in the
     workers.  ``jobs=1`` (or a single live shard) replays inline, in
     shard order, with no pool, pickling, or state copies.
     """
@@ -273,7 +229,6 @@ class ShardedLRUSimulator:
         num_shards: int,
         jobs: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        strategy: str = "adaptive",
     ):
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -287,9 +242,8 @@ class ShardedLRUSimulator:
         self.num_shards = min(int(num_shards), geometry.num_sets)
         self.jobs = int(jobs)
         self.chunk_size = int(chunk_size)
-        self.strategy = strategy
         self._engines = [
-            ArrayLRUEngine(geometry, chunk_size=chunk_size, strategy=strategy)
+            ArrayLRUEngine(geometry, chunk_size=chunk_size)
             for _ in range(self.num_shards)
         ]
         #: Total expanded touches replayed (mirrors the engine clock).
@@ -412,37 +366,6 @@ class ShardedLRUSimulator:
             return None
         return merge_events(shard_events)
 
-    def replay(
-        self,
-        line_ids: np.ndarray,
-        is_write: np.ndarray,
-        label_ids: np.ndarray,
-        labels: list[str],
-        stats: CacheStats,
-        collect_events: bool = False,
-    ):
-        """Shard and replay an already-expanded stream, inline.
-
-        Kept for engine-interface compatibility; the zero-copy pooled
-        path lives in :meth:`replay_trace`.
-        """
-        self._intern_all(labels)
-        shards = partition_expanded(
-            line_ids,
-            is_write,
-            label_ids,
-            self.geometry.num_sets,
-            self.num_shards,
-        )
-        live = [i for i, s in enumerate(shards) if s[0].size]
-        shard_events = self._replay_inline(
-            shards, live, labels, stats, collect_events
-        )
-        self.clock += len(line_ids)
-        if not collect_events:
-            return None
-        return merge_events(shard_events)
-
     def _replay_inline(self, shards, live, labels, stats, collect_events):
         shard_events = []
         for i in live:
@@ -501,7 +424,6 @@ class ShardedLRUSimulator:
                     "shm": descriptor,
                     "geometry": self.geometry,
                     "chunk_size": self.chunk_size,
-                    "strategy": self.strategy,
                     "shard": i,
                     "num_shards": self.num_shards,
                     "state": state,

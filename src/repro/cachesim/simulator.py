@@ -1,25 +1,34 @@
 """Drive a memory-reference trace through the cache simulator.
 
-Two engines sit behind :class:`CacheSimulator`:
+:class:`CacheSimulator` fixes its engine at construction, from the
+replacement policy alone:
 
-* ``"array"`` — the batched numpy engine
-  (:class:`~repro.cachesim.engine.ArrayLRUEngine`): the trace is
-  pre-expanded into flat numpy columns of per-line touches
-  (vectorised), collapsed, and replayed in per-set waves of whole-array
-  operations.  LRU only; bit-identical to the oracle.
-* ``"reference"`` — the dict-based
+* LRU gets the batched numpy engine
+  (:class:`~repro.cachesim.engine.ArrayLRUEngine`): each chunk is
+  expanded into flat numpy columns of per-line touches (vectorised),
+  collapsed, and replayed in per-set waves of whole-array operations.
+  It is bit-identical to the oracle.  An explicit ``shards=K > 1``
+  replaces it with :class:`~repro.cachesim.sharding.ShardedLRUSimulator`,
+  which splits the same replay by set index.
+* FIFO/random, or an explicit ``engine="reference"``, get the dict-based
   :class:`~repro.cachesim.cache.SetAssociativeCache` oracle: a
   sequential walk doing plain dict operations, roughly a microsecond
-  per reference.  Supports every replacement policy and remains the
+  per reference.  It supports every replacement policy and remains the
   ground truth the array engine is differentially tested against
   (``tests/cachesim/test_engine_differential.py``).
 
-The default ``engine="auto"`` routes LRU to the array engine and the
-FIFO/random ablation policies to the reference cache's general access
-path; requesting ``engine="array"`` for a non-LRU policy raises
+Requesting ``engine="array"`` for a non-LRU policy raises
 :class:`~repro.cachesim.engine.CacheEngineError` instead of silently
-degrading.  ``benchmarks/harness.py`` records the measured speedup per
-kernel in ``BENCH_cachesim.json``.
+degrading.
+
+Whole and streamed traces share one replay path: :meth:`CacheSimulator.run`
+cuts a whole trace into ``chunk_size``-reference chunks
+(:func:`~repro.trace.reference.iter_chunks`) and feeds every chunk to
+:meth:`CacheSimulator.run_chunk` against the warm engine state.
+Expansion is per-reference elementwise, so the statistics do not
+depend on where the chunk boundaries fall, and the replay's working
+memory is O(chunk).  ``benchmarks/harness.py`` records the measured
+engine speedup per kernel in ``BENCH_cachesim.json``.
 """
 
 from __future__ import annotations
@@ -28,41 +37,38 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
-from repro.cachesim.cache import SetAssociativeCache, _Line
+from repro.cachesim.cache import HIT, SetAssociativeCache
 from repro.cachesim.configs import CacheGeometry
 from repro.cachesim.engine import (
-    AUTO_ARRAY_MIN_REFS,
     DEFAULT_CHUNK_SIZE,
     EVENT_EVICT,
-    STRATEGIES,
     ArrayLRUEngine,
     CacheEngineError,
     check_engine,
 )
-from repro.cachesim.expand import _expand_lines, expanded_size  # noqa: F401
+from repro.cachesim.expand import _expand_lines
 from repro.cachesim.pool import effective_cpus
-from repro.cachesim.sharding import ShardedLRUSimulator, auto_shard_plan
+from repro.cachesim.sharding import ShardedLRUSimulator
 from repro.cachesim.stats import CacheStats
-from repro.trace.reference import ReferenceTrace
+from repro.trace.reference import ReferenceTrace, iter_chunks
 
 # _expand_lines lives in repro.cachesim.expand (the sharded workers need
-# it without importing this module); re-exported here because the tests
-# and the bench harness historically import it from the simulator.
+# it without importing this module); run_chunk looks it up as this
+# module's global, and the tests and the bench harness import it from
+# here.
 
 
-def _parallelism_arg(value, name: str):
-    """Validate a ``shards``/``jobs`` argument: ``"auto"`` or int >= 1."""
-    if value == "auto":
-        return value
+def _count_arg(value, name: str) -> int:
+    """Validate a ``shards``/``jobs`` count: an int >= 1."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be 'auto' or an int >= 1, got {value!r}")
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
-    return int(value)
+    return value
 
 
 class CacheSimulator:
-    """Runs reference traces through a set-associative LRU cache.
+    """Runs reference traces through a set-associative cache.
 
     The simulator keeps the cache state across :meth:`run` calls, so a
     kernel split across several traces (e.g. per-iteration traces) warms
@@ -81,36 +87,23 @@ class CacheSimulator:
         extension.
     engine:
         ``"auto"`` (default), ``"array"`` or ``"reference"`` — see the
-        module docstring.  Both engines produce bit-identical
-        statistics for LRU.  ``"auto"`` with LRU resolves *lazily* at
-        the first :meth:`run`, routing to the array engine only when
-        the expanded trace holds at least ``auto_min_refs`` line
-        touches (below that the dict oracle is faster).
+        module docstring.  ``"auto"`` picks the array engine for LRU
+        and the oracle for every other policy; both engines produce
+        bit-identical statistics for LRU.
     chunk_size:
-        Batch size (expanded line touches) for the array engine's
-        chunked replay.
-    strategy:
-        Array-engine in-chunk replay strategy (``"adaptive"``/``"wave"``/
-        ``"scalar"``); all three are bit-identical, ``"adaptive"``
-        picks per chunk on estimated throughput.
+        References per chunk when :meth:`run` cuts a whole trace, and
+        expanded line touches per array-engine batch.
     shards:
-        ``"auto"`` (default) or a set-index shard count.  ``K > 1``
-        partitions the line stream by set index and replays each shard
-        through its own array engine — bit-identical merged results
-        (see :mod:`repro.cachesim.sharding`); requires the LRU policy
-        and the array engine.  ``"auto"`` defers to the first
-        :meth:`run` and asks
-        :func:`~repro.cachesim.sharding.auto_shard_plan` whether the
-        trace is big enough (and the machine parallel enough) for
-        sharding to win; on one CPU it never shards.
+        Set-index shard count (default 1).  ``K > 1`` partitions the
+        line stream by set index and replays each shard through its
+        own array engine — bit-identical merged results (see
+        :mod:`repro.cachesim.sharding`); requires the LRU policy and
+        the array engine.
     jobs:
         Worker processes for sharded replay.  ``"auto"`` (default)
-        follows the shard plan (one process per shard, never more than
-        visible CPUs); ``1`` replays shards inline in this process.
-    auto_min_refs:
-        Expanded-trace size at which ``engine="auto"`` picks the array
-        engine (default
-        :data:`~repro.cachesim.engine.AUTO_ARRAY_MIN_REFS`).
+        opens one per shard, never more than the visible CPUs; ``1``
+        replays the shards inline in this process.  Ignored with one
+        shard.
     """
 
     def __init__(
@@ -121,44 +114,29 @@ class CacheSimulator:
         track_residency: bool = False,
         engine: str = "auto",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        strategy: str = "adaptive",
-        shards: int | str = "auto",
+        shards: int = 1,
         jobs: int | str = "auto",
-        auto_min_refs: int = AUTO_ARRAY_MIN_REFS,
     ):
         if policy not in SetAssociativeCache.POLICIES:
             raise ValueError(
                 f"policy must be one of {SetAssociativeCache.POLICIES}, "
                 f"got {policy!r}"
             )
-        shards = _parallelism_arg(shards, "shards")
-        jobs = _parallelism_arg(jobs, "jobs")
-        # Engine construction may be deferred to the first run; fail
-        # bad engine parameters at construction time regardless.
+        shards = _count_arg(shards, "shards")
+        if jobs != "auto":
+            jobs = _count_arg(jobs, "jobs")
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {STRATEGIES}, got {strategy!r}"
-            )
         self.geometry = geometry
         self.policy = policy
-        self._seed = seed
-        self._chunk_size = chunk_size
-        self._strategy = strategy
-        self._auto_min_refs = int(auto_min_refs)
-        #: Resolved shard/worker counts; hold the requested values
-        #: (possibly ``"auto"``) until the first run pins them.
-        self.shards = shards
-        self.jobs = jobs
-        resolved = check_engine(engine, policy)
+        self.engine = check_engine(engine, policy)
+        self._chunk_size = int(chunk_size)
         self._stats = CacheStats()
         #: The dict-based oracle; ``None`` under the array engine.
         self.cache: SetAssociativeCache | None = None
         self._array: ArrayLRUEngine | ShardedLRUSimulator | None = None
-        if isinstance(shards, int) and shards > 1:
-            # Explicit shard count: construct eagerly (callers rely on
-            # introspecting the sharded engine before the first run).
+        self.shards = self.jobs = 1
+        if shards > 1:
             # Sharded replay rides on the array engine's set
             # independence; the oracle path cannot be partitioned.
             if policy != "lru":
@@ -166,41 +144,22 @@ class CacheSimulator:
                     f"sharded simulation requires the LRU policy, "
                     f"got policy={policy!r}"
                 )
-            if resolved != "array":
+            if self.engine != "array":
                 raise CacheEngineError(
                     "sharded simulation (shards > 1) requires the array "
                     "engine; drop engine='reference' or use shards=1"
                 )
-            self.engine = "array"
             self.jobs = (
-                jobs if isinstance(jobs, int)
+                jobs if jobs != "auto"
                 else max(1, min(shards, effective_cpus()))
             )
             self._array = ShardedLRUSimulator(
-                geometry,
-                shards,
-                jobs=self.jobs,
-                chunk_size=chunk_size,
-                strategy=strategy,
+                geometry, shards, jobs=self.jobs, chunk_size=chunk_size
             )
             self.shards = self._array.num_shards
-        elif engine == "auto" and policy == "lru":
-            # Deferred: engine and shard plan routed by expanded-trace
-            # size at the first run.
-            self.engine = "auto"
-        elif resolved == "array":
-            self.engine = "array"
-            if shards == "auto":
-                # Engine known, shard plan deferred to the first run.
-                pass
-            else:
-                self.shards, self.jobs = 1, 1
-                self._array = ArrayLRUEngine(
-                    geometry, chunk_size=chunk_size, strategy=strategy
-                )
+        elif self.engine == "array":
+            self._array = ArrayLRUEngine(geometry, chunk_size=chunk_size)
         else:
-            self.engine = "reference"
-            self.shards, self.jobs = 1, 1
             self.cache = SetAssociativeCache(
                 geometry, stats=self._stats, policy=policy, seed=seed
             )
@@ -255,133 +214,77 @@ class CacheSimulator:
         """Number of lines currently resident in the cache."""
         if self._array is not None:
             return self._array.resident_lines()
-        if self.cache is None:  # auto engine not yet resolved: cold
-            return 0
         return self.cache.resident_lines()
 
     def resident_lines_for(self, label: str) -> int:
         """Number of resident lines owned by ``label``."""
         if self._array is not None:
             return self._array.resident_lines_for(label)
-        if self.cache is None:
-            return 0
         return self.cache.resident_lines_for(label)
 
     # -- trace replay ----------------------------------------------------
-    def _plan_sharding(self, n_refs: int) -> tuple[int, int]:
-        """Pin the deferred shard/worker counts for an array run.
-
-        Only reached with ``shards`` still ``"auto"`` or ``1`` (explicit
-        ``shards > 1`` constructs eagerly in ``__init__``).
-        """
-        if self.shards == "auto":
-            shards, jobs = auto_shard_plan(n_refs, self.geometry.num_sets)
-            if isinstance(self.jobs, int):
-                jobs = max(1, min(self.jobs, shards))
-            if shards > 1 and jobs > 1:
-                return shards, jobs
-            # An explicit jobs=1 (or a plan of one shard) means inline
-            # sharding, which buys nothing over the plain engine.
-        return 1, 1
-
-    def _resolve(self, trace: ReferenceTrace, streaming: bool = False) -> None:
-        """Pin deferred ``"auto"`` choices from the first trace's size.
-
-        The array engine's batching overhead loses to the dict oracle
-        below :data:`~repro.cachesim.engine.AUTO_ARRAY_MIN_REFS`
-        expanded touches, and sharding only wins past
-        :data:`~repro.cachesim.sharding.SHARD_AUTO_MIN_REFS` with spare
-        CPUs (:func:`~repro.cachesim.sharding.auto_shard_plan`).  The
-        expanded size comes from span arithmetic — nothing is
-        materialised here.  The first run's size decides, and the
-        choice then stays fixed for the simulator's lifetime
-        (warm-cache multi-run callers keep one state).
-
-        Under ``streaming`` the first *chunk*'s size says nothing about
-        the stream's total, so the auto routes flip to the big-trace
-        answers instead: ``engine="auto"`` picks the array engine
-        (callers stream precisely because the trace is large), and
-        ``shards="auto"`` stays at one shard (an explicit ``shards=K``
-        was constructed eagerly and is honoured per chunk).
-        """
-        if streaming and self.engine == "auto":
-            self.engine = "array"
-        n_refs = expanded_size(trace, self.geometry.line_size)
-        if self.engine == "auto":
-            if n_refs < self._auto_min_refs:
-                self.engine = "reference"
-                self.shards, self.jobs = 1, 1
-                self.cache = SetAssociativeCache(
-                    self.geometry,
-                    stats=self._stats,
-                    policy=self.policy,
-                    seed=self._seed,
-                )
-                return
-            self.engine = "array"
-        if streaming:
-            self.shards, self.jobs = 1, 1
-        else:
-            self.shards, self.jobs = self._plan_sharding(n_refs)
-        if self.shards > 1:
-            self._array = ShardedLRUSimulator(
-                self.geometry,
-                self.shards,
-                jobs=self.jobs,
-                chunk_size=self._chunk_size,
-                strategy=self._strategy,
-            )
-        else:
-            self._array = ArrayLRUEngine(
-                self.geometry,
-                chunk_size=self._chunk_size,
-                strategy=self._strategy,
-            )
-
     def run(self, trace) -> CacheStats:
         """Simulate a trace; returns the accumulated stats object.
 
-        Accepts either a :class:`ReferenceTrace` or an *iterable of
-        chunks* (anything yielding ``ReferenceTrace`` pieces, e.g.
+        Accepts either a :class:`ReferenceTrace`, cut here into
+        ``chunk_size``-reference chunks, or an *iterable of chunks*
+        (anything yielding ``ReferenceTrace`` pieces, e.g.
         :func:`~repro.trace.reference.iter_chunks` or a recorder's
-        :meth:`~repro.trace.recorder.TraceRecorder.finish_chunks`); the
-        latter is routed through :meth:`run_stream` and is bit-identical
-        to running the concatenated trace monolithically.
+        :meth:`~repro.trace.recorder.TraceRecorder.finish_chunks`),
+        routed through :meth:`run_stream`.  Every chunk goes through
+        :meth:`run_chunk`, so the result — counters, residency
+        integrals, final cache state — does not depend on the chunking.
         """
         if not isinstance(trace, ReferenceTrace):
             return self.run_stream(trace)
-        if self._array is None and self.cache is None:
-            self._resolve(trace)
-        return self._dispatch(trace)
-
-    def run_chunk(self, chunk: ReferenceTrace) -> CacheStats:
-        """Simulate one chunk of a stream (push-mode streaming entry).
-
-        Identical to :meth:`run` except that deferred ``"auto"``
-        choices resolve with streaming semantics (see :meth:`_resolve`):
-        a small first chunk must not route a billion-reference stream
-        onto the dict oracle.  Use this as the ``sink=`` of a streaming
-        :class:`~repro.trace.recorder.TraceRecorder`, ideally inside
-        :meth:`stream_scope`.
-        """
-        if self._array is None and self.cache is None:
-            self._resolve(chunk, streaming=True)
-        return self._dispatch(chunk)
+        for chunk in iter_chunks(trace, self._chunk_size):
+            self.run_chunk(chunk)
+        return self._stats
 
     def run_stream(self, chunks) -> CacheStats:
-        """Simulate an iterable of trace chunks (pull-mode streaming).
+        """Simulate an iterable of trace chunks inside :meth:`stream_scope`.
 
         Peak memory is O(chunk), not O(trace): each chunk is expanded,
         replayed against the persistent warm engine state, and dropped.
-        The result — counters, residency events and integrals, final
-        cache state — is bit-identical to a monolithic :meth:`run` of
-        the concatenated trace, because expansion is per-reference
-        elementwise and the engines already replay in bounded batches
-        with persistent state.
         """
         with self.stream_scope():
             for chunk in chunks:
                 self.run_chunk(chunk)
+        return self._stats
+
+    def run_chunk(self, chunk: ReferenceTrace) -> CacheStats:
+        """Simulate one chunk against the warm cache state.
+
+        The push-mode streaming entry: use it as the ``sink=`` of a
+        streaming :class:`~repro.trace.recorder.TraceRecorder`, ideally
+        inside :meth:`stream_scope`.
+        """
+        for name in chunk.labels:
+            self._stats.label(name)
+        engine = self._array
+        if isinstance(engine, ShardedLRUSimulator):
+            # The sharded simulator owns expansion (worker-side on the
+            # pooled path), so the parent never materialises the
+            # expanded chunk when worker processes are in play.
+            events = engine.replay_trace(
+                chunk, self._stats, collect_events=self.track_residency
+            )
+        else:
+            line_ids, writes, label_ids = _expand_lines(
+                chunk, self.geometry.line_size
+            )
+            if engine is None:
+                return self._run_reference(chunk, line_ids, writes, label_ids)
+            events = engine.replay(
+                line_ids,
+                writes,
+                label_ids,
+                chunk.labels,
+                self._stats,
+                collect_events=self.track_residency,
+            )
+        if self.track_residency:
+            self._apply_events(events, engine.label_name, engine.clock)
         return self._stats
 
     @contextmanager
@@ -400,28 +303,6 @@ class CacheSimulator:
         with ctx:
             yield self
 
-    def _dispatch(self, trace: ReferenceTrace) -> CacheStats:
-        """Route one resolved trace/chunk to the active engine."""
-        if isinstance(self._array, ShardedLRUSimulator):
-            return self._run_sharded(trace)
-        line_ids, writes, label_ids = _expand_lines(
-            trace, self.geometry.line_size
-        )
-        if self._array is not None:
-            return self._run_array(trace, line_ids, writes, label_ids)
-        if self.policy != "lru":
-            # Non-LRU ablation policies go through the reference
-            # cache's general access path (the LRU paths above and
-            # below are policy-specific).
-            access = self.cache.access_line
-            labels = trace.labels
-            for line_id, is_write, lid in zip(
-                line_ids.tolist(), writes.tolist(), label_ids.tolist()
-            ):
-                access(line_id, is_write, labels[lid])
-            return self._stats
-        return self._run_reference(trace, line_ids, writes, label_ids)
-
     def _apply_events(self, events, name_of, end_clock: int) -> None:
         """Replay engine residency events into the integral accounting."""
         steps, kinds, event_labels = events
@@ -437,46 +318,6 @@ class CacheSimulator:
                 insert(name_of(lid))
         self._steps = end_clock
 
-    def _run_array(
-        self,
-        trace: ReferenceTrace,
-        line_ids: np.ndarray,
-        writes: np.ndarray,
-        label_ids: np.ndarray,
-    ) -> CacheStats:
-        """Batched replay through :class:`ArrayLRUEngine`."""
-        engine = self._array
-        for name in trace.labels:
-            self._stats.label(name)
-        events = engine.replay(
-            line_ids,
-            writes,
-            label_ids,
-            trace.labels,
-            self._stats,
-            collect_events=self.track_residency,
-        )
-        if self.track_residency:
-            self._apply_events(events, engine.label_name, engine.clock)
-        return self._stats
-
-    def _run_sharded(self, trace: ReferenceTrace) -> CacheStats:
-        """Sharded replay from the compact trace.
-
-        The sharded simulator owns expansion (worker-side on the pooled
-        path), so this never materialises the full expanded stream in
-        the parent when worker processes are in play.
-        """
-        engine = self._array
-        for name in trace.labels:
-            self._stats.label(name)
-        events = engine.replay_trace(
-            trace, self._stats, collect_events=self.track_residency
-        )
-        if self.track_residency:
-            self._apply_events(events, engine.label_name, engine.clock)
-        return self._stats
-
     def _run_reference(
         self,
         trace: ReferenceTrace,
@@ -484,56 +325,27 @@ class CacheSimulator:
         writes: np.ndarray,
         label_ids: np.ndarray,
     ) -> CacheStats:
-        """The oracle's sequential LRU walk (dict operations)."""
-        geometry = self.geometry
+        """The oracle's sequential walk, for every replacement policy."""
+        touch = self.cache.touch_line
         labels = trace.labels
-        # Local-variable binding for the sequential walk.
-        sets = self.cache._sets
-        num_sets = geometry.num_sets
-        ways = geometry.associativity
-        stats = self._stats
-        counters = [stats.label(name) for name in labels]
-        wb_counts: dict[str, int] = {}
-        line_ids_list = line_ids.tolist()
-        writes_list = writes.tolist()
-        label_ids_list = label_ids.tolist()
         tracking = self.track_residency
         for line_id, is_write, lid in zip(
-            line_ids_list, writes_list, label_ids_list
+            line_ids.tolist(), writes.tolist(), label_ids.tolist()
         ):
+            label = labels[lid]
+            evicted = touch(line_id, is_write, label)
             if tracking:
                 self._steps += 1
-            cache_set = sets[line_id % num_sets]
-            tag = line_id // num_sets
-            counter = counters[lid]
-            line = cache_set.get(tag)
-            if line is not None:
-                counter.hits += 1
-                cache_set.move_to_end(tag)
-                if is_write:
-                    line.dirty = True
-                continue
-            counter.misses += 1
-            if len(cache_set) >= ways:
-                _, victim = cache_set.popitem(last=False)
-                if victim.dirty:
-                    name = victim.label
-                    wb_counts[name] = wb_counts.get(name, 0) + 1
-                if tracking:
-                    self._residency_evict(victim.label)
-            cache_set[tag] = _Line(is_write, labels[lid])
-            if tracking:
-                self._residency_insert(labels[lid])
-        for name, count in wb_counts.items():
-            stats.label(name).writebacks += count
-        return stats
+                if evicted is not HIT:
+                    if evicted is not None:
+                        self._residency_evict(evicted)
+                    self._residency_insert(label)
+        return self._stats
 
     def flush(self) -> int:
         """Drain the cache, charging writebacks for dirty lines."""
         if self._array is not None:
             return self._array.flush(self._stats)
-        if self.cache is None:  # auto engine not yet resolved: cold
-            return 0
         return self.cache.flush()
 
 
@@ -543,7 +355,7 @@ def simulate_trace(
     flush_at_end: bool = False,
     policy: str = "lru",
     engine: str = "auto",
-    shards: int | str = "auto",
+    shards: int = 1,
     jobs: int | str = "auto",
     mode: str = "exact",
     estimate_options: dict | None = None,

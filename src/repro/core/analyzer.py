@@ -44,10 +44,11 @@ class AnalyzerConfig:
         bit-identical either way for LRU.
     jobs / shards:
         Set-sharded (parallel) simulation for the ground-truth path.
-        The defaults (``"auto"``) let the tuner shard big traces on
-        multi-core hosts and stay single-process everywhere else;
-        explicit ints pin the counts.  Results stay bit-identical
-        either way (see :mod:`repro.cachesim.sharding`).
+        The default is one shard in this process; ``shards=K > 1``
+        replays K set-index shards on up to ``jobs`` worker processes
+        (``"auto"``: one per shard, capped by the visible CPUs).
+        Results stay bit-identical either way (see
+        :mod:`repro.cachesim.sharding`).
     trace_cache:
         Optional :class:`~repro.trace.cache.TraceCache` (or cache
         directory path) reusing persisted kernel traces across
@@ -76,7 +77,7 @@ class AnalyzerConfig:
     bandwidth: float = 12.8e9
     engine: str = "auto"
     jobs: int | str = "auto"
-    shards: int | str = "auto"
+    shards: int = 1
     trace_cache: object = None
     chunk_refs: int | None = None
     sim_mode: str = "exact"

@@ -73,7 +73,7 @@ def ground_truth_stats(
     workload: Workload,
     geometry: CacheGeometry,
     engine: str = "auto",
-    shards: int | str = "auto",
+    shards: int = 1,
     jobs: int | str = "auto",
     trace_cache=None,
     chunk_refs: int | None = None,
@@ -139,7 +139,7 @@ def validate_kernel(
     sink: DiagnosticSink | None = None,
     engine: str = "auto",
     jobs: int | str = "auto",
-    shards: int | str = "auto",
+    shards: int = 1,
     trace_cache=None,
     chunk_refs: int | None = None,
     sim_mode: str = "exact",
@@ -153,8 +153,8 @@ def validate_kernel(
     ground truth and always raises on failure.  ``engine`` selects the
     cache-simulation engine (``"auto"``/``"array"``/``"reference"``);
     both produce bit-identical statistics for LRU.  ``shards``/``jobs``
-    control set-sharded (parallel) simulation — the ``"auto"`` defaults
-    shard only when the tuner predicts a win — and ``trace_cache`` — a
+    control set-sharded (parallel) simulation — the default is one
+    shard, in this process — and ``trace_cache`` — a
     :class:`~repro.trace.cache.TraceCache` or cache-directory path —
     reuses persisted traces across calls; all three preserve
     bit-identical results.  The reported ``simulation_seconds`` covers

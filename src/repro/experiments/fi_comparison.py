@@ -13,6 +13,7 @@ puts numbers on both halves:
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,7 +68,7 @@ def run_fi_comparison(
     timeout: float | None = None,
     checkpoint_dir: str | Path | None = None,
     engine: str = "auto",
-    shards: int | str = "auto",
+    shards: int = 1,
     trace_cache=None,
     chunk_refs: int | None = None,
     sim_mode: str = "exact",
@@ -81,8 +82,8 @@ def run_fi_comparison(
     already there, so an interrupted comparison re-runs only what is
     missing.  On Ctrl-C the completed rows are returned (the current
     campaign having flushed its checkpoint first).  ``engine`` and
-    ``shards`` select the cache-simulation engine and sharding used by
-    any simulated evaluation (``shards="auto"`` lets the tuner decide),
+    ``shards`` select the cache-simulation engine and set-shard count
+    used by any simulated evaluation (default: one shard),
     and ``trace_cache`` lets those evaluations reuse traces persisted
     by a fig4 run over the same workloads.  ``chunk_refs``/``sim_mode``/
     ``estimate_options`` carry the streaming/estimator knobs into those
@@ -123,6 +124,10 @@ def run_fi_comparison(
             # Interrupted mid-campaign: its trials are journaled; stop
             # here so a re-run with the same checkpoint_dir resumes.
             break
+        # Collect the campaign's garbage first: a collection it has made
+        # due would otherwise land in, and be billed to, the model's
+        # few milliseconds.
+        gc.collect()
         start = time.perf_counter()
         report = analyzer.analyze(KERNELS[name], workload)
         model_seconds = time.perf_counter() - start

@@ -41,7 +41,7 @@ def run_fig4(
     caches: dict | None = None,
     engine: str = "auto",
     jobs: int | str = "auto",
-    shards: int | str = "auto",
+    shards: int = 1,
     trace_cache=None,
     chunk_refs: int | None = None,
     sim_mode: str = "exact",

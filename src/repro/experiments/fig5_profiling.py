@@ -46,7 +46,7 @@ def run_fig5(
     fit: float = DEFAULT_FIT,
     engine: str = "auto",
     jobs: int | str = "auto",
-    shards: int | str = "auto",
+    shards: int = 1,
     trace_cache=None,
     chunk_refs: int | None = None,
     sim_mode: str = "exact",

@@ -40,30 +40,16 @@ EXIT_CHECKPOINT_MISMATCH = 3
 EXIT_CHECKPOINT_CORRUPT = 4
 
 
-def _shards_flag(value: str):
-    """``--shards`` argparse type: ``auto`` or an int shard count."""
-    if value == "auto":
-        return "auto"
-    return int(value)
-
-
 def _sim_parallelism(args) -> tuple:
     """(jobs, shards) for sharded simulation from the CLI flags.
 
-    Both default to ``auto``: the tuner shards big traces on multi-core
-    hosts and runs single-process everywhere else.  An explicit
-    ``--jobs N`` without ``--shards`` keeps the historical behaviour of
-    an N-shard, N-worker simulation; results are bit-identical at any
-    combination.
+    ``--shards`` defaults to 1 (single-process replay).  An explicit
+    ``--jobs N`` without ``--shards`` selects an N-shard, N-worker
+    simulation; results are bit-identical at any combination.
     """
-    jobs = args.jobs if args.jobs is not None else "auto"
-    if args.shards is not None:
-        shards = args.shards
-    elif isinstance(jobs, int):
-        shards = jobs
-    else:
-        shards = "auto"
-    return jobs, shards
+    if args.jobs is None:
+        return "auto", args.shards if args.shards is not None else 1
+    return args.jobs, args.shards if args.shards is not None else args.jobs
 
 
 def _streaming_knobs(args) -> dict:
@@ -148,7 +134,7 @@ def _fi(args) -> str:
             timeout=args.timeout,
             checkpoint_dir=args.resume,
             engine=args.engine,
-            shards=args.shards if args.shards is not None else "auto",
+            shards=args.shards if args.shards is not None else 1,
             trace_cache=args.trace_cache,
             **_streaming_knobs(args),
         )
@@ -227,13 +213,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shards",
-        type=_shards_flag,
+        type=int,
         default=None,
-        metavar="K|auto",
+        metavar="K",
         help="fig4/fig5/fi: split the cache simulation into K set-index "
-        "shards, or 'auto' to let the tuner pick from trace size and "
-        "CPU count (default: the --jobs count if given, else auto); "
-        "any choice gives bit-identical statistics",
+        "shards (default: 1, or the --jobs count for fig4/fig5); any "
+        "choice gives bit-identical statistics",
     )
     parser.add_argument(
         "--trace-cache",

@@ -156,7 +156,7 @@ def _run_kernel(spec: JobSpec, degraded: bool) -> dict:
         sim_mode, estimate_options = "exact", None
     else:
         engine = str(options.get("engine", "auto"))
-        shards = options.get("shards", "auto")
+        shards = options.get("shards", 1)
         jobs = options.get("jobs", "auto")
         sim_mode = "estimate" if options.get("estimate") else "exact"
         estimate_options = (

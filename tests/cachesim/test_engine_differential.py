@@ -5,13 +5,15 @@ bit-identical to :class:`~repro.cachesim.cache.SetAssociativeCache` —
 not approximately equal: per-label hits, misses, writebacks, eviction
 counts, residency integrals, and post-flush state all match exactly on
 seeded randomized traces across geometries, chunk sizes, and both
-in-chunk replay strategies.
+in-chunk replay kernels.
 """
 
 import numpy as np
 import pytest
 
+import repro.cachesim.engine as engine_mod
 from repro.cachesim import (
+    ArrayLRUEngine,
     CacheEngineError,
     CacheGeometry,
     CacheSimulator,
@@ -30,6 +32,34 @@ GEOMETRIES = [
     CacheGeometry(3, 8, 32),  # non-power-of-two ways
     CacheGeometry(2, 24, 64),  # non-power-of-two sets (%// path)
 ]
+
+
+#: ``ADAPTIVE_WAVE_CUTOFF`` that forces each in-chunk replay kernel: 0
+#: sends every chunk to the wave kernel, a cutoff above any run count
+#: sends every chunk to the scalar one, and the default picks per chunk.
+KERNEL_CUTOFFS = {
+    "wave": 0,
+    "scalar": 1 << 40,
+    "adaptive": engine_mod.ADAPTIVE_WAVE_CUTOFF,
+}
+
+
+def force_kernel(monkeypatch, kernel: str) -> None:
+    """Make every array-engine chunk replay through ``kernel``."""
+    monkeypatch.setattr(
+        engine_mod, "ADAPTIVE_WAVE_CUTOFF", KERNEL_CUTOFFS[kernel]
+    )
+
+
+def straddling_trace(n=64):
+    """Every reference spans several 32-byte lines."""
+    return ReferenceTrace(
+        addresses=np.arange(n, dtype=np.int64) * 48,
+        sizes=np.full(n, 100, dtype=np.int64),
+        is_write=np.arange(n) % 2 == 0,
+        label_ids=(np.arange(n) % 2).astype(np.int32),
+        labels=["x", "y"],
+    )
 
 
 def random_trace(rng, n, n_labels=3, addr_space=1 << 15, max_size=192):
@@ -66,10 +96,13 @@ def assert_identical(array_sim, ref_sim, labels):
 
 class TestDifferentialRandomized:
     @pytest.mark.parametrize("geometry", GEOMETRIES, ids=str)
-    @pytest.mark.parametrize("strategy", ["wave", "scalar", "adaptive"])
-    def test_randomized_traces_match_oracle(self, geometry, strategy):
+    @pytest.mark.parametrize("kernel", ["wave", "scalar", "adaptive"])
+    def test_randomized_traces_match_oracle(
+        self, geometry, kernel, monkeypatch
+    ):
+        force_kernel(monkeypatch, kernel)
         rng = np.random.default_rng(
-            abs(hash((geometry.associativity, geometry.num_sets, strategy)))
+            abs(hash((geometry.associativity, geometry.num_sets, kernel)))
             % (1 << 32)
         )
         for trial in range(4):
@@ -80,7 +113,6 @@ class TestDifferentialRandomized:
                 track_residency=True,
                 engine="array",
                 chunk_size=chunk,
-                strategy=strategy,
             )
             ref_sim = CacheSimulator(
                 geometry, track_residency=True, engine="reference"
@@ -125,7 +157,32 @@ class TestDifferentialRandomized:
         ref_sim.run(trace)
         assert_identical(array_sim, ref_sim, trace.labels)
 
-    def test_repeated_same_line_hits_fast_path(self):
+    @pytest.mark.parametrize("engine", ["array", "reference"])
+    @pytest.mark.parametrize("chunk_size", [1, 3])
+    def test_run_chunks_smaller_than_trace_match_oracle(
+        self, engine, chunk_size
+    ):
+        # run() cuts the trace into chunk_size-reference chunks.  Every
+        # reference here expands to several lines, so the engine's
+        # chunk_size-touch batches also end inside a reference.
+        geometry = CacheGeometry(2, 8, 32)
+        trace = straddling_trace()
+        chunked = CacheSimulator(
+            geometry,
+            track_residency=True,
+            engine=engine,
+            chunk_size=chunk_size,
+        )
+        ref_sim = CacheSimulator(
+            geometry, track_residency=True, engine="reference"
+        )
+        chunked.run(trace)
+        ref_sim.run(trace)
+        assert_identical(chunked, ref_sim, trace.labels)
+        assert chunked.flush() == ref_sim.flush()
+        assert chunked.stats.as_dict() == ref_sim.stats.as_dict()
+
+    def test_repeated_same_line_hits_fast_path(self, monkeypatch):
         # Long same-line runs exercise the pre-collapse path.
         geometry = CacheGeometry(4, 16, 64)
         n = 500
@@ -136,12 +193,10 @@ class TestDifferentialRandomized:
             label_ids=np.zeros(n, dtype=np.int32),
             labels=["A"],
         )
-        for strategy in ("wave", "scalar"):
+        for kernel in ("wave", "scalar"):
+            force_kernel(monkeypatch, kernel)
             array_sim = CacheSimulator(
-                geometry,
-                track_residency=True,
-                engine="array",
-                strategy=strategy,
+                geometry, track_residency=True, engine="array"
             )
             ref_sim = CacheSimulator(
                 geometry, track_residency=True, engine="reference"
@@ -152,53 +207,15 @@ class TestDifferentialRandomized:
 
 
 class TestEngineSwitch:
-    def test_auto_defers_until_first_run(self):
-        # auto + LRU resolves by expanded-trace size at the first run,
-        # not at construction.
+    def test_default_lru_engine_fixed_at_construction(self):
+        # The engine comes from the policy alone, before any trace.
         sim = CacheSimulator(CacheGeometry(4, 64, 32))
-        assert sim.engine == "auto"
+        assert sim.engine == "array"
+        assert isinstance(sim._array, ArrayLRUEngine)
         assert sim.cache is None
+        assert (sim.shards, sim.jobs) == (1, 1)
         assert sim.resident_lines() == 0
         assert sim.flush() == 0
-
-    def test_auto_routes_small_trace_to_reference(self):
-        rng = np.random.default_rng(11)
-        trace = random_trace(rng, n=200)
-        sim = CacheSimulator(CacheGeometry(4, 64, 32))
-        sim.run(trace)
-        assert sim.engine == "reference"
-        assert sim.cache is not None
-
-    def test_auto_routes_large_trace_to_array(self):
-        rng = np.random.default_rng(12)
-        trace = random_trace(rng, n=300)
-        # Lower the threshold instead of building a 100k-ref trace.
-        sim = CacheSimulator(CacheGeometry(4, 64, 32), auto_min_refs=100)
-        sim.run(trace)
-        assert sim.engine == "array"
-        assert sim.cache is None
-
-    def test_auto_threshold_is_overridable(self):
-        rng = np.random.default_rng(13)
-        trace = random_trace(rng, n=50)
-        routed = {}
-        for threshold in (1, 10**9):
-            sim = CacheSimulator(
-                CacheGeometry(4, 64, 32), auto_min_refs=threshold
-            )
-            sim.run(trace)
-            routed[threshold] = sim.engine
-        assert routed == {1: "array", 10**9: "reference"}
-
-    def test_auto_resolution_sticks_across_runs(self):
-        rng = np.random.default_rng(14)
-        sim = CacheSimulator(CacheGeometry(4, 64, 32), auto_min_refs=100)
-        sim.run(random_trace(rng, n=300))
-        assert sim.engine == "array"
-        # A tiny follow-up trace must not flip the engine (state would
-        # be lost); the resolution is per-simulator, not per-run.
-        sim.run(random_trace(rng, n=5))
-        assert sim.engine == "array"
 
     @pytest.mark.parametrize("policy", ["fifo", "random"])
     def test_auto_routes_non_lru_to_reference(self, policy):
@@ -235,8 +252,8 @@ class TestEngineSwitch:
         assert check_engine("array", "lru") == "array"
 
     def test_reference_engine_lru_matches_array(self):
-        # The explicit reference engine still uses the tuned LRU walk;
-        # spot-check it against the array engine.
+        # The explicit reference engine walks the dict cache; spot-check
+        # it against the array engine.
         rng = np.random.default_rng(3)
         trace = random_trace(rng, n=400)
         geometry = CacheGeometry(4, 64, 32)
@@ -245,12 +262,6 @@ class TestEngineSwitch:
         a.run(trace)
         r.run(trace)
         assert a.stats.as_dict() == r.stats.as_dict()
-
-    def test_invalid_strategy_rejected(self):
-        with pytest.raises(ValueError, match="strategy"):
-            CacheSimulator(
-                CacheGeometry(4, 64, 32), engine="array", strategy="simd"
-            )
 
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ValueError, match="chunk_size"):

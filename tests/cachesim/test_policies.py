@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.cachesim import CacheGeometry, SetAssociativeCache, simulate_trace
+from repro.cachesim import (
+    CacheGeometry,
+    CacheSimulator,
+    SetAssociativeCache,
+    simulate_trace,
+)
 from repro.trace import TraceRecorder
 
 SMALL = CacheGeometry(4, 64, 32, "small")
@@ -76,3 +81,34 @@ class TestPolicyOrdering:
         rand = simulate_trace(trace, SMALL, policy="random").label("A").misses
         assert lru <= fifo
         assert lru <= rand
+
+
+class TestPolicyResidency:
+    def test_residency_identical_without_evictions(self):
+        """With nothing evicted, residency cannot depend on the policy.
+
+        Two labels' 512-byte footprints (32 lines) fit the 64-set cache
+        without a conflict, so every policy inserts the same lines at
+        the same accesses and must report the same integrals.
+        """
+        rng = np.random.default_rng(3)
+        rec = TraceRecorder()
+        for label in ("a", "b"):
+            rec.allocate(label, 64, 8)
+        for label in ("a", "b", "a"):
+            rec.record_elements(label, rng.integers(0, 64, 200), False)
+        trace = rec.finish()
+        sims = {
+            policy: CacheSimulator(SMALL, policy=policy, track_residency=True)
+            for policy in ("lru", "fifo", "random")
+        }
+        for sim in sims.values():
+            sim.run(trace)
+        lru = sims["lru"]
+        assert lru.resident_lines() == lru.stats.total.misses  # no evictions
+        for label in ("a", "b"):
+            assert lru.average_resident_lines(label) > 0.0
+            for sim in sims.values():
+                assert sim.average_resident_lines(
+                    label
+                ) == lru.average_resident_lines(label)

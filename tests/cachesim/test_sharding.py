@@ -11,6 +11,7 @@ process-pool path.
 import numpy as np
 import pytest
 
+import repro.cachesim.simulator as simulator
 from repro.cachesim import (
     CacheEngineError,
     CacheGeometry,
@@ -155,6 +156,25 @@ class TestShardedValidation:
         sim = CacheSimulator(CacheGeometry(4, 64, 32), shards=2)
         assert sim.engine == "array"
         assert isinstance(sim._array, ShardedLRUSimulator)
+
+    @pytest.mark.parametrize(("cpus", "jobs"), [(1, 1), (2, 2), (8, 3)])
+    def test_explicit_shards_build_eagerly(self, monkeypatch, cpus, jobs):
+        # jobs="auto" opens one worker per shard, capped by the CPUs.
+        monkeypatch.setattr(simulator, "effective_cpus", lambda: cpus)
+        sim = CacheSimulator(CacheGeometry(4, 64, 32), shards=3)
+        assert isinstance(sim._array, ShardedLRUSimulator)  # eager
+        assert (sim.shards, sim.jobs) == (3, jobs)
+
+    @pytest.mark.parametrize("bad", [True, 0, -2, "bogus", 1.5])
+    def test_bad_parallelism_args_rejected(self, bad):
+        with pytest.raises(ValueError, match="shards"):
+            CacheSimulator(CacheGeometry(4, 64, 32), shards=bad)
+        with pytest.raises(ValueError, match="jobs"):
+            CacheSimulator(CacheGeometry(4, 64, 32), jobs=bad)
+
+    def test_shards_auto_rejected(self):
+        with pytest.raises(ValueError, match="shards"):
+            CacheSimulator(CacheGeometry(4, 64, 32), shards="auto")
 
 
 class TestPartition:

@@ -133,8 +133,8 @@ class TestStreamedBitIdentity:
         assert streamed._array._ring is None
 
     def test_streaming_auto_resolves_to_array(self):
-        # A tiny first chunk must not route a long stream onto the dict
-        # oracle: streaming flips engine="auto" to the array engine.
+        # engine="auto" picks the array engine for LRU at construction,
+        # so a tiny first chunk cannot route a long stream elsewhere.
         geometry = CacheGeometry(4, 16, 32)
         trace = random_trace(np.random.default_rng(31), n=200)
         sim = CacheSimulator(geometry, engine="auto")
