@@ -22,9 +22,12 @@ from repro.cachesim.configs import PAPER_CACHES
 from repro.kernels.registry import KERNELS
 from repro.kernels.workloads import WORKLOAD_TIERS
 
-#: Kernels whose DSL form exists at every tier.  (NB requires a
-#: profiling pass at model-build time, so its source is generated on
-#: demand; PCG has no closed DSL form.)
+#: Kernels whose DSL form exists at every tier.  (NB's source is
+#: generated on demand: it embeds the profiled ``k``, which only the
+#: profiling tier carries; at other tiers ``aspen_source`` runs the
+#: profiling walk to measure it.  ``k`` does not spare NB's direct model
+#: that walk: ``access_model`` runs ``profile_frequencies`` at every
+#: tier.  PCG has no closed DSL form.)
 DSL_KERNELS = ("VM", "CG", "MG", "FT", "MC")
 
 
