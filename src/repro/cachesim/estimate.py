@@ -347,8 +347,8 @@ def estimate_trace(
     chunk_refs: int | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> EstimateResult:
-    """Pull-mode estimator entry (``mode="estimate"`` behind
-    :func:`~repro.cachesim.simulator.simulate_trace`).
+    """Pull-mode estimator entry, the counterpart of
+    :func:`~repro.cachesim.simulator.simulate_trace`.
 
     ``trace`` may be a :class:`ReferenceTrace` (optionally chunked via
     ``chunk_refs`` to bound expansion memory) or any chunk iterator.

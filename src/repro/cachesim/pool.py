@@ -4,8 +4,8 @@ PR 4 paid ``ProcessPoolExecutor`` construction on *every*
 ``simulate_trace`` call, which is why its sharded path lost to
 single-shard (0.16x on the committed bench).  This module keeps one
 module-level pool, spawned lazily on first use and reused across
-``simulate_trace`` / ``validate_kernel`` / experiment cells, so fork
-cost is paid once per process.
+every sharded :class:`~repro.cachesim.simulator.CacheSimulator` in the
+process, so fork cost is paid once per process.
 
 Lifecycle guarantees:
 

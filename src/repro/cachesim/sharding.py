@@ -26,8 +26,8 @@ pool spawned per call, and lost 6x to the overhead):
 
 * **Persistent pool** — workers come from the module-level pool in
   :mod:`repro.cachesim.pool`, spawned lazily on first use and reused
-  across ``simulate_trace`` / ``validate_kernel`` / experiment cells;
-  fork cost is paid once per process.
+  across every sharded simulator in the process; fork cost is paid
+  once per process.
 * **Zero-copy transport** — the *compact* trace columns (21 bytes per
   reference) go into one ``multiprocessing.shared_memory`` block; each
   worker receives only a name/length descriptor plus its shard's slice

@@ -229,9 +229,8 @@ class CacheSimulator:
         Accepts either a :class:`ReferenceTrace`, cut here into
         ``chunk_size``-reference chunks, or an *iterable of chunks*
         (anything yielding ``ReferenceTrace`` pieces, e.g.
-        :func:`~repro.trace.reference.iter_chunks` or a recorder's
-        :meth:`~repro.trace.recorder.TraceRecorder.finish_chunks`),
-        routed through :meth:`run_stream`.  Every chunk goes through
+        :func:`~repro.trace.reference.iter_chunks`), routed through
+        :meth:`run_stream`.  Every chunk goes through
         :meth:`run_chunk`, so the result — counters, residency
         integrals, final cache state — does not depend on the chunking.
         """
@@ -357,48 +356,15 @@ def simulate_trace(
     engine: str = "auto",
     shards: int = 1,
     jobs: int | str = "auto",
-    mode: str = "exact",
-    estimate_options: dict | None = None,
-):
+) -> CacheStats:
     """One-shot convenience: simulate a trace on a cold cache.
 
     ``trace`` may be a :class:`ReferenceTrace` or a chunk iterator (see
-    :meth:`CacheSimulator.run`).  ``mode="exact"`` (default) returns the
-    replayed :class:`~repro.cachesim.stats.CacheStats`;
-    ``mode="estimate"`` instead runs the cluster-sampling estimator
-    (:func:`~repro.cachesim.estimate.estimate_trace`, LRU only) and
-    returns an :class:`~repro.cachesim.estimate.EstimateResult` with
-    per-label confidence half-widths — ``estimate_options`` passes
-    keyword arguments (``sample_fraction``, ``groups``, ``confidence``,
-    ``seed``) through to it.
+    :meth:`CacheSimulator.run`); ``policy``/``engine``/``shards``/
+    ``jobs`` configure the :class:`CacheSimulator`, and ``flush_at_end``
+    drains it afterwards.  The sampling estimator has its own entry,
+    :func:`~repro.cachesim.estimate.estimate_trace`.
     """
-    if mode not in ("exact", "estimate"):
-        raise ValueError(
-            f"mode must be 'exact' or 'estimate', got {mode!r}"
-        )
-    if mode == "estimate":
-        # Late import: repro.cachesim.estimate imports from this module's
-        # siblings, keeping the exact path free of scipy.
-        from repro.cachesim.estimate import estimate_trace
-
-        if policy != "lru":
-            raise CacheEngineError(
-                f"estimator mode rides on the array engine and supports "
-                f"the LRU policy only, got policy={policy!r}"
-            )
-        if engine == "reference":
-            raise CacheEngineError(
-                "estimator mode requires the array engine; drop "
-                "engine='reference' or use mode='exact'"
-            )
-        return estimate_trace(
-            trace,
-            geometry,
-            flush_at_end=flush_at_end,
-            **(estimate_options or {}),
-        )
-    if estimate_options is not None:
-        raise ValueError("estimate_options only applies to mode='estimate'")
     sim = CacheSimulator(
         geometry, policy=policy, engine=engine, shards=shards, jobs=jobs
     )

@@ -38,50 +38,12 @@ class AnalyzerConfig:
         Memory FIT rate (paper Table VII; default: unprotected memory).
     flops_rate / bandwidth:
         Roofline machine parameters for the modeled execution time.
-    engine:
-        Cache-simulation engine for the ground-truth path
-        (``"auto"``/``"array"``/``"reference"``); statistics are
-        bit-identical either way for LRU.
-    jobs / shards:
-        Set-sharded (parallel) simulation for the ground-truth path.
-        The default is one shard in this process; ``shards=K > 1``
-        replays K set-index shards on up to ``jobs`` worker processes
-        (``"auto"``: one per shard, capped by the visible CPUs).
-        Results stay bit-identical either way (see
-        :mod:`repro.cachesim.sharding`).
-    trace_cache:
-        Optional :class:`~repro.trace.cache.TraceCache` (or cache
-        directory path) reusing persisted kernel traces across
-        ground-truth evaluations.
-    chunk_refs:
-        When set, the ground-truth path streams the trace in chunks of
-        this many references (O(chunk) peak memory; bit-identical to
-        the monolithic replay).  Without a ``trace_cache`` the kernel
-        records straight into the simulator and the full trace never
-        exists.
-    sim_mode:
-        ``"exact"`` (default) replays the whole trace;
-        ``"estimate"`` runs the cluster-sampling estimator instead
-        (:mod:`repro.cachesim.estimate`) — ``N_ha`` becomes an
-        estimate with confidence half-widths, at a fraction of the
-        replay cost.
-    estimate_options:
-        Keyword arguments for the estimator (``sample_fraction``,
-        ``groups``, ``confidence``, ``seed``); only valid with
-        ``sim_mode="estimate"``.
     """
 
     geometry: CacheGeometry
     fit: float = NO_ECC.fit
     flops_rate: float = 2.0e9
     bandwidth: float = 12.8e9
-    engine: str = "auto"
-    jobs: int | str = "auto"
-    shards: int = 1
-    trace_cache: object = None
-    chunk_refs: int | None = None
-    sim_mode: str = "exact"
-    estimate_options: dict | None = None
 
 
 class DVFAnalyzer:
@@ -153,29 +115,22 @@ class DVFAnalyzer:
         kernel: Kernel,
         workload: Workload,
         runtime: RuntimeProvider | None = None,
+        **replay,
     ) -> DVFReport:
         """Ground-truth DVF report: ``N_ha`` from the cache simulator.
 
-        Honours the config's ``chunk_refs`` (streamed, O(chunk)-memory
-        trace replay) and ``sim_mode`` (``"estimate"`` substitutes the
-        cluster-sampling estimator's point estimates for the exact
-        counts).
+        ``replay`` keyword arguments (trace cache, chunking, exact
+        replay or estimator) go to
+        :func:`~repro.core.validation.ground_truth_stats`; under
+        ``sim_mode="estimate"`` the report carries the estimator's
+        point estimates.
         """
         from repro.core.validation import ground_truth_stats
 
         if runtime is None:
             runtime = self.runtime_provider(kernel, workload)
         stats = ground_truth_stats(
-            kernel,
-            workload,
-            self.config.geometry,
-            engine=self.config.engine,
-            shards=self.config.shards,
-            jobs=self.config.jobs,
-            trace_cache=self.config.trace_cache,
-            chunk_refs=self.config.chunk_refs,
-            sim_mode=self.config.sim_mode,
-            estimate_options=self.config.estimate_options,
+            kernel, workload, self.config.geometry, **replay
         )
         nha = {
             name: float(stats.misses(name))

@@ -13,8 +13,9 @@ import time
 from dataclasses import dataclass
 
 from repro.cachesim.configs import CacheGeometry
-from repro.cachesim.engine import CacheEngineError
-from repro.cachesim.simulator import CacheSimulator, simulate_trace
+from repro.cachesim.engine import DEFAULT_CHUNK_SIZE, CacheEngineError
+from repro.cachesim.estimate import EstimateResult, TraceEstimator
+from repro.cachesim.simulator import CacheSimulator
 from repro.diagnostics import DiagnosticSink, check_mode
 from repro.kernels.base import Kernel, Workload
 from repro.trace.reference import iter_chunks
@@ -82,53 +83,54 @@ def ground_truth_stats(
 ):
     """Run the simulation (ground-truth) side of a validation.
 
-    Returns :class:`~repro.cachesim.stats.CacheStats` in exact mode or
-    an :class:`~repro.cachesim.estimate.EstimateResult` in estimator
-    mode; both answer ``.misses(name)``.  ``chunk_refs`` streams the
-    trace — without a ``trace_cache`` the kernel records straight into
-    the consumer and the monolithic trace is never materialised.
+    The one place the replay options are declared; :func:`validate_kernel`,
+    :func:`~repro.experiments.fig4_verification.run_fig4` and
+    :meth:`~repro.core.analyzer.DVFAnalyzer.analyze_simulated` pass
+    their keyword arguments through.  ``sim_mode`` picks the consumer:
+    ``"exact"`` replays every chunk through a
+    :class:`~repro.cachesim.simulator.CacheSimulator` built with
+    ``engine``/``shards``/``jobs`` and returns its
+    :class:`~repro.cachesim.stats.CacheStats`; ``"estimate"`` feeds the
+    cluster-sampling :class:`~repro.cachesim.estimate.TraceEstimator`
+    (``estimate_options`` passes ``sample_fraction``/``groups``/
+    ``confidence``/``seed`` through) and returns an
+    :class:`~repro.cachesim.estimate.EstimateResult`.  Both answer
+    ``.misses(name)``.
+
+    ``trace_cache`` — a :class:`~repro.trace.cache.TraceCache` or
+    cache-directory path — reuses persisted traces.  ``chunk_refs``
+    sets the chunk size; without a ``trace_cache`` it also makes the
+    kernel record straight into the consumer, so the whole trace never
+    exists (O(chunk) peak memory).  Every chunking, engine and shard
+    count gives bit-identical results.
     """
-    if sim_mode not in ("exact", "estimate"):
+    if sim_mode == "exact":
+        if estimate_options is not None:
+            raise ValueError(
+                "estimate_options only applies to sim_mode='estimate'"
+            )
+        sim = CacheSimulator(geometry, engine=engine, shards=shards, jobs=jobs)
+        consume, finish = sim.run_chunk, lambda: sim.stats
+    elif sim_mode == "estimate":
+        if engine == "reference" or shards != 1:
+            raise CacheEngineError(
+                "the estimator replays its sampled sets on one array "
+                "engine; engine='reference' and shards > 1 apply to "
+                "sim_mode='exact' only"
+            )
+        estimator = TraceEstimator(geometry, **(estimate_options or {}))
+        consume, finish = estimator.consume, estimator.finish
+    else:
         raise ValueError(
             f"sim_mode must be 'exact' or 'estimate', got {sim_mode!r}"
         )
-    if sim_mode == "exact" and estimate_options is not None:
-        raise ValueError(
-            "estimate_options only applies to sim_mode='estimate'"
-        )
     if chunk_refs is not None and trace_cache is None:
-        # True streaming: the recorder pushes chunks straight into the
-        # consumer; the monolithic trace is never materialised.
-        if sim_mode == "estimate":
-            if engine == "reference":
-                raise CacheEngineError(
-                    "estimator mode requires the array engine; drop "
-                    "engine='reference' or use sim_mode='exact'"
-                )
-            from repro.cachesim.estimate import TraceEstimator
-
-            estimator = TraceEstimator(geometry, **(estimate_options or {}))
-            kernel.trace_stream(workload, chunk_refs, estimator.consume)
-            return estimator.finish()
-        sim = CacheSimulator(
-            geometry, engine=engine, shards=shards, jobs=jobs
-        )
-        with sim.stream_scope():
-            kernel.trace_stream(workload, chunk_refs, sim.run_chunk)
-        return sim.stats
-    trace = kernel.trace(workload, cache=trace_cache)
-    source = (
-        iter_chunks(trace, chunk_refs) if chunk_refs is not None else trace
-    )
-    return simulate_trace(
-        source,
-        geometry,
-        engine=engine,
-        shards=shards,
-        jobs=jobs,
-        mode=sim_mode,
-        estimate_options=estimate_options,
-    )
+        kernel.trace_stream(workload, chunk_refs, consume)
+    else:
+        trace = kernel.trace(workload, cache=trace_cache)
+        for chunk in iter_chunks(trace, chunk_refs or DEFAULT_CHUNK_SIZE):
+            consume(chunk)
+    return finish()
 
 
 def validate_kernel(
@@ -137,65 +139,28 @@ def validate_kernel(
     geometry: CacheGeometry,
     mode: str = "strict",
     sink: DiagnosticSink | None = None,
-    engine: str = "auto",
-    jobs: int | str = "auto",
-    shards: int = 1,
-    trace_cache=None,
-    chunk_refs: int | None = None,
-    sim_mode: str = "exact",
-    estimate_options: dict | None = None,
+    **replay,
 ) -> ValidationResult:
     """Run both evaluation paths and compare per data structure.
 
     ``mode`` governs the *model* path only: in ``lenient`` mode
     estimator failures degrade to the worst-case bound (recorded in
     ``sink``) so a validation sweep completes.  The simulation path is
-    ground truth and always raises on failure.  ``engine`` selects the
-    cache-simulation engine (``"auto"``/``"array"``/``"reference"``);
-    both produce bit-identical statistics for LRU.  ``shards``/``jobs``
-    control set-sharded (parallel) simulation — the default is one
-    shard, in this process — and ``trace_cache`` — a
-    :class:`~repro.trace.cache.TraceCache` or cache-directory path —
-    reuses persisted traces across calls; all three preserve
-    bit-identical results.  The reported ``simulation_seconds`` covers
-    trace acquisition (cached or collected) plus simulation, so a warm
-    trace cache shows up in the measured cost ratio.
-
-    ``chunk_refs`` streams the trace in fixed-size chunks: with no
-    ``trace_cache`` the kernel records straight into the simulator
-    (peak memory O(chunk), the full trace never exists); with a cache
-    the persisted trace is re-chunked on the way in.  Both are
-    bit-identical to the monolithic path.  ``sim_mode="estimate"``
-    replaces exact replay with the cluster-sampling estimator
-    (:mod:`repro.cachesim.estimate`): ``simulated`` becomes an estimate
-    and each row carries its ``simulated_halfwidth``;
-    ``estimate_options`` passes ``sample_fraction``/``groups``/
-    ``confidence``/``seed`` through.
+    ground truth and always raises on failure; ``replay`` keyword
+    arguments go to :func:`ground_truth_stats`.  Under
+    ``sim_mode="estimate"`` ``simulated`` is an estimate and each row
+    carries its ``simulated_halfwidth``.  The reported
+    ``simulation_seconds`` covers trace acquisition (cached or
+    collected) plus simulation, so a warm trace cache shows up in the
+    measured cost ratio.
     """
     check_mode(mode)
-    if sim_mode not in ("exact", "estimate"):
-        raise ValueError(
-            f"sim_mode must be 'exact' or 'estimate', got {sim_mode!r}"
-        )
-    if sim_mode == "exact" and estimate_options is not None:
-        raise ValueError("estimate_options only applies to sim_mode='estimate'")
     start = time.perf_counter()
     estimated = kernel.estimate_nha(workload, geometry, mode=mode, sink=sink)
     model_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    stats = ground_truth_stats(
-        kernel,
-        workload,
-        geometry,
-        engine=engine,
-        shards=shards,
-        jobs=jobs,
-        trace_cache=trace_cache,
-        chunk_refs=chunk_refs,
-        sim_mode=sim_mode,
-        estimate_options=estimate_options,
-    )
+    stats = ground_truth_stats(kernel, workload, geometry, **replay)
     simulation_seconds = time.perf_counter() - start
 
     rows = tuple(
@@ -205,7 +170,7 @@ def validate_kernel(
             estimated=float(estimate),
             simulated_halfwidth=(
                 float(stats.misses_halfwidth(name))
-                if sim_mode == "estimate"
+                if isinstance(stats, EstimateResult)
                 else 0.0
             ),
         )

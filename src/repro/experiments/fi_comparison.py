@@ -67,12 +67,6 @@ def run_fi_comparison(
     jobs: int | None = None,
     timeout: float | None = None,
     checkpoint_dir: str | Path | None = None,
-    engine: str = "auto",
-    shards: int = 1,
-    trace_cache=None,
-    chunk_refs: int | None = None,
-    sim_mode: str = "exact",
-    estimate_options: dict | None = None,
 ) -> list[FIComparisonRow]:
     """Run campaigns and compare against DVF for injectable kernels.
 
@@ -81,25 +75,9 @@ def run_fi_comparison(
     campaign to ``<dir>/<kernel>.jsonl`` and resumes from any journal
     already there, so an interrupted comparison re-runs only what is
     missing.  On Ctrl-C the completed rows are returned (the current
-    campaign having flushed its checkpoint first).  ``engine`` and
-    ``shards`` select the cache-simulation engine and set-shard count
-    used by any simulated evaluation (default: one shard),
-    and ``trace_cache`` lets those evaluations reuse traces persisted
-    by a fig4 run over the same workloads.  ``chunk_refs``/``sim_mode``/
-    ``estimate_options`` carry the streaming/estimator knobs into those
-    simulated evaluations (see :class:`~repro.core.analyzer.AnalyzerConfig`).
+    campaign having flushed its checkpoint first).
     """
-    analyzer = DVFAnalyzer(
-        AnalyzerConfig(
-            geometry=PAPER_CACHES["8MB"],
-            engine=engine,
-            shards=shards,
-            trace_cache=trace_cache,
-            chunk_refs=chunk_refs,
-            sim_mode=sim_mode,
-            estimate_options=estimate_options,
-        )
-    )
+    analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["8MB"]))
     rows: list[FIComparisonRow] = []
     for name in kernels:
         if name not in INJECTABLE_KERNELS:

@@ -39,26 +39,20 @@ def run_fig4(
     tier: str = "verification",
     kernels: tuple[str, ...] = KERNEL_ORDER,
     caches: dict | None = None,
-    engine: str = "auto",
-    jobs: int | str = "auto",
-    shards: int = 1,
     trace_cache=None,
-    chunk_refs: int | None = None,
-    sim_mode: str = "exact",
-    estimate_options: dict | None = None,
+    **replay,
 ) -> list[Fig4Row]:
     """Regenerate the Figure 4 data series.
 
-    ``engine`` selects the cache-simulation engine for the ground-truth
-    path (statistics are bit-identical between engines for LRU).
     ``trace_cache`` (a :class:`~repro.trace.cache.TraceCache` or cache
     directory path) collects each kernel's trace once per workload
-    instead of once per cache cell — the sweep's dominant cost;
-    ``shards``/``jobs`` parallelise the simulation itself.  None of the
-    three changes any reported number.  ``chunk_refs`` streams each
-    trace through the simulator in O(chunk) memory (bit-identical as
-    well); ``sim_mode="estimate"`` swaps exact replay for the
-    cluster-sampling estimator, populating ``simulated_halfwidth``.
+    instead of once per cache cell — the sweep's dominant cost — without
+    changing any reported number.  The other ``replay`` keyword
+    arguments go to :func:`~repro.core.validation.ground_truth_stats`:
+    ``chunk_refs`` streams each trace through the simulator in O(chunk)
+    memory (bit-identical), and ``sim_mode="estimate"`` swaps exact
+    replay for the cluster-sampling estimator, populating
+    ``simulated_halfwidth``.
     """
     caches = caches if caches is not None else FIG4_CACHES
     # One TraceCache instance for the whole sweep, so the per-cell
@@ -73,13 +67,8 @@ def run_fig4(
                 kernel,
                 workloads[kernel_name],
                 geometry,
-                engine=engine,
-                jobs=jobs,
-                shards=shards,
                 trace_cache=trace_cache,
-                chunk_refs=chunk_refs,
-                sim_mode=sim_mode,
-                estimate_options=estimate_options,
+                **replay,
             )
             for s in result.structures:
                 rows.append(

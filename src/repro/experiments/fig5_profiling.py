@@ -44,38 +44,13 @@ def run_fig5(
     kernels: tuple[str, ...] = KERNEL_ORDER,
     caches: dict | None = None,
     fit: float = DEFAULT_FIT,
-    engine: str = "auto",
-    jobs: int | str = "auto",
-    shards: int = 1,
-    trace_cache=None,
-    chunk_refs: int | None = None,
-    sim_mode: str = "exact",
-    estimate_options: dict | None = None,
 ) -> list[Fig5Cell]:
-    """Regenerate the Figure 5 data series (analytical path only).
-
-    ``engine``/``jobs``/``shards``/``trace_cache`` — and the streaming
-    knobs ``chunk_refs``/``sim_mode``/``estimate_options`` — are
-    carried in the analyzer config for any simulated cross-checks
-    callers run alongside the analytical sweep.
-    """
+    """Regenerate the Figure 5 data series (analytical path only)."""
     caches = caches if caches is not None else FIG5_CACHES
     workloads = WORKLOADS[tier]
     cells: list[Fig5Cell] = []
     for cache_name, geometry in caches.items():
-        analyzer = DVFAnalyzer(
-            AnalyzerConfig(
-                geometry=geometry,
-                fit=fit,
-                engine=engine,
-                jobs=jobs,
-                shards=shards,
-                trace_cache=trace_cache,
-                chunk_refs=chunk_refs,
-                sim_mode=sim_mode,
-                estimate_options=estimate_options,
-            )
-        )
+        analyzer = DVFAnalyzer(AnalyzerConfig(geometry=geometry, fit=fit))
         for kernel_name in kernels:
             kernel = KERNELS[kernel_name]
             report = analyzer.analyze(kernel, workloads[kernel_name])

@@ -40,43 +40,21 @@ EXIT_CHECKPOINT_MISMATCH = 3
 EXIT_CHECKPOINT_CORRUPT = 4
 
 
-def _sim_parallelism(args) -> tuple:
-    """(jobs, shards) for sharded simulation from the CLI flags.
-
-    ``--shards`` defaults to 1 (single-process replay).  An explicit
-    ``--jobs N`` without ``--shards`` selects an N-shard, N-worker
-    simulation; results are bit-identical at any combination.
-    """
-    if args.jobs is None:
-        return "auto", args.shards if args.shards is not None else 1
-    return args.jobs, args.shards if args.shards is not None else args.jobs
-
-
-def _streaming_knobs(args) -> dict:
-    """chunk_refs/sim_mode/estimate_options kwargs from the CLI flags."""
-    knobs: dict = {
-        "chunk_refs": args.chunk_refs,
-        "sim_mode": "estimate" if args.estimate else "exact",
-    }
-    if args.estimate:
-        knobs["estimate_options"] = {
-            "sample_fraction": args.sample_fraction
-        }
-    return knobs
-
-
 def _fig4(args) -> str:
     from repro.experiments.fig4_verification import render_fig4, run_fig4
 
-    jobs, shards = _sim_parallelism(args)
+    options: dict = {}
+    if args.estimate:
+        options = {
+            "sim_mode": "estimate",
+            "estimate_options": {"sample_fraction": args.sample_fraction},
+        }
     return render_fig4(
         run_fig4(
             tier=args.tier,
-            engine=args.engine,
-            jobs=jobs,
-            shards=shards,
             trace_cache=args.trace_cache,
-            **_streaming_knobs(args),
+            chunk_refs=args.chunk_refs,
+            **options,
         )
     )
 
@@ -85,17 +63,7 @@ def _fig5(args) -> str:
     from repro.experiments.fig5_profiling import render_fig5, run_fig5
 
     tier = args.tier if args.tier != "verification" else "profiling"
-    jobs, shards = _sim_parallelism(args)
-    return render_fig5(
-        run_fig5(
-            tier=tier,
-            engine=args.engine,
-            jobs=jobs,
-            shards=shards,
-            trace_cache=args.trace_cache,
-            **_streaming_knobs(args),
-        )
-    )
+    return render_fig5(run_fig5(tier=tier))
 
 
 def _fig6(args) -> str:
@@ -133,10 +101,6 @@ def _fi(args) -> str:
             jobs=args.jobs,
             timeout=args.timeout,
             checkpoint_dir=args.resume,
-            engine=args.engine,
-            shards=args.shards if args.shards is not None else 1,
-            trace_cache=args.trace_cache,
-            **_streaming_knobs(args),
         )
     )
 
@@ -206,35 +170,25 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes: fi runs trials in a crash-isolated pool "
-        "of N workers (a crashing trial counts as CRASH instead of "
-        "aborting the campaign); fig4/fig5 replay N set-shards of the "
-        "cache simulation in parallel (bit-identical results)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="K",
-        help="fig4/fig5/fi: split the cache simulation into K set-index "
-        "shards (default: 1, or the --jobs count for fig4/fig5); any "
-        "choice gives bit-identical statistics",
+        help="fi: run trials in a crash-isolated pool of N worker "
+        "processes (a crashing trial counts as CRASH instead of "
+        "aborting the campaign)",
     )
     parser.add_argument(
         "--trace-cache",
         default=None,
         metavar="DIR",
-        help="persist kernel traces under DIR keyed by (kernel code, "
-        "workload params, schema); fig4 then traces each kernel once "
-        "per workload instead of once per cache cell, and later "
-        "fig4/fig5/fi runs reuse the artifacts",
+        help="fig4: persist kernel traces under DIR keyed by (kernel "
+        "module source, workload params, schema), so each kernel is "
+        "traced once per workload instead of once per cache cell and "
+        "later runs reuse the artifacts",
     )
     parser.add_argument(
         "--chunk-refs",
         type=int,
         default=None,
         metavar="N",
-        help="fig4/fig5/fi: stream each kernel trace through the cache "
+        help="fig4: stream each kernel trace through the cache "
         "simulator in chunks of N references instead of materialising "
         "it — O(chunk) peak memory, bit-identical statistics (without "
         "--trace-cache the full trace never exists)",
@@ -242,10 +196,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--estimate",
         action="store_true",
-        help="fig4/fig5/fi: replace exact cache replay with the "
+        help="fig4: replace exact cache replay with the "
         "cluster-sampling estimator — simulated N_ha becomes an "
         "estimate with confidence half-widths at a fraction of the "
-        "replay cost (LRU array engine only)",
+        "replay cost",
     )
     parser.add_argument(
         "--sample-fraction",
@@ -269,15 +223,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="fi: journal campaigns to DIR/<kernel>.jsonl and resume "
         "from any checkpoints already present (safe across Ctrl-C)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("auto", "array", "reference"),
-        default="auto",
-        help="cache-simulation engine for ground-truth paths: 'array' "
-        "is the batched numpy engine, 'reference' the dict-based "
-        "oracle; 'auto' routes LRU to the array engine (statistics "
-        "are bit-identical either way)",
     )
     parser.add_argument(
         "--mode",

@@ -20,7 +20,9 @@ truncated final line (the normal kill artifact) but raises
 :class:`~repro.faultinject.errors.CheckpointCorrupt` for corruption
 anywhere else, and
 :class:`~repro.faultinject.errors.CheckpointMismatch` when the
-fingerprint disagrees with the resuming campaign.
+fingerprint disagrees with the resuming campaign.  The format's reader
+(:func:`read_jsonl`) and writer (:class:`JsonlWriter`) also back the job
+service's journal and queue (:mod:`repro.service.journal`).
 """
 
 from __future__ import annotations
@@ -68,17 +70,7 @@ def load_checkpoint(
     ``fingerprint`` is given, the header must match it exactly.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise CheckpointCorrupt(f"{path}: empty checkpoint file")
-    header = _parse_line(path, lines[0], line_number=1, last=len(lines) == 1)
-    if header is None or header.get("kind") != _HEADER_KIND:
-        raise CheckpointCorrupt(f"{path}: missing checkpoint header")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointCorrupt(
-            f"{path}: unsupported checkpoint version {header.get('version')!r}"
-        )
+    header, lines = read_jsonl(path, _HEADER_KIND, CHECKPOINT_VERSION)
     if fingerprint is not None and header.get("fingerprint") != fingerprint:
         raise CheckpointMismatch(
             f"{path}: checkpoint was written by a different campaign "
@@ -86,23 +78,52 @@ def load_checkpoint(
             f"{fingerprint!r}); refusing to merge trial populations"
         )
     records: dict[tuple[str, int], Outcome] = {}
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        obj = _parse_line(path, line, line_number=i, last=i == len(lines))
-        if obj is None:  # tolerated truncated final line
-            continue
+    for line_number, obj in lines:
         try:
             key = (str(obj["structure"]), int(obj["trial"]))
             records[key] = Outcome(obj["outcome"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointCorrupt(
-                f"{path}:{i}: malformed trial record {line!r}"
+                f"{path}:{line_number}: malformed trial record {obj!r}"
             ) from exc
     return records
 
 
-def _parse_line(path: Path, line: str, *, line_number: int, last: bool):
+# ----------------------------------------------------------------------
+# JSONL journal format, shared with the job service's journal and queue
+# ----------------------------------------------------------------------
+def read_jsonl(
+    path: Path, kind: str, version: int
+) -> tuple[dict, list[tuple[int, dict]]]:
+    """Header and ``(line number, object)`` records of a JSONL journal.
+
+    The first line must be a ``{"kind": kind, "version": version, ...}``
+    header.  Blank lines are skipped, and an unparseable *final* line —
+    the normal artifact of a kill mid-write — is dropped; a bad line
+    anywhere else raises :class:`CheckpointCorrupt`.
+    """
+    with path.open("r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise CheckpointCorrupt(f"{path}: empty journal file")
+    header = _parse_line(path, lines[0], 1, last=len(lines) == 1)
+    if header is None or header.get("kind") != kind:
+        raise CheckpointCorrupt(f"{path}: missing {kind} header")
+    if header.get("version") != version:
+        raise CheckpointCorrupt(
+            f"{path}: unsupported {kind} version {header.get('version')!r}"
+        )
+    records = []
+    for i, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        obj = _parse_line(path, line, i, last=i == len(lines))
+        if obj is not None:
+            records.append((i, obj))
+    return header, records
+
+
+def _parse_line(path: Path, line: str, line_number: int, *, last: bool):
     """Parse one journal line; a bad *final* line returns None."""
     try:
         obj = json.loads(line)
@@ -110,30 +131,27 @@ def _parse_line(path: Path, line: str, *, line_number: int, last: bool):
         if last:
             return None
         raise CheckpointCorrupt(
-            f"{path}:{line_number}: corrupt checkpoint line {line!r}"
+            f"{path}:{line_number}: corrupt journal line {line!r}"
         ) from exc
     if not isinstance(obj, dict):
         if last:
             return None
         raise CheckpointCorrupt(
-            f"{path}:{line_number}: checkpoint line is not an object: {line!r}"
+            f"{path}:{line_number}: journal line is not an object: {line!r}"
         )
     return obj
 
 
-class CheckpointWriter:
-    """Append-mode trial journal with immediate flush.
+class JsonlWriter:
+    """Append-mode JSONL journal, every line flushed before returning.
 
-    ``resume=True`` appends to an existing journal (whose header the
-    caller has already validated via :func:`load_checkpoint`); otherwise
-    any existing file is truncated and a fresh header written.
+    ``resume=True`` appends to an existing non-empty journal (whose
+    header the caller has already validated); otherwise any existing
+    file is truncated and ``header`` written first.
     """
 
     def __init__(
-        self,
-        path: str | os.PathLike,
-        fingerprint: dict,
-        resume: bool = False,
+        self, path: str | os.PathLike, header: dict, resume: bool = False
     ):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -146,23 +164,7 @@ class CheckpointWriter:
             "a" if self.appending else "w", encoding="utf-8"
         )
         if not self.appending:
-            self._write_line(
-                {
-                    "kind": _HEADER_KIND,
-                    "version": CHECKPOINT_VERSION,
-                    "fingerprint": fingerprint,
-                }
-            )
-
-    def append(self, structure: str, trial_index: int, outcome: Outcome) -> None:
-        """Journal one completed trial (flushed before returning)."""
-        self._write_line(
-            {
-                "structure": structure,
-                "trial": int(trial_index),
-                "outcome": outcome.value,
-            }
-        )
+            self._write_line(header)
 
     def _write_line(self, obj: dict) -> None:
         self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
@@ -178,3 +180,33 @@ class CheckpointWriter:
 
     def __exit__(self, *exc):
         self.close()
+
+
+class CheckpointWriter(JsonlWriter):
+    """Append-mode trial journal with immediate flush."""
+
+    def __init__(
+        self,
+        path: str | os.PathLike,
+        fingerprint: dict,
+        resume: bool = False,
+    ):
+        super().__init__(
+            path,
+            {
+                "kind": _HEADER_KIND,
+                "version": CHECKPOINT_VERSION,
+                "fingerprint": fingerprint,
+            },
+            resume=resume,
+        )
+
+    def append(self, structure: str, trial_index: int, outcome: Outcome) -> None:
+        """Journal one completed trial (flushed before returning)."""
+        self._write_line(
+            {
+                "structure": structure,
+                "trial": int(trial_index),
+                "outcome": outcome.value,
+            }
+        )

@@ -5,7 +5,7 @@ declarative YAML/JSON scenarios queue *jobs* (Aspen sources, registered
 kernels, or self-test probes) into a durable queue; a pool of
 crash-isolated workers drains it under per-job timeouts, taxonomy-aware
 bounded retry with exponential backoff, a circuit breaker that degrades
-to the safe path (lenient mode / reference engine) while the fast path
+to the safe path (lenient mode for Aspen jobs) while the fast path
 keeps dying, and an append-only journal that makes ``service resume``
 survive SIGINT/SIGKILL of the supervisor itself.
 

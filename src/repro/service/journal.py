@@ -1,6 +1,8 @@
 """Checkpointed append-only job journal (and the durable queue file).
 
-The journal follows the PR 1 checkpoint discipline: a JSONL file whose
+The journal uses the fault-injection checkpoint format and its reader
+and writer (:func:`~repro.faultinject.checkpoint.read_jsonl`,
+:class:`~repro.faultinject.checkpoint.JsonlWriter`): a JSONL file whose
 first line is a typed, versioned header, every subsequent line one
 flushed event, a truncated *final* line tolerated as the normal hard-
 kill artifact, and corruption or identity mismatch anywhere else
@@ -29,11 +31,11 @@ loader discipline.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.faultinject.checkpoint import JsonlWriter, read_jsonl
 from repro.faultinject.errors import CheckpointCorrupt, CheckpointMismatch
 from repro.service.scenario import JobSpec
 
@@ -41,78 +43,6 @@ JOURNAL_VERSION = 1
 _JOURNAL_KIND = "dvf-job-journal"
 QUEUE_VERSION = 1
 _QUEUE_KIND = "dvf-job-queue"
-
-
-def _parse_line(path: Path, line: str, *, line_number: int, last: bool):
-    """One JSONL object; a bad *final* line returns None (kill artifact)."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        if last:
-            return None
-        raise CheckpointCorrupt(
-            f"{path}:{line_number}: corrupt journal line {line!r}"
-        ) from exc
-    if not isinstance(obj, dict):
-        if last:
-            return None
-        raise CheckpointCorrupt(
-            f"{path}:{line_number}: journal line is not an object: {line!r}"
-        )
-    return obj
-
-
-def _read_lines(path: Path, kind: str, version: int) -> list[dict]:
-    """Header-checked records of a journal-format file."""
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise CheckpointCorrupt(f"{path}: empty journal file")
-    header = _parse_line(path, lines[0], line_number=1, last=len(lines) == 1)
-    if header is None or header.get("kind") != kind:
-        raise CheckpointCorrupt(f"{path}: missing {kind} header")
-    if header.get("version") != version:
-        raise CheckpointCorrupt(
-            f"{path}: unsupported {kind} version {header.get('version')!r}"
-        )
-    records = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        obj = _parse_line(path, line, line_number=i, last=i == len(lines))
-        if obj is not None:
-            records.append(obj)
-    return records
-
-
-class _JsonlWriter:
-    """Append-mode JSONL writer with immediate flush (header on fresh)."""
-
-    def __init__(self, path: str | os.PathLike, header: dict, resume: bool):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.appending = (
-            resume and self.path.exists() and self.path.stat().st_size > 0
-        )
-        self._fh = self.path.open(
-            "a" if self.appending else "w", encoding="utf-8"
-        )
-        if not self.appending:
-            self.write(header)
-
-    def write(self, obj: dict) -> None:
-        self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +76,8 @@ def load_journal(
     """
     path = Path(path)
     states: dict[str, JobState] = {}
-    for obj in _read_lines(path, _JOURNAL_KIND, JOURNAL_VERSION):
+    _, events = read_jsonl(path, _JOURNAL_KIND, JOURNAL_VERSION)
+    for _, obj in events:
         try:
             job = str(obj["job"])
             event = str(obj["event"])
@@ -186,20 +117,15 @@ def load_journal(
     return states
 
 
-class JobJournal:
+class JobJournal(JsonlWriter):
     """Append-only, immediately-flushed execution journal."""
 
     def __init__(self, path: str | os.PathLike, resume: bool = False):
-        self._writer = _JsonlWriter(
+        super().__init__(
             path,
             {"kind": _JOURNAL_KIND, "version": JOURNAL_VERSION},
             resume=resume,
         )
-        self.path = self._writer.path
-
-    @property
-    def appending(self) -> bool:
-        return self._writer.appending
 
     def attempt_failed(
         self,
@@ -220,11 +146,11 @@ class JobJournal:
         }
         if degraded:
             event["degraded"] = True
-        self._writer.write(event)
+        self._write_line(event)
 
     def done(self, spec: JobSpec, record: dict) -> None:
         """Journal a job's terminal record."""
-        self._writer.write(
+        self._write_line(
             {
                 "job": spec.id,
                 "hash": spec.content_hash,
@@ -232,15 +158,6 @@ class JobJournal:
                 "record": record,
             }
         )
-
-    def close(self) -> None:
-        self._writer.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +168,8 @@ def load_queue(path: str | os.PathLike) -> list[JobSpec]:
     path = Path(path)
     specs: list[JobSpec] = []
     seen: dict[str, str] = {}
-    for obj in _read_lines(path, _QUEUE_KIND, QUEUE_VERSION):
+    _, entries = read_jsonl(path, _QUEUE_KIND, QUEUE_VERSION)
+    for _, obj in entries:
         try:
             spec = JobSpec.from_dict(obj["spec"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -283,7 +201,7 @@ def append_queue(
     existing = {s.id: s.content_hash for s in load_queue(path)} \
         if path.exists() and path.stat().st_size > 0 else {}
     added = skipped = 0
-    with _JsonlWriter(
+    with JsonlWriter(
         path, {"kind": _QUEUE_KIND, "version": QUEUE_VERSION}, resume=True
     ) as writer:
         for spec in specs:
@@ -296,7 +214,7 @@ def append_queue(
                     f"{path}: job id {spec.id!r} is already queued with a "
                     f"different spec; pick a new id or clear the state dir"
                 )
-            writer.write({"job": spec.id, "spec": spec.to_dict()})
+            writer._write_line({"job": spec.id, "spec": spec.to_dict()})
             existing[spec.id] = spec.content_hash
             added += 1
     return added, skipped

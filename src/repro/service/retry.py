@@ -105,7 +105,7 @@ class CircuitBreaker:
     deaths, timeouts — deterministic job bugs don't count: they say
     nothing about the infrastructure).  After ``threshold`` of them the
     breaker opens and the supervisor routes jobs through the degraded
-    path (lenient evaluation mode, reference cache engine) for
+    path (lenient evaluation mode for Aspen jobs) for
     ``cooldown`` launches; the next launch is a half-open fast-path
     probe — success closes the breaker, another transient failure
     reopens it.

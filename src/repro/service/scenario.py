@@ -36,7 +36,6 @@ Schema (YAML shown; JSON is isomorphic)::
         kernel: MC
         tier: test         # workload tier, or explicit `params: {...}`
         geometry: 8MB      # PAPER_CACHES key
-        engine: auto       # cache-simulation engine
       - id: selftest
         kind: probe        # service self-test jobs (docs: EXPERIMENTS.md)
         behavior: ok       # ok | sleep | crash | flaky | error
@@ -74,14 +73,14 @@ PROBE_BEHAVIORS = ("ok", "sleep", "crash", "flaky", "error")
 #: Recognised option keys per job kind (beyond the common ones).
 _JOB_OPTION_KEYS = {
     "aspen": {"source", "file", "machine", "mode", "params", "label"},
-    "kernel": {"kernel", "tier", "params", "geometry", "engine"},
+    "kernel": {"kernel", "tier", "params", "geometry"},
     "probe": {
         "behavior", "seconds", "exitcode", "fail_attempts",
         "kill_probability", "message", "value",
     },
 }
 _JOB_COMMON_KEYS = {"id", "kind", "timeout", "max_attempts"}
-_DEFAULTABLE_KEYS = {"machine", "mode", "tier", "geometry", "engine", "timeout"}
+_DEFAULTABLE_KEYS = {"machine", "mode", "tier", "geometry", "timeout"}
 
 
 class ScenarioError(ValueError):

@@ -13,8 +13,8 @@ full failure semantics:
   :class:`~repro.service.retry.RetryPolicy` — worker deaths and
   timeouts retry, deterministic model errors dead-letter immediately;
 * a :class:`~repro.service.retry.CircuitBreaker` that degrades jobs to
-  the safe path (lenient mode, reference engine) while the fast path
-  keeps losing workers;
+  the safe path (lenient mode for Aspen jobs) while the fast path keeps
+  losing workers;
 * an append-only :class:`~repro.service.journal.JobJournal` flushed per
   event, so SIGINT/SIGKILL of the *supervisor* loses at most one
   in-flight attempt and ``resume`` continues bit-identically;
@@ -433,9 +433,8 @@ class JobSupervisor:
                 "degraded_route": degraded,
                 "payload": body.get("payload"),
             }
-            for extra in ("mode", "engine"):
-                if extra in body:
-                    record[extra] = body[extra]
+            if "mode" in body:
+                record["mode"] = body["mode"]
             self._finalize(spec, record, records, journal)
             return
         code = str(body.get("error_code", "UnknownError"))

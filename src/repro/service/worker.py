@@ -19,7 +19,8 @@ contract keeps the failure semantics sharp:
 
 ``degraded=True`` selects the graceful-degradation route the circuit
 breaker falls back to when the fast path keeps dying: lenient
-evaluation mode and the reference cache engine.
+evaluation mode for Aspen jobs.  Kernel jobs run the analytical path,
+which has no slower fallback, so they run the same either way.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def execute_job(spec: JobSpec, attempt: int, degraded: bool) -> dict:
         if spec.kind == "aspen":
             return _run_aspen(spec, degraded)
         if spec.kind == "kernel":
-            return _run_kernel(spec, degraded)
+            return _run_kernel(spec)
         if spec.kind == "probe":
             return _run_probe(spec, attempt)
         raise ScenarioError(f"job {spec.id!r}: unknown kind {spec.kind!r}")
@@ -113,7 +114,7 @@ def _run_aspen(spec: JobSpec, degraded: bool) -> dict:
     }
 
 
-def _run_kernel(spec: JobSpec, degraded: bool) -> dict:
+def _run_kernel(spec: JobSpec) -> dict:
     """Analytical DVF for a registered kernel + workload + geometry."""
     from repro.cachesim.configs import PAPER_CACHES
     from repro.core.analyzer import AnalyzerConfig, DVFAnalyzer
@@ -145,46 +146,9 @@ def _run_kernel(spec: JobSpec, degraded: bool) -> dict:
             f"job {spec.id!r}: unknown cache geometry {geometry_key!r}; "
             f"available: {sorted(PAPER_CACHES)}"
         )
-    if degraded:
-        # Degraded mode is the circuit breaker's safe path: the
-        # reference engine cannot shard, a struggling worker should
-        # not fork a simulation pool of its own, and exact replay
-        # avoids the estimator's scipy dependency surface.  Streaming
-        # chunk replay stays available — its whole point is a smaller
-        # memory footprint, the likeliest reason the fast path died.
-        engine, shards, jobs = "reference", 1, 1
-        sim_mode, estimate_options = "exact", None
-    else:
-        engine = str(options.get("engine", "auto"))
-        shards = options.get("shards", 1)
-        jobs = options.get("jobs", "auto")
-        sim_mode = "estimate" if options.get("estimate") else "exact"
-        estimate_options = (
-            dict(options["estimate_options"])
-            if sim_mode == "estimate" and "estimate_options" in options
-            else None
-        )
-    chunk_refs = options.get("chunk_refs")
-    if chunk_refs is not None:
-        chunk_refs = int(chunk_refs)
-    analyzer = DVFAnalyzer(
-        AnalyzerConfig(
-            geometry=PAPER_CACHES[geometry_key],
-            engine=engine,
-            shards=shards,
-            jobs=jobs,
-            chunk_refs=chunk_refs,
-            sim_mode=sim_mode,
-            estimate_options=estimate_options,
-        )
-    )
-    if options.get("simulated"):
-        # Ground-truth path: N_ha from the cache simulator (this is
-        # where engine/shards/jobs actually bite).
-        report = analyzer.analyze_simulated(kernel, workload)
-    else:
-        report = analyzer.analyze(kernel, workload)
-    return {"ok": True, "payload": report.to_payload(), "engine": engine}
+    analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES[geometry_key]))
+    report = analyzer.analyze(kernel, workload)
+    return {"ok": True, "payload": report.to_payload()}
 
 
 def _unit_interval(key: str) -> float:

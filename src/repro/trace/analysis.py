@@ -15,10 +15,9 @@ CGPMAC pattern describes a new application's data structure.
 
 Each analysis accepts either a full :class:`ReferenceTrace` or a *chunk
 iterator* (the streaming protocol of
-:func:`~repro.trace.reference.iter_chunks` /
-:meth:`~repro.trace.recorder.TraceRecorder.finish_chunks`), so a
-quick-look never forces materialising a trace that was collected
-streamed.  Chunked results are exactly the monolithic ones: stack
+:func:`~repro.trace.reference.iter_chunks`, or the chunks a sink-mode
+recorder pushes), so a quick-look never forces materialising a trace
+that was collected streamed.  Chunked results are exactly the monolithic ones: stack
 distances carry across chunk boundaries through
 :class:`~repro.patterns.distance.StackDistanceCounter`.
 """

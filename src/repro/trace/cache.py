@@ -18,8 +18,9 @@ Cache key
   traces depend on parameters only),
 * the trace archive schema version
   (:data:`~repro.trace.io.TRACE_SCHEMA_VERSION`),
-* a fingerprint of the kernel class's source code, so editing a kernel
-  invalidates its cached traces automatically.
+* a fingerprint of the source of the module defining the kernel class,
+  so editing a kernel or a module-level helper it calls invalidates its
+  cached traces automatically.
 
 Layout and eviction
 -------------------
@@ -46,7 +47,10 @@ import hashlib
 import inspect
 import json
 import os
+import sys
+import weakref
 from pathlib import Path
+from types import ModuleType
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -87,21 +91,35 @@ def _canonical(obj: Any):
     return repr(obj)
 
 
-def kernel_fingerprint(kernel: "Kernel") -> str:
-    """Hash of the kernel class's source code.
+#: Source hash per kernel module, so each module is read once per process.
+_MODULE_FINGERPRINTS: "weakref.WeakKeyDictionary[ModuleType, str]" = (
+    weakref.WeakKeyDictionary()
+)
 
-    Editing the kernel implementation changes the fingerprint and so
-    invalidates its cached traces.  When the source is unavailable
-    (e.g. a class defined in a REPL) the qualified name stands in — the
-    cache then cannot detect code edits for that kernel, which is the
-    safe-but-weaker behaviour.
+
+def kernel_fingerprint(kernel: "Kernel") -> str:
+    """Hash of the source of the module defining the kernel's class.
+
+    The whole module is hashed, not just the class body, so editing a
+    module-level helper (such as Barnes–Hut's tree build) invalidates
+    the kernel's cached traces as surely as editing the class.  When
+    the source is unavailable (e.g. a class defined in a REPL) the
+    qualified name stands in — the cache then cannot detect code edits
+    for that kernel, which is the safe-but-weaker behaviour.
     """
     cls = type(kernel)
-    try:
-        source = inspect.getsource(cls)
-    except (OSError, TypeError):
-        source = f"{cls.__module__}.{cls.__qualname__}"
-    return hashlib.sha256(source.encode()).hexdigest()[:16]
+    module = sys.modules.get(cls.__module__)
+    if module not in _MODULE_FINGERPRINTS:
+        try:
+            source = inspect.getsource(module)
+        except (OSError, TypeError):
+            return _digest(f"{cls.__module__}.{cls.__qualname__}")
+        _MODULE_FINGERPRINTS[module] = _digest(source)
+    return _MODULE_FINGERPRINTS[module]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def trace_key(kernel: "Kernel", workload: "Workload") -> str:

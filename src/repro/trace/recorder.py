@@ -53,8 +53,7 @@ class _Column:
     def take(self, n: int) -> np.ndarray:
         """Destructively pop the first ``n`` values as one array.
 
-        Consumed storage is released, so draining a recorder in chunks
-        (:meth:`TraceRecorder.finish_chunks` / sink streaming) keeps the
+        Consumed storage is released, so a sink-mode recorder keeps the
         column's footprint at O(pending), not O(recorded).
         """
         if self.fill:
@@ -87,9 +86,8 @@ class TraceRecorder:
         Optional pre-built :class:`AddressSpace`; a fresh one is created
         by default.
     chunk_refs:
-        Chunk size (references) for the streaming protocol: the default
-        for :meth:`finish_chunks`, and — when ``sink`` is also given —
-        the auto-flush threshold of sink mode.
+        Sink-mode chunk size (references), the auto-flush threshold;
+        given exactly when ``sink`` is.
     sink:
         Optional callable receiving each completed
         :class:`ReferenceTrace` chunk.  With a sink the recorder
@@ -118,8 +116,10 @@ class TraceRecorder:
     ):
         if chunk_refs is not None and chunk_refs < 1:
             raise ValueError(f"chunk_refs must be >= 1, got {chunk_refs}")
-        if sink is not None and chunk_refs is None:
-            raise ValueError("a sink requires chunk_refs (the flush size)")
+        if (sink is None) != (chunk_refs is None):
+            raise ValueError(
+                "sink and chunk_refs (the flush size) go together"
+            )
         self.address_space = address_space or AddressSpace()
         self._addr = _Column(np.int64)
         self._size = _Column(np.int64)
@@ -132,7 +132,7 @@ class TraceRecorder:
         self._sink = sink
         #: References recorded but not yet drained to a chunk/sink.
         self._pending = 0
-        #: References already streamed out (sink mode / finish_chunks).
+        #: References already streamed out to the sink.
         self._flushed = 0
 
     # ------------------------------------------------------------------
@@ -372,7 +372,7 @@ class TraceRecorder:
             raise RuntimeError(
                 f"{self._flushed} references were already streamed out in "
                 f"chunks; finish() would return a partial trace "
-                f"(use flush_tail()/finish_chunks() to drain the rest)"
+                f"(use flush_tail() to drain the rest)"
             )
         return ReferenceTrace(
             self._addr.collect(),
@@ -397,35 +397,6 @@ class TraceRecorder:
         self._pending -= n
         self._flushed += n
         return chunk
-
-    def finish_chunks(self, chunk_refs: int | None = None):
-        """Drain the recorder as fixed-size :class:`ReferenceTrace` chunks.
-
-        Yields chunks of exactly ``chunk_refs`` references (defaulting
-        to the constructor's value) plus a shorter final remainder.
-        Concatenating the chunks reproduces :meth:`finish` exactly —
-        same columns, same reference order — but the drain is
-        *destructive*: consumed storage is released as chunks are
-        yielded, so peak memory during downstream consumption is
-        O(pending + chunk) rather than 2x the trace.  Label tables grow
-        as a prefix across chunks (a chunk's table is a prefix of every
-        later chunk's), which every chunk consumer in this codebase
-        handles by interning per chunk.
-        """
-        if self._sink is not None:
-            raise RuntimeError(
-                "finish_chunks() is for pull-mode draining; this recorder "
-                "streams to a sink (call flush_tail() instead)"
-            )
-        chunk_refs = chunk_refs if chunk_refs is not None else self._chunk_refs
-        if chunk_refs is None:
-            raise ValueError(
-                "chunk_refs must be given here or at construction"
-            )
-        if chunk_refs < 1:
-            raise ValueError(f"chunk_refs must be >= 1, got {chunk_refs}")
-        while self._pending:
-            yield self._take_chunk(min(chunk_refs, self._pending))
 
     def flush_tail(self) -> None:
         """Push the final partial chunk to the sink (sink mode only)."""

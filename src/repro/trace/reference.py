@@ -161,12 +161,11 @@ def iter_chunks(
 
     Chunks are zero-copy views (:meth:`ReferenceTrace.slice_refs`), all
     exactly ``chunk_refs`` long except a shorter final remainder.  This
-    is the pull-side half of the streaming protocol: anything accepting
-    a chunk iterator (``CacheSimulator.run_stream``, the estimator, the
-    chunk-aware :mod:`repro.trace.analysis` functions) consumes either
-    these views or the destructively-drained chunks of
-    :meth:`~repro.trace.recorder.TraceRecorder.finish_chunks`
-    interchangeably.
+    is the pull side of the streaming protocol: anything accepting a
+    chunk iterator (``CacheSimulator.run_stream``, the estimator, the
+    chunk-aware :mod:`repro.trace.analysis` functions) consumes these
+    views exactly like the chunks a sink-mode
+    :class:`~repro.trace.recorder.TraceRecorder` pushes.
     """
     if chunk_refs < 1:
         raise ValueError(f"chunk_refs must be >= 1, got {chunk_refs}")

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.cachesim import (
-    CacheEngineError,
     CacheGeometry,
     EstimateResult,
     TraceEstimator,
@@ -151,41 +150,12 @@ class TestInvariances:
         assert 0.1 < frac < 0.5
 
 
-class TestSimulateTraceEstimateMode:
+class TestEstimateTrace:
     def test_returns_estimate_result(self):
         trace = random_trace(np.random.default_rng(1), n=1000)
-        result = simulate_trace(
-            trace,
-            GEOMETRY,
-            mode="estimate",
-            estimate_options={"sample_fraction": 0.5, "seed": 0},
-        )
+        result = estimate_trace(trace, GEOMETRY, sample_fraction=0.5, seed=0)
         assert isinstance(result, EstimateResult)
         json.dumps(result.as_dict())  # serialisable
-
-    def test_bad_mode_rejected(self):
-        trace = random_trace(np.random.default_rng(1), n=10)
-        with pytest.raises(ValueError, match="mode"):
-            simulate_trace(trace, GEOMETRY, mode="guess")
-
-    def test_estimate_options_require_estimate_mode(self):
-        trace = random_trace(np.random.default_rng(1), n=10)
-        with pytest.raises(ValueError, match="estimate_options"):
-            simulate_trace(
-                trace, GEOMETRY, estimate_options={"seed": 1}
-            )
-
-    def test_non_lru_policy_rejected(self):
-        trace = random_trace(np.random.default_rng(1), n=10)
-        with pytest.raises(CacheEngineError, match="LRU"):
-            simulate_trace(trace, GEOMETRY, mode="estimate", policy="fifo")
-
-    def test_reference_engine_rejected(self):
-        trace = random_trace(np.random.default_rng(1), n=10)
-        with pytest.raises(CacheEngineError, match="array"):
-            simulate_trace(
-                trace, GEOMETRY, mode="estimate", engine="reference"
-            )
 
 
 class TestEstimatorValidation:

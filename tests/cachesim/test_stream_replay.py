@@ -6,9 +6,9 @@ per-label hits/misses/writebacks, resident lines, residency integrals
 (float ``==``), flush writebacks, and final cache state — across
 geometries, chunk sizes (including ``chunk_refs=1``, which splits every
 straddling reference's chunk from its successor), engines, and the
-sharded shared-memory-ring path.  The recorder's pull- and push-mode
-streaming must reproduce ``finish()`` exactly, and incremental
-expansion must be a chunking-invariant (hypothesis property).
+sharded shared-memory-ring path.  The recorder's sink-mode streaming
+must reproduce ``finish()`` exactly, and incremental expansion must be
+a chunking-invariant (hypothesis property).
 """
 
 import numpy as np
@@ -99,15 +99,22 @@ class TestStreamedBitIdentity:
         indices = {
             label: rng.integers(0, 64, size=100) for label in "ABC"
         }
-        rec_a, rec_b = TraceRecorder(), TraceRecorder()
-        for rec in (rec_a, rec_b):
-            for label in ("A", "B", "C"):
-                rec.allocate(label, num_elements=64, element_size=8)
-            for label in ("A", "B", "C"):  # labels appear one at a time
-                rec.record_elements(label, indices[label], is_write=False)
         mono, streamed = streamed_pair(geometry, engine="array")
+        tables = []
+
+        def sink(chunk):
+            tables.append(list(chunk.labels))
+            streamed.run_chunk(chunk)
+
+        rec_a = TraceRecorder()
+        rec_b = TraceRecorder(chunk_refs=70, sink=sink)
+        for rec in (rec_a, rec_b):
+            for label in ("A", "B", "C"):  # labels appear one at a time
+                rec.allocate(label, num_elements=64, element_size=8)
+                rec.record_elements(label, indices[label], is_write=False)
+        rec_b.flush_tail()
         mono.run(rec_a.finish())
-        streamed.run_stream(rec_b.finish_chunks(70))
+        assert tables == [["A"], ["A", "B"]] + [["A", "B", "C"]] * 3
         assert_identical(streamed, mono, ["A", "B", "C"])
 
     @pytest.mark.parametrize("jobs", [1, 2])

@@ -104,7 +104,7 @@ class TestValidation:
 
 
 class TestStreamingValidation:
-    """chunk_refs / sim_mode plumbing through validate_kernel."""
+    """Replay-option plumbing through validate_kernel."""
 
     def _exact(self, **kwargs):
         return validate_kernel(
@@ -167,22 +167,27 @@ class TestStreamingValidation:
                 sim_mode="estimate", chunk_refs=100, engine="reference"
             )
 
-    def test_analyzer_config_streaming_knobs(self):
+    def test_engine_options_pass_through(self):
+        base = self._exact()
+        oracle = self._exact(engine="reference", shards=1, jobs=1)
+        assert [
+            (s.structure, s.simulated) for s in oracle.structures
+        ] == [(s.structure, s.simulated) for s in base.structures]
+
+    def test_analyze_simulated_streaming_knobs(self):
         kernel, workload = KERNELS["VM"], TEST_WORKLOADS["VM"]
-        base = DVFAnalyzer(
-            AnalyzerConfig(geometry=PAPER_CACHES["small"])
-        ).analyze_simulated(kernel, workload)
-        streamed = DVFAnalyzer(
-            AnalyzerConfig(geometry=PAPER_CACHES["small"], chunk_refs=211)
-        ).analyze_simulated(kernel, workload)
+        analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["small"]))
+        base = analyzer.analyze_simulated(kernel, workload)
+        streamed = analyzer.analyze_simulated(
+            kernel, workload, chunk_refs=211
+        )
         for s in base.structures:
             assert streamed.structure(s.name).nha == s.nha
-        census = DVFAnalyzer(
-            AnalyzerConfig(
-                geometry=PAPER_CACHES["small"],
-                sim_mode="estimate",
-                estimate_options={"sample_fraction": 1.0},
-            )
-        ).analyze_simulated(kernel, workload)
+        census = analyzer.analyze_simulated(
+            kernel,
+            workload,
+            sim_mode="estimate",
+            estimate_options={"sample_fraction": 1.0},
+        )
         for s in base.structures:
             assert census.structure(s.name).nha == s.nha

@@ -96,6 +96,21 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=match):
             parse_scenario(data)
 
+    def test_kernel_job_engine_rejected(self):
+        # Kernel jobs run the analytical path; no replay engine applies.
+        data = _minimal()
+        data["jobs"] = [
+            {"id": "k", "kind": "kernel", "kernel": "MC", "engine": "auto"}
+        ]
+        with pytest.raises(ScenarioError, match="engine"):
+            parse_scenario(data)
+
+    def test_engine_default_rejected(self):
+        data = _minimal()
+        data["defaults"] = {"engine": "reference"}
+        with pytest.raises(ScenarioError, match="engine"):
+            parse_scenario(data)
+
     def test_duplicate_job_ids_rejected(self):
         data = _minimal()
         data["jobs"] = [

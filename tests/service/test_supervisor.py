@@ -57,6 +57,20 @@ class TestInlineSupervision:
         assert run.exit_code == 0
         assert run.counts == {OUTCOME_SUCCEEDED: 1}
 
+    def test_stored_kernel_engine_ignored(self):
+        # A queue written when kernel jobs took an `engine` key still
+        # runs: the key is ignored and left out of the record.
+        options = {"kernel": "VM", "tier": "test", "geometry": "small"}
+        run = JobSupervisor(isolation="inline").run([
+            JobSpec(id="new", kind="kernel", options=options),
+            JobSpec(id="old", kind="kernel",
+                    options={**options, "engine": "reference"}),
+        ])
+        new, old = run.records
+        assert old["outcome"] == OUTCOME_SUCCEEDED
+        assert old["payload"] == new["payload"]
+        assert "engine" not in old
+
     def test_unknown_kind_is_dead_lettered(self):
         run = JobSupervisor(isolation="inline").run(
             [JobSpec(id="x", kind="probe", options={"behavior": "ok"}),

@@ -189,15 +189,16 @@ class TestChunkedAnalysis:
                 iter_chunks(trace, 100), label="missing"
             )
 
-    def test_recorder_finish_chunks_feed(self):
+    def test_sink_recorder_feed(self):
         rng = np.random.default_rng(19)
         indices = rng.integers(0, 256, 700)
-        mono, streamed = TraceRecorder(), TraceRecorder()
+        chunks = []
+        mono = TraceRecorder()
+        streamed = TraceRecorder(chunk_refs=93, sink=chunks.append)
         for rec in (mono, streamed):
             rec.allocate("A", 256, 8)
             rec.record_elements("A", indices, False)
+        streamed.flush_tail()
+        assert len(chunks) == 8
         whole = miss_ratio_curve(mono.finish(), line_size=64)
-        chunked = miss_ratio_curve(
-            streamed.finish_chunks(93), line_size=64
-        )
-        assert chunked == whole
+        assert miss_ratio_curve(iter(chunks), line_size=64) == whole

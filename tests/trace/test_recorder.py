@@ -280,7 +280,7 @@ class TestTraceIO:
 
 
 class TestStreamingRecorder:
-    """finish_chunks / sink-mode streaming vs the monolithic finish()."""
+    """Sink-mode streaming vs the monolithic finish()."""
 
     def _record(self, rec, seed=23, n=700):
         rng = np.random.default_rng(seed)
@@ -306,24 +306,6 @@ class TestStreamingRecorder:
         )
         for chunk in chunks:
             assert chunk.labels == trace.labels[: len(chunk.labels)]
-
-    def test_finish_chunks_reproduces_finish(self):
-        mono, streamed = TraceRecorder(), TraceRecorder()
-        self._record(mono)
-        self._record(streamed)
-        trace = mono.finish()
-        chunks = list(streamed.finish_chunks(100))
-        assert [len(c) for c in chunks[:-1]] == [100] * (len(chunks) - 1)
-        assert 0 < len(chunks[-1]) <= 100
-        self._assert_concat_equals(chunks, trace)
-
-    def test_finish_refuses_after_partial_drain(self):
-        rec = TraceRecorder()
-        self._record(rec)
-        gen = rec.finish_chunks(100)
-        next(gen)
-        with pytest.raises(RuntimeError, match="streamed"):
-            rec.finish()
 
     def test_sink_mode_autoflush(self):
         sizes = []
@@ -351,11 +333,6 @@ class TestStreamingRecorder:
         with pytest.raises(RuntimeError, match="streamed"):
             rec.finish()
 
-    def test_sink_mode_finish_chunks_refused(self):
-        rec = TraceRecorder(chunk_refs=10, sink=lambda c: None)
-        with pytest.raises(RuntimeError, match="sink"):
-            next(rec.finish_chunks())
-
     def test_flush_tail_requires_sink(self):
         rec = TraceRecorder()
         with pytest.raises(RuntimeError, match="sink"):
@@ -365,17 +342,10 @@ class TestStreamingRecorder:
         with pytest.raises(ValueError, match="chunk_refs"):
             TraceRecorder(sink=lambda c: None)
 
+    def test_chunk_refs_requires_sink(self):
+        with pytest.raises(ValueError, match="sink"):
+            TraceRecorder(chunk_refs=5)
+
     def test_chunk_refs_below_one_rejected(self):
         with pytest.raises(ValueError, match="chunk_refs"):
-            TraceRecorder(chunk_refs=0)
-        rec = TraceRecorder()
-        rec.allocate("A", 8, 8)
-        rec.record_element("A", 0, False)
-        with pytest.raises(ValueError, match="chunk_refs"):
-            next(rec.finish_chunks(0))
-
-    def test_finish_chunks_default_from_constructor(self):
-        rec = TraceRecorder(chunk_refs=5)
-        rec.allocate("A", 64, 8)
-        rec.record_stream("A", 0, 12)
-        assert [len(c) for c in rec.finish_chunks()] == [5, 5, 2]
+            TraceRecorder(chunk_refs=0, sink=lambda c: None)

@@ -5,7 +5,10 @@ trace schema version, and a kernel-source fingerprint — so every test
 here is really a statement about *when a cached trace may be reused*.
 """
 
+import importlib.util
+import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -128,6 +131,25 @@ class TestKeying:
 
     def test_fingerprint_is_stable(self, kernel):
         assert kernel_fingerprint(kernel) == kernel_fingerprint(kernel)
+
+    def test_fingerprint_covers_module_level_code(self, tmp_path, monkeypatch):
+        # Identical class bodies, different module-level helpers: the
+        # helper is part of the kernel's behaviour, so of its key.
+        kernels = []
+        for name, value in (("fp_kernel_a", 1), ("fp_kernel_b", 2)):
+            path = tmp_path / f"{name}.py"
+            path.write_text(
+                f"def _helper():\n    return {value}\n\n\n"
+                "class Kern:\n    def run(self):\n        return _helper()\n"
+            )
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, name, module)
+            spec.loader.exec_module(module)
+            kernels.append(module.Kern())
+        a, b = (type(k) for k in kernels)
+        assert inspect.getsource(a) == inspect.getsource(b)
+        assert kernel_fingerprint(kernels[0]) != kernel_fingerprint(kernels[1])
 
 
 class TestRecovery:
