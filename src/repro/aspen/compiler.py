@@ -301,7 +301,7 @@ def compile_model(
         composite = None
         if kernel_model.order is not None:
             events = parse_order(kernel_model.order)
-            names = {n for event in events for n in event}
+            names = dict.fromkeys(n for event in events for n in event)
             base = {
                 name: composite_base_pattern(
                     app.data[name], app.data[name].pattern
@@ -355,7 +355,7 @@ def compile_model(
     if kernel_model.order is not None:
         try:
             events = parse_order(kernel_model.order)
-            names = {n for event in events for n in event}
+            names = dict.fromkeys(n for event in events for n in event)
             base = {}
             for name in names:
                 data = app.data.get(name)

@@ -13,8 +13,6 @@ to d — whose ranking DVF approximates *without running a single fault*.
 
 from __future__ import annotations
 
-from scipy import stats as sp_stats
-
 from repro.core.dvf import DVFReport, n_error
 from repro.faultinject.campaign import CampaignResult
 
@@ -59,5 +57,7 @@ def rank_agreement(
         # ranking information — report NaN rather than a spurious value.
         return float("nan"), empirical
     dvf_values = [report.structure(name).dvf for name in names]
+    from scipy import stats as sp_stats
+
     rho = sp_stats.spearmanr(dvf_values, emp_values).statistic
     return float(rho), empirical

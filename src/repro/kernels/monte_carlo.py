@@ -32,22 +32,25 @@ def pivot_frequencies(grid: int) -> np.ndarray:
     them, and so on.  Computed exactly by propagating interval
     probabilities down the search tree (the profiling information the
     working-set model needs, obtained analytically here because the
-    lookup keys are uniform).
+    lookup keys are uniform).  The tree is walked one level at a time;
+    each element is the midpoint of at most one interval, so every
+    level writes distinct elements.
     """
     freqs = np.zeros(grid)
-    # (lo, hi, probability mass of landing in this interval)
-    stack = [(0, grid - 1, 1.0)]
-    while stack:
-        lo, hi, prob = stack.pop()
-        if lo >= hi:
-            continue
+    # The current level's intervals [lo, hi] and the probability mass
+    # of landing in each.
+    lo = np.zeros(1, dtype=np.int64)
+    hi = np.full(1, grid - 1, dtype=np.int64)
+    prob = np.ones(1)
+    while lo.size:
+        split = lo < hi
+        lo, hi, prob = lo[split], hi[split], prob[split]
         mid = (lo + hi) // 2
-        freqs[mid] = min(freqs[mid] + prob, 1.0)
-        left_span = mid - lo + 1
-        span = hi - lo + 1
-        left_prob = prob * left_span / span
-        stack.append((lo, mid, left_prob))
-        stack.append((mid + 1, hi, prob - left_prob))
+        freqs[mid] = prob
+        left = prob * (mid - lo + 1) / (hi - lo + 1)
+        lo = np.concatenate([lo, mid + 1])
+        hi = np.concatenate([mid, hi])
+        prob = np.concatenate([left, prob - left])
     return freqs
 
 #: XSBench-style sizes: grid points and nuclides.  Even the "small"

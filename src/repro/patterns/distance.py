@@ -140,8 +140,9 @@ def lru_misses(block_ids: np.ndarray | list[int], cache_blocks: int) -> int:
 
     Exactly equivalent to ``misses_for_cache_blocks(stack_distances(b), c)``
     but O(1) per reference instead of O(log n): when the capacity is
-    known up front there is no need to materialise the distances.  This
-    is the hot path of the template estimator.
+    known up front there is no need to materialise the distances.  The
+    template estimator uses it for a partial cache share and for the
+    fully-associative ablation; its default walk is set-associative.
     """
     if cache_blocks < 1:
         return len(block_ids)
@@ -160,42 +161,6 @@ def lru_misses(block_ids: np.ndarray | list[int], cache_blocks: int) -> int:
             continue
         misses += 1
         if len(resident) >= cache_blocks:
-            resident.popitem(last=False)
-        resident[block] = None
-    return misses
-
-
-def set_associative_lru_misses(
-    block_ids: np.ndarray | list[int], num_sets: int, ways: int
-) -> int:
-    """Misses of a set-associative LRU cache over a block-id sequence.
-
-    Blocks map to sets by ``block % num_sets``.  Still O(1) per
-    reference; compared with :func:`lru_misses` (fully associative of
-    ``num_sets * ways`` blocks) this additionally captures conflict
-    misses — decisive near capacity, where one over-full set thrashes
-    while a fully-associative model predicts all-or-nothing.
-    """
-    if ways < 1 or num_sets < 1:
-        raise ValueError("num_sets and ways must be >= 1")
-    from collections import OrderedDict
-
-    sets: list[OrderedDict[int, None]] = [
-        OrderedDict() for _ in range(num_sets)
-    ]
-    misses = 0
-    ids = (
-        block_ids.tolist()
-        if isinstance(block_ids, np.ndarray)
-        else block_ids
-    )
-    for block in ids:
-        resident = sets[block % num_sets]
-        if block in resident:
-            resident.move_to_end(block)
-            continue
-        misses += 1
-        if len(resident) >= ways:
             resident.popitem(last=False)
         resident[block] = None
     return misses

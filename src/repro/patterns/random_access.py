@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.cachesim.configs import CacheGeometry
 from repro.patterns.base import (
@@ -118,7 +117,11 @@ class RandomAccess(AccessPattern):
         k = self.distinct_per_iteration
         if self.exact_expectation:
             return k * (1.0 - m / n_total)
-        # Explicit Eq. 5-6 sum (integer k only).
+        # Explicit Eq. 5-6 sum (integer k only).  scipy.stats is
+        # imported here, not at module level: importing it costs more
+        # than a whole analytical run, and only this path needs it.
+        from scipy import stats as sp_stats
+
         k_int = int(round(k))
         dist = sp_stats.hypergeom(M=n_total, n=k_int, N=m)  # overlap pmf
         lo = max(0, k_int - (n_total - m))
@@ -300,6 +303,8 @@ def finite_population_total(
         return total, math.inf
     variance = float(values.var(ddof=1))
     se = big_g * math.sqrt((1.0 - g / big_g) * variance / g)
+    from scipy import stats as sp_stats
+
     t = float(sp_stats.t.ppf(0.5 + confidence / 2.0, df=g - 1))
     return total, t * se
 

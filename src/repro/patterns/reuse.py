@@ -24,7 +24,6 @@ Paper ambiguities resolved here (see DESIGN.md §5):
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.cachesim.configs import CacheGeometry
 from repro.patterns.base import AccessPattern, PatternError, ceil_div
@@ -72,6 +71,8 @@ def set_occupancy_pmf(
         pmf[min(base, ca)] += (geometry.num_sets - extra) / geometry.num_sets
         pmf[min(base + 1, ca)] += extra / geometry.num_sets
         return pmf
+    from scipy import stats as sp_stats
+
     dist = sp_stats.binom(blocks, 1.0 / geometry.num_sets)
     if blocks < ca:
         # All mass already lies in 0..blocks; no truncation needed.

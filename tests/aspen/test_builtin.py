@@ -1,5 +1,10 @@
 """Tests for the built-in Aspen model library."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.aspen import MachineModel, compile_source, parse
@@ -11,6 +16,8 @@ from repro.aspen.builtin import (
 )
 from repro.cachesim import PAPER_CACHES
 from repro.kernels import KERNELS, TEST_WORKLOADS
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestBuiltinSources:
@@ -80,3 +87,31 @@ class TestMachineLibrary:
             builtin_source("VM", "test") + MACHINE_LIBRARY, machine="large"
         )
         assert compiled.nha_total() > 0
+
+
+class TestHashSeedIndependence:
+    def test_cg_payload_identical_under_two_hash_seeds(self):
+        """CG's access order names four structures; their order in the
+        composite model, and so the report rows and the last bits of the
+        application DVF, must not follow ``PYTHONHASHSEED``."""
+        script = (
+            "import json\n"
+            "from repro.aspen.builtin import MACHINE_LIBRARY, builtin_source\n"
+            "from repro.experiments.aspen_batch import evaluate_source\n"
+            "report = evaluate_source('cg', builtin_source('CG', 'test')"
+            " + MACHINE_LIBRARY, machine='cache_8mb')\n"
+            "print(json.dumps(report.to_payload()))\n"
+        )
+        payloads = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            payloads.append(proc.stdout)
+        assert payloads[0] == payloads[1]

@@ -13,6 +13,25 @@ def kernel():
     return MonteCarloKernel()
 
 
+def reference_pivot_frequencies(grid: int) -> np.ndarray:
+    """The per-interval stack walk ``pivot_frequencies`` replaced."""
+    freqs = np.zeros(grid)
+    # (lo, hi, probability mass of landing in this interval)
+    stack = [(0, grid - 1, 1.0)]
+    while stack:
+        lo, hi, prob = stack.pop()
+        if lo >= hi:
+            continue
+        mid = (lo + hi) // 2
+        freqs[mid] = min(freqs[mid] + prob, 1.0)
+        left_span = mid - lo + 1
+        span = hi - lo + 1
+        left_prob = prob * left_span / span
+        stack.append((lo, mid, left_prob))
+        stack.append((mid + 1, hi, prob - left_prob))
+    return freqs
+
+
 def wl(**params):
     params.setdefault("grid_points", 1024)
     params.setdefault("nuclides", 8)
@@ -37,6 +56,14 @@ class TestConfig:
 
 
 class TestPivotFrequencies:
+    @pytest.mark.parametrize(
+        "grid", [1, 2, 3, 4, 5, 17, 1000, 8192, 32768, 99991, 262144]
+    )
+    def test_bit_identical_to_stack_walk(self, grid):
+        freqs = pivot_frequencies(grid)
+        assert freqs.dtype == np.float64
+        assert freqs.tobytes() == reference_pivot_frequencies(grid).tobytes()
+
     def test_root_pivot_always_probed(self):
         freqs = pivot_frequencies(1024)
         assert freqs.max() == 1.0
