@@ -128,7 +128,8 @@ def ground_truth_stats(
         kernel.trace_stream(workload, chunk_refs, consume)
     else:
         trace = kernel.trace(workload, cache=trace_cache)
-        for chunk in iter_chunks(trace, chunk_refs or DEFAULT_CHUNK_SIZE):
+        size = DEFAULT_CHUNK_SIZE if chunk_refs is None else chunk_refs
+        for chunk in iter_chunks(trace, size):
             consume(chunk)
     return finish()
 

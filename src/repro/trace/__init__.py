@@ -11,16 +11,15 @@ replace binary instrumentation with an explicit recording layer:
   million-reference traces cheap and lets kernels emit whole vectorised
   access bursts at once (per the HPC guides: vectorise, avoid per-item
   Python overhead);
-* :class:`TracedArray` wraps a numpy array so scalar-indexed kernels
-  (e.g. the Barnes-Hut tree walk) record automatically;
-* :class:`ReferenceTrace` is the immutable, query-friendly result.
+* :class:`ReferenceTrace` is the immutable, query-friendly result;
+* :class:`TraceCache` keeps traces across runs as a directory of
+  content-addressed ``.npz`` archives.
 """
 
 from repro.trace.address_space import AddressSpace, Segment
 from repro.trace.cache import TraceCache, as_trace_cache, trace_key
 from repro.trace.recorder import TraceRecorder
 from repro.trace.reference import MemoryReference, ReferenceTrace, iter_chunks
-from repro.trace.traced_array import TracedArray
 from repro.trace.io import TRACE_SCHEMA_VERSION, load_trace, save_trace
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "MemoryReference",
     "ReferenceTrace",
     "iter_chunks",
-    "TracedArray",
     "TraceCache",
     "as_trace_cache",
     "trace_key",

@@ -1,10 +1,10 @@
 """Trace recording — the instrumentation entry point for kernels.
 
-Kernels record accesses either one at a time (irregular codes, e.g. the
-Barnes-Hut tree walk) or as whole vectorised bursts (regular codes, e.g.
-a matrix row sweep).  Internally everything lands in growable chunk
-lists that are concatenated once into a columnar
-:class:`~repro.trace.reference.ReferenceTrace`.
+Kernels record whole vectorised bursts: a regular sweep (a matrix row),
+several streams interleaved the way a loop body issues them, or an
+irregular walk's per-step index vectors batched back to back.  Each
+call appends one array per column; the columns are concatenated once
+into a columnar :class:`~repro.trace.reference.ReferenceTrace`.
 """
 
 from __future__ import annotations
@@ -14,41 +14,23 @@ import numpy as np
 from repro.trace.address_space import AddressSpace, Segment
 from repro.trace.reference import ReferenceTrace
 
-_CHUNK = 65536
-
 
 class _Column:
-    """A growable scalar buffer flushed into chunked numpy arrays."""
+    """One trace column, kept as the list of arrays recorded into it."""
 
-    __slots__ = ("chunks", "buf", "fill", "dtype")
+    __slots__ = ("chunks", "dtype")
 
     def __init__(self, dtype) -> None:
         self.chunks: list[np.ndarray] = []
-        self.buf = np.empty(_CHUNK, dtype=dtype)
-        self.fill = 0
         self.dtype = dtype
 
-    def push(self, value) -> None:
-        if self.fill == _CHUNK:
-            self.chunks.append(self.buf)
-            self.buf = np.empty(_CHUNK, dtype=self.dtype)
-            self.fill = 0
-        self.buf[self.fill] = value
-        self.fill += 1
-
     def push_array(self, values: np.ndarray) -> None:
-        if self.fill:
-            self.chunks.append(self.buf[: self.fill].copy())
-            self.fill = 0
         self.chunks.append(np.asarray(values, dtype=self.dtype))
 
     def collect(self) -> np.ndarray:
-        parts = list(self.chunks)
-        if self.fill:
-            parts.append(self.buf[: self.fill].copy())
-        if not parts:
+        if not self.chunks:
             return np.empty(0, dtype=self.dtype)
-        return np.concatenate(parts)
+        return np.concatenate(self.chunks)
 
     def take(self, n: int) -> np.ndarray:
         """Destructively pop the first ``n`` values as one array.
@@ -56,9 +38,6 @@ class _Column:
         Consumed storage is released, so a sink-mode recorder keeps the
         column's footprint at O(pending), not O(recorded).
         """
-        if self.fill:
-            self.chunks.append(self.buf[: self.fill].copy())
-            self.fill = 0
         parts: list[np.ndarray] = []
         got = 0
         while got < n:
@@ -102,10 +81,10 @@ class TraceRecorder:
     -------
     >>> rec = TraceRecorder()
     >>> seg = rec.allocate("A", num_elements=100, element_size=8)
-    >>> rec.record_element("A", 3, is_write=False)
+    >>> rec.record_elements("A", [3, 4], is_write=False)
     >>> trace = rec.finish()
     >>> trace.count_for("A")
-    1
+    2
     """
 
     def __init__(
@@ -159,24 +138,6 @@ class TraceRecorder:
         if self._sink is not None:
             while self._pending >= self._chunk_refs:
                 self._sink(self._take_chunk(self._chunk_refs))
-
-    # ------------------------------------------------------------------
-    # scalar recording
-    # ------------------------------------------------------------------
-    def record_address(
-        self, label: str, address: int, size: int, is_write: bool
-    ) -> None:
-        """Record one reference at an absolute byte address."""
-        self._addr.push(address)
-        self._size.push(size)
-        self._write.push(is_write)
-        self._label.push(self._intern(label))
-        self._added(1)
-
-    def record_element(self, label: str, index: int, is_write: bool) -> None:
-        """Record an access to element ``index`` of data structure ``label``."""
-        seg = self.address_space.segment(label)
-        self.record_address(label, seg.address_of(index), seg.element_size, is_write)
 
     # ------------------------------------------------------------------
     # vectorised recording

@@ -9,7 +9,9 @@ from repro.core import (
     FixedRuntime,
     validate_kernel,
 )
+from repro.core.validation import ground_truth_stats
 from repro.kernels import KERNELS, TEST_WORKLOADS
+from repro.trace import TraceCache
 
 
 @pytest.fixture
@@ -128,6 +130,15 @@ class TestStreamingValidation:
         assert [
             (s.structure, s.simulated) for s in streamed.structures
         ] == [(s.structure, s.simulated) for s in base.structures]
+
+    def test_zero_chunk_refs_rejected_with_and_without_cache(self, tmp_path):
+        # 0 is not "use the default chunk size" on either trace source.
+        for cache in (None, TraceCache(tmp_path)):
+            with pytest.raises(ValueError, match="chunk_refs"):
+                ground_truth_stats(
+                    KERNELS["VM"], TEST_WORKLOADS["VM"],
+                    PAPER_CACHES["small"], trace_cache=cache, chunk_refs=0,
+                )
 
     def test_estimate_census_matches_exact(self):
         base = self._exact()

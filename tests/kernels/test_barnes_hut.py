@@ -148,7 +148,7 @@ def reference(request):
         visits: list[int] = []
         forces[body] = _force_walk(tree, positions, body, theta, visits.append)
         counts[visits] += 1
-        recorder.record_element("P", body, False)
+        recorder.record_elements("P", np.array([body]), False)
         recorder.record_elements("T", np.asarray(visits, dtype=np.int64), False)
     return workload, tree, counts / n, forces, recorder.finish()
 

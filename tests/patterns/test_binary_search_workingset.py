@@ -66,7 +66,7 @@ class TestBinarySearchAccess:
             lo, hi = 0, grid - 1
             while lo < hi:
                 mid = (lo + hi) // 2
-                rec.record_element("G", mid, False)
+                rec.record_elements("G", np.array([mid]), False)
                 if energies[mid] < sample:
                     lo = mid + 1
                 else:

@@ -60,8 +60,8 @@ class TestPackageSurface:
             ("repro.cachesim", ["CacheGeometry", "SetAssociativeCache",
                                 "CacheSimulator", "simulate_trace",
                                 "PAPER_CACHES"]),
-            ("repro.trace", ["TraceRecorder", "TracedArray",
-                             "ReferenceTrace", "AddressSpace"]),
+            ("repro.trace", ["TraceRecorder", "ReferenceTrace",
+                             "AddressSpace"]),
             ("repro.kernels", ["KERNELS", "get_kernel", "workload_for"]),
             ("repro.faultinject", ["run_campaign", "rank_agreement",
                                    "flip_bit"]),

@@ -15,35 +15,10 @@ def rec():
 
 
 class TestScalarRecording:
-    def test_record_element(self, rec):
-        rec.record_element("A", 3, is_write=False)
-        trace = rec.finish()
-        ref = trace[0]
-        assert ref == MemoryReference(address=24, size=8, is_write=False, label="A")
-
-    def test_record_element_write_flag(self, rec):
-        rec.record_element("A", 0, is_write=True)
-        assert rec.finish()[0].is_write is True
-
-    def test_record_address_direct(self, rec):
-        rec.record_address("A", 123, 4, False)
-        ref = rec.finish()[0]
-        assert ref.address == 123 and ref.size == 4
-
     def test_len_tracks_count(self, rec):
         for i in range(5):
-            rec.record_element("A", i, False)
+            rec.record_elements("A", np.array([i]), False)
         assert len(rec) == 5
-
-    def test_chunk_boundary_crossing(self):
-        # More references than one internal chunk (65536).
-        rec = TraceRecorder()
-        rec.allocate("A", 10, 8)
-        for _ in range(70000):
-            rec.record_element("A", 1, False)
-        trace = rec.finish()
-        assert len(trace) == 70000
-        assert trace.count_for("A") == 70000
 
 
 class TestVectorisedRecording:
@@ -64,13 +39,6 @@ class TestVectorisedRecording:
     def test_record_empty_is_noop(self, rec):
         rec.record_elements("A", np.array([], dtype=np.int64), False)
         assert len(rec.finish()) == 0
-
-    def test_mixed_scalar_and_vector_preserves_order(self, rec):
-        rec.record_element("A", 0, False)
-        rec.record_elements("A", np.array([1, 2]), False)
-        rec.record_element("A", 3, False)
-        trace = rec.finish()
-        assert list(trace.addresses) == [0, 8, 16, 24]
 
     def test_interleaved_round_robin(self, rec):
         rec.record_interleaved(
@@ -288,7 +256,7 @@ class TestStreamingRecorder:
         rec.allocate("B", 64, 16)
         rec.record_elements("A", rng.integers(0, 256, n), False)
         rec.record_elements("B", rng.integers(0, 64, n // 2), True)
-        rec.record_element("A", 0, is_write=True)
+        rec.record_elements("A", np.array([0]), True)
 
     def _assert_concat_equals(self, chunks, trace):
         assert [list(c.labels) for c in chunks]  # non-empty

@@ -1,4 +1,4 @@
-"""Persistent trace-cache behaviour: hits, misses, invalidation, decay.
+"""Persistent trace-cache behaviour: hits, misses, invalidation, recovery.
 
 The cache key covers kernel name/class, canonicalised workload params,
 trace schema version, and a kernel-source fingerprint — so every test
@@ -7,7 +7,6 @@ here is really a statement about *when a cached trace may be reused*.
 
 import importlib.util
 import inspect
-import json
 import sys
 
 import numpy as np
@@ -16,13 +15,8 @@ import pytest
 import repro.trace.cache as cache_mod
 from repro.kernels.base import Workload
 from repro.kernels.registry import KERNELS
-from repro.trace import TraceCache
-from repro.trace.cache import (
-    as_trace_cache,
-    canonical_params,
-    kernel_fingerprint,
-    trace_key,
-)
+from repro.trace import TraceCache, load_trace, save_trace
+from repro.trace.cache import as_trace_cache, kernel_fingerprint, trace_key
 
 
 @pytest.fixture
@@ -33,6 +27,14 @@ def kernel():
 @pytest.fixture
 def workload():
     return Workload("t", {"n": 64})
+
+
+def archives(root):
+    """The stored trace archives under ``root`` (temp files excluded)."""
+    return sorted(
+        path for path in root.glob("*.npz")
+        if not path.name.endswith(".tmp.npz")
+    )
 
 
 def traces_equal(a, b):
@@ -61,7 +63,8 @@ class TestHitMiss:
         first = cache.get_or_trace(kernel, workload)
         second = cache.get_or_trace(kernel, workload)
         assert traces_equal(first, second)
-        assert cache.misses == 1 and cache.hits == 1 and len(cache) == 1
+        assert cache.misses == 1 and cache.hits == 1
+        assert len(archives(tmp_path)) == 1
 
     def test_kernel_trace_cache_param_accepts_path(
         self, tmp_path, kernel, workload
@@ -70,7 +73,7 @@ class TestHitMiss:
         t1 = kernel.trace(workload, cache=tmp_path)
         t2 = kernel.trace(workload, cache=tmp_path)
         assert traces_equal(t1, t2)
-        assert len(TraceCache(tmp_path)) == 1
+        assert len(archives(tmp_path)) == 1
 
     def test_repeat_hits_reuse_the_decoded_trace(
         self, tmp_path, kernel, workload
@@ -83,6 +86,18 @@ class TestHitMiss:
         fresh = TraceCache(tmp_path)
         assert fresh.get(kernel, workload) is fresh.get(kernel, workload)
         assert fresh.hits == 2
+
+    def test_hit_writes_nothing(self, tmp_path, kernel, workload):
+        # A hit from a fresh instance (a new process) only reads: the
+        # directory holds the same files with the same bytes afterwards.
+        TraceCache(tmp_path).put(kernel, workload, kernel.trace(workload))
+
+        def snapshot():
+            return {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        before = snapshot()
+        assert TraceCache(tmp_path).get(kernel, workload) is not None
+        assert snapshot() == before
 
     def test_param_change_misses(self, tmp_path, kernel):
         cache = TraceCache(tmp_path)
@@ -114,14 +129,14 @@ class TestHitMiss:
 
 
 class TestKeying:
-    def test_canonical_params_is_order_insensitive(self):
-        assert canonical_params({"a": 1, "b": 2}) == canonical_params(
-            {"b": 2, "a": 1}
+    def test_canonical_params_is_order_insensitive(self, kernel):
+        assert trace_key(kernel, Workload("t", {"a": 1, "b": 2})) == trace_key(
+            kernel, Workload("t", {"b": 2, "a": 1})
         )
 
-    def test_canonical_params_unwraps_numpy_scalars(self):
-        assert canonical_params({"n": np.int64(5)}) == canonical_params(
-            {"n": 5}
+    def test_canonical_params_unwraps_numpy_scalars(self, kernel):
+        assert trace_key(kernel, Workload("t", {"n": np.int64(5)})) == (
+            trace_key(kernel, Workload("t", {"n": 5}))
         )
 
     def test_key_differs_across_kernels(self, workload):
@@ -153,22 +168,6 @@ class TestKeying:
 
 
 class TestRecovery:
-    def test_corrupted_index_rebuilds_from_archives(
-        self, tmp_path, kernel, workload
-    ):
-        cache = TraceCache(tmp_path)
-        cache.put(kernel, workload, kernel.trace(workload))
-        (tmp_path / "index.json").write_text("{ not json")
-        fresh = TraceCache(tmp_path)
-        assert len(fresh) == 1
-        assert fresh.get(kernel, workload) is not None
-
-    def test_missing_index_key_rebuilds(self, tmp_path, kernel, workload):
-        cache = TraceCache(tmp_path)
-        cache.put(kernel, workload, kernel.trace(workload))
-        (tmp_path / "index.json").write_text(json.dumps({"version": 1}))
-        assert TraceCache(tmp_path).get(kernel, workload) is not None
-
     def test_corrupt_archive_is_dropped_and_missed(
         self, tmp_path, kernel, workload
     ):
@@ -178,58 +177,33 @@ class TestRecovery:
         cache = TraceCache(tmp_path)
         assert cache.get(kernel, workload) is None
         assert not path.exists()
-        assert len(cache) == 0
+        assert archives(tmp_path) == []
 
     def test_index_entry_without_file_is_a_miss(
         self, tmp_path, kernel, workload
     ):
-        cache = TraceCache(tmp_path)
-        path = cache.put(kernel, workload, kernel.trace(workload))
+        # The storing instance would still answer from its memo, which
+        # is right for a content-addressed key; a fresh instance (a new
+        # process) finds no archive.
+        path = TraceCache(tmp_path).put(kernel, workload, kernel.trace(workload))
         path.unlink()
-        assert cache.get(kernel, workload) is None
-
-
-class TestEvictionInvalidation:
-    def test_lru_size_cap_evicts_oldest(self, tmp_path, kernel):
-        workloads = [Workload("t", {"n": n}) for n in (32, 48, 64)]
-        traces = [kernel.trace(w) for w in workloads]
-        one_size = None
-        probe = TraceCache(tmp_path / "probe")
-        probe.put(kernel, workloads[0], traces[0])
-        one_size = probe.total_bytes()
-        # Cap to roughly two artifacts; storing the third must evict
-        # the least recently used one.
-        cache = TraceCache(tmp_path / "capped", max_bytes=int(one_size * 2.5))
-        cache.put(kernel, workloads[0], traces[0])
-        cache.put(kernel, workloads[1], traces[1])
-        assert cache.get(kernel, workloads[0]) is not None  # refresh 0
-        cache.put(kernel, workloads[2], traces[2])
-        assert cache.evictions >= 1
-        assert cache.get(kernel, workloads[1]) is None  # 1 was the LRU
-        assert cache.get(kernel, workloads[0]) is not None
-        assert cache.get(kernel, workloads[2]) is not None
-
-    def test_never_evicts_entry_just_written(self, tmp_path, kernel, workload):
-        cache = TraceCache(tmp_path, max_bytes=1)  # below any artifact
-        cache.put(kernel, workload, kernel.trace(workload))
-        assert cache.get(kernel, workload) is not None
-
-    def test_invalidate(self, tmp_path, kernel, workload):
         cache = TraceCache(tmp_path)
-        cache.put(kernel, workload, kernel.trace(workload))
-        assert cache.invalidate(kernel, workload) is True
         assert cache.get(kernel, workload) is None
-        assert cache.invalidate(kernel, workload) is False
+        assert cache.misses == 1
 
-    def test_clear(self, tmp_path, kernel, workload):
+    def test_failed_store_leaves_no_temp_file(
+        self, tmp_path, kernel, workload, monkeypatch
+    ):
+        def partial_save(trace, path):
+            path.write_bytes(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cache_mod, "save_trace", partial_save)
         cache = TraceCache(tmp_path)
-        cache.put(kernel, workload, kernel.trace(workload))
-        assert cache.clear() == 1
-        assert len(cache) == 0 and cache.total_bytes() == 0
-
-    def test_negative_cap_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="max_bytes"):
-            TraceCache(tmp_path, max_bytes=-1)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put(kernel, workload, kernel.trace(workload))
+        assert list(tmp_path.iterdir()) == []
+        assert cache.stores == 0
 
 
 class TestCoercion:
@@ -243,18 +217,31 @@ class TestCoercion:
 
 
 # ----------------------------------------------------------------------
-# cross-process locking
+# processes sharing one cache directory
 # ----------------------------------------------------------------------
-def _hammer_cache(root, max_bytes, offset, iterations, sizes):
-    """Worker: interleave get/put/invalidate against a shared cache."""
-    cache = TraceCache(root, max_bytes=max_bytes)
+def _hammer_cache(root, offset, iterations, sizes, out):
+    """Worker: interleave get/put/unlink against a shared cache.
+
+    Every trace a ``get`` returned goes to ``out`` (as ``.npz`` files),
+    so the parent can check it against a fresh recording.
+    """
+    cache = TraceCache(root)
     kernel = KERNELS["VM"]
     for i in range(iterations):
-        workload = Workload("t", {"n": sizes[(offset + i) % len(sizes)]})
-        if cache.get(kernel, workload) is None:
+        n = sizes[(offset + i) % len(sizes)]
+        workload = Workload("t", {"n": n})
+        trace = cache.get(kernel, workload)
+        if trace is None:
             cache.put(kernel, workload, kernel.trace(workload))
+        else:
+            save_trace(trace, out / f"{offset}-{i}-{n}.npz")
         if i % 5 == 4:
-            cache.invalidate(kernel, workload)
+            # Drop the archive and this process's memo, so the next get
+            # of this workload from either process misses.
+            (cache.root / f"{trace_key(kernel, workload)}.npz").unlink(
+                missing_ok=True
+            )
+            cache = TraceCache(root)
 
 
 class TestCrossProcessLocking:
@@ -263,30 +250,22 @@ class TestCrossProcessLocking:
         reason="fork start method unavailable",
     )
     def test_two_processes_sharing_one_cache(self, tmp_path, kernel):
-        """Regression: concurrent index read-modify-write must not lose
-        entries, crash on already-evicted archives, or leave the index
-        pointing at files that are gone.
+        """Two processes racing get/put/unlink on one directory.
 
-        The size cap is tuned so both workers evict constantly — each
-        races to delete archives the other may just have indexed, which
-        without the advisory lock intermittently raised
-        ``FileNotFoundError`` out of the rebuild path and dropped
-        freshly-stored entries from the index.
+        No lock guards the directory: a reader sees either no archive
+        or a whole one, because each archive lands by ``os.replace`` of
+        a per-process temp file.  Every trace either worker loaded must
+        equal a fresh recording, and nothing may be left half-written.
         """
         import multiprocessing
 
-        one_trace = kernel.trace(Workload("t", {"n": 64}))
-        cache = TraceCache(tmp_path)
-        artifact = cache.put(kernel, Workload("t", {"n": 64}), one_trace)
-        max_bytes = 3 * artifact.stat().st_size  # forces steady eviction
-        cache.invalidate(kernel, Workload("t", {"n": 64}))
-
+        root, out = tmp_path / "cache", tmp_path / "loaded"
+        out.mkdir()
         ctx = multiprocessing.get_context("fork")
         sizes = (48, 56, 64, 72, 80, 88)
         workers = [
             ctx.Process(
-                target=_hammer_cache,
-                args=(tmp_path, max_bytes, offset, 20, sizes),
+                target=_hammer_cache, args=(root, offset, 20, sizes, out)
             )
             for offset in (0, 3)
         ]
@@ -294,22 +273,20 @@ class TestCrossProcessLocking:
             proc.start()
         for proc in workers:
             proc.join(120)
+        assert not any(proc.is_alive() for proc in workers)
         assert all(proc.exitcode == 0 for proc in workers), [
             proc.exitcode for proc in workers
         ]
 
-        # Post-conditions: index parses, and index <-> disk agree.
-        index = json.loads((tmp_path / "index.json").read_text())
-        listed = {entry["file"] for entry in index["entries"].values()}
-        on_disk = {
-            path.name
-            for path in tmp_path.glob("*.npz")
-            if not path.name.endswith(".tmp.npz")
-        }
-        assert listed == on_disk
-        assert not list(tmp_path.glob("*.tmp.npz"))
+        loaded = sorted(out.glob("*.npz"))
+        assert loaded  # some gets were hits
+        for path in loaded:
+            n = int(path.stem.rsplit("-", 1)[1])
+            fresh = kernel.trace(Workload("t", {"n": n}))
+            assert traces_equal(load_trace(path), fresh), path.name
+        assert not list(root.glob("*.tmp.npz"))
         # And the cache is still fully usable afterwards.
-        survivor = TraceCache(tmp_path)
+        survivor = TraceCache(root)
         workload = Workload("t", {"n": 96})
         survivor.put(kernel, workload, kernel.trace(workload))
-        assert survivor.get(kernel, workload) is not None
+        assert TraceCache(root).get(kernel, workload) is not None
