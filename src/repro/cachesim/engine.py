@@ -36,23 +36,39 @@ shape ``(num_sets, ways)``; empty ways hold the sentinel tag ``-1``
 position of the line's last touch, so the LRU victim is the row-wise
 argmin.  Ages are unique (each access has a distinct position), which
 makes victim choice — and with it writeback attribution and residency
-events — deterministic and identical to the OrderedDict oracle.
+events — deterministic and identical to the dict oracle.
 
 Wave efficiency scales with the number of sets: a 4096-set cache packs
 thousands of runs per wave, a 64-set cache at most 64.  When a chunk's
 mean wave would hold fewer than :data:`ADAPTIVE_WAVE_CUTOFF` runs, the
-engine instead materialises just the touched sets into ordered dicts,
-replays the (already collapsed) runs sequentially, and scatters the
-result back into the arrays — same outcome, chosen per chunk purely on
-throughput.
+engine replays it with a **stack-rank** kernel instead, whose number of
+whole-array passes depends on the associativity ``W``, not on the
+number of sets.  By Mattson's LRU stack property a ``W``-way LRU set
+holds exactly its ``W`` most recently used distinct lines.  Each touched
+set's resident lines, oldest first, are put in front of its runs; one
+stable sort by line gives every entry ``i`` the previous occurrence
+``prev(i)`` of its line; and ``W - 1`` running-maximum passes of::
+
+    D_1(i) = i - 1
+    D_{k+1}(i) = D_k(i-1)      if prev(i-1) < D_k(i-1)
+                 D_{k+1}(i-1)  otherwise
+
+give ``D_W(i)``, the last-use position of the ``W``-th most recently
+used distinct line before ``i``.  Entry ``i`` hits exactly when
+``prev(i) >= D_W(i)``, and a miss in a full set evicts the line last
+used at ``D_W(i)``.  A miss and the hits on its line that follow it form
+one residency group, which gives the victim's dirty bit (the OR of the
+group's writes) and label (the miss's).  Each set's new state is its
+``W`` most recent last occurrences.  The wave kernel stays for many-set
+chunks: there each wave is wide, while the stack-rank kernel would pay
+its sort and ``W - 1`` passes over every run plus every touched set's
+residents (about 2x slower on the 4 MB cache's MC chunks).
 
 The engine implements the LRU policy only; FIFO/random ablations stay
 on the reference path (:class:`CacheEngineError` enforces the switch).
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 import numpy as np
 
@@ -68,9 +84,9 @@ ENGINES = ("auto", "array", "reference")
 #: and expanded line touches per engine batch.
 DEFAULT_CHUNK_SIZE = 1 << 18
 
-#: A chunk switches from wave to scalar replay when its mean wave would
-#: hold fewer runs than this (per-wave numpy dispatch overhead, ~tens of
-#: µs, then exceeds the ~1 µs/run sequential cost).
+#: A chunk switches from the wave kernel to the stack-rank kernel when
+#: its mean wave would hold fewer runs than this (per-wave numpy
+#: dispatch overhead, ~tens of µs, then dominates the wave kernel).
 ADAPTIVE_WAVE_CUTOFF = 128
 
 #: Residency event kinds (see :meth:`ArrayLRUEngine.replay`).
@@ -452,18 +468,24 @@ class ArrayLRUEngine:
         n_waves = int(group_sizes.max())
         if n_runs < n_waves * ADAPTIVE_WAVE_CUTOFF:
             # Set-sorted order is already per-set chronological, which
-            # is all the sequential replay needs.
+            # is all the stack-rank replay needs.
             comp = order.take(starts)
             runs = (
                 run_set,
-                self._run_tags(run_line),
+                run_line,
                 item_label.take(comp),
                 run_write,
                 item_first.take(comp),
                 item_last.take(order.take(ends)),
             )
-            return self._replay_runs_scalar(
-                runs, hits, misses, writebacks, collect_events
+            return self._replay_runs_stack(
+                runs,
+                group_first,
+                group_sizes,
+                hits,
+                misses,
+                writebacks,
+                collect_events,
             )
         # wave_sizes[k] = number of sets with more than k runs.
         n_groups = group_first.size
@@ -616,12 +638,10 @@ class ArrayLRUEngine:
                 if victim_dirty.any():
                     wb_labels.append(victim_label.compress(victim_dirty))
                 if collect_events:
-                    evict_steps.append(
-                        run_first_plus_one(wfirst.take(fidx))
-                    )
+                    evict_steps.append(wfirst.take(fidx) + 1)
                     evict_labels.append(victim_label)
             if collect_events:
-                insert_steps.append(run_first_plus_one(wfirst))
+                insert_steps.append(wfirst + 1)
                 insert_labels.append(wl.copy())
             flat = base + way
             tags_f[flat] = wt
@@ -643,115 +663,131 @@ class ArrayLRUEngine:
             evict_steps, evict_labels, insert_steps, insert_labels
         )
 
-    def _replay_runs_scalar(
+    def _replay_runs_stack(
         self,
         runs,
+        group_first: np.ndarray,
+        group_sizes: np.ndarray,
         hits: np.ndarray,
         misses: np.ndarray,
         writebacks: np.ndarray,
         collect_events: bool,
     ):
-        """Sequential replay of collapsed runs for wave-hostile chunks.
+        """Stack-rank replay for chunks with few runs per wave.
 
-        Only the sets this chunk touches are materialised from the
-        state arrays into ordered dicts (LRU order = ascending age),
-        replayed with dict operations like the oracle — but over the
-        collapsed runs, not raw touches — and scattered back.
+        ``runs`` columns arrive set-sorted (each set's runs in order);
+        set ``g`` holds the ``group_sizes[g]`` runs from
+        ``group_first[g]``.  Each touched set becomes one segment of
+        *entries*: its resident lines, oldest first, then its runs.  An
+        entry's ``d`` is the last-use position of the ``ways``-th most
+        recently used distinct line before it, so it hits exactly when
+        its line's previous occurrence is at or after ``d``.
         """
-        run_set, run_tag, run_label, run_write, run_first, run_last = runs
-        touched = np.unique(run_set)
-        ways = self.geometry.associativity
-        # Materialise touched sets, LRU-first (ascending last-use age;
-        # empty ways hold _NO_AGE so they sort last and are skipped).
-        age_order = np.argsort(self._age[touched], axis=1, kind="stable")
-        sets: dict[int, OrderedDict] = {}
-        rows_valid = self._tags[touched] != -1
-        tags_l = self._tags[touched].tolist()
-        dirty_l = self._dirty[touched].tolist()
-        label_l = self._label[touched].tolist()
-        age_l = self._age[touched].tolist()
-        valid_l = rows_valid.tolist()
-        for i, set_id in enumerate(touched.tolist()):
-            entries = OrderedDict()
-            for way in age_order[i].tolist():
-                if valid_l[i][way]:
-                    entries[tags_l[i][way]] = [
-                        dirty_l[i][way], label_l[i][way], age_l[i][way]
-                    ]
-            sets[set_id] = entries
+        run_set, run_line, run_label, run_write, run_first, run_last = runs
         n_labels = hits.size
-        hits_c = [0] * n_labels
-        misses_c = [0] * n_labels
-        wb_c = [0] * n_labels
-        ev_steps: list[int] = []
-        ev_labels: list[int] = []
-        in_steps: list[int] = []
-        in_labels: list[int] = []
-        for set_id, tag, lid, write, pos_first, pos_last in zip(
-            run_set.tolist(),
-            run_tag.tolist(),
-            run_label.tolist(),
-            run_write.tolist(),
-            run_first.tolist(),
-            run_last.tolist(),
-        ):
-            entries = sets[set_id]
-            line = entries.get(tag)
-            if line is not None:
-                hits_c[lid] += 1
-                entries.move_to_end(tag)
-                if write:
-                    line[0] = True
-                line[2] = pos_last
-                continue
-            misses_c[lid] += 1
-            if len(entries) >= ways:
-                _, victim = entries.popitem(last=False)
-                if victim[0]:
-                    wb_c[victim[1]] += 1
-                if collect_events:
-                    ev_steps.append(pos_first + 1)
-                    ev_labels.append(victim[1])
-            entries[tag] = [write, lid, pos_last]
-            if collect_events:
-                in_steps.append(pos_first + 1)
-                in_labels.append(lid)
-        for counters, acc in (
-            (hits_c, hits), (misses_c, misses), (wb_c, writebacks)
-        ):
-            for lid, count in enumerate(counters):
-                if count:
-                    acc[lid] += count
-        # Scatter the touched sets back (way slots are interchangeable:
-        # lookups scan every way and the victim is the age argmin).
-        n_touched = len(touched)
-        out_tags = np.full((n_touched, ways), -1, dtype=np.int64)
-        out_dirty = np.zeros((n_touched, ways), dtype=bool)
-        out_label = np.zeros((n_touched, ways), dtype=np.int32)
-        out_age = np.full((n_touched, ways), _NO_AGE, dtype=np.int64)
-        for i, set_id in enumerate(touched.tolist()):
-            for way, (tag, line) in enumerate(sets[set_id].items()):
-                out_tags[i, way] = tag
-                out_dirty[i, way] = line[0]
-                out_label[i, way] = line[1]
-                out_age[i, way] = line[2]
-        self._tags[touched] = out_tags
-        self._dirty[touched] = out_dirty
-        self._label[touched] = out_label
-        self._age[touched] = out_age
+        ways = self.geometry.associativity
+        num_sets = self.geometry.num_sets
+        n_runs = run_line.size
+        touched = run_set.take(group_first)
+        # Resident lines of the touched sets, oldest first: empty ways
+        # hold _NO_AGE, so they sort last and the residents are a
+        # prefix of each row.
+        rows = touched[:, None]
+        lru = np.argsort(self._age[touched], axis=1)
+        res_tags = self._tags[rows, lru]
+        resident = res_tags != -1
+        n_res = np.count_nonzero(resident, axis=1)
+        res_cum = np.cumsum(n_res)
+        seg_start = group_first + res_cum - n_res
+        run_pos = np.arange(n_runs) + np.repeat(res_cum, group_sizes)
+        res_pos = (seg_start[:, None] + np.arange(ways))[resident]
+        n_entries = n_runs + int(res_cum[-1])
+        line = np.empty(n_entries, dtype=np.int64)
+        line[run_pos] = run_line
+        line[res_pos] = res_tags[resident] * num_sets + np.repeat(
+            touched, n_res
+        )
+        write = np.empty(n_entries, dtype=bool)
+        write[run_pos] = run_write
+        write[res_pos] = self._dirty[rows, lru][resident]
+        label = np.empty(n_entries, dtype=np.int32)
+        label[run_pos] = run_label
+        label[res_pos] = self._label[rows, lru][resident]
+        age = np.empty(n_entries, dtype=np.int64)
+        age[run_pos] = run_last
+        age[res_pos] = self._age[rows, lru][resident]
+        # prev[i]: the previous entry with the same line, or -1.  Equal
+        # lines share a set, so prev never leaves the segment.
+        by_line = np.argsort(line, kind="stable")
+        line_o = line.take(by_line)
+        same = line_o[1:] == line_o[:-1]
+        prev = np.full(n_entries, -1, dtype=np.int64)
+        prev[by_line[1:][same]] = by_line[:-1][same]
+        # d goes from D_1 to D_ways by the module docstring's
+        # recurrence.  D_k never falls as i grows within a segment, so
+        # its forward fill is a running maximum.  A value below the
+        # entry's segment start means "fewer than k distinct lines":
+        # positions of earlier segments are all smaller, so the running
+        # maximum needs no cut at set boundaries.
+        d = np.arange(-1, n_entries - 1, dtype=np.int64)
+        for _ in range(ways - 1):
+            fill = np.where(prev < d, d, -1)
+            np.maximum.accumulate(fill, out=fill)
+            d[1:] = fill[:-1]
+            d[0] = -1
+        hit = (prev >= d) & (prev >= 0)
+        # Residency groups: an inserting miss (or a resident line) and
+        # the hits on its line that follow it, contiguous in line order.
+        starts_o = ~hit.take(by_line)
+        group_first_o = np.flatnonzero(starts_o)
+        group_dirty = np.logical_or.reduceat(
+            write.take(by_line), group_first_o
+        )
+        group_label = label.take(by_line.take(group_first_o))
+        group = np.empty(n_entries, dtype=np.int64)
+        group[by_line] = np.cumsum(starts_o) - 1
+        run_hit = hit.take(run_pos)
+        miss = np.flatnonzero(~run_hit)
+        hits += _label_counts(run_label.compress(run_hit), n_labels)
+        misses += _label_counts(run_label.take(miss), n_labels)
+        # A miss in a full set evicts the line last used at d.
+        victim = d.take(run_pos.take(miss))
+        evicting = victim >= np.repeat(seg_start, group_sizes).take(miss)
+        victim_group = group.take(victim.compress(evicting))
+        victim_label = group_label.take(victim_group)
+        victim_dirty = group_dirty.take(victim_group)
+        if victim_dirty.any():
+            writebacks += _label_counts(
+                victim_label.compress(victim_dirty), n_labels
+            )
+        # New state: each set's `ways` most recent last occurrences,
+        # way 0 the most recent (way slots are interchangeable).
+        last_o = np.append(~same, True)
+        is_last = np.zeros(n_entries, dtype=bool)
+        is_last[by_line.compress(last_o)] = True
+        last_pos = np.flatnonzero(is_last)
+        last_seg = np.searchsorted(seg_start, last_pos, side="right") - 1
+        seg_lasts = np.cumsum(np.add.reduceat(is_last, seg_start))
+        way = seg_lasts.take(last_seg) - np.arange(1, last_pos.size + 1)
+        keep = way < ways
+        keep_pos = last_pos.compress(keep)
+        keep_group = group.take(keep_pos)
+        set_way = (touched.take(last_seg.compress(keep)), way.compress(keep))
+        self._tags[touched] = -1
+        self._age[touched] = _NO_AGE
+        self._tags[set_way] = self._run_tags(line.take(keep_pos))
+        self._age[set_way] = age.take(keep_pos)
+        self._dirty[set_way] = group_dirty.take(keep_group)
+        self._label[set_way] = group_label.take(keep_group)
         if not collect_events:
             return None
+        miss_first = run_first.take(miss)
         return _merge_events(
-            [np.asarray(ev_steps, dtype=np.int64)],
-            [np.asarray(ev_labels, dtype=np.int32)],
-            [np.asarray(in_steps, dtype=np.int64)],
-            [np.asarray(in_labels, dtype=np.int32)],
+            [miss_first.compress(evicting) + 1],
+            [victim_label],
+            [miss_first + 1],
+            [run_label.take(miss)],
         )
-
-
-def run_first_plus_one(first: np.ndarray) -> np.ndarray:
-    """1-based residency step for runs' first accesses."""
-    return first + 1
 
 
 def _merge_events(

@@ -44,6 +44,7 @@ import json
 import os
 import sys
 import weakref
+import zipfile
 from pathlib import Path
 from types import ModuleType
 from typing import TYPE_CHECKING, Any
@@ -156,8 +157,11 @@ class TraceCache:
             except FileNotFoundError:
                 self.misses += 1
                 return None
-            except (OSError, ValueError, KeyError):
-                # Corrupt artifact: drop it and re-collect.
+            except (
+                OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile
+            ):
+                # Corrupt artifact (an empty file raises EOFError, a
+                # truncated one BadZipFile): drop it and re-collect.
                 path.unlink(missing_ok=True)
                 self.misses += 1
                 return None

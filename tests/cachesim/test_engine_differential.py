@@ -5,7 +5,7 @@ bit-identical to :class:`~repro.cachesim.cache.SetAssociativeCache` —
 not approximately equal: per-label hits, misses, writebacks, eviction
 counts, residency integrals, and post-flush state all match exactly on
 seeded randomized traces across geometries, chunk sizes, and both
-in-chunk replay kernels.
+in-chunk replay kernels (wave and stack-rank).
 """
 
 import numpy as np
@@ -21,12 +21,16 @@ from repro.cachesim import (
 )
 from repro.trace.reference import ReferenceTrace
 
-#: Geometry grid from the issue: ways 1/2/4/8, line sizes 32/64/128.
+#: Geometry grid: ways 1/2/4/6/8/16 (every associativity of paper
+#: Table IV, plus direct-mapped), line sizes 32/64/128.  The stack-rank
+#: kernel makes ways - 1 passes, so the wide ways matter.
 GEOMETRIES = [
     CacheGeometry(1, 16, 32),
     CacheGeometry(2, 64, 64),
     CacheGeometry(4, 64, 32),
     CacheGeometry(8, 32, 128),
+    CacheGeometry(16, 4, 32),
+    CacheGeometry(6, 16, 64),
     # Degenerate shapes the batching must not mishandle:
     CacheGeometry(4, 1, 64),  # single set — every access conflicts
     CacheGeometry(3, 8, 32),  # non-power-of-two ways
@@ -36,10 +40,11 @@ GEOMETRIES = [
 
 #: ``ADAPTIVE_WAVE_CUTOFF`` that forces each in-chunk replay kernel: 0
 #: sends every chunk to the wave kernel, a cutoff above any run count
-#: sends every chunk to the scalar one, and the default picks per chunk.
+#: sends every chunk to the stack-rank one, and the default picks per
+#: chunk.
 KERNEL_CUTOFFS = {
     "wave": 0,
-    "scalar": 1 << 40,
+    "stack": 1 << 40,
     "adaptive": engine_mod.ADAPTIVE_WAVE_CUTOFF,
 }
 
@@ -96,7 +101,7 @@ def assert_identical(array_sim, ref_sim, labels):
 
 class TestDifferentialRandomized:
     @pytest.mark.parametrize("geometry", GEOMETRIES, ids=str)
-    @pytest.mark.parametrize("kernel", ["wave", "scalar", "adaptive"])
+    @pytest.mark.parametrize("kernel", list(KERNEL_CUTOFFS))
     def test_randomized_traces_match_oracle(
         self, geometry, kernel, monkeypatch
     ):
@@ -140,6 +145,55 @@ class TestDifferentialRandomized:
             array_sim.run(trace)
             ref_sim.run(trace)
             assert_identical(array_sim, ref_sim, sorted(labels))
+
+    @pytest.mark.parametrize("kernel", list(KERNEL_CUTOFFS))
+    def test_warm_state_first_touch_and_partial_set(self, kernel, monkeypatch):
+        # A warm chunk whose first touch in set 0 is that set's most
+        # recently used resident line, and whose set 1 is only partly
+        # filled: the resident lines the stack-rank kernel puts in
+        # front of each set's runs must rank exactly as the oracle's.
+        force_kernel(monkeypatch, kernel)
+        geometry = CacheGeometry(4, 4, 32)
+
+        def lines_trace(lines, writes, labels):
+            n = len(lines)
+            return ReferenceTrace(
+                addresses=np.asarray(lines, dtype=np.int64) * 32,
+                sizes=np.ones(n, dtype=np.int64),
+                is_write=np.asarray(writes, dtype=bool),
+                label_ids=np.asarray(labels, dtype=np.int32),
+                labels=["a", "b"],
+            )
+
+        # Set 0 (lines 0, 4, ...) fills and evicts dirty line 0, leaving
+        # 4, 8, 12, 16 with 16 most recent; set 1 holds 1 and 5 only.
+        warm = lines_trace(
+            [0, 4, 8, 12, 16, 1, 5],
+            [1, 0, 0, 1, 0, 1, 0],
+            [0, 1, 0, 1, 0, 1, 1],
+        )
+        # 16 and 5 hit (most recent residents), 9 fills set 1's free
+        # way, 4 hits (the oldest resident), then 20, 0 and 8 evict 8,
+        # dirty 12 and 16 in LRU order.
+        chunk = lines_trace(
+            [16, 5, 9, 4, 20, 0, 8],
+            [0, 1, 0, 1, 1, 0, 0],
+            [1, 0, 1, 0, 0, 1, 0],
+        )
+        array_sim = CacheSimulator(
+            geometry, track_residency=True, engine="array"
+        )
+        ref_sim = CacheSimulator(
+            geometry, track_residency=True, engine="reference"
+        )
+        for trace in (warm, chunk):
+            array_sim.run(trace)
+            ref_sim.run(trace)
+            assert_identical(array_sim, ref_sim, ["a", "b"])
+        totals = ref_sim.stats.total
+        assert (totals.hits, totals.misses, totals.writebacks) == (3, 11, 2)
+        assert array_sim.flush() == ref_sim.flush()
+        assert array_sim.stats.as_dict() == ref_sim.stats.as_dict()
 
     def test_single_access_chunks_match(self):
         # chunk_size=1 degenerates to fully sequential replay; every
@@ -193,7 +247,7 @@ class TestDifferentialRandomized:
             label_ids=np.zeros(n, dtype=np.int32),
             labels=["A"],
         )
-        for kernel in ("wave", "scalar"):
+        for kernel in ("wave", "stack"):
             force_kernel(monkeypatch, kernel)
             array_sim = CacheSimulator(
                 geometry, track_residency=True, engine="array"

@@ -168,11 +168,20 @@ class TestKeying:
 
 
 class TestRecovery:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: b"not an npz archive",
+            lambda data: data[: len(data) // 2],
+            lambda data: b"",
+        ],
+        ids=["garbage", "truncated", "empty"],
+    )
     def test_corrupt_archive_is_dropped_and_missed(
-        self, tmp_path, kernel, workload
+        self, tmp_path, kernel, workload, corrupt
     ):
         path = TraceCache(tmp_path).put(kernel, workload, kernel.trace(workload))
-        path.write_bytes(b"not an npz archive")
+        path.write_bytes(corrupt(path.read_bytes()))
         # A fresh instance (fresh process) sees only the disk artifact.
         cache = TraceCache(tmp_path)
         assert cache.get(kernel, workload) is None
