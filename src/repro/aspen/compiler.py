@@ -39,7 +39,11 @@ from repro.aspen.machine import MachineModel
 from repro.aspen.parser import parse, parse_with_diagnostics
 from repro.diagnostics import check_mode
 from repro.patterns.base import AccessPattern, PatternError, WorstCaseAccess
-from repro.patterns.composite import CompositeAccessModel, parse_order
+from repro.patterns.composite import (
+    CompositeAccessModel,
+    estimate_structures,
+    parse_order,
+)
 from repro.patterns.random_access import RandomAccess
 from repro.patterns.reuse import ReuseAccess
 from repro.patterns.streaming import StreamingAccess
@@ -156,10 +160,12 @@ class CompiledModel:
 
     Produced by :func:`compile_model`; exposes the two quantities DVF
     needs (``N_ha`` per structure and the execution time) plus the raw
-    pattern objects for inspection.  In ``lenient`` mode ``degraded``
-    names the structures replaced by the worst-case bound at compile
-    time, ``sink`` carries every diagnostic, and estimates are routed
-    through the guardrail layer (clamping and runtime degradation).
+    pattern objects for inspection.  ``N_ha`` comes from
+    :func:`~repro.patterns.composite.estimate_structures`, the evaluator
+    kernel models use too.  In ``lenient`` mode ``degraded`` names the
+    structures replaced by the worst-case bound at compile time,
+    ``sink`` carries every diagnostic, and estimates are routed through
+    the guardrail layer (clamping and runtime degradation).
     """
 
     app: AppModel
@@ -173,69 +179,24 @@ class CompiledModel:
 
     # ------------------------------------------------------------------
     @cached_property
-    def _nha_checked(self) -> tuple[dict[str, float], frozenset[str]]:
-        """Guarded estimates and the full set of degraded structures."""
-        cache = self.machine.cache
-        degraded = set(self.degraded)
-        out: dict[str, float] = {}
-        composite_values: dict[str, float] = {}
-        if self.composite is not None:
-            try:
-                composite_values = self.composite.estimate_by_structure(cache)
-            except (PatternError, ArithmeticError, ValueError) as exc:
-                if self.sink is not None:
-                    self.sink.error(
-                        "ASP304",
-                        f"composite access-order estimate failed ({exc}); "
-                        f"falling back to per-structure estimates",
-                    )
-                composite_values = {}
-        for name, pattern in self.patterns.items():
-            value = composite_values.get(name)
-            if value is not None and math.isfinite(value):
-                # Composite interleaving can exceed a structure's
-                # standalone ceiling, so only the physical floor applies.
-                lo = float(pattern.min_accesses(cache))
-                if value < lo:
-                    value = lo
-                out[name] = value
-                continue
-            if value is not None and self.sink is not None:
-                self.sink.warning(
-                    "ASP303",
-                    f"composite estimate for {name!r} is non-finite "
-                    f"({value!r}); degraded to the worst-case bound",
-                    structure=name,
-                )
-            checked, was_degraded = pattern.estimate_accesses_checked(
-                cache, sink=self.sink, structure=name, mode="lenient"
-            )
-            out[name] = checked
-            if was_degraded or (value is not None and not math.isfinite(value)):
-                degraded.add(name)
-        return out, frozenset(degraded)
+    def _estimates(self) -> tuple[dict[str, float], frozenset[str]]:
+        """``N_ha`` per structure and the degraded set, evaluated once.
+
+        Caching keeps a lenient evaluation from recording its
+        diagnostics in ``sink`` a second time.
+        """
+        values, degraded = estimate_structures(
+            self.patterns, self.composite, self.machine.cache, self.sink
+        )
+        return values, self.degraded | degraded
 
     def nha_by_structure(self) -> dict[str, float]:
         """Expected main-memory accesses per data structure."""
-        if self.mode == "lenient":
-            return dict(self._nha_checked[0])
-        if self.composite is not None:
-            out = self.composite.estimate_by_structure(self.machine.cache)
-            # Structures outside the access order still contribute.
-            for name, pattern in self.patterns.items():
-                if name not in out:
-                    out[name] = pattern.estimate_accesses(self.machine.cache)
-            return out
-        return {
-            name: pattern.estimate_accesses(self.machine.cache)
-            for name, pattern in self.patterns.items()
-        }
+        return dict(self._estimates[0])
 
     def degraded_structures(self) -> frozenset[str]:
         """Structures whose ``N_ha`` is the worst-case degradation bound."""
-        if self.mode == "lenient":
-            return self._nha_checked[1]
-        return frozenset(self.degraded)
+        return self._estimates[1]
 
     def nha_total(self) -> float:
         """Total expected main-memory accesses."""
@@ -284,49 +245,25 @@ def compile_model(
 ) -> CompiledModel:
     """Lower an evaluated app model against a machine.
 
-    ``mode="strict"`` raises on the first invalid structure (historical
-    behavior).  ``mode="lenient"`` records diagnostics in ``sink``
-    (created if omitted), swaps unusable patterns for the worst-case
-    bound and keeps going; only model-level failures with nothing left
-    to evaluate (no usable kernel) still raise.
+    Both modes lower through the same loop.  ``mode="strict"`` raises
+    on the first invalid structure (historical behavior).
+    ``mode="lenient"`` records diagnostics in ``sink`` (created if
+    omitted), swaps unusable patterns for the worst-case bound and
+    keeps going; only model-level failures with nothing left to
+    evaluate (no usable kernel) still raise.
     """
     check_mode(mode)
-    if mode == "strict":
+    strict = mode == "strict"
+    if strict:
         require_valid(app, machine)
-        kernel_model = app.kernel(kernel)
-        patterns: dict[str, AccessPattern] = {}
-        for name, data in app.data.items():
-            if data.pattern is not None:
-                patterns[name] = build_pattern(data, data.pattern)
-        composite = None
-        if kernel_model.order is not None:
-            events = parse_order(kernel_model.order)
-            names = dict.fromkeys(n for event in events for n in event)
-            base = {
-                name: composite_base_pattern(
-                    app.data[name], app.data[name].pattern
-                )
-                for name in names
-            }
-            composite = CompositeAccessModel(
-                patterns=base,
-                order=events,
-                iterations=kernel_model.iterations,
-            )
-        return CompiledModel(
-            app=app,
-            machine=machine,
-            kernel=kernel_model,
-            patterns=patterns,
-            composite=composite,
-        )
-
-    sink = sink if sink is not None else DiagnosticSink()
-    # Advisory pass: record every validation finding, but drive the
-    # actual degradation decisions structurally below.
-    sink.extend(validate(app, machine))
+        sink = None
+    else:
+        sink = sink if sink is not None else DiagnosticSink()
+        # Advisory pass: record every validation finding, but drive the
+        # actual degradation decisions structurally below.
+        sink.extend(validate(app, machine))
     kernel_model = app.kernel(kernel)  # no kernel at all is fatal
-    patterns = {}
+    patterns: dict[str, AccessPattern] = {}
     degraded: set[str] = set()
     for name, data in app.data.items():
         if data.pattern_invalid:
@@ -339,6 +276,8 @@ def compile_model(
             patterns[name] = build_pattern(data, data.pattern)
         except (PatternError, AspenSemanticError, ArithmeticError,
                 KeyError, TypeError, ValueError) as exc:
+            if strict:
+                raise
             fallback = degraded_pattern(data)
             worst = fallback.total_references
             sink.error(
@@ -373,6 +312,8 @@ def compile_model(
                 iterations=kernel_model.iterations,
             )
         except (PatternError, AspenSemanticError) as exc:
+            if strict:
+                raise
             sink.error(
                 "ASP212",
                 f"kernel {kernel_model.name!r}: invalid access order "
@@ -380,14 +321,13 @@ def compile_model(
                 f"estimated independently",
                 structure=None,
             )
-            composite = None
     return CompiledModel(
         app=app,
         machine=machine,
         kernel=kernel_model,
         patterns=patterns,
         composite=composite,
-        mode="lenient",
+        mode=mode,
         degraded=frozenset(degraded),
         sink=sink,
     )

@@ -161,37 +161,6 @@ class DVFReport:
             "diagnostics": [d.to_dict() for d in self.diagnostics],
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "DVFReport":
-        """Inverse of :meth:`to_payload`.
-
-        Round-trips every stored field bit-for-bit (``dvf_application``
-        is derived, so equality of rows implies equality of the sum);
-        lets service clients reconstruct full reports from the JSONL
-        results a worker process shipped back.
-        """
-        return cls(
-            application=str(payload["application"]),
-            machine=str(payload["machine"]),
-            fit=float(payload["fit"]),
-            time_seconds=float(payload["time_seconds"]),
-            structures=tuple(
-                StructureDVF(
-                    name=str(row["name"]),
-                    size_bytes=float(row["size_bytes"]),
-                    nha=float(row["nha"]),
-                    n_error=float(row["n_error"]),
-                    dvf=float(row["dvf"]),
-                    degraded=bool(row.get("degraded", False)),
-                )
-                for row in payload.get("structures", [])
-            ),
-            diagnostics=tuple(
-                Diagnostic.from_dict(d)
-                for d in payload.get("diagnostics", [])
-            ),
-        )
-
     def structure(self, name: str) -> StructureDVF:
         """Result row for one data structure."""
         for s in self.structures:

@@ -138,24 +138,6 @@ class Diagnostic:
             out["hint"] = self.hint
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Diagnostic":
-        """Inverse of :meth:`to_dict` (payloads crossing process/JSON)."""
-        span = None
-        if "line" in data or "column" in data:
-            span = SourceSpan(
-                line=int(data.get("line", 0)),
-                column=int(data.get("column", 0)),
-            )
-        return cls(
-            severity=str(data["severity"]),
-            code=str(data["code"]),
-            message=str(data["message"]),
-            span=span,
-            structure=data.get("structure"),
-            hint=data.get("hint"),
-        )
-
     def __str__(self) -> str:
         prefix = f"{self.span}: " if self.span is not None and self.span.known else ""
         where = f" [{self.structure}]" if self.structure else ""

@@ -6,7 +6,9 @@ of Aspen model sources and it returns one entry per model — a full
 all coded diagnostics attached) whenever anything at all could be
 evaluated, or a failure entry carrying the diagnostics when even lenient
 compilation found nothing usable.  In ``strict`` mode the first error
-raises, exactly like the rest of the strict pipeline.
+raises, exactly like the rest of the strict pipeline.  The job
+service's ``aspen`` workers evaluate one model each through
+:func:`evaluate_source`.
 """
 
 from __future__ import annotations
@@ -119,64 +121,17 @@ def run_aspen_batch(
 ) -> list[BatchEntry]:
     """Evaluate every builtin DSL kernel against one machine.
 
-    A thin client of the job service: each model becomes an ``aspen``
-    :class:`~repro.service.scenario.JobSpec` drained by a
-    :class:`~repro.service.supervisor.JobSupervisor` (inline isolation,
-    single attempt — batch evaluation keeps its synchronous, fail-fast
-    contract), and the reports are reconstructed from the workers'
-    machine-readable payloads via :meth:`DVFReport.from_payload`.
-    Results are identical to calling :func:`evaluate_batch` directly.
+    Each builtin source is evaluated together with the machine library
+    through :func:`evaluate_batch`, in ``DSL_KERNELS`` order.
     """
-    from repro.service.retry import RetryPolicy
-    from repro.service.scenario import JobSpec, RetryConfig
-    from repro.service.supervisor import OUTCOME_SUCCEEDED, JobSupervisor
-
-    specs = [
-        JobSpec(
-            id=kernel.lower(),
-            kind="aspen",
-            options={
-                "label": kernel,
-                "source": builtin_source(kernel, tier) + MACHINE_LIBRARY,
-                "machine": machine,
-                "mode": mode,
-            },
-        )
-        for kernel in DSL_KERNELS
-    ]
-    supervisor = JobSupervisor(
-        retry=RetryPolicy(RetryConfig(max_attempts=1)),
-        isolation="inline",
+    return evaluate_batch(
+        {
+            kernel: builtin_source(kernel, tier) + MACHINE_LIBRARY
+            for kernel in DSL_KERNELS
+        },
+        machine=machine,
+        mode=mode,
     )
-    run = supervisor.run(specs)
-    entries: list[BatchEntry] = []
-    for spec, record in zip(specs, run.records):
-        label = str(spec.options["label"])
-        if record["outcome"] == OUTCOME_SUCCEEDED:
-            report = DVFReport.from_payload(record["payload"])
-            entries.append(
-                BatchEntry(
-                    label=label,
-                    report=report,
-                    diagnostics=report.diagnostics,
-                )
-            )
-            continue
-        error = str(record.get("error", ""))
-        if mode == "strict":
-            raise AspenError(f"{label}: {error}")
-        entries.append(
-            BatchEntry(
-                label=label,
-                report=None,
-                error=error,
-                diagnostics=tuple(
-                    Diagnostic.from_dict(d)
-                    for d in record.get("diagnostics", [])
-                ),
-            )
-        )
-    return entries
 
 
 def render_aspen_batch(entries: list[BatchEntry]) -> str:

@@ -16,7 +16,6 @@ harness compare them mechanically.
 
 from __future__ import annotations
 
-import math
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -24,7 +23,8 @@ from typing import Any, Mapping
 
 from repro.cachesim.configs import CacheGeometry
 from repro.diagnostics import DiagnosticSink, check_mode
-from repro.patterns.base import AccessPattern, PatternError
+from repro.patterns.base import AccessPattern
+from repro.patterns.composite import CompositeAccessModel, estimate_structures
 from repro.trace.cache import TraceCache, as_trace_cache
 from repro.trace.recorder import TraceRecorder
 from repro.trace.reference import ReferenceTrace
@@ -137,7 +137,7 @@ class Kernel(ABC):
     @abstractmethod
     def access_model(
         self, workload: Workload
-    ) -> Mapping[str, AccessPattern] | Any:
+    ) -> Mapping[str, AccessPattern] | CompositeAccessModel:
         """CGPMAC patterns keyed by data-structure label.
 
         Implementations may instead return a
@@ -162,13 +162,10 @@ class Kernel(ABC):
         if mode == "lenient":
             values, _ = self.estimate_nha_checked(workload, geometry, sink)
             return values
-        model = self.access_model(workload)
-        if hasattr(model, "estimate_by_structure"):
-            return dict(model.estimate_by_structure(geometry))
-        return {
-            name: pattern.estimate_accesses(geometry)
-            for name, pattern in model.items()
-        }
+        values, _ = estimate_structures(
+            *self._structure_models(workload), geometry
+        )
+        return values
 
     def estimate_nha_checked(
         self,
@@ -178,62 +175,24 @@ class Kernel(ABC):
     ) -> tuple[dict[str, float], frozenset[str]]:
         """Guarded ``N_ha`` estimates: ``(values, degraded_structures)``.
 
-        Composite (access-order) estimates that fail or go non-finite
-        fall back to the per-structure guarded estimates; plain pattern
-        maps are evaluated through
-        :meth:`~repro.patterns.base.AccessPattern.estimate_accesses_checked`.
+        The lenient mode of
+        :func:`~repro.patterns.composite.estimate_structures`;
+        diagnostics go to ``sink`` (dropped when it is omitted).
         """
+        return estimate_structures(
+            *self._structure_models(workload),
+            geometry,
+            sink if sink is not None else DiagnosticSink(),
+        )
+
+    def _structure_models(
+        self, workload: Workload
+    ) -> tuple[Mapping[str, AccessPattern], CompositeAccessModel | None]:
+        """The access model as ``(patterns, composite or None)``."""
         model = self.access_model(workload)
-        degraded: set[str] = set()
-        if hasattr(model, "estimate_by_structure"):
-            try:
-                raw = dict(model.estimate_by_structure(geometry))
-            except (PatternError, ArithmeticError, ValueError) as exc:
-                if sink is not None:
-                    sink.error(
-                        "ASP304",
-                        f"kernel {self.name!r}: composite estimate failed "
-                        f"({exc}); falling back to per-structure estimates",
-                    )
-                raw = {}
-            patterns = dict(getattr(model, "patterns", {}))
-            if not patterns:
-                # No per-structure fallback available; sanitize raw.
-                for name, value in raw.items():
-                    if not math.isfinite(value):
-                        if sink is not None:
-                            sink.error(
-                                "ASP305",
-                                f"non-finite N_ha for {name!r} dropped",
-                                structure=name,
-                            )
-                        raw[name] = 0.0
-                        degraded.add(name)
-                return raw, frozenset(degraded)
-            values: dict[str, float] = {}
-            for name, pattern in patterns.items():
-                value = raw.get(name)
-                if value is not None and math.isfinite(value):
-                    # Composite interleaving can exceed the standalone
-                    # ceiling; only the physical floor applies.
-                    values[name] = max(value, pattern.min_accesses(geometry))
-                    continue
-                checked, was_degraded = pattern.estimate_accesses_checked(
-                    geometry, sink=sink, structure=name, mode="lenient"
-                )
-                values[name] = checked
-                if was_degraded or value is not None:
-                    degraded.add(name)
-            return values, frozenset(degraded)
-        values = {}
-        for name, pattern in model.items():
-            checked, was_degraded = pattern.estimate_accesses_checked(
-                geometry, sink=sink, structure=name, mode="lenient"
-            )
-            values[name] = checked
-            if was_degraded:
-                degraded.add(name)
-        return values, frozenset(degraded)
+        if isinstance(model, CompositeAccessModel):
+            return model.patterns, model
+        return model, None
 
     # ------------------------------------------------------------------
     # performance model

@@ -8,11 +8,19 @@ use, then models every later use as a *reuse event* whose interference
 is the combined footprint of the structures touched since the previous
 use (§III-C "Data Reuse Pattern": interferers are considered "as a
 whole").
+
+:func:`estimate_structures` is the one strict/lenient ``N_ha``
+evaluator behind both kernel models and compiled Aspen models: it
+combines an optional access-order composite with per-structure patterns.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Mapping
+
 from repro.cachesim.configs import CacheGeometry
+from repro.diagnostics import DiagnosticSink
 from repro.patterns.base import AccessPattern, PatternError, ceil_div
 from repro.patterns.reuse import ReuseAccess
 
@@ -247,3 +255,71 @@ class CompositeAccessModel(AccessPattern):
     def estimate_accesses(self, geometry: CacheGeometry) -> float:
         """Total expected main-memory accesses over all structures."""
         return sum(self.estimate_by_structure(geometry).values())
+
+
+def estimate_structures(
+    patterns: Mapping[str, AccessPattern],
+    composite: CompositeAccessModel | None,
+    geometry: CacheGeometry,
+    sink: DiagnosticSink | None = None,
+) -> tuple[dict[str, float], frozenset[str]]:
+    """``N_ha`` per data structure: ``(values, degraded_structures)``.
+
+    Structures of ``patterns`` that the access order ``composite``
+    models come first, in the composite's order, with its estimate; the
+    rest of ``patterns`` follow with their own.
+
+    Without a ``sink`` (strict) the raw estimates are returned and the
+    first error raises.  With one (lenient) nothing raises: a failed
+    composite is recorded (``ASP304``) and its structures fall back to
+    their own patterns; a non-finite composite value (``ASP303``) takes
+    the structure's guarded estimate and is marked degraded; a finite
+    one is only raised to the structure's physical floor, since
+    interleaving can exceed its standalone ceiling; every other
+    estimate goes through
+    :meth:`~repro.patterns.base.AccessPattern.estimate_accesses_checked`.
+    """
+    raw: dict[str, float] = {}
+    if composite is not None:
+        try:
+            raw = composite.estimate_by_structure(geometry)
+        except (PatternError, ArithmeticError, ValueError) as exc:
+            if sink is None:
+                raise
+            sink.error(
+                "ASP304",
+                f"composite access-order estimate failed ({exc}); "
+                f"falling back to per-structure estimates",
+            )
+        names = [name for name in composite.patterns if name in patterns]
+        names += [name for name in patterns if name not in composite.patterns]
+    else:
+        names = list(patterns)
+    values: dict[str, float] = {}
+    degraded: set[str] = set()
+    for name in names:
+        pattern = patterns[name]
+        value = raw.get(name)
+        if sink is None:
+            values[name] = (
+                pattern.estimate_accesses(geometry) if value is None else value
+            )
+            continue
+        if value is not None and math.isfinite(value):
+            floor = float(pattern.min_accesses(geometry))
+            values[name] = floor if value < floor else value
+            continue
+        if value is not None:
+            sink.warning(
+                "ASP303",
+                f"composite estimate for {name!r} is non-finite "
+                f"({value!r}); degraded to the worst-case bound",
+                structure=name,
+            )
+            degraded.add(name)
+        values[name], was_degraded = pattern.estimate_accesses_checked(
+            geometry, sink=sink, structure=name, mode="lenient"
+        )
+        if was_degraded:
+            degraded.add(name)
+    return values, frozenset(degraded)

@@ -194,25 +194,6 @@ class ReuseAccess(AccessPattern):
         return np.where(x + y <= ca, x, np.maximum(ca - y, 0)).astype(float)
 
     @staticmethod
-    def _proportional_survivors(ca: int) -> np.ndarray:
-        """Eq. 10's proportional sharing: ``E[r | x, y] = CA * x/(x+y)``.
-
-        When a set holding ``x`` target and ``y`` interfering blocks
-        overflows, the survivors split the ``CA`` ways proportionally;
-        with no overflow (``x + y <= CA``) nothing is evicted.  This is
-        the default concurrent scenario — unlike the Eq. 12
-        hypergeometric (kept as ``scenario="hypergeometric"``), its
-        conditioning is consistent in the overflow tail, where Eq. 12's
-        unconditional combined-occupancy denominator understates ``I``
-        and predicts spurious evictions.
-        """
-        x = np.arange(ca + 1)[:, None].astype(float)
-        y = np.arange(ca + 1)[None, :].astype(float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            shared = np.where(x + y > 0, ca * x / np.maximum(x + y, 1e-300), 0.0)
-        return np.where(x + y <= ca, x, shared)
-
-    @staticmethod
     def _hypergeometric_survivors(
         ca: int, fa: int, fb: int, geometry: CacheGeometry
     ) -> np.ndarray:

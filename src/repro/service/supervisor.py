@@ -58,7 +58,7 @@ from repro.service.scenario import (
     ScenarioError,
     ServiceConfig,
 )
-from repro.service.worker import DETERMINISTIC_EXCEPTIONS, execute_job
+from repro.service.worker import execute_job
 
 #: Terminal outcome taxonomy for job records.
 OUTCOME_SUCCEEDED = "succeeded"
@@ -148,12 +148,6 @@ class JobSupervisor:
     resume:
         Continue an existing journal (terminal jobs are not re-run,
         attempt budgets carry over) instead of truncating it.
-    isolation:
-        ``"process"`` (default) forks one supervised worker per
-        attempt; ``"inline"`` runs attempts in the supervisor process —
-        no crash isolation or timeouts, but the same queue/retry/
-        dead-letter semantics (used by in-process clients like the
-        Aspen batch driver).
     term_grace:
         Seconds between SIGTERM and SIGKILL when cancelling a worker.
     chaos_kill / chaos_seed:
@@ -175,23 +169,17 @@ class JobSupervisor:
         default_timeout: float | None = None,
         journal_path: str | os.PathLike | None = None,
         resume: bool = False,
-        isolation: str = "process",
         term_grace: float = 2.0,
         chaos_kill: float = 0.0,
         chaos_seed: int = 0,
         interrupt_after: int | None = None,
     ):
-        if isolation not in ("process", "inline"):
-            raise ValueError(
-                f"isolation must be 'process' or 'inline', got {isolation!r}"
-            )
         self.jobs = max(1, int(jobs))
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = breaker
         self.default_timeout = default_timeout
         self.journal_path = journal_path
         self.resume = resume
-        self.isolation = isolation
         self.term_grace = term_grace
         self.chaos_kill = float(chaos_kill)
         self._chaos_rng = random.Random(chaos_seed)
@@ -230,10 +218,7 @@ class JobSupervisor:
         interrupted = False
         running: dict[int, _Running] = {}
         try:
-            if self.isolation == "inline":
-                self._run_inline(heap, records, journal)
-            else:
-                self._run_pool(heap, running, records, journal)
+            self._run_pool(heap, running, records, journal)
         except KeyboardInterrupt:
             interrupted = True
             for entry in running.values():
@@ -336,36 +321,6 @@ class JobSupervisor:
             except ProcessLookupError:  # already gone
                 pass
         return _Running(spec=spec, attempt=attempt, call=call, fast_path=fast)
-
-    # -- scheduling (inline) -------------------------------------------
-    def _run_inline(
-        self,
-        heap: list[_PendingJob],
-        records: dict[str, dict],
-        journal: JobJournal | None,
-    ) -> None:
-        while heap:
-            pending = heapq.heappop(heap)
-            now = time.monotonic()
-            if pending.ready_at > now:
-                time.sleep(pending.ready_at - now)
-            fast = self.breaker.allow_fast_path() if self.breaker else True
-            entry = _Running(pending.spec, pending.attempt, None, fast)
-            try:
-                body = execute_job(pending.spec, pending.attempt, not fast)
-            except DETERMINISTIC_EXCEPTIONS as exc:  # defensive: worker
-                body = {  # catches these itself
-                    "ok": False,
-                    "error_code": type(exc).__name__,
-                    "error": str(exc),
-                }
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                # Inline has no process boundary; an escaping exception
-                # is the moral equivalent of a lost worker.
-                body = _lost_body(f"job {pending.spec.id}", exc)
-            self._classify(entry, body, heap, records, journal)
 
     # -- outcome handling ----------------------------------------------
     def _settle(
@@ -496,14 +451,6 @@ class JobSupervisor:
         if self.interrupt_after is not None \
                 and self._terminal_events >= self.interrupt_after:
             raise KeyboardInterrupt
-
-
-def _lost_body(label: str, exc: BaseException) -> dict:
-    return {
-        "ok": False,
-        "error_code": "WorkerLost",
-        "error": f"{label} raised {type(exc).__name__}: {exc}",
-    }
 
 
 # ----------------------------------------------------------------------

@@ -165,6 +165,7 @@ class TestBatch:
             assert s.report.dvf_application == pytest.approx(
                 l.report.dvf_application
             )
+        assert render_aspen_batch(strict) == render_aspen_batch(lenient)
 
     def test_render_batch_summary_line(self):
         entries = evaluate_batch(

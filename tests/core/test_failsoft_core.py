@@ -8,13 +8,18 @@ import math
 
 import pytest
 
-from repro.cachesim import CacheGeometry
+from repro.aspen import compile_source
+from repro.aspen.builtin import MACHINE_LIBRARY, builtin_source
+from repro.cachesim import PAPER_CACHES, CacheGeometry
 from repro.core.analyzer import AnalyzerConfig, DVFAnalyzer
 from repro.core.dvf import build_report, dvf_data, n_error
 from repro.core.validation import validate_kernel
 from repro.diagnostics import DiagnosticSink
+from repro.experiments.aspen_batch import compiled_report
+from repro.kernels import KERNELS, TEST_WORKLOADS
 from repro.kernels.vector_multiply import VectorMultiplyKernel
 from repro.kernels.base import Workload
+from repro.patterns import CompositeAccessModel
 
 GEOMETRY = CacheGeometry(4, 64, 32, "small")
 
@@ -97,6 +102,37 @@ class TestAnalyzerModes:
         assert set(report.degraded_structures) == {"A", "B", "C"}
         assert math.isfinite(report.dvf_application)
         assert any(d.code == "ASP304" for d in report.diagnostics)
+
+    def test_non_finite_composite_value_reported_like_aspen(
+        self, monkeypatch
+    ):
+        # The kernel model and the compiled Aspen model share one
+        # evaluator, so a NaN from CG's access order is diagnosed alike.
+        plain = CompositeAccessModel.estimate_by_structure
+
+        def nan_for_p(self, geometry):
+            return {**plain(self, geometry), "p": math.nan}
+
+        monkeypatch.setattr(
+            CompositeAccessModel, "estimate_by_structure", nan_for_p
+        )
+        analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["small"]))
+        report = analyzer.analyze(
+            KERNELS["CG"], TEST_WORKLOADS["CG"], mode="lenient"
+        )
+        codes = [d.code for d in report.diagnostics]
+        assert "ASP303" in codes
+        assert report.degraded_structures == ("p",)
+        assert math.isfinite(report.dvf_application)
+        aspen = compiled_report(
+            compile_source(
+                builtin_source("CG", "test") + MACHINE_LIBRARY,
+                machine="small",
+                mode="lenient",
+            )
+        )
+        assert [d.code for d in aspen.diagnostics] == codes
+        assert aspen.degraded_structures == report.degraded_structures
 
     def test_lenient_validation_completes(self, monkeypatch):
         from repro.patterns import StreamingAccess

@@ -38,9 +38,10 @@ def _probe(job_id, behavior="ok", **options):
                    options={"behavior": behavior, **options})
 
 
-class TestInlineSupervision:
+@needs_fork
+class TestJobOutcomes:
     def test_success_and_dead_letter(self):
-        run = JobSupervisor(isolation="inline", retry=FAST_RETRY).run([
+        run = JobSupervisor(retry=FAST_RETRY).run([
             _probe("good", value=42),
             _probe("bad", "error", message="configured failure"),
         ])
@@ -53,7 +54,7 @@ class TestInlineSupervision:
         assert run.complete and run.exit_code == 1
 
     def test_all_green_exit_code(self):
-        run = JobSupervisor(isolation="inline").run([_probe("a")])
+        run = JobSupervisor().run([_probe("a")])
         assert run.exit_code == 0
         assert run.counts == {OUTCOME_SUCCEEDED: 1}
 
@@ -61,7 +62,7 @@ class TestInlineSupervision:
         # A queue written when kernel jobs took an `engine` key still
         # runs: the key is ignored and left out of the record.
         options = {"kernel": "VM", "tier": "test", "geometry": "small"}
-        run = JobSupervisor(isolation="inline").run([
+        run = JobSupervisor().run([
             JobSpec(id="new", kind="kernel", options=options),
             JobSpec(id="old", kind="kernel",
                     options={**options, "engine": "reference"}),
@@ -72,7 +73,7 @@ class TestInlineSupervision:
         assert "engine" not in old
 
     def test_unknown_kind_is_dead_lettered(self):
-        run = JobSupervisor(isolation="inline").run(
+        run = JobSupervisor().run(
             [JobSpec(id="x", kind="probe", options={"behavior": "ok"}),
              JobSpec(id="y", kind="mystery", options={})])
         assert run.records[1]["outcome"] == OUTCOME_DEAD_LETTER
