@@ -65,10 +65,6 @@ class MachineModel:
             raise ValueError(f"fit must be >= 0, got {fit}")
         return replace(self, fit=fit)
 
-    def with_cache(self, cache: CacheGeometry) -> "MachineModel":
-        """A copy of this machine with a different LLC geometry."""
-        return replace(self, cache=cache)
-
     @staticmethod
     def from_decl(decl: MachineDecl, overrides: dict[str, float] | None = None
                   ) -> "MachineModel":

@@ -80,11 +80,6 @@ from repro.cachesim.stats import CacheStats
 from repro.trace.io import TraceShmRing, attach_trace_shm, trace_to_shm
 
 
-def shard_of_sets(num_sets: int, num_shards: int) -> np.ndarray:
-    """Shard index owning each cache set (round-robin by set index)."""
-    return np.arange(num_sets, dtype=np.int64) % num_shards
-
-
 def partition_expanded(
     line_ids: np.ndarray,
     is_write: np.ndarray,

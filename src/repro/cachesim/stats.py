@@ -31,12 +31,6 @@ class LabelStats:
         """Total main-memory transactions (misses + writebacks)."""
         return self.misses + self.writebacks
 
-    @property
-    def miss_rate(self) -> float:
-        """Miss rate over cache accesses; 0.0 when there were none."""
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
     def merge(self, other: "LabelStats") -> None:
         """Accumulate ``other`` into this counter set."""
         self.hits += other.hits

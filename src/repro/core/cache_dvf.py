@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from repro.cachesim.configs import CacheGeometry
 from repro.cachesim.simulator import CacheSimulator
 from repro.core.dvf import n_error
+from repro.core.runtime import RooflineRuntime
 from repro.kernels.base import Kernel, Workload
 
 #: Default SRAM FIT rate per Mbit (unprotected 6T SRAM cell arrays sit
@@ -85,9 +86,9 @@ def analyze_cache_dvf(
     """
     if time_seconds is None:
         resources = kernel.resource_counts(workload)
-        time_seconds = max(
-            resources.flops / 2.0e9, resources.bytes_moved / 12.8e9
-        )
+        time_seconds = RooflineRuntime(
+            resources.flops, resources.bytes_moved
+        ).seconds()
     simulator = CacheSimulator(geometry, track_residency=True)
     trace = kernel.trace(workload)
     simulator.run(trace)

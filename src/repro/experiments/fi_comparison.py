@@ -95,8 +95,7 @@ def run_fi_comparison(
             seed=seed,
             jobs=jobs,
             timeout=timeout,
-            checkpoint_path=checkpoint,
-            resume_from=checkpoint,
+            checkpoint=checkpoint,
         )
         if not campaign.complete:
             # Interrupted mid-campaign: its trials are journaled; stop

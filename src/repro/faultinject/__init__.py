@@ -38,7 +38,6 @@ from repro.faultinject.errors import (
     CheckpointError,
     CheckpointMismatch,
     FaultInjectionError,
-    JobRetryExhausted,
     TrialCrash,
     TrialError,
     TrialTimeout,
@@ -63,7 +62,6 @@ from repro.faultinject.checkpoint import (
 from repro.faultinject.campaign import (
     CampaignResult,
     StructureStats,
-    normal_halfwidth,
     run_campaign,
     wilson_halfwidth,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "TrialCrash",
     "TrialTimeout",
     "WorkerLost",
-    "JobRetryExhausted",
     "CheckpointError",
     "CheckpointCorrupt",
     "CheckpointMismatch",
@@ -105,7 +102,6 @@ __all__ = [
     "CampaignResult",
     "StructureStats",
     "wilson_halfwidth",
-    "normal_halfwidth",
     "empirical_vulnerability",
     "rank_agreement",
 ]

@@ -11,10 +11,11 @@ The campaign engine is built for running *large* campaigns reliably:
   :class:`~repro.faultinject.executor.TrialExecutor`; with process
   isolation a segfault-class failure or hang becomes a CRASH/TIMEOUT
   outcome instead of killing the campaign.
-* **Checkpoint/resume** — completed trials are journaled to a JSONL
-  checkpoint (:mod:`repro.faultinject.checkpoint`); an interrupted
-  campaign (including Ctrl-C) resumes where it left off and merges to
-  the same result the uninterrupted run would have produced.
+* **Checkpoint/resume** — completed trials are journaled to one JSONL
+  checkpoint (:mod:`repro.faultinject.checkpoint`); rerun with the same
+  checkpoint, an interrupted campaign (including Ctrl-C) merges the
+  journaled trials, runs only the missing ones and produces the same
+  result the uninterrupted run would have.
 * **Adaptive stopping** — per structure, injection stops once the
   Wilson-interval half-width of the failure rate drops below a target
   precision, spending trials only where the estimate is still loose.
@@ -26,8 +27,6 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from repro.faultinject.checkpoint import (
     CheckpointWriter,
@@ -62,19 +61,6 @@ def wilson_halfwidth(failures: int, trials: int, z: float = 1.96) -> float:
     return z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / (1.0 + z2 / n)
 
 
-def normal_halfwidth(failures: int, trials: int, z: float = 1.96) -> float:
-    """Legacy normal-approximation half-width (pre-Wilson releases).
-
-    Kept for comparison: it underestimates uncertainty near ``p=0`` /
-    ``p=1`` (collapsing to ~0 there, hence the old ``1e-12`` floor
-    hack), which is exactly where rare-failure campaigns operate.
-    """
-    if trials == 0:
-        return 0.0
-    p = failures / trials
-    return z * math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
-
-
 @dataclass(frozen=True)
 class StructureStats:
     """Campaign statistics for one data structure."""
@@ -99,11 +85,6 @@ class StructureStats:
     def confidence_halfwidth(self) -> float:
         """95% Wilson score interval half-width of the failure rate."""
         return wilson_halfwidth(self.failures, self.trials)
-
-    @property
-    def normal_confidence_halfwidth(self) -> float:
-        """Legacy normal-approximation half-width, for comparison."""
-        return normal_halfwidth(self.failures, self.trials)
 
 
 @dataclass(frozen=True)
@@ -152,8 +133,7 @@ def run_campaign(
     executor: TrialExecutor | None = None,
     jobs: int | None = None,
     timeout: float | None = None,
-    checkpoint_path: str | Path | None = None,
-    resume_from: str | Path | None = None,
+    checkpoint: str | Path | None = None,
     target_halfwidth: float | None = None,
     min_trials: int = 20,
 ) -> CampaignResult:
@@ -168,11 +148,10 @@ def run_campaign(
 
     * ``executor`` — a :class:`TrialExecutor`; default in-process, or a
       crash-isolated process pool when ``jobs``/``timeout`` is given.
-    * ``checkpoint_path`` — journal completed trials here (JSONL).
-    * ``resume_from`` — merge previously journaled trials from this
-      checkpoint instead of re-running them; a missing file starts
-      fresh.  Pass the same path as ``checkpoint_path`` to continue one
-      journal across interruptions.
+    * ``checkpoint`` — JSONL trial journal: trials already journaled
+      there are merged instead of re-run, and new ones are appended, so
+      one journal continues across interruptions; a missing file starts
+      fresh.
     * ``target_halfwidth`` — adaptive stopping: stop a structure early
       once its Wilson half-width is below this (after ``min_trials``).
     * SIGINT (Ctrl-C) is trapped: completed trials are flushed and a
@@ -193,18 +172,11 @@ def run_campaign(
         target.kernel_name, workload, seed, tolerance
     )
     resumed: dict[tuple[str, int], Outcome] = {}
-    if resume_from is not None and Path(resume_from).exists():
-        resumed = load_checkpoint(resume_from, fingerprint)
-
     writer: CheckpointWriter | None = None
-    if checkpoint_path is not None:
-        same_journal = (
-            resume_from is not None
-            and Path(checkpoint_path) == Path(resume_from)
-        )
-        writer = CheckpointWriter(
-            checkpoint_path, fingerprint, resume=same_journal
-        )
+    if checkpoint is not None:
+        if Path(checkpoint).exists():
+            resumed = load_checkpoint(checkpoint, fingerprint)
+        writer = CheckpointWriter(checkpoint, fingerprint)
 
     own_executor = executor is None
     if executor is None:
@@ -282,9 +254,6 @@ def _run_structure(
         if (structure, i) in resumed
     }
     executed: set[int] = set()
-    # When the journal was started fresh (not appended), replay resumed
-    # outcomes into it as they are counted so it stays self-contained.
-    replay = writer is not None and not writer.appending
     counts = {o: 0 for o in Outcome}
     counted = 0
     cursor = 0
@@ -310,7 +279,7 @@ def _run_structure(
                 outcome = outcomes[cursor]
                 counts[outcome] += 1
                 counted += 1
-                if writer is not None and (cursor in executed or replay):
+                if writer is not None and cursor in executed:
                     writer.append(structure, cursor, outcome)
                 cursor += 1
                 if target_halfwidth is not None and counted >= min_trials:

@@ -15,8 +15,10 @@ seeding makes outcomes identical across those choices, so a journal
 from a 100-trial campaign validly seeds a 500-trial resume.
 
 Each completed trial is appended and flushed immediately, so a hard
-kill loses at most the line being written.  The loader tolerates a
-truncated final line (the normal kill artifact) but raises
+kill loses at most the line being written, and a resumed campaign
+appends to the same journal.  The loader tolerates a truncated final
+line (the normal kill artifact, which the writer ends before
+appending) but raises
 :class:`~repro.faultinject.errors.CheckpointCorrupt` for corruption
 anywhere else, and
 :class:`~repro.faultinject.errors.CheckpointMismatch` when the
@@ -142,12 +144,34 @@ def _parse_line(path: Path, line: str, line_number: int, *, last: bool):
     return obj
 
 
+def _end_final_line(path: Path) -> None:
+    """Newline-terminate a journal's final line before appending to it.
+
+    A kill mid-write leaves the final line unterminated.  The reader
+    keeps it when it parses and drops it otherwise; appending straight
+    after it would glue the next record onto it and corrupt both.  So
+    do what the reader does: terminate a parseable tail, cut any other.
+    """
+    data = path.read_bytes()
+    if not data or data.endswith(b"\n"):
+        return
+    cut = data.rfind(b"\n") + 1
+    tail = data[cut:].decode("utf-8", "replace")
+    with path.open("r+b") as fh:
+        if _parse_line(path, tail, 0, last=True) is None:
+            fh.truncate(cut)
+        else:
+            fh.seek(0, os.SEEK_END)
+            fh.write(b"\n")
+
+
 class JsonlWriter:
     """Append-mode JSONL journal, every line flushed before returning.
 
     ``resume=True`` appends to an existing non-empty journal (whose
-    header the caller has already validated); otherwise any existing
-    file is truncated and ``header`` written first.
+    header the caller has already validated), after ending a final line
+    a kill left unterminated; otherwise any existing file is truncated
+    and ``header`` written first.
     """
 
     def __init__(
@@ -155,6 +179,8 @@ class JsonlWriter:
     ):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        if resume and self.path.exists():
+            _end_final_line(self.path)
         #: True when continuing an existing journal (header kept) rather
         #: than starting a fresh one.
         self.appending = (
@@ -183,14 +209,13 @@ class JsonlWriter:
 
 
 class CheckpointWriter(JsonlWriter):
-    """Append-mode trial journal with immediate flush."""
+    """Append-mode trial journal with immediate flush.
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        fingerprint: dict,
-        resume: bool = False,
-    ):
+    Continues an existing non-empty journal (whose header the campaign
+    has already checked against ``fingerprint``); otherwise starts one.
+    """
+
+    def __init__(self, path: str | os.PathLike, fingerprint: dict):
         super().__init__(
             path,
             {
@@ -198,7 +223,7 @@ class CheckpointWriter(JsonlWriter):
                 "version": CHECKPOINT_VERSION,
                 "fingerprint": fingerprint,
             },
-            resume=resume,
+            resume=True,
         )
 
     def append(self, structure: str, trial_index: int, outcome: Outcome) -> None:

@@ -73,8 +73,8 @@ class WorkerLost(FaultInjectionError):
     ``exitcode`` follows the POSIX convention (negative = signal
     number); ``label`` identifies the unit of work when known.
 
-    Worker loss is *transient* by default in the retry taxonomy — the
-    same job may well succeed on a healthy worker.
+    The job service retries a lost worker — the same job may well
+    succeed on a healthy one.
     """
 
     def __init__(
@@ -87,28 +87,6 @@ class WorkerLost(FaultInjectionError):
         super().__init__(message or self.__class__.__name__)
         self.exitcode = exitcode
         self.label = label
-
-
-class JobRetryExhausted(FaultInjectionError):
-    """A supervised job consumed its whole retry budget without succeeding.
-
-    Raised (or recorded as a dead-letter outcome) by the job supervisor
-    after ``max_attempts`` transient failures; ``last_error`` carries
-    the error code of the final attempt.
-    """
-
-    def __init__(
-        self,
-        message: str = "",
-        *,
-        job: str | None = None,
-        attempts: int | None = None,
-        last_error: str | None = None,
-    ):
-        super().__init__(message or self.__class__.__name__)
-        self.job = job
-        self.attempts = attempts
-        self.last_error = last_error
 
 
 class CheckpointError(FaultInjectionError):

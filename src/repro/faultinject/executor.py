@@ -211,12 +211,10 @@ def _supervised_child(conn, fn, args) -> None:  # pragma: no cover - subprocess
         conn.close()
 
 
-def _default_context(start_method: str | None = None) -> mp.context.BaseContext:
+def _default_context() -> mp.context.BaseContext:
     """``fork`` where available (cheap, inherits monkeypatches), else spawn."""
-    if start_method is None:
-        methods = mp.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else "spawn"
-    return mp.get_context(start_method)
+    methods = mp.get_all_start_methods()
+    return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
 class SupervisedCall:
@@ -375,14 +373,13 @@ class ProcessTrialExecutor(TrialExecutor):
         self,
         jobs: int | None = None,
         timeout: float | None = None,
-        start_method: str | None = None,
         term_grace: float = 2.0,
     ):
         self.jobs = max(1, int(jobs) if jobs else (os.cpu_count() or 1))
         self.timeout = timeout
         self.term_grace = term_grace
         self.batch_size = self.jobs
-        self._ctx = _default_context(start_method)
+        self._ctx = _default_context()
 
     def run_batch(self, specs: list[TrialSpec]) -> list:
         calls = [

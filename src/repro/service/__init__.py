@@ -3,10 +3,11 @@
 A supervised job-execution subsystem for long DVF analysis campaigns:
 declarative YAML/JSON scenarios queue *jobs* (Aspen sources, registered
 kernels, or self-test probes) into a durable queue; a pool of
-crash-isolated workers drains it under per-job timeouts, taxonomy-aware
-bounded retry with exponential backoff, a circuit breaker that degrades
-to the safe path (lenient mode for Aspen jobs) while the fast path
-keeps dying, and an append-only journal that makes ``service resume``
+crash-isolated workers drains it under per-job timeouts.  A failure the
+worker reports is final and dead-lettered; a timeout or a lost worker
+is retried with bounded exponential backoff and feeds a circuit breaker
+that degrades to the safe path (lenient mode for Aspen jobs) while the
+fast path keeps dying.  An append-only journal makes ``service resume``
 survive SIGINT/SIGKILL of the supervisor itself.
 
 Public surface:
@@ -32,12 +33,7 @@ from repro.service.journal import (
     load_journal,
     load_queue,
 )
-from repro.service.retry import (
-    DETERMINISTIC_CODES,
-    TRANSIENT_CODES,
-    CircuitBreaker,
-    RetryPolicy,
-)
+from repro.service.retry import CircuitBreaker, RetryPolicy
 from repro.service.scenario import (
     BreakerConfig,
     JobSpec,
@@ -63,7 +59,6 @@ from repro.service.worker import execute_job
 __all__ = [
     "BreakerConfig",
     "CircuitBreaker",
-    "DETERMINISTIC_CODES",
     "JobJournal",
     "JobSpec",
     "JobState",
@@ -77,7 +72,6 @@ __all__ = [
     "ScenarioError",
     "ServiceConfig",
     "ServiceRun",
-    "TRANSIENT_CODES",
     "append_queue",
     "execute_job",
     "load_journal",

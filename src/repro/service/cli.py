@@ -173,7 +173,7 @@ def _render_run(state: Path, run: ServiceRun) -> str:
             f"degraded to the safe path (state: {run.breaker_state})"
         )
     lines.append(f"  results: {state / RESULTS_FILE}")
-    if any(r["outcome"] != OUTCOME_SUCCEEDED for r in run.records):
+    if run.failed:
         lines.append(f"  dead letters: {state / DEADLETTER_FILE}")
     return "\n".join(lines)
 
@@ -215,10 +215,9 @@ def _run_common(args, *, require_journal: bool) -> int:
         chaos_seed=args.chaos_seed,
     )
     print(_render_run(state, run))
-    if run.interrupted or not run.complete:
+    if run.exit_code == EXIT_INTERRUPTED:
         print("interrupted — `service resume` continues from the journal")
-        return EXIT_INTERRUPTED
-    return EXIT_JOBS_FAILED if run.failed else EXIT_OK
+    return run.exit_code
 
 
 def _cmd_run(args) -> int:

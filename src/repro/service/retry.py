@@ -1,23 +1,17 @@
-"""Error-taxonomy-aware retry policy and circuit breaker.
+"""Bounded retry policy and circuit breaker.
 
-The supervisor never retries blindly: every failed attempt carries an
-*error code* (the exception class name from the structured taxonomies —
-:mod:`repro.faultinject.errors`, :mod:`repro.aspen.errors`,
-:class:`~repro.cachesim.engine.CacheEngineError`, ...) and the policy
-splits codes into
+The supervisor decides retry or dead-letter where it observes a
+failure (:meth:`~repro.service.supervisor.JobSupervisor._settle`):
 
-* **transient** — worker death (``WorkerLost``), hangs (``JobTimeout``,
-  ``TrialTimeout``), resource pressure (``MemoryError``, ``OSError``):
-  the same job may succeed on a healthy worker, so it is retried with
-  exponential backoff and deterministic jitter;
-* **deterministic** — syntax/semantic errors, invalid configuration,
-  engine contract violations: re-running reproduces the failure
-  bit-for-bit, so the job fails fast into a dead-letter record after
-  one attempt.
-
-Unknown codes default to *transient* (retrying a deterministic failure
-wastes a bounded number of attempts; failing a transient one fast loses
-a job), which is the conservative choice for a long-running service.
+* a failure record returned by
+  :func:`~repro.service.worker.execute_job` is final — the worker
+  caught one of its ``DETERMINISTIC_EXCEPTIONS``, re-running reproduces
+  it, and the job is dead-lettered after one attempt;
+* a failure the supervisor builds itself — a timeout (``JobTimeout``),
+  a worker that died without a result (``WorkerLost``) or a protocol
+  violation — says nothing about the job, so it is retried with
+  exponential backoff and deterministic jitter, and only these count
+  towards the circuit breaker.
 
 Backoff jitter is deterministic — derived from ``sha256(job_id,
 attempt)`` rather than wall-clock entropy — so a resumed run schedules
@@ -30,35 +24,6 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.service.scenario import BreakerConfig, RetryConfig
-
-#: Error codes whose recurrence is independent of worker health: the
-#: job itself is broken, retrying cannot help.
-DETERMINISTIC_CODES = frozenset({
-    "AspenError",
-    "AspenSyntaxError",
-    "AspenSemanticError",
-    "AspenEvaluationError",
-    "PatternError",
-    "CacheEngineError",
-    "ScenarioError",
-    "ValueError",
-    "TypeError",
-    "KeyError",
-    "ZeroDivisionError",
-})
-
-#: Error codes that are infrastructure trouble, not job trouble.
-TRANSIENT_CODES = frozenset({
-    "WorkerLost",
-    "TrialCrash",
-    "TrialTimeout",
-    "JobTimeout",
-    "TimeoutError",
-    "OSError",
-    "ConnectionError",
-    "MemoryError",
-    "ProbeKilled",
-})
 
 
 def _unit_interval(job_id: str, attempt: int) -> float:
@@ -76,12 +41,6 @@ class RetryPolicy:
     @property
     def max_attempts(self) -> int:
         return self.config.max_attempts
-
-    def retryable(self, error_code: str) -> bool:
-        """Should a failure with this code be retried (budget allowing)?"""
-        if error_code in DETERMINISTIC_CODES:
-            return False
-        return True  # transient and unknown codes alike
 
     def delay(self, job_id: str, attempt: int) -> float:
         """Backoff before retrying ``job_id`` after failed ``attempt``.
@@ -102,10 +61,10 @@ class CircuitBreaker:
     """Degrade to the safe path when the fast path keeps dying.
 
     Counts *consecutive transient* failures of fast-path jobs (worker
-    deaths, timeouts — deterministic job bugs don't count: they say
-    nothing about the infrastructure).  After ``threshold`` of them the
-    breaker opens and the supervisor routes jobs through the degraded
-    path (lenient evaluation mode for Aspen jobs) for
+    deaths, timeouts — failures the worker reports don't count: they
+    say nothing about the infrastructure).  After ``threshold`` of them
+    the breaker opens and the supervisor routes jobs through the
+    degraded path (lenient evaluation mode for Aspen jobs) for
     ``cooldown`` launches; the next launch is a half-open fast-path
     probe — success closes the breaker, another transient failure
     reopens it.

@@ -87,7 +87,8 @@ class ScenarioError(ValueError):
     """A scenario file is structurally or semantically invalid.
 
     Deterministic by construction — re-submitting the same file fails
-    the same way — so the retry policy treats it as fail-fast.
+    the same way — so a job whose worker raises it is dead-lettered
+    without retry.
     """
 
 

@@ -8,16 +8,19 @@ full failure semantics:
 
 * per-job wall-clock budgets enforced with SIGTERM-then-SIGKILL
   escalation (a hung C loop cannot wedge the pool);
-* bounded retry with exponential backoff + deterministic jitter, routed
-  through the error-taxonomy-aware
-  :class:`~repro.service.retry.RetryPolicy` — worker deaths and
-  timeouts retry, deterministic model errors dead-letter immediately;
-* a :class:`~repro.service.retry.CircuitBreaker` that degrades jobs to
-  the safe path (lenient mode for Aspen jobs) while the fast path keeps
-  losing workers;
+* retry decided where the failure is observed: a failure record the
+  worker returns is final and dead-letters the job after one attempt;
+  a timeout, a lost worker or a protocol violation — failures the
+  supervisor builds itself — is retried under the
+  :class:`~repro.service.retry.RetryPolicy` budget with exponential
+  backoff and deterministic jitter;
+* a :class:`~repro.service.retry.CircuitBreaker`, fed only those
+  retried failures, that degrades jobs to the safe path (lenient mode
+  for Aspen jobs) while the fast path keeps losing workers;
 * an append-only :class:`~repro.service.journal.JobJournal` flushed per
-  event, so SIGINT/SIGKILL of the *supervisor* loses at most one
-  in-flight attempt and ``resume`` continues bit-identically;
+  event and continued when it exists, so SIGINT/SIGKILL of the
+  *supervisor* loses at most one in-flight attempt and a rerun
+  continues bit-identically;
 * KeyboardInterrupt trapped: running workers are cancelled cleanly and
   a partial :class:`ServiceRun` returned.
 
@@ -34,7 +37,7 @@ import os
 import random
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import connection
 from pathlib import Path
 
@@ -145,9 +148,8 @@ class JobSupervisor:
         Per-job wall-clock budget when a spec carries none.
     journal_path:
         Execution journal location; ``None`` runs without durability.
-    resume:
-        Continue an existing journal (terminal jobs are not re-run,
-        attempt budgets carry over) instead of truncating it.
+        An existing journal is continued: terminal jobs are not re-run
+        and attempt budgets carry over.
     term_grace:
         Seconds between SIGTERM and SIGKILL when cancelling a worker.
     chaos_kill / chaos_seed:
@@ -168,7 +170,6 @@ class JobSupervisor:
         breaker: CircuitBreaker | None = None,
         default_timeout: float | None = None,
         journal_path: str | os.PathLike | None = None,
-        resume: bool = False,
         term_grace: float = 2.0,
         chaos_kill: float = 0.0,
         chaos_seed: int = 0,
@@ -179,7 +180,6 @@ class JobSupervisor:
         self.breaker = breaker
         self.default_timeout = default_timeout
         self.journal_path = journal_path
-        self.resume = resume
         self.term_grace = term_grace
         self.chaos_kill = float(chaos_kill)
         self._chaos_rng = random.Random(chaos_seed)
@@ -190,12 +190,11 @@ class JobSupervisor:
     def run(self, specs: list[JobSpec]) -> ServiceRun:
         """Drain ``specs`` to terminal records; trap SIGINT cleanly."""
         started = time.monotonic()
-        states = self._resume_states(specs)
-        journal = (
-            JobJournal(self.journal_path, resume=self.resume)
-            if self.journal_path is not None
-            else None
-        )
+        states: dict[str, JobState] = {}
+        journal: JobJournal | None = None
+        if self.journal_path is not None:
+            states = _journal_states(Path(self.journal_path), specs)
+            journal = JobJournal(self.journal_path, resume=True)
         records: dict[str, dict] = {
             job_id: state.record
             for job_id, state in states.items()
@@ -241,15 +240,6 @@ class JobSupervisor:
             ),
             wall_seconds=time.monotonic() - started,
         )
-
-    # -- resume --------------------------------------------------------
-    def _resume_states(self, specs: list[JobSpec]) -> dict[str, JobState]:
-        if self.journal_path is None or not self.resume:
-            return {}
-        path = Path(self.journal_path)
-        if not path.exists() or path.stat().st_size == 0:
-            return {}
-        return load_journal(path, {spec.id: spec for spec in specs})
 
     # -- scheduling (process pool) -------------------------------------
     def _run_pool(
@@ -331,6 +321,9 @@ class JobSupervisor:
         journal: JobJournal | None,
         timed_out: bool,
     ) -> None:
+        # A dict the worker returned is final; every body built here
+        # (timeout, lost worker, protocol violation) is retryable.
+        retryable = True
         if timed_out:
             body = {
                 "ok": False,
@@ -355,6 +348,7 @@ class JobSupervisor:
                 }
             elif isinstance(result, dict) and "ok" in result:
                 body = result
+                retryable = False
             else:  # worker protocol violation: treat as lost worker
                 body = {
                     "ok": False,
@@ -365,41 +359,49 @@ class JobSupervisor:
                         f"{type(result).__name__}"
                     ),
                 }
-        self._classify(entry, body, heap, records, journal)
+        self._classify(entry, body, retryable, heap, records, journal)
 
     def _classify(
         self,
         entry: _Running,
         body: dict,
+        retryable: bool,
         heap: list[_PendingJob],
         records: dict[str, dict],
         journal: JobJournal | None,
     ) -> None:
         spec, attempt = entry.spec, entry.attempt
         degraded = not entry.fast_path
+        record = {
+            "job": spec.id,
+            "kind": spec.kind,
+            "outcome": OUTCOME_SUCCEEDED,
+            "attempts": attempt,
+            "degraded_route": degraded,
+        }
         if body.get("ok"):
             if self.breaker:
                 self.breaker.record_success(entry.fast_path)
-            record = {
-                "job": spec.id,
-                "kind": spec.kind,
-                "outcome": OUTCOME_SUCCEEDED,
-                "attempts": attempt,
-                "degraded_route": degraded,
-                "payload": body.get("payload"),
-            }
+            record["payload"] = body.get("payload")
             if "mode" in body:
                 record["mode"] = body["mode"]
             self._finalize(spec, record, records, journal)
             return
         code = str(body.get("error_code", "UnknownError"))
         error = str(body.get("error", ""))
-        retryable = self.retry.retryable(code)
-        if retryable and self.breaker:
+        if not retryable:
+            record.update(
+                outcome=OUTCOME_DEAD_LETTER, error_code=code, error=error
+            )
+            if "diagnostics" in body:
+                record["diagnostics"] = body["diagnostics"]
+            self._finalize(spec, record, records, journal)
+            return
+        if self.breaker:
             self.breaker.record_transient_failure(entry.fast_path)
         max_attempts = spec.max_attempts if spec.max_attempts is not None \
             else self.retry.max_attempts
-        if retryable and attempt < max_attempts:
+        if attempt < max_attempts:
             if journal is not None:
                 journal.attempt_failed(
                     spec, attempt, code, error, degraded=degraded
@@ -413,28 +415,7 @@ class JobSupervisor:
             )
             self._seq += 1
             return
-        if retryable:
-            record = {
-                "job": spec.id,
-                "kind": spec.kind,
-                "outcome": OUTCOME_EXHAUSTED,
-                "attempts": attempt,
-                "degraded_route": degraded,
-                "last_error": code,
-                "error": error,
-            }
-        else:
-            record = {
-                "job": spec.id,
-                "kind": spec.kind,
-                "outcome": OUTCOME_DEAD_LETTER,
-                "attempts": attempt,
-                "degraded_route": degraded,
-                "error_code": code,
-                "error": error,
-            }
-            if "diagnostics" in body:
-                record["diagnostics"] = body["diagnostics"]
+        record.update(outcome=OUTCOME_EXHAUSTED, last_error=code, error=error)
         self._finalize(spec, record, records, journal)
 
     def _finalize(
@@ -456,6 +437,13 @@ class JobSupervisor:
 # ----------------------------------------------------------------------
 # durable state-directory layer
 # ----------------------------------------------------------------------
+def _journal_states(path: Path, specs: list[JobSpec]) -> dict[str, JobState]:
+    """Per-job state recovered from the journal at ``path``, if any."""
+    if not path.exists() or path.stat().st_size == 0:
+        return {}
+    return load_journal(path, {spec.id: spec for spec in specs})
+
+
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("w", encoding="utf-8") as fh:
@@ -482,24 +470,7 @@ def _save_service_config(state: Path, config: ServiceConfig) -> None:
     path = state / SERVICE_CONFIG_FILE
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(
-        json.dumps(
-            {
-                "jobs": config.jobs,
-                "timeout": config.timeout,
-                "retry": {
-                    "max_attempts": config.retry.max_attempts,
-                    "base_delay": config.retry.base_delay,
-                    "max_delay": config.retry.max_delay,
-                    "jitter": config.retry.jitter,
-                },
-                "breaker": {
-                    "threshold": config.breaker.threshold,
-                    "cooldown": config.breaker.cooldown,
-                },
-            },
-            indent=1,
-            sort_keys=True,
-        )
+        json.dumps(asdict(config), indent=1, sort_keys=True)
         + "\n"
     )
     os.replace(tmp, path)
@@ -548,25 +519,15 @@ def run_service(
         )
     specs = load_queue(queue_path)
     config = _load_service_config(state)
+    retry_cfg = config.retry
     if max_attempts is not None:
-        from repro.service.scenario import RetryConfig
-
-        retry_cfg = RetryConfig(
-            max_attempts=max_attempts,
-            base_delay=config.retry.base_delay,
-            max_delay=config.retry.max_delay,
-            jitter=config.retry.jitter,
-        )
-    else:
-        retry_cfg = config.retry
-    journal_path = state / JOURNAL_FILE
+        retry_cfg = replace(retry_cfg, max_attempts=max_attempts)
     supervisor = JobSupervisor(
         jobs=jobs if jobs is not None else config.jobs,
         retry=RetryPolicy(retry_cfg),
         breaker=CircuitBreaker(config.breaker),
         default_timeout=timeout if timeout is not None else config.timeout,
-        journal_path=journal_path,
-        resume=journal_path.exists(),
+        journal_path=state / JOURNAL_FILE,
         chaos_kill=chaos_kill,
         chaos_seed=chaos_seed,
         interrupt_after=interrupt_after,
@@ -587,12 +548,7 @@ def service_status(state_dir: str | os.PathLike) -> dict:
     if not queue_path.exists():
         return {"jobs": 0, "counts": {}, "pending": [], "in_flight": []}
     specs = load_queue(queue_path)
-    journal_path = state / JOURNAL_FILE
-    states: dict[str, JobState] = {}
-    if journal_path.exists() and journal_path.stat().st_size > 0:
-        states = load_journal(
-            journal_path, {spec.id: spec for spec in specs}
-        )
+    states = _journal_states(state / JOURNAL_FILE, specs)
     counts: dict[str, int] = {}
     pending: list[str] = []
     in_flight: list[dict] = []

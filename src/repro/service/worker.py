@@ -6,11 +6,12 @@ contract keeps the failure semantics sharp:
 
 * it returns a JSON-safe *record body* — ``{"ok": True, "payload":
   ...}`` on success, ``{"ok": False, "error_code": ..., "error": ...,
-  "diagnostics": [...]}`` for every failure from the *structured*
-  taxonomies (Aspen syntax/semantic errors, pattern/estimator errors,
-  cache-engine contract violations, scenario mistakes) — these are
-  deterministic facts about the job and the supervisor dead-letters
-  them without retry;
+  "diagnostics": [...]}`` for every exception in
+  :data:`DETERMINISTIC_EXCEPTIONS` (Aspen syntax/semantic/evaluation
+  errors, pattern/estimator errors, cache-engine contract violations,
+  scenario mistakes) — these are deterministic facts about the job,
+  so the record is final and the supervisor dead-letters it without
+  retry;
 * anything else escaping — a segfault, OOM kill, ``os._exit``, an
   unexpected exception (which the child prints and converts to a
   nonzero exit) — surfaces as
@@ -32,11 +33,12 @@ import time
 from repro.aspen.errors import AspenError
 from repro.cachesim.engine import CacheEngineError
 from repro.patterns.base import PatternError
+from repro.service.retry import _unit_interval
 from repro.service.scenario import JobSpec, ScenarioError
 
 #: Exception families whose recurrence is a property of the *job*, not
 #: the worker: they become structured failure records (→ dead letter),
-#: never retries.  Mirrors ``repro.service.retry.DETERMINISTIC_CODES``.
+#: never retries.
 DETERMINISTIC_EXCEPTIONS: tuple[type[BaseException], ...] = (
     AspenError,
     PatternError,
@@ -151,14 +153,6 @@ def _run_kernel(spec: JobSpec) -> dict:
     return {"ok": True, "payload": report.to_payload()}
 
 
-def _unit_interval(key: str) -> float:
-    """Deterministic pseudo-uniform in [0, 1) from a string key."""
-    import hashlib
-
-    digest = hashlib.sha256(key.encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0**64
-
-
 def _run_probe(spec: JobSpec, attempt: int) -> dict:
     """Service self-test jobs with scriptable failure modes.
 
@@ -187,7 +181,7 @@ def _run_probe(spec: JobSpec, attempt: int) -> dict:
         if attempt <= fail_attempts:
             os.kill(os.getpid(), signal.SIGKILL)
         p = float(options.get("kill_probability", 0.0))
-        if p > 0.0 and _unit_interval(f"{spec.id}#{attempt}") < p:
+        if p > 0.0 and _unit_interval(spec.id, attempt) < p:
             os.kill(os.getpid(), signal.SIGKILL)
     if behavior == "sleep":
         time.sleep(float(options.get("seconds", 0.0)))

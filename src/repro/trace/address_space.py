@@ -42,15 +42,6 @@ class Segment:
         """Number of whole elements in the segment."""
         return self.size // self.element_size
 
-    def address_of(self, index: int) -> int:
-        """Byte address of element ``index`` (bounds-checked)."""
-        if not 0 <= index < self.num_elements:
-            raise IndexError(
-                f"element {index} out of range for {self.label!r} "
-                f"({self.num_elements} elements)"
-            )
-        return self.base + index * self.element_size
-
     def contains(self, address: int) -> bool:
         """Whether ``address`` falls inside this segment."""
         return self.base <= address < self.end

@@ -12,7 +12,6 @@ from repro.faultinject import (
     Outcome,
     campaign_fingerprint,
     load_checkpoint,
-    normal_halfwidth,
     run_campaign,
     wilson_halfwidth,
 )
@@ -35,11 +34,10 @@ class FusedExecutor(InProcessExecutor):
 
 class TestWilson:
     def test_positive_at_p_zero_and_one(self):
-        # The normal approximation collapses to ~0 here (the old 1e-12
-        # floor hack); Wilson reports the genuine residual uncertainty.
+        # The normal approximation collapses to ~0 here; Wilson reports
+        # the genuine residual uncertainty.
         assert wilson_halfwidth(0, 50) > 0.01
         assert wilson_halfwidth(50, 50) > 0.01
-        assert normal_halfwidth(0, 50) < 1e-5
 
     def test_matches_known_value(self):
         # Wilson 95% interval for 5/50: center 0.1142, bounds
@@ -138,12 +136,12 @@ class TestJournalFormat:
         path = tmp_path / "c.jsonl"
         run_campaign(
             "VM", TEST_WORKLOADS["VM"], trials=3, seed=0,
-            checkpoint_path=path,
+            checkpoint=path,
         )
         with pytest.raises(CheckpointMismatch):
             run_campaign(
                 "VM", TEST_WORKLOADS["VM"], trials=3, seed=1,
-                resume_from=path,
+                checkpoint=path,
             )
 
 
@@ -157,14 +155,14 @@ class TestResume:
         partial = run_campaign(
             "VM", workload, trials=25, seed=3,
             executor=FusedExecutor(fuse=40),  # dies in structure B
-            checkpoint_path=ck,
+            checkpoint=ck,
         )
         assert not partial.complete
         assert len(partial.structures) < len(uninterrupted.structures)
 
         resumed = run_campaign(
             "VM", workload, trials=25, seed=3,
-            checkpoint_path=ck, resume_from=ck,
+            checkpoint=ck,
         )
         assert resumed.complete
         assert resumed.structures == uninterrupted.structures
@@ -173,7 +171,7 @@ class TestResume:
         partial = run_campaign(
             "VM", TEST_WORKLOADS["VM"], trials=25, seed=3,
             executor=FusedExecutor(fuse=30),
-            checkpoint_path=tmp_path / "vm.jsonl",
+            checkpoint=tmp_path / "vm.jsonl",
         )
         assert not partial.complete
         full_a = partial.stats("A")
@@ -186,12 +184,12 @@ class TestResume:
         ck = tmp_path / "vm.jsonl"
         run_campaign(
             "VM", TEST_WORKLOADS["VM"], trials=10, seed=3,
-            checkpoint_path=ck,
+            checkpoint=ck,
         )
         counting = FusedExecutor(fuse=10**9)
         resumed = run_campaign(
             "VM", TEST_WORKLOADS["VM"], trials=10, seed=3,
-            executor=counting, resume_from=ck,
+            executor=counting, checkpoint=ck,
         )
         assert counting.ran == 0  # everything came from the journal
         assert resumed.complete
@@ -200,34 +198,43 @@ class TestResume:
         ck = tmp_path / "vm.jsonl"
         run_campaign(
             "VM", TEST_WORKLOADS["VM"], trials=10, seed=3,
-            checkpoint_path=ck,
+            checkpoint=ck,
         )
         extended = run_campaign(
             "VM", TEST_WORKLOADS["VM"], trials=30, seed=3,
-            checkpoint_path=ck, resume_from=ck,
+            checkpoint=ck,
         )
         base = run_campaign("VM", TEST_WORKLOADS["VM"], trials=30, seed=3)
         assert extended.structures == base.structures
 
-    def test_resume_into_fresh_journal_is_self_contained(self, tmp_path):
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
-        run_campaign(
-            "VM", TEST_WORKLOADS["VM"], trials=8, seed=3, checkpoint_path=a
-        )
-        run_campaign(
-            "VM", TEST_WORKLOADS["VM"], trials=8, seed=3,
-            resume_from=a, checkpoint_path=b,
-        )
-        assert load_checkpoint(a) == load_checkpoint(b)
-
     def test_missing_resume_file_starts_fresh(self, tmp_path):
         campaign = run_campaign(
             "VM", TEST_WORKLOADS["VM"], trials=5, seed=3,
-            resume_from=tmp_path / "nothing.jsonl",
+            checkpoint=tmp_path / "nothing.jsonl",
         )
         assert campaign.complete
         assert all(s.trials == 5 for s in campaign.structures)
+
+    @pytest.mark.parametrize("cut", [10, 1], ids=["torn", "unterminated"])
+    def test_resume_after_kill_mid_write_keeps_journal_readable(
+        self, tmp_path, cut
+    ):
+        # A kill mid-write leaves the final line torn (unparseable) or
+        # complete but without its newline.  Resuming must not glue the
+        # next record onto it, so a second resume still reads the file.
+        ck = tmp_path / "vm.jsonl"
+        run_campaign("VM", TEST_WORKLOADS["VM"], trials=5, seed=3,
+                     checkpoint=ck)
+        data = ck.read_bytes()
+        ck.write_bytes(data[:-cut])
+        run_campaign("VM", TEST_WORKLOADS["VM"], trials=8, seed=3,
+                     checkpoint=ck)
+        counting = FusedExecutor(fuse=10**9)
+        resumed = run_campaign("VM", TEST_WORKLOADS["VM"], trials=8, seed=3,
+                               executor=counting, checkpoint=ck)
+        assert counting.ran == 0  # every trial is in the journal
+        base = run_campaign("VM", TEST_WORKLOADS["VM"], trials=8, seed=3)
+        assert resumed.structures == base.structures
 
 
 class TestAdaptiveStopping:
@@ -264,10 +271,10 @@ class TestAdaptiveStopping:
         ck = tmp_path / "vm.jsonl"
         run_campaign(
             "VM", TEST_WORKLOADS["VM"], trials=35, seed=3,
-            checkpoint_path=ck,
+            checkpoint=ck,
         )
         resumed = run_campaign(
             "VM", TEST_WORKLOADS["VM"], trials=120, seed=3,
-            resume_from=ck, target_halfwidth=0.12,
+            checkpoint=ck, target_halfwidth=0.12,
         )
         assert resumed.structures == base.structures

@@ -100,11 +100,11 @@ class TestTrialSeeding:
         long_ck = tmp_path / "long.jsonl"
         run_campaign(
             "VM", TEST_WORKLOADS["VM"], trials=20, seed=3,
-            checkpoint_path=short_ck,
+            checkpoint=short_ck,
         )
         run_campaign(
             "VM", TEST_WORKLOADS["VM"], trials=40, seed=3,
-            checkpoint_path=long_ck,
+            checkpoint=long_ck,
         )
         short_records = load_checkpoint(short_ck)
         long_records = load_checkpoint(long_ck)
@@ -128,11 +128,11 @@ class TestExecutorEquivalence:
         ck = tmp_path / "vm.jsonl"
         base = run_campaign("VM", TEST_WORKLOADS["VM"], trials=24, seed=3)
         run_campaign(
-            "VM", TEST_WORKLOADS["VM"], trials=11, seed=3, checkpoint_path=ck
+            "VM", TEST_WORKLOADS["VM"], trials=11, seed=3, checkpoint=ck
         )
         resumed = run_campaign(
             "VM", TEST_WORKLOADS["VM"], trials=24, seed=3,
-            resume_from=ck, jobs=2,
+            checkpoint=ck, jobs=2,
         )
         assert resumed.structures == base.structures
 

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.service.retry import TRANSIENT_CODES
 from repro.service.scenario import parse_scenario
 from repro.service.supervisor import run_service
 
@@ -149,13 +148,15 @@ class TestChaos:
         assert sorted(_stable(r) for r in _read_results(disturbed)) == \
             sorted(_stable(r) for r in _read_results(undisturbed))
 
-        # Deterministic failures are never retried: every journaled
-        # retry, in both runs, was for a *transient* error.  (A chaos
-        # SIGKILL of a broken-* worker surfaces as WorkerLost — the
-        # failure was never observed, so retrying is correct.)
+        # Failures the worker reports are never retried: every
+        # journaled retry, in both runs, was for a failure the
+        # supervisor observed itself.  (A chaos SIGKILL of a broken-*
+        # worker surfaces as WorkerLost — the failure was never
+        # observed, so retrying is correct.)
         for state in (undisturbed, disturbed):
             for event in _retry_events(state):
-                assert event["error_code"] in TRANSIENT_CODES, event
+                assert event["error_code"] in ("WorkerLost", "JobTimeout"), \
+                    event
         # And undisturbed, the broken-* jobs were dead-lettered on
         # their first and only attempt.
         broken_retries = [

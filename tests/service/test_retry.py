@@ -1,28 +1,14 @@
-"""Retry-policy taxonomy, backoff determinism, and the circuit breaker."""
+"""Backoff determinism and the circuit breaker.
 
-import pytest
+Which failures are retried is decided by the supervisor
+(``tests/service/test_supervisor.py``).
+"""
 
-from repro.service.retry import (
-    DETERMINISTIC_CODES,
-    TRANSIENT_CODES,
-    CircuitBreaker,
-    RetryPolicy,
-)
+from repro.service.retry import CircuitBreaker, RetryPolicy
 from repro.service.scenario import BreakerConfig, RetryConfig
 
 
 class TestRetryPolicy:
-    @pytest.mark.parametrize("code", sorted(TRANSIENT_CODES))
-    def test_transient_codes_retry(self, code):
-        assert RetryPolicy().retryable(code)
-
-    @pytest.mark.parametrize("code", sorted(DETERMINISTIC_CODES))
-    def test_deterministic_codes_fail_fast(self, code):
-        assert not RetryPolicy().retryable(code)
-
-    def test_unknown_codes_default_to_transient(self):
-        assert RetryPolicy().retryable("SomethingNovel")
-
     def test_backoff_doubles_and_caps(self):
         policy = RetryPolicy(RetryConfig(
             base_delay=1.0, max_delay=4.0, jitter=0.0))
@@ -36,9 +22,6 @@ class TestRetryPolicy:
         assert d1 == policy.delay("job-a", 1)  # same (job, attempt)
         assert d1 != policy.delay("job-b", 1)  # decorrelated across jobs
         assert 1.0 <= d1 <= 1.5
-
-    def test_taxonomies_are_disjoint(self):
-        assert not DETERMINISTIC_CODES & TRANSIENT_CODES
 
 
 class TestCircuitBreaker:

@@ -38,6 +38,23 @@ def _probe(job_id, behavior="ok", **options):
                    options={"behavior": behavior, **options})
 
 
+#: Strict evaluation fails on ``n``; lenient evaluation drops ``B`` and
+#: succeeds, so a retry on the breaker's degraded route would succeed.
+DIVIDE_BY_ZERO_MODEL = """model broken {
+  param n = 8/0
+  param k = 500
+  data A { elements: k, element_size: 8, pattern streaming { stride: 1, aligned: 1 } }
+  data B { elements: n, element_size: 8, pattern streaming { stride: 1, aligned: 1 } }
+  kernel main { flops: 2*k loads: 8*k stores: 8*k }
+}
+machine small {
+  cache { associativity: 4, sets: 64, line_size: 32 }
+  memory { fit: 5000, bandwidth: 12.8e9 }
+  core { flops: 2.0e9 }
+}
+"""
+
+
 @needs_fork
 class TestJobOutcomes:
     def test_success_and_dead_letter(self):
@@ -95,23 +112,48 @@ class TestProcessSupervision:
         assert states["flaky"].attempts == 1
         assert states["flaky"].last_error == "WorkerLost"
 
-    def test_deterministic_parse_error_never_retried(self, tmp_path):
+    @pytest.mark.parametrize("spec, error_code", [
+        pytest.param(
+            JobSpec(id="syntax", kind="aspen", options={
+                "source": "model broken {", "machine": "small",
+                "label": "syntax"}),
+            "AspenSyntaxError", id="syntax"),
+        pytest.param(
+            JobSpec(id="eval", kind="aspen", options={
+                "source": DIVIDE_BY_ZERO_MODEL, "machine": "small",
+                "mode": "strict"}),
+            "AspenEvalError", id="eval"),
+        pytest.param(_probe("probe", "error"), "ScenarioError", id="probe"),
+        pytest.param(
+            JobSpec(id="kernel", kind="kernel", options={"kernel": "XX"}),
+            "ScenarioError", id="unknown-kernel"),
+    ])
+    def test_deterministic_parse_error_never_retried(
+        self, tmp_path, spec, error_code
+    ):
+        # A failure the worker reports is final: dead-lettered on its
+        # first attempt, never retried, and never counted by the breaker
+        # (threshold 1 would open it and send a retry down the lenient
+        # route).
         journal_path = tmp_path / "journal.jsonl"
-        spec = JobSpec(id="syntax", kind="aspen", options={
-            "source": "model broken {", "machine": "small",
-            "label": "syntax"})
         run = JobSupervisor(
-            retry=FAST_RETRY, journal_path=journal_path
+            retry=RetryPolicy(RetryConfig(
+                max_attempts=5, base_delay=0.01, jitter=0.0)),
+            breaker=CircuitBreaker(BreakerConfig(threshold=1, cooldown=2)),
+            journal_path=journal_path,
         ).run([spec])
         record = run.records[0]
         assert record["outcome"] == OUTCOME_DEAD_LETTER
-        assert record["error_code"] == "AspenSyntaxError"
+        assert record["error_code"] == error_code
         assert record["attempts"] == 1
-        assert record["diagnostics"]  # structured diagnostics survive
+        if error_code == "AspenSyntaxError":
+            assert record["diagnostics"]  # structured diagnostics survive
         events = journal_path.read_text().splitlines()[1:]
         assert all(
             json.loads(line)["event"] != "attempt" for line in events
         ), "dead-letter jobs must not journal retryable attempts"
+        assert run.breaker_state == CircuitBreaker.CLOSED
+        assert run.degraded_launches == 0
 
     def test_retry_exhausted_drains_queue_nonzero_exit(self):
         run = JobSupervisor(

@@ -47,19 +47,6 @@ class TestAllocation:
 
 
 class TestSegmentQueries:
-    def test_address_of_element(self):
-        space = AddressSpace()
-        seg = space.allocate("A", 10, 8)
-        assert seg.address_of(0) == seg.base
-        assert seg.address_of(3) == seg.base + 24
-
-    def test_address_of_out_of_range(self):
-        seg = AddressSpace().allocate("A", 10, 8)
-        with pytest.raises(IndexError):
-            seg.address_of(10)
-        with pytest.raises(IndexError):
-            seg.address_of(-1)
-
     def test_contains(self):
         space = AddressSpace()
         seg = space.allocate("A", 10, 8)
