@@ -8,7 +8,11 @@ plots.  Also checks the paper's headline accuracy claim.
 
 import pytest
 
-from repro.experiments.fig4_verification import render_fig4, run_fig4
+from repro.experiments.fig4_verification import (
+    evaluation_cost,
+    render_fig4,
+    run_fig4,
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +46,7 @@ def test_fig4_accuracy_envelope(fig4_rows):
 
 def test_fig4_model_speed_advantage(fig4_rows):
     """Paper §I: model evaluation is orders of magnitude cheaper."""
-    model = sum(r.model_seconds for r in fig4_rows)
-    simulation = sum(r.simulation_seconds for r in fig4_rows)
+    model, simulation = evaluation_cost(fig4_rows)
     assert simulation / max(model, 1e-9) > 2.0
 
 

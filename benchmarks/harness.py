@@ -18,7 +18,7 @@ MC-style trace on the 8MB LLC, each in its own subprocess so the
 high-water marks don't contaminate each other.  In streaming mode the
 trace is generated chunk-by-chunk and never materialised, so the
 recorded ``trace_bytes`` can exceed the streaming ``peak_rss_bytes``
-severalfold; the sampling estimator rides along as a third probe.
+severalfold.
 
 Usage::
 
@@ -400,15 +400,6 @@ def run_rss_probe(mode: str, refs: int, chunk_refs: int) -> dict:
         sim = CacheSimulator(geometry, engine="array")
         sim.run(trace)
         stats = sim.stats.as_dict()
-    elif mode == "estimate":
-        from repro.cachesim.estimate import TraceEstimator
-
-        estimator = TraceEstimator(
-            geometry, sample_fraction=0.125, seed=_STREAM_SEED
-        )
-        for chunk in synthetic_chunks(refs, chunk_refs):
-            estimator.consume(chunk)
-        stats = estimator.finish().as_dict()
     else:  # pragma: no cover - guarded by argparse choices
         raise ValueError(f"unknown probe mode {mode!r}")
     seconds = time.perf_counter() - start
@@ -457,36 +448,19 @@ def _spawn_probe(mode: str, refs: int, chunk_refs: int) -> dict:
 def bench_streaming(
     tier: str, refs: int | None = None, chunk_refs: int = STREAM_CHUNK_REFS
 ) -> dict:
-    """Peak-RSS comparison: streaming vs monolithic vs estimator.
+    """Peak-RSS comparison: streaming vs monolithic replay.
 
     Each mode replays the same seeded synthetic stream in its own
     subprocess.  Records bit-identity of streaming vs monolithic
-    statistics, the estimator's per-label coverage against the exact
-    counts, and ``trace_bytes / streaming peak RSS`` — the memory-bound
-    headline (>1 means the replayed trace could not have fit in the
-    memory streaming actually used).
+    statistics and ``trace_bytes / streaming peak RSS`` — the
+    memory-bound headline (>1 means the replayed trace could not have
+    fit in the memory streaming actually used).
     """
     if refs is None:
         refs = STREAM_REFS[tier]
     streaming = _spawn_probe("streaming", refs, chunk_refs)
     monolithic = _spawn_probe("monolithic", refs, chunk_refs)
-    estimate = _spawn_probe("estimate", refs, chunk_refs)
-    exact_stats = monolithic["stats"]
-    identical = streaming.pop("stats") == exact_stats
-    est_stats = estimate.pop("stats")
-    coverage = {}
-    for name, counts in exact_stats.items():
-        est = est_stats["by_label"][name]
-        coverage[name] = {
-            "exact_misses": counts["misses"],
-            "estimated_misses": est["misses"],
-            "misses_halfwidth": est["misses_halfwidth"],
-            "covered": (
-                abs(est["misses"] - counts["misses"])
-                <= est["misses_halfwidth"]
-            ),
-        }
-    monolithic.pop("stats")
+    identical = streaming.pop("stats") == monolithic.pop("stats")
     trace_bytes = refs * STREAM_BYTES_PER_REF
     return {
         "refs": refs,
@@ -495,12 +469,6 @@ def bench_streaming(
         "bytes_per_ref": STREAM_BYTES_PER_REF,
         "streaming": streaming,
         "monolithic": monolithic,
-        "estimate": {
-            **estimate,
-            "sample_fraction": est_stats["sample_fraction"],
-            "sampled_refs": est_stats["sampled_refs"],
-            "coverage": coverage,
-        },
         "identical": identical,
         "rss_ratio": (
             monolithic["peak_rss_bytes"] / streaming["peak_rss_bytes"]
@@ -514,7 +482,7 @@ def bench_streaming(
 def run_pipeline(tier: str = "verification", repeats: int = 2) -> dict:
     """End-to-end pipeline benchmark; returns the BENCH_pipeline payload."""
     return {
-        "schema": "BENCH_pipeline/4",
+        "schema": "BENCH_pipeline/5",
         "tier": tier,
         "repeats": repeats,
         "python": platform.python_version(),
@@ -566,19 +534,17 @@ def render_pipeline(payload: dict) -> str:
         f"chunk {st['chunk_refs']}, trace "
         f"{st['trace_bytes'] / 1e6:.0f}MB):"
     )
-    for mode in ("monolithic", "streaming", "estimate"):
+    for mode in ("monolithic", "streaming"):
         row = st[mode]
         lines.append(
             f"    {mode:10s}: {row['seconds']:7.2f}s  "
             f"{row['refs_per_sec']:.3g} refs/s  "
             f"peak RSS {row['peak_rss_bytes'] / 1e6:7.1f}MB"
         )
-    covered = sum(c["covered"] for c in st["estimate"]["coverage"].values())
     lines.append(
         f"    identical={st['identical']}  "
         f"RSS ratio mono/stream {st['rss_ratio']:.2f}x  "
-        f"trace/streaming-RSS {st['trace_over_streaming_rss']:.2f}x  "
-        f"estimator coverage {covered}/{len(st['estimate']['coverage'])}"
+        f"trace/streaming-RSS {st['trace_over_streaming_rss']:.2f}x"
     )
     return "\n".join(lines)
 
@@ -638,7 +604,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--rss-probe",
-        choices=("streaming", "monolithic", "estimate"),
+        choices=("streaming", "monolithic"),
         default=None,
         metavar="MODE",
         help="internal: replay the synthetic stream in MODE and print "

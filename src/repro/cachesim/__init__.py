@@ -5,7 +5,9 @@ models: the paper drives a Pin-collected memory-reference trace through a
 configurable last-level-cache simulator and compares the simulator's
 per-data-structure main-memory access counts against the CGPMAC model
 estimates (Figure 4).  Here the trace comes from :mod:`repro.trace`
-instead of Pin, and this package provides the simulator.
+instead of Pin, and this package provides the simulator.  Every
+reference is replayed exactly: the simulated counts are Figure 4's
+ground truth, not an estimate.
 
 Public API
 ----------
@@ -39,12 +41,6 @@ from repro.cachesim.engine import (
     CacheEngineError,
     check_engine,
 )
-from repro.cachesim.estimate import (
-    EstimateResult,
-    LabelEstimate,
-    TraceEstimator,
-    estimate_trace,
-)
 from repro.cachesim.expand import expanded_size
 from repro.cachesim.pool import (
     effective_cpus,
@@ -66,10 +62,6 @@ __all__ = [
     "LabelStats",
     "check_engine",
     "simulate_trace",
-    "estimate_trace",
-    "EstimateResult",
-    "LabelEstimate",
-    "TraceEstimator",
     "expanded_size",
     "effective_cpus",
     "pool_scope",

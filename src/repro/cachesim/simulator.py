@@ -362,8 +362,8 @@ def simulate_trace(
     ``trace`` may be a :class:`ReferenceTrace` or a chunk iterator (see
     :meth:`CacheSimulator.run`); ``policy``/``engine``/``shards``/
     ``jobs`` configure the :class:`CacheSimulator`, and ``flush_at_end``
-    drains it afterwards.  The sampling estimator has its own entry,
-    :func:`~repro.cachesim.estimate.estimate_trace`.
+    drains it afterwards.  Replay is exact: every reference goes
+    through the cache.
     """
     sim = CacheSimulator(
         geometry, policy=policy, engine=engine, shards=shards, jobs=jobs

@@ -119,11 +119,9 @@ class DVFAnalyzer:
     ) -> DVFReport:
         """Ground-truth DVF report: ``N_ha`` from the cache simulator.
 
-        ``replay`` keyword arguments (trace cache, chunking, exact
-        replay or estimator) go to
-        :func:`~repro.core.validation.ground_truth_stats`; under
-        ``sim_mode="estimate"`` the report carries the estimator's
-        point estimates.
+        ``replay`` keyword arguments (engine, trace cache, chunk size)
+        go to :func:`~repro.core.validation.ground_truth_stats`, which
+        replays the kernel's trace exactly.
         """
         from repro.core.validation import ground_truth_stats
 

@@ -13,9 +13,8 @@ import time
 from dataclasses import dataclass
 
 from repro.cachesim.configs import CacheGeometry
-from repro.cachesim.engine import DEFAULT_CHUNK_SIZE, CacheEngineError
-from repro.cachesim.estimate import EstimateResult, TraceEstimator
 from repro.cachesim.simulator import CacheSimulator
+from repro.cachesim.stats import CacheStats
 from repro.diagnostics import DiagnosticSink, check_mode
 from repro.kernels.base import Kernel, Workload
 from repro.trace.reference import iter_chunks
@@ -28,9 +27,6 @@ class StructureValidation:
     structure: str
     simulated: float
     estimated: float
-    #: Confidence half-width of ``simulated`` when the simulation side
-    #: ran in estimator mode; 0 for an exact replay.
-    simulated_halfwidth: float = 0.0
 
     @property
     def relative_error(self) -> float:
@@ -77,61 +73,31 @@ def ground_truth_stats(
     shards: int = 1,
     jobs: int | str = "auto",
     trace_cache=None,
-    chunk_refs: int | None = None,
-    sim_mode: str = "exact",
-    estimate_options: dict | None = None,
-):
-    """Run the simulation (ground-truth) side of a validation.
+    chunk_refs: int = 1 << 16,
+) -> CacheStats:
+    """Run the simulation (ground-truth) side of a validation: exact replay.
 
     The one place the replay options are declared; :func:`validate_kernel`,
     :func:`~repro.experiments.fig4_verification.run_fig4` and
     :meth:`~repro.core.analyzer.DVFAnalyzer.analyze_simulated` pass
-    their keyword arguments through.  ``sim_mode`` picks the consumer:
-    ``"exact"`` replays every chunk through a
-    :class:`~repro.cachesim.simulator.CacheSimulator` built with
-    ``engine``/``shards``/``jobs`` and returns its
-    :class:`~repro.cachesim.stats.CacheStats`; ``"estimate"`` feeds the
-    cluster-sampling :class:`~repro.cachesim.estimate.TraceEstimator`
-    (``estimate_options`` passes ``sample_fraction``/``groups``/
-    ``confidence``/``seed`` through) and returns an
-    :class:`~repro.cachesim.estimate.EstimateResult`.  Both answer
-    ``.misses(name)``.
+    their keyword arguments through, and ``engine``/``shards``/``jobs``
+    build the :class:`~repro.cachesim.simulator.CacheSimulator`.
 
-    ``trace_cache`` — a :class:`~repro.trace.cache.TraceCache` or
-    cache-directory path — reuses persisted traces.  ``chunk_refs``
-    sets the chunk size; without a ``trace_cache`` it also makes the
-    kernel record straight into the consumer, so the whole trace never
-    exists (O(chunk) peak memory).  Every chunking, engine and shard
-    count gives bit-identical results.
+    Without a ``trace_cache`` the kernel records straight into the
+    simulator in ``chunk_refs``-reference chunks, so the whole trace
+    never exists (O(chunk) peak memory).  A ``trace_cache`` (a
+    :class:`~repro.trace.cache.TraceCache` or directory path) supplies
+    a persisted trace, replayed in chunks of the same size.  Every
+    chunking, engine and shard count gives bit-identical results.
     """
-    if sim_mode == "exact":
-        if estimate_options is not None:
-            raise ValueError(
-                "estimate_options only applies to sim_mode='estimate'"
-            )
-        sim = CacheSimulator(geometry, engine=engine, shards=shards, jobs=jobs)
-        consume, finish = sim.run_chunk, lambda: sim.stats
-    elif sim_mode == "estimate":
-        if engine == "reference" or shards != 1:
-            raise CacheEngineError(
-                "the estimator replays its sampled sets on one array "
-                "engine; engine='reference' and shards > 1 apply to "
-                "sim_mode='exact' only"
-            )
-        estimator = TraceEstimator(geometry, **(estimate_options or {}))
-        consume, finish = estimator.consume, estimator.finish
-    else:
-        raise ValueError(
-            f"sim_mode must be 'exact' or 'estimate', got {sim_mode!r}"
-        )
-    if chunk_refs is not None and trace_cache is None:
-        kernel.trace_stream(workload, chunk_refs, consume)
+    sim = CacheSimulator(geometry, engine=engine, shards=shards, jobs=jobs)
+    if trace_cache is None:
+        kernel.trace_stream(workload, chunk_refs, sim.run_chunk)
     else:
         trace = kernel.trace(workload, cache=trace_cache)
-        size = DEFAULT_CHUNK_SIZE if chunk_refs is None else chunk_refs
-        for chunk in iter_chunks(trace, size):
-            consume(chunk)
-    return finish()
+        for chunk in iter_chunks(trace, chunk_refs):
+            sim.run_chunk(chunk)
+    return sim.stats
 
 
 def validate_kernel(
@@ -148,9 +114,7 @@ def validate_kernel(
     estimator failures degrade to the worst-case bound (recorded in
     ``sink``) so a validation sweep completes.  The simulation path is
     ground truth and always raises on failure; ``replay`` keyword
-    arguments go to :func:`ground_truth_stats`.  Under
-    ``sim_mode="estimate"`` ``simulated`` is an estimate and each row
-    carries its ``simulated_halfwidth``.  The reported
+    arguments go to :func:`ground_truth_stats`.  The reported
     ``simulation_seconds`` covers trace acquisition (cached or
     collected) plus simulation, so a warm trace cache shows up in the
     measured cost ratio.
@@ -169,11 +133,6 @@ def validate_kernel(
             structure=name,
             simulated=float(stats.misses(name)),
             estimated=float(estimate),
-            simulated_halfwidth=(
-                float(stats.misses_halfwidth(name))
-                if isinstance(stats, EstimateResult)
-                else 0.0
-            ),
         )
         for name, estimate in estimated.items()
     )

@@ -30,9 +30,6 @@ class Fig4Row:
     relative_error: float
     model_seconds: float
     simulation_seconds: float
-    #: Confidence half-width of ``simulated`` under ``sim_mode=
-    #: "estimate"``; 0 for an exact replay.
-    simulated_halfwidth: float = 0.0
 
 
 def run_fig4(
@@ -47,12 +44,12 @@ def run_fig4(
     ``trace_cache`` (a :class:`~repro.trace.cache.TraceCache` or cache
     directory path) collects each kernel's trace once per workload
     instead of once per cache cell — the sweep's dominant cost — without
-    changing any reported number.  The other ``replay`` keyword
-    arguments go to :func:`~repro.core.validation.ground_truth_stats`:
-    ``chunk_refs`` streams each trace through the simulator in O(chunk)
-    memory (bit-identical), and ``sim_mode="estimate"`` swaps exact
-    replay for the cluster-sampling estimator, populating
-    ``simulated_halfwidth``.
+    changing any reported number.  Without one, each kernel records
+    straight into the simulator in 65,536-reference chunks.  The other
+    ``replay`` keyword arguments (``engine``, ``shards``, ``jobs``,
+    ``chunk_refs``) go to
+    :func:`~repro.core.validation.ground_truth_stats`; none of them
+    changes a row.
     """
     caches = caches if caches is not None else FIG4_CACHES
     # One TraceCache instance for the whole sweep, so the per-cell
@@ -81,10 +78,22 @@ def run_fig4(
                         relative_error=s.relative_error,
                         model_seconds=result.model_seconds,
                         simulation_seconds=result.simulation_seconds,
-                        simulated_halfwidth=s.simulated_halfwidth,
                     )
                 )
     return rows
+
+
+def evaluation_cost(rows: list[Fig4Row]) -> tuple[float, float]:
+    """``(model_seconds, simulation_seconds)`` summed once per cell.
+
+    Every row carries its whole (kernel, cache) cell's times, so a sum
+    over rows would count each cell once per data structure.
+    """
+    cells = {(r.kernel, r.cache): r for r in rows}.values()
+    return (
+        sum(r.model_seconds for r in cells),
+        sum(r.simulation_seconds for r in cells),
+    )
 
 
 def render_fig4(rows: list[Fig4Row]) -> str:
@@ -96,11 +105,7 @@ def render_fig4(rows: list[Fig4Row]) -> str:
                 r.kernel,
                 r.cache,
                 r.structure,
-                (
-                    f"{r.simulated:.0f}±{r.simulated_halfwidth:.0f}"
-                    if r.simulated_halfwidth
-                    else f"{r.simulated:.0f}"
-                ),
+                f"{r.simulated:.0f}",
                 f"{r.estimated:.0f}",
                 f"{r.relative_error * 100:.1f}%",
             )
@@ -108,8 +113,7 @@ def render_fig4(rows: list[Fig4Row]) -> str:
         ],
     )
     worst = max(rows, key=lambda r: r.relative_error)
-    model_cost = sum(r.model_seconds for r in rows)
-    sim_cost = sum(r.simulation_seconds for r in rows)
+    model_cost, sim_cost = evaluation_cost(rows)
     return (
         "Figure 4 — model verification (N_ha: model vs cache simulator)\n"
         + table

@@ -43,20 +43,7 @@ EXIT_CHECKPOINT_CORRUPT = 4
 def _fig4(args) -> str:
     from repro.experiments.fig4_verification import render_fig4, run_fig4
 
-    options: dict = {}
-    if args.estimate:
-        options = {
-            "sim_mode": "estimate",
-            "estimate_options": {"sample_fraction": args.sample_fraction},
-        }
-    return render_fig4(
-        run_fig4(
-            tier=args.tier,
-            trace_cache=args.trace_cache,
-            chunk_refs=args.chunk_refs,
-            **options,
-        )
-    )
+    return render_fig4(run_fig4(tier=args.tier, trace_cache=args.trace_cache))
 
 
 def _fig5(args) -> str:
@@ -182,32 +169,6 @@ def main(argv: list[str] | None = None) -> int:
         "module source, workload params, schema), so each kernel is "
         "traced once per workload instead of once per cache cell and "
         "later runs reuse the artifacts",
-    )
-    parser.add_argument(
-        "--chunk-refs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fig4: stream each kernel trace through the cache "
-        "simulator in chunks of N references instead of materialising "
-        "it — O(chunk) peak memory, bit-identical statistics (without "
-        "--trace-cache the full trace never exists)",
-    )
-    parser.add_argument(
-        "--estimate",
-        action="store_true",
-        help="fig4: replace exact cache replay with the "
-        "cluster-sampling estimator — simulated N_ha becomes an "
-        "estimate with confidence half-widths at a fraction of the "
-        "replay cost",
-    )
-    parser.add_argument(
-        "--sample-fraction",
-        type=float,
-        default=0.125,
-        metavar="F",
-        help="with --estimate: fraction of cache-set groups to sample "
-        "(default 0.125; 1.0 degenerates to an exact census)",
     )
     parser.add_argument(
         "--timeout",

@@ -255,60 +255,6 @@ class WorkingSetRandomAccess(RandomAccess):
         )
 
 
-def finite_population_total(
-    sample_values,
-    population_clusters: int,
-    confidence: float = 0.95,
-) -> tuple[float, float]:
-    """Estimate a population total from a simple random sample of clusters.
-
-    ``sample_values`` are per-cluster totals observed on ``g`` clusters
-    sampled without replacement from ``G = population_clusters``; the
-    estimator is the expansion total ``G * mean`` with half-width
-
-        ``t_{g-1} * G * sqrt((1 - g/G) * s^2 / g)``
-
-    The ``(1 - g/G)`` factor is the finite-population correction —
-    the same ``(N - n) / (N - 1)`` shrinkage that separates the
-    hypergeometric variance (sampling without replacement, as in the
-    Eq. 5-6 overlap model above) from its binomial counterpart.
-    Returns ``(total, half_width)``; a census (``g == G``) has
-    half-width 0 by construction, and ``g < 2`` yields an infinite
-    half-width (no variance estimate exists).
-
-    This is the statistical engine behind the cache-simulation
-    estimator mode (:mod:`repro.cachesim.estimate`): cache sets are the
-    clusters, per-set replay is exact, so the only error is the
-    between-cluster sampling error quantified here.
-    """
-    if population_clusters < 1:
-        raise PatternError(
-            f"population_clusters must be >= 1, got {population_clusters}"
-        )
-    if not 0.0 < confidence < 1.0:
-        raise PatternError(
-            f"confidence must be in (0, 1), got {confidence}"
-        )
-    values = np.asarray(sample_values, dtype=float)
-    g = values.size
-    big_g = int(population_clusters)
-    if g < 1 or g > big_g:
-        raise PatternError(
-            f"sample size must be in [1, {big_g}], got {g}"
-        )
-    total = big_g * float(values.mean())
-    if g == big_g:
-        return total, 0.0
-    if g < 2:
-        return total, math.inf
-    variance = float(values.var(ddof=1))
-    se = big_g * math.sqrt((1.0 - g / big_g) * variance / g)
-    from scipy import stats as sp_stats
-
-    t = float(sp_stats.t.ppf(0.5 + confidence / 2.0, df=g - 1))
-    return total, t * se
-
-
 def split_cache_ratio(sizes: dict[str, int]) -> dict[str, float]:
     """Cache shares for concurrently random-accessed structures.
 

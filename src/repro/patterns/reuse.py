@@ -19,6 +19,10 @@ Paper ambiguities resolved here (see DESIGN.md §5):
   ``scenario="exclusive"`` (Eq. 11, LRU: B evicts non-A blocks first)
   and ``scenario="concurrent"`` (Eq. 12, uniform eviction over the
   combined footprint).
+* Eq. 15 draws ``A``'s and ``B``'s set occupancies independently.  With
+  ``placement="sequential"`` the exclusive and hypergeometric scenarios
+  instead lay ``B`` out right after ``A``, as the address space's bump
+  allocator does, and count both per set.
 """
 
 from __future__ import annotations
@@ -178,11 +182,22 @@ class ReuseAccess(AccessPattern):
             x = np.arange(ca + 1, dtype=float)
             survivors = np.where(x + lam <= ca, x, ca * x / (x + lam))
             return float(pa @ survivors)
-        pb = set_occupancy_pmf(fb, geometry, self.placement)
         if self.scenario == "exclusive":
             conditional = self._exclusive_survivors(ca)
         else:
             conditional = self._hypergeometric_survivors(ca, fa, fb, geometry)
+        if self.placement == "sequential":
+            # B's lines continue where A's end, so the per-set counts are
+            # joint, not independent: drawing them independently averages
+            # over a random A-B set offset and charges reloads to sets
+            # that the contiguous A+B footprint never over-fills.
+            sets = np.arange(geometry.num_sets)
+            x = fa // geometry.num_sets + (sets < fa % geometry.num_sets)
+            y = (fa + fb) // geometry.num_sets + (
+                sets < (fa + fb) % geometry.num_sets
+            ) - x
+            return float(conditional[np.minimum(x, ca), np.minimum(y, ca)].mean())
+        pb = set_occupancy_pmf(fb, geometry, self.placement)
         # E(R_A) = sum_x sum_y E[r | x, y] P(X_A = x) P(X_B = y).
         return float(pa @ conditional @ pb)
 

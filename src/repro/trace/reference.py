@@ -162,8 +162,8 @@ def iter_chunks(
     Chunks are zero-copy views (:meth:`ReferenceTrace.slice_refs`), all
     exactly ``chunk_refs`` long except a shorter final remainder.  This
     is the pull side of the streaming protocol: anything accepting a
-    chunk iterator (``CacheSimulator.run_stream``, the estimator, the
-    chunk-aware :mod:`repro.trace.analysis` functions) consumes these
+    chunk iterator (``CacheSimulator.run_stream``, the chunk-aware
+    :mod:`repro.trace.analysis` functions) consumes these
     views exactly like the chunks a sink-mode
     :class:`~repro.trace.recorder.TraceRecorder` pushes.
     """

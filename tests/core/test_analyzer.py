@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.core.validation import ground_truth_stats
 from repro.kernels import KERNELS, TEST_WORKLOADS
+from repro.kernels.base import Kernel
 from repro.trace import TraceCache
 
 
@@ -120,9 +121,6 @@ class TestStreamingValidation:
         assert [
             (s.structure, s.simulated) for s in streamed.structures
         ] == [(s.structure, s.simulated) for s in base.structures]
-        assert all(
-            s.simulated_halfwidth == 0.0 for s in streamed.structures
-        )
 
     def test_streamed_with_trace_cache_matches(self, tmp_path):
         base = self._exact()
@@ -140,44 +138,6 @@ class TestStreamingValidation:
                     PAPER_CACHES["small"], trace_cache=cache, chunk_refs=0,
                 )
 
-    def test_estimate_census_matches_exact(self):
-        base = self._exact()
-        census = self._exact(
-            sim_mode="estimate", estimate_options={"sample_fraction": 1.0}
-        )
-        for a, c in zip(base.structures, census.structures):
-            assert c.simulated == a.simulated
-            assert c.simulated_halfwidth == 0.0
-
-    def test_streamed_estimate_matches_monolithic_estimate(self):
-        opts = {"sample_fraction": 0.5, "seed": 3}
-        mono = self._exact(sim_mode="estimate", estimate_options=dict(opts))
-        streamed = self._exact(
-            sim_mode="estimate", estimate_options=dict(opts), chunk_refs=53
-        )
-        assert [
-            (s.simulated, s.simulated_halfwidth) for s in mono.structures
-        ] == [
-            (s.simulated, s.simulated_halfwidth)
-            for s in streamed.structures
-        ]
-
-    def test_bad_sim_mode_rejected(self):
-        with pytest.raises(ValueError, match="sim_mode"):
-            self._exact(sim_mode="guess")
-
-    def test_estimate_options_need_estimate_mode(self):
-        with pytest.raises(ValueError, match="estimate_options"):
-            self._exact(estimate_options={"seed": 1})
-
-    def test_streaming_estimate_rejects_reference_engine(self):
-        from repro.cachesim import CacheEngineError
-
-        with pytest.raises(CacheEngineError, match="array"):
-            self._exact(
-                sim_mode="estimate", chunk_refs=100, engine="reference"
-            )
-
     def test_engine_options_pass_through(self):
         base = self._exact()
         oracle = self._exact(engine="reference", shards=1, jobs=1)
@@ -194,11 +154,25 @@ class TestStreamingValidation:
         )
         for s in base.structures:
             assert streamed.structure(s.name).nha == s.nha
-        census = analyzer.analyze_simulated(
-            kernel,
-            workload,
-            sim_mode="estimate",
-            estimate_options={"sample_fraction": 1.0},
+
+    def test_uncached_ground_truth_never_builds_a_whole_trace(
+        self, tmp_path, monkeypatch
+    ):
+        kernel, workload = KERNELS["VM"], TEST_WORKLOADS["VM"]
+        analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["small"]))
+        cached = self._exact(trace_cache=tmp_path)
+        cached_report = analyzer.analyze_simulated(
+            kernel, workload, trace_cache=tmp_path
         )
-        for s in base.structures:
-            assert census.structure(s.name).nha == s.nha
+
+        def whole_trace(*args, **kwargs):
+            raise AssertionError("Kernel.trace called without a trace cache")
+
+        monkeypatch.setattr(Kernel, "trace", whole_trace)
+        streamed = self._exact()
+        assert [
+            (s.structure, s.simulated) for s in streamed.structures
+        ] == [(s.structure, s.simulated) for s in cached.structures]
+        report = analyzer.analyze_simulated(kernel, workload)
+        for s in cached_report.structures:
+            assert report.structure(s.name).nha == s.nha

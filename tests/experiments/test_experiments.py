@@ -8,7 +8,12 @@ import pytest
 
 from repro.cachesim import CacheGeometry
 from repro.experiments.configs import FIG6_CACHE, KERNEL_ORDER
-from repro.experiments.fig4_verification import render_fig4, run_fig4
+from repro.experiments.fig4_verification import (
+    Fig4Row,
+    evaluation_cost,
+    render_fig4,
+    run_fig4,
+)
 from repro.experiments.fig5_profiling import (
     application_dvf,
     render_fig5,
@@ -48,13 +53,25 @@ class TestFig4:
         assert within / len(errors) >= 0.85
 
     def test_model_is_cheaper_than_simulation(self, fig4_rows):
-        model = sum(r.model_seconds for r in fig4_rows)
-        simulation = sum(r.simulation_seconds for r in fig4_rows)
+        model, simulation = evaluation_cost(fig4_rows)
         assert model < simulation
 
     def test_render(self, fig4_rows):
         text = render_fig4(fig4_rows)
         assert "Figure 4" in text and "worst error" in text
+
+    def test_evaluation_cost_counts_each_cell_once(self):
+        # Both rows carry the same (VM, small) cell's times.
+        rows = [
+            Fig4Row(
+                kernel="VM", cache="small", structure=name, simulated=10.0,
+                estimated=10.0, relative_error=0.0, model_seconds=1.0,
+                simulation_seconds=10.0,
+            )
+            for name in ("A", "B")
+        ]
+        assert evaluation_cost(rows) == (1.0, 10.0)
+        assert "model 1.000s vs simulation 10.0s" in render_fig4(rows)
 
 
 class TestFig5:
