@@ -315,18 +315,17 @@ class BarnesHutKernel(Kernel):
             term_forces.append(np.column_stack((dx[accept], dy[accept])) * inv[:, None])
         visits = np.sort(np.concatenate(visit_keys))
         visit_body, visit_rank = np.divmod(visits, num_nodes)
-        visited = np.argsort(rank)[visit_rank]
-        per_body = np.split(
-            visited, np.cumsum(np.bincount(visit_body, minlength=n))[:-1]
-        )
-        # Per-body (P read, visited tree nodes) segment pairs, flushed
-        # through one batched record_segments call.
-        body_index = np.arange(n, dtype=np.int64)
-        segments: list[tuple[str, np.ndarray, bool]] = []
-        for body in range(n):
-            segments.append(("P", body_index[body : body + 1], False))
-            segments.append(("T", per_body[body], False))
-        recorder.record_segments(segments)
+        # Each body reads its P record, then the tree nodes its walk
+        # visits: body b's P read comes after the visits of bodies
+        # 0..b-1, and the visits fill the slots in between in order.
+        per_body = np.bincount(visit_body, minlength=n)
+        p_at = np.arange(n) + np.cumsum(per_body) - per_body
+        which = np.zeros(n + visits.size, dtype=np.int8)  # 0: T, 1: P
+        indices = np.empty(which.size, dtype=np.int64)
+        which[p_at] = 1
+        indices[p_at] = np.arange(n)
+        indices[which == 0] = np.argsort(rank)[visit_rank]
+        recorder.record_labelled(("T", "P"), which, indices, False)
 
         keys = np.concatenate(term_keys)
         order = np.argsort(keys)

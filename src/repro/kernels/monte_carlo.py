@@ -114,34 +114,42 @@ class MonteCarloKernel(Kernel):
         recorder.record_elements(
             "E", np.arange(grid * nuclides, dtype=np.int64), True
         )
-        total = 0.0
         samples = rng.random(lookups)
+        # Every lookup's binary search on G runs at once, one probe
+        # level per numpy step.  A search drops out once its interval
+        # closes, so a lookup's probes are levels 0..depth-1.
+        lo = np.zeros(lookups, dtype=np.int64)
+        hi = np.full(lookups, grid - 1, dtype=np.int64)
+        depth = np.zeros(lookups, dtype=np.int64)
+        levels: list[tuple[np.ndarray, np.ndarray]] = []
+        searching = np.flatnonzero(lo < hi)
+        while searching.size:
+            mid = (lo[searching] + hi[searching]) // 2
+            levels.append((searching, mid))
+            depth[searching] += 1
+            above = energies[mid] < samples[searching]
+            lo[searching[above]] = mid[above] + 1
+            hi[searching[~above]] = mid[~above]
+            searching = searching[lo[searching] < hi[searching]]
+        # References in the order the sequential loop makes them: each
+        # lookup's G probes, then its E row (one cross section per
+        # nuclide).
+        refs = depth + nuclides
+        start = np.cumsum(refs) - refs
+        which = np.ones(int(refs.sum()), dtype=np.int8)  # 0: G, 1: E
+        indices = np.empty(which.size, dtype=np.int64)
+        for level, (searched, mid) in enumerate(levels):
+            at = start[searched] + level
+            which[at] = 0
+            indices[at] = mid
         row_offsets = np.arange(nuclides, dtype=np.int64)
-        # Per-lookup segments, flushed through one batched
-        # record_segments call: the reference order (each lookup's G
-        # probes in probe order, then its E row) is exactly what the
-        # per-element calls produced, without per-probe recorder
-        # overhead.
-        segments: list[tuple[str, np.ndarray, bool]] = []
-        for sample in samples:
-            # Binary search on G, collecting each probe.
-            probes: list[int] = []
-            lo, hi = 0, grid - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                probes.append(mid)
-                if energies[mid] < sample:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            segments.append(
-                ("G", np.asarray(probes, dtype=np.int64), False)
-            )
-            # Gather the cross-section row for every nuclide.
-            segments.append(("E", lo * nuclides + row_offsets, False))
-            total += float(xs[lo].sum())
-        recorder.record_segments(segments)
-        return total
+        indices[(start + depth)[:, None] + row_offsets] = (
+            lo[:, None] * nuclides + row_offsets
+        )
+        recorder.record_labelled(("G", "E"), which, indices, False)
+        # The running total adds each lookup's row sum in lookup order.
+        row_sums = xs[lo].sum(axis=1)
+        return float(np.cumsum(row_sums)[-1]) if lookups else 0.0
 
     # ------------------------------------------------------------------
     def access_model(self, workload: Workload):

@@ -160,8 +160,8 @@ class TraceCache:
             except (
                 OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile
             ):
-                # Corrupt artifact (an empty file raises EOFError, a
-                # truncated one BadZipFile): drop it and re-collect.
+                # Damaged artifact (what load_trace raises for one):
+                # drop it and re-collect.
                 path.unlink(missing_ok=True)
                 self.misses += 1
                 return None
@@ -175,7 +175,7 @@ class TraceCache:
         """Store ``trace`` for (kernel, workload); returns the artifact path."""
         key = trace_key(kernel, workload)
         path = self.root / f"{key}.npz"
-        # The temp name must keep the .npz suffix: np.savez appends one
+        # The temp name must keep the .npz suffix: save_trace appends one
         # to anything else, which would break the atomic rename.  It must
         # also be unique per process: two writers racing on the same key
         # would otherwise truncate/steal each other's temp file.

@@ -2,9 +2,10 @@
 
 Kernels record whole vectorised bursts: a regular sweep (a matrix row),
 several streams interleaved the way a loop body issues them, or an
-irregular walk's per-step index vectors batched back to back.  Each
-call appends one array per column; the columns are concatenated once
-into a columnar :class:`~repro.trace.reference.ReferenceTrace`.
+irregular loop's references to several structures, laid out in program
+order and labelled per reference.  Each call appends one array per
+column; the columns are concatenated once into a columnar
+:class:`~repro.trace.reference.ReferenceTrace`.
 """
 
 from __future__ import annotations
@@ -261,65 +262,64 @@ class TraceRecorder:
         self._label.push_array(label_ids)
         self._added(n * k)
 
-    def record_segments(
-        self, parts: list[tuple[str, np.ndarray, bool]]
+    def record_labelled(
+        self,
+        labels: tuple[str, ...],
+        which: np.ndarray,
+        indices: np.ndarray,
+        is_write: bool,
     ) -> None:
-        """Record several variable-length element streams back to back.
+        """Record accesses to several structures in one call.
 
-        Unlike :meth:`record_interleaved` the streams are concatenated,
-        not round-robin merged: all of part 0's references land before
-        part 1's, and so on.  This batches irregular hot loops — e.g.
-        Monte Carlo's per-lookup binary-search probes followed by the
-        cross-section row, or Barnes-Hut's per-body (position, visited
-        tree nodes) pairs — into four ``push_array`` calls for the whole
-        batch while producing exactly the same reference order as the
-        per-element calls it replaces.
+        Reference ``i`` touches element ``indices[i]`` of
+        ``labels[which[i]]``.  The trace is exactly what per-element
+        :meth:`record_elements` calls in the same order would record.
+        This batches irregular hot loops, such as Monte Carlo's
+        binary-search probes each followed by a cross-section row, or
+        Barnes-Hut's per-body particle read followed by the tree nodes
+        its walk visits.
+
+        Raises :class:`ValueError` when ``which`` and ``indices`` are not
+        1-D of one length or ``which`` holds anything but positions in
+        ``labels``, and :class:`IndexError` when an index is out of
+        range for its label.
         """
-        if not parts:
+        which = np.asarray(which)
+        idx = np.asarray(indices, dtype=np.int64)
+        if which.ndim != 1 or idx.shape != which.shape:
+            raise ValueError(
+                f"which and indices must be 1-D of one length, got shapes "
+                f"{which.shape} and {idx.shape}"
+            )
+        if idx.size == 0:
             return
-        addr_parts: list[np.ndarray] = []
-        seg_lengths: list[int] = []
-        seg_sizes: list[int] = []
-        seg_writes: list[bool] = []
-        seg_label_ids: list[int] = []
-        for pos, part in enumerate(parts):
-            try:
-                label, indices, is_write = part
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"record_segments part {pos} is not a "
-                    f"(label, indices, is_write) triple: {part!r}"
-                ) from None
-            seg = self.address_space.segment(label)
-            idx = np.asarray(indices, dtype=np.int64)
-            if idx.ndim != 1:
-                raise ValueError(
-                    f"record_segments stream {pos} ({label!r}) must be "
-                    f"1-D, got shape {idx.shape}"
+        if which.dtype.kind not in "iu" or not (
+            0 <= which.min() and which.max() < len(labels)
+        ):
+            raise ValueError(
+                f"which must hold positions in labels (0..{len(labels) - 1})"
+            )
+        segs = [self.address_space.segment(label) for label in labels]
+        for pos, (label, seg) in enumerate(zip(labels, segs)):
+            own = idx[which == pos]
+            if own.size and (own.min() < 0 or own.max() >= seg.num_elements):
+                raise IndexError(
+                    f"element indices out of range for {label!r} "
+                    f"(0..{seg.num_elements - 1})"
                 )
-            if idx.size == 0:
-                continue
-            if idx.min() < 0 or idx.max() >= seg.num_elements:
-                raise IndexError(f"element indices out of range for {label!r}")
-            addr_parts.append(seg.base + idx * seg.element_size)
-            seg_lengths.append(idx.size)
-            seg_sizes.append(seg.element_size)
-            seg_writes.append(bool(is_write))
-            seg_label_ids.append(self._intern(label))
-        if not addr_parts:
-            return
-        lengths = np.asarray(seg_lengths, dtype=np.int64)
-        self._addr.push_array(np.concatenate(addr_parts))
-        self._size.push_array(
-            np.repeat(np.asarray(seg_sizes, dtype=np.int64), lengths)
+        base = np.array([seg.base for seg in segs], dtype=np.int64)
+        element_size = np.array(
+            [seg.element_size for seg in segs], dtype=np.int64
         )
-        self._write.push_array(
-            np.repeat(np.asarray(seg_writes, dtype=bool), lengths)
+        label_ids = np.array(
+            [self._intern(label) for label in labels], dtype=np.int32
         )
-        self._label.push_array(
-            np.repeat(np.asarray(seg_label_ids, dtype=np.int32), lengths)
-        )
-        self._added(int(lengths.sum()))
+        sizes = element_size[which]
+        self._addr.push_array(base[which] + idx * sizes)
+        self._size.push_array(sizes)
+        self._write.push_array(np.full(idx.size, is_write, dtype=bool))
+        self._label.push_array(label_ids[which])
+        self._added(idx.size)
 
     # ------------------------------------------------------------------
     # finish

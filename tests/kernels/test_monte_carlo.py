@@ -5,7 +5,9 @@ import pytest
 
 from repro.cachesim import PAPER_CACHES, simulate_trace
 from repro.kernels import MonteCarloKernel, Workload
-from repro.kernels.monte_carlo import pivot_frequencies
+from repro.kernels.monte_carlo import _config, pivot_frequencies
+from repro.kernels.workloads import TEST_WORKLOADS, VERIFICATION_WORKLOADS
+from repro.trace import TraceRecorder
 
 
 @pytest.fixture
@@ -30,6 +32,35 @@ def reference_pivot_frequencies(grid: int) -> np.ndarray:
         stack.append((lo, mid, left_prob))
         stack.append((mid + 1, hi, prob - left_prob))
     return freqs
+
+
+def reference_run_traced(workload: Workload, recorder: TraceRecorder) -> float:
+    """The per-lookup loop ``MonteCarloKernel.run_traced`` replaced."""
+    grid, nuclides, lookups = _config(workload)
+    rng = np.random.default_rng(int(workload.get("seed", 0)))
+    recorder.allocate("G", grid, 8)
+    recorder.allocate("E", grid * nuclides, 8)
+    energies = np.sort(rng.random(grid))
+    xs = rng.random((grid, nuclides))
+    recorder.record_elements("G", np.arange(grid, dtype=np.int64), True)
+    recorder.record_elements("E", np.arange(grid * nuclides, dtype=np.int64), True)
+    total = 0.0
+    samples = rng.random(lookups)
+    row_offsets = np.arange(nuclides, dtype=np.int64)
+    for sample in samples:
+        probes: list[int] = []
+        lo, hi = 0, grid - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            probes.append(mid)
+            if energies[mid] < sample:
+                lo = mid + 1
+            else:
+                hi = mid
+        recorder.record_elements("G", np.asarray(probes, dtype=np.int64), False)
+        recorder.record_elements("E", lo * nuclides + row_offsets, False)
+        total += float(xs[lo].sum())
+    return total
 
 
 def wl(**params):
@@ -105,6 +136,38 @@ class TestExecution:
         t1 = kernel.trace(wl(lookups=20))
         t2 = kernel.trace(wl(lookups=20))
         assert np.array_equal(t1.addresses, t2.addresses)
+
+
+#: Workloads checked bit for bit against the per-lookup loop: both
+#: paper-facing tiers, an odd size, and the degenerate edges.
+LOOP_CASES = {
+    "test": TEST_WORKLOADS["MC"],
+    "verification": VERIFICATION_WORKLOADS["MC"],
+    "odd": Workload(
+        "t", {"grid_points": 1000, "nuclides": 3, "lookups": 257, "seed": 7}
+    ),
+    "grid1": wl(grid_points=1),
+    "grid2": wl(grid_points=2),
+    "nuclides1": wl(nuclides=1),
+    "lookups0": wl(lookups=0),
+}
+
+
+class TestAgainstLoop:
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_trace_and_total_bit_identical(self, kernel, case):
+        workload = LOOP_CASES[case]
+        got_rec, want_rec = TraceRecorder(), TraceRecorder()
+        total = kernel.run_traced(workload, got_rec)
+        expected = reference_run_traced(workload, want_rec)
+        assert isinstance(total, float)
+        assert total.hex() == expected.hex()
+        got, want = got_rec.finish(), want_rec.finish()
+        assert got.labels == want.labels
+        for column in ("addresses", "sizes", "is_write", "label_ids"):
+            a, b = getattr(got, column), getattr(want, column)
+            assert a.dtype == b.dtype, column
+            assert a.tobytes() == b.tobytes(), column
 
 
 class TestModel:

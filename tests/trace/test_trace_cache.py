@@ -8,6 +8,7 @@ here is really a statement about *when a cached trace may be reused*.
 import importlib.util
 import inspect
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 import repro.trace.cache as cache_mod
 from repro.kernels.base import Workload
 from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import TEST_WORKLOADS
 from repro.trace import TraceCache, load_trace, save_trace
 from repro.trace.cache import as_trace_cache, kernel_fingerprint, trace_key
 
@@ -187,6 +189,49 @@ class TestRecovery:
         assert cache.get(kernel, workload) is None
         assert not path.exists()
         assert archives(tmp_path) == []
+
+    def test_bit_flips_miss_or_load_identically(self, tmp_path, kernel):
+        # Any single flipped bit leaves the archive whole (a flag or
+        # timestamp no reader checks) or makes get() a miss; it never
+        # raises and never returns a different trace.
+        workload = TEST_WORKLOADS["VM"]
+        trace = kernel.trace(workload)
+        path = TraceCache(tmp_path).put(kernel, workload, trace)
+        data = path.read_bytes()
+        outcomes = {"miss": 0, "identical": 0}
+        rng = np.random.default_rng(0)
+        for bit in rng.integers(0, 8 * len(data), 1000):
+            damaged = bytearray(data)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(damaged))
+            got = TraceCache(tmp_path).get(kernel, workload)
+            if got is None:
+                outcomes["miss"] += 1
+            else:
+                assert traces_equal(got, trace), f"bit {bit}"
+                outcomes["identical"] += 1
+        assert outcomes["miss"] > 0 and outcomes["identical"] > 0, outcomes
+
+    def test_member_longer_than_its_array_is_a_miss(
+        self, tmp_path, kernel, workload
+    ):
+        # A column whose .npy header-length field is 8 short reads 8
+        # bytes of header padding as its first value: a wrong trace under
+        # a valid CRC-32.  The 8 bytes left after the array give it away.
+        path = TraceCache(tmp_path).put(kernel, workload, kernel.trace(workload))
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        npy = bytearray(members["addresses.npy"])
+        header_len = int.from_bytes(npy[8:10], "little")
+        npy[8:10] = (header_len - 8).to_bytes(2, "little")
+        members["addresses.npy"] = bytes(npy)
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+            for name, content in members.items():
+                archive.writestr(name, content)
+        cache = TraceCache(tmp_path)
+        assert cache.get(kernel, workload) is None
+        assert cache.misses == 1
+        assert not path.exists()
 
     def test_index_entry_without_file_is_a_miss(
         self, tmp_path, kernel, workload
