@@ -23,7 +23,8 @@ Public API
 :class:`ArrayLRUEngine`
     The batched, array-backed LRU engine (bit-identical to the oracle).
 :class:`CacheStats` / :class:`LabelStats`
-    Per-data-structure hit/miss/writeback accounting.
+    Per-data-structure hit/miss/writeback accounting, plus the eviction
+    and step-sum counters behind residency tracking.
 :data:`PAPER_CACHES`
     The named configurations of paper Table IV.
 """

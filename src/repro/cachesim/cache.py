@@ -20,9 +20,6 @@ from collections import OrderedDict
 from repro.cachesim.configs import CacheGeometry
 from repro.cachesim.stats import CacheStats
 
-#: :meth:`SetAssociativeCache.touch_line` result for a hit.
-HIT = object()
-
 
 class _Line:
     """One resident cache line: dirty bit + owning data-structure label."""
@@ -79,6 +76,8 @@ class SetAssociativeCache:
         self._num_sets = geometry.num_sets
         self._ways = geometry.associativity
         self._line_size = geometry.line_size
+        #: Line touches so far; the current touch's step number.
+        self.clock = 0
         if policy == "random":
             import random as _random
 
@@ -90,18 +89,12 @@ class SetAssociativeCache:
     def access_line(self, line_id: int, is_write: bool, label: str) -> bool:
         """Touch one cache line; returns True on a hit.
 
-        ``line_id`` is the global line identifier (address // CL).
+        ``line_id`` is the global line identifier (address // CL).  The
+        touch is step :attr:`clock` of the cache's life: a miss
+        subtracts it from its label's ``residency`` counter and an
+        eviction adds it to the victim's.
         """
-        return self.touch_line(line_id, is_write, label) is HIT
-
-    def touch_line(self, line_id: int, is_write: bool, label: str):
-        """Touch one cache line, reporting the residency change.
-
-        Returns :data:`HIT` on a hit, ``None`` on a miss that filled a
-        free way, and the evicted line's label on a miss that evicted
-        one — what residency accounting needs to track which labels
-        hold the cache.
-        """
+        self.clock += 1
         cache_set = self._sets[line_id % self._num_sets]
         tag = line_id // self._num_sets
         stats = self.stats.label(label)
@@ -112,9 +105,9 @@ class SetAssociativeCache:
                 cache_set.move_to_end(tag)
             if is_write:
                 line.dirty = True
-            return HIT
+            return True
         stats.misses += 1
-        evicted = None
+        stats.residency -= self.clock
         if len(cache_set) >= self._ways:
             if self.policy == "random":
                 victim_tag = self._rng.choice(list(cache_set))
@@ -123,11 +116,13 @@ class SetAssociativeCache:
                 # LRU and FIFO both evict the oldest entry; they differ
                 # only in whether hits refresh recency (handled above).
                 _, victim = cache_set.popitem(last=False)
+            victim_stats = self.stats.label(victim.label)
             if victim.dirty:
-                self.stats.label(victim.label).writebacks += 1
-            evicted = victim.label
+                victim_stats.writebacks += 1
+            victim_stats.evictions += 1
+            victim_stats.residency += self.clock
         cache_set[tag] = _Line(is_write, label)
-        return evicted
+        return False
 
     def access(self, address: int, size: int, is_write: bool, label: str) -> int:
         """Access ``size`` bytes at ``address``; returns the number of misses.
@@ -163,14 +158,18 @@ class SetAssociativeCache:
         """Evict everything; returns the number of dirty-line writebacks.
 
         Writebacks are charged to the owning labels, matching an
-        end-of-run cache drain.
+        end-of-run cache drain, and every line's residency ends at the
+        current step.
         """
         writebacks = 0
         for cache_set in self._sets:
             for line in cache_set.values():
+                stats = self.stats.label(line.label)
                 if line.dirty:
-                    self.stats.label(line.label).writebacks += 1
+                    stats.writebacks += 1
                     writebacks += 1
+                stats.evictions += 1
+                stats.residency += self.clock
             cache_set.clear()
         return writebacks
 

@@ -5,7 +5,8 @@ one reference at a time (~1 µs each) — fine as a trusted oracle, too
 slow as the substrate behind every verification run and trace-driven FI
 campaign.  This engine replays the same expanded line-touch stream in
 large numpy batches and produces **bit-identical** per-label statistics
-(hits, misses, writebacks, residency integrals).
+(hits, misses, writebacks, evictions and the ``residency`` step sum;
+see :mod:`repro.cachesim.stats`).
 
 How the batching works
 ----------------------
@@ -22,8 +23,9 @@ the expanded trace is processed in staged, vectorised passes:
 2. **Run collapse** — same-line items that became adjacent within a
    set's subsequence (e.g. interleaved streams) collapse the same way.
    Each surviving *run* carries the OR of its write flags, the position
-   of its first access (insert/evict step) and of its last access (its
-   LRU age).
+   of its first access (the step at which it inserts a line and evicts
+   one) and of its last access (its LRU age).  Positions are 1-based
+   global steps, the oracle's clock.
 3. **Wave scheduling** — runs are ranked within their set; wave *k*
    holds every set's *k*-th run.  A wave touches any set at most once,
    so it is a handful of whole-array numpy operations on gathered
@@ -35,8 +37,8 @@ shape ``(num_sets, ways)``; empty ways hold the sentinel tag ``-1``
 (real tags are non-negative); ``age`` is the global access
 position of the line's last touch, so the LRU victim is the row-wise
 argmin.  Ages are unique (each access has a distinct position), which
-makes victim choice — and with it writeback attribution and residency
-events — deterministic and identical to the dict oracle.
+makes victim choice — and with it writeback and eviction attribution —
+deterministic and identical to the dict oracle.
 
 Wave efficiency scales with the number of sets: a 4096-set cache packs
 thousands of runs per wave, a 64-set cache at most 64.  When a chunk's
@@ -64,6 +66,11 @@ chunks: there each wave is wide, while the stack-rank kernel would pay
 its sort and ``W - 1`` passes over every run plus every touched set's
 residents (about 2x slower on the 4 MB cache's MC chunks).
 
+Both kernels add to the per-label counters where they count hits,
+misses and writebacks: a miss subtracts its step from its label's
+``residency`` and an eviction adds the same step to the victim's, as
+exact int64 sums.
+
 The engine implements the LRU policy only; FIFO/random ablations stay
 on the reference path (:class:`CacheEngineError` enforces the switch).
 """
@@ -89,11 +96,11 @@ DEFAULT_CHUNK_SIZE = 1 << 18
 #: dispatch overhead, ~tens of µs, then dominates the wave kernel).
 ADAPTIVE_WAVE_CUTOFF = 128
 
-#: Residency event kinds (see :meth:`ArrayLRUEngine.replay`).
-EVENT_EVICT = 0
-EVENT_INSERT = 1
-
 _NO_AGE = np.iinfo(np.int64).max
+
+#: :class:`~repro.cachesim.stats.LabelStats` counters the replay
+#: kernels accumulate, in the row order of their ``counters`` array.
+_COUNTERS = ("hits", "misses", "writebacks", "evictions", "residency")
 
 
 def _label_counts(label_arr: np.ndarray, n_labels: int) -> np.ndarray:
@@ -109,6 +116,15 @@ def _label_counts(label_arr: np.ndarray, n_labels: int) -> np.ndarray:
         ones = int(np.count_nonzero(label_arr))
         return np.array([label_arr.size - ones, ones], dtype=np.int64)
     return np.bincount(label_arr, minlength=n_labels)
+
+
+def _label_sums(
+    label_arr: np.ndarray, values: np.ndarray, n_labels: int
+) -> np.ndarray:
+    """Per-label int64 sums of ``values`` (exact: no float weights)."""
+    sums = np.zeros(n_labels, dtype=np.int64)
+    np.add.at(sums, label_arr, values)
+    return sums
 
 
 class CacheEngineError(ValueError):
@@ -190,10 +206,6 @@ class ArrayLRUEngine:
             self._label_ids[name] = lid
             self._labels.append(name)
         return lid
-
-    def label_name(self, lid: int) -> str:
-        """Label string for an engine-global label id."""
-        return self._labels[lid]
 
     # ------------------------------------------------------------------
     # state round-trip (set-sharded worker processes)
@@ -287,18 +299,24 @@ class ArrayLRUEngine:
         )
 
     def flush(self, stats: CacheStats) -> int:
-        """Evict everything, charging writebacks for dirty lines."""
-        dirty = self._dirty & (self._tags != -1)
-        writebacks = int(np.count_nonzero(dirty))
-        if writebacks:
-            counts = np.bincount(
-                self._label[dirty], minlength=len(self._labels)
-            )
-            for lid in np.flatnonzero(counts):
-                stats.label(self._labels[lid]).writebacks += int(counts[lid])
+        """Evict everything, charging writebacks for dirty lines.
+
+        Every resident line's residency ends at the current step.
+        """
+        valid = self._tags != -1
+        n_labels = len(self._labels)
+        resident = np.bincount(self._label[valid], minlength=n_labels)
+        dirty = np.bincount(
+            self._label[valid & self._dirty], minlength=n_labels
+        )
+        for lid in np.flatnonzero(resident):
+            counters = stats.label(self._labels[lid])
+            counters.writebacks += int(dirty[lid])
+            counters.evictions += int(resident[lid])
+            counters.residency += int(resident[lid]) * self.clock
         self._tags[:] = -1
         self._age[:] = _NO_AGE
-        return writebacks
+        return int(dirty.sum())
 
     # ------------------------------------------------------------------
     # batched replay
@@ -310,19 +328,12 @@ class ArrayLRUEngine:
         label_ids: np.ndarray,
         labels: list[str],
         stats: CacheStats,
-        collect_events: bool = False,
-    ):
+    ) -> None:
         """Replay expanded line touches, accumulating into ``stats``.
 
         Parameters mirror the output of
         :func:`~repro.cachesim.simulator._expand_lines` plus the trace's
-        label table.  When ``collect_events`` is true, returns
-        ``(steps, kinds, label_ids)`` arrays describing every eviction
-        and insertion in chronological order (``steps`` are 1-based
-        global access steps; ``kinds`` are :data:`EVENT_EVICT` /
-        :data:`EVENT_INSERT`; ``label_ids`` index the engine label
-        table) so the caller can reproduce the oracle's residency
-        integrals exactly.  Otherwise returns ``None``.
+        label table.
         """
         n_total = len(line_ids)
         ids = [self.intern(name) for name in labels]
@@ -331,44 +342,26 @@ class ArrayLRUEngine:
             if ids == list(range(len(ids)))
             else np.asarray(ids, dtype=np.int32)
         )
-        n_labels = len(self._labels)
-        hits = np.zeros(n_labels, dtype=np.int64)
-        misses = np.zeros(n_labels, dtype=np.int64)
-        writebacks = np.zeros(n_labels, dtype=np.int64)
-        events: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # One row per LabelStats counter (_COUNTERS), one column per
+        # engine label.
+        counters = np.zeros((len(_COUNTERS), len(self._labels)), np.int64)
         engine_labels = (
             label_ids if remap is None else remap[label_ids]
         )
         for start in range(0, n_total, self.chunk_size):
             stop = min(start + self.chunk_size, n_total)
-            chunk_events = self._replay_chunk(
+            self._replay_chunk(
                 line_ids[start:stop],
                 is_write[start:stop],
                 engine_labels[start:stop],
-                self.clock + start,
-                hits,
-                misses,
-                writebacks,
-                collect_events,
+                self.clock + start + 1,
+                counters,
             )
-            if collect_events and chunk_events is not None:
-                events.append(chunk_events)
         self.clock += n_total
-        for lid in np.flatnonzero(hits | misses | writebacks):
-            counters = stats.label(self._labels[lid])
-            counters.hits += int(hits[lid])
-            counters.misses += int(misses[lid])
-            counters.writebacks += int(writebacks[lid])
-        if not collect_events:
-            return None
-        if not events:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), np.empty(0, dtype=np.int32)
-        return (
-            np.concatenate([e[0] for e in events]),
-            np.concatenate([e[1] for e in events]),
-            np.concatenate([e[2] for e in events]),
-        )
+        for lid in np.flatnonzero(counters.any(axis=0)):
+            label_stats = stats.label(self._labels[lid])
+            for name, value in zip(_COUNTERS, counters[:, lid].tolist()):
+                setattr(label_stats, name, getattr(label_stats, name) + value)
 
     # -- chunk kernel ----------------------------------------------------
     def _replay_chunk(
@@ -377,14 +370,12 @@ class ArrayLRUEngine:
         is_write: np.ndarray,
         engine_labels: np.ndarray,
         base_position: int,
-        hits: np.ndarray,
-        misses: np.ndarray,
-        writebacks: np.ndarray,
-        collect_events: bool,
-    ):
+        counters: np.ndarray,
+    ) -> None:
         n = len(line_ids)
         if n == 0:
-            return None
+            return
+        hits = counters[0]
         n_labels = hits.size
         # Stage 0: pre-collapse consecutive same-line touches (cheap,
         # before any sort — straddles and streaming sweeps shrink here).
@@ -478,15 +469,8 @@ class ArrayLRUEngine:
                 item_first.take(comp),
                 item_last.take(order.take(ends)),
             )
-            return self._replay_runs_stack(
-                runs,
-                group_first,
-                group_sizes,
-                hits,
-                misses,
-                writebacks,
-                collect_events,
-            )
+            self._replay_runs_stack(runs, group_first, group_sizes, counters)
+            return
         # wave_sizes[k] = number of sets with more than k runs.
         n_groups = group_first.size
         size_hist = np.bincount(group_sizes, minlength=n_waves + 1)
@@ -524,9 +508,7 @@ class ArrayLRUEngine:
             item_first.take(comp),
             item_last.take(comp_end),
         )
-        return self._replay_runs_waves(
-            runs, wave_sizes, hits, misses, writebacks, collect_events
-        )
+        self._replay_runs_waves(runs, wave_sizes, counters)
 
     def _run_tags(self, run_line: np.ndarray) -> np.ndarray:
         """Cache tags for an array of line ids."""
@@ -538,16 +520,14 @@ class ArrayLRUEngine:
         self,
         runs,
         wave_sizes: np.ndarray,
-        hits: np.ndarray,
-        misses: np.ndarray,
-        writebacks: np.ndarray,
-        collect_events: bool,
-    ):
+        counters: np.ndarray,
+    ) -> None:
         """Vectorised replay: one access per set per wave.
 
         ``runs`` columns arrive in wave-major order; wave ``k``
         occupies the ``wave_sizes[k]`` rows after wave ``k - 1``.
         """
+        hits, misses, writebacks, evictions, residency = counters
         n_labels = hits.size
         run_set, run_tag, run_label, run_write, run_first, run_last = runs
         ways = self.geometry.associativity
@@ -562,10 +542,7 @@ class ArrayLRUEngine:
         hit_labels: list[np.ndarray] = []
         miss_labels: list[np.ndarray] = []
         wb_labels: list[np.ndarray] = []
-        evict_steps: list[np.ndarray] = []
         evict_labels: list[np.ndarray] = []
-        insert_steps: list[np.ndarray] = []
-        insert_labels: list[np.ndarray] = []
         row_off = np.arange(int(wave_sizes.max())) * ways
         num_sets = self.geometry.num_sets
         lo = 0
@@ -620,6 +597,9 @@ class ArrayLRUEngine:
                 rows = rows.take(midx, axis=0)
                 base = base.take(midx)
             miss_labels.append(wl)
+            # A line is resident from its inserting miss's step to its
+            # evicting miss's step.
+            residency -= _label_sums(wl, wfirst, n_labels)
             # An empty way (tag == -1) fills first; any empty slot is
             # equivalent (way position never affects behaviour).  Full
             # rows evict the LRU way: the age argmin over resident
@@ -637,42 +617,31 @@ class ArrayLRUEngine:
                 victim_dirty = dirty_f.take(vflat)
                 if victim_dirty.any():
                     wb_labels.append(victim_label.compress(victim_dirty))
-                if collect_events:
-                    evict_steps.append(wfirst.take(fidx) + 1)
-                    evict_labels.append(victim_label)
-            if collect_events:
-                insert_steps.append(wfirst + 1)
-                insert_labels.append(wl.copy())
+                evict_labels.append(victim_label)
+                residency += _label_sums(
+                    victim_label, wfirst.take(fidx), n_labels
+                )
             flat = base + way
             tags_f[flat] = wt
             dirty_f[flat] = ww
             label_f[flat] = wl
             age_f[flat] = wlast
-        for bucket, counters in (
+        for bucket, counts in (
             (hit_labels, hits),
             (miss_labels, misses),
             (wb_labels, writebacks),
+            (evict_labels, evictions),
         ):
             if bucket:
-                counters += _label_counts(
-                    np.concatenate(bucket), n_labels
-                )
-        if not collect_events:
-            return None
-        return _merge_events(
-            evict_steps, evict_labels, insert_steps, insert_labels
-        )
+                counts += _label_counts(np.concatenate(bucket), n_labels)
 
     def _replay_runs_stack(
         self,
         runs,
         group_first: np.ndarray,
         group_sizes: np.ndarray,
-        hits: np.ndarray,
-        misses: np.ndarray,
-        writebacks: np.ndarray,
-        collect_events: bool,
-    ):
+        counters: np.ndarray,
+    ) -> None:
         """Stack-rank replay for chunks with few runs per wave.
 
         ``runs`` columns arrive set-sorted (each set's runs in order);
@@ -684,6 +653,7 @@ class ArrayLRUEngine:
         its line's previous occurrence is at or after ``d``.
         """
         run_set, run_line, run_label, run_write, run_first, run_last = runs
+        hits, misses, writebacks, evictions, residency = counters
         n_labels = hits.size
         ways = self.geometry.associativity
         num_sets = self.geometry.num_sets
@@ -748,8 +718,11 @@ class ArrayLRUEngine:
         group[by_line] = np.cumsum(starts_o) - 1
         run_hit = hit.take(run_pos)
         miss = np.flatnonzero(~run_hit)
+        miss_label = run_label.take(miss)
+        miss_step = run_first.take(miss)
         hits += _label_counts(run_label.compress(run_hit), n_labels)
-        misses += _label_counts(run_label.take(miss), n_labels)
+        misses += _label_counts(miss_label, n_labels)
+        residency -= _label_sums(miss_label, miss_step, n_labels)
         # A miss in a full set evicts the line last used at d.
         victim = d.take(run_pos.take(miss))
         evicting = victim >= np.repeat(seg_start, group_sizes).take(miss)
@@ -760,6 +733,10 @@ class ArrayLRUEngine:
             writebacks += _label_counts(
                 victim_label.compress(victim_dirty), n_labels
             )
+        evictions += _label_counts(victim_label, n_labels)
+        residency += _label_sums(
+            victim_label, miss_step.compress(evicting), n_labels
+        )
         # New state: each set's `ways` most recent last occurrences,
         # way 0 the most recent (way slots are interchangeable).
         last_o = np.append(~same, True)
@@ -779,57 +756,3 @@ class ArrayLRUEngine:
         self._age[set_way] = age.take(keep_pos)
         self._dirty[set_way] = group_dirty.take(keep_group)
         self._label[set_way] = group_label.take(keep_group)
-        if not collect_events:
-            return None
-        miss_first = run_first.take(miss)
-        return _merge_events(
-            [miss_first.compress(evicting) + 1],
-            [victim_label],
-            [miss_first + 1],
-            [run_label.take(miss)],
-        )
-
-
-def _merge_events(
-    evict_steps: list[np.ndarray],
-    evict_labels: list[np.ndarray],
-    insert_steps: list[np.ndarray],
-    insert_labels: list[np.ndarray],
-):
-    """Chronologically merge eviction/insertion events of one chunk.
-
-    An eviction precedes the insertion that caused it (same step),
-    matching the oracle's settle order.
-    """
-    ev_steps = (
-        np.concatenate(evict_steps)
-        if evict_steps
-        else np.empty(0, dtype=np.int64)
-    )
-    ev_labels = (
-        np.concatenate(evict_labels)
-        if evict_labels
-        else np.empty(0, dtype=np.int32)
-    )
-    in_steps = (
-        np.concatenate(insert_steps)
-        if insert_steps
-        else np.empty(0, dtype=np.int64)
-    )
-    in_labels = (
-        np.concatenate(insert_labels)
-        if insert_labels
-        else np.empty(0, dtype=np.int32)
-    )
-    steps = np.concatenate([ev_steps, in_steps])
-    kinds = np.concatenate(
-        [
-            np.full(ev_steps.size, EVENT_EVICT, dtype=np.int8),
-            np.full(in_steps.size, EVENT_INSERT, dtype=np.int8),
-        ]
-    )
-    labels = np.concatenate([ev_labels, in_labels]).astype(
-        np.int32, copy=False
-    )
-    merge = np.argsort(steps * 2 + kinds, kind="stable")
-    return steps[merge], kinds[merge], labels[merge]

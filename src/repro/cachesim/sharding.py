@@ -8,17 +8,14 @@ through its own :class:`~repro.cachesim.engine.ArrayLRUEngine` —
 optionally in worker processes — and merges the results so they are
 **bit-identical** to the single-process run:
 
-* Per-label hits / misses / writebacks merge by exact integer summation
-  over disjoint access subsets.
-* Residency events carry *local* steps out of each shard (an engine
-  numbers accesses by its own clock); they are remapped through the
-  shard's global-position array (``global_step = positions[local_step -
-  1 - clock_before] + 1``) and merged across shards by the same stable
-  ``step * 2 + kind`` sort the engine uses within a chunk — evictions
-  precede the insertion that caused them, steps are globally unique per
-  access, so the merged event sequence (and therefore the float
-  residency-integral accumulation order) is exactly the single-process
-  one.
+* Per-label hits / misses / writebacks / evictions merge by exact
+  integer summation over disjoint access subsets.
+* Residency is not tracked: each shard engine numbers steps by its own
+  clock, so the shards' ``residency`` step sums do not add up to the
+  single-process one.
+  :class:`~repro.cachesim.simulator.CacheSimulator` refuses
+  ``track_residency`` with ``shards > 1``, and :meth:`replay_trace`
+  refuses ``collect_events``.
 
 The parallel path is built to make the boundary cheap, not just the
 cores numerous (PR 4 shipped the pickled *expanded* stream through a
@@ -42,8 +39,8 @@ pool spawned per call, and lost 6x to the overhead):
   shared block is unlinked in a ``finally`` either way.
 
 Each shard engine allocates the full geometry but only ever touches its
-own sets, so a flush or residency count over all shards partitions the
-cache exactly.  ``num_shards`` is clamped to ``num_sets``: for K >=
+own sets, so a flush or resident-line count over all shards partitions
+the cache exactly.  ``num_shards`` is clamped to ``num_sets``: for K >=
 num_sets every set index satisfies ``set % K == set == set %
 num_sets``, so the clamp is behaviour-identical and merely avoids
 spawning shards that cannot own a set.
@@ -68,6 +65,7 @@ from repro.cachesim.configs import CacheGeometry
 from repro.cachesim.engine import (
     DEFAULT_CHUNK_SIZE,
     ArrayLRUEngine,
+    CacheEngineError,
 )
 from repro.cachesim.expand import (
     _expand_lines,
@@ -91,8 +89,7 @@ def partition_expanded(
 
     Returns one ``(positions, line_ids, is_write, label_ids)`` tuple per
     shard, where ``positions`` are the entries' indices in the original
-    stream (ascending, so each set's access order is preserved and the
-    local→global position map is monotone).
+    stream (ascending, so each set's access order is preserved).
     """
     shard_idx = shard_index(line_ids, num_sets, num_shards)
     shards = []
@@ -109,44 +106,6 @@ def partition_expanded(
     return shards
 
 
-def _remap_events(
-    events, positions: np.ndarray, clock_before: int, base_step: int
-):
-    """Translate a shard's local event steps to global stream steps.
-
-    ``clock_before`` is the shard engine's clock before this replay
-    (local steps within the run are relative to it); ``base_step`` is
-    the whole simulation's cumulative touch count before this run, so
-    warm multi-run sequences keep globally monotone steps exactly like
-    the single-engine clock does.
-    """
-    if events is None:
-        return None
-    steps, kinds, event_labels = events
-    if steps.size:
-        steps = base_step + positions[steps - 1 - clock_before] + 1
-    return steps, kinds, event_labels
-
-
-def merge_events(shard_events: list):
-    """Merge per-shard event streams into global chronological order.
-
-    Steps are unique per access, and an eviction shares its insertion's
-    step (same shard, concatenated evict-before-insert), so the
-    ``step * 2 + kind`` stable sort reproduces the exact single-process
-    event order.
-    """
-    collected = [e for e in shard_events if e is not None and e[0].size]
-    if not collected:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int32)
-    steps = np.concatenate([e[0] for e in collected])
-    kinds = np.concatenate([e[1] for e in collected])
-    labels = np.concatenate([e[2] for e in collected])
-    order = np.argsort(steps * 2 + kinds, kind="stable")
-    return steps[order], kinds[order], labels[order]
-
-
 def _state_nbytes(state: dict | None) -> int:
     if state is None:
         return 0
@@ -160,11 +119,10 @@ def _replay_shard_shm(payload: dict):
 
     Receives only the shared-memory descriptor, the shard's slice of
     engine state (``None`` when the cache is cold), and scalars.
-    Returns ``(stats, events-with-global-steps, state-diff,
-    local-entry-count)`` — the state comes back as a *diff* holding
-    only the sets this replay touched (the replay kernel provably
-    mutates no other row), so the return pickle scales with the chunk,
-    not the cache.
+    Returns ``(stats, state-diff)`` — the state comes back as a *diff*
+    holding only the sets this replay touched (the replay kernel
+    provably mutates no other row), so the return pickle scales with
+    the chunk, not the cache.
     """
     shm, columns = attach_trace_shm(payload["shm"])
     try:
@@ -173,7 +131,7 @@ def _replay_shard_shm(payload: dict):
             # worker would, after the block is attached.
             os.kill(os.getpid(), signal.SIGKILL)
         geometry = payload["geometry"]
-        positions, line_ids, is_write, label_ids = expand_shard(
+        _, line_ids, is_write, label_ids = expand_shard(
             *columns,
             geometry.line_size,
             geometry.num_sets,
@@ -188,23 +146,10 @@ def _replay_shard_shm(payload: dict):
     state = payload["state"]
     if state is not None:
         engine.load_shard_state(payload["shard"], payload["num_shards"], state)
-    clock_before = engine.clock
     stats = CacheStats()
-    events = engine.replay(
-        line_ids,
-        is_write,
-        label_ids,
-        payload["labels"],
-        stats,
-        payload["collect_events"],
-    )
+    engine.replay(line_ids, is_write, label_ids, payload["labels"], stats)
     touched = np.unique(set_index(line_ids, geometry.num_sets))
-    return (
-        stats,
-        _remap_events(events, positions, clock_before, payload["base_step"]),
-        engine.state_diff(touched),
-        len(line_ids),
-    )
+    return stats, engine.state_diff(touched)
 
 
 class ShardedLRUSimulator:
@@ -243,11 +188,6 @@ class ShardedLRUSimulator:
         ]
         #: Total expanded touches replayed (mirrors the engine clock).
         self.clock = 0
-        # Mirror of every shard engine's label table: each replay
-        # interns the same trace label list in the same order, so the
-        # tables stay identical and event label ids decode here.
-        self._labels: list[str] = []
-        self._label_ids: dict[str, int] = {}
         #: Byte accounting of the last pooled replay (``None`` until a
         #: pooled replay happens): shm block size and state bytes each
         #: way.  The bench harness records this per variant.
@@ -297,37 +237,30 @@ class ShardedLRUSimulator:
             self._drop_ring()
 
     # ------------------------------------------------------------------
-    def _intern_all(self, labels: list[str]) -> None:
-        for name in labels:
-            if name not in self._label_ids:
-                self._label_ids[name] = len(self._labels)
-                self._labels.append(name)
-
-    def label_name(self, lid: int) -> str:
-        """Label string for an engine-global label id."""
-        return self._labels[lid]
-
-    # ------------------------------------------------------------------
     def replay_trace(
         self,
         trace,
         stats: CacheStats,
         collect_events: bool = False,
-    ):
+    ) -> None:
         """Replay a compact trace through the shards; merged result.
 
         Same contract as the engine's ``replay`` but from the
         *unexpanded* trace: on the pooled path the compact columns go
         to workers over shared memory and each worker expands only its
         own partition; inline (``jobs=1``, one live shard, or pool
-        failure) the parent expands once and partitions.
+        failure) the parent expands once and partitions.  Residency
+        events are not available (``collect_events=True`` raises
+        :class:`~repro.cachesim.engine.CacheEngineError`): the shards
+        number steps by their own clocks.
         """
-        self._intern_all(trace.labels)
-        n = len(trace.addresses)
-        if n == 0:
-            if not collect_events:
-                return None
-            return merge_events([])
+        if collect_events:
+            raise CacheEngineError(
+                "sharded replay does not track residency; replay on one "
+                "engine (shards=1)"
+            )
+        if len(trace.addresses) == 0:
+            return
         counts = shard_entry_counts(
             trace.addresses,
             trace.sizes,
@@ -335,14 +268,13 @@ class ShardedLRUSimulator:
             self.geometry.num_sets,
             self.num_shards,
         )
-        live = np.flatnonzero(counts)
-        n_expanded = int(counts.sum())
-        shard_events = None
-        if self.jobs > 1 and live.size > 1:
-            shard_events = self._replay_pool(
-                trace, live.tolist(), stats, collect_events
-            )
-        if shard_events is None:
+        live = np.flatnonzero(counts).tolist()
+        pooled = (
+            self.jobs > 1
+            and len(live) > 1
+            and self._replay_pool(trace, live, stats)
+        )
+        if not pooled:
             line_ids, is_write, label_ids = _expand_lines(
                 trace, self.geometry.line_size
             )
@@ -353,30 +285,13 @@ class ShardedLRUSimulator:
                 self.geometry.num_sets,
                 self.num_shards,
             )
-            shard_events = self._replay_inline(
-                shards, live.tolist(), trace.labels, stats, collect_events
-            )
-        self.clock += n_expanded
-        if not collect_events:
-            return None
-        return merge_events(shard_events)
+            for i in live:
+                _, ids, writes, lids = shards[i]
+                self._engines[i].replay(ids, writes, lids, trace.labels, stats)
+        self.clock += int(counts.sum())
 
-    def _replay_inline(self, shards, live, labels, stats, collect_events):
-        shard_events = []
-        for i in live:
-            positions, ids, writes, lids = shards[i]
-            engine = self._engines[i]
-            clock_before = engine.clock
-            events = engine.replay(
-                ids, writes, lids, labels, stats, collect_events
-            )
-            shard_events.append(
-                _remap_events(events, positions, clock_before, self.clock)
-            )
-        return shard_events
-
-    def _replay_pool(self, trace, live, stats, collect_events):
-        """Zero-copy pooled replay; ``None`` means "fall back inline".
+    def _replay_pool(self, trace, live, stats) -> bool:
+        """Zero-copy pooled replay; ``False`` means "fall back inline".
 
         Parent state is only mutated after *every* shard result is in
         hand, so a worker lost mid-replay (``BrokenProcessPool``)
@@ -423,8 +338,6 @@ class ShardedLRUSimulator:
                     "num_shards": self.num_shards,
                     "state": state,
                     "labels": list(trace.labels),
-                    "base_step": self.clock,
-                    "collect_events": collect_events,
                     "chaos_kill": self.chaos_kill_shard == i,
                 }
                 futures.append((i, executor.submit(_replay_shard_shm, payload)))
@@ -432,18 +345,16 @@ class ShardedLRUSimulator:
                 results = [(i, fut.result()) for i, fut in futures]
             except BrokenProcessPool:
                 _pool.discard_pool()
-                return None
+                return False
         finally:
             if shm is not None:
                 shm.close()
                 shm.unlink()
-        shard_events = []
-        for i, (shard_stats, events, diff, _n_local) in results:
+        for i, (shard_stats, diff) in results:
             self._engines[i].apply_state_diff(diff)
             stats.merge(shard_stats)
             transport["state_back_bytes"] += _state_nbytes(diff)
-            shard_events.append(events)
-        return shard_events
+        return True
 
     # ------------------------------------------------------------------
     def flush(self, stats: CacheStats) -> int:

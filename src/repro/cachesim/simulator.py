@@ -29,6 +29,13 @@ Expansion is per-reference elementwise, so the statistics do not
 depend on where the chunk boundaries fall, and the replay's working
 memory is O(chunk).  ``benchmarks/harness.py`` records the measured
 engine speedup per kernel in ``BENCH_cachesim.json``.
+
+Residency, for the cache-DVF extension, is two more counters per label
+that both engines keep where they count hits, misses and writebacks:
+evictions, and Σ eviction steps − Σ insertion steps (steps number the
+line touches 1, 2, ...).  :meth:`CacheSimulator.average_resident_lines`
+closes the integral with the lines still resident.  Sharded replay
+numbers steps per shard, so it refuses ``track_residency``.
 """
 
 from __future__ import annotations
@@ -37,11 +44,10 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
-from repro.cachesim.cache import HIT, SetAssociativeCache
+from repro.cachesim.cache import SetAssociativeCache
 from repro.cachesim.configs import CacheGeometry
 from repro.cachesim.engine import (
     DEFAULT_CHUNK_SIZE,
-    EVENT_EVICT,
     ArrayLRUEngine,
     CacheEngineError,
     check_engine,
@@ -83,8 +89,9 @@ class CacheSimulator:
     seed:
         RNG seed for the ``"random"`` policy.
     track_residency:
-        Enable the per-label residency integrals used by the cache-DVF
-        extension.
+        Enable :meth:`average_resident_lines`, the per-label residency
+        used by the cache-DVF extension.  Sharded replay numbers steps
+        per shard, so it refuses residency tracking.
     engine:
         ``"auto"`` (default), ``"array"`` or ``"reference"`` — see the
         module docstring.  ``"auto"`` picks the array engine for LRU
@@ -149,6 +156,11 @@ class CacheSimulator:
                     "sharded simulation (shards > 1) requires the array "
                     "engine; drop engine='reference' or use shards=1"
                 )
+            if track_residency:
+                raise CacheEngineError(
+                    "residency tracking requires one engine (sharded "
+                    "replay numbers steps per shard); use shards=1"
+                )
             self.jobs = (
                 jobs if jobs != "auto"
                 else max(1, min(shards, effective_cpus()))
@@ -164,50 +176,31 @@ class CacheSimulator:
                 geometry, stats=self._stats, policy=policy, seed=seed
             )
         self.track_residency = track_residency
-        #: Σ resident-lines x accesses per label (time measured in
-        #: cache accesses); see :meth:`average_resident_lines`.
-        self.residency_integral: dict[str, float] = {}
-        self._resident_now: dict[str, int] = {}
-        self._last_step: dict[str, int] = {}
-        self._steps = 0
 
     @property
     def stats(self) -> CacheStats:
         """Accumulated per-label statistics."""
         return self._stats
 
-    # -- residency accounting (cache-DVF extension) ---------------------
-    def _settle(self, label: str) -> None:
-        last = self._last_step.get(label, 0)
-        if self._steps > last:
-            self.residency_integral[label] = self.residency_integral.get(
-                label, 0.0
-            ) + self._resident_now.get(label, 0) * (self._steps - last)
-        self._last_step[label] = self._steps
-
-    def _residency_insert(self, label: str) -> None:
-        self._settle(label)
-        self._resident_now[label] = self._resident_now.get(label, 0) + 1
-
-    def _residency_evict(self, label: str) -> None:
-        self._settle(label)
-        self._resident_now[label] = self._resident_now.get(label, 0) - 1
-
     def average_resident_lines(self, label: str) -> float:
         """Time-averaged cache lines held by ``label`` during the run.
 
-        Time is measured in cache accesses (each access is one tick).
-        Requires ``track_residency=True``.
+        Time is measured in cache accesses (each access is one tick):
+        the residency integral is the label's ``residency`` counter plus
+        its still-resident lines (misses − evictions) times the touches
+        so far.  Requires ``track_residency=True``.
         """
         if not self.track_residency:
             raise RuntimeError(
                 "construct CacheSimulator(track_residency=True) to use "
                 "residency accounting"
             )
-        self._settle(label)
-        if self._steps == 0:
+        steps = self._stats.total.accesses
+        counters = self._stats.by_label.get(label)
+        if steps == 0 or counters is None:
             return 0.0
-        return self.residency_integral.get(label, 0.0) / self._steps
+        resident = counters.misses - counters.evictions
+        return (counters.residency + resident * steps) / steps
 
     # -- introspection ---------------------------------------------------
     def resident_lines(self) -> int:
@@ -231,8 +224,9 @@ class CacheSimulator:
         (anything yielding ``ReferenceTrace`` pieces, e.g.
         :func:`~repro.trace.reference.iter_chunks`), routed through
         :meth:`run_stream`.  Every chunk goes through
-        :meth:`run_chunk`, so the result — counters, residency
-        integrals, final cache state — does not depend on the chunking.
+        :meth:`run_chunk`, so the result — counters, including the
+        residency ones, and final cache state — does not depend on the
+        chunking.
         """
         if not isinstance(trace, ReferenceTrace):
             return self.run_stream(trace)
@@ -265,25 +259,14 @@ class CacheSimulator:
             # The sharded simulator owns expansion (worker-side on the
             # pooled path), so the parent never materialises the
             # expanded chunk when worker processes are in play.
-            events = engine.replay_trace(
-                chunk, self._stats, collect_events=self.track_residency
-            )
-        else:
-            line_ids, writes, label_ids = _expand_lines(
-                chunk, self.geometry.line_size
-            )
-            if engine is None:
-                return self._run_reference(chunk, line_ids, writes, label_ids)
-            events = engine.replay(
-                line_ids,
-                writes,
-                label_ids,
-                chunk.labels,
-                self._stats,
-                collect_events=self.track_residency,
-            )
-        if self.track_residency:
-            self._apply_events(events, engine.label_name, engine.clock)
+            engine.replay_trace(chunk, self._stats)
+            return self._stats
+        line_ids, writes, label_ids = _expand_lines(
+            chunk, self.geometry.line_size
+        )
+        if engine is None:
+            return self._run_reference(chunk, line_ids, writes, label_ids)
+        engine.replay(line_ids, writes, label_ids, chunk.labels, self._stats)
         return self._stats
 
     @contextmanager
@@ -302,21 +285,6 @@ class CacheSimulator:
         with ctx:
             yield self
 
-    def _apply_events(self, events, name_of, end_clock: int) -> None:
-        """Replay engine residency events into the integral accounting."""
-        steps, kinds, event_labels = events
-        evict = self._residency_evict
-        insert = self._residency_insert
-        for step, kind, lid in zip(
-            steps.tolist(), kinds.tolist(), event_labels.tolist()
-        ):
-            self._steps = step
-            if kind == EVENT_EVICT:
-                evict(name_of(lid))
-            else:
-                insert(name_of(lid))
-        self._steps = end_clock
-
     def _run_reference(
         self,
         trace: ReferenceTrace,
@@ -325,20 +293,12 @@ class CacheSimulator:
         label_ids: np.ndarray,
     ) -> CacheStats:
         """The oracle's sequential walk, for every replacement policy."""
-        touch = self.cache.touch_line
+        access = self.cache.access_line
         labels = trace.labels
-        tracking = self.track_residency
         for line_id, is_write, lid in zip(
             line_ids.tolist(), writes.tolist(), label_ids.tolist()
         ):
-            label = labels[lid]
-            evicted = touch(line_id, is_write, label)
-            if tracking:
-                self._steps += 1
-                if evicted is not HIT:
-                    if evicted is not None:
-                        self._residency_evict(evicted)
-                    self._residency_insert(label)
+            access(line_id, is_write, labels[lid])
         return self._stats
 
     def flush(self) -> int:

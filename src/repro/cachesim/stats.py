@@ -6,6 +6,13 @@ number of *loads* from main memory (misses).  We therefore track hits,
 misses and writebacks separately so that validation can compare on
 misses while full main-memory traffic (misses + writebacks) remains
 available.
+
+Two more counters give the cache-DVF extension each label's residency.
+Every miss inserts one line of its label and every eviction ends one,
+so with steps numbered 1, 2, ... per line touch, ``residency`` holds
+Σ eviction steps − Σ insertion steps and a label's residency integral
+after ``T`` touches is ``residency + (misses − evictions) × T``
+(:meth:`~repro.cachesim.simulator.CacheSimulator.average_resident_lines`).
 """
 
 from __future__ import annotations
@@ -20,6 +27,10 @@ class LabelStats:
     hits: int = 0
     misses: int = 0
     writebacks: int = 0
+    #: Lines of this label evicted, by a miss or by a flush.
+    evictions: int = 0
+    #: Σ eviction steps − Σ insertion steps of this label's lines.
+    residency: int = 0
 
     @property
     def accesses(self) -> int:
@@ -36,6 +47,8 @@ class LabelStats:
         self.hits += other.hits
         self.misses += other.misses
         self.writebacks += other.writebacks
+        self.evictions += other.evictions
+        self.residency += other.residency
 
 
 @dataclass(slots=True)

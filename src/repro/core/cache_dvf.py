@@ -15,9 +15,11 @@ last-level cache:
 
 The residency measurement comes from
 :class:`~repro.cachesim.simulator.CacheSimulator` with
-``track_residency=True``; unlike the main-memory DVF there is no
-analytical shortcut here — residency depends on the full interleaving —
-so this path is simulation-based by construction.
+``track_residency=True`` on one engine: each label's eviction count and
+step sums (:class:`~repro.cachesim.stats.LabelStats`) give its exact
+residency integral.  Unlike the main-memory DVF there is no analytical
+shortcut here — residency depends on the full interleaving — so this
+path is simulation-based by construction.
 """
 
 from __future__ import annotations

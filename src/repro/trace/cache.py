@@ -154,15 +154,15 @@ class TraceCache:
             path = self.root / f"{key}.npz"
             try:
                 trace = load_trace(path)
-            except FileNotFoundError:
-                self.misses += 1
-                return None
-            except (
-                OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile
-            ):
+            except (ValueError, KeyError, EOFError, zipfile.BadZipFile):
                 # Damaged artifact (what load_trace raises for one):
                 # drop it and re-collect.
                 path.unlink(missing_ok=True)
+                self.misses += 1
+                return None
+            except OSError:
+                # No archive, or one unreadable for now (out of file
+                # descriptors, say): a miss that keeps the file.
                 self.misses += 1
                 return None
             self._memory[key] = trace

@@ -80,23 +80,26 @@ def random_trace(rng, n, n_labels=3, addr_space=1 << 15, max_size=192):
 
 
 def assert_identical(array_sim, ref_sim, labels):
-    """Exact agreement on every observable the oracle exposes."""
+    """Exact agreement on every observable the oracle exposes.
+
+    Residency is compared only when both simulators track it.
+    """
     assert array_sim.stats.as_dict() == ref_sim.stats.as_dict()
     assert array_sim.resident_lines() == ref_sim.resident_lines()
+    tracked = array_sim.track_residency and ref_sim.track_residency
     for label in labels:
-        a_resident = array_sim.resident_lines_for(label)
-        assert a_resident == ref_sim.resident_lines_for(label)
-        # Evictions aren't a first-class counter; misses - resident is
-        # exactly the number of this label's lines evicted so far.
-        a_evicted = array_sim.stats.misses(label) - a_resident
-        r_evicted = ref_sim.stats.misses(label) - ref_sim.resident_lines_for(
-            label
+        assert array_sim.resident_lines_for(label) == (
+            ref_sim.resident_lines_for(label)
         )
-        assert a_evicted == r_evicted
-        # Residency integrals must match to the last bit (== on floats).
-        assert array_sim.average_resident_lines(
-            label
-        ) == ref_sim.average_resident_lines(label)
+        assert array_sim.stats.by_label[label].evictions == (
+            ref_sim.stats.by_label[label].evictions
+        )
+        if tracked:
+            # Residency integrals must match to the last bit (== on
+            # floats).
+            assert array_sim.average_resident_lines(
+                label
+            ) == ref_sim.average_resident_lines(label)
 
 
 class TestDifferentialRandomized:

@@ -35,10 +35,10 @@ def _fresh_pool():
     simpool.shutdown_pool()
 
 
-def _pooled_sim(shards=4, jobs=2, track=True):
+def _pooled_sim(shards=4, jobs=2):
     return CacheSimulator(
         GEOMETRY,
-        track_residency=track,
+        track_residency=False,
         engine="array",
         shards=shards,
         jobs=jobs,
@@ -154,7 +154,7 @@ class TestWorkerCrash:
     def test_sigkilled_worker_falls_back_bit_identical(self):
         rng = np.random.default_rng(29)
         trace = random_trace(rng, n=900)
-        base = CacheSimulator(GEOMETRY, track_residency=True, engine="array")
+        base = CacheSimulator(GEOMETRY, track_residency=False, engine="array")
         sharded = _pooled_sim(shards=2, jobs=2)
         sharded._array.chaos_kill_shard = 0  # worker dies mid-replay
         base.run(trace)
@@ -188,7 +188,7 @@ class TestWorkerCrash:
         crashing.run(random_trace(rng, n=900))
         # The broken pool was discarded; a fresh pooled run must work.
         trace = random_trace(rng, n=900)
-        base = CacheSimulator(GEOMETRY, track_residency=True, engine="array")
+        base = CacheSimulator(GEOMETRY, track_residency=False, engine="array")
         sharded = _pooled_sim(shards=2, jobs=2)
         base.run(trace)
         sharded.run(trace)

@@ -3,9 +3,10 @@
 Sharded replay (K > 1, optionally in worker processes) must be
 **bit-identical** to the unsharded array engine — which is itself
 bit-identical to the dict oracle — on per-label hits, misses,
-writebacks, resident lines, and residency integrals (float ``==``),
-across geometries, shard counts, warm multi-run sequences, and the
-process-pool path.
+writebacks, evictions and resident lines, across geometries, shard
+counts, warm multi-run sequences, and the process-pool path.  Sharded
+replay does not track residency (each shard numbers steps by its own
+clock), so every simulator here is built without it.
 """
 
 import numpy as np
@@ -24,8 +25,9 @@ from repro.cachesim.expand import (
     expanded_size,
     shard_entry_counts,
 )
-from repro.cachesim.sharding import merge_events, partition_expanded
+from repro.cachesim.sharding import partition_expanded
 from repro.cachesim.simulator import _expand_lines
+from repro.cachesim.stats import CacheStats
 from repro.trace.io import attach_trace_shm, trace_to_shm
 from repro.trace.reference import ReferenceTrace
 
@@ -42,13 +44,11 @@ def _empty_trace():
     )
 
 
-def sharded_pair(geometry, shards, jobs=1, track=True):
-    base = CacheSimulator(
-        geometry, track_residency=track, engine="array"
-    )
+def sharded_pair(geometry, shards, jobs=1):
+    base = CacheSimulator(geometry, track_residency=False, engine="array")
     sharded = CacheSimulator(
         geometry,
-        track_residency=track,
+        track_residency=False,
         engine="array",
         shards=shards,
         jobs=jobs,
@@ -85,7 +85,7 @@ class TestShardedBitIdentity:
     def test_flush_matches(self):
         geometry = CacheGeometry(4, 64, 32)
         trace = random_trace(np.random.default_rng(5), n=1200)
-        base, sharded = sharded_pair(geometry, 4, track=False)
+        base, sharded = sharded_pair(geometry, 4)
         base.run(trace)
         sharded.run(trace)
         assert base.flush() == sharded.flush()
@@ -176,6 +176,20 @@ class TestShardedValidation:
         with pytest.raises(ValueError, match="shards"):
             CacheSimulator(CacheGeometry(4, 64, 32), shards="auto")
 
+    def test_sharded_rejects_residency_tracking(self):
+        # Each shard numbers steps by its own clock, so the shards'
+        # residency counters do not add up to one engine's.
+        with pytest.raises(CacheEngineError, match="residency"):
+            CacheSimulator(
+                CacheGeometry(4, 64, 32), track_residency=True, shards=2
+            )
+
+    def test_replay_trace_rejects_collect_events(self):
+        sharded = ShardedLRUSimulator(CacheGeometry(4, 64, 32), 2)
+        trace = random_trace(np.random.default_rng(1), n=10)
+        with pytest.raises(CacheEngineError, match="residency"):
+            sharded.replay_trace(trace, CacheStats(), collect_events=True)
+
 
 class TestPartition:
     def test_partition_covers_stream_once(self):
@@ -194,24 +208,6 @@ class TestPartition:
                 assert (np.diff(positions) > 0).all()
             np.testing.assert_array_equal(ids, line_ids[positions])
             assert (ids % geometry.num_sets % 3 == shard).all()
-
-    def test_merge_events_orders_evict_before_insert(self):
-        steps = np.array([5, 2], dtype=np.int64)
-        kinds = np.array([1, 1], dtype=np.int8)  # inserts
-        labels = np.array([0, 1], dtype=np.int32)
-        other = (
-            np.array([5], dtype=np.int64),
-            np.array([0], dtype=np.int8),  # evict at the same step
-            np.array([2], dtype=np.int32),
-        )
-        merged = merge_events([(steps, kinds, labels), other])
-        assert merged[0].tolist() == [2, 5, 5]
-        assert merged[1].tolist() == [1, 0, 1]
-        assert merged[2].tolist() == [1, 2, 0]
-
-    def test_merge_events_empty(self):
-        steps, kinds, labels = merge_events([None, None])
-        assert steps.size == 0 and kinds.size == 0 and labels.size == 0
 
 
 class TestExpandShard:
@@ -434,10 +430,10 @@ class TestDegenerateRouting:
             np.zeros(n, dtype=np.int32),
             ["x"],
         )
-        base = CacheSimulator(geometry, engine="array", track_residency=True)
+        base = CacheSimulator(geometry, engine="array", track_residency=False)
         sharded = CacheSimulator(
             geometry,
-            track_residency=True,
+            track_residency=False,
             engine="array",
             shards=4,
             jobs=4,
@@ -454,7 +450,7 @@ class TestDegenerateRouting:
         geometry = CacheGeometry(4, 64, 32)
         sim = CacheSimulator(
             geometry,
-            track_residency=True,
+            track_residency=False,
             engine="array",
             shards=2,
             jobs=2,

@@ -7,6 +7,7 @@ from repro.cachesim import CacheGeometry, CacheSimulator, PAPER_CACHES
 from repro.core.cache_dvf import analyze_cache_dvf
 from repro.kernels import KERNELS, TEST_WORKLOADS
 from repro.trace import TraceRecorder
+from repro.trace.reference import ReferenceTrace
 
 SMALL = CacheGeometry(4, 64, 32, "small")
 
@@ -70,6 +71,28 @@ class TestResidencyTracking:
 
         sim = run_tracked(build)
         assert sim.average_resident_lines("ghost") == 0.0
+
+    @pytest.mark.parametrize("engine", ["array", "reference"])
+    def test_flush_ends_residency(self, engine):
+        # A is resident for no step after the flush: touched once at
+        # step 1 and flushed, it averages 0 lines over the 10 steps,
+        # while B holds its line from step 2 to step 10.
+        def touches(label, n):
+            return ReferenceTrace(
+                addresses=np.zeros(n, dtype=np.int64),
+                sizes=np.full(n, 8, dtype=np.int64),
+                is_write=np.zeros(n, dtype=bool),
+                label_ids=np.zeros(n, dtype=np.int32),
+                labels=[label],
+            )
+
+        sim = CacheSimulator(SMALL, track_residency=True, engine=engine)
+        sim.run(touches("A", 1))
+        sim.flush()
+        sim.run(touches("B", 9))
+        assert sim.resident_lines_for("A") == 0
+        assert sim.average_resident_lines("A") == 0.0
+        assert sim.average_resident_lines("B") == 0.8
 
 
 class TestCacheDVF:

@@ -129,8 +129,8 @@ class TestChaos:
         time.sleep(0.3)  # let a few jobs reach terminal state
         if proc.poll() is None:
             proc.send_signal(signal.SIGINT)
-        rc = proc.wait(timeout=60)
-        assert rc in (130, 1), proc.communicate()
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode in (130, 1), (out, err)
 
         resume = subprocess.run(
             [sys.executable, "-m", "repro.service", "resume",

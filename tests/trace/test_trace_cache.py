@@ -5,6 +5,7 @@ trace schema version, and a kernel-source fingerprint — so every test
 here is really a statement about *when a cached trace may be reused*.
 """
 
+import errno
 import importlib.util
 import inspect
 import sys
@@ -232,6 +233,26 @@ class TestRecovery:
         assert cache.get(kernel, workload) is None
         assert cache.misses == 1
         assert not path.exists()
+
+    def test_transient_os_error_keeps_the_archive(
+        self, tmp_path, kernel, workload, monkeypatch
+    ):
+        # An OSError that is not damage (here: out of file descriptors)
+        # is a miss, and the valid archive stays for the next reader.
+        trace = kernel.trace(workload)
+        path = TraceCache(tmp_path).put(kernel, workload, trace)
+
+        def exhausted(path):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(cache_mod, "load_trace", exhausted)
+        cache = TraceCache(tmp_path)
+        assert cache.get(kernel, workload) is None
+        assert cache.misses == 1
+        assert path.exists()
+        monkeypatch.undo()
+        cached = TraceCache(tmp_path).get(kernel, workload)
+        assert cached is not None and traces_equal(cached, trace)
 
     def test_index_entry_without_file_is_a_miss(
         self, tmp_path, kernel, workload
