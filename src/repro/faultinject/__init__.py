@@ -50,6 +50,7 @@ from repro.faultinject.executor import (
     SupervisedCall,
     TrialExecutor,
     TrialSpec,
+    Worker,
     make_executor,
     run_trial,
     trial_seed,
@@ -90,6 +91,7 @@ __all__ = [
     "InProcessExecutor",
     "ProcessTrialExecutor",
     "SupervisedCall",
+    "Worker",
     "PENDING",
     "TrialSpec",
     "make_executor",

@@ -12,12 +12,14 @@ Two layers live here:
    picks up.
 
 2. **Pluggable execution.**  :class:`InProcessExecutor` is the fast
-   path; :class:`ProcessTrialExecutor` forks one worker per trial (in
-   waves of ``jobs``) so a segfault-class failure or hang in a kernel
-   takes down only its worker — the executor reports it as a
+   path; :class:`ProcessTrialExecutor` runs trials in waves of ``jobs``
+   on as many :class:`Worker` processes, each forked once and kept
+   until the executor closes, so a segfault-class failure or hang in a
+   kernel takes down only its worker — the executor reports it as a
    :class:`~repro.faultinject.errors.TrialCrash` /
-   :class:`~repro.faultinject.errors.TrialTimeout` sentinel and the
-   campaign keeps going.
+   :class:`~repro.faultinject.errors.TrialTimeout` sentinel, forks a
+   replacement, and the campaign keeps going.  :class:`SupervisedCall`
+   is the per-call handle on a worker that the job service shares.
 
 Executors return *raw* trial outputs (kernel output array, ``None`` for
 a caught crash-class exception, or a trial-error sentinel); outcome
@@ -34,6 +36,7 @@ import time
 import traceback
 import zlib
 from dataclasses import dataclass
+from multiprocessing import util
 
 import numpy as np
 
@@ -176,6 +179,10 @@ SIGTERM_EXIT = 128 + signal.SIGTERM
 #: callables may legitimately return ``None``.
 PENDING = object()
 
+#: Signals the parent holds blocked across a worker's fork, until the
+#: child has installed its own dispositions for them.
+_HELD_SIGNALS = {signal.SIGTERM, signal.SIGINT}
+
 
 def _sigterm_exit(signum, frame):  # pragma: no cover - signal handler
     # Exit *promptly* and without running atexit/finally machinery: a
@@ -184,31 +191,39 @@ def _sigterm_exit(signum, frame):  # pragma: no cover - signal handler
     os._exit(SIGTERM_EXIT)
 
 
-def _supervised_child(conn, fn, args) -> None:  # pragma: no cover - subprocess
-    """Child entry point: run ``fn(*args)``, ship the result back.
+def _worker_loop(fn, tasks, results) -> None:  # pragma: no cover - subprocess
+    """Child entry point: run ``fn(*args)`` for each task until EOF.
 
     Installs a SIGTERM handler first, so supervisor-initiated
     cancellation exits immediately (``os._exit``) instead of unwinding
-    through arbitrary user code mid-write.  An exception escaping
-    ``fn`` prints its traceback and exits nonzero — the supervisor sees
-    :class:`WorkerLost` with ``exitcode=1``.
+    through arbitrary user code mid-write, and ignores SIGINT: a
+    terminal's Ctrl-C reaches the whole process group, and cancelling a
+    running call is the parent's decision.  An exception escaping
+    ``fn`` prints its traceback and exits nonzero — the parent sees
+    :class:`WorkerLost` with ``exitcode=1``.  EOF on ``tasks`` (the
+    parent closed it, or died) ends the loop.
     """
     signal.signal(signal.SIGTERM, _sigterm_exit)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     if hasattr(signal, "pthread_sigmask"):
-        # The parent blocked SIGTERM across the fork so an immediate
-        # terminate() can't land before this handler exists; any such
-        # pending signal is delivered right here, to the handler.
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-    try:
-        result = fn(*args)
-    except BaseException:
-        traceback.print_exc()
-        conn.close()
-        os._exit(1)
-    try:
-        conn.send(result)
-    finally:
-        conn.close()
+        # The parent blocked these across the fork so an immediate
+        # terminate() can't land before the handler exists; a pending
+        # SIGTERM is delivered right here, to the handler.
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _HELD_SIGNALS)
+    while True:
+        try:
+            args = tasks.recv()
+        except EOFError:
+            return
+        try:
+            result = fn(*args)
+        except BaseException:
+            traceback.print_exc()
+            os._exit(1)
+        try:
+            results.send(result)
+        except BrokenPipeError:
+            return  # nobody is left to read it
 
 
 def _default_context() -> mp.context.BaseContext:
@@ -217,53 +232,33 @@ def _default_context() -> mp.context.BaseContext:
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
-class SupervisedCall:
-    """One function call in a supervised, crash-isolated child process.
+class Worker:
+    """A child process forked once with ``fn``, serving calls one at a time.
 
-    The reusable subprocess primitive under both the FI trial executor
-    and the DVF job service: start a child running ``fn(*args)``, then
+    The child reads argument tuples from a task pipe, runs ``fn(*args)``
+    and writes each return value to a result pipe, so a pool pays one
+    fork per worker instead of one per call.  Only argument tuples and
+    return values cross the pipes: ``fn`` reaches the child once,
+    through ``fork`` (which also carries monkeypatches and wrappers that
+    would not pickle) or a pickle under ``spawn``.
 
-    * :meth:`wait` / :attr:`sentinel` to block or multiplex on
-      completion,
-    * :meth:`expired` to check the per-call ``timeout``,
-    * :meth:`terminate` to cancel with SIGTERM-then-SIGKILL escalation
-      (the child installs a prompt SIGTERM handler; ``term_grace``
-      bounds how long a C-level loop may ignore it before SIGKILL),
-    * :meth:`poll` to collect the outcome: :data:`PENDING` while
-      running, the child's return value on success, or a
-      :class:`~repro.faultinject.errors.WorkerLost` sentinel when the
-      child died without delivering a result.
-
-    The caller decides what worker loss and expiry *mean* (a trial
-    CRASH, a retryable job failure, ...); this class only supervises.
+    EOF on the result pipe means the child died; :meth:`receive` then
+    reaps it and raises :class:`EOFError`.  EOF on the task pipe — the
+    parent closed it in :meth:`close`, or died — ends the child.  Both
+    need the parent to hold the only other end of each pipe, so every
+    process ``multiprocessing`` starts later (other workers, shard-pool
+    processes) first closes the copies it inherited.
     """
 
-    def __init__(
-        self,
-        fn,
-        args: tuple = (),
-        *,
-        ctx: mp.context.BaseContext | None = None,
-        timeout: float | None = None,
-        term_grace: float = 2.0,
-        label: str = "worker",
-    ):
+    def __init__(self, fn):
+        ctx = _default_context()
         self.fn = fn
-        self.args = args
-        self.timeout = timeout
-        self.term_grace = term_grace
-        self.label = label
-        self._ctx = ctx if ctx is not None else _default_context()
-        self.proc: mp.process.BaseProcess | None = None
-        self._recv = None
-        self.started_at: float | None = None
-        self._result = PENDING
-
-    # -- lifecycle -----------------------------------------------------
-    def start(self) -> "SupervisedCall":
-        recv, send = self._ctx.Pipe(duplex=False)
-        self.proc = self._ctx.Process(
-            target=_supervised_child, args=(send, self.fn, self.args),
+        task_recv, self._tasks = ctx.Pipe(duplex=False)
+        self._results, result_send = ctx.Pipe(duplex=False)
+        # Runs in every child started from here on, this worker included.
+        util.register_after_fork(self, Worker._close_pipes)
+        self.proc = ctx.Process(
+            target=_worker_loop, args=(fn, task_recv, result_send),
             daemon=True,
         )
         if hasattr(signal, "pthread_sigmask"):
@@ -271,29 +266,153 @@ class SupervisedCall:
             # fork: a terminate() racing the child's handler install
             # would otherwise kill it with the default disposition
             # (exitcode -15) instead of the prompt handler's 143.  The
-            # child unblocks once its handler is in place.
-            held = signal.pthread_sigmask(
-                signal.SIG_BLOCK, {signal.SIGTERM}
-            )
+            # child unblocks once its handlers are in place.
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD_SIGNALS)
             try:
                 self.proc.start()
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, held)
         else:  # pragma: no cover - non-POSIX
             self.proc.start()
-        send.close()
-        self._recv = recv
+        task_recv.close()
+        result_send.close()
+        #: True from :meth:`submit` until :meth:`receive` returns a value:
+        #: a busy worker's pipe may still hold an abandoned call's result.
+        self.busy = False
+
+    def _close_pipes(self) -> None:
+        self._tasks.close()
+        self._results.close()
+
+    @property
+    def pid(self) -> int:
+        return self.proc.pid
+
+    @property
+    def exitcode(self) -> int | None:
+        return self.proc.exitcode
+
+    @property
+    def alive(self) -> bool:
+        return self.proc.is_alive()
+
+    @property
+    def sentinel(self) -> int:
+        """Readable once a result is waiting or the worker died."""
+        return self._results.fileno()
+
+    def submit(self, args: tuple, *, last: bool = False) -> None:
+        """Hand the worker one call; ``last`` lets it exit after that call.
+
+        A worker that is already gone shows as EOF in :meth:`receive`.
+        """
+        self.busy = True
+        try:
+            self._tasks.send(args)
+        except BrokenPipeError:
+            pass
+        if last:
+            self._tasks.close()
+
+    def ready(self, timeout: float | None = 0.0) -> bool:
+        """Wait up to ``timeout`` s for a result or the worker's death."""
+        return self._results.poll(timeout)
+
+    def receive(self):
+        """The call's return value; :class:`EOFError` if the worker died.
+
+        Blocks until :meth:`ready`.  A dead worker is reaped first, so
+        :attr:`exitcode` is set when this raises.
+        """
+        try:
+            value = self._results.recv()
+        except (EOFError, OSError):
+            self.proc.join()
+            raise EOFError(f"worker {self.pid} died") from None
+        self.busy = False
+        return value
+
+    def terminate(self, grace: float = 2.0) -> None:
+        """SIGTERM, up to ``grace`` seconds, then SIGKILL; reaps the child."""
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join(grace)
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join()
+
+    def close(self, grace: float = 2.0) -> None:
+        """Stop the worker and release its pipes; idempotent.
+
+        An idle worker exits on EOF of its task pipe; a busy one, whose
+        call nobody will collect, is terminated.
+        """
+        self._tasks.close()
+        if not self.busy:
+            self.proc.join(grace)
+        self.terminate(grace)
+        self._results.close()
+
+
+class SupervisedCall:
+    """One function call on a supervised, crash-isolated :class:`Worker`.
+
+    The per-call handle under both the FI trial executor and the DVF job
+    service: :meth:`start` hands ``args`` to ``worker``, or without one
+    to a one-call worker forked for this call alone.  Then
+
+    * :meth:`wait` / :attr:`sentinel` to block or multiplex on the
+      outcome,
+    * :meth:`expired` to check the per-call ``timeout``,
+    * :meth:`terminate` to cancel with SIGTERM-then-SIGKILL escalation
+      (the worker installs a prompt SIGTERM handler; ``term_grace``
+      bounds how long a C-level loop may ignore it before SIGKILL),
+    * :meth:`poll` to collect the outcome: :data:`PENDING` while
+      running, ``fn``'s return value on success, or a
+      :class:`~repro.faultinject.errors.WorkerLost` sentinel when the
+      worker died without delivering a result.
+
+    The caller decides what worker loss and expiry *mean* (a trial
+    CRASH, a retryable job failure, ...) and whether a worker that
+    delivered serves again; this class only supervises.
+    """
+
+    def __init__(
+        self,
+        fn,
+        args: tuple = (),
+        *,
+        worker: Worker | None = None,
+        timeout: float | None = None,
+        term_grace: float = 2.0,
+        label: str = "worker",
+    ):
+        if worker is not None and worker.fn is not fn:
+            raise ValueError(
+                f"{label}: the worker runs {worker.fn!r}, not {fn!r}"
+            )
+        self.fn = fn
+        self.args = args
+        self.worker = worker
+        self.timeout = timeout
+        self.term_grace = term_grace
+        self.label = label
+        self._one_call = worker is None
+        self.started_at: float | None = None
+        self._result = PENDING
+
+    # -- lifecycle -----------------------------------------------------
+    def start(self) -> "SupervisedCall":
+        if self.worker is None:
+            self.worker = Worker(self.fn)
+        self.worker.submit(self.args, last=self._one_call)
         self.started_at = time.monotonic()
         return self
 
     @property
-    def pid(self) -> int | None:
-        return self.proc.pid if self.proc is not None else None
-
-    @property
     def sentinel(self) -> int:
         """Waitable handle for ``multiprocessing.connection.wait``."""
-        return self.proc.sentinel
+        return self.worker.sentinel
 
     def expired(self, now: float | None = None) -> bool:
         """True once the call has outlived its ``timeout``."""
@@ -303,70 +422,55 @@ class SupervisedCall:
             - self.started_at > self.timeout
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Join up to ``timeout`` seconds; True when the child exited."""
-        self.proc.join(timeout)
-        return not self.proc.is_alive()
+        """Wait up to ``timeout`` seconds; True once the outcome is in."""
+        return self._result is not PENDING or self.worker.ready(timeout)
 
     def terminate(self) -> None:
-        """Cancel the child: SIGTERM, grace period, then SIGKILL."""
-        if self.proc is None:
-            return
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(self.term_grace)
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join()
+        """Cancel the call: SIGTERM its worker, grace period, then SIGKILL."""
+        if self.worker is not None:
+            self.worker.terminate(self.term_grace)
 
     # -- result collection ---------------------------------------------
     def poll(self):
-        """:data:`PENDING`, the child's value, or a :class:`WorkerLost`."""
-        if self.proc is None:
+        """:data:`PENDING`, ``fn``'s value, or a :class:`WorkerLost`."""
+        if self.started_at is None:
             raise RuntimeError("SupervisedCall.poll() before start()")
-        if self.proc.is_alive():
-            return PENDING
-        if self._result is not PENDING:
-            return self._result
-        self.proc.join()  # reap
-        received = PENDING
-        if self._recv is not None:
+        if self._result is PENDING and self.worker.ready():
             try:
-                if self._recv.poll():
-                    received = self._recv.recv()
-            except (EOFError, OSError):
-                received = PENDING  # died mid-send
-            finally:
-                self._recv.close()
-                self._recv = None
-        if received is PENDING:
-            received = WorkerLost(
-                f"{self.label} died without delivering a result "
-                f"(exitcode {self.proc.exitcode})",
-                exitcode=self.proc.exitcode,
-                label=self.label,
-            )
-        self._result = received
+                self._result = self.worker.receive()
+            except EOFError:
+                self._result = WorkerLost(
+                    f"{self.label} died without delivering a result "
+                    f"(exitcode {self.worker.exitcode})",
+                    exitcode=self.worker.exitcode,
+                    label=self.label,
+                )
+            if self._one_call:
+                self.worker.close(self.term_grace)
         return self._result
 
 
 class ProcessTrialExecutor(TrialExecutor):
-    """One worker process per trial, launched in waves of ``jobs``.
+    """Trials on ``jobs`` forked workers, one wave of ``jobs`` at a time.
 
     The strongest isolation available from the standard library: a
     worker that segfaults, calls ``os._exit``, or is OOM-killed is
     reported as :class:`TrialCrash`; one that hangs past ``timeout``
     seconds is cancelled (SIGTERM, then SIGKILL after ``term_grace``)
     and reported as :class:`TrialTimeout`.  The campaign classifies
-    both without aborting.
+    both without aborting, and the lost worker is replaced.
 
-    ``timeout`` is the per-wave wall-clock budget; since every trial in
-    a wave starts together, it bounds each trial's runtime.  Built on
-    :class:`SupervisedCall`, so workers install the prompt SIGTERM
-    handler and cancellation can never leave partial writes behind.
-    Uses the ``fork`` start method where available (cheap on Linux, and
-    child processes inherit monkeypatched registries — useful in
-    tests), falling back to ``spawn``; :class:`TrialSpec` is picklable
-    either way.
+    Workers are :class:`Worker` processes kept from the first wave until
+    :meth:`close`, so a campaign pays one fork per worker rather than
+    one per trial; each trial draws only from its own RNG stream, so no
+    result depends on what its worker ran before.  ``timeout`` is the
+    per-wave wall-clock budget; since every trial in a wave starts
+    together, it bounds each trial's runtime.  Workers install the
+    prompt SIGTERM handler, so cancellation can never leave partial
+    writes behind.  Uses the ``fork`` start method where available
+    (cheap on Linux, and workers inherit monkeypatched registries —
+    useful in tests), falling back to ``spawn``; :class:`TrialSpec` is
+    picklable either way.
     """
 
     def __init__(
@@ -379,18 +483,24 @@ class ProcessTrialExecutor(TrialExecutor):
         self.timeout = timeout
         self.term_grace = term_grace
         self.batch_size = self.jobs
-        self._ctx = _default_context()
+        self._workers: list[Worker] = []
 
     def run_batch(self, specs: list[TrialSpec]) -> list:
+        # A worker still busy lost its wave to an interrupt: its pipe may
+        # hold a stale result.  It goes, as does one that died idle.
+        for worker in [w for w in self._workers if w.busy or not w.alive]:
+            self._discard(worker)
+        while len(self._workers) < len(specs):
+            self._workers.append(Worker(run_trial))
         calls = [
             SupervisedCall(
                 run_trial,
                 (spec,),
-                ctx=self._ctx,
+                worker=worker,
                 term_grace=self.term_grace,
                 label=f"trial {spec.structure}#{spec.trial_index}",
             ).start()
-            for spec in specs
+            for spec, worker in zip(specs, self._workers)
         ]
         deadline = (
             time.monotonic() + self.timeout if self.timeout is not None else None
@@ -406,6 +516,7 @@ class ProcessTrialExecutor(TrialExecutor):
         )
         if not call.wait(remaining):
             call.terminate()
+            self._discard(call.worker)
             return TrialTimeout(
                 f"trial {spec.structure}#{spec.trial_index} exceeded "
                 f"{self.timeout}s",
@@ -416,6 +527,7 @@ class ProcessTrialExecutor(TrialExecutor):
             )
         result = call.poll()
         if isinstance(result, WorkerLost):
+            self._discard(call.worker)
             return TrialCrash(
                 f"worker for trial {spec.structure}#{spec.trial_index} died "
                 f"(exitcode {result.exitcode})",
@@ -425,6 +537,15 @@ class ProcessTrialExecutor(TrialExecutor):
                 trial_index=spec.trial_index,
             )
         return result
+
+    def _discard(self, worker: Worker) -> None:
+        self._workers.remove(worker)
+        worker.close(self.term_grace)
+
+    def close(self) -> None:
+        """Stop every worker; busy ones are terminated."""
+        while self._workers:
+            self._discard(self._workers[-1])
 
 
 def make_executor(

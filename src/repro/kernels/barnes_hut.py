@@ -356,7 +356,8 @@ class BarnesHutKernel(Kernel):
         the upper tree levels, so the distribution is heavily skewed).
         The walk counts visits one tree level at a time, so the full set
         of (body, node) pairs is never held at once.  Results are
-        memoised per workload configuration.
+        memoised per workload configuration and read-only: every caller
+        shares one array, across all the jobs a service worker runs.
         """
         key = (
             int(workload["n"]),
@@ -372,6 +373,7 @@ class BarnesHutKernel(Kernel):
         for _, nodes, *_ in _walk(tree, positions, theta):
             counts += np.bincount(nodes, minlength=len(tree))
         freqs = counts / len(positions)
+        freqs.flags.writeable = False
         self._freq_cache[key] = freqs
         return freqs
 

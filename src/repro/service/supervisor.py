@@ -1,11 +1,15 @@
 """Supervised job-execution engine: pool, retries, breaker, journal.
 
 :class:`JobSupervisor` drains a set of queued
-:class:`~repro.service.scenario.JobSpec` through a pool of
-crash-isolated workers (one
-:class:`~repro.faultinject.executor.SupervisedCall` per attempt) with
-full failure semantics:
+:class:`~repro.service.scenario.JobSpec` through a pool of up to
+``jobs`` crash-isolated :class:`~repro.faultinject.executor.Worker`
+processes, forked on demand and kept for the whole run (one
+:class:`~repro.faultinject.executor.SupervisedCall` per attempt on
+them), with full failure semantics:
 
+* a worker that delivers a result serves the next attempt; one that
+  timed out, died or broke the result protocol is discarded and a
+  fresh one forked when needed;
 * per-job wall-clock budgets enforced with SIGTERM-then-SIGKILL
   escalation (a hung C loop cannot wedge the pool);
 * retry decided where the failure is observed: a failure record the
@@ -22,7 +26,8 @@ full failure semantics:
   *supervisor* loses at most one in-flight attempt and a rerun
   continues bit-identically;
 * KeyboardInterrupt trapped: running workers are cancelled cleanly and
-  a partial :class:`ServiceRun` returned.
+  a partial :class:`ServiceRun` returned.  Every worker is stopped and
+  reaped before :meth:`JobSupervisor.run` returns.
 
 :func:`run_service` wraps the supervisor in the durable state-directory
 layout (queue / journal / results / dead-letter files) used by the
@@ -42,11 +47,7 @@ from multiprocessing import connection
 from pathlib import Path
 
 from repro.faultinject.errors import WorkerLost
-from repro.faultinject.executor import (
-    PENDING,
-    SupervisedCall,
-    _default_context,
-)
+from repro.faultinject.executor import PENDING, SupervisedCall, Worker
 from repro.service.journal import (
     JobJournal,
     JobState,
@@ -138,7 +139,8 @@ class JobSupervisor:
     Parameters
     ----------
     jobs:
-        Worker pool size (concurrent attempts).
+        Worker pool size (concurrent attempts).  Workers are forked
+        with the module's ``execute_job`` as it stands at the fork.
     retry:
         :class:`RetryPolicy`; defaults to the scenario-schema defaults.
     breaker:
@@ -184,7 +186,6 @@ class JobSupervisor:
         self.chaos_kill = float(chaos_kill)
         self._chaos_rng = random.Random(chaos_seed)
         self.interrupt_after = interrupt_after
-        self._ctx = _default_context()
 
     # -- public entry --------------------------------------------------
     def run(self, specs: list[JobSpec]) -> ServiceRun:
@@ -214,15 +215,19 @@ class JobSupervisor:
             seq += 1
         self._seq = seq
         self._terminal_events = 0
+        self._idle: list[Worker] = []
         interrupted = False
         running: dict[int, _Running] = {}
         try:
             self._run_pool(heap, running, records, journal)
         except KeyboardInterrupt:
             interrupted = True
-            for entry in running.values():
-                entry.call.terminate()
         finally:
+            # Running workers are cancelled, idle ones exit on EOF.
+            for entry in running.values():
+                entry.call.worker.close(self.term_grace)
+            for worker in self._idle:
+                worker.close(self.term_grace)
             if journal is not None:
                 journal.close()
         ordered = tuple(
@@ -296,21 +301,30 @@ class JobSupervisor:
         fast = self.breaker.allow_fast_path() if self.breaker else True
         timeout = spec.timeout if spec.timeout is not None \
             else self.default_timeout
+        worker = self._take_worker()
+        if self.chaos_kill > 0.0 \
+                and self._chaos_rng.random() < self.chaos_kill:
+            # Chaos harness: the worker dies as if OOM-killed, before it
+            # can read the attempt, so the attempt is always lost.
+            os.kill(worker.pid, signal.SIGKILL)
         call = SupervisedCall(
             execute_job,
             (spec, attempt, not fast),
-            ctx=self._ctx,
+            worker=worker,
             timeout=timeout,
             term_grace=self.term_grace,
             label=f"job {spec.id} attempt {attempt}",
         ).start()
-        if self.chaos_kill > 0.0 \
-                and self._chaos_rng.random() < self.chaos_kill:
-            try:  # chaos harness: the worker dies as if OOM-killed
-                os.kill(call.pid, signal.SIGKILL)
-            except ProcessLookupError:  # already gone
-                pass
         return _Running(spec=spec, attempt=attempt, call=call, fast_path=fast)
+
+    def _take_worker(self) -> Worker:
+        """An idle worker that is still alive, or a freshly forked one."""
+        while self._idle:
+            worker = self._idle.pop()
+            if worker.alive:
+                return worker
+            worker.close(self.term_grace)
+        return Worker(execute_job)
 
     # -- outcome handling ----------------------------------------------
     def _settle(
@@ -322,7 +336,8 @@ class JobSupervisor:
         timed_out: bool,
     ) -> None:
         # A dict the worker returned is final; every body built here
-        # (timeout, lost worker, protocol violation) is retryable.
+        # (timeout, lost worker, protocol violation) is retryable, and
+        # its worker is discarded.
         retryable = True
         if timed_out:
             body = {
@@ -359,6 +374,12 @@ class JobSupervisor:
                         f"{type(result).__name__}"
                     ),
                 }
+        # Before classifying, which may raise KeyboardInterrupt: the
+        # worker must be back in the pool or gone, never dropped.
+        if retryable:
+            entry.call.worker.close(self.term_grace)
+        else:
+            self._idle.append(entry.call.worker)
         self._classify(entry, body, retryable, heap, records, journal)
 
     def _classify(

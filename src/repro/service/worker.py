@@ -1,7 +1,10 @@
 """Worker-side job execution (runs inside a supervised subprocess).
 
-:func:`execute_job` is the single entry point the supervisor ships to a
-:class:`~repro.faultinject.executor.SupervisedCall` worker.  Its
+:func:`execute_job` is the function every supervisor
+:class:`~repro.faultinject.executor.Worker` is forked with; a worker
+runs it once per attempt, for as many attempts as it survives, so an
+attempt must not depend on what its worker ran before (the process-wide
+memos jobs fill, such as the Barnes-Hut profile, are read-only).  Its
 contract keeps the failure semantics sharp:
 
 * it returns a JSON-safe *record body* — ``{"ok": True, "payload":
@@ -13,10 +16,10 @@ contract keeps the failure semantics sharp:
   so the record is final and the supervisor dead-letters it without
   retry;
 * anything else escaping — a segfault, OOM kill, ``os._exit``, an
-  unexpected exception (which the child prints and converts to a
-  nonzero exit) — surfaces as
+  unexpected exception (which the worker prints and converts to a
+  nonzero exit) — ends the worker and surfaces as
   :class:`~repro.faultinject.errors.WorkerLost`, which the supervisor
-  treats as transient and retries with backoff.
+  treats as transient and retries with backoff on a fresh worker.
 
 ``degraded=True`` selects the graceful-degradation route the circuit
 breaker falls back to when the fast path keeps dying: lenient

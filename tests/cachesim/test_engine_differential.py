@@ -8,6 +8,8 @@ seeded randomized traces across geometries, chunk sizes, and both
 in-chunk replay kernels (wave and stack-rank).
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -109,9 +111,11 @@ class TestDifferentialRandomized:
         self, geometry, kernel, monkeypatch
     ):
         force_kernel(monkeypatch, kernel)
+        # Integers only: a str's hash() follows PYTHONHASHSEED, and a
+        # failure must replay from its test id alone.
         rng = np.random.default_rng(
-            abs(hash((geometry.associativity, geometry.num_sets, kernel)))
-            % (1 << 32)
+            [geometry.associativity, geometry.num_sets,
+             zlib.crc32(kernel.encode())]
         )
         for trial in range(4):
             trace = random_trace(rng, n=int(rng.integers(1, 1500)))

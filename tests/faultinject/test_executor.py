@@ -2,6 +2,7 @@
 
 import multiprocessing as mp
 import os
+import signal
 import time
 
 import numpy as np
@@ -42,6 +43,8 @@ def _misbehaving_run(workload, inject_into, phase, rng):
         raise OverflowError("injected non-finite value overflowed")
     if inject_into == "RUNTIME":
         raise RuntimeError("numpy errstate raise under injected NaN")
+    if inject_into == "PID":
+        return np.array([os.getpid()])
     out = np.ones(4)
     if inject_into == "SDC":
         out[0] += 1.0
@@ -49,7 +52,9 @@ def _misbehaving_run(workload, inject_into, phase, rng):
 
 
 MISBEHAVING = InjectionTarget(
-    "XX", ("OK", "SDC", "DIE", "HANG", "OVERFLOW", "RUNTIME"), _misbehaving_run
+    "XX",
+    ("OK", "SDC", "DIE", "HANG", "OVERFLOW", "RUNTIME", "PID"),
+    _misbehaving_run,
 )
 
 
@@ -195,6 +200,106 @@ class TestCrashIsolation:
         assert hang.structure == "HANG" and hang.timeout == 0.5
 
 
+def _new_children(before: set) -> list:
+    """Live child processes that were not alive in ``before``."""
+    return [p for p in mp.active_children() if p not in before]
+
+
+@needs_fork
+class TestWorkerLifecycle:
+    """Workers outlive waves, and are replaced only when lost."""
+
+    @staticmethod
+    def _pid(executor, index):
+        spec = TrialSpec("XX", Workload("t", {}), "PID", index, 0)
+        out, = executor.run_batch([spec])
+        return int(out[0])
+
+    def test_waves_share_workers_until_close(self, misbehaving_kernel):
+        before = set(mp.active_children())
+        executor = ProcessTrialExecutor(jobs=2)
+        try:
+            specs = [
+                TrialSpec("XX", Workload("t", {}), "PID", i, 0)
+                for i in range(6)
+            ]
+            pids = [
+                {int(out[0]) for out in executor.run_batch(specs[i:i + 2])}
+                for i in range(0, 6, 2)
+            ]
+        finally:
+            executor.close()
+        assert pids[0] == pids[1] == pids[2]
+        assert len(pids[0]) == 2 and os.getpid() not in pids[0]
+        assert _new_children(before) == []
+
+    def test_lost_and_hung_workers_are_replaced(self, misbehaving_kernel):
+        workload = Workload("t", {})
+        before = set(mp.active_children())
+        executor = ProcessTrialExecutor(jobs=1, timeout=0.5, term_grace=1.0)
+        try:
+            first = self._pid(executor, 0)
+            crash, = executor.run_batch([TrialSpec("XX", workload, "DIE", 1, 0)])
+            second = self._pid(executor, 2)
+            hang, = executor.run_batch([TrialSpec("XX", workload, "HANG", 3, 0)])
+            third = self._pid(executor, 4)
+            assert self._pid(executor, 5) == third
+        finally:
+            executor.close()
+        assert isinstance(crash, TrialCrash) and crash.exitcode == 139
+        assert isinstance(hang, TrialTimeout)
+        assert len({first, second, third}) == 3
+        assert _new_children(before) == []
+
+    def test_worker_killed_between_waves_costs_no_trial(
+        self, misbehaving_kernel
+    ):
+        # A worker that dies idle (OOM killer, operator) is replaced
+        # before the next wave: no trial is charged with its death.
+        workload = Workload("t", {})
+        executor = ProcessTrialExecutor(jobs=1)
+        try:
+            os.kill(self._pid(executor, 0), signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while executor._workers[0].alive and time.monotonic() < deadline:
+                time.sleep(0.01)
+            ok, = executor.run_batch([TrialSpec("XX", workload, "OK", 1, 0)])
+        finally:
+            executor.close()
+        assert np.array_equal(ok, np.ones(4))
+
+    def test_abandoned_wave_never_reaches_the_next(
+        self, misbehaving_kernel, monkeypatch
+    ):
+        # An interrupt while a wave is collected leaves its workers busy,
+        # their results unread; the next wave must not receive them.
+        workload = Workload("t", {})
+        executor = ProcessTrialExecutor(jobs=1)
+        collect = ProcessTrialExecutor._collect
+
+        def interrupted(self, spec, call, deadline):
+            raise KeyboardInterrupt
+
+        try:
+            monkeypatch.setattr(ProcessTrialExecutor, "_collect", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                executor.run_batch([TrialSpec("XX", workload, "SDC", 0, 0)])
+            monkeypatch.setattr(ProcessTrialExecutor, "_collect", collect)
+            ok, = executor.run_batch([TrialSpec("XX", workload, "OK", 1, 0)])
+        finally:
+            executor.close()
+        assert np.array_equal(ok, np.ones(4))
+
+    def test_campaign_results_match_in_process_on_reused_workers(self):
+        # Each worker serves many trials of several structures; no
+        # outcome may depend on what its worker ran before.
+        base = run_campaign("CG", TEST_WORKLOADS["CG"], trials=12, seed=5)
+        pooled = run_campaign(
+            "CG", TEST_WORKLOADS["CG"], trials=12, seed=5, jobs=2
+        )
+        assert pooled.structures == base.structures
+
+
 class TestOutcomeTaxonomy:
     def test_timeout_is_failure(self):
         assert Outcome.TIMEOUT.is_failure
@@ -245,6 +350,31 @@ def _journal_forever(path):
 
 @needs_fork
 class TestSupervisedCall:
+    def test_calls_share_a_worker(self):
+        from repro.faultinject import SupervisedCall, Worker
+
+        worker = Worker(os.getpid)
+        try:
+            pids = []
+            for _ in range(3):
+                call = SupervisedCall(os.getpid, worker=worker).start()
+                assert call.wait(10.0)
+                pids.append(call.poll())
+        finally:
+            worker.close()
+        assert pids == [worker.pid] * 3
+        assert worker.exitcode == 0  # exited on EOF of its task pipe
+
+    def test_worker_runs_only_its_own_function(self):
+        from repro.faultinject import SupervisedCall, Worker
+
+        worker = Worker(_identity)
+        try:
+            with pytest.raises(ValueError):
+                SupervisedCall(_exit_7, worker=worker)
+        finally:
+            worker.close()
+
     def test_delivers_return_value(self):
         from repro.faultinject import SupervisedCall
 
@@ -252,6 +382,15 @@ class TestSupervisedCall:
         assert call.wait(10.0)
         assert call.poll() == {"answer": 42}
         assert call.poll() == {"answer": 42}  # memoized
+
+    def test_result_larger_than_a_pipe_buffer_is_delivered(self):
+        # The result is read as soon as it starts arriving: a worker
+        # blocked writing 800 KB must not be waited on to exit first.
+        from repro.faultinject import SupervisedCall
+
+        call = SupervisedCall(np.arange, (100_000,)).start()
+        assert call.wait(10.0)
+        assert np.array_equal(call.poll(), np.arange(100_000))
 
     def test_none_return_is_not_worker_lost(self):
         from repro.faultinject import PENDING, SupervisedCall, WorkerLost

@@ -222,6 +222,17 @@ class TestProfiling:
         b = kernel.profile_frequencies(workload)
         assert a is b
 
+    def test_memoised_frequencies_are_read_only(self, kernel, workload):
+        # One array serves every later caller in the process (every NB
+        # job a service worker runs): a write must not get through.
+        freqs = kernel.profile_frequencies(workload)
+        before = freqs.copy()
+        with pytest.raises(ValueError):
+            freqs[0] = 0.0
+        again = kernel.profile_frequencies(workload)
+        assert again is freqs
+        assert np.array_equal(again, before)
+
 
 class TestTraceAndModel:
     def test_trace_structures(self, kernel, workload):

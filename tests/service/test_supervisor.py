@@ -2,6 +2,12 @@
 
 import json
 import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +281,250 @@ class TestResume:
         completed = service_status(state)
         assert sum(completed["counts"].values()) == 5
         assert not completed["pending"] and not completed["in_flight"]
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+@pytest.fixture
+def attempt_log(monkeypatch, tmp_path):
+    """Log ``(job, attempt, pid)`` of every attempt before it runs.
+
+    Workers are forked with the supervisor module's ``execute_job``, so
+    they inherit this patch through ``fork``.  Returns the log reader.
+    """
+    from repro.service import supervisor
+
+    log = tmp_path / "attempts.log"
+    execute_job = supervisor.execute_job
+
+    def logged(spec, attempt, degraded):
+        with log.open("a") as fh:
+            fh.write(f"{spec.id} {attempt} {os.getpid()}\n")
+        return execute_job(spec, attempt, degraded)
+
+    monkeypatch.setattr(supervisor, "execute_job", logged)
+
+    def read() -> list[tuple[str, int, int]]:
+        return [
+            (job, int(attempt), int(pid))
+            for job, attempt, pid in (
+                line.split() for line in log.read_text().splitlines()
+            )
+        ]
+
+    return read
+
+
+def _new_children(before: set) -> list:
+    """Live child processes that were not alive in ``before``."""
+    return [p for p in mp.active_children() if p not in before]
+
+
+def _mixed_jobs() -> list[JobSpec]:
+    """Test-tier Aspen models and analytical kernel jobs (NB included)."""
+    from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
+    from repro.experiments.configs import KERNEL_ORDER
+
+    jobs = [
+        JobSpec(id=f"aspen-{k}-{m}", kind="aspen", options={
+            "source": builtin_source(k, "test") + MACHINE_LIBRARY,
+            "machine": m, "mode": "strict"})
+        for k in DSL_KERNELS for m in ("small", "cache_8mb")
+    ]
+    jobs += [
+        JobSpec(id=f"kernel-{k}-{g}", kind="kernel", options={
+            "kernel": k, "tier": "test", "geometry": g})
+        for k in KERNEL_ORDER for g in ("small", "8MB")
+    ]
+    return jobs
+
+
+@needs_fork
+class TestWorkerLifecycle:
+    """Workers serve attempt after attempt; lost ones are replaced."""
+
+    def test_consecutive_attempts_share_one_worker(self, attempt_log):
+        run = JobSupervisor(jobs=1).run(
+            [_probe(f"ok-{i}", value=i) for i in range(4)]
+        )
+        assert run.counts == {OUTCOME_SUCCEEDED: 4}
+        pids = {pid for _, _, pid in attempt_log()}
+        assert len(pids) == 1 and os.getpid() not in pids
+
+    def test_lost_worker_is_replaced(self, attempt_log):
+        run = JobSupervisor(jobs=1, retry=FAST_RETRY).run([
+            _probe("flaky", "flaky", fail_attempts=1),
+            _probe("after"),
+        ])
+        flaky, after = run.records
+        assert flaky["outcome"] == OUTCOME_SUCCEEDED
+        assert flaky["attempts"] == 2
+        assert after["outcome"] == OUTCOME_SUCCEEDED
+        pid = {(job, attempt): pid for job, attempt, pid in attempt_log()}
+        assert pid["flaky", 2] != pid["flaky", 1]
+        assert pid["after", 1] == pid["flaky", 2]  # the survivor serves on
+
+    def test_worker_dying_idle_costs_no_attempt(self, monkeypatch):
+        # Job "a" arms a timer that SIGKILLs its worker once idle, while
+        # the flaky job waits out its retry backoff; the retry must get
+        # a fresh worker instead of losing an attempt to the dead one.
+        import threading
+
+        from repro.service import supervisor
+
+        execute_job = supervisor.execute_job
+
+        def killed_when_idle(spec, attempt, degraded):
+            if spec.id == "a":
+                threading.Timer(
+                    0.1, os.kill, (os.getpid(), signal.SIGKILL)
+                ).start()
+            return execute_job(spec, attempt, degraded)
+
+        monkeypatch.setattr(supervisor, "execute_job", killed_when_idle)
+        run = JobSupervisor(
+            jobs=2,
+            retry=RetryPolicy(RetryConfig(
+                max_attempts=3, base_delay=0.5, jitter=0.0)),
+        ).run([_probe("a"), _probe("flaky", "flaky", fail_attempts=1)])
+        a, flaky = run.records
+        assert a["outcome"] == OUTCOME_SUCCEEDED
+        assert flaky["outcome"] == OUTCOME_SUCCEEDED
+        assert flaky["attempts"] == 2
+
+    def test_timed_out_worker_is_replaced(self, attempt_log):
+        run = JobSupervisor(
+            jobs=1,
+            retry=RetryPolicy(RetryConfig(
+                max_attempts=2, base_delay=0.01, jitter=0.0)),
+            term_grace=0.5,
+        ).run([
+            JobSpec(id="hang", kind="probe",
+                    options={"behavior": "sleep", "seconds": 30},
+                    timeout=0.3),
+            _probe("after"),
+        ])
+        hang, after = run.records
+        assert hang["outcome"] == OUTCOME_EXHAUSTED
+        assert hang["last_error"] == "JobTimeout"
+        assert hang["attempts"] == 2
+        assert after["outcome"] == OUTCOME_SUCCEEDED
+        log = attempt_log()
+        assert [(job, attempt) for job, attempt, _ in log] == [
+            ("hang", 1), ("after", 1), ("hang", 2)
+        ]
+        (_, _, hung), (_, _, fresh), (_, _, reused) = log
+        assert fresh != hung  # the cancelled worker was discarded
+        assert reused == fresh  # the one that delivered serves on
+
+    def test_no_worker_outlives_a_run(self):
+        before = set(mp.active_children())
+        run = JobSupervisor(jobs=2).run([_probe(f"ok-{i}") for i in range(5)])
+        assert run.complete
+        assert _new_children(before) == []
+
+    def test_no_worker_outlives_an_interrupted_run(self):
+        # One worker is busy sleeping when the interrupt fires: it is
+        # cancelled; the idle one exits on EOF of its task pipe.
+        before = set(mp.active_children())
+        started = time.monotonic()
+        run = JobSupervisor(jobs=2, interrupt_after=1).run([
+            _probe("sleeper", "sleep", seconds=30),
+            _probe("quick"),
+            _probe("never-run"),
+        ])
+        assert run.interrupted
+        assert time.monotonic() - started < 15.0
+        assert _new_children(before) == []
+
+    def test_payloads_do_not_depend_on_worker_history(self):
+        # NB's profile memo and the compiled Aspen models live on in a
+        # worker between jobs; forward, reverse and two-worker orders
+        # must still give every job the same payload.
+        jobs = _mixed_jobs()
+
+        def payloads(run):
+            assert run.counts == {OUTCOME_SUCCEEDED: len(jobs)}
+            return {r["job"]: r["payload"] for r in run.records}
+
+        forward = payloads(JobSupervisor(jobs=1).run(jobs))
+        reverse = payloads(JobSupervisor(jobs=1).run(jobs[::-1]))
+        pooled = payloads(JobSupervisor(jobs=2).run(jobs))
+        assert forward == reverse == pooled
+
+
+def _stat_fields(pid: int) -> list[str] | None:
+    """``/proc/<pid>/stat`` fields after the command name, or None."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()
+
+
+def _children_of(ppid: int) -> list[int]:
+    """Running (not zombie) processes whose parent is ``ppid``."""
+    out = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _stat_fields(int(entry))
+            if fields and fields[0] != "Z" and int(fields[1]) == ppid:
+                out.append(int(entry))
+    return out
+
+
+def _running(pid: int) -> bool:
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+@needs_fork
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs Linux /proc"
+)
+def test_workers_exit_when_the_service_is_killed(tmp_path):
+    # The flaky job's retry waits out a 60 s backoff with its workers
+    # idle; SIGKILL of the service closes their task pipes.
+    scenario = {
+        "name": "orphans",
+        "service": {
+            "jobs": 2,
+            "retry": {"max_attempts": 2, "base_delay": 60.0,
+                      "max_delay": 60.0, "jitter": 0.0},
+        },
+        "jobs": [
+            {"id": "ok-1", "kind": "probe", "behavior": "ok"},
+            {"id": "ok-2", "kind": "probe", "behavior": "ok"},
+            {"id": "flaky", "kind": "probe", "behavior": "flaky",
+             "fail_attempts": 1},
+            {"id": "ok-3", "kind": "probe", "behavior": "ok"},
+        ],
+    }
+    scenario_file = tmp_path / "orphans.json"
+    scenario_file.write_text(json.dumps(scenario))
+    state = tmp_path / "state"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "run",
+         "--scenario", str(scenario_file), "--state", str(state)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        journal = state / "journal.jsonl"
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline and proc.poll() is None:
+            events = journal.read_text() if journal.exists() else ""
+            if events.count('"done"') >= 3 and '"attempt"' in events:
+                break
+            time.sleep(0.05)
+        workers = _children_of(proc.pid)
+        assert proc.poll() is None and workers
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and any(map(_running, workers)):
+        time.sleep(0.05)
+    assert not any(map(_running, workers))
