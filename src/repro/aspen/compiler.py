@@ -50,6 +50,17 @@ from repro.patterns.streaming import StreamingAccess
 from repro.patterns.template import SweepTemplate, TemplateAccess
 
 
+def _whole(key: str, value: float) -> int:
+    """A count property's value; a fraction is an error, never truncated."""
+    whole = round(value) if math.isfinite(value) else None
+    # The same tolerance as integer-valued expressions (``evaluate_int``).
+    if whole is None or abs(value - whole) > 1e-9 * max(1.0, abs(value)):
+        raise PatternError(
+            f"pattern property {key!r} must be a whole number, got {value}"
+        )
+    return whole
+
+
 def build_pattern(data: DataModel, spec: PatternSpec) -> AccessPattern:
     """Instantiate the CGPMAC estimator for one data structure."""
     props = spec.properties
@@ -57,8 +68,8 @@ def build_pattern(data: DataModel, spec: PatternSpec) -> AccessPattern:
         return StreamingAccess(
             element_size=data.element_size,
             num_elements=data.num_elements,
-            stride_elements=int(props.get("stride", 1)),
-            sweeps=int(props.get("sweeps", 1)),
+            stride_elements=_whole("stride", props.get("stride", 1)),
+            sweeps=_whole("sweeps", props.get("sweeps", 1)),
             aligned=bool(props.get("aligned", 0)),
         )
     if spec.kind == "random":
@@ -66,7 +77,7 @@ def build_pattern(data: DataModel, spec: PatternSpec) -> AccessPattern:
             num_elements=data.num_elements,
             element_size=data.element_size,
             distinct_per_iteration=props["distinct"],
-            iterations=int(props["iterations"]),
+            iterations=_whole("iterations", props["iterations"]),
             cache_ratio=props.get("cache_ratio", 1.0),
         )
     if spec.kind == "template":
@@ -79,14 +90,14 @@ def build_pattern(data: DataModel, spec: PatternSpec) -> AccessPattern:
             element_size=data.element_size,
             template=template,
             num_elements=data.num_elements,
-            repeats=int(props.get("repeats", 1)),
+            repeats=_whole("repeats", props.get("repeats", 1)),
             cache_ratio=props.get("cache_ratio", 1.0),
         )
     if spec.kind == "reuse":
         return ReuseAccess(
             target_bytes=data.size_bytes,
-            interfering_bytes=int(props.get("interfering", 0)),
-            reuse_count=int(props.get("reuses", 1)),
+            interfering_bytes=_whole("interfering", props.get("interfering", 0)),
+            reuse_count=_whole("reuses", props.get("reuses", 1)),
         )
     raise AspenSemanticError(f"unknown pattern kind {spec.kind!r}")
 

@@ -24,6 +24,7 @@ from repro.core.report import format_table
 from repro.experiments.configs import WORKLOADS
 from repro.faultinject.campaign import run_campaign
 from repro.faultinject.compare import rank_agreement
+from repro.faultinject.executor import make_executor
 from repro.faultinject.targets import INJECTABLE_KERNELS
 from repro.kernels.base import Workload
 from repro.kernels.registry import KERNELS
@@ -71,54 +72,58 @@ def run_fi_comparison(
     """Run campaigns and compare against DVF for injectable kernels.
 
     ``jobs``/``timeout`` route the campaigns through the crash-isolated
-    process executor.  ``checkpoint_dir`` journals each kernel's
-    campaign to ``<dir>/<kernel>.jsonl`` and resumes from any journal
-    already there, so an interrupted comparison re-runs only what is
-    missing.  On Ctrl-C the completed rows are returned (the current
-    campaign having flushed its checkpoint first).
+    process executor; one executor serves every kernel's campaign, so
+    its workers are forked once per comparison.  ``checkpoint_dir``
+    journals each kernel's campaign to ``<dir>/<kernel>.jsonl`` and
+    resumes from any journal already there, so an interrupted comparison
+    re-runs only what is missing.  On Ctrl-C the completed rows are
+    returned (the current campaign having flushed its checkpoint first).
     """
     analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["8MB"]))
     rows: list[FIComparisonRow] = []
-    for name in kernels:
-        if name not in INJECTABLE_KERNELS:
-            raise KeyError(f"kernel {name!r} has no injection adapter")
-        workload = FI_WORKLOADS.get(name, WORKLOADS[tier][name])
-        checkpoint = (
-            Path(checkpoint_dir) / f"{name.lower()}.jsonl"
-            if checkpoint_dir is not None
-            else None
-        )
-        campaign = run_campaign(
-            name,
-            workload,
-            trials=trials,
-            seed=seed,
-            jobs=jobs,
-            timeout=timeout,
-            checkpoint=checkpoint,
-        )
-        if not campaign.complete:
-            # Interrupted mid-campaign: its trials are journaled; stop
-            # here so a re-run with the same checkpoint_dir resumes.
-            break
-        # Collect the campaign's garbage first: a collection it has made
-        # due would otherwise land in, and be billed to, the model's
-        # few milliseconds.
-        gc.collect()
-        start = time.perf_counter()
-        report = analyzer.analyze(KERNELS[name], workload)
-        model_seconds = time.perf_counter() - start
-        rho, _ = rank_agreement(campaign, report)
-        rows.append(
-            FIComparisonRow(
-                kernel=name,
-                trials=trials,
-                rank_correlation=rho,
-                failure_rates=campaign.failure_rates(),
-                campaign_seconds=campaign.wall_seconds,
-                model_seconds=model_seconds,
+    executor = make_executor(jobs=jobs, timeout=timeout)
+    try:
+        for name in kernels:
+            if name not in INJECTABLE_KERNELS:
+                raise KeyError(f"kernel {name!r} has no injection adapter")
+            workload = FI_WORKLOADS.get(name, WORKLOADS[tier][name])
+            checkpoint = (
+                Path(checkpoint_dir) / f"{name.lower()}.jsonl"
+                if checkpoint_dir is not None
+                else None
             )
-        )
+            campaign = run_campaign(
+                name,
+                workload,
+                trials=trials,
+                seed=seed,
+                executor=executor,
+                checkpoint=checkpoint,
+            )
+            if not campaign.complete:
+                # Interrupted mid-campaign: its trials are journaled; stop
+                # here so a re-run with the same checkpoint_dir resumes.
+                break
+            # Collect the campaign's garbage first: a collection it has
+            # made due would otherwise land in, and be billed to, the
+            # model's few milliseconds.
+            gc.collect()
+            start = time.perf_counter()
+            report = analyzer.analyze(KERNELS[name], workload)
+            model_seconds = time.perf_counter() - start
+            rho, _ = rank_agreement(campaign, report)
+            rows.append(
+                FIComparisonRow(
+                    kernel=name,
+                    trials=trials,
+                    rank_correlation=rho,
+                    failure_rates=campaign.failure_rates(),
+                    campaign_seconds=campaign.wall_seconds,
+                    model_seconds=model_seconds,
+                )
+            )
+    finally:
+        executor.close()
     return rows
 
 

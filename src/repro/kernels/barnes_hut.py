@@ -273,15 +273,26 @@ class BarnesHutKernel(Kernel):
 
     def _build(self, workload: Workload) -> tuple[_Tree, np.ndarray, np.ndarray]:
         n = int(workload["n"])
-        rng = np.random.default_rng(int(workload.get("seed", 0)))
+        seed = int(workload.get("seed", 0))
+        rng = np.random.default_rng(seed)
         positions = rng.random((n, 2))
         masses = rng.random(n) + 0.1
-        return _build_tree(positions, masses), positions, masses
+        tree = _build_tree(positions, masses)
+        self._size_cache[(n, seed)] = len(tree)
+        return tree, positions, masses
 
     def tree_size(self, workload: Workload) -> int:
-        """Number of quadtree nodes for this workload (deterministic)."""
-        tree, _, _ = self._build(workload)
-        return len(tree)
+        """Number of quadtree nodes for this workload (deterministic).
+
+        Memoised per ``(n, seed)``, the tree's only inputs.  Every build
+        records its count, so after a profiling walk (which builds the
+        tree) sizing the workload builds nothing.
+        """
+        key = (int(workload["n"]), int(workload.get("seed", 0)))
+        size = self._size_cache.get(key)
+        if size is None:
+            size = len(self._build(workload)[0])
+        return size
 
     def data_structures(self, workload: Workload) -> dict[str, tuple[int, int]]:
         n = int(workload["n"])
@@ -378,6 +389,8 @@ class BarnesHutKernel(Kernel):
         return freqs
 
     _freq_cache: dict = {}
+    #: Quadtree node counts per ``(n, seed)``, recorded by every build.
+    _size_cache: dict = {}
 
     def access_model(self, workload: Workload):
         n = int(workload["n"])

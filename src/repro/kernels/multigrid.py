@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.base import Kernel, ResourceCounts, Workload
-from repro.patterns.template import SweepTemplate, TemplateAccess
+from repro.patterns.template import Repeat, TemplateAccess
 from repro.trace.recorder import TraceRecorder
 
 _E = 16  # the paper's MG example uses 16-byte elements
@@ -144,14 +144,18 @@ class MultigridKernel(Kernel):
         levels = self._levels(n)
         total_elems = sum(e**3 for e in levels)
         # Template: the paper's Algorithm 3 sweep on the finest level;
-        # coarser levels append their own sweeps at their offsets.
+        # coarser levels append their own sweeps at their offsets.  Each
+        # level's sweeps are one Repeat phase, so the walk replays a
+        # level twice, not per_level_sweeps times, for the same misses.
         offsets = np.cumsum([0] + [e**3 for e in levels[:-1]])
         per_level_sweeps = 2 * (sweeps // 2 or 1)
-        parts = []
-        for level, edge in enumerate(levels):
-            idx = smoother_indices(edge, edge, edge) + int(offsets[level])
-            parts.extend([idx] * per_level_sweeps)
-        template = np.concatenate(parts)
+        template = [
+            Repeat(
+                smoother_indices(edge, edge, edge) + int(offsets[level]),
+                per_level_sweeps,
+            )
+            for level, edge in enumerate(levels)
+        ]
         return {
             "R": TemplateAccess(
                 element_size=_E,

@@ -26,6 +26,7 @@ from repro.patterns.random_access import (
     split_cache_ratio,
 )
 from repro.patterns.template import (
+    Repeat,
     SweepTemplate,
     TemplateAccess,
     expand_sweep,
@@ -45,6 +46,7 @@ __all__ = [
     "split_cache_ratio",
     "TemplateAccess",
     "SweepTemplate",
+    "Repeat",
     "expand_sweep",
     "ReuseAccess",
     "set_occupancy_pmf",

@@ -12,6 +12,7 @@ import pytest
 
 from repro.aspen import DiagnosticSink, compile_source
 from repro.aspen.errors import AspenSemanticError, AspenSyntaxError
+from repro.patterns import PatternError
 from repro.experiments.aspen_batch import (
     compiled_report,
     evaluate_batch,
@@ -105,6 +106,59 @@ class TestStrictVsLenient:
         compiled = compile_source(source, mode="lenient")
         assert any(d.code == "ASP001" for d in compiled.sink)
         assert set(compiled.nha_by_structure()) == {"A", "B", "C"}
+
+
+def _count_model(pattern: str) -> str:
+    return f"""
+model counts {{
+  param n = 256
+  data A {{ elements: n, element_size: 8, pattern {pattern} }}
+  kernel k {{ iterations: 1, time: 1.0 }}
+}}
+""" + MACHINE
+
+
+#: Count property -> (pattern declaring it as a fraction, its value).
+FRACTIONAL_COUNTS = {
+    "stride": ("streaming { stride: 1.5 }", "1.5"),
+    "sweeps": ("streaming { sweeps: 5/2 }", "2.5"),
+    "iterations": ("random { distinct: 4, iterations: 10.5 }", "10.5"),
+    "repeats": ("template { repeats: 2.5, refs: (A[0], A[9]) }", "2.5"),
+    "interfering": ("reuse { interfering: 100.5 }", "100.5"),
+    "reuses": ("reuse { reuses: 1.5 }", "1.5"),
+}
+
+
+class TestFractionalCounts:
+    """A count written as a fraction is an error, never truncated."""
+
+    @pytest.mark.parametrize("prop", sorted(FRACTIONAL_COUNTS))
+    def test_strict_raises_naming_the_value(self, prop):
+        pattern, value = FRACTIONAL_COUNTS[prop]
+        with pytest.raises(PatternError, match=f"'{prop}'.*got {value}$"):
+            compile_source(_count_model(pattern))
+
+    @pytest.mark.parametrize("prop", sorted(FRACTIONAL_COUNTS))
+    def test_lenient_degrades_with_asp304(self, prop):
+        pattern, _ = FRACTIONAL_COUNTS[prop]
+        compiled = compile_source(_count_model(pattern), mode="lenient")
+        assert compiled.degraded_structures() == {"A"}
+        (diagnostic,) = [d for d in compiled.sink if d.code == "ASP304"]
+        assert diagnostic.structure == "A" and repr(prop) in diagnostic.message
+
+    def test_fraction_below_one_names_the_value_written(self):
+        with pytest.raises(PatternError, match="got 0.5$"):
+            compile_source(
+                _count_model("template { repeats: 0.5, refs: (A[0], A[9]) }")
+            )
+
+    def test_whole_number_floats_stay_valid(self):
+        def nha(repeats):
+            return compile_source(
+                _count_model(f"template {{ repeats: {repeats}, refs: (A[0]) }}")
+            ).nha_by_structure()
+
+        assert nha("6/3") == nha("2.0") == nha("2")
 
 
 class TestReportFlags:

@@ -1,6 +1,7 @@
 """Tests for the DVF-vs-fault-injection comparison experiment."""
 
 import math
+import multiprocessing
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.experiments.fi_comparison import (
     run_fi_comparison,
 )
 from repro.experiments.runner import main
+from repro.faultinject.executor import ProcessTrialExecutor, Worker
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,56 @@ class TestComparison:
             model_seconds=0.01,
         )
         assert row.cost_ratio == pytest.approx(200.0)
+
+
+class TestSharedExecutor:
+    """One process executor serves every kernel's campaign."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        forks = []
+        init = Worker.__init__
+
+        def counting_init(worker, fn):
+            forks.append(fn)
+            init(worker, fn)
+
+        monkeypatch.setattr(Worker, "__init__", counting_init)
+        return forks
+
+    @pytest.fixture
+    def new_children(self):
+        # Children started by earlier tests (a shard pool) are not ours.
+        before = set(multiprocessing.active_children())
+        return lambda: [
+            p for p in multiprocessing.active_children() if p not in before
+        ]
+
+    def test_workers_forked_once_per_comparison(self, forks, new_children):
+        rows = run_fi_comparison(trials=20, seed=0, jobs=2, timeout=120)
+        assert [r.kernel for r in rows] == ["VM", "CG", "FT", "MC"]
+        assert len(forks) == 2
+        assert new_children() == []
+
+    def test_interrupted_comparison_closes_the_executor(
+        self, forks, new_children, monkeypatch
+    ):
+        run_batch = ProcessTrialExecutor.run_batch
+        calls = []
+
+        def interrupt_third_wave(executor, specs):
+            calls.append(specs)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return run_batch(executor, specs)
+
+        monkeypatch.setattr(
+            ProcessTrialExecutor, "run_batch", interrupt_third_wave
+        )
+        rows = run_fi_comparison(trials=20, seed=0, jobs=2, timeout=120)
+        assert rows == []  # VM's campaign came back incomplete
+        assert len(forks) == 2
+        assert new_children() == []
 
 
 class TestRunnerIntegration:

@@ -5,7 +5,8 @@ import pytest
 from barnes_hut_reference import _force_walk, _QuadTree
 
 from repro.cachesim import PAPER_CACHES, simulate_trace
-from repro.kernels import BarnesHutKernel, Workload
+from repro.core import AnalyzerConfig, DVFAnalyzer
+from repro.kernels import BarnesHutKernel, Workload, barnes_hut
 from repro.kernels.barnes_hut import _build_tree
 from repro.trace import TraceRecorder
 
@@ -221,6 +222,32 @@ class TestProfiling:
         a = kernel.profile_frequencies(workload)
         b = kernel.profile_frequencies(workload)
         assert a is b
+
+    @pytest.mark.parametrize("k", [None, 41.5], ids=["profiled-k", "given-k"])
+    def test_one_analysis_builds_the_only_tree(self, kernel, monkeypatch, k):
+        # The memos live for the process: start this workload's empty.
+        monkeypatch.setattr(BarnesHutKernel, "_freq_cache", {})
+        monkeypatch.setattr(BarnesHutKernel, "_size_cache", {})
+        builds = []
+
+        def counting_build(*args):
+            builds.append(args)
+            return _build_tree(*args)
+
+        monkeypatch.setattr(barnes_hut, "_build_tree", counting_build)
+        workload = Workload("t", {"n": 300, "theta": 0.5, "k": k})
+
+        def analyze(cache):
+            config = AnalyzerConfig(geometry=PAPER_CACHES[cache])
+            DVFAnalyzer(config).analyze(kernel, workload)
+
+        analyze("small")
+        assert len(builds) == 1
+        for cache in ("large", "16KB", "8MB"):
+            analyze(cache)
+        kernel.data_structures(workload)
+        kernel.aspen_source(workload)
+        assert len(builds) == 1
 
     def test_memoised_frequencies_are_read_only(self, kernel, workload):
         # One array serves every later caller in the process (every NB
