@@ -38,7 +38,6 @@ from repro.aspen.machine import MachineModel
 from repro.aspen.appmodel import AppModel, DataModel, KernelModel
 from repro.aspen.analysis import validate
 from repro.aspen.compiler import CompiledModel, compile_model, compile_source
-from repro.aspen.printer import format_expr, unparse
 from repro.aspen.builtin import (
     DSL_KERNELS,
     MACHINE_LIBRARY,
@@ -65,8 +64,6 @@ __all__ = [
     "CompiledModel",
     "compile_model",
     "compile_source",
-    "unparse",
-    "format_expr",
     "builtin_source",
     "all_builtin_sources",
     "DSL_KERNELS",

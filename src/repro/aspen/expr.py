@@ -123,7 +123,17 @@ class BinOp(Expr):
                 raise AspenEvalError(f"modulo by zero in {self}")
             return math.fmod(lhs, rhs)
         if self.op == "^":
-            return lhs**rhs
+            try:
+                value = lhs**rhs
+            except OverflowError:
+                raise AspenEvalError(f"overflow in {self}") from None
+            except ZeroDivisionError:
+                raise AspenEvalError(
+                    f"zero to a negative power in {self}"
+                ) from None
+            if isinstance(value, complex):
+                raise AspenEvalError(f"complex result in {self}")
+            return value
         raise AspenEvalError(f"unknown operator {self.op!r}")
 
     def free_names(self) -> set[str]:
@@ -149,8 +159,8 @@ class Call(Expr):
         values = [arg.evaluate(env) for arg in self.args]
         try:
             return float(fn(*values))
-        except TypeError as exc:
-            raise AspenEvalError(f"bad call {self.func}(...): {exc}") from None
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise AspenEvalError(f"bad call {self}: {exc}") from None
 
     def free_names(self) -> set[str]:
         names: set[str] = set()
@@ -165,6 +175,8 @@ class Call(Expr):
 def evaluate_int(expr: Expr, env: Mapping[str, float], what: str = "value") -> int:
     """Evaluate an expression that must come out a (near-)integer."""
     value = expr.evaluate(env)
+    if not math.isfinite(value):
+        raise AspenEvalError(f"{what} must be finite, got {value} from {expr}")
     rounded = round(value)
     if abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
         raise AspenEvalError(f"{what} must be an integer, got {value} from {expr}")

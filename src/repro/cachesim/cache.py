@@ -75,7 +75,6 @@ class SetAssociativeCache:
         ]
         self._num_sets = geometry.num_sets
         self._ways = geometry.associativity
-        self._line_size = geometry.line_size
         #: Line touches so far; the current touch's step number.
         self.clock = 0
         if policy == "random":
@@ -135,46 +134,3 @@ class SetAssociativeCache:
             if not self.access_line(line_id, is_write, label):
                 misses += 1
         return misses
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def resident_lines(self) -> int:
-        """Number of lines currently resident in the whole cache."""
-        return sum(len(s) for s in self._sets)
-
-    def resident_lines_for(self, label: str) -> int:
-        """Number of resident lines owned by ``label``."""
-        return sum(
-            1 for s in self._sets for line in s.values() if line.label == label
-        )
-
-    def contains(self, address: int) -> bool:
-        """Whether the line holding ``address`` is resident."""
-        line_id = address // self._line_size
-        return (line_id // self._num_sets) in self._sets[line_id % self._num_sets]
-
-    def flush(self) -> int:
-        """Evict everything; returns the number of dirty-line writebacks.
-
-        Writebacks are charged to the owning labels, matching an
-        end-of-run cache drain, and every line's residency ends at the
-        current step.
-        """
-        writebacks = 0
-        for cache_set in self._sets:
-            for line in cache_set.values():
-                stats = self.stats.label(line.label)
-                if line.dirty:
-                    stats.writebacks += 1
-                    writebacks += 1
-                stats.evictions += 1
-                stats.residency += self.clock
-            cache_set.clear()
-        return writebacks
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SetAssociativeCache({self.geometry.describe()}, "
-            f"resident={self.resident_lines()})"
-        )

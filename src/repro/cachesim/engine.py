@@ -283,42 +283,6 @@ class ArrayLRUEngine:
         self._label_ids = {name: i for i, name in enumerate(self._labels)}
 
     # ------------------------------------------------------------------
-    # introspection (oracle-comparable)
-    # ------------------------------------------------------------------
-    def resident_lines(self) -> int:
-        """Number of lines currently resident in the whole cache."""
-        return int(np.count_nonzero(self._tags != -1))
-
-    def resident_lines_for(self, label: str) -> int:
-        """Number of resident lines owned by ``label``."""
-        lid = self._label_ids.get(label)
-        if lid is None:
-            return 0
-        return int(
-            np.count_nonzero((self._tags != -1) & (self._label == lid))
-        )
-
-    def flush(self, stats: CacheStats) -> int:
-        """Evict everything, charging writebacks for dirty lines.
-
-        Every resident line's residency ends at the current step.
-        """
-        valid = self._tags != -1
-        n_labels = len(self._labels)
-        resident = np.bincount(self._label[valid], minlength=n_labels)
-        dirty = np.bincount(
-            self._label[valid & self._dirty], minlength=n_labels
-        )
-        for lid in np.flatnonzero(resident):
-            counters = stats.label(self._labels[lid])
-            counters.writebacks += int(dirty[lid])
-            counters.evictions += int(resident[lid])
-            counters.residency += int(resident[lid]) * self.clock
-        self._tags[:] = -1
-        self._age[:] = _NO_AGE
-        return int(dirty.sum())
-
-    # ------------------------------------------------------------------
     # batched replay
     # ------------------------------------------------------------------
     def replay(

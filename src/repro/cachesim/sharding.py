@@ -39,8 +39,7 @@ pool spawned per call, and lost 6x to the overhead):
   shared block is unlinked in a ``finally`` either way.
 
 Each shard engine allocates the full geometry but only ever touches its
-own sets, so a flush or resident-line count over all shards partitions
-the cache exactly.  ``num_shards`` is clamped to ``num_sets``: for K >=
+own sets, so the shards partition the cache exactly.  ``num_shards`` is clamped to ``num_sets``: for K >=
 num_sets every set index satisfies ``set % K == set == set %
 num_sets``, so the clamp is behaviour-identical and merely avoids
 spawning shards that cannot own a set.
@@ -355,18 +354,3 @@ class ShardedLRUSimulator:
             stats.merge(shard_stats)
             transport["state_back_bytes"] += _state_nbytes(diff)
         return True
-
-    # ------------------------------------------------------------------
-    def flush(self, stats: CacheStats) -> int:
-        """Evict every shard, charging writebacks for dirty lines."""
-        return sum(engine.flush(stats) for engine in self._engines)
-
-    def resident_lines(self) -> int:
-        """Resident lines over all shards (shards hold disjoint sets)."""
-        return sum(engine.resident_lines() for engine in self._engines)
-
-    def resident_lines_for(self, label: str) -> int:
-        """Resident lines owned by ``label`` over all shards."""
-        return sum(
-            engine.resident_lines_for(label) for engine in self._engines
-        )

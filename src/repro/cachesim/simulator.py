@@ -202,19 +202,6 @@ class CacheSimulator:
         resident = counters.misses - counters.evictions
         return (counters.residency + resident * steps) / steps
 
-    # -- introspection ---------------------------------------------------
-    def resident_lines(self) -> int:
-        """Number of lines currently resident in the cache."""
-        if self._array is not None:
-            return self._array.resident_lines()
-        return self.cache.resident_lines()
-
-    def resident_lines_for(self, label: str) -> int:
-        """Number of resident lines owned by ``label``."""
-        if self._array is not None:
-            return self._array.resident_lines_for(label)
-        return self.cache.resident_lines_for(label)
-
     # -- trace replay ----------------------------------------------------
     def run(self, trace) -> CacheStats:
         """Simulate a trace; returns the accumulated stats object.
@@ -301,17 +288,10 @@ class CacheSimulator:
             access(line_id, is_write, labels[lid])
         return self._stats
 
-    def flush(self) -> int:
-        """Drain the cache, charging writebacks for dirty lines."""
-        if self._array is not None:
-            return self._array.flush(self._stats)
-        return self.cache.flush()
-
 
 def simulate_trace(
     trace,
     geometry: CacheGeometry,
-    flush_at_end: bool = False,
     policy: str = "lru",
     engine: str = "auto",
     shards: int = 1,
@@ -321,14 +301,10 @@ def simulate_trace(
 
     ``trace`` may be a :class:`ReferenceTrace` or a chunk iterator (see
     :meth:`CacheSimulator.run`); ``policy``/``engine``/``shards``/
-    ``jobs`` configure the :class:`CacheSimulator`, and ``flush_at_end``
-    drains it afterwards.  Replay is exact: every reference goes
-    through the cache.
+    ``jobs`` configure the :class:`CacheSimulator`.  Replay is exact:
+    every reference goes through the cache.
     """
     sim = CacheSimulator(
         geometry, policy=policy, engine=engine, shards=shards, jobs=jobs
     )
-    sim.run(trace)
-    if flush_at_end:
-        sim.flush()
-    return sim.stats
+    return sim.run(trace)

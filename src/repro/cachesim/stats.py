@@ -27,7 +27,7 @@ class LabelStats:
     hits: int = 0
     misses: int = 0
     writebacks: int = 0
-    #: Lines of this label evicted, by a miss or by a flush.
+    #: Lines of this label evicted by a miss.
     evictions: int = 0
     #: Σ eviction steps − Σ insertion steps of this label's lines.
     residency: int = 0
@@ -36,11 +36,6 @@ class LabelStats:
     def accesses(self) -> int:
         """Total cache accesses (hits + misses)."""
         return self.hits + self.misses
-
-    @property
-    def memory_accesses(self) -> int:
-        """Total main-memory transactions (misses + writebacks)."""
-        return self.misses + self.writebacks
 
     def merge(self, other: "LabelStats") -> None:
         """Accumulate ``other`` into this counter set."""
@@ -69,11 +64,6 @@ class CacheStats:
         """Miss count for one label (0 if the label never appeared)."""
         stats = self.by_label.get(name)
         return stats.misses if stats else 0
-
-    def memory_accesses(self, name: str) -> int:
-        """Misses + writebacks for one label."""
-        stats = self.by_label.get(name)
-        return stats.memory_accesses if stats else 0
 
     @property
     def total(self) -> LabelStats:

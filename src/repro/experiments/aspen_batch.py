@@ -76,7 +76,9 @@ def evaluate_source(
     """Evaluate one Aspen source into a :class:`BatchEntry`.
 
     Strict mode propagates the first error; lenient mode always returns
-    an entry — degraded report or diagnosed failure.
+    an entry — degraded report or diagnosed failure, including when the
+    source lacks the one model or the named machine it is evaluated on
+    (the ``KeyError`` strict mode raises).
     """
     check_mode(mode)
     sink = DiagnosticSink()
@@ -89,15 +91,17 @@ def evaluate_source(
             sink=sink if mode == "lenient" else None,
         )
         report = compiled_report(compiled, application=label)
-    except (AspenError, PatternError, ValueError) as exc:
+    except (AspenError, PatternError, ValueError, KeyError) as exc:
         if mode == "strict":
             raise
+        # str() of a KeyError would quote its message.
+        error = exc.args[0] if isinstance(exc, KeyError) else str(exc)
         sink.error(
             "ASP305",
-            f"model {label!r} could not be evaluated: {exc}",
+            f"model {label!r} could not be evaluated: {error}",
         )
         return BatchEntry(
-            label=label, report=None, error=str(exc), diagnostics=tuple(sink)
+            label=label, report=None, error=error, diagnostics=tuple(sink)
         )
     return BatchEntry(
         label=label, report=report, diagnostics=report.diagnostics

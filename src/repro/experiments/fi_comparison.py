@@ -60,8 +60,12 @@ FI_WORKLOADS = {
 }
 
 
+#: The injectable kernels the ``fi`` command compares, in table order.
+FI_KERNELS = ("VM", "CG", "FT", "MC")
+
+
 def run_fi_comparison(
-    kernels: tuple[str, ...] = ("VM", "CG", "FT", "MC"),
+    kernels: tuple[str, ...] = FI_KERNELS,
     tier: str = "test",
     trials: int = 200,
     seed: int = 0,
@@ -71,13 +75,15 @@ def run_fi_comparison(
 ) -> list[FIComparisonRow]:
     """Run campaigns and compare against DVF for injectable kernels.
 
-    ``jobs``/``timeout`` route the campaigns through the crash-isolated
-    process executor; one executor serves every kernel's campaign, so
-    its workers are forked once per comparison.  ``checkpoint_dir``
-    journals each kernel's campaign to ``<dir>/<kernel>.jsonl`` and
-    resumes from any journal already there, so an interrupted comparison
-    re-runs only what is missing.  On Ctrl-C the completed rows are
-    returned (the current campaign having flushed its checkpoint first).
+    Returns one row per kernel, in ``kernels`` order.  ``jobs``/
+    ``timeout`` route the campaigns through the crash-isolated process
+    executor; one executor serves every kernel's campaign, so its
+    workers are forked once per comparison.  ``checkpoint_dir`` journals
+    each kernel's campaign to ``<dir>/<kernel>.jsonl`` and resumes from
+    any journal already there, so an interrupted comparison re-runs only
+    what is missing.  On Ctrl-C, inside a campaign (which flushes its
+    checkpoint first) or between two, the finished rows are returned:
+    fewer rows than ``kernels`` means the comparison was interrupted.
     """
     analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["8MB"]))
     rows: list[FIComparisonRow] = []
@@ -122,6 +128,10 @@ def run_fi_comparison(
                     model_seconds=model_seconds,
                 )
             )
+    except KeyboardInterrupt:
+        # Between campaigns: the finished rows stand, as they do when a
+        # campaign comes back incomplete.
+        pass
     finally:
         executor.close()
     return rows

@@ -24,8 +24,9 @@ worker pool with retry/backoff, and journaled resume.
 Exit codes: 0 success, 2 argparse usage error, 3 a fault-injection
 campaign was resumed against a mismatched checkpoint journal (or an
 unusable ``--resume`` path), 4 a checkpoint journal was
-unreadable/corrupt; the service adds 1 (jobs failed) and 130
-(interrupted).
+unreadable/corrupt, 130 ``fi`` interrupted by Ctrl-C (after printing
+the kernels it finished); the service adds 1 (jobs failed) and also
+exits 130 when interrupted.
 """
 
 from __future__ import annotations
@@ -38,6 +39,15 @@ import time
 #: the fail-soft pipeline: a resume gone wrong is diagnosable by code).
 EXIT_CHECKPOINT_MISMATCH = 3
 EXIT_CHECKPOINT_CORRUPT = 4
+EXIT_INTERRUPTED = 130
+
+
+class _Interrupted(Exception):
+    """Ctrl-C stopped a command; ``output`` is what it finished."""
+
+    def __init__(self, output: str):
+        super().__init__(output)
+        self.output = output
 
 
 def _fig4(args) -> str:
@@ -70,6 +80,7 @@ def _fig7(args) -> str:
 
 def _fi(args) -> str:
     from repro.experiments.fi_comparison import (
+        FI_KERNELS,
         render_fi_comparison,
         run_fi_comparison,
     )
@@ -81,15 +92,17 @@ def _fi(args) -> str:
         if os.path.exists(resume_dir) and not os.path.isdir(resume_dir):
             raise NotADirectoryError(resume_dir)
     trials = 200 if args.tier != "test" else 100
-    return render_fi_comparison(
-        run_fi_comparison(
-            tier="test",
-            trials=trials,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            checkpoint_dir=args.resume,
-        )
+    rows = run_fi_comparison(
+        tier="test",
+        trials=trials,
+        jobs=args.jobs,
+        timeout=args.timeout,
+        checkpoint_dir=args.resume,
     )
+    output = render_fi_comparison(rows)
+    if len(rows) < len(FI_KERNELS):
+        raise _Interrupted(output)
+    return output
 
 
 def _sensitivity(args) -> str:
@@ -201,6 +214,10 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         try:
             output = _COMMANDS[name](args)
+        except _Interrupted as exc:
+            print(exc.output)
+            print(f"[{name} interrupted]", file=sys.stderr)
+            return EXIT_INTERRUPTED
         except CheckpointMismatch as exc:
             print(
                 f"checkpoint mismatch: the journal under --resume was "

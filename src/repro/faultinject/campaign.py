@@ -182,14 +182,13 @@ def run_campaign(
     if executor is None:
         executor = make_executor(jobs=jobs, timeout=timeout)
 
-    start = time.perf_counter()
-    reference = target.run(workload, None, 0.0, reference_rng(seed))
-    reference_seconds = time.perf_counter() - start
-
     rows: list[StructureStats] = []
     complete = True
-    campaign_start = time.perf_counter()
     try:
+        start = time.perf_counter()
+        reference = target.run(workload, None, 0.0, reference_rng(seed))
+        reference_seconds = time.perf_counter() - start
+        campaign_start = time.perf_counter()
         for structure in chosen:
             stats, interrupted = _run_structure(
                 target,

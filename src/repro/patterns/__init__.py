@@ -19,7 +19,6 @@ Every pattern implements
 
 from repro.patterns.base import AccessPattern, PatternError, WorstCaseAccess
 from repro.patterns.streaming import StreamingAccess
-from repro.patterns.binary_search import BinarySearchAccess
 from repro.patterns.random_access import (
     RandomAccess,
     WorkingSetRandomAccess,
@@ -42,7 +41,6 @@ __all__ = [
     "StreamingAccess",
     "RandomAccess",
     "WorkingSetRandomAccess",
-    "BinarySearchAccess",
     "split_cache_ratio",
     "TemplateAccess",
     "SweepTemplate",

@@ -12,7 +12,8 @@ contract keeps the failure semantics sharp:
   "diagnostics": [...]}`` for every exception in
   :data:`DETERMINISTIC_EXCEPTIONS` (Aspen syntax/semantic/evaluation
   errors, pattern/estimator errors, cache-engine contract violations,
-  scenario mistakes) — these are deterministic facts about the job,
+  scenario mistakes, arithmetic overflow or division by zero on the
+  job's inputs) — these are deterministic facts about the job,
   so the record is final and the supervisor dead-letters it without
   retry;
 * anything else escaping — a segfault, OOM kill, ``os._exit``, an
@@ -50,7 +51,7 @@ DETERMINISTIC_EXCEPTIONS: tuple[type[BaseException], ...] = (
     ValueError,
     TypeError,
     KeyError,
-    ZeroDivisionError,
+    ArithmeticError,
 )
 
 

@@ -19,14 +19,13 @@ replace binary instrumentation with an explicit recording layer:
 from repro.trace.address_space import AddressSpace, Segment
 from repro.trace.cache import TraceCache, as_trace_cache, trace_key
 from repro.trace.recorder import TraceRecorder
-from repro.trace.reference import MemoryReference, ReferenceTrace, iter_chunks
+from repro.trace.reference import ReferenceTrace, iter_chunks
 from repro.trace.io import TRACE_SCHEMA_VERSION, load_trace, save_trace
 
 __all__ = [
     "AddressSpace",
     "Segment",
     "TraceRecorder",
-    "MemoryReference",
     "ReferenceTrace",
     "iter_chunks",
     "TraceCache",

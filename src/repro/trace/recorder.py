@@ -84,7 +84,7 @@ class TraceRecorder:
     >>> seg = rec.allocate("A", num_elements=100, element_size=8)
     >>> rec.record_elements("A", [3, 4], is_write=False)
     >>> trace = rec.finish()
-    >>> trace.count_for("A")
+    >>> len(trace)
     2
     """
 

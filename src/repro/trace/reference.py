@@ -1,33 +1,10 @@
-"""Memory-reference records and columnar trace containers."""
+"""Columnar memory-reference traces."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-
-
-@dataclass(frozen=True, slots=True)
-class MemoryReference:
-    """One memory reference, as Pin would report it.
-
-    Attributes
-    ----------
-    address:
-        Byte address of the access.
-    size:
-        Access width in bytes.
-    is_write:
-        True for stores, False for loads.
-    label:
-        Owning data-structure name.
-    """
-
-    address: int
-    size: int
-    is_write: bool
-    label: str
 
 
 class ReferenceTrace:
@@ -61,18 +38,6 @@ class ReferenceTrace:
     def __len__(self) -> int:
         return len(self.addresses)
 
-    def __iter__(self) -> Iterator[MemoryReference]:
-        for i in range(len(self)):
-            yield self[i]
-
-    def __getitem__(self, i: int) -> MemoryReference:
-        return MemoryReference(
-            address=int(self.addresses[i]),
-            size=int(self.sizes[i]),
-            is_write=bool(self.is_write[i]),
-            label=self.labels[self.label_ids[i]],
-        )
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -85,10 +50,6 @@ class ReferenceTrace:
                 f"label {label!r} not in trace (has {self.labels})"
             ) from None
 
-    def count_for(self, label: str) -> int:
-        """Number of references touching ``label``."""
-        return int(np.count_nonzero(self.label_ids == self.label_id(label)))
-
     def filter_label(self, label: str) -> "ReferenceTrace":
         """Sub-trace containing only references to ``label``."""
         mask = self.label_ids == self.label_id(label)
@@ -100,36 +61,10 @@ class ReferenceTrace:
             [label],
         )
 
-    def counts_by_label(self) -> dict[str, int]:
-        """Reference counts per label."""
-        counts = np.bincount(self.label_ids, minlength=len(self.labels))
-        return {name: int(counts[i]) for i, name in enumerate(self.labels)}
-
     def write_fraction(self) -> float:
         """Fraction of references that are stores (0.0 for empty traces)."""
         n = len(self)
         return float(np.count_nonzero(self.is_write)) / n if n else 0.0
-
-    def concat(self, other: "ReferenceTrace") -> "ReferenceTrace":
-        """Concatenate two traces, merging label tables."""
-        remap = np.empty(len(other.labels), dtype=np.int32)
-        labels = list(self.labels)
-        for i, name in enumerate(other.labels):
-            if name in labels:
-                remap[i] = labels.index(name)
-            else:
-                remap[i] = len(labels)
-                labels.append(name)
-        return ReferenceTrace(
-            np.concatenate([self.addresses, other.addresses]),
-            np.concatenate([self.sizes, other.sizes]),
-            np.concatenate([self.is_write, other.is_write]),
-            np.concatenate(
-                [self.label_ids, remap[other.label_ids]] if len(other) else
-                [self.label_ids, other.label_ids]
-            ),
-            labels,
-        )
 
     def slice_refs(self, start: int, stop: int) -> "ReferenceTrace":
         """Zero-copy sub-trace of references ``[start, stop)``.
@@ -145,13 +80,6 @@ class ReferenceTrace:
             self.label_ids[start:stop],
             self.labels,
         )
-
-    @staticmethod
-    def empty() -> "ReferenceTrace":
-        """A zero-length trace."""
-        z = np.empty(0, dtype=np.int64)
-        return ReferenceTrace(z, z.copy(), np.empty(0, dtype=bool),
-                              np.empty(0, dtype=np.int32), [])
 
 
 def iter_chunks(

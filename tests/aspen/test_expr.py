@@ -61,6 +61,14 @@ class TestEvaluation:
         with pytest.raises(AspenEvalError):
             evaluate("1 % 0")
 
+    @pytest.mark.parametrize("text", ["2 ^ 2000", "0 ^ -1", "(-8) ^ 0.5"])
+    def test_power_failure_names_the_expression(self, text):
+        # Overflow, a zero base with a negative exponent and a complex
+        # result would otherwise escape as OverflowError,
+        # ZeroDivisionError or a complex number.
+        with pytest.raises(AspenEvalError, match=r"\^"):
+            evaluate(text)
+
 
 class TestFunctions:
     @pytest.mark.parametrize(
@@ -90,6 +98,13 @@ class TestFunctions:
         with pytest.raises(AspenEvalError):
             evaluate("sqrt(1, 2)")
 
+    @pytest.mark.parametrize(
+        "text", ["pow(2, 2000)", "ceil(1e400)", "sqrt(-1)", "log(0)"]
+    )
+    def test_arithmetic_failure_names_the_call(self, text):
+        with pytest.raises(AspenEvalError, match=text.split("(")[0]):
+            evaluate(text)
+
 
 class TestFreeNames:
     def test_collects_variables(self):
@@ -110,6 +125,12 @@ class TestEvaluateInt:
 
     def test_large_integer_tolerance(self):
         assert evaluate_int(parse_expr("1e6"), {}) == 1_000_000
+
+    @pytest.mark.parametrize("text", ["1e400", "1e400 - 1e400"])
+    def test_rejects_non_finite(self, text):
+        # round() would raise OverflowError on inf, ValueError on nan.
+        with pytest.raises(AspenEvalError, match="elements must be finite"):
+            evaluate_int(parse_expr(text), {}, "elements")
 
 
 class TestStructuralEquality:

@@ -11,11 +11,16 @@ import math
 import pytest
 
 from repro.aspen import DiagnosticSink, compile_source
-from repro.aspen.errors import AspenSemanticError, AspenSyntaxError
+from repro.aspen.errors import (
+    AspenEvalError,
+    AspenSemanticError,
+    AspenSyntaxError,
+)
 from repro.patterns import PatternError
 from repro.experiments.aspen_batch import (
     compiled_report,
     evaluate_batch,
+    evaluate_source,
     render_aspen_batch,
     run_aspen_batch,
 )
@@ -227,6 +232,42 @@ class TestBatch:
         )
         text = render_aspen_batch(entries)
         assert "2 models, 0 failed, 1 with degraded structures" in text
+
+
+def overflowing_model(n):
+    return f"""
+model huge {{
+  param n = {n}
+  data A {{ elements: n, element_size: 8, pattern streaming {{ }} }}
+  kernel k {{ iterations: 1, time: 1.0 }}
+}}
+""" + MACHINE
+
+
+class TestInputErrors:
+    """Inputs that are errors in strict mode and entries in lenient mode."""
+
+    @pytest.mark.parametrize("n", ["1e400", "2 ^ 2000"])
+    def test_overflow_is_an_eval_error(self, n):
+        with pytest.raises(AspenEvalError):
+            evaluate_source("huge", overflowing_model(n), mode="strict")
+        entry = evaluate_source("huge", overflowing_model(n), mode="lenient")
+        assert "ASP211" in {d.code for d in entry.diagnostics}
+
+    @pytest.mark.parametrize("source, machine, message", [
+        pytest.param(VALID_MODEL, "nowhere", "no machine named 'nowhere'",
+                     id="unknown-machine"),
+        pytest.param(MACHINE, None, "exactly one model", id="no-model"),
+        pytest.param(VALID_MODEL + VALID_MODEL.replace("fine", "other"),
+                     None, "exactly one model", id="two-models"),
+    ])
+    def test_lookup_failure(self, source, machine, message):
+        with pytest.raises(KeyError, match=message):
+            evaluate_source("x", source, machine=machine, mode="strict")
+        entry = evaluate_source("x", source, machine=machine, mode="lenient")
+        assert not entry.ok
+        assert message in entry.error
+        assert [d.code for d in entry.diagnostics] == ["ASP305"]
 
 
 class TestSinkSharing:

@@ -3,9 +3,9 @@
 The batched :class:`~repro.cachesim.engine.ArrayLRUEngine` must be
 bit-identical to :class:`~repro.cachesim.cache.SetAssociativeCache` —
 not approximately equal: per-label hits, misses, writebacks, eviction
-counts, residency integrals, and post-flush state all match exactly on
-seeded randomized traces across geometries, chunk sizes, and both
-in-chunk replay kernels (wave and stack-rank).
+counts, residency integrals, and the lines a drain evicts all match
+exactly on seeded randomized traces across geometries, chunk sizes, and
+both in-chunk replay kernels (wave and stack-rank).
 """
 
 import zlib
@@ -81,27 +81,62 @@ def random_trace(rng, n, n_labels=3, addr_space=1 << 15, max_size=192):
     )
 
 
-def assert_identical(array_sim, ref_sim, labels):
-    """Exact agreement on every observable the oracle exposes.
+def counters(stats, residency=True):
+    """Every label's hits, misses, writebacks, evictions and residency.
 
-    Residency is compared only when both simulators track it.
+    A label's resident line count is ``misses - evictions``, so equal
+    counters mean equal resident lines per label.
     """
-    assert array_sim.stats.as_dict() == ref_sim.stats.as_dict()
-    assert array_sim.resident_lines() == ref_sim.resident_lines()
+    return {
+        name: (s.hits, s.misses, s.writebacks, s.evictions)
+        + ((s.residency,) if residency else ())
+        for name, s in sorted(stats.by_label.items())
+    }
+
+
+def assert_identical(array_sim, ref_sim, labels):
+    """Exact agreement on every counter the oracle keeps.
+
+    Residency is compared only when both simulators track it (sharded
+    replay numbers steps per shard).
+    """
     tracked = array_sim.track_residency and ref_sim.track_residency
-    for label in labels:
-        assert array_sim.resident_lines_for(label) == (
-            ref_sim.resident_lines_for(label)
-        )
-        assert array_sim.stats.by_label[label].evictions == (
-            ref_sim.stats.by_label[label].evictions
-        )
-        if tracked:
+    assert counters(array_sim.stats, tracked) == counters(
+        ref_sim.stats, tracked
+    )
+    if tracked:
+        for label in labels:
             # Residency integrals must match to the last bit (== on
             # floats).
             assert array_sim.average_resident_lines(
                 label
             ) == ref_sim.average_resident_lines(label)
+
+
+def drain(*sims):
+    """Evict every resident line of each LRU simulator by replay.
+
+    ``associativity`` never-seen, clean lines into every set push out
+    every line the cache held, and each eviction charges its label a
+    writeback if the line was dirty.  Equal counters after a drain
+    therefore mean the caches held lines of the same labels with the
+    same dirty bits.
+    """
+    geometry = sims[0].geometry
+    n = geometry.associativity * geometry.num_sets
+    # Far above any address the tests touch; n consecutive lines fill
+    # every set exactly ``associativity`` times.
+    first_line = (1 << 40) // geometry.line_size
+    trace = ReferenceTrace(
+        addresses=(first_line + np.arange(n, dtype=np.int64))
+        * geometry.line_size,
+        sizes=np.ones(n, dtype=np.int64),
+        is_write=np.zeros(n, dtype=bool),
+        label_ids=np.zeros(n, dtype=np.int32),
+        labels=["drain"],
+    )
+    for sim in sims:
+        sim.run(trace)
 
 
 class TestDifferentialRandomized:
@@ -132,9 +167,9 @@ class TestDifferentialRandomized:
             array_sim.run(trace)
             ref_sim.run(trace)
             assert_identical(array_sim, ref_sim, trace.labels)
-            # Flush writes back exactly the same dirty lines.
-            assert array_sim.flush() == ref_sim.flush()
-            assert array_sim.stats.as_dict() == ref_sim.stats.as_dict()
+            # Draining writes back exactly the same dirty lines.
+            drain(array_sim, ref_sim)
+            assert_identical(array_sim, ref_sim, trace.labels)
 
     def test_warm_cache_across_runs_matches_oracle(self):
         rng = np.random.default_rng(11)
@@ -199,8 +234,8 @@ class TestDifferentialRandomized:
             assert_identical(array_sim, ref_sim, ["a", "b"])
         totals = ref_sim.stats.total
         assert (totals.hits, totals.misses, totals.writebacks) == (3, 11, 2)
-        assert array_sim.flush() == ref_sim.flush()
-        assert array_sim.stats.as_dict() == ref_sim.stats.as_dict()
+        drain(array_sim, ref_sim)
+        assert_identical(array_sim, ref_sim, ["a", "b"])
 
     def test_single_access_chunks_match(self):
         # chunk_size=1 degenerates to fully sequential replay; every
@@ -240,8 +275,8 @@ class TestDifferentialRandomized:
         chunked.run(trace)
         ref_sim.run(trace)
         assert_identical(chunked, ref_sim, trace.labels)
-        assert chunked.flush() == ref_sim.flush()
-        assert chunked.stats.as_dict() == ref_sim.stats.as_dict()
+        drain(chunked, ref_sim)
+        assert_identical(chunked, ref_sim, trace.labels)
 
     def test_repeated_same_line_hits_fast_path(self, monkeypatch):
         # Long same-line runs exercise the pre-collapse path.
@@ -275,8 +310,7 @@ class TestEngineSwitch:
         assert isinstance(sim._array, ArrayLRUEngine)
         assert sim.cache is None
         assert (sim.shards, sim.jobs) == (1, 1)
-        assert sim.resident_lines() == 0
-        assert sim.flush() == 0
+        assert sim.stats.by_label == {}
 
     @pytest.mark.parametrize("policy", ["fifo", "random"])
     def test_auto_routes_non_lru_to_reference(self, policy):

@@ -31,7 +31,12 @@ from repro.cachesim.stats import CacheStats
 from repro.trace.io import attach_trace_shm, trace_to_shm
 from repro.trace.reference import ReferenceTrace
 
-from test_engine_differential import GEOMETRIES, assert_identical, random_trace
+from test_engine_differential import (
+    GEOMETRIES,
+    assert_identical,
+    drain,
+    random_trace,
+)
 
 
 def _empty_trace():
@@ -82,15 +87,14 @@ class TestShardedBitIdentity:
             sharded.run(trace)
             assert_identical(sharded, base, trace.labels)
 
-    def test_flush_matches(self):
+    def test_drain_matches(self):
         geometry = CacheGeometry(4, 64, 32)
         trace = random_trace(np.random.default_rng(5), n=1200)
         base, sharded = sharded_pair(geometry, 4)
         base.run(trace)
         sharded.run(trace)
-        assert base.flush() == sharded.flush()
-        assert base.stats.as_dict() == sharded.stats.as_dict()
-        assert sharded.resident_lines() == 0
+        drain(base, sharded)
+        assert_identical(sharded, base, trace.labels)
 
     def test_process_pool_path_matches(self):
         # jobs > 1 routes through ProcessPoolExecutor workers with
@@ -457,4 +461,3 @@ class TestDegenerateRouting:
         )
         sim.run(_empty_trace())
         assert sim.stats.total.accesses == 0
-        assert sim.resident_lines() == 0

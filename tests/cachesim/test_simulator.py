@@ -9,6 +9,8 @@ from repro.cachesim import CacheGeometry, CacheSimulator, simulate_trace
 from repro.cachesim.cache import SetAssociativeCache
 from repro.trace import TraceRecorder
 
+from test_engine_differential import drain
+
 
 def make_trace(indices, element_size=8, num_elements=4096, label="A",
                writes=False):
@@ -52,12 +54,15 @@ class TestSimulatorBasics:
         stats = simulate_trace(rec.finish(), SMALL)
         assert stats.by_label == {} or stats.total.accesses == 0
 
-    def test_write_trace_generates_writebacks_on_flush(self):
+    def test_write_trace_generates_writebacks_on_drain(self):
         rec = TraceRecorder()
         rec.allocate("A", 8, 8)
         rec.record_stream("A", 0, 8, is_write=True)
-        stats = simulate_trace(rec.finish(), SMALL, flush_at_end=True)
-        assert stats.label("A").writebacks == 2  # 64 bytes = 2 lines
+        sim = CacheSimulator(SMALL)
+        sim.run(rec.finish())
+        assert sim.stats.label("A").writebacks == 0
+        drain(sim)
+        assert sim.stats.label("A").writebacks == 2  # 64 bytes = 2 lines
 
     def test_state_persists_across_runs(self):
         sim = CacheSimulator(SMALL)
@@ -96,8 +101,13 @@ class TestSimulatorMatchesScalarCache:
         trace = make_trace(indices, num_elements=512, writes=writes)
         fast = simulate_trace(trace, SMALL)
         slow_cache = SetAssociativeCache(SMALL)
-        for ref in trace:
-            slow_cache.access(ref.address, ref.size, ref.is_write, ref.label)
+        for address, size, is_write, lid in zip(
+            trace.addresses.tolist(),
+            trace.sizes.tolist(),
+            trace.is_write.tolist(),
+            trace.label_ids.tolist(),
+        ):
+            slow_cache.access(address, size, is_write, trace.labels[lid])
         assert fast.as_dict() == slow_cache.stats.as_dict()
 
 
@@ -132,5 +142,7 @@ class TestLRUInvariants:
     @settings(max_examples=30, deadline=None)
     def test_no_writes_no_writebacks(self, indices):
         trace = make_trace(indices, num_elements=128, writes=False)
-        stats = simulate_trace(trace, SMALL, flush_at_end=True)
-        assert stats.label("A").writebacks == 0
+        sim = CacheSimulator(SMALL)
+        sim.run(trace)
+        drain(sim)
+        assert sim.stats.label("A").writebacks == 0

@@ -73,26 +73,23 @@ class TestResidencyTracking:
         assert sim.average_resident_lines("ghost") == 0.0
 
     @pytest.mark.parametrize("engine", ["array", "reference"])
-    def test_flush_ends_residency(self, engine):
-        # A is resident for no step after the flush: touched once at
-        # step 1 and flushed, it averages 0 lines over the 10 steps,
-        # while B holds its line from step 2 to step 10.
-        def touches(label, n):
-            return ReferenceTrace(
-                addresses=np.zeros(n, dtype=np.int64),
-                sizes=np.full(n, 8, dtype=np.int64),
-                is_write=np.zeros(n, dtype=bool),
-                label_ids=np.zeros(n, dtype=np.int32),
-                labels=[label],
-            )
-
+    def test_eviction_ends_residency(self, engine):
+        # A's line is inserted at step 1 and evicted at step 5 by B's
+        # fourth line in set 0, so it holds 4 of the 10 steps; B's lines
+        # go in at steps 2-5 and stay: (8 + 7 + 6 + 5) / 10.
+        lines = [0, 64, 128, 192] + [256] * 6
+        trace = ReferenceTrace(
+            addresses=np.asarray(lines, dtype=np.int64) * SMALL.line_size,
+            sizes=np.full(10, 8, dtype=np.int64),
+            is_write=np.zeros(10, dtype=bool),
+            label_ids=np.asarray([0] + [1] * 9, dtype=np.int32),
+            labels=["A", "B"],
+        )
         sim = CacheSimulator(SMALL, track_residency=True, engine=engine)
-        sim.run(touches("A", 1))
-        sim.flush()
-        sim.run(touches("B", 9))
-        assert sim.resident_lines_for("A") == 0
-        assert sim.average_resident_lines("A") == 0.0
-        assert sim.average_resident_lines("B") == 0.8
+        sim.run(trace)
+        assert sim.stats.label("A").evictions == 1
+        assert sim.average_resident_lines("A") == 0.4
+        assert sim.average_resident_lines("B") == 2.6
 
 
 class TestCacheDVF:

@@ -5,13 +5,19 @@ import multiprocessing
 
 import pytest
 
+from repro.experiments import fi_comparison
 from repro.experiments.fi_comparison import (
     FIComparisonRow,
     render_fi_comparison,
     run_fi_comparison,
 )
 from repro.experiments.runner import main
-from repro.faultinject.executor import ProcessTrialExecutor, Worker
+from repro.faultinject.compare import rank_agreement
+from repro.faultinject.executor import (
+    InProcessExecutor,
+    ProcessTrialExecutor,
+    Worker,
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +117,62 @@ class TestSharedExecutor:
         assert rows == []  # VM's campaign came back incomplete
         assert len(forks) == 2
         assert new_children() == []
+
+
+class TestInterrupt:
+    """Ctrl-C inside or between campaigns: the finished rows, exit 130."""
+
+    @pytest.fixture
+    def interrupt_second_ranking(self, monkeypatch):
+        # Ctrl-C after VM's row, once CG's campaign has finished.
+        calls = []
+
+        def ranking(campaign, report):
+            calls.append(campaign.kernel)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return rank_agreement(campaign, report)
+
+        monkeypatch.setattr(fi_comparison, "rank_agreement", ranking)
+
+    def test_between_campaigns_returns_finished_rows(
+        self, interrupt_second_ranking, tmp_path
+    ):
+        interrupted = tmp_path / "interrupted"
+        rows = run_fi_comparison(trials=20, seed=0, checkpoint_dir=interrupted)
+        assert [r.kernel for r in rows] == ["VM"]
+        resumed = run_fi_comparison(
+            trials=20, seed=0, checkpoint_dir=interrupted
+        )
+        assert [r.kernel for r in resumed] == ["VM", "CG", "FT", "MC"]
+        fresh = tmp_path / "fresh"
+        run_fi_comparison(trials=20, seed=0, checkpoint_dir=fresh)
+        for journal in sorted(fresh.iterdir()):
+            assert (interrupted / journal.name).read_bytes() == (
+                journal.read_bytes()
+            ), journal.name
+
+    def test_runner_exits_130_between_campaigns(
+        self, interrupt_second_ranking, capsys
+    ):
+        assert main(["fi", "--tier", "test"]) == 130
+        captured = capsys.readouterr()
+        assert "VM" in captured.out and "CG" not in captured.out
+        assert "[fi interrupted]" in captured.err
+
+    def test_runner_exits_130_inside_a_campaign(self, monkeypatch, capsys):
+        run_batch = InProcessExecutor.run_batch
+
+        def interrupt_cg(executor, specs):
+            if specs[0].kernel == "CG":
+                raise KeyboardInterrupt
+            return run_batch(executor, specs)
+
+        monkeypatch.setattr(InProcessExecutor, "run_batch", interrupt_cg)
+        assert main(["fi", "--tier", "test"]) == 130
+        captured = capsys.readouterr()
+        assert "VM" in captured.out and "CG" not in captured.out
+        assert "regenerated" not in captured.out
 
 
 class TestRunnerIntegration:

@@ -15,6 +15,7 @@ from repro.faultinject import (
     run_campaign,
     wilson_halfwidth,
 )
+from repro.faultinject import campaign as campaign_module
 from repro.kernels import TEST_WORKLOADS, Workload
 
 
@@ -166,6 +167,29 @@ class TestResume:
         )
         assert resumed.complete
         assert resumed.structures == uninterrupted.structures
+
+    def test_interrupted_reference_run_closes_the_journal(
+        self, tmp_path, monkeypatch
+    ):
+        # Ctrl-C before the first trial, in the fault-free reference run.
+        closed = []
+        close = CheckpointWriter.close
+
+        def recording_close(writer):
+            closed.append(writer)
+            close(writer)
+
+        def interrupted(seed):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(CheckpointWriter, "close", recording_close)
+        monkeypatch.setattr(campaign_module, "reference_rng", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(
+                "VM", TEST_WORKLOADS["VM"], trials=5, seed=3,
+                checkpoint=tmp_path / "vm.jsonl",
+            )
+        assert len(closed) == 1
 
     def test_partial_result_statistics_are_valid(self, tmp_path):
         partial = run_campaign(

@@ -39,11 +39,13 @@ class TestExecution:
     def test_trace_reference_counts(self, kernel, workload):
         trace = kernel.trace(workload)
         # Per element: C read, A read, B read, C write.
-        assert trace.counts_by_label() == {"A": 200, "B": 200, "C": 400}
+        counts = {name: len(trace.filter_label(name)) for name in trace.labels}
+        assert counts == {"A": 200, "B": 200, "C": 400}
 
     def test_trace_order_interleaved(self, kernel, workload):
         trace = kernel.trace(workload)
-        assert [r.label for r in trace][:4] == ["C", "A", "B", "C"]
+        first = [trace.labels[i] for i in trace.label_ids[:4]]
+        assert first == ["C", "A", "B", "C"]
 
     def test_write_fraction(self, kernel, workload):
         trace = kernel.trace(workload)

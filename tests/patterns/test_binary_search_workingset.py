@@ -1,79 +1,19 @@
-"""Tests for BinarySearchAccess and WorkingSetRandomAccess."""
+"""Tests for WorkingSetRandomAccess."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim import CacheGeometry, simulate_trace
+from repro.cachesim import CacheGeometry
 from repro.patterns import (
-    BinarySearchAccess,
     PatternError,
     RandomAccess,
     WorkingSetRandomAccess,
 )
-from repro.trace import TraceRecorder
 
 SMALL = CacheGeometry(4, 64, 32, "small")
 LARGE = CacheGeometry(16, 4096, 64, "large")
-
-
-class TestBinarySearchAccess:
-    def test_resident_table_compulsory_only(self):
-        pattern = BinarySearchAccess(512, 8, lookups=1000)  # 4 KB in 8 KB
-        assert pattern.estimate_accesses(SMALL) == 512 * 8 / 32
-
-    def test_probe_levels(self):
-        assert BinarySearchAccess(1024, 8, 1).probe_levels == 10
-        assert BinarySearchAccess(1000, 8, 1).probe_levels == 10
-        assert BinarySearchAccess(2, 8, 1).probe_levels == 1
-
-    def test_resident_levels_grow_with_cache_share(self):
-        big = BinarySearchAccess(1 << 20, 8, 1, cache_ratio=1.0)
-        small_share = BinarySearchAccess(1 << 20, 8, 1, cache_ratio=0.05)
-        assert big.resident_levels(SMALL) > small_share.resident_levels(SMALL)
-
-    def test_cold_probes_scale_lookups(self):
-        few = BinarySearchAccess(1 << 16, 8, 100)
-        many = BinarySearchAccess(1 << 16, 8, 10_000)
-        extra = many.estimate_accesses(SMALL) - few.estimate_accesses(SMALL)
-        cold = few.cold_probes_per_lookup(SMALL)
-        assert extra == pytest.approx(cold * (10_000 - 100))
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(num_elements=0, element_size=8, lookups=1),
-            dict(num_elements=8, element_size=0, lookups=1),
-            dict(num_elements=8, element_size=8, lookups=-1),
-            dict(num_elements=8, element_size=8, lookups=1, cache_ratio=0),
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(PatternError):
-            BinarySearchAccess(**kwargs)
-
-    def test_against_simulated_binary_search(self):
-        """Probe sequences of real binary searches vs the horizon model."""
-        grid = 16384  # 128 KB >> 8 KB cache
-        lookups = 300
-        rng = np.random.default_rng(0)
-        energies = np.sort(rng.random(grid))
-        rec = TraceRecorder()
-        rec.allocate("G", grid, 8)
-        rec.record_elements("G", np.arange(grid), True)
-        for sample in rng.random(lookups):
-            lo, hi = 0, grid - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                rec.record_elements("G", np.array([mid]), False)
-                if energies[mid] < sample:
-                    lo = mid + 1
-                else:
-                    hi = mid
-        simulated = simulate_trace(rec.finish(), SMALL).label("G").misses
-        estimated = BinarySearchAccess(grid, 8, lookups).estimate_accesses(SMALL)
-        assert estimated == pytest.approx(simulated, rel=0.25)
 
 
 class TestWorkingSetRandomAccess:

@@ -18,7 +18,6 @@ import pytest
 from repro.cachesim import CacheGeometry
 from repro.diagnostics import DiagnosticSink
 from repro.patterns import (
-    BinarySearchAccess,
     CompositeAccessModel,
     PatternError,
     RandomAccess,
@@ -58,15 +57,6 @@ def _draw_random(rng):
         distinct_per_iteration=rng.randint(1, n),
         iterations=rng.randint(1, 20),
         cache_ratio=rng.choice([0.25, 0.5, 1.0]),
-    )
-
-
-def _draw_binary_search(rng):
-    return BinarySearchAccess(
-        num_elements=rng.randint(1, 100000),
-        element_size=rng.choice([4, 8, 16]),
-        lookups=rng.randint(0, 500),
-        cache_ratio=rng.choice([0.5, 1.0]),
     )
 
 
@@ -126,7 +116,6 @@ def _draw_worst_case(rng):
 DRAWS = {
     "streaming": _draw_streaming,
     "random": _draw_random,
-    "binary-search": _draw_binary_search,
     "template": _draw_template,
     "sweep-template": _draw_sweep_template,
     "reuse": _draw_reuse,

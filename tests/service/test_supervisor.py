@@ -19,6 +19,7 @@ from repro.service.scenario import (
     RetryConfig,
     parse_scenario,
 )
+from repro.service import worker
 from repro.service.supervisor import (
     OUTCOME_DEAD_LETTER,
     OUTCOME_EXHAUSTED,
@@ -59,6 +60,28 @@ machine small {
   core { flops: 2.0e9 }
 }
 """
+
+#: ``2 ^ 2000`` overflows a float: an evaluation error like ``8/0``,
+#: not a reason to kill the worker.
+OVERFLOW_MODEL = DIVIDE_BY_ZERO_MODEL.replace("8/0", "2 ^ 2000")
+
+
+class TestExecuteJob:
+    def test_overflow_returns_a_dead_letter_record(self):
+        spec = JobSpec(id="overflow", kind="aspen", options={
+            "source": OVERFLOW_MODEL, "machine": "small", "mode": "strict"})
+        record = worker.execute_job(spec, attempt=1, degraded=False)
+        assert record["ok"] is False
+        assert record["error_code"] == "AspenEvalError"
+        assert "2000" in record["error"]
+
+    def test_kernel_overflow_returns_a_dead_letter_record(self):
+        # JSON reads 1e400 as inf, which VM cannot size an array by.
+        spec = JobSpec(id="huge", kind="kernel", options={
+            "kernel": "VM", "params": {"n": 1e400}})
+        record = worker.execute_job(spec, attempt=1, degraded=False)
+        assert record["ok"] is False
+        assert record["error_code"] == "OverflowError"
 
 
 @needs_fork
@@ -129,6 +152,11 @@ class TestProcessSupervision:
                 "source": DIVIDE_BY_ZERO_MODEL, "machine": "small",
                 "mode": "strict"}),
             "AspenEvalError", id="eval"),
+        pytest.param(
+            JobSpec(id="overflow", kind="aspen", options={
+                "source": OVERFLOW_MODEL, "machine": "small",
+                "mode": "strict"}),
+            "AspenEvalError", id="overflow"),
         pytest.param(_probe("probe", "error"), "ScenarioError", id="probe"),
         pytest.param(
             JobSpec(id="kernel", kind="kernel", options={"kernel": "XX"}),

@@ -53,9 +53,8 @@ class TestPackageSurface:
             ("repro.patterns", ["StreamingAccess", "RandomAccess",
                                 "TemplateAccess", "ReuseAccess",
                                 "CompositeAccessModel",
-                                "WorkingSetRandomAccess",
-                                "BinarySearchAccess"]),
-            ("repro.aspen", ["parse", "compile_source", "unparse",
+                                "WorkingSetRandomAccess"]),
+            ("repro.aspen", ["parse", "compile_source",
                              "builtin_source", "MachineModel"]),
             ("repro.cachesim", ["CacheGeometry", "SetAssociativeCache",
                                 "CacheSimulator", "simulate_trace",

@@ -69,9 +69,7 @@ class TestMissRatioCurve:
             assert curve[blocks] == pytest.approx(expected)
 
     def test_empty_trace(self):
-        from repro.trace import ReferenceTrace
-
-        assert miss_ratio_curve(ReferenceTrace.empty()) == {}
+        assert miss_ratio_curve(TraceRecorder().finish()) == {}
 
 
 class TestFootprintSummary:
