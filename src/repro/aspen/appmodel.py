@@ -109,6 +109,8 @@ class AppModel:
     params: dict[str, float]
     data: dict[str, DataModel]
     kernels: dict[str, KernelModel]
+    #: Data declarations a lenient build could not size, so left out.
+    dropped: tuple[str, ...] = ()
 
     def kernel(self, name: str | None = None) -> KernelModel:
         """The named kernel, or the only kernel when ``name`` is None."""
@@ -193,9 +195,12 @@ def build_app_model(
         env = env2
 
     data: dict[str, DataModel] = {}
+    dropped: list[str] = []
     for d in decl.data:
         built = _build_data(d, env, decl.name, sink)
-        if built is not None:
+        if built is None:
+            dropped.append(d.name)
+        else:
             data[d.name] = built
     kernels: dict[str, KernelModel] = {}
     for k in decl.kernels:
@@ -209,7 +214,13 @@ def build_app_model(
                 f"kernel {k.name!r} dropped: {exc}",
                 span=SourceSpan(k.line, 0),
             )
-    return AppModel(name=decl.name, params=dict(env), data=data, kernels=kernels)
+    return AppModel(
+        name=decl.name,
+        params=dict(env),
+        data=data,
+        kernels=kernels,
+        dropped=tuple(dropped),
+    )
 
 
 def _build_data(

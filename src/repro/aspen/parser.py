@@ -40,7 +40,9 @@ closing brace, or a declaration keyword like ``data`` / ``kernel`` /
 in the source, not just the first.  :func:`parse` keeps the historical
 strict contract (raise :class:`AspenSyntaxError` for the first error);
 :func:`parse_with_diagnostics` exposes the fail-soft path, returning the
-partial :class:`Program` together with the sink.
+partial :class:`Program` together with the sink.  An expression nested
+more than :data:`MAX_EXPR_DEPTH` levels deep is an error (ASP109), not
+a ``RecursionError`` in the parser or in its evaluation.
 """
 
 from __future__ import annotations
@@ -72,6 +74,12 @@ _TOP_KEYWORDS = ("model", "machine")
 #: Keywords that open an item inside a model body.
 _MODEL_ITEM_KEYWORDS = ("param", "data", "kernel")
 
+#: Deepest expression the parser accepts (ASP109).  Parsing and
+#: evaluating recurse once per level, so this keeps both far below the
+#: interpreter's recursion limit, and far above any builtin model's
+#: depth (5).
+MAX_EXPR_DEPTH = 100
+
 
 class _ParsePanic(Exception):
     """Internal control flow: unwind to the nearest recovery point."""
@@ -85,6 +93,8 @@ class _Parser:
         # raises instead of entering panic-mode recovery.
         self.strict = sink is None
         self.sink = DiagnosticSink() if sink is None else sink
+        #: Sub-expressions open around the current token.
+        self.nesting = 0
 
     # -- token helpers -------------------------------------------------
     def peek(self) -> Token:
@@ -487,8 +497,35 @@ class _Parser:
         )
 
     # -- expressions -----------------------------------------------------
+    def too_deep(self, token: Token):
+        self.panic(
+            "ASP109",
+            f"expression nested more than {MAX_EXPR_DEPTH} levels deep",
+            token,
+        )
+
+    def nested(self, parse) -> Expr:
+        """Parse a sub-expression one level deeper, at most MAX_EXPR_DEPTH.
+
+        Parentheses, call arguments, unary operators and ``^`` recurse
+        through here, so their nesting can never exhaust the stack.
+        """
+        if self.nesting >= MAX_EXPR_DEPTH:
+            self.too_deep(self.peek())
+        self.nesting += 1
+        try:
+            return parse()
+        finally:
+            self.nesting -= 1
+
     def parse_expr(self) -> Expr:
-        return self.parse_additive()
+        start = self.peek()
+        expr = self.parse_additive()
+        # A long chain of left-associative operators builds a deep tree
+        # without recursing here; evaluating it would recurse.
+        if self.nesting == 0 and _height(expr) > MAX_EXPR_DEPTH:
+            self.too_deep(start)
+        return expr
 
     def parse_additive(self) -> Expr:
         expr = self.parse_multiplicative()
@@ -516,14 +553,14 @@ class _Parser:
         base = self.parse_unary()
         if self.match(_T.CARET):
             # Right-associative exponentiation.
-            return BinOp("^", base, self.parse_power())
+            return BinOp("^", base, self.nested(self.parse_power))
         return base
 
     def parse_unary(self) -> Expr:
         if self.match(_T.MINUS):
-            return Unary("-", self.parse_unary())
+            return Unary("-", self.nested(self.parse_unary))
         if self.match(_T.PLUS):
-            return Unary("+", self.parse_unary())
+            return Unary("+", self.nested(self.parse_unary))
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
@@ -536,15 +573,15 @@ class _Parser:
             if self.match(_T.LPAREN):
                 args: list[Expr] = []
                 if not self.check(_T.RPAREN):
-                    args.append(self.parse_expr())
+                    args.append(self.nested(self.parse_expr))
                     while self.match(_T.COMMA):
-                        args.append(self.parse_expr())
+                        args.append(self.nested(self.parse_expr))
                 self.expect(_T.RPAREN, "')'")
                 return Call(token.value, tuple(args))
             return Var(token.value)
         if token.type is _T.LPAREN:
             self.advance()
-            expr = self.parse_expr()
+            expr = self.nested(self.parse_expr)
             self.expect(_T.RPAREN, "')'")
             return expr
         self.panic(
@@ -552,6 +589,24 @@ class _Parser:
             f"expected an expression, found {token.value!r}",
             token,
         )
+
+
+def _height(expr: Expr) -> int:
+    """Levels in an expression tree, counted without recursion."""
+    height, stack = 0, [(expr, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        if isinstance(node, BinOp):
+            children: tuple[Expr, ...] = (node.left, node.right)
+        elif isinstance(node, Unary):
+            children = (node.operand,)
+        elif isinstance(node, Call):
+            children = node.args
+        else:
+            children = ()
+        stack.extend((child, level + 1) for child in children)
+    return height
 
 
 def parse_with_diagnostics(

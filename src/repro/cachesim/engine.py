@@ -283,6 +283,39 @@ class ArrayLRUEngine:
         self._label_ids = {name: i for i, name in enumerate(self._labels)}
 
     # ------------------------------------------------------------------
+    # periodic replay
+    # ------------------------------------------------------------------
+    def recency_state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each set's tags, dirty bits and labels, least recent way first.
+
+        Everything a replay's outcome depends on: LRU compares ages
+        only within a set, and a later touch is always younger than
+        every resident line, so two states with equal recency views
+        give the same hits, misses, writebacks, evictions and victims
+        from here on.  Empty ways sort last, as tag ``-1`` with a clear
+        dirty bit and label ``-1``.
+        """
+        order = np.argsort(self._age, axis=1, kind="stable")
+        tags = np.take_along_axis(self._tags, order, axis=1)
+        empty = tags == -1
+        dirty = np.take_along_axis(self._dirty, order, axis=1) & ~empty
+        label = np.take_along_axis(self._label, order, axis=1)
+        label[empty] = -1
+        return tags, dirty, label
+
+    def advance(self, steps: int, since: int) -> None:
+        """Move the clock, and every line last touched after ``since``, on.
+
+        What replaying ``steps`` more touches leaves when they repeat
+        the period that began at clock ``since`` and left the recency
+        state as it found it: each line that period touched is last
+        touched ``steps`` later, and every other line keeps its age.
+        """
+        recent = (self._age > since) & (self._age != _NO_AGE)
+        self._age[recent] += steps
+        self.clock += steps
+
+    # ------------------------------------------------------------------
     # batched replay
     # ------------------------------------------------------------------
     def replay(

@@ -30,6 +30,21 @@ depend on where the chunk boundaries fall, and the replay's working
 memory is O(chunk).  ``benchmarks/harness.py`` records the measured
 engine speedup per kernel in ``BENCH_cachesim.json``.
 
+A :class:`~repro.trace.reference.PeriodicTrace` — one period repeated
+``R`` times — goes through :meth:`CacheSimulator.run_periodic`.  On the
+array engine it replays the period, and after every pass compares the
+engine's recency state (:meth:`~repro.cachesim.engine.ArrayLRUEngine.recency_state`)
+with the one the pass started from.  Once they are equal, every later
+pass repeats the last one: equal state plus equal input gives equal
+output, so this is exact.  The ``m`` passes left add ``m`` times the
+last pass's delta of each counter, and the clock and the ages move on
+by ``m·L`` (``L`` the period's line touches), leaving exactly the state
+a full replay leaves.  Residency needs no more than that: each later
+pass's steps are ``L`` later, which adds ``L·(Δevictions − Δmisses)``
+to its step sum, and that is zero, because equal states hold the same
+number of lines of each label.  The oracle and sharded replay replay
+every pass.
+
 Residency, for the cache-DVF extension, is two more counters per label
 that both engines keep where they count hits, misses and writebacks:
 evictions, and Σ eviction steps − Σ insertion steps (steps number the
@@ -56,7 +71,7 @@ from repro.cachesim.expand import _expand_lines
 from repro.cachesim.pool import effective_cpus
 from repro.cachesim.sharding import ShardedLRUSimulator
 from repro.cachesim.stats import CacheStats
-from repro.trace.reference import ReferenceTrace, iter_chunks
+from repro.trace.reference import PeriodicTrace, ReferenceTrace, iter_chunks
 
 # _expand_lines lives in repro.cachesim.expand (the sharded workers need
 # it without importing this module); run_chunk looks it up as this
@@ -220,6 +235,61 @@ class CacheSimulator:
         for chunk in iter_chunks(trace, self._chunk_size):
             self.run_chunk(chunk)
         return self._stats
+
+    def run_periodic(
+        self, trace: PeriodicTrace, chunk_refs: int | None = None
+    ) -> CacheStats:
+        """Simulate the whole of a periodic trace; see the module docstring.
+
+        The period is cut into ``chunk_refs``-reference chunks
+        (default ``chunk_size``) for :meth:`run_chunk`.  On the array
+        engine, passes stop once the recency state repeats and the rest
+        are added from the last pass's deltas; the oracle and sharded
+        replay replay every pass.  The result does not depend on which.
+        """
+        chunks = list(iter_chunks(
+            trace.period,
+            self._chunk_size if chunk_refs is None else chunk_refs,
+        ))
+        engine = self._array
+        if not isinstance(engine, ArrayLRUEngine):
+            for _ in range(trace.repeats):
+                for chunk in chunks:
+                    self.run_chunk(chunk)
+            return self._stats
+        state = engine.recency_state() if trace.repeats > 1 else None
+        for left in range(trace.repeats - 1, -1, -1):
+            before, since = self._counters(), engine.clock
+            for chunk in chunks:
+                self.run_chunk(chunk)
+            if not left:
+                break
+            previous, state = state, engine.recency_state()
+            if all(map(np.array_equal, previous, state)):
+                self._repeat_last_pass(left, before)
+                engine.advance(left * (engine.clock - since), since)
+                break
+        return self._stats
+
+    def _counters(self) -> dict[str, tuple[int, ...]]:
+        """Every label's five counters, for a pass's deltas."""
+        return {
+            name: (s.hits, s.misses, s.writebacks, s.evictions, s.residency)
+            for name, s in self._stats.by_label.items()
+        }
+
+    def _repeat_last_pass(
+        self, passes: int, before: dict[str, tuple[int, ...]]
+    ) -> None:
+        """Add ``passes`` more copies of the pass that began at ``before``."""
+        for name, now in self._counters().items():
+            old = before.get(name, (0,) * 5)
+            s = self._stats.by_label[name]
+            s.hits += passes * (now[0] - old[0])
+            s.misses += passes * (now[1] - old[1])
+            s.writebacks += passes * (now[2] - old[2])
+            s.evictions += passes * (now[3] - old[3])
+            s.residency += passes * (now[4] - old[4])
 
     def run_stream(self, chunks) -> CacheStats:
         """Simulate an iterable of trace chunks inside :meth:`stream_scope`.

@@ -17,7 +17,6 @@ from repro.cachesim.simulator import CacheSimulator
 from repro.cachesim.stats import CacheStats
 from repro.diagnostics import DiagnosticSink, check_mode
 from repro.kernels.base import Kernel, Workload
-from repro.trace.reference import iter_chunks
 
 
 @dataclass(frozen=True)
@@ -85,18 +84,21 @@ def ground_truth_stats(
 
     Without a ``trace_cache`` the kernel records straight into the
     simulator in ``chunk_refs``-reference chunks, so the whole trace
-    never exists (O(chunk) peak memory).  A ``trace_cache`` (a
+    never exists (O(chunk) peak memory).  A periodic kernel
+    (:attr:`~repro.kernels.base.Kernel.periodic`) instead records its
+    period into memory (O(period)) for
+    :meth:`~repro.cachesim.simulator.CacheSimulator.run_periodic`, which
+    stops replaying once the cache state repeats.  A ``trace_cache`` (a
     :class:`~repro.trace.cache.TraceCache` or directory path) supplies
-    a persisted trace, replayed in chunks of the same size.  Every
-    chunking, engine and shard count gives bit-identical results.
+    a persisted period and repeat count, replayed the same way in
+    chunks of the same size.  Every chunking, engine and shard count
+    gives bit-identical results.
     """
     sim = CacheSimulator(geometry, engine=engine, shards=shards, jobs=jobs)
-    if trace_cache is None:
+    if trace_cache is None and not kernel.periodic:
         kernel.trace_stream(workload, chunk_refs, sim.run_chunk)
     else:
-        trace = kernel.trace(workload, cache=trace_cache)
-        for chunk in iter_chunks(trace, chunk_refs):
-            sim.run_chunk(chunk)
+        sim.run_periodic(kernel.record(workload, cache=trace_cache), chunk_refs)
     return sim.stats
 
 

@@ -24,6 +24,7 @@ ASP105   unknown sweep property
 ASP106   sweep missing 'start'/'end' group
 ASP107   machine repeats a section
 ASP108   expected an expression
+ASP109   expression nested more than ``MAX_EXPR_DEPTH`` (100) levels deep
 ASP201   data declaration missing a required property
 ASP202   non-positive data dimensions
 ASP203   'dims' product disagrees with 'elements'

@@ -5,8 +5,9 @@ of Aspen model sources and it returns one entry per model — a full
 :class:`~repro.core.dvf.DVFReport` (with degraded structures flagged and
 all coded diagnostics attached) whenever anything at all could be
 evaluated, or a failure entry carrying the diagnostics when even lenient
-compilation found nothing usable.  In ``strict`` mode the first error
-raises, exactly like the rest of the strict pipeline.  The job
+compilation found nothing usable, such as a model none of whose
+declared data structures could be sized.  In ``strict`` mode the first
+error raises, exactly like the rest of the strict pipeline.  The job
 service's ``aspen`` workers evaluate one model each through
 :func:`evaluate_source`.
 """
@@ -17,7 +18,12 @@ from dataclasses import dataclass
 
 from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
 from repro.aspen.compiler import CompiledModel, compile_source
-from repro.aspen.errors import AspenError, Diagnostic, DiagnosticSink
+from repro.aspen.errors import (
+    AspenError,
+    AspenEvalError,
+    Diagnostic,
+    DiagnosticSink,
+)
 from repro.core.dvf import DVFReport, build_report
 from repro.core.report import render_dvf_report
 from repro.diagnostics import check_mode
@@ -32,6 +38,8 @@ class BatchEntry:
     report: DVFReport | None
     error: str | None = None
     diagnostics: tuple[Diagnostic, ...] = ()
+    #: Declared data structures left out because they could not be sized.
+    dropped: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -78,7 +86,9 @@ def evaluate_source(
     Strict mode propagates the first error; lenient mode always returns
     an entry — degraded report or diagnosed failure, including when the
     source lacks the one model or the named machine it is evaluated on
-    (the ``KeyError`` strict mode raises).
+    (the ``KeyError`` strict mode raises), or when not one of the
+    model's declared data structures could be sized (the error names
+    the first ASP211, the evaluation failure that left them unsized).
     """
     check_mode(mode)
     sink = DiagnosticSink()
@@ -90,6 +100,15 @@ def evaluate_source(
             mode=mode,
             sink=sink if mode == "lenient" else None,
         )
+        dropped = compiled.app.dropped
+        if dropped and not compiled.app.data:
+            cause = next(
+                (d for d in sink if d.code == "ASP211"), sink.errors[0]
+            )
+            raise AspenEvalError(
+                f"no data structure could be sized "
+                f"({', '.join(dropped)}): [{cause.code}] {cause.message}"
+            )
         report = compiled_report(compiled, application=label)
     except (AspenError, PatternError, ValueError, KeyError) as exc:
         if mode == "strict":
@@ -104,7 +123,10 @@ def evaluate_source(
             label=label, report=None, error=error, diagnostics=tuple(sink)
         )
     return BatchEntry(
-        label=label, report=report, diagnostics=report.diagnostics
+        label=label,
+        report=report,
+        diagnostics=report.diagnostics,
+        dropped=dropped,
     )
 
 
@@ -152,8 +174,12 @@ def render_aspen_batch(entries: list[BatchEntry]) -> str:
     degraded = sum(
         1 for e in entries if e.report and e.report.degraded_structures
     )
-    blocks.append(
+    dropped = sum(1 for e in entries if e.dropped)
+    summary = (
         f"batch: {len(entries)} models, {failed} failed, "
         f"{degraded} with degraded structures"
     )
+    if dropped:
+        summary += f", {dropped} with dropped structures"
+    blocks.append(summary)
     return "\n\n".join(blocks)

@@ -35,6 +35,8 @@ import argparse
 import sys
 import time
 
+from repro.cli_types import positive_int, positive_seconds
+
 #: Distinct exit codes for the checkpoint-error taxonomy (satellite of
 #: the fail-soft pipeline: a resume gone wrong is diagnosable by code).
 EXIT_CHECKPOINT_MISMATCH = 3
@@ -167,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="fi: run trials in a crash-isolated pool of N worker "
@@ -185,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=positive_seconds,
         default=None,
         metavar="SECONDS",
         help="fi: per-trial wall-clock budget; a hung trial is "

@@ -27,7 +27,7 @@ from repro.patterns.base import AccessPattern
 from repro.patterns.composite import CompositeAccessModel, estimate_structures
 from repro.trace.cache import TraceCache, as_trace_cache
 from repro.trace.recorder import TraceRecorder
-from repro.trace.reference import ReferenceTrace
+from repro.trace.reference import PeriodicTrace, ReferenceTrace
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,11 @@ class Kernel(ABC):
     name: str = "?"
     #: Computational-method class from Table II.
     method_class: str = "?"
+    #: ``run_traced`` records inside one ``recorder.periods()`` loop:
+    #: the trace is one period (an iteration) repeated.  Replay then
+    #: records that period into memory instead of streaming every
+    #: iteration (:func:`~repro.core.validation.ground_truth_stats`).
+    periodic: bool = False
 
     # ------------------------------------------------------------------
     # structure
@@ -96,26 +101,41 @@ class Kernel(ABC):
     def run_traced(self, workload: Workload, recorder: TraceRecorder) -> Any:
         """Run the kernel, recording references; returns the numeric result."""
 
-    def trace(
+    def record(
         self,
         workload: Workload,
         cache: "TraceCache | str | os.PathLike | None" = None,
-    ) -> ReferenceTrace:
-        """Run instrumented and return the finished trace.
+    ) -> PeriodicTrace:
+        """Run instrumented and return the trace as its period and count.
 
-        ``cache`` — a :class:`~repro.trace.cache.TraceCache` or a cache
-        directory path — reuses a previously collected artifact when the
-        kernel code, workload parameters, and trace schema all match,
-        collecting (and storing) the trace only on a miss.  Tracing runs
-        the kernel under Python-level instrumentation, so a warm cache
-        skips the slowest stage of every simulation-backed experiment.
+        A kernel that records in a ``recorder.periods()`` loop yields
+        one iteration and the iteration count; any other kernel its
+        whole trace, repeated once.  ``cache`` — a
+        :class:`~repro.trace.cache.TraceCache` or a cache directory path
+        — reuses a previously collected artifact when the kernel code,
+        workload parameters, and trace schema all match, collecting (and
+        storing) the trace only on a miss.  Tracing runs the kernel
+        under Python-level instrumentation, so a warm cache skips the
+        slowest stage of every simulation-backed experiment.
         """
         trace_cache = as_trace_cache(cache)
         if trace_cache is not None:
             return trace_cache.get_or_trace(self, workload)
         recorder = TraceRecorder()
         self.run_traced(workload, recorder)
-        return recorder.finish()
+        return recorder.finish_periodic()
+
+    def trace(
+        self,
+        workload: Workload,
+        cache: "TraceCache | str | os.PathLike | None" = None,
+    ) -> ReferenceTrace:
+        """Run instrumented and return the whole trace.
+
+        A periodic kernel's period is tiled here; ``cache`` works as in
+        :meth:`record`.
+        """
+        return self.record(workload, cache).whole()
 
     def trace_stream(self, workload: Workload, chunk_refs: int, sink) -> Any:
         """Run instrumented, pushing fixed-size trace chunks into ``sink``.
@@ -123,8 +143,9 @@ class Kernel(ABC):
         The full trace is never materialised: the recorder flushes a
         compact :class:`~repro.trace.reference.ReferenceTrace` chunk of
         ``chunk_refs`` references to ``sink`` as soon as it fills, so
-        peak memory is O(chunk) regardless of trace length.  Returns the
-        kernel's numeric result.
+        peak memory is O(chunk) regardless of trace length.  Every
+        iteration of a periodic kernel is recorded and pushed.  Returns
+        the kernel's numeric result.
         """
         recorder = TraceRecorder(chunk_refs=chunk_refs, sink=sink)
         result = self.run_traced(workload, recorder)

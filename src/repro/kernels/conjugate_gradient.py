@@ -11,7 +11,10 @@ Implementation notes
 --------------------
 * The instrumented path runs a real dense-storage CG for a fixed number
   of iterations, recording references in the exact loop order of the
-  implementation; the composite analytical model uses the *same* order
+  implementation.  Every iteration issues the same references, so the
+  loop runs under ``recorder.periods``: the trace is one iteration
+  repeated ``iterations`` times.  The composite analytical model uses
+  the *same* order
   (``"(Ap)pr(xp)r r(rp)"`` modulo whitespace), which differs slightly
   from the paper's string because the paper's pseudocode recomputes
   ``A p_k`` twice while any real implementation caches it.
@@ -129,6 +132,8 @@ class ConjugateGradientKernel(Kernel):
 
     name = "CG"
     method_class = "Sparse linear algebra"
+    #: Every iteration issues the same references.
+    periodic = True
 
     def _config(self, workload: Workload) -> tuple[int, int, str, str]:
         n = int(workload["n"])
@@ -223,7 +228,7 @@ class ConjugateGradientKernel(Kernel):
         every = np.arange(n, dtype=np.int64)
         matrix_idx = np.arange(n * n, dtype=np.int64)
         p_per_row = np.tile(every, n)
-        for _ in range(iterations):
+        for _ in recorder.periods(iterations):
             # Ap = A @ p: row-major matrix stream interleaved with p reads.
             recorder.record_interleaved(
                 [("A", matrix_idx, False), ("p", p_per_row, False)]

@@ -29,6 +29,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.cli_types import positive_int, positive_seconds, probability
 from repro.faultinject.errors import CheckpointCorrupt, CheckpointMismatch
 from repro.service.scenario import ScenarioError, load_scenario
 from repro.service.supervisor import (
@@ -63,14 +64,14 @@ def _add_state(parser: argparse.ArgumentParser) -> None:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="worker pool size (overrides the scenario's service.jobs)",
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=positive_seconds,
         default=None,
         metavar="SECONDS",
         help="default per-job wall-clock budget (overrides "
@@ -78,14 +79,14 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-attempts",
-        type=int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="retry budget per job (overrides retry.max_attempts)",
     )
     parser.add_argument(
         "--chaos-kill",
-        type=float,
+        type=probability,
         default=0.0,
         metavar="P",
         help="chaos harness: SIGKILL each freshly launched worker "

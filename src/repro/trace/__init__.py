@@ -12,6 +12,8 @@ replace binary instrumentation with an explicit recording layer:
   access bursts at once (per the HPC guides: vectorise, avoid per-item
   Python overhead);
 * :class:`ReferenceTrace` is the immutable, query-friendly result;
+* :class:`PeriodicTrace` holds a trace that repeats one period (an
+  iterative kernel's iteration) as that period and its repeat count;
 * :class:`TraceCache` keeps traces across runs as a directory of
   content-addressed ``.npz`` archives.
 """
@@ -19,14 +21,20 @@ replace binary instrumentation with an explicit recording layer:
 from repro.trace.address_space import AddressSpace, Segment
 from repro.trace.cache import TraceCache, as_trace_cache, trace_key
 from repro.trace.recorder import TraceRecorder
-from repro.trace.reference import ReferenceTrace, iter_chunks
-from repro.trace.io import TRACE_SCHEMA_VERSION, load_trace, save_trace
+from repro.trace.reference import PeriodicTrace, ReferenceTrace, iter_chunks
+from repro.trace.io import (
+    TRACE_SCHEMA_VERSION,
+    load_periodic_trace,
+    load_trace,
+    save_trace,
+)
 
 __all__ = [
     "AddressSpace",
     "Segment",
     "TraceRecorder",
     "ReferenceTrace",
+    "PeriodicTrace",
     "iter_chunks",
     "TraceCache",
     "as_trace_cache",
@@ -34,4 +42,5 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "save_trace",
     "load_trace",
+    "load_periodic_trace",
 ]

@@ -25,7 +25,10 @@ Cache key
 Layout
 ------
 ``<root>/<key>.npz``, one archive per trace and nothing else: an
-archive's presence is its entry.  A missing archive is a miss; a
+archive's presence is its entry.  An entry is a
+:class:`~repro.trace.reference.PeriodicTrace`: the archive, and the
+in-process memo, hold a periodic kernel's one period and its repeat
+count, never the tiled trace.  A missing archive is a miss; a
 corrupt one is unlinked and counted as a miss, so the caller collects
 the trace again.  :meth:`TraceCache.get` writes nothing.
 :meth:`TraceCache.put` writes a per-process temp file and renames it
@@ -51,8 +54,12 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.trace.io import TRACE_SCHEMA_VERSION, load_trace, save_trace
-from repro.trace.reference import ReferenceTrace
+from repro.trace.io import (
+    TRACE_SCHEMA_VERSION,
+    load_periodic_trace,
+    save_trace,
+)
+from repro.trace.reference import PeriodicTrace, ReferenceTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (kernels -> trace)
     from repro.kernels.base import Kernel, Workload
@@ -142,20 +149,20 @@ class TraceCache:
         # the archive once, not once per cell.  Bounded by the number
         # of distinct workloads the instance touches; traces are
         # treated as immutable by every consumer.
-        self._memory: dict[str, ReferenceTrace] = {}
+        self._memory: dict[str, PeriodicTrace] = {}
 
     def get(
         self, kernel: "Kernel", workload: "Workload"
-    ) -> ReferenceTrace | None:
+    ) -> PeriodicTrace | None:
         """Cached trace for (kernel, workload), or ``None`` on a miss."""
         key = trace_key(kernel, workload)
         trace = self._memory.get(key)
         if trace is None:
             path = self.root / f"{key}.npz"
             try:
-                trace = load_trace(path)
+                trace = load_periodic_trace(path)
             except (ValueError, KeyError, EOFError, zipfile.BadZipFile):
-                # Damaged artifact (what load_trace raises for one):
+                # Damaged artifact (what the loader raises for one):
                 # drop it and re-collect.
                 path.unlink(missing_ok=True)
                 self.misses += 1
@@ -170,9 +177,17 @@ class TraceCache:
         return trace
 
     def put(
-        self, kernel: "Kernel", workload: "Workload", trace: ReferenceTrace
+        self,
+        kernel: "Kernel",
+        workload: "Workload",
+        trace: PeriodicTrace | ReferenceTrace,
     ) -> Path:
-        """Store ``trace`` for (kernel, workload); returns the artifact path."""
+        """Store ``trace`` for (kernel, workload); returns the artifact path.
+
+        A :class:`ReferenceTrace` is stored as a period repeated once.
+        """
+        if isinstance(trace, ReferenceTrace):
+            trace = PeriodicTrace(trace)
         key = trace_key(kernel, workload)
         path = self.root / f"{key}.npz"
         # The temp name must keep the .npz suffix: save_trace appends one
@@ -192,12 +207,12 @@ class TraceCache:
 
     def get_or_trace(
         self, kernel: "Kernel", workload: "Workload"
-    ) -> ReferenceTrace:
-        """Cached trace if present, else collect, store, and return it."""
+    ) -> PeriodicTrace:
+        """Cached trace if present, else record, store, and return it."""
         trace = self.get(kernel, workload)
         if trace is not None:
             return trace
-        trace = kernel.trace(workload)
+        trace = kernel.record(workload)
         self.put(kernel, workload, trace)
         return trace
 

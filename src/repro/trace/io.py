@@ -1,10 +1,14 @@
 """Trace (de)serialisation.
 
 Traces persist as ``.npz`` archives: a zip of ``.npy`` members, the
-four columns plus the label table and the schema version.  This keeps
-multi-million-reference traces compact and fast to reload (the paper
-notes cache simulation over raw traces is the expensive path; caching
-traces on disk amortises collection).
+four columns plus the label table, the repeat count and the schema
+version.  This keeps multi-million-reference traces compact and fast to
+reload (the paper notes cache simulation over raw traces is the
+expensive path; caching traces on disk amortises collection).  The
+columns hold one period of the trace
+(:class:`~repro.trace.reference.PeriodicTrace`); ``repeats`` says how
+many times it repeats.  :func:`load_periodic_trace` returns the two
+together and :func:`load_trace` the whole trace.
 
 :func:`save_trace` deflates at zlib level 1, not ``np.savez_compressed``'s
 default level 6.  On a 2-CPU x86-64 VM, storing the six verification
@@ -36,7 +40,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.trace.reference import ReferenceTrace
+from repro.trace.reference import PeriodicTrace, ReferenceTrace
 
 #: Version of the on-disk archive layout.  Bumped whenever the column
 #: set or encoding changes incompatibly; the persistent trace cache
@@ -45,25 +49,35 @@ from repro.trace.reference import ReferenceTrace
 #:
 #: * 1 — four columns + object-dtype (pickled) label table.
 #: * 2 — label table as fixed-width unicode (``allow_pickle=False``).
-TRACE_SCHEMA_VERSION = 2
+#: * 3 — the columns hold one period; a ``repeats`` member counts its
+#:   copies.  Archives of schema 1 and 2 load as a period repeated once.
+TRACE_SCHEMA_VERSION = 3
 
 
-def save_trace(trace: ReferenceTrace, path: str | os.PathLike) -> None:
+def save_trace(
+    trace: ReferenceTrace | PeriodicTrace, path: str | os.PathLike
+) -> None:
     """Write a trace to ``path`` as a deflated ``.npz`` archive.
 
-    Like ``np.savez``, a path not ending in ``.npz`` gets that suffix
+    A :class:`PeriodicTrace` is stored as its period and repeat count; a
+    :class:`ReferenceTrace` as a period repeated once.  Like
+    ``np.savez``, a path not ending in ``.npz`` gets that suffix
     appended.
     """
+    if isinstance(trace, ReferenceTrace):
+        trace = PeriodicTrace(trace)
+    period = trace.period
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
     members = {
         "schema_version": np.int64(TRACE_SCHEMA_VERSION),
-        "addresses": trace.addresses,
-        "sizes": trace.sizes,
-        "is_write": trace.is_write,
-        "label_ids": trace.label_ids,
-        "labels": np.asarray(trace.labels, dtype=np.str_),
+        "repeats": np.int64(trace.repeats),
+        "addresses": period.addresses,
+        "sizes": period.sizes,
+        "is_write": period.is_write,
+        "label_ids": period.label_ids,
+        "labels": np.asarray(period.labels, dtype=np.str_),
     }
     with zipfile.ZipFile(
         path, "w", zipfile.ZIP_DEFLATED, compresslevel=1
@@ -99,8 +113,25 @@ def _read_labels(archive: zipfile.ZipFile) -> list[str]:
     return [str(x) for x in labels]
 
 
-def load_trace(path: str | os.PathLike) -> ReferenceTrace:
-    """Read a trace previously written by :func:`save_trace`.
+def _read_repeats(archive: zipfile.ZipFile) -> int:
+    """The period's repeat count: 1 for archives older than schema 3."""
+    names = set(archive.namelist())
+    if "repeats.npy" not in names:
+        # Keyed on the version, so a schema-3 archive that lost its
+        # count is damaged rather than a trace a period long.
+        if "schema_version.npy" in names and int(
+            _read_member(archive, "schema_version")
+        ) >= 3:
+            raise KeyError("schema-3 trace archive without repeats.npy")
+        return 1
+    repeats = _read_member(archive, "repeats")
+    if repeats.shape != () or repeats.dtype.kind not in "iu" or repeats < 1:
+        raise ValueError(f"invalid repeat count {repeats!r}")
+    return int(repeats)
+
+
+def load_periodic_trace(path: str | os.PathLike) -> PeriodicTrace:
+    """Read a trace written by :func:`save_trace` as its period and count.
 
     A damaged archive raises :class:`ValueError`,
     :class:`zipfile.BadZipFile`, :class:`KeyError` (a missing member) or
@@ -109,19 +140,28 @@ def load_trace(path: str | os.PathLike) -> ReferenceTrace:
     """
     try:
         with zipfile.ZipFile(path) as archive:
-            return ReferenceTrace(
+            period = ReferenceTrace(
                 _read_member(archive, "addresses"),
                 _read_member(archive, "sizes"),
                 _read_member(archive, "is_write"),
                 _read_member(archive, "label_ids"),
                 _read_labels(archive),
             )
+            return PeriodicTrace(period, _read_repeats(archive))
     except (zlib.error, tokenize.TokenError, RuntimeError) as exc:
         # More damage: a corrupt deflate stream, a garbled ``.npy``
         # header, or a zip entry whose flags or method zipfile cannot
         # read (an "encrypted" member; NotImplementedError, a
         # RuntimeError, for an unknown method).
         raise ValueError(f"damaged trace archive {path}: {exc!r}") from exc
+
+
+def load_trace(path: str | os.PathLike) -> ReferenceTrace:
+    """Read the whole trace written by :func:`save_trace`.
+
+    Raises what :func:`load_periodic_trace` raises for a damaged archive.
+    """
+    return load_periodic_trace(path).whole()
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,23 @@ irregular loop's references to several structures, laid out in program
 order and labelled per reference.  Each call appends one array per
 column; the columns are concatenated once into a columnar
 :class:`~repro.trace.reference.ReferenceTrace`.
+
+A kernel whose every iteration issues the same references runs its
+loop as ``for _ in recorder.periods(iterations)``.  The recorder then
+keeps the first pass only and knows the rest repeat it:
+:meth:`TraceRecorder.finish_periodic` returns that period with its
+repeat count, and :meth:`TraceRecorder.finish` tiles it into the whole
+trace.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.trace.address_space import AddressSpace, Segment
-from repro.trace.reference import ReferenceTrace
+from repro.trace.reference import PeriodicTrace, ReferenceTrace
 
 
 class _Column:
@@ -76,7 +85,9 @@ class TraceRecorder:
         footprint stays O(chunk_refs) however long the kernel runs.
         Call :meth:`flush_tail` after the kernel to push the final
         partial chunk; :meth:`finish` refuses once anything has been
-        streamed (it could only return a partial trace).
+        streamed (it could only return a partial trace).  A sink-mode
+        recorder records every pass of a :meth:`periods` loop, since it
+        keeps no pass to repeat.
 
     Example
     -------
@@ -114,6 +125,14 @@ class TraceRecorder:
         self._pending = 0
         #: References already streamed out to the sink.
         self._flushed = 0
+        #: Times finish() repeats the recorded references: a periods()
+        #: loop's count once the loop is over, when its passes after
+        #: the first were not recorded.
+        self._repeats = 1
+        #: Inside a periods() loop after its first pass: record nothing.
+        self._muted = False
+        #: A periods() loop has ended; the recording is complete.
+        self._sealed = False
 
     # ------------------------------------------------------------------
     # layout
@@ -132,6 +151,43 @@ class TraceRecorder:
             self._labels.append(label)
         return lid
 
+    def periods(self, repeats: int) -> Iterator[int]:
+        """Run a loop whose every pass records the same references.
+
+        Yields ``0 .. repeats - 1``.  The loop must hold the whole
+        recording: it starts on an empty recorder, and nothing is
+        recorded after it.  Without a sink only the first pass is
+        recorded; the recording calls of later passes return at once,
+        and :meth:`finish` tiles the first pass ``repeats`` times.  The
+        kernel vouches that its passes are identical, as
+        ``tests/kernels/test_periodic_traces.py`` checks for CG and PCG
+        against a sink-mode recording of every pass.
+        """
+        if self._count or self._sealed or self._muted:
+            raise RuntimeError(
+                "a periods() loop must hold the whole recording"
+            )
+        passes = 0
+        try:
+            for index in range(repeats):
+                if index == 1 and self._sink is None:
+                    self._muted = True
+                passes += 1
+                yield index
+        finally:
+            if self._muted:
+                self._muted = False
+                self._repeats = passes
+            self._sealed = True
+
+    def _recording(self) -> bool:
+        """False inside a muted pass; raises after a periods() loop."""
+        if self._sealed:
+            raise RuntimeError(
+                "nothing may be recorded after a periods() loop"
+            )
+        return not self._muted
+
     def _added(self, n: int) -> None:
         """Book ``n`` new references; auto-flush full chunks in sink mode."""
         self._count += n
@@ -147,6 +203,8 @@ class TraceRecorder:
         self, label: str, indices: np.ndarray, is_write: bool
     ) -> None:
         """Record accesses to many elements of ``label`` in index order."""
+        if not self._recording():
+            return
         seg = self.address_space.segment(label)
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
@@ -174,6 +232,8 @@ class TraceRecorder:
         Used by stencil kernels whose templates interleave neighbour
         loads with the centre store.
         """
+        if not self._recording():
+            return
         seg = self.address_space.segment(label)
         idx = np.asarray(indices, dtype=np.int64)
         flags = np.asarray(writes, dtype=bool)
@@ -214,7 +274,7 @@ class TraceRecorder:
         a ``(label, indices, is_write)`` triple, an empty or non-1-D
         index stream, or streams of unequal length.
         """
-        if not parts:
+        if not parts or not self._recording():
             return
         streams = []
         for pos, part in enumerate(parts):
@@ -284,6 +344,8 @@ class TraceRecorder:
         ``labels``, and :class:`IndexError` when an index is out of
         range for its label.
         """
+        if not self._recording():
+            return
         which = np.asarray(which)
         idx = np.asarray(indices, dtype=np.int64)
         if which.ndim != 1 or idx.shape != which.shape:
@@ -325,23 +387,33 @@ class TraceRecorder:
     # finish
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._count
+        """References in the whole trace recorded so far."""
+        return self._count * self._repeats
 
     def finish(self) -> ReferenceTrace:
-        """Seal the recorder into an immutable columnar trace."""
+        """Seal the recorder into an immutable columnar trace (the whole one)."""
+        return self.finish_periodic().whole()
+
+    def finish_periodic(self) -> PeriodicTrace:
+        """Seal the recorder into its period and repeat count.
+
+        The period is everything recorded; it repeats once unless a
+        :meth:`periods` loop ran without a sink.
+        """
         if self._flushed:
             raise RuntimeError(
                 f"{self._flushed} references were already streamed out in "
                 f"chunks; finish() would return a partial trace "
                 f"(use flush_tail() to drain the rest)"
             )
-        return ReferenceTrace(
+        period = ReferenceTrace(
             self._addr.collect(),
             self._size.collect(),
             self._write.collect(),
             self._label.collect(),
             list(self._labels),
         )
+        return PeriodicTrace(period, self._repeats)
 
     # ------------------------------------------------------------------
     # streaming (chunked-iterator protocol)

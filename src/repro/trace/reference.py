@@ -1,4 +1,4 @@
-"""Columnar memory-reference traces."""
+"""Columnar memory-reference traces, whole or as a repeated period."""
 
 from __future__ import annotations
 
@@ -79,6 +79,44 @@ class ReferenceTrace:
             self.is_write[start:stop],
             self.label_ids[start:stop],
             self.labels,
+        )
+
+
+class PeriodicTrace:
+    """A trace held as one period and the number of times it repeats.
+
+    The trace it stands for is ``period`` followed by ``repeats - 1``
+    identical copies, the shape of an iterative kernel whose every
+    iteration issues the same references (CG, PCG).  Recording,
+    storing and replaying the period alone costs one iteration, not
+    ``repeats``: :meth:`~repro.cachesim.simulator.CacheSimulator.run_periodic`
+    replays it only until the cache state repeats.  The trace's
+    per-reference columns come from :meth:`whole`; ``period`` is named
+    for what it holds, so no caller reads it as the trace by mistake.
+    """
+
+    __slots__ = ("period", "repeats")
+
+    def __init__(self, period: ReferenceTrace, repeats: int = 1):
+        if isinstance(repeats, bool) or int(repeats) != repeats or repeats < 1:
+            raise ValueError(f"repeats must be an int >= 1, got {repeats!r}")
+        self.period = period
+        self.repeats = int(repeats)
+
+    def __len__(self) -> int:
+        return len(self.period) * self.repeats
+
+    def whole(self) -> ReferenceTrace:
+        """The whole sequence: the period tiled ``repeats`` times."""
+        if self.repeats == 1:
+            return self.period
+        p, r = self.period, self.repeats
+        return ReferenceTrace(
+            np.tile(p.addresses, r),
+            np.tile(p.sizes, r),
+            np.tile(p.is_write, r),
+            np.tile(p.label_ids, r),
+            p.labels,
         )
 
 

@@ -278,3 +278,99 @@ class TestSinkSharing:
         assert sink.has_errors
         payload = sink.to_payload()
         assert {"severity", "code", "message"} <= payload[0].keys()
+
+
+def nested_parentheses(levels):
+    return "(" * levels + "500" + ")" * levels
+
+
+def flat_sum(terms):
+    return " + ".join(["1"] * terms)
+
+
+def deep_model(expression):
+    return f"""
+model deep {{
+  param n = {expression}
+  param k = 500
+  data A {{ elements: k, element_size: 8, pattern streaming {{ }} }}
+  kernel k {{ iterations: 1, time: 1.0 }}
+}}
+""" + MACHINE
+
+
+class TestExpressionDepth:
+    """Expressions deeper than MAX_EXPR_DEPTH are ASP109, not a crash."""
+
+    SHAPES = [
+        pytest.param(nested_parentheses(400), id="400-parentheses"),
+        pytest.param(flat_sum(2000), id="2000-term-sum"),
+        pytest.param("-" * 400 + "1", id="400-negations"),
+        pytest.param(" ^ ".join(["1"] * 400), id="400-powers"),
+        pytest.param("sqrt(" * 400 + "1" + ")" * 400, id="400-calls"),
+    ]
+
+    @pytest.mark.parametrize("expression", SHAPES)
+    def test_strict_raises_a_syntax_error_with_a_span(self, expression):
+        with pytest.raises(AspenSyntaxError) as excinfo:
+            evaluate_source("deep", deep_model(expression), mode="strict")
+        assert excinfo.value.code == "ASP109"
+        assert excinfo.value.span.line == 3
+
+    @pytest.mark.parametrize("expression", SHAPES)
+    def test_lenient_reports_and_goes_on(self, expression):
+        entry = evaluate_source("deep", deep_model(expression), mode="lenient")
+        assert "ASP109" in {d.code for d in entry.diagnostics}
+        # The rest of the model parsed: A is sized by k.
+        assert entry.ok
+        assert [s.name for s in entry.report.structures] == ["A"]
+
+    @pytest.mark.parametrize("fits, too_deep", [
+        pytest.param(nested_parentheses(100), nested_parentheses(101),
+                     id="parentheses"),
+        pytest.param(flat_sum(100), flat_sum(101), id="sum"),
+        # A literal under 99 negations is a 100-level tree.
+        pytest.param("-" * 99 + "1", "-" * 100 + "1", id="negations"),
+    ])
+    def test_limit_is_100_levels(self, fits, too_deep):
+        compile_source(deep_model(fits), mode="strict")
+        with pytest.raises(AspenSyntaxError, match="100 levels"):
+            compile_source(deep_model(too_deep), mode="strict")
+
+
+UNSIZABLE_MODEL = """
+model huge {
+  param n = 8/0
+  data A { elements: n, element_size: 8, pattern streaming { } }
+  data B { elements: 2*n, element_size: 8, pattern streaming { } }
+  kernel k { iterations: 1, time: 1.0 }
+}
+""" + MACHINE
+
+
+class TestUnsizableModel:
+    """A lenient entry with no sizable structure is a failure, not DVF 0."""
+
+    def test_every_structure_unsized_fails_the_entry(self):
+        entry = evaluate_source("huge", UNSIZABLE_MODEL, mode="lenient")
+        assert not entry.ok and entry.report is None
+        assert "[ASP211]" in entry.error
+        assert "division by zero" in entry.error
+        codes = [d.code for d in entry.diagnostics]
+        assert codes.count("ASP211") == 3 and codes[-1] == "ASP305"
+        text = render_aspen_batch([entry])
+        assert "1 models, 1 failed, 0 with degraded structures" in text
+
+    def test_some_structures_unsized_is_not_clean(self):
+        source = UNSIZABLE_MODEL.replace("elements: 2*n", "elements: 64")
+        entry = evaluate_source("half", source, mode="lenient")
+        assert entry.ok and entry.dropped == ("A",)
+        text = render_aspen_batch([entry])
+        assert text.endswith(
+            "batch: 1 models, 0 failed, 0 with degraded structures, "
+            "1 with dropped structures"
+        )
+
+    def test_strict_still_raises(self):
+        with pytest.raises(AspenEvalError):
+            evaluate_source("huge", UNSIZABLE_MODEL, mode="strict")

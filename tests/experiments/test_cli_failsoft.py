@@ -88,3 +88,35 @@ class TestAspenSubcommand:
         with pytest.raises(SystemExit) as excinfo:
             runner.main(["aspen", "--mode", "sloppy"])
         assert excinfo.value.code == 2
+
+
+class TestNumericOverrides:
+    @pytest.mark.parametrize("flag, value", [
+        ("--jobs", "0"),
+        ("--jobs", "-3"),
+        ("--jobs", "two"),
+        ("--timeout", "-1"),
+        ("--timeout", "0"),
+        ("--timeout", "nan"),
+    ])
+    def test_bad_fi_value_is_a_usage_error(self, flag, value, monkeypatch,
+                                            capsys):
+        # Nothing runs: the campaign command would fail the test.
+        monkeypatch.setitem(
+            runner._COMMANDS, "fi", _raise_factory(AssertionError("ran"))
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(["fi", flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_good_fi_values_parse(self, monkeypatch):
+        seen = {}
+
+        def command(args):
+            seen.update(jobs=args.jobs, timeout=args.timeout)
+            return ""
+
+        monkeypatch.setitem(runner._COMMANDS, "fi", command)
+        assert runner.main(["fi", "--jobs", "2", "--timeout", "0.5"]) == 0
+        assert seen == {"jobs": 2, "timeout": 0.5}

@@ -148,3 +148,31 @@ class TestExperimentsDelegation:
                           "--state", str(state)])
         assert rc == EXIT_OK
         assert (state / "results.jsonl").exists()
+
+
+class TestNumericOverrides:
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--jobs", "0"),
+        ("--max-attempts", "0"),
+        ("--timeout", "-1"),
+        ("--timeout", "0"),
+        ("--chaos-kill", "2"),
+        ("--chaos-kill", "-0.5"),
+    ])
+    def test_bad_value_is_a_usage_error(self, command, flag, value,
+                                        tmp_path, capsys):
+        state = tmp_path / "state"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--state", str(state), flag, value])
+        assert excinfo.value.code == EXIT_USAGE
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not state.exists()
+
+    @needs_fork
+    def test_edge_values_run(self, scenario_file, tmp_path, capsys):
+        rc = main(["run", "--scenario", str(scenario_file),
+                   "--state", str(tmp_path / "s"), "--jobs", "1",
+                   "--max-attempts", "1", "--timeout", "30",
+                   "--chaos-kill", "0"])
+        assert rc == EXIT_JOBS_FAILED  # the scenario's "bad" job

@@ -65,6 +65,18 @@ machine small {
 #: not a reason to kill the worker.
 OVERFLOW_MODEL = DIVIDE_BY_ZERO_MODEL.replace("8/0", "2 ^ 2000")
 
+#: Expressions that used to exhaust the recursion limit, in the parser
+#: (nesting) or in evaluation (a flat 2,000-term sum), and kill the
+#: worker on every attempt.
+DEEP_MODELS = {
+    "parentheses": DIVIDE_BY_ZERO_MODEL.replace(
+        "8/0", "(" * 400 + "1" + ")" * 400),
+    "sum": DIVIDE_BY_ZERO_MODEL.replace("8/0", "+".join(["1"] * 2000)),
+}
+
+#: Every structure sized by ``n``: lenient evaluation has nothing left.
+UNSIZABLE_MODEL = DIVIDE_BY_ZERO_MODEL.replace("elements: k,", "elements: n,")
+
 
 class TestExecuteJob:
     def test_overflow_returns_a_dead_letter_record(self):
@@ -74,6 +86,34 @@ class TestExecuteJob:
         assert record["ok"] is False
         assert record["error_code"] == "AspenEvalError"
         assert "2000" in record["error"]
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_MODELS))
+    def test_deep_expression_returns_a_dead_letter_record(self, shape):
+        spec = JobSpec(id="deep", kind="aspen", options={
+            "source": DEEP_MODELS[shape], "machine": "small",
+            "mode": "strict"})
+        record = worker.execute_job(spec, attempt=1, degraded=False)
+        assert record["ok"] is False
+        assert record["error_code"] == "AspenSyntaxError"
+        assert [d["code"] for d in record["diagnostics"]] == ["ASP109"]
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_MODELS))
+    def test_deep_expression_in_lenient_mode_is_reported(self, shape):
+        # The parameter is dropped and the structure sized by k stays.
+        spec = JobSpec(id="deep", kind="aspen", options={
+            "source": DEEP_MODELS[shape], "machine": "small",
+            "mode": "lenient"})
+        record = worker.execute_job(spec, attempt=1, degraded=False)
+        assert record["ok"] is True
+        codes = {d["code"] for d in record["payload"]["diagnostics"]}
+        assert "ASP109" in codes
+
+    def test_unsizable_lenient_model_returns_a_dead_letter_record(self):
+        spec = JobSpec(id="huge", kind="aspen", options={
+            "source": UNSIZABLE_MODEL, "machine": "small", "mode": "lenient"})
+        record = worker.execute_job(spec, attempt=1, degraded=False)
+        assert record["ok"] is False
+        assert "[ASP211]" in record["error"]
 
     def test_kernel_overflow_returns_a_dead_letter_record(self):
         # JSON reads 1e400 as inf, which VM cannot size an array by.
@@ -98,6 +138,16 @@ class TestJobOutcomes:
         assert bad["error_code"] == "ScenarioError"
         assert bad["attempts"] == 1  # deterministic: never retried
         assert run.complete and run.exit_code == 1
+
+    def test_unsizable_lenient_model_is_dead_lettered_at_once(self):
+        run = JobSupervisor(retry=FAST_RETRY).run([
+            JobSpec(id="huge", kind="aspen", options={
+                "source": UNSIZABLE_MODEL, "machine": "small",
+                "mode": "lenient"}),
+        ])
+        (record,) = run.records
+        assert record["outcome"] == OUTCOME_DEAD_LETTER
+        assert record["attempts"] == 1
 
     def test_all_green_exit_code(self):
         run = JobSupervisor().run([_probe("a")])

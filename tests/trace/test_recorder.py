@@ -342,3 +342,140 @@ class TestStreamingRecorder:
     def test_chunk_refs_below_one_rejected(self):
         with pytest.raises(ValueError, match="chunk_refs"):
             TraceRecorder(chunk_refs=0, sink=lambda c: None)
+
+
+class TestPeriods:
+    """A periods() loop: one pass recorded, the rest known to repeat it."""
+
+    def _record(self, rec, repeats):
+        for _ in rec.periods(repeats):
+            rec.record_stream("A", 0, 3)
+            rec.record_elements("B", np.array([1, 0]), True)
+
+    def test_one_pass_recorded_and_tiled(self, rec):
+        self._record(rec, 4)
+        trace = rec.finish_periodic()
+        assert (len(trace.period), trace.repeats, len(trace)) == (5, 4, 20)
+        assert len(rec) == 20
+        whole = rec.finish()
+        assert len(whole) == 20
+        assert list(whole.addresses[:5]) == list(whole.addresses[15:])
+
+    def test_sink_mode_records_every_pass(self):
+        chunks = []
+        rec = TraceRecorder(chunk_refs=7, sink=chunks.append)
+        rec.allocate("A", 100, 8)
+        rec.allocate("B", 50, 16)
+        self._record(rec, 4)
+        rec.flush_tail()
+        unsunk = make_rec()
+        self._record(unsunk, 4)
+        whole = unsunk.finish()
+        np.testing.assert_array_equal(
+            np.concatenate([c.addresses for c in chunks]), whole.addresses
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([c.is_write for c in chunks]), whole.is_write
+        )
+
+    def test_without_a_loop_the_trace_repeats_once(self, rec):
+        rec.record_stream("A", 0, 3)
+        trace = rec.finish_periodic()
+        assert (len(trace.period), trace.repeats) == (3, 1)
+        assert trace.whole() is trace.period
+
+    @pytest.mark.parametrize("repeats, length", [(0, 0), (1, 5)])
+    def test_zero_and_one_repeats(self, rec, repeats, length):
+        self._record(rec, repeats)
+        trace = rec.finish_periodic()
+        assert (trace.repeats, len(trace)) == (1, length)
+
+    def test_loop_left_early_counts_the_passes_run(self, rec):
+        for index in rec.periods(10):
+            rec.record_stream("A", 0, 3)
+            if index == 2:
+                break
+        trace = rec.finish_periodic()
+        assert (len(trace.period), trace.repeats) == (3, 3)
+
+    def test_loop_must_hold_the_whole_recording(self, rec):
+        rec.record_stream("A", 0, 1)
+        with pytest.raises(RuntimeError, match="whole recording"):
+            next(iter(rec.periods(2)))
+        fresh = make_rec()
+        self._record(fresh, 2)
+        with pytest.raises(RuntimeError, match="after a periods"):
+            fresh.record_stream("A", 0, 1)
+        with pytest.raises(RuntimeError, match="whole recording"):
+            next(iter(fresh.periods(2)))
+
+
+class TestPeriodicTraceIO:
+    def _periodic(self, repeats=3):
+        rec = make_rec()
+        for _ in rec.periods(repeats):
+            rec.record_stream("A", 0, 4)
+            rec.record_stream("B", 1, 2, is_write=True)
+        return rec.finish_periodic()
+
+    def test_roundtrip_keeps_the_period(self, tmp_path):
+        from repro.trace import load_periodic_trace, load_trace, save_trace
+
+        trace = self._periodic()
+        save_trace(trace, tmp_path / "t.npz")
+        loaded = load_periodic_trace(tmp_path / "t.npz")
+        assert (len(loaded.period), loaded.repeats) == (6, 3)
+        np.testing.assert_array_equal(
+            loaded.period.addresses, trace.period.addresses
+        )
+        whole = load_trace(tmp_path / "t.npz")
+        np.testing.assert_array_equal(whole.addresses, trace.whole().addresses)
+        with np.load(tmp_path / "t.npz", allow_pickle=False) as archive:
+            assert int(archive["schema_version"]) == 3
+            assert int(archive["repeats"]) == 3
+
+    def test_schema2_archive_loads_once(self):
+        # The golden fixtures are schema-2 archives: no repeats member.
+        from pathlib import Path
+
+        from repro.trace import load_periodic_trace
+
+        path = (Path(__file__).parents[1] / "cachesim" / "fixtures"
+                / "vm_test.npz")
+        loaded = load_periodic_trace(path)
+        assert loaded.repeats == 1 and len(loaded) == len(loaded.period) > 0
+
+    @pytest.mark.parametrize("repeats, error", [
+        pytest.param(None, KeyError, id="missing"),
+        pytest.param(np.int64(0), ValueError, id="zero"),
+        pytest.param(np.array([2, 2]), ValueError, id="not-a-scalar"),
+        pytest.param(np.float64(2.0), ValueError, id="not-an-integer"),
+    ])
+    def test_bad_repeat_count_is_damage(self, tmp_path, repeats, error):
+        import zipfile
+
+        from repro.trace import load_periodic_trace, save_trace
+
+        path = tmp_path / "t.npz"
+        save_trace(self._periodic(), path)
+        with zipfile.ZipFile(path) as archive:
+            members = {n: archive.read(n) for n in archive.namelist()}
+        del members["repeats.npy"]
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+            for name, content in members.items():
+                archive.writestr(name, content)
+            if repeats is not None:
+                with archive.open("repeats.npy", "w") as member:
+                    np.lib.format.write_array(member, np.asanyarray(repeats))
+        with pytest.raises(error):
+            load_periodic_trace(path)
+
+
+class TestPeriodicTrace:
+    @pytest.mark.parametrize("repeats", [0, -1, 1.5, True])
+    def test_repeats_must_be_a_positive_int(self, repeats):
+        from repro.trace import PeriodicTrace
+
+        period = make_rec().finish()
+        with pytest.raises(ValueError, match="repeats"):
+            PeriodicTrace(period, repeats)

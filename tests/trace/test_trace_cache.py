@@ -18,7 +18,7 @@ import repro.trace.cache as cache_mod
 from repro.kernels.base import Workload
 from repro.kernels.registry import KERNELS
 from repro.kernels.workloads import TEST_WORKLOADS
-from repro.trace import TraceCache, load_trace, save_trace
+from repro.trace import PeriodicTrace, TraceCache, load_trace, save_trace
 from repro.trace.cache import as_trace_cache, kernel_fingerprint, trace_key
 
 
@@ -41,6 +41,12 @@ def archives(root):
 
 
 def traces_equal(a, b):
+    """Whether two traces stand for the same whole sequence.
+
+    Cache entries are :class:`PeriodicTrace` objects; compare what they
+    stand for.
+    """
+    a, b = (t.whole() if isinstance(t, PeriodicTrace) else t for t in (a, b))
     return (
         np.array_equal(a.addresses, b.addresses)
         and np.array_equal(a.sizes, b.sizes)
@@ -245,7 +251,7 @@ class TestRecovery:
         def exhausted(path):
             raise OSError(errno.EMFILE, "Too many open files")
 
-        monkeypatch.setattr(cache_mod, "load_trace", exhausted)
+        monkeypatch.setattr(cache_mod, "load_periodic_trace", exhausted)
         cache = TraceCache(tmp_path)
         assert cache.get(kernel, workload) is None
         assert cache.misses == 1
@@ -279,6 +285,22 @@ class TestRecovery:
             cache.put(kernel, workload, kernel.trace(workload))
         assert list(tmp_path.iterdir()) == []
         assert cache.stores == 0
+
+
+class TestPeriodicEntries:
+    def test_memo_and_archive_hold_one_iteration(self, tmp_path):
+        # CG records one iteration and its count; the cache keeps that,
+        # and Kernel.trace tiles it into the whole trace.
+        kernel, workload = KERNELS["CG"], TEST_WORKLOADS["CG"]
+        cache = TraceCache(tmp_path)
+        whole = kernel.trace(workload, cache=cache)
+        (entry,) = cache._memory.values()
+        assert entry.repeats == workload["iterations"] > 1
+        assert len(entry.period) * entry.repeats == len(whole)
+        assert traces_equal(whole, kernel.trace(workload))
+        loaded = TraceCache(tmp_path).get(kernel, workload)
+        assert loaded.repeats == entry.repeats
+        assert traces_equal(loaded.period, entry.period)
 
 
 class TestCoercion:
