@@ -85,6 +85,7 @@ from repro.cachesim import (  # noqa: E402
     expanded_size,
     shutdown_pool,
 )
+from repro.cachesim.engine import CHUNK_SIZE  # noqa: E402
 from repro.cachesim.simulator import _expand_lines  # noqa: E402
 from repro.experiments.configs import KERNEL_ORDER, WORKLOADS  # noqa: E402
 from repro.kernels.registry import KERNELS  # noqa: E402
@@ -302,12 +303,12 @@ def bench_sharded(tier: str, repeats: int, shard_counts=None) -> dict:
 # --------------------------------------------------------------------
 
 #: Synthetic stream sizing per tier.  The verification point is sized so
-#: the compact trace (21 bytes/ref) is several times larger than the
+#: the compact trace (13 bytes/ref) is several times larger than the
 #: streaming process's whole peak RSS — the artifact the streaming
 #: pipeline exists to produce.
 STREAM_REFS = {"test": 4_000_000, "verification": 48_000_000}
-STREAM_CHUNK_REFS = 262_144
-STREAM_BYTES_PER_REF = 8 + 8 + 1 + 4  # addresses, sizes, is_write, label
+STREAM_CHUNK_REFS = CHUNK_SIZE
+STREAM_BYTES_PER_REF = 8 + 1 + 4  # addresses, is_write, label
 _STREAM_LABELS = ["state", "rhs", "scratch"]
 _STREAM_ADDR_SPACE = 1 << 26  # 64MB footprint: 8x the 8MB LLC
 _STREAM_SEED = 2024
@@ -334,12 +335,12 @@ def synthetic_chunks(refs: int, chunk_refs: int, seed: int = _STREAM_SEED):
             addresses=rng.integers(
                 0, _STREAM_ADDR_SPACE, size=n, dtype=np.int64
             ),
-            sizes=np.full(n, 8, dtype=np.int64),
             is_write=rng.random(n) < 0.3,
             label_ids=rng.integers(
                 0, len(_STREAM_LABELS), size=n, dtype=np.int32
             ),
             labels=list(_STREAM_LABELS),
+            element_sizes=[8] * len(_STREAM_LABELS),
         )
 
 
@@ -391,10 +392,10 @@ def run_rss_probe(mode: str, refs: int, chunk_refs: int) -> dict:
         chunks = list(synthetic_chunks(refs, chunk_refs))
         trace = ReferenceTrace(
             addresses=np.concatenate([c.addresses for c in chunks]),
-            sizes=np.concatenate([c.sizes for c in chunks]),
             is_write=np.concatenate([c.is_write for c in chunks]),
             label_ids=np.concatenate([c.label_ids for c in chunks]),
             labels=list(_STREAM_LABELS),
+            element_sizes=[8] * len(_STREAM_LABELS),
         )
         del chunks
         sim = CacheSimulator(geometry, engine="array")

@@ -86,10 +86,10 @@ from repro.cachesim.stats import CacheStats
 #: :class:`~repro.cachesim.simulator.CacheSimulator`.
 ENGINES = ("auto", "array", "reference")
 
-#: Default chunk size: references per chunk when
-#: :meth:`~repro.cachesim.simulator.CacheSimulator.run` cuts a trace,
-#: and expanded line touches per engine batch.
-DEFAULT_CHUNK_SIZE = 1 << 18
+#: References per ``CacheSimulator.run`` cut and ``ground_truth_stats``
+#: chunk, line touches per engine batch; read at call time.  65,536 peaks
+#: lower than 262,144 at the same speed (EXPERIMENTS.md, PR 28).
+CHUNK_SIZE = 1 << 16
 
 #: A chunk switches from the wave kernel to the stack-rank kernel when
 #: its mean wave would hold fewer runs than this (per-wave numpy
@@ -165,13 +165,8 @@ class ArrayLRUEngine:
     attribution survives across calls.
     """
 
-    def __init__(
-        self, geometry: CacheGeometry, chunk_size: int = DEFAULT_CHUNK_SIZE
-    ):
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
-        self.chunk_size = int(chunk_size)
         num_sets = geometry.num_sets
         shape = (num_sets, geometry.associativity)
         # Invariants the wave kernel relies on: an empty way holds
@@ -345,8 +340,8 @@ class ArrayLRUEngine:
         engine_labels = (
             label_ids if remap is None else remap[label_ids]
         )
-        for start in range(0, n_total, self.chunk_size):
-            stop = min(start + self.chunk_size, n_total)
+        for start in range(0, n_total, CHUNK_SIZE):
+            stop = min(start + CHUNK_SIZE, n_total)
             self._replay_chunk(
                 line_ids[start:stop],
                 is_write[start:stop],

@@ -81,7 +81,8 @@ def expanded_size(trace, line_size: int) -> int:
     n = len(trace.addresses)
     if n == 0:
         return 0
-    _, spans = _line_spans(trace.addresses, trace.sizes, line_size)
+    sizes = trace.element_sizes[trace.label_ids]
+    _, spans = _line_spans(trace.addresses, sizes, line_size)
     if spans is None:
         return n
     return int(spans.sum())
@@ -93,12 +94,14 @@ def _expand_lines(
     """Expand byte accesses into per-line touches.
 
     Returns ``(line_ids, is_write, label_ids)``, with accesses spanning
-    k lines contributing k consecutive entries.
+    k lines contributing k consecutive entries.  An access's size is its
+    label's element size.
     """
     if len(trace.addresses) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, np.empty(0, dtype=bool), np.empty(0, dtype=np.int32)
-    first, spans = _line_spans(trace.addresses, trace.sizes, line_size)
+    sizes = trace.element_sizes[trace.label_ids]
+    first, spans = _line_spans(trace.addresses, sizes, line_size)
     if spans is None:
         return first, trace.is_write, trace.label_ids
     max_span = int(spans.max())

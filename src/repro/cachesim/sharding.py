@@ -13,8 +13,8 @@ optionally in worker processes — and merges the results so they are
 * Residency is not tracked: each shard engine numbers steps by its own
   clock, so the shards' ``residency`` step sums do not add up to the
   single-process one.
-  :class:`~repro.cachesim.simulator.CacheSimulator` refuses
-  ``track_residency`` with ``shards > 1``, and :meth:`replay_trace`
+  :meth:`~repro.cachesim.simulator.CacheSimulator.average_resident_lines`
+  refuses a simulator with ``shards > 1``, and :meth:`replay_trace`
   refuses ``collect_events``.
 
 The parallel path is built to make the boundary cheap, not just the
@@ -25,10 +25,11 @@ pool spawned per call, and lost 6x to the overhead):
   :mod:`repro.cachesim.pool`, spawned lazily on first use and reused
   across every sharded simulator in the process; fork cost is paid
   once per process.
-* **Zero-copy transport** — the *compact* trace columns (21 bytes per
+* **Zero-copy transport** — the *compact* trace columns (13 bytes per
   reference) go into one ``multiprocessing.shared_memory`` block; each
-  worker receives only a name/length descriptor plus its shard's slice
-  of the engine state (``1/num_shards`` of the arrays).
+  worker receives only a descriptor (name, length, per-label element
+  sizes) plus its shard's slice of the engine state (``1/num_shards``
+  of the arrays).
 * **Worker-side expansion** — each worker runs
   :func:`~repro.cachesim.expand.expand_shard` against the shared
   columns, expanding *only its own set-partition*; the parent never
@@ -61,11 +62,7 @@ import numpy as np
 
 from repro.cachesim import pool as _pool
 from repro.cachesim.configs import CacheGeometry
-from repro.cachesim.engine import (
-    DEFAULT_CHUNK_SIZE,
-    ArrayLRUEngine,
-    CacheEngineError,
-)
+from repro.cachesim.engine import ArrayLRUEngine, CacheEngineError
 from repro.cachesim.expand import (
     _expand_lines,
     expand_shard,
@@ -130,8 +127,12 @@ def _replay_shard_shm(payload: dict):
             # worker would, after the block is attached.
             os.kill(os.getpid(), signal.SIGKILL)
         geometry = payload["geometry"]
+        # columns: addresses, is_write, label_ids.
+        sizes = np.asarray(payload["shm"]["element_sizes"])[columns[2]]
         _, line_ids, is_write, label_ids = expand_shard(
-            *columns,
+            columns[0],
+            sizes,
+            *columns[1:],
             geometry.line_size,
             geometry.num_sets,
             payload["num_shards"],
@@ -141,7 +142,7 @@ def _replay_shard_shm(payload: dict):
         # Every view into shm.buf must be gone before close().
         del columns
         shm.close()
-    engine = ArrayLRUEngine(geometry, chunk_size=payload["chunk_size"])
+    engine = ArrayLRUEngine(geometry)
     state = payload["state"]
     if state is not None:
         engine.load_shard_state(payload["shard"], payload["num_shards"], state)
@@ -167,7 +168,6 @@ class ShardedLRUSimulator:
         geometry: CacheGeometry,
         num_shards: int,
         jobs: int = 1,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
     ):
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -180,10 +180,8 @@ class ShardedLRUSimulator:
         # behaviour-identical.
         self.num_shards = min(int(num_shards), geometry.num_sets)
         self.jobs = int(jobs)
-        self.chunk_size = int(chunk_size)
         self._engines = [
-            ArrayLRUEngine(geometry, chunk_size=chunk_size)
-            for _ in range(self.num_shards)
+            ArrayLRUEngine(geometry) for _ in range(self.num_shards)
         ]
         #: Total expanded touches replayed (mirrors the engine clock).
         self.clock = 0
@@ -262,7 +260,7 @@ class ShardedLRUSimulator:
             return
         counts = shard_entry_counts(
             trace.addresses,
-            trace.sizes,
+            trace.element_sizes[trace.label_ids],
             self.geometry.line_size,
             self.geometry.num_sets,
             self.num_shards,
@@ -332,7 +330,6 @@ class ShardedLRUSimulator:
                 payload = {
                     "shm": descriptor,
                     "geometry": self.geometry,
-                    "chunk_size": self.chunk_size,
                     "shard": i,
                     "num_shards": self.num_shards,
                     "state": state,

@@ -22,8 +22,8 @@ Requesting ``engine="array"`` for a non-LRU policy raises
 degrading.
 
 Whole and streamed traces share one replay path: :meth:`CacheSimulator.run`
-cuts a whole trace into ``chunk_size``-reference chunks
-(:func:`~repro.trace.reference.iter_chunks`) and feeds every chunk to
+cuts a whole trace into :data:`~repro.cachesim.engine.CHUNK_SIZE`-reference
+chunks (:func:`~repro.trace.reference.iter_chunks`) and feeds every chunk to
 :meth:`CacheSimulator.run_chunk` against the warm engine state.
 Expansion is per-reference elementwise, so the statistics do not
 depend on where the chunk boundaries fall, and the replay's working
@@ -50,7 +50,7 @@ that both engines keep where they count hits, misses and writebacks:
 evictions, and Σ eviction steps − Σ insertion steps (steps number the
 line touches 1, 2, ...).  :meth:`CacheSimulator.average_resident_lines`
 closes the integral with the lines still resident.  Sharded replay
-numbers steps per shard, so it refuses ``track_residency``.
+numbers steps per shard, so that method refuses a sharded simulator.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
+from repro.cachesim import engine as engine_mod
 from repro.cachesim.cache import SetAssociativeCache
 from repro.cachesim.configs import CacheGeometry
 from repro.cachesim.engine import (
-    DEFAULT_CHUNK_SIZE,
     ArrayLRUEngine,
     CacheEngineError,
     check_engine,
@@ -103,18 +103,11 @@ class CacheSimulator:
         Replacement policy (``"lru"``/``"fifo"``/``"random"``).
     seed:
         RNG seed for the ``"random"`` policy.
-    track_residency:
-        Enable :meth:`average_resident_lines`, the per-label residency
-        used by the cache-DVF extension.  Sharded replay numbers steps
-        per shard, so it refuses residency tracking.
     engine:
         ``"auto"`` (default), ``"array"`` or ``"reference"`` — see the
         module docstring.  ``"auto"`` picks the array engine for LRU
         and the oracle for every other policy; both engines produce
         bit-identical statistics for LRU.
-    chunk_size:
-        References per chunk when :meth:`run` cuts a whole trace, and
-        expanded line touches per array-engine batch.
     shards:
         Set-index shard count (default 1).  ``K > 1`` partitions the
         line stream by set index and replays each shard through its
@@ -133,9 +126,7 @@ class CacheSimulator:
         geometry: CacheGeometry,
         policy: str = "lru",
         seed: int = 0,
-        track_residency: bool = False,
         engine: str = "auto",
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         shards: int = 1,
         jobs: int | str = "auto",
     ):
@@ -147,12 +138,9 @@ class CacheSimulator:
         shards = _count_arg(shards, "shards")
         if jobs != "auto":
             jobs = _count_arg(jobs, "jobs")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.geometry = geometry
         self.policy = policy
         self.engine = check_engine(engine, policy)
-        self._chunk_size = int(chunk_size)
         self._stats = CacheStats()
         #: The dict-based oracle; ``None`` under the array engine.
         self.cache: SetAssociativeCache | None = None
@@ -171,26 +159,18 @@ class CacheSimulator:
                     "sharded simulation (shards > 1) requires the array "
                     "engine; drop engine='reference' or use shards=1"
                 )
-            if track_residency:
-                raise CacheEngineError(
-                    "residency tracking requires one engine (sharded "
-                    "replay numbers steps per shard); use shards=1"
-                )
             self.jobs = (
                 jobs if jobs != "auto"
                 else max(1, min(shards, effective_cpus()))
             )
-            self._array = ShardedLRUSimulator(
-                geometry, shards, jobs=self.jobs, chunk_size=chunk_size
-            )
+            self._array = ShardedLRUSimulator(geometry, shards, jobs=self.jobs)
             self.shards = self._array.num_shards
         elif self.engine == "array":
-            self._array = ArrayLRUEngine(geometry, chunk_size=chunk_size)
+            self._array = ArrayLRUEngine(geometry)
         else:
             self.cache = SetAssociativeCache(
                 geometry, stats=self._stats, policy=policy, seed=seed
             )
-        self.track_residency = track_residency
 
     @property
     def stats(self) -> CacheStats:
@@ -203,12 +183,13 @@ class CacheSimulator:
         Time is measured in cache accesses (each access is one tick):
         the residency integral is the label's ``residency`` counter plus
         its still-resident lines (misses − evictions) times the touches
-        so far.  Requires ``track_residency=True``.
+        so far.  Raises :class:`CacheEngineError` with more than one
+        shard, whose engines number steps each by its own clock.
         """
-        if not self.track_residency:
-            raise RuntimeError(
-                "construct CacheSimulator(track_residency=True) to use "
-                "residency accounting"
+        if self.shards > 1:
+            raise CacheEngineError(
+                "residency needs one engine (sharded replay numbers "
+                "steps per shard); use shards=1"
             )
         steps = self._stats.total.accesses
         counters = self._stats.by_label.get(label)
@@ -222,7 +203,7 @@ class CacheSimulator:
         """Simulate a trace; returns the accumulated stats object.
 
         Accepts either a :class:`ReferenceTrace`, cut here into
-        ``chunk_size``-reference chunks, or an *iterable of chunks*
+        ``CHUNK_SIZE``-reference chunks, or an *iterable of chunks*
         (anything yielding ``ReferenceTrace`` pieces, e.g.
         :func:`~repro.trace.reference.iter_chunks`), routed through
         :meth:`run_stream`.  Every chunk goes through
@@ -232,7 +213,7 @@ class CacheSimulator:
         """
         if not isinstance(trace, ReferenceTrace):
             return self.run_stream(trace)
-        for chunk in iter_chunks(trace, self._chunk_size):
+        for chunk in iter_chunks(trace, engine_mod.CHUNK_SIZE):
             self.run_chunk(chunk)
         return self._stats
 
@@ -242,14 +223,14 @@ class CacheSimulator:
         """Simulate the whole of a periodic trace; see the module docstring.
 
         The period is cut into ``chunk_refs``-reference chunks
-        (default ``chunk_size``) for :meth:`run_chunk`.  On the array
+        (default ``CHUNK_SIZE``) for :meth:`run_chunk`.  On the array
         engine, passes stop once the recency state repeats and the rest
         are added from the last pass's deltas; the oracle and sharded
         replay replay every pass.  The result does not depend on which.
         """
         chunks = list(iter_chunks(
             trace.period,
-            self._chunk_size if chunk_refs is None else chunk_refs,
+            engine_mod.CHUNK_SIZE if chunk_refs is None else chunk_refs,
         ))
         engine = self._array
         if not isinstance(engine, ArrayLRUEngine):

@@ -13,10 +13,10 @@ last-level cache:
 * ``FIT`` is the SRAM failure rate (typically far below DRAM's for
   ECC-protected caches, and above it for unprotected tag/data arrays).
 
-The residency measurement comes from
-:class:`~repro.cachesim.simulator.CacheSimulator` with
-``track_residency=True`` on one engine: each label's eviction count and
-step sums (:class:`~repro.cachesim.stats.LabelStats`) give its exact
+The residency measurement comes from an unsharded
+:class:`~repro.cachesim.simulator.CacheSimulator`, whose engines keep
+each label's eviction count and step sums on every replay
+(:class:`~repro.cachesim.stats.LabelStats`): they give its exact
 residency integral.  Unlike the main-memory DVF there is no analytical
 shortcut here — residency depends on the full interleaving — so this
 path is simulation-based by construction.
@@ -91,7 +91,7 @@ def analyze_cache_dvf(
         time_seconds = RooflineRuntime(
             resources.flops, resources.bytes_moved
         ).seconds()
-    simulator = CacheSimulator(geometry, track_residency=True)
+    simulator = CacheSimulator(geometry)
     trace = kernel.trace(workload)
     simulator.run(trace)
     rows = []

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 
 from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.engine import CHUNK_SIZE
 from repro.cachesim.simulator import CacheSimulator
 from repro.cachesim.stats import CacheStats
 from repro.diagnostics import DiagnosticSink, check_mode
@@ -72,7 +73,7 @@ def ground_truth_stats(
     shards: int = 1,
     jobs: int | str = "auto",
     trace_cache=None,
-    chunk_refs: int = 1 << 16,
+    chunk_refs: int = CHUNK_SIZE,
 ) -> CacheStats:
     """Run the simulation (ground-truth) side of a validation: exact replay.
 

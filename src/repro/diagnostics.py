@@ -41,6 +41,7 @@ ASP302   estimate above the physical ceiling (clamped down)
 ASP303   non-finite estimate (degraded to the worst-case bound)
 ASP304   estimator failed; structure degraded to ``N_ha = T*AE``
 ASP305   non-finite value reached the DVF computation
+ASP306   model could not be evaluated
 =======  ==============================================================
 
 Evaluation modes

@@ -116,7 +116,7 @@ def evaluate_source(
         # str() of a KeyError would quote its message.
         error = exc.args[0] if isinstance(exc, KeyError) else str(exc)
         sink.error(
-            "ASP305",
+            "ASP306",
             f"model {label!r} could not be evaluated: {error}",
         )
         return BatchEntry(

@@ -7,7 +7,8 @@ replace binary instrumentation with an explicit recording layer:
 * :class:`AddressSpace` assigns contiguous byte ranges to named data
   structures (a bump allocator, like a loader laying out arrays);
 * :class:`TraceRecorder` accumulates references in *columnar* numpy
-  buffers (address / size / write-flag / label-id), which keeps
+  buffers (address / write-flag / label-id; each label's element size
+  is kept once, in the label table), which keeps
   million-reference traces cheap and lets kernels emit whole vectorised
   access bursts at once (per the HPC guides: vectorise, avoid per-item
   Python overhead);

@@ -1,18 +1,18 @@
 """Trace (de)serialisation.
 
 Traces persist as ``.npz`` archives: a zip of ``.npy`` members, the
-four columns plus the label table, the repeat count and the schema
-version.  This keeps multi-million-reference traces compact and fast to
-reload (the paper notes cache simulation over raw traces is the
-expensive path; caching traces on disk amortises collection).  The
-columns hold one period of the trace
+three columns plus the label table (names and element sizes), the
+repeat count and the schema version.  This keeps multi-million-reference
+traces compact and fast to reload (the paper notes cache simulation over
+raw traces is the expensive path; caching traces on disk amortises
+collection).  The columns hold one period of the trace
 (:class:`~repro.trace.reference.PeriodicTrace`); ``repeats`` says how
 many times it repeats.  :func:`load_periodic_trace` returns the two
 together and :func:`load_trace` the whole trace.
 
 :func:`save_trace` deflates at zlib level 1, not ``np.savez_compressed``'s
 default level 6.  On a 2-CPU x86-64 VM, storing the six verification
-traces (49.3 MB of columns) took about 1.5 s at level 6, most of a
+traces (49.3 MB of 21-byte columns) took about 1.5 s at level 6, most of a
 cold trace-cache fill, and 0.2-0.3 s at level 1; the archives grew from
 2.90 to 3.14 MB and load as fast.  Level 1 still shrinks the columns
 about 16-fold, so a cache directory stays small.
@@ -24,10 +24,10 @@ array; :func:`load_trace` still reads those (falling back to a pickled
 load for that one member), but new archives are always pickle-free.
 
 This module also owns the *in-memory* zero-copy transport used by the
-sharded simulator: :func:`trace_to_shm` packs the four columns into one
+sharded simulator: :func:`trace_to_shm` packs the three columns into one
 ``multiprocessing.shared_memory`` block and :func:`attach_trace_shm`
-maps them back in a worker process — only a tiny name/length descriptor
-ever crosses the process boundary.
+maps them back in a worker process — only a small descriptor (name,
+length, element sizes) ever crosses the process boundary.
 """
 
 from __future__ import annotations
@@ -51,7 +51,9 @@ from repro.trace.reference import PeriodicTrace, ReferenceTrace
 #: * 2 — label table as fixed-width unicode (``allow_pickle=False``).
 #: * 3 — the columns hold one period; a ``repeats`` member counts its
 #:   copies.  Archives of schema 1 and 2 load as a period repeated once.
-TRACE_SCHEMA_VERSION = 3
+#: * 4 — ``element_sizes`` (one per label) replaces the ``sizes`` column;
+#:   older archives load when their sizes are constant within a label.
+TRACE_SCHEMA_VERSION = 4
 
 
 def save_trace(
@@ -74,10 +76,10 @@ def save_trace(
         "schema_version": np.int64(TRACE_SCHEMA_VERSION),
         "repeats": np.int64(trace.repeats),
         "addresses": period.addresses,
-        "sizes": period.sizes,
         "is_write": period.is_write,
         "label_ids": period.label_ids,
         "labels": np.asarray(period.labels, dtype=np.str_),
+        "element_sizes": period.element_sizes,
     }
     with zipfile.ZipFile(
         path, "w", zipfile.ZIP_DEFLATED, compresslevel=1
@@ -130,29 +132,51 @@ def _read_repeats(archive: zipfile.ZipFile) -> int:
     return int(repeats)
 
 
+def _read_element_sizes(
+    archive: zipfile.ZipFile, label_ids: np.ndarray, n_labels: int
+) -> np.ndarray:
+    """Each label's element size, from a ``sizes`` column before schema 4.
+
+    An old column must be constant within each label (else
+    :class:`ValueError`); a label no reference names gets size 0.
+    """
+    if "sizes.npy" not in archive.namelist():
+        return _read_member(archive, "element_sizes")
+    sizes = _read_member(archive, "sizes")
+    per_label = np.zeros(n_labels, dtype=np.int64)
+    per_label[label_ids] = sizes
+    if not np.array_equal(per_label[label_ids], sizes):
+        raise ValueError("reference sizes vary within a label")
+    return per_label
+
+
 def load_periodic_trace(path: str | os.PathLike) -> PeriodicTrace:
     """Read a trace written by :func:`save_trace` as its period and count.
 
     A damaged archive raises :class:`ValueError`,
     :class:`zipfile.BadZipFile`, :class:`KeyError` (a missing member) or
     :class:`EOFError` (a member cut short), never a wrong trace, and the
-    file is closed whatever is raised.
+    file is closed whatever is raised.  So does an older archive whose
+    sizes vary within a label, which schema 4 cannot hold.
     """
     try:
         with zipfile.ZipFile(path) as archive:
+            label_ids = _read_member(archive, "label_ids")
+            labels = _read_labels(archive)
             period = ReferenceTrace(
                 _read_member(archive, "addresses"),
-                _read_member(archive, "sizes"),
                 _read_member(archive, "is_write"),
-                _read_member(archive, "label_ids"),
-                _read_labels(archive),
+                label_ids,
+                labels,
+                _read_element_sizes(archive, label_ids, len(labels)),
             )
             return PeriodicTrace(period, _read_repeats(archive))
-    except (zlib.error, tokenize.TokenError, RuntimeError) as exc:
+    except (zlib.error, tokenize.TokenError, RuntimeError, IndexError) as exc:
         # More damage: a corrupt deflate stream, a garbled ``.npy``
-        # header, or a zip entry whose flags or method zipfile cannot
+        # header, a zip entry whose flags or method zipfile cannot
         # read (an "encrypted" member; NotImplementedError, a
-        # RuntimeError, for an unknown method).
+        # RuntimeError, for an unknown method), or a label id past the
+        # label table of an older archive.
         raise ValueError(f"damaged trace archive {path}: {exc!r}") from exc
 
 
@@ -167,17 +191,16 @@ def load_trace(path: str | os.PathLike) -> ReferenceTrace:
 # ---------------------------------------------------------------------------
 # shared-memory transport (sharded simulation)
 # ---------------------------------------------------------------------------
-# One block holds all four columns back to back, int32 before bool so
+# One block holds the three columns back to back, int32 before bool so
 # every column starts on its natural alignment:
 #
 #   offset 0    addresses  int64  8n bytes
-#   offset 8n   sizes      int64  8n bytes
-#   offset 16n  label_ids  int32  4n bytes
-#   offset 20n  is_write   bool    n bytes
+#   offset 8n   label_ids  int32  4n bytes
+#   offset 12n  is_write   bool    n bytes
 #
-# 21 bytes per reference, versus ~41+ for the pickled *expanded* stream
-# the PR-4 pool shipped per shard.
-_SHM_BYTES_PER_REF = 21
+# 13 bytes per reference.  The per-label element sizes travel in the
+# descriptor.
+_SHM_BYTES_PER_REF = 13
 
 
 def trace_shm_bytes(n: int) -> int:
@@ -186,20 +209,28 @@ def trace_shm_bytes(n: int) -> int:
 
 
 def _shm_columns(
-    buf, n: int, capacity: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Column views over a block sized for ``capacity`` refs, first ``n`` used.
+    buf, n: int, cap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column views over a block sized for ``cap`` refs, first ``n`` used.
 
-    Column offsets are laid out for ``capacity`` references (defaulting
-    to ``n``) so a reusable ring block can carry chunks shorter than its
-    capacity without repacking offsets.
+    Column offsets are laid out for ``cap`` references so a reusable
+    ring block can carry chunks shorter than its capacity without
+    repacking offsets.
     """
-    cap = n if capacity is None else capacity
     addresses = np.ndarray((n,), dtype=np.int64, buffer=buf, offset=0)
-    sizes = np.ndarray((n,), dtype=np.int64, buffer=buf, offset=8 * cap)
-    label_ids = np.ndarray((n,), dtype=np.int32, buffer=buf, offset=16 * cap)
-    is_write = np.ndarray((n,), dtype=np.bool_, buffer=buf, offset=20 * cap)
-    return addresses, sizes, is_write, label_ids
+    label_ids = np.ndarray((n,), dtype=np.int32, buffer=buf, offset=8 * cap)
+    is_write = np.ndarray((n,), dtype=np.bool_, buffer=buf, offset=12 * cap)
+    return addresses, is_write, label_ids
+
+
+def _pack(shm, trace: ReferenceTrace, capacity: int) -> dict:
+    """Copy ``trace``'s columns into ``shm``; returns the descriptor."""
+    n = len(trace.addresses)
+    columns = (trace.addresses, trace.is_write, trace.label_ids)
+    for view, values in zip(_shm_columns(shm.buf, n, capacity), columns):
+        view[:] = values
+    return {"name": shm.name, "n": n, "cap": capacity,
+            "element_sizes": trace.element_sizes.tolist()}
 
 
 def trace_to_shm(
@@ -207,37 +238,32 @@ def trace_to_shm(
 ) -> tuple[shared_memory.SharedMemory, dict]:
     """Pack the compact trace columns into one shared-memory block.
 
-    Returns ``(shm, descriptor)``.  The descriptor (name + length) is
-    all a worker needs for :func:`attach_trace_shm`; the creator must
-    ``shm.close()`` and ``shm.unlink()`` when every consumer is done
-    (the sharded simulator does both in a ``finally`` so the block is
-    released even if a worker crashes mid-replay).
+    Returns ``(shm, descriptor)``.  The descriptor (name, length and
+    element sizes) is all a worker needs for :func:`attach_trace_shm`;
+    the creator must ``shm.close()`` and ``shm.unlink()`` when every
+    consumer is done (the sharded simulator does both in a ``finally``
+    so the block is released even if a worker crashes mid-replay).
     """
     n = len(trace.addresses)
     if n == 0:
         raise ValueError("cannot pack an empty trace into shared memory")
     shm = shared_memory.SharedMemory(create=True, size=trace_shm_bytes(n))
-    addresses, sizes, is_write, label_ids = _shm_columns(shm.buf, n)
-    addresses[:] = trace.addresses
-    sizes[:] = trace.sizes
-    is_write[:] = trace.is_write
-    label_ids[:] = trace.label_ids
-    del addresses, sizes, is_write, label_ids
-    return shm, {"name": shm.name, "n": n}
+    return shm, _pack(shm, trace, n)
 
 
 def attach_trace_shm(
     descriptor: dict,
 ) -> tuple[
     shared_memory.SharedMemory,
-    tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    tuple[np.ndarray, np.ndarray, np.ndarray],
 ]:
     """Map a block created by :func:`trace_to_shm` in this process.
 
-    Returns ``(shm, (addresses, sizes, is_write, label_ids))`` — the
-    arrays are zero-copy views into the block.  The caller must drop
-    every view (and anything derived from ``shm.buf``) before
-    ``shm.close()``, or CPython refuses to release the mapping.
+    Returns ``(shm, (addresses, is_write, label_ids))`` — the arrays are
+    zero-copy views into the block; the element sizes are the
+    descriptor's ``element_sizes``.  The caller must drop every view
+    (and anything derived from ``shm.buf``) before ``shm.close()``, or
+    CPython refuses to release the mapping.
 
     No resource-tracker workaround is needed here: pool workers share
     the parent's resource tracker (fd inherited under both fork and
@@ -246,9 +272,7 @@ def attach_trace_shm(
     removed exactly once by the creator's ``unlink()``.
     """
     shm = shared_memory.SharedMemory(name=descriptor["name"])
-    return shm, _shm_columns(
-        shm.buf, descriptor["n"], descriptor.get("cap")
-    )
+    return shm, _shm_columns(shm.buf, descriptor["n"], descriptor["cap"])
 
 
 class TraceShmRing:
@@ -295,15 +319,7 @@ class TraceShmRing:
             raise ValueError(
                 f"chunk of {n} refs exceeds ring capacity {self.capacity}"
             )
-        addresses, sizes, is_write, label_ids = _shm_columns(
-            self._shm.buf, n, self.capacity
-        )
-        addresses[:] = trace.addresses
-        sizes[:] = trace.sizes
-        is_write[:] = trace.is_write
-        label_ids[:] = trace.label_ids
-        del addresses, sizes, is_write, label_ids
-        return {"name": self._shm.name, "n": n, "cap": self.capacity}
+        return _pack(self._shm, trace, self.capacity)
 
     def close(self) -> None:
         self._shm.close()

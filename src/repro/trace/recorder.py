@@ -5,7 +5,8 @@ several streams interleaved the way a loop body issues them, or an
 irregular loop's references to several structures, laid out in program
 order and labelled per reference.  Each call appends one array per
 column; the columns are concatenated once into a columnar
-:class:`~repro.trace.reference.ReferenceTrace`.
+:class:`~repro.trace.reference.ReferenceTrace`, whose label table holds
+each label's element size, taken from its segment.
 
 A kernel whose every iteration issues the same references runs its
 loop as ``for _ in recorder.periods(iterations)``.  The recorder then
@@ -113,11 +114,12 @@ class TraceRecorder:
             )
         self.address_space = address_space or AddressSpace()
         self._addr = _Column(np.int64)
-        self._size = _Column(np.int64)
         self._write = _Column(bool)
         self._label = _Column(np.int32)
         self._label_ids: dict[str, int] = {}
         self._labels: list[str] = []
+        #: Each label's element size, indexed like ``_labels``.
+        self._element_sizes: list[int] = []
         self._count = 0
         self._chunk_refs = chunk_refs
         self._sink = sink
@@ -149,6 +151,7 @@ class TraceRecorder:
             lid = len(self._labels)
             self._label_ids[label] = lid
             self._labels.append(label)
+            self._element_sizes.append(self.address_space.segment(label).element_size)
         return lid
 
     def periods(self, repeats: int) -> Iterator[int]:
@@ -217,7 +220,6 @@ class TraceRecorder:
         addresses = seg.base + idx * seg.element_size
         n = idx.size
         self._addr.push_array(addresses)
-        self._size.push_array(np.full(n, seg.element_size, dtype=np.int64))
         self._write.push_array(np.full(n, is_write, dtype=bool))
         self._label.push_array(
             np.full(n, self._intern(label), dtype=np.int32)
@@ -244,7 +246,6 @@ class TraceRecorder:
         if idx.min() < 0 or idx.max() >= seg.num_elements:
             raise IndexError(f"element indices out of range for {label!r}")
         self._addr.push_array(seg.base + idx * seg.element_size)
-        self._size.push_array(np.full(idx.size, seg.element_size, dtype=np.int64))
         self._write.push_array(flags)
         self._label.push_array(np.full(idx.size, self._intern(label), dtype=np.int32))
         self._added(idx.size)
@@ -299,7 +300,6 @@ class TraceRecorder:
         n = streams[0][1].size
         k = len(streams)
         addresses = np.empty(n * k, dtype=np.int64)
-        sizes = np.empty(n * k, dtype=np.int64)
         writes = np.empty(n * k, dtype=bool)
         label_ids = np.empty(n * k, dtype=np.int32)
         for slot, (label, idx, is_write) in enumerate(streams):
@@ -313,11 +313,9 @@ class TraceRecorder:
             if idx.min() < 0 or idx.max() >= seg.num_elements:
                 raise IndexError(f"element indices out of range for {label!r}")
             addresses[slot::k] = seg.base + idx * seg.element_size
-            sizes[slot::k] = seg.element_size
             writes[slot::k] = is_write
             label_ids[slot::k] = self._intern(label)
         self._addr.push_array(addresses)
-        self._size.push_array(sizes)
         self._write.push_array(writes)
         self._label.push_array(label_ids)
         self._added(n * k)
@@ -376,9 +374,7 @@ class TraceRecorder:
         label_ids = np.array(
             [self._intern(label) for label in labels], dtype=np.int32
         )
-        sizes = element_size[which]
-        self._addr.push_array(base[which] + idx * sizes)
-        self._size.push_array(sizes)
+        self._addr.push_array(base[which] + idx * element_size[which])
         self._write.push_array(np.full(idx.size, is_write, dtype=bool))
         self._label.push_array(label_ids[which])
         self._added(idx.size)
@@ -408,10 +404,10 @@ class TraceRecorder:
             )
         period = ReferenceTrace(
             self._addr.collect(),
-            self._size.collect(),
             self._write.collect(),
             self._label.collect(),
             list(self._labels),
+            self._element_sizes,
         )
         return PeriodicTrace(period, self._repeats)
 
@@ -422,10 +418,10 @@ class TraceRecorder:
         """Destructively drain the oldest ``n`` pending references."""
         chunk = ReferenceTrace(
             self._addr.take(n),
-            self._size.take(n),
             self._write.take(n),
             self._label.take(n),
             list(self._labels),
+            self._element_sizes,
         )
         self._pending -= n
         self._flushed += n

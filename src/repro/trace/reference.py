@@ -10,28 +10,32 @@ import numpy as np
 class ReferenceTrace:
     """An immutable, columnar memory-reference trace.
 
-    Columns are numpy arrays (``int64`` addresses/sizes, ``bool`` write
-    flags, ``int32`` label ids) plus a label table.  Columnar storage is
-    ~50x smaller than a list of per-reference objects and lets the cache
-    simulator and analyses work on whole vectors.
+    Columns are numpy arrays (``int64`` addresses, ``bool`` write flags,
+    ``int32`` label ids: 13 bytes per reference) plus a label table of
+    names and element sizes (a reference's size is its label's).
+    Columnar storage is ~50x smaller than a list of per-reference
+    objects and lets the cache simulator and analyses work on whole
+    vectors.
     """
 
     def __init__(
         self,
         addresses: np.ndarray,
-        sizes: np.ndarray,
         is_write: np.ndarray,
         label_ids: np.ndarray,
         labels: list[str],
+        element_sizes: np.ndarray,
     ):
         n = len(addresses)
-        if not (len(sizes) == len(is_write) == len(label_ids) == n):
+        if not (len(is_write) == len(label_ids) == n):
             raise ValueError("trace columns must all have the same length")
         self.addresses = np.ascontiguousarray(addresses, dtype=np.int64)
-        self.sizes = np.ascontiguousarray(sizes, dtype=np.int64)
         self.is_write = np.ascontiguousarray(is_write, dtype=bool)
         self.label_ids = np.ascontiguousarray(label_ids, dtype=np.int32)
         self.labels = list(labels)
+        self.element_sizes = np.ascontiguousarray(element_sizes, dtype=np.int64)
+        if self.element_sizes.shape != (len(self.labels),):
+            raise ValueError("element_sizes must hold one size per label")
         if n and (self.label_ids.min() < 0 or self.label_ids.max() >= len(labels)):
             raise ValueError("label id out of range for label table")
 
@@ -52,13 +56,14 @@ class ReferenceTrace:
 
     def filter_label(self, label: str) -> "ReferenceTrace":
         """Sub-trace containing only references to ``label``."""
-        mask = self.label_ids == self.label_id(label)
+        lid = self.label_id(label)
+        mask = self.label_ids == lid
         return ReferenceTrace(
             self.addresses[mask],
-            self.sizes[mask],
             self.is_write[mask],
             np.zeros(int(mask.sum()), dtype=np.int32),
             [label],
+            self.element_sizes[lid : lid + 1],
         )
 
     def write_fraction(self) -> float:
@@ -75,10 +80,10 @@ class ReferenceTrace:
         """
         return ReferenceTrace(
             self.addresses[start:stop],
-            self.sizes[start:stop],
             self.is_write[start:stop],
             self.label_ids[start:stop],
             self.labels,
+            self.element_sizes,
         )
 
 
@@ -113,10 +118,10 @@ class PeriodicTrace:
         p, r = self.period, self.repeats
         return ReferenceTrace(
             np.tile(p.addresses, r),
-            np.tile(p.sizes, r),
             np.tile(p.is_write, r),
             np.tile(p.label_ids, r),
             p.labels,
+            p.element_sizes,
         )
 
 

@@ -267,7 +267,7 @@ class TestInputErrors:
         entry = evaluate_source("x", source, machine=machine, mode="lenient")
         assert not entry.ok
         assert message in entry.error
-        assert [d.code for d in entry.diagnostics] == ["ASP305"]
+        assert [d.code for d in entry.diagnostics] == ["ASP306"]
 
 
 class TestSinkSharing:
@@ -357,7 +357,7 @@ class TestUnsizableModel:
         assert "[ASP211]" in entry.error
         assert "division by zero" in entry.error
         codes = [d.code for d in entry.diagnostics]
-        assert codes.count("ASP211") == 3 and codes[-1] == "ASP305"
+        assert codes.count("ASP211") == 3 and codes[-1] == "ASP306"
         text = render_aspen_batch([entry])
         assert "1 models, 1 failed, 0 with degraded structures" in text
 

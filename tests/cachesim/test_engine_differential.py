@@ -58,26 +58,35 @@ def force_kernel(monkeypatch, kernel: str) -> None:
     )
 
 
+def set_chunk_size(monkeypatch, size: int) -> None:
+    """Cut whole traces and engine batches into ``size`` pieces."""
+    monkeypatch.setattr(engine_mod, "CHUNK_SIZE", size)
+
+
 def straddling_trace(n=64):
     """Every reference spans several 32-byte lines."""
     return ReferenceTrace(
         addresses=np.arange(n, dtype=np.int64) * 48,
-        sizes=np.full(n, 100, dtype=np.int64),
         is_write=np.arange(n) % 2 == 0,
         label_ids=(np.arange(n) % 2).astype(np.int32),
         labels=["x", "y"],
+        element_sizes=[100, 100],
     )
 
 
-def random_trace(rng, n, n_labels=3, addr_space=1 << 15, max_size=192):
-    """Mixed read/write multi-label trace with line-straddling accesses."""
+def random_trace(rng, n, n_labels=8, addr_space=1 << 15, max_size=192):
+    """Mixed read/write multi-label trace with line-straddling accesses.
+
+    Each label draws its own element size, so the labels' references
+    straddle lines by different widths.
+    """
     labels = [f"ds{i}" for i in range(n_labels)]
     return ReferenceTrace(
         addresses=rng.integers(0, addr_space, size=n).astype(np.int64),
-        sizes=rng.integers(1, max_size + 1, size=n).astype(np.int64),
         is_write=rng.random(n) < 0.4,
         label_ids=rng.integers(0, n_labels, size=n).astype(np.int32),
         labels=labels,
+        element_sizes=rng.integers(1, max_size + 1, size=n_labels),
     )
 
 
@@ -97,10 +106,10 @@ def counters(stats, residency=True):
 def assert_identical(array_sim, ref_sim, labels):
     """Exact agreement on every counter the oracle keeps.
 
-    Residency is compared only when both simulators track it (sharded
-    replay numbers steps per shard).
+    Residency is compared only when neither simulator is sharded
+    (sharded replay numbers steps per shard).
     """
-    tracked = array_sim.track_residency and ref_sim.track_residency
+    tracked = array_sim.shards == ref_sim.shards == 1
     assert counters(array_sim.stats, tracked) == counters(
         ref_sim.stats, tracked
     )
@@ -130,10 +139,10 @@ def drain(*sims):
     trace = ReferenceTrace(
         addresses=(first_line + np.arange(n, dtype=np.int64))
         * geometry.line_size,
-        sizes=np.ones(n, dtype=np.int64),
         is_write=np.zeros(n, dtype=bool),
         label_ids=np.zeros(n, dtype=np.int32),
         labels=["drain"],
+        element_sizes=[1],
     )
     for sim in sims:
         sim.run(trace)
@@ -154,16 +163,9 @@ class TestDifferentialRandomized:
         )
         for trial in range(4):
             trace = random_trace(rng, n=int(rng.integers(1, 1500)))
-            chunk = int(rng.integers(1, 600))
-            array_sim = CacheSimulator(
-                geometry,
-                track_residency=True,
-                engine="array",
-                chunk_size=chunk,
-            )
-            ref_sim = CacheSimulator(
-                geometry, track_residency=True, engine="reference"
-            )
+            set_chunk_size(monkeypatch, int(rng.integers(1, 600)))
+            array_sim = CacheSimulator(geometry, engine="array")
+            ref_sim = CacheSimulator(geometry, engine="reference")
             array_sim.run(trace)
             ref_sim.run(trace)
             assert_identical(array_sim, ref_sim, trace.labels)
@@ -171,15 +173,12 @@ class TestDifferentialRandomized:
             drain(array_sim, ref_sim)
             assert_identical(array_sim, ref_sim, trace.labels)
 
-    def test_warm_cache_across_runs_matches_oracle(self):
+    def test_warm_cache_across_runs_matches_oracle(self, monkeypatch):
         rng = np.random.default_rng(11)
         geometry = CacheGeometry(4, 64, 32)
-        array_sim = CacheSimulator(
-            geometry, track_residency=True, engine="array", chunk_size=333
-        )
-        ref_sim = CacheSimulator(
-            geometry, track_residency=True, engine="reference"
-        )
+        set_chunk_size(monkeypatch, 333)
+        array_sim = CacheSimulator(geometry, engine="array")
+        ref_sim = CacheSimulator(geometry, engine="reference")
         labels = set()
         for _ in range(4):
             trace = random_trace(rng, n=int(rng.integers(50, 800)))
@@ -201,10 +200,10 @@ class TestDifferentialRandomized:
             n = len(lines)
             return ReferenceTrace(
                 addresses=np.asarray(lines, dtype=np.int64) * 32,
-                sizes=np.ones(n, dtype=np.int64),
                 is_write=np.asarray(writes, dtype=bool),
                 label_ids=np.asarray(labels, dtype=np.int32),
                 labels=["a", "b"],
+                element_sizes=[1, 1],
             )
 
         # Set 0 (lines 0, 4, ...) fills and evicts dirty line 0, leaving
@@ -222,12 +221,8 @@ class TestDifferentialRandomized:
             [0, 1, 0, 1, 1, 0, 0],
             [1, 0, 1, 0, 0, 1, 0],
         )
-        array_sim = CacheSimulator(
-            geometry, track_residency=True, engine="array"
-        )
-        ref_sim = CacheSimulator(
-            geometry, track_residency=True, engine="reference"
-        )
+        array_sim = CacheSimulator(geometry, engine="array")
+        ref_sim = CacheSimulator(geometry, engine="reference")
         for trace in (warm, chunk):
             array_sim.run(trace)
             ref_sim.run(trace)
@@ -237,18 +232,15 @@ class TestDifferentialRandomized:
         drain(array_sim, ref_sim)
         assert_identical(array_sim, ref_sim, ["a", "b"])
 
-    def test_single_access_chunks_match(self):
-        # chunk_size=1 degenerates to fully sequential replay; every
-        # run straddles a chunk boundary.
+    def test_single_access_chunks_match(self, monkeypatch):
+        # A chunk size of 1 degenerates to fully sequential replay;
+        # every run straddles a chunk boundary.
         rng = np.random.default_rng(5)
         geometry = CacheGeometry(2, 8, 32)
         trace = random_trace(rng, n=300, addr_space=1 << 10)
-        array_sim = CacheSimulator(
-            geometry, track_residency=True, engine="array", chunk_size=1
-        )
-        ref_sim = CacheSimulator(
-            geometry, track_residency=True, engine="reference"
-        )
+        set_chunk_size(monkeypatch, 1)
+        array_sim = CacheSimulator(geometry, engine="array")
+        ref_sim = CacheSimulator(geometry, engine="reference")
         array_sim.run(trace)
         ref_sim.run(trace)
         assert_identical(array_sim, ref_sim, trace.labels)
@@ -256,24 +248,18 @@ class TestDifferentialRandomized:
     @pytest.mark.parametrize("engine", ["array", "reference"])
     @pytest.mark.parametrize("chunk_size", [1, 3])
     def test_run_chunks_smaller_than_trace_match_oracle(
-        self, engine, chunk_size
+        self, engine, chunk_size, monkeypatch
     ):
         # run() cuts the trace into chunk_size-reference chunks.  Every
         # reference here expands to several lines, so the engine's
         # chunk_size-touch batches also end inside a reference.
         geometry = CacheGeometry(2, 8, 32)
         trace = straddling_trace()
-        chunked = CacheSimulator(
-            geometry,
-            track_residency=True,
-            engine=engine,
-            chunk_size=chunk_size,
-        )
-        ref_sim = CacheSimulator(
-            geometry, track_residency=True, engine="reference"
-        )
-        chunked.run(trace)
+        ref_sim = CacheSimulator(geometry, engine="reference")
         ref_sim.run(trace)
+        set_chunk_size(monkeypatch, chunk_size)
+        chunked = CacheSimulator(geometry, engine=engine)
+        chunked.run(trace)
         assert_identical(chunked, ref_sim, trace.labels)
         drain(chunked, ref_sim)
         assert_identical(chunked, ref_sim, trace.labels)
@@ -284,19 +270,15 @@ class TestDifferentialRandomized:
         n = 500
         trace = ReferenceTrace(
             addresses=np.repeat(np.arange(n // 10, dtype=np.int64) * 64, 10),
-            sizes=np.full(n, 8, dtype=np.int64),
             is_write=np.arange(n) % 3 == 0,
             label_ids=np.zeros(n, dtype=np.int32),
             labels=["A"],
+            element_sizes=[8],
         )
         for kernel in ("wave", "stack"):
             force_kernel(monkeypatch, kernel)
-            array_sim = CacheSimulator(
-                geometry, track_residency=True, engine="array"
-            )
-            ref_sim = CacheSimulator(
-                geometry, track_residency=True, engine="reference"
-            )
+            array_sim = CacheSimulator(geometry, engine="array")
+            ref_sim = CacheSimulator(geometry, engine="reference")
             array_sim.run(trace)
             ref_sim.run(trace)
             assert_identical(array_sim, ref_sim, trace.labels)
@@ -357,9 +339,3 @@ class TestEngineSwitch:
         a.run(trace)
         r.run(trace)
         assert a.stats.as_dict() == r.stats.as_dict()
-
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            CacheSimulator(
-                CacheGeometry(4, 64, 32), engine="array", chunk_size=0
-            )

@@ -19,11 +19,11 @@ from repro.trace.reference import ReferenceTrace
 from test_engine_differential import counters, drain
 
 
-def make_trace(addresses, sizes, labels=None, label_ids=None, writes=None):
+def make_trace(addresses, sizes, label_ids=None, writes=None):
+    """A trace whose label ``i`` has element size ``sizes[i]``."""
     n = len(addresses)
     return ReferenceTrace(
         addresses=np.asarray(addresses, dtype=np.int64),
-        sizes=np.asarray(sizes, dtype=np.int64),
         is_write=(
             np.zeros(n, dtype=bool) if writes is None else np.asarray(writes)
         ),
@@ -32,16 +32,16 @@ def make_trace(addresses, sizes, labels=None, label_ids=None, writes=None):
             if label_ids is None
             else np.asarray(label_ids, dtype=np.int32)
         ),
-        labels=labels or ["A"],
+        labels=["ABCDEFGH"[i] for i in range(len(sizes))],
+        element_sizes=sizes,
     )
 
 
 def brute_force_expand(trace, line_size):
     """Per-access loop the vectorised expansion must agree with."""
     lines, writes, lids = [], [], []
-    for addr, size, w, lid in zip(
-        trace.addresses, trace.sizes, trace.is_write, trace.label_ids
-    ):
+    for addr, w, lid in zip(trace.addresses, trace.is_write, trace.label_ids):
+        size = trace.element_sizes[lid]
         first = int(addr) // line_size
         last = (int(addr) + int(size) - 1) // line_size
         for line in range(first, last + 1):
@@ -53,12 +53,12 @@ def brute_force_expand(trace, line_size):
 
 class TestExpandLinesEdgeCases:
     def test_empty_trace(self):
-        trace = make_trace([], [])
+        trace = make_trace([], [8])
         line_ids, writes, lids = _expand_lines(trace, 64)
         assert len(line_ids) == len(writes) == len(lids) == 0
 
     def test_size_one_access_touches_one_line(self):
-        trace = make_trace([63, 64], [1, 1])
+        trace = make_trace([63, 64], [1])
         line_ids, _, _ = _expand_lines(trace, 64)
         assert line_ids.tolist() == [0, 1]
 
@@ -82,9 +82,7 @@ class TestExpandLinesEdgeCases:
         assert lids.tolist() == [0] * 3
 
     def test_access_spanning_many_lines_carries_flags(self):
-        trace = make_trace(
-            [10], [1000], labels=["A", "B"], label_ids=[1], writes=[True]
-        )
+        trace = make_trace([10], [8, 1000], label_ids=[1], writes=[True])
         line_ids, writes, lids = _expand_lines(trace, 32)
         assert line_ids.tolist() == list(range(0, 32))
         assert writes.all()
@@ -92,12 +90,12 @@ class TestExpandLinesEdgeCases:
 
     def test_mixed_spans_preserve_order(self):
         # Straddle fast path: spans 1 and 2 interleaved keep trace order.
-        trace = make_trace([0, 60, 64, 126], [8, 8, 8, 8])
+        trace = make_trace([0, 60, 64, 126], [8])
         line_ids, _, _ = _expand_lines(trace, 64)
         assert line_ids.tolist() == [0, 0, 1, 1, 1, 2]
 
     def test_non_power_of_two_line_size(self):
-        trace = make_trace([0, 95, 100], [10, 10, 10])
+        trace = make_trace([0, 95, 100], [10])
         line_ids, _, _ = _expand_lines(trace, 96)
         assert line_ids.tolist() == [0, 0, 1, 1]
 
@@ -106,22 +104,23 @@ class TestExpandLinesEdgeCases:
         st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=4000),
-                st.integers(min_value=1, max_value=700),
                 st.booleans(),
-                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=5),
             ),
             min_size=0,
             max_size=60,
         ),
+        st.lists(
+            st.integers(min_value=1, max_value=700), min_size=6, max_size=6
+        ),
         st.sampled_from([32, 48, 64, 128]),
     )
-    def test_matches_brute_force(self, accesses, line_size):
+    def test_matches_brute_force(self, accesses, sizes, line_size):
         trace = make_trace(
             [a[0] for a in accesses],
-            [a[1] for a in accesses],
-            labels=["A", "B", "C"],
-            label_ids=[a[3] for a in accesses],
-            writes=[a[2] for a in accesses],
+            sizes,
+            label_ids=[a[2] for a in accesses],
+            writes=[a[1] for a in accesses],
         )
         line_ids, writes, lids = _expand_lines(trace, line_size)
         exp_lines, exp_writes, exp_lids = brute_force_expand(trace, line_size)
@@ -136,9 +135,7 @@ class TestWarmCachePersistence:
     @pytest.mark.parametrize("engine", ["array", "reference"])
     def test_second_run_hits_warm_cache(self, engine):
         geometry = CacheGeometry(4, 64, 32)
-        trace = make_trace(
-            np.arange(100, dtype=np.int64) * 32, np.full(100, 8)
-        )
+        trace = make_trace(np.arange(100, dtype=np.int64) * 32, [8])
         sim = CacheSimulator(geometry, engine=engine)
         sim.run(trace)
         assert sim.stats.label("A").misses == 100
@@ -151,7 +148,7 @@ class TestWarmCachePersistence:
         geometry = CacheGeometry(4, 64, 32)
         trace = make_trace(
             np.arange(50, dtype=np.int64) * 32,
-            np.full(50, 8),
+            [8],
             writes=np.ones(50, dtype=bool),
         )
         sim = CacheSimulator(geometry, engine=engine)
@@ -172,7 +169,8 @@ class TestWarmCachePersistence:
         for _ in range(3):
             trace = make_trace(
                 rng.integers(0, 1 << 12, size=200),
-                rng.integers(1, 100, size=200),
+                rng.integers(1, 100, size=8),
+                label_ids=rng.integers(0, 8, size=200),
                 writes=rng.random(200) < 0.5,
             )
             for sim in sims.values():

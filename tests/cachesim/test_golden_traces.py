@@ -41,7 +41,7 @@ def test_kernel_still_produces_golden_trace(kernel):
     golden = load_trace(FIXTURE_DIR / f"{kernel.lower()}_test.npz")
     live = KERNELS[kernel].trace(WORKLOADS["test"][kernel])
     assert live.labels == golden.labels
+    assert (live.element_sizes == golden.element_sizes).all()
     assert (live.addresses == golden.addresses).all()
-    assert (live.sizes == golden.sizes).all()
     assert (live.is_write == golden.is_write).all()
     assert (live.label_ids == golden.label_ids).all()

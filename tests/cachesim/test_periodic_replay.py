@@ -36,10 +36,10 @@ def columns(lines, writes, labels, line_size):
     n = len(lines)
     return ReferenceTrace(
         addresses=np.asarray(lines, dtype=np.int64) * line_size,
-        sizes=np.ones(n, dtype=np.int64),
         is_write=np.asarray(writes, dtype=bool),
         label_ids=np.asarray(labels, dtype=np.int32),
         labels=["A", "B"],
+        element_sizes=[1, 1],
     )
 
 
@@ -149,14 +149,17 @@ def periodic_streams(draw):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     span = geometry.capacity * draw(st.sampled_from([1, 2, 4]))
+    labels = ["t", "u", "v", "x", "y", "z"]
 
     def random_trace(n):
+        # One element size per label, so each trace mixes the straddle
+        # widths of a few sizes.
         return ReferenceTrace(
             addresses=rng.integers(0, span, n).astype(np.int64),
-            sizes=rng.choice([1, 4, 8, 24], n).astype(np.int64),
             is_write=rng.random(n) < 0.4,
-            label_ids=rng.integers(0, 3, n).astype(np.int32),
-            labels=["x", "y", "z"],
+            label_ids=rng.integers(0, len(labels), n).astype(np.int32),
+            labels=labels,
+            element_sizes=rng.choice([1, 4, 8, 24], len(labels)),
         )
 
     warm = random_trace(draw(st.integers(0, 40)))

@@ -100,7 +100,7 @@ class TestPolicyResidency:
             rec.record_elements(label, rng.integers(0, 64, 200), False)
         trace = rec.finish()
         sims = {
-            policy: CacheSimulator(SMALL, policy=policy, track_residency=True)
+            policy: CacheSimulator(SMALL, policy=policy)
             for policy in ("lru", "fifo", "random")
         }
         for sim in sims.values():

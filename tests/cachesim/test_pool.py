@@ -36,13 +36,7 @@ def _fresh_pool():
 
 
 def _pooled_sim(shards=4, jobs=2):
-    return CacheSimulator(
-        GEOMETRY,
-        track_residency=False,
-        engine="array",
-        shards=shards,
-        jobs=jobs,
-    )
+    return CacheSimulator(GEOMETRY, engine="array", shards=shards, jobs=jobs)
 
 
 def _assert_dead(pids):
@@ -121,10 +115,10 @@ class TestPoolLifecycle:
             n = 600
             trace = ReferenceTrace(
                 rng.integers(0, 1 << 15, size=n).astype(np.int64),
-                rng.integers(1, 65, size=n).astype(np.int64),
                 rng.random(n) < 0.5,
                 np.zeros(n, dtype=np.int32),
                 ["x"],
+                [24],
             )
             sim = CacheSimulator(
                 CacheGeometry(4, 64, 32), engine="array", shards=4, jobs=2
@@ -154,7 +148,7 @@ class TestWorkerCrash:
     def test_sigkilled_worker_falls_back_bit_identical(self):
         rng = np.random.default_rng(29)
         trace = random_trace(rng, n=900)
-        base = CacheSimulator(GEOMETRY, track_residency=False, engine="array")
+        base = CacheSimulator(GEOMETRY, engine="array")
         sharded = _pooled_sim(shards=2, jobs=2)
         sharded._array.chaos_kill_shard = 0  # worker dies mid-replay
         base.run(trace)
@@ -188,7 +182,7 @@ class TestWorkerCrash:
         crashing.run(random_trace(rng, n=900))
         # The broken pool was discarded; a fresh pooled run must work.
         trace = random_trace(rng, n=900)
-        base = CacheSimulator(GEOMETRY, track_residency=False, engine="array")
+        base = CacheSimulator(GEOMETRY, engine="array")
         sharded = _pooled_sim(shards=2, jobs=2)
         base.run(trace)
         sharded.run(trace)

@@ -39,24 +39,25 @@ from test_engine_differential import (
 )
 
 
+def sizes(trace):
+    """Each reference's size: its label's element size."""
+    return trace.element_sizes[trace.label_ids]
+
+
 def _empty_trace():
     return ReferenceTrace(
-        np.empty(0, dtype=np.int64),
         np.empty(0, dtype=np.int64),
         np.empty(0, dtype=bool),
         np.empty(0, dtype=np.int32),
         ["x"],
+        [8],
     )
 
 
 def sharded_pair(geometry, shards, jobs=1):
-    base = CacheSimulator(geometry, track_residency=False, engine="array")
+    base = CacheSimulator(geometry, engine="array")
     sharded = CacheSimulator(
-        geometry,
-        track_residency=False,
-        engine="array",
-        shards=shards,
-        jobs=jobs,
+        geometry, engine="array", shards=shards, jobs=jobs
     )
     return base, sharded
 
@@ -183,10 +184,10 @@ class TestShardedValidation:
     def test_sharded_rejects_residency_tracking(self):
         # Each shard numbers steps by its own clock, so the shards'
         # residency counters do not add up to one engine's.
+        sim = CacheSimulator(CacheGeometry(4, 64, 32), shards=2, jobs=1)
+        sim.run(random_trace(np.random.default_rng(1), n=10))
         with pytest.raises(CacheEngineError, match="residency"):
-            CacheSimulator(
-                CacheGeometry(4, 64, 32), track_residency=True, shards=2
-            )
+            sim.average_resident_lines("ds0")
 
     def test_replay_trace_rejects_collect_events(self):
         sharded = ShardedLRUSimulator(CacheGeometry(4, 64, 32), 2)
@@ -240,7 +241,7 @@ class TestExpandShard:
             )
             counts = shard_entry_counts(
                 trace.addresses,
-                trace.sizes,
+                sizes(trace),
                 geometry.line_size,
                 geometry.num_sets,
                 num_shards,
@@ -249,7 +250,7 @@ class TestExpandShard:
             for shard in range(num_shards):
                 got = expand_shard(
                     trace.addresses,
-                    trace.sizes,
+                    sizes(trace),
                     trace.is_write,
                     trace.label_ids,
                     geometry.line_size,
@@ -273,7 +274,7 @@ class TestExpandShard:
         for shard in range(3):
             got = expand_shard(
                 trace.addresses,
-                trace.sizes,
+                sizes(trace),
                 trace.is_write,
                 trace.label_ids,
                 geometry.line_size,
@@ -288,12 +289,12 @@ class TestExpandShard:
         trace = _empty_trace()
         assert expanded_size(trace, 64) == 0
         counts = shard_entry_counts(
-            trace.addresses, trace.sizes, 64, 8, 4
+            trace.addresses, sizes(trace), 64, 8, 4
         )
         assert counts.tolist() == [0, 0, 0, 0]
         got = expand_shard(
             trace.addresses,
-            trace.sizes,
+            sizes(trace),
             trace.is_write,
             trace.label_ids,
             64,
@@ -351,10 +352,10 @@ class TestStateDiffs:
         stride = geometry.line_size * geometry.num_sets
         trace = ReferenceTrace(
             (np.arange(n, dtype=np.int64) % 5) * stride,  # set 0 only
-            np.full(n, 4, dtype=np.int64),
             np.zeros(n, dtype=bool),
             np.zeros(n, dtype=np.int32),
             ["x"],
+            [4],
         )
         line_ids, writes, label_ids = _expand_lines(
             trace, geometry.line_size
@@ -390,13 +391,14 @@ class TestShmTransport:
         shm, descriptor = trace_to_shm(trace)
         try:
             assert descriptor["n"] == 333
+            assert descriptor["element_sizes"] == trace.element_sizes.tolist()
             attached, columns = attach_trace_shm(descriptor)
-            addresses, sizes, is_write, label_ids = columns
+            addresses, is_write, label_ids = columns
             np.testing.assert_array_equal(addresses, trace.addresses)
-            np.testing.assert_array_equal(sizes, trace.sizes)
             np.testing.assert_array_equal(is_write, trace.is_write)
             np.testing.assert_array_equal(label_ids, trace.label_ids)
-            del columns, addresses, sizes, is_write, label_ids
+            assert attached.size >= 13 * 333
+            del columns, addresses, is_write, label_ids
             attached.close()
         finally:
             shm.close()
@@ -429,19 +431,12 @@ class TestDegenerateRouting:
         addresses = (np.arange(n, dtype=np.int64) % 7) * stride
         trace = ReferenceTrace(
             addresses,
-            np.full(n, 4, dtype=np.int64),
             np.arange(n) % 3 == 0,
             np.zeros(n, dtype=np.int32),
             ["x"],
+            [4],
         )
-        base = CacheSimulator(geometry, engine="array", track_residency=False)
-        sharded = CacheSimulator(
-            geometry,
-            track_residency=False,
-            engine="array",
-            shards=4,
-            jobs=4,
-        )
+        base, sharded = sharded_pair(geometry, 4, jobs=4)
         base.run(trace)
         sharded.run(trace)
         assert_identical(sharded, base, trace.labels)
@@ -452,12 +447,6 @@ class TestDegenerateRouting:
 
         monkeypatch.setattr("repro.cachesim.pool.get_pool", _boom)
         geometry = CacheGeometry(4, 64, 32)
-        sim = CacheSimulator(
-            geometry,
-            track_residency=False,
-            engine="array",
-            shards=2,
-            jobs=2,
-        )
+        sim = CacheSimulator(geometry, engine="array", shards=2, jobs=2)
         sim.run(_empty_trace())
         assert sim.stats.total.accesses == 0

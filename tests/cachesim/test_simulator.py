@@ -101,13 +101,17 @@ class TestSimulatorMatchesScalarCache:
         trace = make_trace(indices, num_elements=512, writes=writes)
         fast = simulate_trace(trace, SMALL)
         slow_cache = SetAssociativeCache(SMALL)
-        for address, size, is_write, lid in zip(
+        for address, is_write, lid in zip(
             trace.addresses.tolist(),
-            trace.sizes.tolist(),
             trace.is_write.tolist(),
             trace.label_ids.tolist(),
         ):
-            slow_cache.access(address, size, is_write, trace.labels[lid])
+            slow_cache.access(
+                address,
+                int(trace.element_sizes[lid]),
+                is_write,
+                trace.labels[lid],
+            )
         assert fast.as_dict() == slow_cache.stats.as_dict()
 
 

@@ -33,8 +33,8 @@ CHUNK_SIZES = [1, 3, 97, 4096]
 
 
 def streamed_pair(geometry, **kwargs):
-    mono = CacheSimulator(geometry, track_residency=True, **kwargs)
-    streamed = CacheSimulator(geometry, track_residency=True, **kwargs)
+    mono = CacheSimulator(geometry, **kwargs)
+    streamed = CacheSimulator(geometry, **kwargs)
     return mono, streamed
 
 
@@ -76,10 +76,10 @@ class TestStreamedBitIdentity:
         n = 64
         trace = ReferenceTrace(
             addresses=np.arange(n, dtype=np.int64) * 48,
-            sizes=np.full(n, 100, dtype=np.int64),  # every ref straddles
             is_write=np.arange(n) % 2 == 0,
             label_ids=np.zeros(n, dtype=np.int32),
             labels=["x"],
+            element_sizes=[100],  # every ref straddles
         )
         mono, streamed = streamed_pair(geometry, engine="array")
         mono.run(trace)
@@ -130,13 +130,9 @@ class TestStreamedBitIdentity:
         geometry = CacheGeometry(4, 64, 32)
         rng = np.random.default_rng(29 + jobs)
         trace = random_trace(rng, n=1100)
-        mono = CacheSimulator(geometry, track_residency=False, engine="array")
+        mono = CacheSimulator(geometry, engine="array")
         streamed = CacheSimulator(
-            geometry,
-            track_residency=False,
-            engine="array",
-            shards=2,
-            jobs=jobs,
+            geometry, engine="array", shards=2, jobs=jobs
         )
         mono.run(trace)
         streamed.run_stream(iter_chunks(trace, 113))

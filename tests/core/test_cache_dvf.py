@@ -13,7 +13,7 @@ SMALL = CacheGeometry(4, 64, 32, "small")
 
 
 def run_tracked(build):
-    sim = CacheSimulator(SMALL, track_residency=True)
+    sim = CacheSimulator(SMALL)
     rec = TraceRecorder()
     build(rec)
     sim.run(rec.finish())
@@ -21,10 +21,14 @@ def run_tracked(build):
 
 
 class TestResidencyTracking:
-    def test_requires_flag(self):
-        sim = CacheSimulator(SMALL)
-        with pytest.raises(RuntimeError, match="track_residency"):
-            sim.average_resident_lines("A")
+    def test_needs_no_flag(self):
+        # Every single-engine simulator keeps residency: before any
+        # replay it reads 0; a line inserted at step 1 of 2 reads 1/2.
+        for engine in ("array", "reference"):
+            sim = CacheSimulator(SMALL, engine=engine)
+            assert sim.average_resident_lines("A") == 0.0
+            sim.run(ReferenceTrace([0, 0], [False, True], [0, 0], ["A"], [8]))
+            assert sim.average_resident_lines("A") == 0.5
 
     def test_single_resident_structure(self):
         def build(rec):
@@ -80,12 +84,12 @@ class TestResidencyTracking:
         lines = [0, 64, 128, 192] + [256] * 6
         trace = ReferenceTrace(
             addresses=np.asarray(lines, dtype=np.int64) * SMALL.line_size,
-            sizes=np.full(10, 8, dtype=np.int64),
             is_write=np.zeros(10, dtype=bool),
             label_ids=np.asarray([0] + [1] * 9, dtype=np.int32),
             labels=["A", "B"],
+            element_sizes=[8, 8],
         )
-        sim = CacheSimulator(SMALL, track_residency=True, engine=engine)
+        sim = CacheSimulator(SMALL, engine=engine)
         sim.run(trace)
         assert sim.stats.label("A").evictions == 1
         assert sim.average_resident_lines("A") == 0.4

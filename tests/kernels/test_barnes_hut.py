@@ -170,7 +170,7 @@ class TestDifferential:
         workload, _, _, _, expected = reference
         trace = kernel.trace(workload)
         assert trace.labels == expected.labels
-        for column in ("addresses", "sizes", "is_write", "label_ids"):
+        for column in ("addresses", "is_write", "label_ids", "element_sizes"):
             assert np.array_equal(
                 getattr(trace, column), getattr(expected, column)
             ), column

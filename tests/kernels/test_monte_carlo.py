@@ -163,7 +163,7 @@ class TestAgainstLoop:
         assert total.hex() == expected.hex()
         got, want = got_rec.finish(), want_rec.finish()
         assert got.labels == want.labels
-        for column in ("addresses", "sizes", "is_write", "label_ids"):
+        for column in ("addresses", "is_write", "label_ids", "element_sizes"):
             a, b = getattr(got, column), getattr(want, column)
             assert a.dtype == b.dtype, column
             assert a.tobytes() == b.tobytes(), column

@@ -19,7 +19,7 @@ from repro.kernels.conjugate_gradient import (
 )
 from repro.trace import TraceRecorder
 
-COLUMNS = ("addresses", "sizes", "is_write", "label_ids")
+COLUMNS = ("addresses", "is_write", "label_ids", "element_sizes")
 
 
 def workload(tier, variant):

@@ -19,7 +19,7 @@ from template_reference import (
 from repro.aspen import compile_source
 from repro.aspen.builtin import MACHINE_LIBRARY, builtin_source
 from repro.cachesim import PAPER_CACHES, CacheGeometry
-from repro.cachesim.engine import DEFAULT_CHUNK_SIZE
+from repro.cachesim.engine import CHUNK_SIZE
 from repro.kernels import KERNELS, PROFILING_WORKLOADS, TEST_WORKLOADS
 from repro.patterns import (
     PatternError,
@@ -59,7 +59,7 @@ class TestEngineWalk:
     def test_stream_longer_than_a_chunk(self):
         geometry = CacheGeometry(4, 48, 64)
         rng = np.random.default_rng(7)
-        stream = rng.integers(0, 400, size=DEFAULT_CHUNK_SIZE + 1001)
+        stream = rng.integers(0, 400, size=CHUNK_SIZE + 1001)
         pattern = _line_template(stream, geometry)
         expected = set_associative_lru_misses(stream, 48, 4)
         assert pattern.estimate_accesses(geometry) == expected

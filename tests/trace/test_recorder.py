@@ -102,7 +102,9 @@ class TestSegmentRecording:
                     )
                 got, want = batched.finish(), sequential.finish()
                 assert got.labels == want.labels
-                for column in ("addresses", "sizes", "is_write", "label_ids"):
+                for column in (
+                    "addresses", "is_write", "label_ids", "element_sizes"
+                ):
                     a, b = getattr(got, column), getattr(want, column)
                     assert a.dtype == b.dtype, column
                     assert a.tobytes() == b.tobytes(), column
@@ -188,11 +190,32 @@ class TestReferenceTrace:
         with pytest.raises(ValueError, match="same length"):
             ReferenceTrace(
                 np.zeros(3, dtype=np.int64),
-                np.zeros(2, dtype=np.int64),
+                np.zeros(2, dtype=bool),
+                np.zeros(3, dtype=np.int32),
+                ["A"],
+                [8],
+            )
+
+    @pytest.mark.parametrize("element_sizes", [[], [8, 8], [[8]]])
+    def test_one_element_size_per_label(self, element_sizes):
+        with pytest.raises(ValueError, match="one size per label"):
+            ReferenceTrace(
+                np.zeros(3, dtype=np.int64),
                 np.zeros(3, dtype=bool),
                 np.zeros(3, dtype=np.int32),
                 ["A"],
+                element_sizes,
             )
+
+    def test_sizes_come_from_the_segments(self, rec):
+        # Taken once per label at allocate, not stored per reference:
+        # the three columns take 13 bytes a reference.
+        trace = self.make(rec)
+        assert trace.element_sizes.tolist() == [8, 16]
+        assert trace.filter_label("B").element_sizes.tolist() == [16]
+        assert not hasattr(trace, "sizes")
+        columns = (trace.addresses, trace.is_write, trace.label_ids)
+        assert sum(c.nbytes for c in columns) == 13 * len(trace)
 
 
 class TestTraceIO:
@@ -232,9 +255,7 @@ class TestTraceIO:
         trace = KERNELS["MC"].trace(TEST_WORKLOADS["MC"])
         raw = sum(
             column.nbytes
-            for column in (
-                trace.addresses, trace.sizes, trace.is_write, trace.label_ids
-            )
+            for column in (trace.addresses, trace.is_write, trace.label_ids)
         )
         path = tmp_path / "mc.npz"
         save_trace(trace, path)
@@ -261,13 +282,14 @@ class TestTraceIO:
             path,
             schema_version=np.int64(1),
             addresses=trace.addresses,
-            sizes=trace.sizes,
+            sizes=trace.element_sizes[trace.label_ids],
             is_write=trace.is_write,
             label_ids=trace.label_ids,
             labels=np.asarray(trace.labels, dtype=object),
         )
         loaded = load_trace(path)
         assert loaded.labels == ["A", "B"]
+        assert loaded.element_sizes.tolist() == [8, 16]
         assert (loaded.addresses == trace.addresses).all()
         assert (loaded.is_write == trace.is_write).all()
 
@@ -289,9 +311,6 @@ class TestStreamingRecorder:
             np.concatenate([c.addresses for c in chunks]), trace.addresses
         )
         np.testing.assert_array_equal(
-            np.concatenate([c.sizes for c in chunks]), trace.sizes
-        )
-        np.testing.assert_array_equal(
             np.concatenate([c.is_write for c in chunks]), trace.is_write
         )
         np.testing.assert_array_equal(
@@ -299,6 +318,10 @@ class TestStreamingRecorder:
         )
         for chunk in chunks:
             assert chunk.labels == trace.labels[: len(chunk.labels)]
+            np.testing.assert_array_equal(
+                chunk.element_sizes,
+                trace.element_sizes[: len(chunk.labels)],
+            )
 
     def test_sink_mode_autoflush(self):
         sizes = []
@@ -431,7 +454,7 @@ class TestPeriodicTraceIO:
         whole = load_trace(tmp_path / "t.npz")
         np.testing.assert_array_equal(whole.addresses, trace.whole().addresses)
         with np.load(tmp_path / "t.npz", allow_pickle=False) as archive:
-            assert int(archive["schema_version"]) == 3
+            assert int(archive["schema_version"]) == 4
             assert int(archive["repeats"]) == 3
 
     def test_schema2_archive_loads_once(self):
@@ -468,6 +491,114 @@ class TestPeriodicTraceIO:
                 with archive.open("repeats.npy", "w") as member:
                     np.lib.format.write_array(member, np.asanyarray(repeats))
         with pytest.raises(error):
+            load_periodic_trace(path)
+
+
+def _old_archive(path, trace, schema, repeats=1, sizes=None):
+    """Write ``trace`` the way a schema-2 or schema-3 archive held it.
+
+    Those archives stored a size per reference; ``sizes`` overrides
+    the one each label's element size gives.
+    """
+    members = {
+        "schema_version": np.int64(schema),
+        "addresses": trace.addresses,
+        "sizes": (
+            trace.element_sizes[trace.label_ids] if sizes is None else sizes
+        ),
+        "is_write": trace.is_write,
+        "label_ids": trace.label_ids,
+        "labels": np.asarray(trace.labels, dtype=np.str_),
+    }
+    if schema >= 3:
+        members["repeats"] = np.int64(repeats)
+    np.savez_compressed(path, **members)
+
+
+class TestSchema4:
+    """Element sizes live in the label table; older archives convert."""
+
+    def _trace(self):
+        rec = make_rec()
+        rec.record_stream("A", 0, 5)
+        rec.record_elements("B", np.array([3, 1, 3]), True)
+        rec.record_stream("A", 2, 2, is_write=True)
+        return rec.finish()
+
+    def test_save_writes_exactly_the_schema4_members(self, tmp_path):
+        import zipfile
+
+        from repro.trace import TRACE_SCHEMA_VERSION, save_trace
+
+        assert TRACE_SCHEMA_VERSION == 4
+        save_trace(self._trace(), tmp_path / "t.npz")
+        with zipfile.ZipFile(tmp_path / "t.npz") as archive:
+            names = sorted(archive.namelist())
+        assert names == sorted(
+            f"{name}.npy"
+            for name in (
+                "schema_version", "repeats", "addresses", "is_write",
+                "label_ids", "labels", "element_sizes",
+            )
+        )
+
+    @pytest.mark.parametrize("schema, repeats", [(2, 1), (3, 1), (3, 4)])
+    def test_older_archive_loads_as_schema4(self, tmp_path, schema, repeats):
+        from repro.trace import PeriodicTrace, load_periodic_trace, save_trace
+
+        trace = self._trace()
+        _old_archive(tmp_path / "old.npz", trace, schema, repeats)
+        save_trace(PeriodicTrace(trace, repeats), tmp_path / "new.npz")
+        old = load_periodic_trace(tmp_path / "old.npz")
+        new = load_periodic_trace(tmp_path / "new.npz")
+        assert old.repeats == new.repeats == repeats
+        assert old.period.labels == new.period.labels == ["A", "B"]
+        for column in ("addresses", "is_write", "label_ids", "element_sizes"):
+            a, b = getattr(old.period, column), getattr(new.period, column)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
+        assert new.period.element_sizes.tolist() == [8, 16]
+
+    @pytest.mark.parametrize("schema", [2, 3])
+    def test_sizes_varying_within_a_label_rejected(self, tmp_path, schema):
+        from repro.trace import load_periodic_trace
+
+        trace = self._trace()
+        sizes = trace.element_sizes[trace.label_ids].copy()
+        sizes[-1] = 4  # one of A's references, A's size being 8
+        _old_archive(tmp_path / "old.npz", trace, schema, sizes=sizes)
+        with pytest.raises(ValueError, match="vary within a label"):
+            load_periodic_trace(tmp_path / "old.npz")
+
+    def test_older_archive_label_id_past_the_table_is_damage(self, tmp_path):
+        from repro.trace import load_periodic_trace
+
+        trace = self._trace()
+        np.savez_compressed(
+            tmp_path / "old.npz",
+            schema_version=np.int64(2),
+            addresses=trace.addresses[:1],
+            sizes=np.array([8]),
+            is_write=trace.is_write[:1],
+            label_ids=np.array([2], dtype=np.int32),  # labels: A, B
+            labels=np.asarray(trace.labels, dtype=np.str_),
+        )
+        with pytest.raises(ValueError, match="damaged"):
+            load_periodic_trace(tmp_path / "old.npz")
+
+    def test_schema4_archive_without_element_sizes_is_damage(self, tmp_path):
+        import zipfile
+
+        from repro.trace import load_periodic_trace, save_trace
+
+        path = tmp_path / "t.npz"
+        save_trace(self._trace(), path)
+        with zipfile.ZipFile(path) as archive:
+            members = {n: archive.read(n) for n in archive.namelist()}
+        del members["element_sizes.npy"]
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+            for name, content in members.items():
+                archive.writestr(name, content)
+        with pytest.raises(KeyError):
             load_periodic_trace(path)
 
 

@@ -49,7 +49,7 @@ def traces_equal(a, b):
     a, b = (t.whole() if isinstance(t, PeriodicTrace) else t for t in (a, b))
     return (
         np.array_equal(a.addresses, b.addresses)
-        and np.array_equal(a.sizes, b.sizes)
+        and np.array_equal(a.element_sizes, b.element_sizes)
         and np.array_equal(a.is_write, b.is_write)
         and np.array_equal(a.label_ids, b.label_ids)
         and a.labels == b.labels
@@ -235,6 +235,30 @@ class TestRecovery:
         with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
             for name, content in members.items():
                 archive.writestr(name, content)
+        cache = TraceCache(tmp_path)
+        assert cache.get(kernel, workload) is None
+        assert cache.misses == 1
+        assert not path.exists()
+
+    def test_old_archive_with_sizes_varying_in_a_label_is_a_miss(
+        self, tmp_path, kernel, workload
+    ):
+        # Schema 4 holds one element size per label, so an older archive
+        # whose per-reference sizes vary within a label fails to load.
+        path = TraceCache(tmp_path).put(kernel, workload, kernel.trace(workload))
+        trace = load_trace(path)
+        sizes = trace.element_sizes[trace.label_ids]
+        sizes[0] += 1
+        np.savez(
+            path,
+            schema_version=np.int64(3),
+            repeats=np.int64(1),
+            addresses=trace.addresses,
+            sizes=sizes,
+            is_write=trace.is_write,
+            label_ids=trace.label_ids,
+            labels=np.asarray(trace.labels, dtype=np.str_),
+        )
         cache = TraceCache(tmp_path)
         assert cache.get(kernel, workload) is None
         assert cache.misses == 1
