@@ -312,33 +312,49 @@ STREAM_BYTES_PER_REF = 8 + 1 + 4  # addresses, is_write, label
 _STREAM_LABELS = ["state", "rhs", "scratch"]
 _STREAM_ADDR_SPACE = 1 << 26  # 64MB footprint: 8x the 8MB LLC
 _STREAM_SEED = 2024
+_STREAM_BLOCK = 1 << 16  # references drawn per generator
 
 
 def synthetic_chunks(refs: int, chunk_refs: int, seed: int = _STREAM_SEED):
     """Yield a seeded MC-style reference stream chunk by chunk.
 
     Uniform 8-byte accesses over a footprint 8x the LLC, 30% writes,
-    three labels.  One sequentially-consumed generator makes the stream
-    a pure function of ``(refs, chunk_refs=any, seed)`` **per chunk
-    boundary layout**, so the monolithic probe regenerates the identical
-    trace by concatenating the same chunks; at no point here does more
-    than one chunk exist.
+    three labels.  The stream is drawn in fixed blocks of
+    ``_STREAM_BLOCK`` references, block ``b`` from a generator seeded
+    with ``(seed, b)``, and each chunk is cut from the blocks it
+    overlaps.  So the stream is a function of ``(refs, seed)`` alone:
+    any ``chunk_refs`` cuts the same references, and the monolithic
+    probe's one chunk of ``refs`` is the streamed trace.  No more than
+    one chunk and the blocks it overlaps exist at a time.
     """
     import numpy as np
 
     from repro.trace.reference import ReferenceTrace
 
-    rng = np.random.default_rng(seed)
+    def block(b: int):
+        rng = np.random.default_rng((seed, b))
+        n = min(_STREAM_BLOCK, refs - b * _STREAM_BLOCK)
+        return (
+            rng.integers(0, _STREAM_ADDR_SPACE, size=n, dtype=np.int64),
+            rng.random(n) < 0.3,
+            rng.integers(0, len(_STREAM_LABELS), size=n, dtype=np.int32),
+        )
+
     for start in range(0, refs, chunk_refs):
-        n = min(chunk_refs, refs - start)
+        stop = min(start + chunk_refs, refs)
+        first = start // _STREAM_BLOCK
+        blocks = [
+            block(b) for b in range(first, (stop - 1) // _STREAM_BLOCK + 1)
+        ]
+        offset = start - first * _STREAM_BLOCK
+        addresses, is_write, label_ids = (
+            np.concatenate(column)[offset:offset + stop - start]
+            for column in zip(*blocks)
+        )
         yield ReferenceTrace(
-            addresses=rng.integers(
-                0, _STREAM_ADDR_SPACE, size=n, dtype=np.int64
-            ),
-            is_write=rng.random(n) < 0.3,
-            label_ids=rng.integers(
-                0, len(_STREAM_LABELS), size=n, dtype=np.int32
-            ),
+            addresses=addresses,
+            is_write=is_write,
+            label_ids=label_ids,
             labels=list(_STREAM_LABELS),
             element_sizes=[8] * len(_STREAM_LABELS),
         )
@@ -376,33 +392,19 @@ def run_rss_probe(mode: str, refs: int, chunk_refs: int) -> dict:
     baseline — a monolithic run in the same process would poison the
     streaming high-water mark.
     """
-    import numpy as np
-
     from repro.cachesim.configs import PAPER_CACHES
 
     geometry = PAPER_CACHES["8MB"]
     start = time.perf_counter()
+    sim = CacheSimulator(geometry, engine="array")
     if mode == "streaming":
-        sim = CacheSimulator(geometry, engine="array")
-        sim.run_stream(synthetic_chunks(refs, chunk_refs))
-        stats = sim.stats.as_dict()
+        for chunk in synthetic_chunks(refs, chunk_refs):
+            sim.run_chunk(chunk)
     elif mode == "monolithic":
-        from repro.trace.reference import ReferenceTrace
-
-        chunks = list(synthetic_chunks(refs, chunk_refs))
-        trace = ReferenceTrace(
-            addresses=np.concatenate([c.addresses for c in chunks]),
-            is_write=np.concatenate([c.is_write for c in chunks]),
-            label_ids=np.concatenate([c.label_ids for c in chunks]),
-            labels=list(_STREAM_LABELS),
-            element_sizes=[8] * len(_STREAM_LABELS),
-        )
-        del chunks
-        sim = CacheSimulator(geometry, engine="array")
-        sim.run(trace)
-        stats = sim.stats.as_dict()
+        sim.run(next(synthetic_chunks(refs, refs)))
     else:  # pragma: no cover - guarded by argparse choices
         raise ValueError(f"unknown probe mode {mode!r}")
+    stats = sim.stats.as_dict()
     seconds = time.perf_counter() - start
     result = {
         "mode": mode,

@@ -56,7 +56,6 @@ from __future__ import annotations
 import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -71,7 +70,7 @@ from repro.cachesim.expand import (
     shard_index,
 )
 from repro.cachesim.stats import CacheStats
-from repro.trace.io import TraceShmRing, attach_trace_shm, trace_to_shm
+from repro.trace.io import attach_trace_shm, trace_to_shm
 
 
 def partition_expanded(
@@ -192,46 +191,6 @@ class ShardedLRUSimulator:
         #: Test hook: shard index whose worker SIGKILLs itself
         #: mid-replay on the pooled path (chaos suite).
         self.chaos_kill_shard: int | None = None
-        # Streaming state: inside a stream_scope the pooled path packs
-        # chunks into one reusable shared block instead of allocating
-        # and unlinking a block per chunk.
-        self._streaming = False
-        self._ring: TraceShmRing | None = None
-
-    # ------------------------------------------------------------------
-    # streaming (chunked-iterator protocol)
-    # ------------------------------------------------------------------
-    def _ensure_ring(self, n: int) -> TraceShmRing:
-        if self._ring is None or self._ring.capacity < n:
-            self._drop_ring()
-            self._ring = TraceShmRing(n)
-        return self._ring
-
-    def _drop_ring(self) -> None:
-        if self._ring is not None:
-            self._ring.close()
-            self._ring.unlink()
-            self._ring = None
-
-    @contextmanager
-    def stream_scope(self):
-        """Reuse one shared-memory ring across chunked pooled replays.
-
-        Inside the scope every :meth:`replay_trace` call packs its
-        chunk into a ring sized for the largest chunk seen so far
-        (typically allocated once, by the first chunk, since streams
-        carry fixed-size chunks).  The ring is closed and unlinked when
-        the scope exits, including on error — the same no-leak
-        guarantee the per-call path gets from its ``finally``.
-        """
-        if self._streaming:
-            raise RuntimeError("stream_scope is not reentrant")
-        self._streaming = True
-        try:
-            yield self
-        finally:
-            self._streaming = False
-            self._drop_ring()
 
     # ------------------------------------------------------------------
     def replay_trace(
@@ -298,20 +257,11 @@ class ShardedLRUSimulator:
         when a worker is SIGKILLed.
         """
         executor = _pool.get_pool(min(self.jobs, len(live)))
-        if self._streaming:
-            # Ring path: the block outlives this chunk; the enclosing
-            # stream_scope unlinks it once when the stream ends.
-            shm = None
-            ring = self._ensure_ring(len(trace.addresses))
-            descriptor = ring.pack(trace)
-            shm_name, shm_bytes = ring.name, ring.nbytes
-        else:
-            shm, descriptor = trace_to_shm(trace)
-            shm_name, shm_bytes = shm.name, shm.size
+        shm, descriptor = trace_to_shm(trace)
         transport = {
-            "mode": "shared_memory_ring" if shm is None else "shared_memory",
-            "shm_name": shm_name,
-            "shm_bytes": shm_bytes,
+            "mode": "shared_memory",
+            "shm_name": shm.name,
+            "shm_bytes": shm.size,
             "state_out_bytes": 0,
             "state_back_bytes": 0,
             "workers": min(self.jobs, len(live)),
@@ -343,9 +293,8 @@ class ShardedLRUSimulator:
                 _pool.discard_pool()
                 return False
         finally:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
+            shm.close()
+            shm.unlink()
         for i, (shard_stats, diff) in results:
             self._engines[i].apply_state_diff(diff)
             stats.merge(shard_stats)

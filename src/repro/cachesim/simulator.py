@@ -21,19 +21,23 @@ Requesting ``engine="array"`` for a non-LRU policy raises
 :class:`~repro.cachesim.engine.CacheEngineError` instead of silently
 degrading.
 
-Whole and streamed traces share one replay path: :meth:`CacheSimulator.run`
-cuts a whole trace into :data:`~repro.cachesim.engine.CHUNK_SIZE`-reference
-chunks (:func:`~repro.trace.reference.iter_chunks`) and feeds every chunk to
-:meth:`CacheSimulator.run_chunk` against the warm engine state.
-Expansion is per-reference elementwise, so the statistics do not
-depend on where the chunk boundaries fall, and the replay's working
-memory is O(chunk).  ``benchmarks/harness.py`` records the measured
-engine speedup per kernel in ``BENCH_cachesim.json``.
+A whole trace has one entry, :meth:`CacheSimulator.run`.  It takes a
+:class:`~repro.trace.reference.PeriodicTrace` — one period repeated ``R``
+times — or a :class:`~repro.trace.reference.ReferenceTrace`, which is a
+period repeated once.  It cuts the period into
+:data:`~repro.cachesim.engine.CHUNK_SIZE`-reference chunks
+(:func:`~repro.trace.reference.iter_chunks`) and feeds every chunk to
+:meth:`CacheSimulator.run_chunk` against the warm engine state.  A
+streamed trace, never whole in memory, goes in chunk by chunk through
+:meth:`CacheSimulator.run_chunk` itself.  Expansion is per-reference
+elementwise, so the statistics do not depend on where the chunk
+boundaries fall, and the replay's working memory is O(chunk).
+``benchmarks/harness.py`` records the measured engine speedup per kernel
+in ``BENCH_cachesim.json``.
 
-A :class:`~repro.trace.reference.PeriodicTrace` — one period repeated
-``R`` times — goes through :meth:`CacheSimulator.run_periodic`.  On the
-array engine it replays the period, and after every pass compares the
-engine's recency state (:meth:`~repro.cachesim.engine.ArrayLRUEngine.recency_state`)
+On the array engine with ``R > 1``, :meth:`CacheSimulator.run` replays
+the period, and after every pass compares the engine's recency state
+(:meth:`~repro.cachesim.engine.ArrayLRUEngine.recency_state`)
 with the one the pass started from.  Once they are equal, every later
 pass repeats the last one: equal state plus equal input gives equal
 output, so this is exact.  The ``m`` passes left add ``m`` times the
@@ -54,8 +58,6 @@ numbers steps per shard, so that method refuses a sharded simulator.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -199,35 +201,29 @@ class CacheSimulator:
         return (counters.residency + resident * steps) / steps
 
     # -- trace replay ----------------------------------------------------
-    def run(self, trace) -> CacheStats:
-        """Simulate a trace; returns the accumulated stats object.
-
-        Accepts either a :class:`ReferenceTrace`, cut here into
-        ``CHUNK_SIZE``-reference chunks, or an *iterable of chunks*
-        (anything yielding ``ReferenceTrace`` pieces, e.g.
-        :func:`~repro.trace.reference.iter_chunks`), routed through
-        :meth:`run_stream`.  Every chunk goes through
-        :meth:`run_chunk`, so the result — counters, including the
-        residency ones, and final cache state — does not depend on the
-        chunking.
-        """
-        if not isinstance(trace, ReferenceTrace):
-            return self.run_stream(trace)
-        for chunk in iter_chunks(trace, engine_mod.CHUNK_SIZE):
-            self.run_chunk(chunk)
-        return self._stats
-
-    def run_periodic(
-        self, trace: PeriodicTrace, chunk_refs: int | None = None
+    def run(
+        self,
+        trace: ReferenceTrace | PeriodicTrace,
+        chunk_refs: int | None = None,
     ) -> CacheStats:
-        """Simulate the whole of a periodic trace; see the module docstring.
+        """Simulate a whole trace; returns the accumulated stats object.
 
-        The period is cut into ``chunk_refs``-reference chunks
-        (default ``CHUNK_SIZE``) for :meth:`run_chunk`.  On the array
-        engine, passes stop once the recency state repeats and the rest
-        are added from the last pass's deltas; the oracle and sharded
-        replay replay every pass.  The result does not depend on which.
+        A :class:`ReferenceTrace` counts as a period repeated once.  The
+        period is cut into ``chunk_refs``-reference chunks (default
+        ``CHUNK_SIZE``) for :meth:`run_chunk`.  On the array engine,
+        passes stop once the recency state repeats and the rest are
+        added from the last pass's deltas (see the module docstring);
+        the oracle and sharded replay replay every pass.  The result —
+        counters, including the residency ones, and final cache state —
+        depends neither on which nor on the chunking.
         """
+        if isinstance(trace, ReferenceTrace):
+            trace = PeriodicTrace(trace)
+        elif not isinstance(trace, PeriodicTrace):
+            raise TypeError(
+                f"run takes a ReferenceTrace or a PeriodicTrace, got "
+                f"{type(trace).__name__}; feed chunks to run_chunk"
+            )
         chunks = list(iter_chunks(
             trace.period,
             engine_mod.CHUNK_SIZE if chunk_refs is None else chunk_refs,
@@ -272,23 +268,11 @@ class CacheSimulator:
             s.evictions += passes * (now[3] - old[3])
             s.residency += passes * (now[4] - old[4])
 
-    def run_stream(self, chunks) -> CacheStats:
-        """Simulate an iterable of trace chunks inside :meth:`stream_scope`.
-
-        Peak memory is O(chunk), not O(trace): each chunk is expanded,
-        replayed against the persistent warm engine state, and dropped.
-        """
-        with self.stream_scope():
-            for chunk in chunks:
-                self.run_chunk(chunk)
-        return self._stats
-
     def run_chunk(self, chunk: ReferenceTrace) -> CacheStats:
         """Simulate one chunk against the warm cache state.
 
-        The push-mode streaming entry: use it as the ``sink=`` of a
-        streaming :class:`~repro.trace.recorder.TraceRecorder`, ideally
-        inside :meth:`stream_scope`.
+        The entry for a streamed trace: use it as the ``sink=`` of a
+        streaming :class:`~repro.trace.recorder.TraceRecorder`.
         """
         for name in chunk.labels:
             self._stats.label(name)
@@ -306,22 +290,6 @@ class CacheSimulator:
             return self._run_reference(chunk, line_ids, writes, label_ids)
         engine.replay(line_ids, writes, label_ids, chunk.labels, self._stats)
         return self._stats
-
-    @contextmanager
-    def stream_scope(self):
-        """Context for a run of :meth:`run_chunk` calls.
-
-        With an explicit ``shards=K`` the sharded engine reuses one
-        shared-memory ring across the scope's chunks instead of
-        allocating a block per chunk; otherwise this is a no-op.
-        """
-        ctx = (
-            self._array.stream_scope()
-            if isinstance(self._array, ShardedLRUSimulator)
-            else nullcontext()
-        )
-        with ctx:
-            yield self
 
     def _run_reference(
         self,
@@ -341,7 +309,7 @@ class CacheSimulator:
 
 
 def simulate_trace(
-    trace,
+    trace: ReferenceTrace | PeriodicTrace,
     geometry: CacheGeometry,
     policy: str = "lru",
     engine: str = "auto",
@@ -350,8 +318,8 @@ def simulate_trace(
 ) -> CacheStats:
     """One-shot convenience: simulate a trace on a cold cache.
 
-    ``trace`` may be a :class:`ReferenceTrace` or a chunk iterator (see
-    :meth:`CacheSimulator.run`); ``policy``/``engine``/``shards``/
+    ``trace`` is a :class:`ReferenceTrace` or a :class:`PeriodicTrace`
+    (see :meth:`CacheSimulator.run`); ``policy``/``engine``/``shards``/
     ``jobs`` configure the :class:`CacheSimulator`.  Replay is exact:
     every reference goes through the cache.
     """

@@ -83,6 +83,8 @@ def analyze_cache_dvf(
 ) -> CacheDVFReport:
     """Run the instrumented kernel and compute per-structure cache DVF.
 
+    The recorded trace (:meth:`~repro.kernels.base.Kernel.record`) is
+    replayed as recorded, so a periodic kernel's period is never tiled.
     ``time_seconds`` defaults to the roofline estimate from the kernel's
     resource counts (consistent with the main-memory analyzer).
     """
@@ -92,8 +94,7 @@ def analyze_cache_dvf(
             resources.flops, resources.bytes_moved
         ).seconds()
     simulator = CacheSimulator(geometry)
-    trace = kernel.trace(workload)
-    simulator.run(trace)
+    simulator.run(kernel.record(workload))
     rows = []
     for name in kernel.data_structures(workload):
         resident_bytes = (

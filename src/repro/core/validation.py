@@ -83,13 +83,14 @@ def ground_truth_stats(
     their keyword arguments through, and ``engine``/``shards``/``jobs``
     build the :class:`~repro.cachesim.simulator.CacheSimulator`.
 
-    Without a ``trace_cache`` the kernel records straight into the
-    simulator in ``chunk_refs``-reference chunks, so the whole trace
-    never exists (O(chunk) peak memory).  A periodic kernel
+    Without a ``trace_cache`` the kernel records straight into
+    :meth:`~repro.cachesim.simulator.CacheSimulator.run_chunk` in
+    ``chunk_refs``-reference chunks, so the whole trace never exists
+    (O(chunk) peak memory).  A periodic kernel
     (:attr:`~repro.kernels.base.Kernel.periodic`) instead records its
     period into memory (O(period)) for
-    :meth:`~repro.cachesim.simulator.CacheSimulator.run_periodic`, which
-    stops replaying once the cache state repeats.  A ``trace_cache`` (a
+    :meth:`~repro.cachesim.simulator.CacheSimulator.run`, which stops
+    replaying once the cache state repeats.  A ``trace_cache`` (a
     :class:`~repro.trace.cache.TraceCache` or directory path) supplies
     a persisted period and repeat count, replayed the same way in
     chunks of the same size.  Every chunking, engine and shard count
@@ -99,7 +100,7 @@ def ground_truth_stats(
     if trace_cache is None and not kernel.periodic:
         kernel.trace_stream(workload, chunk_refs, sim.run_chunk)
     else:
-        sim.run_periodic(kernel.record(workload, cache=trace_cache), chunk_refs)
+        sim.run(kernel.record(workload, cache=trace_cache), chunk_refs)
     return sim.stats
 
 

@@ -17,21 +17,26 @@ cold trace-cache fill, and 0.2-0.3 s at level 1; the archives grew from
 2.90 to 3.14 MB and load as fast.  Level 1 still shrinks the columns
 about 16-fold, so a cache directory stays small.
 
-The label table is stored as a fixed-width unicode array so archives
-load without pickle: no pickle deserialisation happens on any trace
-read.  Archives written before schema 2 stored labels as an object
-array; :func:`load_trace` still reads those (falling back to a pickled
-load for that one member), but new archives are always pickle-free.
+The label table is stored as a fixed-width unicode array, so every
+member loads with ``allow_pickle=False``: no trace read unpickles
+anything.  Only archives of the current schema load; any other schema is
+refused like damage, and the trace cache, which keys on the schema,
+records the trace again.  Before it allocates a member, the reader checks
+that the shape its ``.npy`` header declares accounts for exactly the
+member's size in the zip directory, so a damaged header cannot make it
+allocate what the header claims.
 
 This module also owns the *in-memory* zero-copy transport used by the
 sharded simulator: :func:`trace_to_shm` packs the three columns into one
-``multiprocessing.shared_memory`` block and :func:`attach_trace_shm`
-maps them back in a worker process — only a small descriptor (name,
-length, element sizes) ever crosses the process boundary.
+``multiprocessing.shared_memory`` block per replay and
+:func:`attach_trace_shm` maps them back in a worker process — only a
+small descriptor (name, length, element sizes) ever crosses the process
+boundary.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tokenize
 import zipfile
@@ -42,17 +47,16 @@ import numpy as np
 
 from repro.trace.reference import PeriodicTrace, ReferenceTrace
 
-#: Version of the on-disk archive layout.  Bumped whenever the column
-#: set or encoding changes incompatibly; the persistent trace cache
-#: (:mod:`repro.trace.cache`) keys on it so stale artifacts are
-#: re-collected instead of mis-read.
+#: Version of the on-disk archive layout, the only one that loads.
+#: Bumped whenever the member set or encoding changes; the persistent
+#: trace cache (:mod:`repro.trace.cache`) keys on it so stale artifacts
+#: are re-collected instead of mis-read.
 #:
 #: * 1 — four columns + object-dtype (pickled) label table.
 #: * 2 — label table as fixed-width unicode (``allow_pickle=False``).
 #: * 3 — the columns hold one period; a ``repeats`` member counts its
-#:   copies.  Archives of schema 1 and 2 load as a period repeated once.
-#: * 4 — ``element_sizes`` (one per label) replaces the ``sizes`` column;
-#:   older archives load when their sizes are constant within a label.
+#:   copies.
+#: * 4 — ``element_sizes`` (one per label) replaces the ``sizes`` column.
 TRACE_SCHEMA_VERSION = 4
 
 
@@ -89,12 +93,27 @@ def save_trace(
                 np.lib.format.write_array(member, np.asanyarray(values))
 
 
-def _read_member(
-    archive: zipfile.ZipFile, name: str, allow_pickle: bool = False
-) -> np.ndarray:
-    """One array member of ``archive``, its CRC-32 checked."""
-    with archive.open(f"{name}.npy") as member:
-        values = np.lib.format.read_array(member, allow_pickle=allow_pickle)
+#: Readers of the two ``.npy`` header versions :func:`save_trace` writes.
+_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """One array member of ``archive``, its size and CRC-32 checked."""
+    info = archive.getinfo(f"{name}.npy")
+    with archive.open(info) as member:
+        version = np.lib.format.read_magic(member)
+        if version not in _HEADER_READERS:
+            raise ValueError(f"{name}.npy has format version {version}")
+        shape, _, dtype = _HEADER_READERS[version](member)
+        # numpy allocates the header's shape before it reads the data,
+        # so a damaged header could ask for petabytes.
+        if math.prod(shape) * dtype.itemsize != info.file_size - member.tell():
+            raise ValueError(f"{name}.npy header does not match its size")
+        member.seek(0)
+        values = np.lib.format.read_array(member, allow_pickle=False)
         # zipfile checks the CRC-32 only once a read reaches the end of
         # the member, which read_array's last read need not do: without
         # this read a flipped bit in a column could load as a wrong trace.
@@ -103,80 +122,44 @@ def _read_member(
     return values
 
 
-def _read_labels(archive: zipfile.ZipFile) -> list[str]:
-    """Decode the label table, tolerating pre-schema-2 archives."""
-    try:
-        labels = _read_member(archive, "labels")
-    except ValueError:
-        # Schema-1 archive: labels were saved as an object array and
-        # need pickle.  Only that member is re-read with pickling
-        # enabled; every numeric column still loads pickle-free.
-        labels = _read_member(archive, "labels", allow_pickle=True)
-    return [str(x) for x in labels]
-
-
-def _read_repeats(archive: zipfile.ZipFile) -> int:
-    """The period's repeat count: 1 for archives older than schema 3."""
-    names = set(archive.namelist())
-    if "repeats.npy" not in names:
-        # Keyed on the version, so a schema-3 archive that lost its
-        # count is damaged rather than a trace a period long.
-        if "schema_version.npy" in names and int(
-            _read_member(archive, "schema_version")
-        ) >= 3:
-            raise KeyError("schema-3 trace archive without repeats.npy")
-        return 1
-    repeats = _read_member(archive, "repeats")
-    if repeats.shape != () or repeats.dtype.kind not in "iu" or repeats < 1:
-        raise ValueError(f"invalid repeat count {repeats!r}")
-    return int(repeats)
-
-
-def _read_element_sizes(
-    archive: zipfile.ZipFile, label_ids: np.ndarray, n_labels: int
-) -> np.ndarray:
-    """Each label's element size, from a ``sizes`` column before schema 4.
-
-    An old column must be constant within each label (else
-    :class:`ValueError`); a label no reference names gets size 0.
-    """
-    if "sizes.npy" not in archive.namelist():
-        return _read_member(archive, "element_sizes")
-    sizes = _read_member(archive, "sizes")
-    per_label = np.zeros(n_labels, dtype=np.int64)
-    per_label[label_ids] = sizes
-    if not np.array_equal(per_label[label_ids], sizes):
-        raise ValueError("reference sizes vary within a label")
-    return per_label
+def _read_count(archive: zipfile.ZipFile, name: str) -> int:
+    """An integer scalar member: the schema version or the repeat count."""
+    value = _read_member(archive, name)
+    if value.shape != () or value.dtype.kind not in "iu":
+        raise ValueError(f"invalid {name} {value!r}")
+    return int(value)
 
 
 def load_periodic_trace(path: str | os.PathLike) -> PeriodicTrace:
     """Read a trace written by :func:`save_trace` as its period and count.
 
-    A damaged archive raises :class:`ValueError`,
+    Only an archive of schema :data:`TRACE_SCHEMA_VERSION` loads.  Any
+    other schema raises :class:`ValueError`, and so does damage, or
     :class:`zipfile.BadZipFile`, :class:`KeyError` (a missing member) or
-    :class:`EOFError` (a member cut short), never a wrong trace, and the
-    file is closed whatever is raised.  So does an older archive whose
-    sizes vary within a label, which schema 4 cannot hold.
+    :class:`EOFError` (a member cut short), never a wrong trace; the
+    file is closed whatever is raised.
     """
     try:
         with zipfile.ZipFile(path) as archive:
-            label_ids = _read_member(archive, "label_ids")
-            labels = _read_labels(archive)
+            schema = _read_count(archive, "schema_version")
+            if schema != TRACE_SCHEMA_VERSION:
+                raise ValueError(
+                    f"trace archive {path} has schema {schema}, "
+                    f"not {TRACE_SCHEMA_VERSION}"
+                )
             period = ReferenceTrace(
                 _read_member(archive, "addresses"),
                 _read_member(archive, "is_write"),
-                label_ids,
-                labels,
-                _read_element_sizes(archive, label_ids, len(labels)),
+                _read_member(archive, "label_ids"),
+                [str(x) for x in _read_member(archive, "labels")],
+                _read_member(archive, "element_sizes"),
             )
-            return PeriodicTrace(period, _read_repeats(archive))
-    except (zlib.error, tokenize.TokenError, RuntimeError, IndexError) as exc:
+            return PeriodicTrace(period, _read_count(archive, "repeats"))
+    except (zlib.error, tokenize.TokenError, RuntimeError) as exc:
         # More damage: a corrupt deflate stream, a garbled ``.npy``
-        # header, a zip entry whose flags or method zipfile cannot
+        # header, or a zip entry whose flags or method zipfile cannot
         # read (an "encrypted" member; NotImplementedError, a
-        # RuntimeError, for an unknown method), or a label id past the
-        # label table of an older archive.
+        # RuntimeError, for an unknown method).
         raise ValueError(f"damaged trace archive {path}: {exc!r}") from exc
 
 
@@ -203,34 +186,14 @@ def load_trace(path: str | os.PathLike) -> ReferenceTrace:
 _SHM_BYTES_PER_REF = 13
 
 
-def trace_shm_bytes(n: int) -> int:
-    """Size in bytes of the shared block holding an ``n``-reference trace."""
-    return _SHM_BYTES_PER_REF * n
-
-
 def _shm_columns(
-    buf, n: int, cap: int
+    buf, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column views over a block sized for ``cap`` refs, first ``n`` used.
-
-    Column offsets are laid out for ``cap`` references so a reusable
-    ring block can carry chunks shorter than its capacity without
-    repacking offsets.
-    """
+    """Column views over a block holding ``n`` references."""
     addresses = np.ndarray((n,), dtype=np.int64, buffer=buf, offset=0)
-    label_ids = np.ndarray((n,), dtype=np.int32, buffer=buf, offset=8 * cap)
-    is_write = np.ndarray((n,), dtype=np.bool_, buffer=buf, offset=12 * cap)
+    label_ids = np.ndarray((n,), dtype=np.int32, buffer=buf, offset=8 * n)
+    is_write = np.ndarray((n,), dtype=np.bool_, buffer=buf, offset=12 * n)
     return addresses, is_write, label_ids
-
-
-def _pack(shm, trace: ReferenceTrace, capacity: int) -> dict:
-    """Copy ``trace``'s columns into ``shm``; returns the descriptor."""
-    n = len(trace.addresses)
-    columns = (trace.addresses, trace.is_write, trace.label_ids)
-    for view, values in zip(_shm_columns(shm.buf, n, capacity), columns):
-        view[:] = values
-    return {"name": shm.name, "n": n, "cap": capacity,
-            "element_sizes": trace.element_sizes.tolist()}
 
 
 def trace_to_shm(
@@ -247,8 +210,12 @@ def trace_to_shm(
     n = len(trace.addresses)
     if n == 0:
         raise ValueError("cannot pack an empty trace into shared memory")
-    shm = shared_memory.SharedMemory(create=True, size=trace_shm_bytes(n))
-    return shm, _pack(shm, trace, n)
+    shm = shared_memory.SharedMemory(create=True, size=_SHM_BYTES_PER_REF * n)
+    columns = (trace.addresses, trace.is_write, trace.label_ids)
+    for view, values in zip(_shm_columns(shm.buf, n), columns):
+        view[:] = values
+    return shm, {"name": shm.name, "n": n,
+                 "element_sizes": trace.element_sizes.tolist()}
 
 
 def attach_trace_shm(
@@ -272,57 +239,5 @@ def attach_trace_shm(
     removed exactly once by the creator's ``unlink()``.
     """
     shm = shared_memory.SharedMemory(name=descriptor["name"])
-    return shm, _shm_columns(shm.buf, descriptor["n"], descriptor["cap"])
+    return shm, _shm_columns(shm.buf, descriptor["n"])
 
-
-class TraceShmRing:
-    """A reusable shared-memory block for streaming chunked traces.
-
-    :func:`trace_to_shm` allocates (and unlinks) one block per replay
-    call — fine for a monolithic trace, wasteful when a stream replays
-    thousands of fixed-size chunks.  The ring allocates one block sized
-    for the largest chunk and repacks each chunk in place; workers
-    attach through the same descriptor protocol (``cap`` pins the
-    column offsets to the ring's capacity while ``n`` is the current
-    chunk's length).
-
-    Reuse is safe because the sharded replay protocol is synchronous
-    per chunk: every worker future is resolved before the next chunk is
-    packed, so no consumer can observe a half-overwritten block.  The
-    owner must :meth:`close` and :meth:`unlink` when the stream ends.
-    """
-
-    def __init__(self, capacity_refs: int):
-        if capacity_refs < 1:
-            raise ValueError(
-                f"capacity_refs must be >= 1, got {capacity_refs}"
-            )
-        self.capacity = int(capacity_refs)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=trace_shm_bytes(self.capacity)
-        )
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def nbytes(self) -> int:
-        return self._shm.size
-
-    def pack(self, trace: ReferenceTrace) -> dict:
-        """Copy ``trace``'s columns into the block; returns a descriptor."""
-        n = len(trace.addresses)
-        if n == 0:
-            raise ValueError("cannot pack an empty trace into the ring")
-        if n > self.capacity:
-            raise ValueError(
-                f"chunk of {n} refs exceeds ring capacity {self.capacity}"
-            )
-        return _pack(self._shm, trace, self.capacity)
-
-    def close(self) -> None:
-        self._shm.close()
-
-    def unlink(self) -> None:
-        self._shm.unlink()

@@ -94,7 +94,7 @@ class PeriodicTrace:
     identical copies, the shape of an iterative kernel whose every
     iteration issues the same references (CG, PCG).  Recording,
     storing and replaying the period alone costs one iteration, not
-    ``repeats``: :meth:`~repro.cachesim.simulator.CacheSimulator.run_periodic`
+    ``repeats``: :meth:`~repro.cachesim.simulator.CacheSimulator.run`
     replays it only until the cache state repeats.  The trace's
     per-reference columns come from :meth:`whole`; ``period`` is named
     for what it holds, so no caller reads it as the trace by mistake.
@@ -132,10 +132,9 @@ def iter_chunks(
 
     Chunks are zero-copy views (:meth:`ReferenceTrace.slice_refs`), all
     exactly ``chunk_refs`` long except a shorter final remainder.  This
-    is the pull side of the streaming protocol: anything accepting a
-    chunk iterator (``CacheSimulator.run_stream``, the chunk-aware
-    :mod:`repro.trace.analysis` functions) consumes these
-    views exactly like the chunks a sink-mode
+    is the pull side of the streaming protocol: ``CacheSimulator.run``
+    and the chunk-aware :mod:`repro.trace.analysis` functions consume
+    these views exactly like the chunks a sink-mode
     :class:`~repro.trace.recorder.TraceRecorder` pushes.
     """
     if chunk_refs < 1:

@@ -1,6 +1,6 @@
 """Periodic replay: a period replayed until the cache state repeats.
 
-:meth:`CacheSimulator.run_periodic` replays a
+:meth:`CacheSimulator.run` replays a
 :class:`~repro.trace.reference.PeriodicTrace` on the array engine only
 until two consecutive end-of-period states are equal, then adds the
 remaining periods from the last one's deltas.  Every test here holds it
@@ -67,7 +67,7 @@ def replayed_passes(sim, trace, monkeypatch):
     calls = []
     plain = sim.run_chunk
     monkeypatch.setattr(sim, "run_chunk", lambda c: calls.append(1) or plain(c))
-    sim.run_periodic(trace)
+    sim.run(trace)
     monkeypatch.undo()
     return len(calls)
 
@@ -179,7 +179,7 @@ class TestRandomPeriodicStreams:
         oracle = CacheSimulator(geometry, engine="reference")
         for sim in (fast, full, oracle):
             sim.run(warm)
-        fast.run_periodic(trace, chunk_refs)
+        fast.run(trace, chunk_refs)
         full.run(trace.whole())
         oracle.run(trace.whole())
         assert counters(fast.stats) == counters(oracle.stats)
@@ -240,8 +240,9 @@ class TestConjugateGradient:
         results = []
         for chunk_refs in (97, 4096, len(trace.period)):
             sim = CacheSimulator(geometry)
-            sim.run_periodic(trace, chunk_refs)
+            sim.run(trace, chunk_refs)
             results.append(counters(sim.stats))
         sim = CacheSimulator(geometry)
-        sim.run_stream(iter_chunks(trace.whole(), 4096))
+        for chunk in iter_chunks(trace.whole(), 4096):
+            sim.run_chunk(chunk)
         assert results == [counters(sim.stats)] * 3

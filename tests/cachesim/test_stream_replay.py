@@ -1,22 +1,25 @@
 """Differential tests: chunked streaming replay vs monolithic replay.
 
-The chunked-iterator protocol (the streaming tentpole) must be
-**bit-identical** to running the concatenated trace in one piece — on
+Streaming a trace chunk by chunk through ``run_chunk`` must be
+**bit-identical** to running the whole trace with ``run`` — on
 per-label hits/misses/writebacks/evictions, residency integrals
 (float ``==``), and the final cache state a drain evicts — across
 geometries, chunk sizes (including ``chunk_refs=1``, which splits every
-straddling reference's chunk from its successor), engines, and the
-sharded shared-memory-ring path.  The recorder's sink-mode streaming
-must reproduce ``finish()`` exactly, and incremental expansion must be
-a chunking-invariant (hypothesis property).
+straddling reference's chunk from its successor), engines, and sharded
+replay, which packs each chunk into its own shared-memory block.  The
+recorder's sink-mode streaming must reproduce ``finish()`` exactly, and
+incremental expansion must be a chunking-invariant (hypothesis
+property).
 """
+
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim import CacheGeometry, CacheSimulator, simulate_trace
+from repro.cachesim import CacheGeometry, CacheSimulator
 from repro.cachesim.simulator import _expand_lines
 from repro.trace.recorder import TraceRecorder
 from repro.trace.reference import ReferenceTrace, iter_chunks
@@ -24,7 +27,6 @@ from repro.trace.reference import ReferenceTrace, iter_chunks
 from test_engine_differential import (
     GEOMETRIES,
     assert_identical,
-    counters,
     drain,
     random_trace,
 )
@@ -38,6 +40,12 @@ def streamed_pair(geometry, **kwargs):
     return mono, streamed
 
 
+def stream(sim, trace, chunk_refs):
+    """Feed ``trace`` to ``sim.run_chunk`` in ``chunk_refs``-reference chunks."""
+    for chunk in iter_chunks(trace, chunk_refs):
+        sim.run_chunk(chunk)
+
+
 class TestStreamedBitIdentity:
     @pytest.mark.parametrize("geometry", GEOMETRIES, ids=str)
     @pytest.mark.parametrize("chunk_refs", CHUNK_SIZES)
@@ -49,25 +57,18 @@ class TestStreamedBitIdentity:
         trace = random_trace(rng, n=int(rng.integers(50, 1200)))
         mono, streamed = streamed_pair(geometry, engine="array")
         mono.run(trace)
-        streamed.run_stream(iter_chunks(trace, chunk_refs))
+        stream(streamed, trace, chunk_refs)
         assert_identical(streamed, mono, trace.labels)
         drain(mono, streamed)
         assert_identical(streamed, mono, trace.labels)
 
-    def test_run_accepts_chunk_iterator(self):
-        geometry = CacheGeometry(4, 64, 32)
-        trace = random_trace(np.random.default_rng(3), n=700)
-        mono, streamed = streamed_pair(geometry)
-        mono.run(trace)
-        streamed.run(iter_chunks(trace, 53))
-        assert_identical(streamed, mono, trace.labels)
-
-    def test_simulate_trace_accepts_chunk_iterator(self):
-        geometry = CacheGeometry(2, 24, 64)
-        trace = random_trace(np.random.default_rng(5), n=600)
-        mono = simulate_trace(trace, geometry)
-        streamed = simulate_trace(iter_chunks(trace, 41), geometry)
-        assert counters(mono) == counters(streamed)
+    def test_run_refuses_a_chunk_iterator(self):
+        # Chunks go to run_chunk; run takes a whole trace.
+        trace = random_trace(np.random.default_rng(3), n=70)
+        sim = CacheSimulator(CacheGeometry(4, 64, 32))
+        with pytest.raises(TypeError, match="run_chunk"):
+            sim.run(iter_chunks(trace, 53))
+        assert sim.stats.total.accesses == 0
 
     def test_chunk_splitting_a_straddling_reference(self):
         # A reference spanning several lines right at a chunk boundary:
@@ -83,7 +84,7 @@ class TestStreamedBitIdentity:
         )
         mono, streamed = streamed_pair(geometry, engine="array")
         mono.run(trace)
-        streamed.run_stream(iter_chunks(trace, 1))
+        stream(streamed, trace, 1)
         assert_identical(streamed, mono, trace.labels)
 
     def test_reference_engine_streams_too(self):
@@ -91,7 +92,7 @@ class TestStreamedBitIdentity:
         trace = random_trace(np.random.default_rng(11), n=400)
         mono, streamed = streamed_pair(geometry, engine="reference")
         mono.run(trace)
-        streamed.run_stream(iter_chunks(trace, 37))
+        stream(streamed, trace, 37)
         assert_identical(streamed, mono, trace.labels)
 
     def test_label_table_growing_across_chunks(self):
@@ -123,10 +124,9 @@ class TestStreamedBitIdentity:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sharded_streaming_matches(self, jobs):
-        # Explicit shards stream each chunk through the per-scope
-        # shared-memory ring; results stay bit-identical to the
-        # monolithic sharded run and to the plain engine.  Sharded
-        # replay does not track residency.
+        # Explicit shards replay each chunk on its own; results stay
+        # bit-identical to the plain engine.  Sharded replay does not
+        # track residency.
         geometry = CacheGeometry(4, 64, 32)
         rng = np.random.default_rng(29 + jobs)
         trace = random_trace(rng, n=1100)
@@ -135,10 +135,12 @@ class TestStreamedBitIdentity:
             geometry, engine="array", shards=2, jobs=jobs
         )
         mono.run(trace)
-        streamed.run_stream(iter_chunks(trace, 113))
+        stream(streamed, trace, 113)
         assert_identical(streamed, mono, trace.labels)
-        # The scope tears the ring down.
-        assert streamed._array._ring is None
+        if jobs > 1:  # each chunk packed, and unlinked, its own block
+            name = streamed._array.last_transport["shm_name"]
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
     def test_streaming_auto_resolves_to_array(self):
         # engine="auto" picks the array engine for LRU at construction,
@@ -146,18 +148,11 @@ class TestStreamedBitIdentity:
         geometry = CacheGeometry(4, 16, 32)
         trace = random_trace(np.random.default_rng(31), n=200)
         sim = CacheSimulator(geometry, engine="auto")
-        sim.run_stream(iter_chunks(trace, 5))
+        stream(sim, trace, 5)
         assert sim.engine == "array"
         mono = CacheSimulator(geometry, engine="array")
         mono.run(trace)
         assert sim.stats.as_dict() == mono.stats.as_dict()
-
-    def test_stream_scope_rejects_reentry(self):
-        sim = CacheSimulator(CacheGeometry(4, 16, 32), shards=2, jobs=1)
-        with sim.stream_scope():
-            with pytest.raises(RuntimeError, match="stream"):
-                with sim._array.stream_scope():
-                    pass
 
 
 class TestIterChunks:

@@ -6,7 +6,7 @@ import pytest
 from repro.cachesim import CacheGeometry, CacheSimulator, PAPER_CACHES
 from repro.core.cache_dvf import analyze_cache_dvf
 from repro.kernels import KERNELS, TEST_WORKLOADS
-from repro.trace import TraceRecorder
+from repro.trace import PeriodicTrace, TraceRecorder
 from repro.trace.reference import ReferenceTrace
 
 SMALL = CacheGeometry(4, 64, 32, "small")
@@ -135,6 +135,22 @@ class TestCacheDVF:
         assert a.avg_resident_bytes < 0.3 * KERNELS["CG"].data_sizes(
             TEST_WORKLOADS["CG"]
         )["A"]
+
+    def test_replays_the_recorded_period(self, monkeypatch):
+        # CG records one iteration and its count: the report comes from
+        # that period, never the tiled trace, and equals the tiled one's.
+        kernel, workload = KERNELS["CG"], TEST_WORKLOADS["CG"]
+        tiled = PeriodicTrace(kernel.trace(workload))
+        monkeypatch.setattr(kernel, "record", lambda w, cache=None: tiled)
+        expected = analyze_cache_dvf(kernel, workload, PAPER_CACHES["small"])
+        monkeypatch.undo()
+
+        def whole(trace):
+            raise AssertionError("the period was tiled")
+
+        monkeypatch.setattr(PeriodicTrace, "whole", whole)
+        report = analyze_cache_dvf(kernel, workload, PAPER_CACHES["small"])
+        assert report == expected
 
     def test_fit_scales_linearly(self):
         low = analyze_cache_dvf(

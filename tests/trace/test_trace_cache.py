@@ -21,6 +21,8 @@ from repro.kernels.workloads import TEST_WORKLOADS
 from repro.trace import PeriodicTrace, TraceCache, load_trace, save_trace
 from repro.trace.cache import as_trace_cache, kernel_fingerprint, trace_key
 
+from test_recorder import huge_header, rewrite_members
+
 
 @pytest.fixture
 def kernel():
@@ -240,11 +242,24 @@ class TestRecovery:
         assert cache.misses == 1
         assert not path.exists()
 
+    def test_header_claiming_more_than_its_member_is_a_miss(
+        self, tmp_path, kernel, workload
+    ):
+        # A column whose .npy header claims 8 PiB is damage like any
+        # other, not a MemoryError that would stop a sweep.
+        path = TraceCache(tmp_path).put(kernel, workload, kernel.trace(workload))
+        rewrite_members(path, addresses=huge_header(path, "addresses"))
+        cache = TraceCache(tmp_path)
+        assert cache.get(kernel, workload) is None
+        assert cache.misses == 1
+        assert not path.exists()
+
     def test_old_archive_with_sizes_varying_in_a_label_is_a_miss(
         self, tmp_path, kernel, workload
     ):
-        # Schema 4 holds one element size per label, so an older archive
-        # whose per-reference sizes vary within a label fails to load.
+        # Only schema 4 loads, so an archive of schema 3 (here one whose
+        # per-reference sizes vary within a label, which schema 4 cannot
+        # hold) is damage: dropped and re-collected.
         path = TraceCache(tmp_path).put(kernel, workload, kernel.trace(workload))
         trace = load_trace(path)
         sizes = trace.element_sizes[trace.label_ids]
