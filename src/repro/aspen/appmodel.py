@@ -155,8 +155,20 @@ def build_app_model(
     degrade them to the worst-case bound.
     """
     lenient = sink is not None
+    overrides = overrides or {}
+    unknown = set(overrides) - {param.name for param in decl.params}
+    if unknown:
+        message = f"model {decl.name!r} has no parameters {sorted(unknown)}"
+        if not lenient:
+            raise AspenSemanticError(message)
+        sink.error("ASP208", message)
+    # One pass in declaration order: an override replaces its param's
+    # expression, so derived params see it and its default never runs.
     env: dict[str, float] = {}
     for param in decl.params:
+        if param.name in overrides:
+            env[param.name] = overrides[param.name]
+            continue
         try:
             env[param.name] = param.value.evaluate(env)
         except AspenEvalError as exc:
@@ -167,32 +179,6 @@ def build_app_model(
                 f"model {decl.name!r}: param {param.name!r}: {exc}",
                 span=SourceSpan(param.line, 0),
             )
-    if overrides:
-        unknown = set(overrides) - set(env)
-        if unknown:
-            message = f"model {decl.name!r} has no parameters {sorted(unknown)}"
-            if not lenient:
-                raise AspenSemanticError(message)
-            sink.error("ASP208", message)
-            overrides = {k: v for k, v in overrides.items() if k in env}
-        env.update(overrides)
-        # Re-evaluate in declaration order so derived params see overrides.
-        env2: dict[str, float] = {}
-        for param in decl.params:
-            if param.name in overrides:
-                env2[param.name] = overrides[param.name]
-            else:
-                try:
-                    env2[param.name] = param.value.evaluate(env2)
-                except AspenEvalError as exc:
-                    if not lenient:
-                        raise
-                    sink.error(
-                        "ASP211",
-                        f"model {decl.name!r}: param {param.name!r}: {exc}",
-                        span=SourceSpan(param.line, 0),
-                    )
-        env = env2
 
     data: dict[str, DataModel] = {}
     dropped: list[str] = []

@@ -301,8 +301,8 @@ class Worker:
         """Readable once a result is waiting or the worker died."""
         return self._results.fileno()
 
-    def submit(self, args: tuple, *, last: bool = False) -> None:
-        """Hand the worker one call; ``last`` lets it exit after that call.
+    def submit(self, args: tuple) -> None:
+        """Hand the worker one call.
 
         A worker that is already gone shows as EOF in :meth:`receive`.
         """
@@ -311,8 +311,6 @@ class Worker:
             self._tasks.send(args)
         except BrokenPipeError:
             pass
-        if last:
-            self._tasks.close()
 
     def ready(self, timeout: float | None = 0.0) -> bool:
         """Wait up to ``timeout`` s for a result or the worker's death."""
@@ -358,8 +356,8 @@ class SupervisedCall:
     """One function call on a supervised, crash-isolated :class:`Worker`.
 
     The per-call handle under both the FI trial executor and the DVF job
-    service: :meth:`start` hands ``args`` to ``worker``, or without one
-    to a one-call worker forked for this call alone.  Then
+    service: :meth:`start` hands ``args`` to ``worker``, which runs
+    ``fn``.  Then
 
     * :meth:`wait` / :attr:`sentinel` to block or multiplex on the
       outcome,
@@ -372,9 +370,10 @@ class SupervisedCall:
       :class:`~repro.faultinject.errors.WorkerLost` sentinel when the
       worker died without delivering a result.
 
-    The caller decides what worker loss and expiry *mean* (a trial
-    CRASH, a retryable job failure, ...) and whether a worker that
-    delivered serves again; this class only supervises.
+    The caller owns the worker: it decides what worker loss and expiry
+    *mean* (a trial CRASH, a retryable job failure, ...), whether a
+    worker that delivered serves again, and when to close it; this
+    class only supervises.
     """
 
     def __init__(
@@ -382,12 +381,12 @@ class SupervisedCall:
         fn,
         args: tuple = (),
         *,
-        worker: Worker | None = None,
+        worker: Worker,
         timeout: float | None = None,
         term_grace: float = 2.0,
         label: str = "worker",
     ):
-        if worker is not None and worker.fn is not fn:
+        if worker.fn is not fn:
             raise ValueError(
                 f"{label}: the worker runs {worker.fn!r}, not {fn!r}"
             )
@@ -397,15 +396,12 @@ class SupervisedCall:
         self.timeout = timeout
         self.term_grace = term_grace
         self.label = label
-        self._one_call = worker is None
         self.started_at: float | None = None
         self._result = PENDING
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "SupervisedCall":
-        if self.worker is None:
-            self.worker = Worker(self.fn)
-        self.worker.submit(self.args, last=self._one_call)
+        self.worker.submit(self.args)
         self.started_at = time.monotonic()
         return self
 
@@ -427,8 +423,7 @@ class SupervisedCall:
 
     def terminate(self) -> None:
         """Cancel the call: SIGTERM its worker, grace period, then SIGKILL."""
-        if self.worker is not None:
-            self.worker.terminate(self.term_grace)
+        self.worker.terminate(self.term_grace)
 
     # -- result collection ---------------------------------------------
     def poll(self):
@@ -445,8 +440,6 @@ class SupervisedCall:
                     exitcode=self.worker.exitcode,
                     label=self.label,
                 )
-            if self._one_call:
-                self.worker.close(self.term_grace)
         return self._result
 
 

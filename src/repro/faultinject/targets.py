@@ -5,9 +5,15 @@ flip injected into a chosen data structure at a chosen *phase* of the
 execution (0.0 = before the computation, 0.5 = halfway, ...), returning
 the output the fault-free reference is compared against.
 
-The adapters re-implement the kernels' numerics in phase-splittable
-form (pure numpy, no tracing) — fault injection needs thousands of
-runs, so they are kept as fast as possible.
+The numerics are the kernels' own: each adapter draws its inputs with
+its kernel's ``inputs`` (CG: ``start``), and runs CG's
+:meth:`~repro.kernels.conjugate_gradient.CGState.step` and FT's
+:func:`~repro.kernels.fft.bit_reverse` / :func:`~repro.kernels.fft.fft_stage`,
+untraced.  What is left here is fault injection's part: where the
+computation splits for the flip, and which arrays may be flipped.  VM
+and MC split their loops at the phase as vectorised slices.  MC's
+lookups use ``np.searchsorted``: on a sorted grid it finds the kernel's
+rows, but after a flip into ``G`` the two searches can differ.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ import numpy as np
 
 from repro.faultinject.flips import random_flip
 from repro.kernels.base import Workload
-from repro.kernels.conjugate_gradient import build_system
-from repro.kernels.monte_carlo import _config as mc_config
+from repro.kernels.fft import bit_reverse, fft_stage
+from repro.kernels.registry import KERNELS
 
 
 @dataclass(frozen=True)
@@ -52,9 +58,7 @@ def _run_vm(workload, inject_into, phase, rng):
     n = int(workload["n"])
     sa = int(workload.get("stride_a", 4))
     sb = int(workload.get("stride_b", 1))
-    data_rng = np.random.default_rng(int(workload.get("seed", 0)))
-    a = data_rng.random(n * sa)
-    b = data_rng.random(n * sb)
+    a, b = KERNELS["VM"].inputs(workload)
     c = np.zeros(n)
     arrays = {"A": a, "B": b, "C": c}
     split = int(phase * n)
@@ -66,76 +70,35 @@ def _run_vm(workload, inject_into, phase, rng):
 
 
 # ----------------------------------------------------------------------
-# CG
+# CG: flips land in the live arrays between two iterations
 # ----------------------------------------------------------------------
 def _run_cg(workload, inject_into, phase, rng):
-    n = int(workload["n"])
     iterations = int(workload.get("iterations", 10))
-    a, b = build_system(
-        n,
-        str(workload.get("system", "laplacian2d")),
-        seed=int(workload.get("seed", 0)),
-    )
-    dim = a.shape[0]
-    x = np.zeros(dim)
-    r = b.copy()
-    p = r.copy()
-    rz = float(r @ r)
-    arrays = {"A": a, "x": x, "p": p, "r": r}
+    state = KERNELS["CG"].start(workload)
+    arrays = {"A": state.a, "x": state.x, "p": state.p, "r": state.r}
     inject_at = min(int(phase * iterations), iterations - 1)
     for k in range(iterations):
         if inject_into is not None and k == inject_at:
             random_flip(arrays[inject_into], rng)
-        ap = a @ p
-        denominator = float(p @ ap)
-        alpha = rz / denominator
-        x += alpha * p
-        r -= alpha * ap
-        rz_next = float(r @ r)
-        beta = rz_next / rz
-        p *= beta
-        p += r
-        rz = rz_next
-    return x
+        state.step()
+    return state.x
 
 
 # ----------------------------------------------------------------------
-# FT (stage-splittable iterative FFT)
+# FT: flips land in X between two stages of the chained transforms
 # ----------------------------------------------------------------------
-def _fft_stage(x: np.ndarray, half: int) -> np.ndarray:
-    n = len(x)
-    blocks = x.reshape(n // (2 * half), 2, half)
-    twiddle = np.exp(-2j * np.pi * np.arange(half) / (2 * half))
-    top = blocks[:, 0, :].copy()
-    bottom = blocks[:, 1, :] * twiddle
-    blocks[:, 0, :] = top + bottom
-    blocks[:, 1, :] = top - bottom
-    return x
-
-
-def _bit_reverse(x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    bits = int(np.log2(n))
-    indices = np.arange(n)
-    reversed_indices = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        reversed_indices |= ((indices >> b) & 1) << (bits - 1 - b)
-    return x[reversed_indices]
-
-
 def _run_ft(workload, inject_into, phase, rng):
-    from repro.kernels.fft import _length
-
-    n = _length(workload)
-    data_rng = np.random.default_rng(int(workload.get("seed", 0)))
-    x = data_rng.random(n) + 1j * data_rng.random(n)
-    x = _bit_reverse(x)
-    stages = int(np.log2(n))
-    inject_at = min(int(phase * stages), stages - 1)
-    for s in range(stages):
-        if inject_into == "X" and s == inject_at:
-            random_flip(x, rng)
-        x = _fft_stage(x, 1 << s)
+    x = KERNELS["FT"].inputs(workload)
+    stages = int(np.log2(len(x)))
+    transforms = int(workload.get("transforms", 1))
+    steps = transforms * stages
+    inject_at = min(int(phase * steps), steps - 1)
+    for t in range(transforms):
+        x = bit_reverse(x)
+        for s in range(stages):
+            if inject_into == "X" and t * stages + s == inject_at:
+                random_flip(x, rng)
+            fft_stage(x, 1 << s)
     return x
 
 
@@ -143,17 +106,12 @@ def _run_ft(workload, inject_into, phase, rng):
 # MC
 # ----------------------------------------------------------------------
 def _run_mc(workload, inject_into, phase, rng):
-    grid, nuclides, lookups = mc_config(workload)
-    data_rng = np.random.default_rng(int(workload.get("seed", 0)))
-    energies = np.sort(data_rng.random(grid))
-    xs = data_rng.random((grid, nuclides))
-    samples = data_rng.random(lookups)
+    energies, xs, samples = KERNELS["MC"].inputs(workload)
     arrays = {"G": energies, "E": xs}
-    split = min(int(phase * lookups), lookups - 1)
+    split = min(int(phase * len(samples)), len(samples) - 1)
 
     def lookup(batch: np.ndarray) -> float:
-        rows = np.searchsorted(energies, batch)
-        rows = np.minimum(rows, grid - 1)
+        rows = np.minimum(np.searchsorted(energies, batch), len(energies) - 1)
         return float(xs[rows].sum())
 
     total = lookup(samples[:split])

@@ -9,6 +9,10 @@ DVF across problem sizes (Figure 6).
 
 Implementation notes
 --------------------
+* :meth:`CGState.step` is the one (P)CG iteration: it updates the live
+  arrays ``x``, ``r``, ``p`` and ``z`` in place.  The instrumented run,
+  :meth:`ConjugateGradientKernel.solve` and the fault-injection adapter
+  (which flips bits in the live arrays between iterations) loop over it.
 * The instrumented path runs a real dense-storage CG for a fixed number
   of iterations, recording references in the exact loop order of the
   implementation.  Every iteration issues the same references, so the
@@ -104,6 +108,38 @@ def incomplete_cholesky(a: np.ndarray) -> np.ndarray:
     return np.tril(l)
 
 
+class CGState:
+    """The live arrays of an in-place (P)CG solve of ``A x = b``.
+
+    :meth:`step` updates ``x``, ``r``, ``p`` and ``z`` in place, so a
+    caller holding them sees every iteration's values.  Without a
+    preconditioner factor ``lfac``, ``z`` is ``r`` itself.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, lfac: np.ndarray | None):
+        self.a = a
+        self.lfac = lfac
+        self.x = np.zeros(a.shape[0])
+        self.r = b.copy()
+        self.z = _apply_ic(lfac, self.r)
+        self.p = self.z.copy()
+        self.rz = float(self.r @ self.z)
+
+    def step(self) -> None:
+        """One (P)CG iteration."""
+        ap = self.a @ self.p
+        alpha = self.rz / float(self.p @ ap)
+        self.x += alpha * self.p
+        self.r -= alpha * ap
+        if self.lfac is not None:
+            self.z[:] = _apply_ic(self.lfac, self.r)
+        rz_next = float(self.r @ self.z)
+        # p = z + beta p, bit for bit.
+        self.p *= rz_next / self.rz
+        self.p += self.z
+        self.rz = rz_next
+
+
 @dataclass
 class SolveResult:
     """Outcome of an (un)preconditioned CG solve."""
@@ -160,6 +196,12 @@ class ConjugateGradientKernel(Kernel):
             structures["z"] = (n, _E)
         return structures
 
+    def start(self, workload: Workload) -> CGState:
+        """The solver's state before the first iteration on ``workload``."""
+        n, _, variant, system = self._config(workload)
+        a, b = build_system(n, system, seed=int(workload.get("seed", 0)))
+        return CGState(a, b, incomplete_cholesky(a) if variant == "pcg" else None)
+
     # ------------------------------------------------------------------
     # pure numerical solve (measured iteration counts for Fig. 6)
     # ------------------------------------------------------------------
@@ -170,40 +212,18 @@ class ConjugateGradientKernel(Kernel):
         max_iterations: int | None = None,
     ) -> SolveResult:
         """Run the actual solver to convergence; returns measured iterations."""
-        n, _, variant, system = self._config(workload)
-        a, b = build_system(n, system, seed=int(workload.get("seed", 0)))
-        n = a.shape[0]
-        max_iterations = max_iterations or 4 * n
-        x = np.zeros(n)
-        r = b - a @ x
-        if variant == "pcg":
-            lfac = incomplete_cholesky(a)
-            z = _apply_ic(lfac, r)
-        else:
-            z = r
-        p = z.copy()
-        rz = float(r @ z)
-        bnorm = float(np.linalg.norm(b))
+        state = self.start(workload)
+        max_iterations = max_iterations or 4 * len(state.x)
+        bnorm = float(np.linalg.norm(state.r))  # r = b before iterating
         iterations = 0
         while iterations < max_iterations:
-            if np.linalg.norm(r) <= tol * bnorm:
+            if np.linalg.norm(state.r) <= tol * bnorm:
                 break
-            ap = a @ p
-            alpha = rz / float(p @ ap)
-            x += alpha * p
-            r -= alpha * ap
-            if variant == "pcg":
-                z = _apply_ic(lfac, r)
-            else:
-                z = r
-            rz_next = float(r @ z)
-            beta = rz_next / rz
-            p = z + beta * p
-            rz = rz_next
+            state.step()
             iterations += 1
-        residual = float(np.linalg.norm(r) / bnorm)
+        residual = float(np.linalg.norm(state.r) / bnorm)
         return SolveResult(
-            x=x,
+            x=state.x,
             iterations=iterations,
             residual=residual,
             converged=residual <= tol,
@@ -213,40 +233,29 @@ class ConjugateGradientKernel(Kernel):
     # instrumented execution
     # ------------------------------------------------------------------
     def run_traced(self, workload: Workload, recorder: TraceRecorder) -> np.ndarray:
-        n, iterations, variant, system = self._config(workload)
-        a, b = build_system(n, system, seed=int(workload.get("seed", 0)))
-        n = a.shape[0]
+        n, iterations, variant, _ = self._config(workload)
         for label, (num, size) in self.data_structures(workload).items():
             recorder.allocate(label, num, size)
-        lfac = incomplete_cholesky(a) if variant == "pcg" else None
-
-        x = np.zeros(n)
-        r = b.copy()
-        z = _apply_ic(lfac, r) if variant == "pcg" else r
-        p = z.copy()
-        rz = float(r @ z)
+        state = self.start(workload)
         every = np.arange(n, dtype=np.int64)
         matrix_idx = np.arange(n * n, dtype=np.int64)
         p_per_row = np.tile(every, n)
+        src = "z" if variant == "pcg" else "r"
         for _ in recorder.periods(iterations):
             # Ap = A @ p: row-major matrix stream interleaved with p reads.
             recorder.record_interleaved(
                 [("A", matrix_idx, False), ("p", p_per_row, False)]
             )
-            ap = a @ p
             # alpha = (r.z) / (p.Ap): p swept once (Ap is a temporary).
             recorder.record_elements("p", every, False)
-            alpha = rz / float(p @ ap)
             # x += alpha p: read x, read p, write x.
             recorder.record_interleaved(
                 [("x", every, False), ("p", every, False), ("x", every, True)]
             )
-            x += alpha * p
             # r -= alpha Ap: read r, write r.
             recorder.record_interleaved(
                 [("r", every, False), ("r", every, True)]
             )
-            r -= alpha * ap
             if variant == "pcg":
                 # z = M^{-1} r: two triangular sweeps of M, r read, z written.
                 recorder.record_interleaved(
@@ -254,21 +263,14 @@ class ConjugateGradientKernel(Kernel):
                 )
                 recorder.record_elements("r", every, False)
                 recorder.record_elements("z", every, True)
-                z = _apply_ic(lfac, r)
-                rz_vec = z
             else:
                 recorder.record_elements("r", every, False)
-                rz_vec = r
-            rz_next = float(r @ rz_vec)
-            beta = rz_next / rz
             # p = z + beta p: read z (or r), read p, write p.
-            src = "z" if variant == "pcg" else "r"
             recorder.record_interleaved(
                 [(src, every, False), ("p", every, False), ("p", every, True)]
             )
-            p = (z if variant == "pcg" else r) + beta * p
-            rz = rz_next
-        return x
+            state.step()
+        return state.x
 
     # ------------------------------------------------------------------
     # analytical model

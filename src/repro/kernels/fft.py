@@ -8,6 +8,13 @@ that is neither streaming (elements are revisited every stage) nor
 random: the canonical *template* pattern.  When the array fits in the
 cache only the first stage misses; when it does not, every stage
 reloads it — the Figure 5(e) capacity cliff.
+
+Implementation notes
+--------------------
+* The transform is :func:`bit_reverse`, then one vectorised
+  :func:`fft_stage` per butterfly distance; the instrumented run and the
+  fault-injection adapter both call them.  The recorded references
+  follow the scalar loop's butterfly order (:func:`butterfly_indices`).
 """
 
 from __future__ import annotations
@@ -45,6 +52,26 @@ def _length(workload: Workload) -> int:
     return n
 
 
+def bit_reverse(x: np.ndarray) -> np.ndarray:
+    """``x`` permuted into bit-reversed index order (a new array)."""
+    # With one more bit, index b * 2^k + m reverses to 2 rev(m) + b.
+    order = np.zeros(1, dtype=np.int64)
+    while len(order) < len(x):
+        order = np.concatenate([2 * order, 2 * order + 1])
+    return x[order]
+
+
+def fft_stage(x: np.ndarray, half: int) -> np.ndarray:
+    """One stage in place: every butterfly ``(i, i + half)`` of ``x``."""
+    blocks = x.reshape(-1, 2, half)
+    twiddle = np.exp(-2j * np.pi * np.arange(half) / (2 * half))
+    top = blocks[:, 0, :].copy()
+    bottom = blocks[:, 1, :] * twiddle
+    blocks[:, 0, :] = top + bottom
+    blocks[:, 1, :] = top - bottom
+    return x
+
+
 def butterfly_indices(n: int) -> np.ndarray:
     """Element-index template of the full iterative FFT.
 
@@ -68,12 +95,8 @@ def butterfly_indices(n: int) -> np.ndarray:
 
 def butterfly_writes(n: int) -> np.ndarray:
     """Write mask matching :func:`butterfly_indices` (read, read, write, write)."""
-    stages = int(np.log2(n))
-    per_stage = n * 2  # n/2 butterflies x 4 refs
-    mask = np.zeros(stages * per_stage, dtype=bool)
-    mask = mask.reshape(stages, -1, 4)
-    mask[:, :, 2:] = True
-    return mask.reshape(-1)
+    butterflies = int(np.log2(n)) * n // 2
+    return np.tile(np.array([False, False, True, True]), butterflies)
 
 
 class FFTKernel(Kernel):
@@ -95,50 +118,24 @@ class FFTKernel(Kernel):
     def data_structures(self, workload: Workload) -> dict[str, tuple[int, int]]:
         return {"X": (_length(workload), _E)}
 
+    def inputs(self, workload: Workload) -> np.ndarray:
+        """The complex array the transforms start from."""
+        n = _length(workload)
+        rng = np.random.default_rng(int(workload.get("seed", 0)))
+        return rng.random(n) + 1j * rng.random(n)
+
     # ------------------------------------------------------------------
     def run_traced(self, workload: Workload, recorder: TraceRecorder) -> np.ndarray:
-        n = _length(workload)
-        transforms = int(workload.get("transforms", 1))
+        x = self.inputs(workload)
+        n = len(x)
         recorder.allocate("X", n, _E)
-        rng = np.random.default_rng(int(workload.get("seed", 0)))
-        data = rng.random(n) + 1j * rng.random(n)
         indices = butterfly_indices(n)
         writes = butterfly_writes(n)
-        result = data
-        for _ in range(transforms):
+        for _ in range(int(workload.get("transforms", 1))):
             recorder.record_elements_mixed("X", indices, writes)
-            result = self._fft_iterative(result.copy())
-        return result
-
-    @staticmethod
-    def _fft_iterative(x: np.ndarray) -> np.ndarray:
-        """In-place iterative Cooley-Tukey FFT (bit-reversed input order).
-
-        The numeric result equals ``np.fft.fft`` after the initial
-        bit-reversal permutation.
-        """
-        n = len(x)
-        # Bit-reversal permutation.
-        j = 0
-        for i in range(1, n):
-            bit = n >> 1
-            while j & bit:
-                j ^= bit
-                bit >>= 1
-            j |= bit
-            if i < j:
-                x[i], x[j] = x[j], x[i]
-        half = 1
-        while half < n:
-            step = np.exp(-2j * np.pi / (2 * half))
-            for start in range(0, n, 2 * half):
-                w = 1.0 + 0j
-                for k in range(start, start + half):
-                    t = w * x[k + half]
-                    x[k + half] = x[k] - t
-                    x[k] = x[k] + t
-                    w *= step
-            half *= 2
+            x = bit_reverse(x)
+            for s in range(int(np.log2(n))):
+                fft_stage(x, 1 << s)
         return x
 
     # ------------------------------------------------------------------

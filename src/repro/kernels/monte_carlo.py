@@ -101,20 +101,27 @@ class MonteCarloKernel(Kernel):
             "E": (grid * nuclides, _E),
         }
 
+    def inputs(
+        self, workload: Workload
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted energy grid, the cross-section table and the samples."""
+        grid, nuclides, lookups = _config(workload)
+        rng = np.random.default_rng(int(workload.get("seed", 0)))
+        energies = np.sort(rng.random(grid))
+        xs = rng.random((grid, nuclides))
+        return energies, xs, rng.random(lookups)
+
     # ------------------------------------------------------------------
     def run_traced(self, workload: Workload, recorder: TraceRecorder) -> float:
         grid, nuclides, lookups = _config(workload)
-        rng = np.random.default_rng(int(workload.get("seed", 0)))
         recorder.allocate("G", grid, _E)
         recorder.allocate("E", grid * nuclides, _E)
-        energies = np.sort(rng.random(grid))
-        xs = rng.random((grid, nuclides))
+        energies, xs, samples = self.inputs(workload)
         # Construction traversal (the random model's assumed initial pass).
         recorder.record_elements("G", np.arange(grid, dtype=np.int64), True)
         recorder.record_elements(
             "E", np.arange(grid * nuclides, dtype=np.int64), True
         )
-        samples = rng.random(lookups)
         # Every lookup's binary search on G runs at once, one probe
         # level per numpy step.  A search drops out once its interval
         # closes, so a lookup's probes are levels 0..depth-1.

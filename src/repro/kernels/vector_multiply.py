@@ -45,15 +45,20 @@ class VectorMultiplyKernel(Kernel):
             "C": (n, _ELEMENT),
         }
 
+    def inputs(self, workload: Workload) -> tuple[np.ndarray, np.ndarray]:
+        """The operands ``A`` and ``B``."""
+        n = int(workload["n"])
+        sa, sb = self._strides(workload)
+        rng = np.random.default_rng(int(workload.get("seed", 0)))
+        return rng.random(n * sa), rng.random(n * sb)
+
     # ------------------------------------------------------------------
     def run_traced(self, workload: Workload, recorder: TraceRecorder) -> np.ndarray:
         n = int(workload["n"])
         sa, sb = self._strides(workload)
         for label, (num, size) in self.data_structures(workload).items():
             recorder.allocate(label, num, size)
-        rng = np.random.default_rng(workload.get("seed", 0))
-        a = rng.random(n * sa)
-        b = rng.random(n * sb)
+        a, b = self.inputs(workload)
         c = np.zeros(n)
         i = np.arange(n, dtype=np.int64)
         # Reference order of the scalar loop: C load, A load, B load, C store.

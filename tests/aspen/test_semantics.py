@@ -10,7 +10,7 @@ from repro.aspen import (
     validate,
 )
 from repro.aspen.appmodel import build_app_model
-from repro.aspen.errors import AspenEvalError
+from repro.aspen.errors import AspenEvalError, DiagnosticSink
 from repro.cachesim import CacheGeometry
 
 MACHINE = """
@@ -53,6 +53,29 @@ class TestAppModelEvaluation:
     def test_unknown_override_rejected(self):
         with pytest.raises(AspenSemanticError, match="no parameters"):
             build_app_model(parse(VM).model(), overrides={"zz": 1})
+
+    def test_override_replaces_a_failing_default(self):
+        # The default 8/0 never runs: the override replaces it.
+        source = VM.replace("param n = 200", "param n = 8/0") + MACHINE
+        compiled = compile_source(source, params={"n": 100})
+        assert compiled.app.params["n"] == 100
+        assert compiled.app.data["A"].num_elements == 100
+
+    def test_lenient_override_reports_each_failing_param_once(self):
+        source = (
+            "model m { param n = 8/0, param k = 1/0, param j = 2/0, "
+            "data A { elements: n, element_size: 8 }, kernel main { flops: n } }"
+        )
+        sink = DiagnosticSink()
+        app = build_app_model(
+            parse(source).model(), overrides={"n": 16}, sink=sink
+        )
+        assert app.params == {"n": 16}
+        assert app.data["A"].num_elements == 16
+        assert [(d.code, d.message.split(": ")[1]) for d in sink] == [
+            ("ASP211", "param 'k'"),
+            ("ASP211", "param 'j'"),
+        ]
 
     def test_data_sizes(self):
         app = build_app_model(parse(VM).model())

@@ -1,5 +1,6 @@
 """Tests for crash-isolated executors and deterministic trial seeding."""
 
+import contextlib
 import multiprocessing as mp
 import os
 import signal
@@ -348,6 +349,18 @@ def _journal_forever(path):
             )
 
 
+@contextlib.contextmanager
+def supervised(fn, args=(), **options):
+    """A started :class:`SupervisedCall` of ``fn`` on a worker closed after."""
+    from repro.faultinject import SupervisedCall, Worker
+
+    worker = Worker(fn)
+    try:
+        yield SupervisedCall(fn, args, worker=worker, **options).start()
+    finally:
+        worker.close()
+
+
 @needs_fork
 class TestSupervisedCall:
     def test_calls_share_a_worker(self):
@@ -376,105 +389,98 @@ class TestSupervisedCall:
             worker.close()
 
     def test_delivers_return_value(self):
-        from repro.faultinject import SupervisedCall
-
-        call = SupervisedCall(_identity, ({"answer": 42},)).start()
-        assert call.wait(10.0)
-        assert call.poll() == {"answer": 42}
-        assert call.poll() == {"answer": 42}  # memoized
+        with supervised(_identity, ({"answer": 42},)) as call:
+            assert call.wait(10.0)
+            assert call.poll() == {"answer": 42}
+            assert call.poll() == {"answer": 42}  # memoized
 
     def test_result_larger_than_a_pipe_buffer_is_delivered(self):
         # The result is read as soon as it starts arriving: a worker
         # blocked writing 800 KB must not be waited on to exit first.
-        from repro.faultinject import SupervisedCall
-
-        call = SupervisedCall(np.arange, (100_000,)).start()
-        assert call.wait(10.0)
-        assert np.array_equal(call.poll(), np.arange(100_000))
+        with supervised(np.arange, (100_000,)) as call:
+            assert call.wait(10.0)
+            assert np.array_equal(call.poll(), np.arange(100_000))
 
     def test_none_return_is_not_worker_lost(self):
-        from repro.faultinject import PENDING, SupervisedCall, WorkerLost
+        from repro.faultinject import PENDING, WorkerLost
 
-        call = SupervisedCall(_identity, (None,)).start()
-        assert call.wait(10.0)
-        result = call.poll()
+        with supervised(_identity, (None,)) as call:
+            assert call.wait(10.0)
+            result = call.poll()
         assert result is None
         assert result is not PENDING
         assert not isinstance(result, WorkerLost)
 
     def test_child_exception_is_worker_lost(self):
-        from repro.faultinject import SupervisedCall, WorkerLost
+        from repro.faultinject import WorkerLost
 
-        call = SupervisedCall(_raise_runtime, label="raiser").start()
-        assert call.wait(10.0)
-        result = call.poll()
+        with supervised(_raise_runtime, label="raiser") as call:
+            assert call.wait(10.0)
+            result = call.poll()
         assert isinstance(result, WorkerLost)
         assert result.exitcode == 1
         assert "raiser" in str(result)
 
     def test_hard_exit_is_worker_lost_with_exitcode(self):
-        from repro.faultinject import SupervisedCall, WorkerLost
+        from repro.faultinject import WorkerLost
 
-        call = SupervisedCall(_exit_7).start()
-        assert call.wait(10.0)
-        result = call.poll()
+        with supervised(_exit_7) as call:
+            assert call.wait(10.0)
+            result = call.poll()
         assert isinstance(result, WorkerLost)
         assert result.exitcode == 7
 
     def test_poll_while_running_is_pending(self):
-        from repro.faultinject import PENDING, SupervisedCall
+        from repro.faultinject import PENDING
 
-        call = SupervisedCall(_sleep_forever, term_grace=1.0).start()
-        try:
-            assert call.poll() is PENDING
-        finally:
-            call.terminate()
+        with supervised(_sleep_forever, term_grace=1.0) as call:
+            try:
+                assert call.poll() is PENDING
+            finally:
+                call.terminate()
 
     def test_terminate_is_prompt_sigterm(self):
-        from repro.faultinject import SupervisedCall, WorkerLost
+        from repro.faultinject import WorkerLost
         from repro.faultinject.executor import SIGTERM_EXIT
 
         # term_grace far above what the handler needs: if terminate()
         # returns quickly, it is because the child honoured SIGTERM
         # promptly, not because SIGKILL escalation saved us.
-        call = SupervisedCall(
+        with supervised(
             _sleep_forever, term_grace=30.0, label="sleeper"
-        ).start()
-        started = time.monotonic()
-        call.terminate()
-        assert time.monotonic() - started < 5.0
-        result = call.poll()
+        ) as call:
+            started = time.monotonic()
+            call.terminate()
+            assert time.monotonic() - started < 5.0
+            result = call.poll()
         assert isinstance(result, WorkerLost)
         assert result.exitcode == SIGTERM_EXIT == 143
 
     def test_expired_tracks_timeout(self):
-        from repro.faultinject import SupervisedCall
-
-        call = SupervisedCall(
+        with supervised(
             _sleep_forever, timeout=0.05, term_grace=1.0
-        ).start()
-        try:
-            time.sleep(0.1)
-            assert call.expired()
-        finally:
-            call.terminate()
+        ) as call:
+            try:
+                time.sleep(0.1)
+                assert call.expired()
+            finally:
+                call.terminate()
 
     def test_sigterm_mid_write_leaves_journal_loadable(self, tmp_path):
-        from repro.faultinject import SupervisedCall
         from repro.service.journal import load_journal
         from repro.service.scenario import JobSpec
 
         journal_path = tmp_path / "journal.jsonl"
-        call = SupervisedCall(
+        with supervised(
             _journal_forever, (journal_path,), term_grace=5.0
-        ).start()
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if journal_path.exists() and \
-                    journal_path.stat().st_size > 2048:
-                break
-            time.sleep(0.005)
-        call.terminate()
+        ) as call:
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if journal_path.exists() and \
+                        journal_path.stat().st_size > 2048:
+                    break
+                time.sleep(0.005)
+            call.terminate()
         # The worker died mid-stream, but the journal must stay
         # loadable: at most its final line is a tolerated kill
         # artifact (the prompt SIGTERM handler exits without

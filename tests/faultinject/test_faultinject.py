@@ -103,15 +103,25 @@ class TestTargets:
         b = target.run(workload, None, 0.7, rng)
         assert np.allclose(a, b)
 
-    def test_vm_matches_traced_kernel(self):
-        workload = TEST_WORKLOADS["VM"]
+    @pytest.mark.parametrize("name, workload, rtol", [
+        ("VM", TEST_WORKLOADS["VM"], 0.0),
+        ("CG", TEST_WORKLOADS["CG"], 0.0),
+        ("CG", Workload("pcg", {**TEST_WORKLOADS["CG"].params,
+                                "variant": "pcg"}), 0.0),
+        ("FT", TEST_WORKLOADS["FT"], 0.0),
+        ("FT", Workload("two", {"n": 256, "transforms": 2}), 0.0),
+        # The kernel adds up each lookup's row, the adapter a batch's.
+        ("MC", TEST_WORKLOADS["MC"], 1e-12),
+    ], ids=["VM", "CG", "PCG", "FT", "FT-2-transforms", "MC"])
+    def test_adapter_matches_traced_kernel(self, name, workload, rtol):
         from repro.trace import TraceRecorder
 
-        expected = KERNELS["VM"].run_traced(workload, TraceRecorder())
-        got = INJECTABLE_KERNELS["VM"].run(
+        expected = KERNELS[name].run_traced(workload, TraceRecorder())
+        got = INJECTABLE_KERNELS[name].run(
             workload, None, 0.0, np.random.default_rng(0)
         )
-        assert np.allclose(got, expected)
+        # rtol = 0 asks for exact equality.
+        np.testing.assert_allclose(got, expected, rtol=rtol, atol=0)
 
     def test_ft_matches_numpy_fft(self):
         workload = Workload("t", {"n": 128})
