@@ -77,7 +77,8 @@ def main() -> None:
             HEAT_SOLVER + MACHINES, model="heat", machine=machine
         )
         nha = compiled.nha_by_structure()
-        dvf = compiled.dvf_by_structure()
+        report = compiled.report()
+        dvf = report.dvf_by_structure()
         for structure in sorted(dvf, key=dvf.get, reverse=True):
             rows.append(
                 (
@@ -88,7 +89,7 @@ def main() -> None:
                 )
             )
         rows.append(
-            (machine, "(application)", "", f"{compiled.dvf_application():.3e}")
+            (machine, "(application)", "", f"{report.dvf_application:.3e}")
         )
     print("Heat-solver resilience across machines (Aspen DSL workflow)")
     print(format_table(["machine", "structure", "N_ha", "DVF"], rows))
@@ -104,7 +105,7 @@ def main() -> None:
             machine="laptop",
             params={"n": n},
         )
-        sweep_rows.append((n, f"{compiled.dvf_application():.3e}"))
+        sweep_rows.append((n, f"{compiled.report().dvf_application:.3e}"))
     print(format_table(["n", "DVF_a"], sweep_rows))
 
 

@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.cachesim import PAPER_CACHES
-from repro.core import AnalyzerConfig, DVFAnalyzer, NO_ECC, render_dvf_report
+from repro.core import DVFAnalyzer, MachineModel, NO_ECC, render_dvf_report
 from repro.core.validation import validate_kernel
 from repro.kernels import KERNELS, workload_for
 
@@ -20,7 +20,7 @@ from repro.kernels import KERNELS, workload_for
 def main() -> None:
     # 1. Hardware: the paper's 8MB profiling cache, unprotected DRAM.
     geometry = PAPER_CACHES["8MB"]
-    analyzer = DVFAnalyzer(AnalyzerConfig(geometry=geometry, fit=NO_ECC.fit))
+    analyzer = DVFAnalyzer(MachineModel.from_geometry(geometry, fit=NO_ECC.fit))
 
     # 2-4. Analyze every kernel at the reduced "test" sizes (instant).
     print("Per-kernel DVF analysis on", geometry.describe())

@@ -9,13 +9,13 @@ Run:  python examples/selective_protection.py
 """
 
 from repro.cachesim import PAPER_CACHES
-from repro.core import AnalyzerConfig, DVFAnalyzer, format_table
+from repro.core import DVFAnalyzer, MachineModel, format_table
 from repro.core.protection import greedy_ranking, plan_protection
 from repro.kernels import KERNELS, workload_for
 
 
 def main() -> None:
-    analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["8MB"]))
+    analyzer = DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES["8MB"]))
     kernel = KERNELS["CG"]
     workload = workload_for("CG", "test")
     report = analyzer.analyze(kernel, workload)

@@ -10,9 +10,9 @@ table.
 Quickstart
 ----------
 >>> from repro.cachesim import PAPER_CACHES
->>> from repro.core import AnalyzerConfig, DVFAnalyzer
+>>> from repro.core import DVFAnalyzer, MachineModel
 >>> from repro.kernels import KERNELS, workload_for
->>> analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["8MB"]))
+>>> analyzer = DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES["8MB"]))
 >>> report = analyzer.analyze(KERNELS["VM"], workload_for("VM", "test"))
 >>> report.ranked()[0].name   # most vulnerable data structure
 'A'

@@ -11,7 +11,8 @@ implementation of that extended language:
 * :mod:`repro.aspen.lexer` / :mod:`repro.aspen.parser` — text to AST;
 * :mod:`repro.aspen.expr` — the arithmetic expression sub-language;
 * :mod:`repro.aspen.machine` / :mod:`repro.aspen.appmodel` — semantic
-  models built from the AST;
+  models built from the AST (a ``machine`` block evaluates to the
+  :class:`~repro.core.machine.MachineModel` kernels are analyzed on);
 * :mod:`repro.aspen.analysis` — semantic validation diagnostics;
 * :mod:`repro.aspen.compiler` — lowering onto the CGPMAC estimators;
 * :mod:`repro.aspen.builtin` — the paper's six kernels as Aspen source.
@@ -34,16 +35,11 @@ from repro.aspen.errors import (
 )
 from repro.aspen.lexer import tokenize
 from repro.aspen.parser import parse, parse_with_diagnostics
-from repro.aspen.machine import MachineModel
+from repro.core.machine import MachineModel
 from repro.aspen.appmodel import AppModel, DataModel, KernelModel
 from repro.aspen.analysis import validate
 from repro.aspen.compiler import CompiledModel, compile_model, compile_source
-from repro.aspen.builtin import (
-    DSL_KERNELS,
-    MACHINE_LIBRARY,
-    all_builtin_sources,
-    builtin_source,
-)
+from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
 
 __all__ = [
     "AspenError",
@@ -65,7 +61,6 @@ __all__ = [
     "compile_model",
     "compile_source",
     "builtin_source",
-    "all_builtin_sources",
     "DSL_KERNELS",
     "MACHINE_LIBRARY",
 ]

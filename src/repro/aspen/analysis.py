@@ -10,7 +10,7 @@ advisory.
 from __future__ import annotations
 
 from repro.aspen.appmodel import AppModel, PATTERN_KINDS
-from repro.aspen.machine import MachineModel
+from repro.core.machine import MachineModel
 from repro.diagnostics import Diagnostic
 from repro.patterns.composite import parse_order
 

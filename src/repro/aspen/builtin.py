@@ -19,15 +19,11 @@ Example
 from __future__ import annotations
 
 from repro.cachesim.configs import PAPER_CACHES
+from repro.core.machine import DEFAULT_BANDWIDTH, DEFAULT_FIT, DEFAULT_FLOPS
 from repro.kernels.registry import KERNELS
 from repro.kernels.workloads import WORKLOAD_TIERS
 
-#: Kernels whose DSL form exists at every tier.  (NB's source is
-#: generated on demand: it embeds the profiled ``k``, which only the
-#: profiling tier carries; at other tiers ``aspen_source`` runs the
-#: profiling walk to measure it.  ``k`` does not spare NB's direct model
-#: that walk: ``access_model`` runs ``profile_frequencies`` at every
-#: tier.  PCG has no closed DSL form.)
+#: Kernels with a DSL form at every tier.  (PCG has no closed DSL form.)
 DSL_KERNELS = ("VM", "CG", "MG", "FT", "MC")
 
 
@@ -43,18 +39,13 @@ def builtin_source(kernel: str, tier: str = "test") -> str:
     return k.aspen_source(workload)
 
 
-def all_builtin_sources(tier: str = "test") -> dict[str, str]:
-    """DSL sources for every kernel with a closed form at ``tier``."""
-    return {name: builtin_source(name, tier) for name in DSL_KERNELS}
-
-
 def _machine_block(name: str, geometry) -> str:
     return (
         f"machine {name} {{\n"
         f"  cache {{ associativity: {geometry.associativity}, "
         f"sets: {geometry.num_sets}, line_size: {geometry.line_size} }}\n"
-        f"  memory {{ fit: 5000, bandwidth: 12.8e9 }}\n"
-        f"  core {{ flops: 2.0e9 }}\n"
+        f"  memory {{ fit: {DEFAULT_FIT:g}, bandwidth: {DEFAULT_BANDWIDTH:g} }}\n"
+        f"  core {{ flops: {DEFAULT_FLOPS:g} }}\n"
         f"}}\n"
     )
 

@@ -35,8 +35,10 @@ from repro.aspen.appmodel import (
     build_app_model,
 )
 from repro.aspen.errors import AspenSemanticError, DiagnosticSink
-from repro.aspen.machine import MachineModel
+from repro.aspen.machine import from_decl
 from repro.aspen.parser import parse, parse_with_diagnostics
+from repro.core.dvf import DVFReport, build_report, check_time
+from repro.core.machine import MachineModel
 from repro.diagnostics import check_mode
 from repro.patterns.base import AccessPattern, PatternError, WorstCaseAccess
 from repro.patterns.composite import (
@@ -169,9 +171,9 @@ def composite_base_pattern(data: DataModel, spec: PatternSpec) -> AccessPattern:
 class CompiledModel:
     """An application model lowered against a machine.
 
-    Produced by :func:`compile_model`; exposes the two quantities DVF
-    needs (``N_ha`` per structure and the execution time) plus the raw
-    pattern objects for inspection.  ``N_ha`` comes from
+    Produced by :func:`compile_model`; exposes ``N_ha`` per structure
+    and the DVF :meth:`report` built from it, plus the raw pattern
+    objects for inspection.  ``N_ha`` comes from
     :func:`~repro.patterns.composite.estimate_structures`, the evaluator
     kernel models use too.  In ``lenient`` mode ``degraded`` names the
     structures replaced by the worst-case bound at compile time,
@@ -213,38 +215,35 @@ class CompiledModel:
         """Total expected main-memory accesses."""
         return sum(self.nha_by_structure().values())
 
-    def data_sizes(self) -> dict[str, int]:
-        """Footprint ``S_d`` (bytes) per modeled data structure."""
-        return {
-            name: self.app.data[name].size_bytes for name in self.patterns
-        }
+    def report(self, application: str | None = None) -> DVFReport:
+        """The model's DVF report on its machine (Eq. 1-2), flags included.
 
-    def runtime_seconds(self) -> float:
-        """Execution time ``T``: measured override or roofline estimate."""
+        ``T`` is the kernel's declared ``time`` or else the machine's
+        roofline estimate of its flops and bytes; a negative or
+        non-finite ``time`` raises ``ValueError`` in both modes.  ``S_d``
+        is each modeled structure's footprint.  In ``lenient`` mode the
+        report carries every diagnostic in ``sink``.
+        """
         if self.kernel.time is not None:
-            return self.kernel.time
-        return self.machine.roofline_seconds(
-            self.kernel.flops, self.kernel.bytes_moved
+            time_seconds = check_time(self.kernel.time)
+        else:
+            time_seconds = self.machine.roofline_seconds(
+                self.kernel.flops, self.kernel.bytes_moved
+            )
+        return build_report(
+            application=application or self.app.name,
+            machine=self.machine.name,
+            fit=self.machine.fit,
+            time_seconds=time_seconds,
+            sizes={
+                name: float(self.app.data[name].size_bytes)
+                for name in self.patterns
+            },
+            nha=self.nha_by_structure(),
+            degraded=self.degraded_structures(),
+            mode=self.mode,
+            sink=self.sink,
         )
-
-    # ------------------------------------------------------------------
-    def dvf_by_structure(self) -> dict[str, float]:
-        """``DVF_d`` for every modeled data structure (Eq. 1)."""
-        # Imported lazily: repro.core's package init imports the analyzer,
-        # which imports this module.
-        from repro.core.dvf import dvf_data
-
-        time_s = self.runtime_seconds()
-        fit = self.machine.fit
-        sizes = self.data_sizes()
-        return {
-            name: dvf_data(fit, time_s, sizes[name], nha)
-            for name, nha in self.nha_by_structure().items()
-        }
-
-    def dvf_application(self) -> float:
-        """``DVF_a = sum_d DVF_d`` (Eq. 2)."""
-        return sum(self.dvf_by_structure().values())
 
 
 def compile_model(
@@ -384,5 +383,5 @@ def compile_source(
     if isinstance(machine, MachineModel):
         machine_model = machine
     else:
-        machine_model = MachineModel.from_decl(program.machine(machine))
+        machine_model = from_decl(program.machine(machine))
     return compile_model(app, machine_model, kernel=kernel, mode=mode, sink=sink)

@@ -86,13 +86,10 @@ class _ParsePanic(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], sink: DiagnosticSink | None = None):
+    def __init__(self, tokens: list[Token], sink: DiagnosticSink):
         self.tokens = tokens
         self.pos = 0
-        # Without an external sink the parser is strict: the first error
-        # raises instead of entering panic-mode recovery.
-        self.strict = sink is None
-        self.sink = DiagnosticSink() if sink is None else sink
+        self.sink = sink
         #: Sub-expressions open around the current token.
         self.nesting = 0
 
@@ -140,10 +137,6 @@ class _Parser:
         self, code: str, message: str, token: Token, hint: str | None = None
     ) -> None:
         """Record a diagnostic without unwinding (recoverable in place)."""
-        if self.strict:
-            raise AspenSyntaxError(
-                message, token.line, token.column, code=code, hint=hint
-            )
         self.sink.error(
             code, message, SourceSpan(token.line, token.column), hint=hint
         )
@@ -152,10 +145,6 @@ class _Parser:
         self, code: str, message: str, token: Token, hint: str | None = None
     ):
         """Record a diagnostic and unwind to the nearest recovery point."""
-        if self.strict:
-            raise AspenSyntaxError(
-                message, token.line, token.column, code=code, hint=hint
-            )
         self.report(code, message, token, hint=hint)
         raise _ParsePanic()
 

@@ -2,14 +2,15 @@
 
 * :mod:`repro.core.dvf` — Eq. 1-2: ``N_error``, ``DVF_d``, ``DVF_a``;
 * :mod:`repro.core.fit` — Table VII FIT rates and ECC schemes;
-* :mod:`repro.core.runtime` — execution-time providers for the ``T`` term;
+* :mod:`repro.core.machine` — the machine DVF is priced against: cache
+  geometry, memory FIT and the roofline ``T``;
 * :mod:`repro.core.analyzer` — kernel x machine -> DVF reports;
 * :mod:`repro.core.validation` — model-vs-simulator harness (Fig. 4);
 * :mod:`repro.core.tradeoff` — the §V use cases (Fig. 6 and Fig. 7);
 * :mod:`repro.core.report` — text rendering.
 """
 
-from repro.core.analyzer import AnalyzerConfig, DVFAnalyzer
+from repro.core.analyzer import DVFAnalyzer
 from repro.core.cache_dvf import (
     CacheDVFReport,
     CacheStructureDVF,
@@ -29,15 +30,9 @@ from repro.core.fit import (
     NO_ECC,
     SECDED,
     ECCScheme,
-    lookup_scheme,
 )
-from repro.core.report import format_table, render_comparison, render_dvf_report
-from repro.core.runtime import (
-    FixedRuntime,
-    MeasuredRuntime,
-    RooflineRuntime,
-    RuntimeProvider,
-)
+from repro.core.machine import MachineModel
+from repro.core.report import format_table, render_dvf_report
 from repro.core.tradeoff import (
     AlgorithmComparison,
     ECCTradeoffPoint,
@@ -54,8 +49,8 @@ from repro.core.validation import (
 )
 
 __all__ = [
-    "AnalyzerConfig",
     "DVFAnalyzer",
+    "MachineModel",
     "CacheDVFReport",
     "CacheStructureDVF",
     "analyze_cache_dvf",
@@ -72,11 +67,6 @@ __all__ = [
     "NO_ECC",
     "CHIPKILL",
     "SECDED",
-    "lookup_scheme",
-    "RuntimeProvider",
-    "FixedRuntime",
-    "RooflineRuntime",
-    "MeasuredRuntime",
     "AlgorithmComparison",
     "ECCTradeoffPoint",
     "cg_vs_pcg_sweep",
@@ -89,5 +79,4 @@ __all__ = [
     "validate_kernel",
     "format_table",
     "render_dvf_report",
-    "render_comparison",
 ]

@@ -2,8 +2,9 @@
 
 This is the top of the paper's Fig. 3 workflow: application information
 (a :class:`~repro.kernels.base.Kernel` + workload), hardware information
-(cache geometry + FIT), the CGPMAC estimate of ``N_ha`` and an execution
-time provider combine into Eq. 1-2 DVF values.
+(a :class:`~repro.core.machine.MachineModel`: cache geometry, FIT and
+roofline rates), the CGPMAC estimate of ``N_ha`` and the execution time
+``T`` combine into Eq. 1-2 DVF values.
 
 Two evaluation paths are available:
 
@@ -16,53 +17,53 @@ Two evaluation paths are available:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.cachesim.configs import CacheGeometry
-from repro.core.dvf import DVFReport, build_report
-from repro.core.fit import NO_ECC
-from repro.core.runtime import RooflineRuntime, RuntimeProvider
+from repro.core.dvf import DVFReport, build_report, check_time
+from repro.core.machine import MachineModel
 from repro.diagnostics import DiagnosticSink, check_mode
 from repro.kernels.base import Kernel, Workload
 
 
-@dataclass(frozen=True)
-class AnalyzerConfig:
-    """Hardware context for DVF analysis.
-
-    Attributes
-    ----------
-    geometry:
-        Last-level-cache geometry (paper Table IV entries).
-    fit:
-        Memory FIT rate (paper Table VII; default: unprotected memory).
-    flops_rate / bandwidth:
-        Roofline machine parameters for the modeled execution time.
-    """
-
-    geometry: CacheGeometry
-    fit: float = NO_ECC.fit
-    flops_rate: float = 2.0e9
-    bandwidth: float = 12.8e9
-
-
 class DVFAnalyzer:
-    """Computes DVF reports for kernels on a machine configuration."""
+    """Computes DVF reports for kernels on one machine."""
 
-    def __init__(self, config: AnalyzerConfig):
-        self.config = config
+    def __init__(self, machine: MachineModel):
+        self.machine = machine
 
     # ------------------------------------------------------------------
-    def runtime_provider(
-        self, kernel: Kernel, workload: Workload
-    ) -> RuntimeProvider:
-        """Default execution-time provider: the roofline model."""
+    def runtime_provider(self, kernel: Kernel, workload: Workload) -> float:
+        """Default ``T``: the machine's roofline time for the run's counts."""
         resources = kernel.resource_counts(workload)
-        return RooflineRuntime(
-            flops=resources.flops,
-            bytes_moved=resources.bytes_moved,
-            flops_rate=self.config.flops_rate,
-            bandwidth=self.config.bandwidth,
+        return self.machine.roofline_seconds(
+            resources.flops, resources.bytes_moved
+        )
+
+    def _time(
+        self, kernel: Kernel, workload: Workload, time_seconds: float | None
+    ) -> float:
+        if time_seconds is None:
+            return self.runtime_provider(kernel, workload)
+        return check_time(time_seconds)
+
+    def _report(
+        self,
+        kernel: Kernel,
+        workload: Workload,
+        time_seconds: float,
+        nha: dict[str, float],
+        **options,
+    ) -> DVFReport:
+        """Eq. 1-2 on this machine; ``options`` go to ``build_report``."""
+        return build_report(
+            application=kernel.name,
+            machine=self.machine.name,
+            fit=self.machine.fit,
+            time_seconds=time_seconds,
+            sizes={
+                name: float(size)
+                for name, size in kernel.data_sizes(workload).items()
+            },
+            nha=nha,
+            **options,
         )
 
     # ------------------------------------------------------------------
@@ -70,7 +71,7 @@ class DVFAnalyzer:
         self,
         kernel: Kernel,
         workload: Workload,
-        runtime: RuntimeProvider | None = None,
+        time_seconds: float | None = None,
         alpha: float = 1.0,
         beta: float = 1.0,
         mode: str = "strict",
@@ -78,31 +79,27 @@ class DVFAnalyzer:
     ) -> DVFReport:
         """Analytical DVF report (CGPMAC ``N_ha`` + roofline ``T``).
 
-        In ``lenient`` mode estimator failures degrade to the worst-case
+        ``time_seconds`` replaces the roofline ``T``; a negative or
+        non-finite time raises ``ValueError`` in both modes.  In
+        ``lenient`` mode estimator failures degrade to the worst-case
         bound instead of raising; the report carries the collected
         diagnostics and flags degraded structures.
         """
         check_mode(mode)
-        if runtime is None:
-            runtime = self.runtime_provider(kernel, workload)
+        time_seconds = self._time(kernel, workload, time_seconds)
         degraded: frozenset[str] = frozenset()
         if mode == "lenient":
             sink = sink if sink is not None else DiagnosticSink()
             nha, degraded = kernel.estimate_nha_checked(
-                workload, self.config.geometry, sink
+                workload, self.machine.cache, sink
             )
         else:
-            nha = kernel.estimate_nha(workload, self.config.geometry)
-        return build_report(
-            application=kernel.name,
-            machine=self.config.geometry.name or "machine",
-            fit=self.config.fit,
-            time_seconds=runtime.seconds(),
-            sizes={
-                name: float(size)
-                for name, size in kernel.data_sizes(workload).items()
-            },
-            nha=nha,
+            nha = kernel.estimate_nha(workload, self.machine.cache)
+        return self._report(
+            kernel,
+            workload,
+            time_seconds,
+            nha,
             alpha=alpha,
             beta=beta,
             degraded=degraded,
@@ -114,7 +111,7 @@ class DVFAnalyzer:
         self,
         kernel: Kernel,
         workload: Workload,
-        runtime: RuntimeProvider | None = None,
+        time_seconds: float | None = None,
         **replay,
     ) -> DVFReport:
         """Ground-truth DVF report: ``N_ha`` from the cache simulator.
@@ -125,23 +122,12 @@ class DVFAnalyzer:
         """
         from repro.core.validation import ground_truth_stats
 
-        if runtime is None:
-            runtime = self.runtime_provider(kernel, workload)
+        time_seconds = self._time(kernel, workload, time_seconds)
         stats = ground_truth_stats(
-            kernel, workload, self.config.geometry, **replay
+            kernel, workload, self.machine.cache, **replay
         )
         nha = {
             name: float(stats.misses(name))
             for name in kernel.data_structures(workload)
         }
-        return build_report(
-            application=kernel.name,
-            machine=self.config.geometry.name or "machine",
-            fit=self.config.fit,
-            time_seconds=runtime.seconds(),
-            sizes={
-                name: float(size)
-                for name, size in kernel.data_sizes(workload).items()
-            },
-            nha=nha,
-        )
+        return self._report(kernel, workload, time_seconds, nha)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.cachesim.configs import CacheGeometry
 from repro.cachesim.simulator import CacheSimulator
 from repro.core.dvf import n_error
-from repro.core.runtime import RooflineRuntime
+from repro.core.machine import MachineModel
 from repro.kernels.base import Kernel, Workload
 
 #: Default SRAM FIT rate per Mbit (unprotected 6T SRAM cell arrays sit
@@ -86,13 +86,14 @@ def analyze_cache_dvf(
     The recorded trace (:meth:`~repro.kernels.base.Kernel.record`) is
     replayed as recorded, so a periodic kernel's period is never tiled.
     ``time_seconds`` defaults to the roofline estimate from the kernel's
-    resource counts (consistent with the main-memory analyzer).
+    resource counts on a default :class:`MachineModel` with this cache
+    (the main-memory analyzer's ``T``).
     """
     if time_seconds is None:
         resources = kernel.resource_counts(workload)
-        time_seconds = RooflineRuntime(
+        time_seconds = MachineModel.from_geometry(geometry).roofline_seconds(
             resources.flops, resources.bytes_moved
-        ).seconds()
+        )
     simulator = CacheSimulator(geometry)
     simulator.run(kernel.record(workload))
     rows = []

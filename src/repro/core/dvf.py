@@ -36,6 +36,13 @@ _BITS_PER_MBIT = 2.0**20
 _FIT_HOURS = 1.0e9
 
 
+def check_time(time_seconds: float) -> float:
+    """``time_seconds`` if it is a usable ``T`` (finite, ``>= 0``)."""
+    if not math.isfinite(time_seconds) or time_seconds < 0:
+        raise ValueError(f"time must be finite and >= 0, got {time_seconds}")
+    return time_seconds
+
+
 def n_error(fit: float, time_seconds: float, size_bytes: float) -> float:
     """Expected number of errors striking a data structure (Eq. 1 term).
 
@@ -44,8 +51,7 @@ def n_error(fit: float, time_seconds: float, size_bytes: float) -> float:
     """
     if not math.isfinite(fit) or fit < 0:
         raise ValueError(f"FIT must be finite and >= 0, got {fit}")
-    if not math.isfinite(time_seconds) or time_seconds < 0:
-        raise ValueError(f"time must be finite and >= 0, got {time_seconds}")
+    check_time(time_seconds)
     if not math.isfinite(size_bytes) or size_bytes < 0:
         raise ValueError(f"size must be finite and >= 0, got {size_bytes}")
     hours = time_seconds / _SECONDS_PER_HOUR

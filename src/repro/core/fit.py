@@ -87,12 +87,3 @@ ECC_SCHEMES: dict[str, ECCScheme] = {
     "secded": SECDED,
 }
 
-
-def lookup_scheme(name: str) -> ECCScheme:
-    """Resolve a scheme by short name (case-insensitive)."""
-    try:
-        return ECC_SCHEMES[name.lower()]
-    except KeyError:
-        raise KeyError(
-            f"unknown ECC scheme {name!r}; available: {sorted(ECC_SCHEMES)}"
-        ) from None

@@ -93,20 +93,3 @@ def render_report_diagnostics(report: DVFReport) -> str:
     lines.extend(f"  {d}" for d in report.diagnostics)
     return "\n".join(lines)
 
-
-def render_comparison(
-    reports: list[DVFReport], label: str = "machine"
-) -> str:
-    """Several reports of the same app side by side (Fig. 5 style)."""
-    if not reports:
-        return "(no reports)"
-    names = [s.name for s in reports[0].structures]
-    rows = []
-    for report in reports:
-        by_name = report.dvf_by_structure()
-        rows.append(
-            [report.machine]
-            + [format_quantity(by_name.get(n, 0.0)) for n in names]
-            + [format_quantity(report.dvf_application)]
-        )
-    return format_table([label] + names + ["DVF_a"], rows)

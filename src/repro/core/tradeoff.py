@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cachesim.configs import CacheGeometry
-from repro.core.analyzer import AnalyzerConfig, DVFAnalyzer
-from repro.core.dvf import DVFReport
+from repro.core.analyzer import DVFAnalyzer
+from repro.core.dvf import build_report
 from repro.core.fit import ECCScheme, NO_ECC
-from repro.core.runtime import FixedRuntime
+from repro.core.machine import MachineModel
 from repro.kernels.base import Kernel, Workload
 from repro.kernels.conjugate_gradient import ConjugateGradientKernel
 
@@ -53,7 +53,7 @@ def compare_cg_pcg(
 ) -> AlgorithmComparison:
     """Measure solver iterations at size ``n`` and evaluate both DVFs."""
     kernel = ConjugateGradientKernel()
-    analyzer = DVFAnalyzer(AnalyzerConfig(geometry=geometry, fit=fit))
+    analyzer = DVFAnalyzer(MachineModel.from_geometry(geometry, fit=fit))
     results = {}
     for variant in ("cg", "pcg"):
         probe = Workload(
@@ -135,19 +135,17 @@ def ecc_tradeoff_sweep(
     """
     if degradations is None:
         degradations = np.linspace(0.0, 0.30, 31)
-    base_config = AnalyzerConfig(geometry=geometry, fit=baseline.fit)
-    base_analyzer = DVFAnalyzer(base_config)
-    base_time = base_analyzer.runtime_provider(kernel, workload).seconds()
+    machine = MachineModel.from_geometry(geometry, fit=baseline.fit)
+    base = DVFAnalyzer(machine).analyze(kernel, workload)
+    sizes = {s.name: s.size_bytes for s in base.structures}
+    nha = {s.name: s.nha for s in base.structures}
     points: list[ECCTradeoffPoint] = []
     for scheme in schemes:
         for degradation in np.asarray(degradations, dtype=float):
             fit = scheme.effective_fit(degradation, baseline.fit)
-            time_s = base_time * (1.0 + degradation)
-            analyzer = DVFAnalyzer(
-                AnalyzerConfig(geometry=geometry, fit=fit)
-            )
-            report = analyzer.analyze(
-                kernel, workload, runtime=FixedRuntime(time_s)
+            time_s = base.time_seconds * (1.0 + degradation)
+            report = build_report(
+                kernel.name, machine.name, fit, time_s, sizes, nha
             )
             points.append(
                 ECCTradeoffPoint(

@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
-from repro.aspen.compiler import CompiledModel, compile_source
+from repro.aspen.compiler import compile_source
 from repro.aspen.errors import (
     AspenError,
     AspenEvalError,
     Diagnostic,
     DiagnosticSink,
 )
-from repro.core.dvf import DVFReport, build_report
+from repro.core.dvf import DVFReport
 from repro.core.report import render_dvf_report
 from repro.diagnostics import check_mode
 from repro.patterns.base import PatternError
@@ -55,23 +55,6 @@ class BatchEntry:
             "error": self.error,
             "diagnostics": [d.to_dict() for d in self.diagnostics],
         }
-
-
-def compiled_report(
-    compiled: CompiledModel, application: str | None = None
-) -> DVFReport:
-    """Assemble the DVF report for a compiled model, flags included."""
-    return build_report(
-        application=application or compiled.app.name,
-        machine=compiled.machine.name,
-        fit=compiled.machine.fit,
-        time_seconds=compiled.runtime_seconds(),
-        sizes={k: float(v) for k, v in compiled.data_sizes().items()},
-        nha=compiled.nha_by_structure(),
-        degraded=compiled.degraded_structures(),
-        mode=compiled.mode,
-        sink=compiled.sink,
-    )
 
 
 def evaluate_source(
@@ -109,7 +92,7 @@ def evaluate_source(
                 f"no data structure could be sized "
                 f"({', '.join(dropped)}): [{cause.code}] {cause.message}"
             )
-        report = compiled_report(compiled, application=label)
+        report = compiled.report(application=label)
     except (AspenError, PatternError, ValueError, KeyError) as exc:
         if mode == "strict":
             raise

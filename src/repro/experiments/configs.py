@@ -11,12 +11,9 @@ from repro.cachesim.configs import (
     PROFILING_CACHES,
     VERIFICATION_CACHES,
 )
-from repro.core.fit import CHIPKILL, NO_ECC, SECDED
-from repro.kernels.workloads import (
-    PROFILING_WORKLOADS,
-    TEST_WORKLOADS,
-    VERIFICATION_WORKLOADS,
-)
+from repro.core.fit import CHIPKILL, SECDED
+from repro.core.machine import DEFAULT_FIT
+from repro.kernels.workloads import WORKLOAD_TIERS
 
 #: Kernel evaluation order, as in paper Table II / Figures 4-5.
 KERNEL_ORDER = ("VM", "CG", "NB", "MG", "FT", "MC")
@@ -44,12 +41,5 @@ FIG7_CACHE = PROFILING_CACHES["8MB"]
 FIG7_DEGRADATIONS = tuple(round(0.01 * i, 2) for i in range(0, 31))
 FIG7_SCHEMES = (SECDED, CHIPKILL)
 
-#: Default FIT rate when no ECC is modeled (Table VII row 1).
-DEFAULT_FIT = NO_ECC.fit
-
 #: Workload tiers (Tables V and VI plus the fast test tier).
-WORKLOADS = {
-    "verification": VERIFICATION_WORKLOADS,
-    "profiling": PROFILING_WORKLOADS,
-    "test": TEST_WORKLOADS,
-}
+WORKLOADS = WORKLOAD_TIERS

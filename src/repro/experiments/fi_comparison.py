@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.cachesim.configs import PAPER_CACHES
-from repro.core.analyzer import AnalyzerConfig, DVFAnalyzer
+from repro.core.analyzer import DVFAnalyzer
+from repro.core.machine import MachineModel
 from repro.core.report import format_table
 from repro.experiments.configs import WORKLOADS
 from repro.faultinject.campaign import run_campaign
@@ -85,7 +86,7 @@ def run_fi_comparison(
     checkpoint first) or between two, the finished rows are returned:
     fewer rows than ``kernels`` means the comparison was interrupted.
     """
-    analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["8MB"]))
+    analyzer = DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES["8MB"]))
     rows: list[FIComparisonRow] = []
     executor = make_executor(jobs=jobs, timeout=timeout)
     try:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.analyzer import AnalyzerConfig, DVFAnalyzer
+from repro.core.analyzer import DVFAnalyzer
+from repro.core.machine import MachineModel
 from repro.core.report import format_table
 from repro.experiments.configs import (
     DEFAULT_FIT,
@@ -50,7 +51,7 @@ def run_fig5(
     workloads = WORKLOADS[tier]
     cells: list[Fig5Cell] = []
     for cache_name, geometry in caches.items():
-        analyzer = DVFAnalyzer(AnalyzerConfig(geometry=geometry, fit=fit))
+        analyzer = DVFAnalyzer(MachineModel.from_geometry(geometry, fit=fit))
         for kernel_name in kernels:
             kernel = KERNELS[kernel_name]
             report = analyzer.analyze(kernel, workloads[kernel_name])

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cachesim.configs import CacheGeometry, PAPER_CACHES
-from repro.core.analyzer import AnalyzerConfig, DVFAnalyzer
+from repro.core.analyzer import DVFAnalyzer
+from repro.core.machine import MachineModel
 from repro.core.report import format_table
 from repro.experiments.configs import KERNEL_ORDER, WORKLOADS
 from repro.kernels.registry import KERNELS
@@ -48,7 +49,7 @@ def weighting_sensitivity(
 ) -> list[WeightSensitivityRow]:
     """Per-structure DVF rankings across weighting exponents."""
     geometry = geometry or PAPER_CACHES["8MB"]
-    analyzer = DVFAnalyzer(AnalyzerConfig(geometry=geometry))
+    analyzer = DVFAnalyzer(MachineModel.from_geometry(geometry))
     rows: list[WeightSensitivityRow] = []
     for name in kernels:
         kernel = KERNELS[name]
@@ -119,7 +120,7 @@ def geometry_sensitivity(
         kernel = KERNELS[name]
         workload = WORKLOADS[tier][name]
         for geometry in variants:
-            analyzer = DVFAnalyzer(AnalyzerConfig(geometry=geometry))
+            analyzer = DVFAnalyzer(MachineModel.from_geometry(geometry))
             report = analyzer.analyze(kernel, workload)
             rows.append(
                 GeometrySensitivityRow(

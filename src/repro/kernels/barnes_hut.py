@@ -424,29 +424,3 @@ class BarnesHutKernel(Kernel):
         loads = (_NODE_SIZE * k + _PARTICLE_SIZE) * n
         stores = _PARTICLE_SIZE * 1.0 * n
         return ResourceCounts(flops=flops, loads=loads, stores=stores)
-
-    def aspen_source(self, workload: Workload) -> str:
-        n = int(workload["n"])
-        tree_nodes = self.tree_size(workload)
-        k = float(workload.get("k") or self.profile_k(workload))
-        return f"""\
-// Barnes-Hut force phase (paper Algorithm 2): random tree accesses.
-model nb {{
-  param particles = {n}
-  param nodes = {tree_nodes}
-  param k = {k:.3f}
-  data T {{
-    elements: nodes, element_size: {_NODE_SIZE}
-    pattern random {{ distinct: k, iterations: particles, cache_ratio: 1.0 }}
-  }}
-  data P {{
-    elements: particles, element_size: {_PARTICLE_SIZE}
-    pattern streaming {{ sweeps: 2, aligned: 1 }}
-  }}
-  kernel force {{
-    flops: 12 * k * particles
-    loads: ({_NODE_SIZE} * k + {_PARTICLE_SIZE}) * particles
-    stores: {_PARTICLE_SIZE} * particles
-  }}
-}}
-"""

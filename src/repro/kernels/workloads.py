@@ -50,10 +50,10 @@ VERIFICATION_WORKLOADS: dict[str, Workload] = {
 
 #: Paper Table VI.  The NB entry carries the profiled ``k`` (average
 #: distinct tree nodes per force walk, measured once with
-#: ``BarnesHutKernel.profile_k``), which ``resource_counts`` and
-#: ``aspen_source`` use instead of profiling.  ``access_model`` still runs
-#: the profiling walk (``profile_frequencies``) whatever ``k`` says: its
-#: working-set model needs the per-node visit frequencies.
+#: ``BarnesHutKernel.profile_k``), which ``resource_counts`` uses
+#: instead of profiling.  ``access_model`` still runs the profiling walk
+#: (``profile_frequencies``) whatever ``k`` says: its working-set model
+#: needs the per-node visit frequencies.
 PROFILING_WORKLOADS: dict[str, Workload] = {
     "VM": Workload("profiling", {"n": 100_000, "stride_a": 4, "stride_b": 1}),
     "CG": Workload(

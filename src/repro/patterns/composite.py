@@ -80,8 +80,9 @@ class CompositeAccessModel(AccessPattern):
         explicit list of name tuples.  Every name must have a pattern.
     iterations:
         How many times the whole order cycles (e.g. solver iterations).
-    scenario:
-        Interference scenario forwarded to :class:`ReuseAccess`.
+
+    Every later use is charged as a :class:`ReuseAccess` reload under its
+    default ``"concurrent"`` interference scenario.
     """
 
     code = "c"
@@ -92,7 +93,6 @@ class CompositeAccessModel(AccessPattern):
         patterns: dict[str, AccessPattern],
         order: str | list[AccessEvent],
         iterations: int = 1,
-        scenario: str = "concurrent",
     ):
         if iterations < 1:
             raise PatternError(f"iterations must be >= 1, got {iterations}")
@@ -101,7 +101,6 @@ class CompositeAccessModel(AccessPattern):
             tuple(e) for e in order
         ]
         self.iterations = iterations
-        self.scenario = scenario
         referenced = {name for event in self.events for name in event}
         missing = referenced - set(self.patterns)
         if missing:
@@ -248,7 +247,6 @@ class CompositeAccessModel(AccessPattern):
             target_bytes=size,
             interfering_bytes=interference,
             reuse_count=1,
-            scenario=self.scenario,
         )
         return reuse.reload_blocks_per_reuse(geometry)
 

@@ -123,7 +123,8 @@ def _run_aspen(spec: JobSpec, degraded: bool) -> dict:
 def _run_kernel(spec: JobSpec) -> dict:
     """Analytical DVF for a registered kernel + workload + geometry."""
     from repro.cachesim.configs import PAPER_CACHES
-    from repro.core.analyzer import AnalyzerConfig, DVFAnalyzer
+    from repro.core.analyzer import DVFAnalyzer
+    from repro.core.machine import MachineModel
     from repro.experiments.configs import WORKLOADS
     from repro.kernels.base import Workload
     from repro.kernels.registry import KERNELS
@@ -152,7 +153,7 @@ def _run_kernel(spec: JobSpec) -> dict:
             f"job {spec.id!r}: unknown cache geometry {geometry_key!r}; "
             f"available: {sorted(PAPER_CACHES)}"
         )
-    analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES[geometry_key]))
+    analyzer = DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES[geometry_key]))
     report = analyzer.analyze(kernel, workload)
     return {"ok": True, "payload": report.to_payload()}
 

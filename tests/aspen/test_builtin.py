@@ -8,12 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.aspen import MachineModel, compile_source, parse
-from repro.aspen.builtin import (
-    DSL_KERNELS,
-    MACHINE_LIBRARY,
-    all_builtin_sources,
-    builtin_source,
-)
+from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
+from repro.aspen.machine import from_decl
 from repro.cachesim import PAPER_CACHES
 from repro.kernels import KERNELS, TEST_WORKLOADS
 
@@ -67,10 +63,6 @@ class TestBuiltinSources:
         with pytest.raises(KeyError, match="unknown kernel"):
             builtin_source("XX")
 
-    def test_all_builtin_sources(self):
-        sources = all_builtin_sources("test")
-        assert set(sources) == set(DSL_KERNELS)
-
 
 class TestMachineLibrary:
     def test_library_parses(self):
@@ -79,8 +71,10 @@ class TestMachineLibrary:
 
     def test_machines_match_geometries(self):
         program = parse(MACHINE_LIBRARY)
-        machine = MachineModel.from_decl(program.machine("small"))
+        machine = from_decl(program.machine("small"))
         assert machine.cache.capacity == PAPER_CACHES["small"].capacity
+        # The library spells out the defaults every machine is built with.
+        assert machine == MachineModel.from_geometry(machine.cache)
 
     def test_combined_source_usable(self):
         compiled = compile_source(

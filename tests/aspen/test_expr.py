@@ -4,14 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aspen.errors import AspenEvalError
+from repro.aspen.errors import AspenEvalError, AspenSyntaxError, DiagnosticSink
 from repro.aspen.expr import BinOp, Call, Num, Unary, Var, evaluate_int
-from repro.aspen.parser import _Parser
+from repro.aspen.parser import _ParsePanic, _Parser
 from repro.aspen.lexer import tokenize
 
 
 def parse_expr(text):
-    return _Parser(tokenize(text)).parse_expr()
+    """Parse one expression; the first diagnostic raises, as ``parse`` does."""
+    sink = DiagnosticSink()
+    try:
+        expr = _Parser(tokenize(text, sink), sink).parse_expr()
+    except _ParsePanic:
+        pass
+    if sink.has_errors:
+        raise AspenSyntaxError.from_diagnostic(sink.errors[0])
+    return expr
 
 
 def evaluate(text, **env):

@@ -18,7 +18,6 @@ from repro.aspen.errors import (
 )
 from repro.patterns import PatternError
 from repro.experiments.aspen_batch import (
-    compiled_report,
     evaluate_batch,
     evaluate_source,
     render_aspen_batch,
@@ -96,8 +95,8 @@ class TestStrictVsLenient:
         assert strict.nha_by_structure() == pytest.approx(
             lenient.nha_by_structure()
         )
-        assert strict.dvf_application() == pytest.approx(
-            lenient.dvf_application()
+        assert strict.report().dvf_application == pytest.approx(
+            lenient.report().dvf_application
         )
 
     def test_invalid_mode_rejected(self):
@@ -169,7 +168,7 @@ class TestFractionalCounts:
 class TestReportFlags:
     def test_report_marks_degraded_structures(self):
         compiled = compile_source(BROKEN_MODEL, mode="lenient")
-        report = compiled_report(compiled)
+        report = compiled.report()
         assert set(report.degraded_structures) == {"A", "B"}
         assert report.structure("A").degraded
         assert not report.structure("C").degraded
@@ -177,7 +176,7 @@ class TestReportFlags:
 
     def test_report_payload_is_machine_readable(self):
         compiled = compile_source(BROKEN_MODEL, mode="lenient")
-        payload = compiled_report(compiled).to_payload()
+        payload = compiled.report().to_payload()
         assert payload["structures"][0].keys() >= {"name", "nha", "degraded"}
         assert payload["diagnostics"], "diagnostics section must be present"
         assert all("code" in d for d in payload["diagnostics"])
@@ -186,7 +185,7 @@ class TestReportFlags:
         from repro.core.report import render_dvf_report
 
         compiled = compile_source(BROKEN_MODEL, mode="lenient")
-        text = render_dvf_report(compiled_report(compiled))
+        text = render_dvf_report(compiled.report())
         assert "A*" in text
         assert "degraded" in text
         assert "diagnostics" in text

@@ -10,6 +10,7 @@ from repro.aspen import (
     validate,
 )
 from repro.aspen.appmodel import build_app_model
+from repro.aspen.machine import from_decl
 from repro.aspen.errors import AspenEvalError, DiagnosticSink
 from repro.cachesim import CacheGeometry
 
@@ -144,20 +145,20 @@ class TestAppModelEvaluation:
 
 class TestMachineModel:
     def test_from_decl(self):
-        machine = MachineModel.from_decl(parse(MACHINE).machine())
+        machine = from_decl(parse(MACHINE).machine())
         assert machine.cache.capacity == 8192
         assert machine.fit == 5000
         assert machine.bandwidth == 1e10
 
     def test_defaults_when_sections_missing(self):
-        machine = MachineModel.from_decl(
+        machine = from_decl(
             parse("machine m { cache { associativity: 2, sets: 4, line_size: 32 } }").machine()
         )
         assert machine.fit > 0 and machine.bandwidth > 0
 
     def test_missing_cache_section(self):
         with pytest.raises(AspenSemanticError, match="cache section"):
-            MachineModel.from_decl(parse("machine m { core { flops: 1 } }").machine())
+            from_decl(parse("machine m { core { flops: 1 } }").machine())
 
     def test_unknown_section_rejected(self):
         source = (
@@ -165,18 +166,18 @@ class TestMachineModel:
             "turbo { x: 1 } }"
         )
         with pytest.raises(AspenSemanticError, match="unknown sections"):
-            MachineModel.from_decl(parse(source).machine())
+            from_decl(parse(source).machine())
 
     def test_roofline_compute_bound(self):
-        machine = MachineModel.from_decl(parse(MACHINE).machine())
+        machine = from_decl(parse(MACHINE).machine())
         assert machine.roofline_seconds(2e9, 1e9) == pytest.approx(1.0)
 
     def test_roofline_memory_bound(self):
-        machine = MachineModel.from_decl(parse(MACHINE).machine())
+        machine = from_decl(parse(MACHINE).machine())
         assert machine.roofline_seconds(1e9, 1e11) == pytest.approx(10.0)
 
     def test_with_fit(self):
-        machine = MachineModel.from_decl(parse(MACHINE).machine())
+        machine = from_decl(parse(MACHINE).machine())
         assert machine.with_fit(1300).fit == 1300
         with pytest.raises(ValueError):
             machine.with_fit(-1)
@@ -247,18 +248,19 @@ class TestCompilation:
     def test_runtime_roofline(self):
         compiled = compile_source(VM + MACHINE)
         # loads+stores = 24*200 = 4800 B over 1e10 B/s vs 400 flops / 2e9.
-        assert compiled.runtime_seconds() == pytest.approx(4800 / 1e10)
+        assert compiled.report().time_seconds == pytest.approx(4800 / 1e10)
 
     def test_runtime_time_override(self):
         source = VM.replace("flops: 2*n, loads: 16*n, stores: 8*n", "time: 2.5")
         compiled = compile_source(source + MACHINE)
-        assert compiled.runtime_seconds() == 2.5
+        assert compiled.report().time_seconds == 2.5
 
     def test_dvf_positive_and_summed(self):
-        compiled = compile_source(VM + MACHINE)
-        dvf = compiled.dvf_by_structure()
+        report = compile_source(VM + MACHINE).report()
+        dvf = report.dvf_by_structure()
         assert all(v > 0 for v in dvf.values())
-        assert compiled.dvf_application() == pytest.approx(sum(dvf.values()))
+        assert report.dvf_application == pytest.approx(sum(dvf.values()))
+        assert (report.machine, report.fit) == ("box", 5000)
 
     def test_invalid_model_fails_compilation(self):
         source = """

@@ -4,9 +4,8 @@ import pytest
 
 from repro.cachesim import PAPER_CACHES
 from repro.core import (
-    AnalyzerConfig,
     DVFAnalyzer,
-    FixedRuntime,
+    MachineModel,
     validate_kernel,
 )
 from repro.core.validation import ground_truth_stats
@@ -17,7 +16,7 @@ from repro.trace import TraceCache
 
 @pytest.fixture
 def analyzer():
-    return DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["small"]))
+    return DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES["small"]))
 
 
 class TestAnalyze:
@@ -34,24 +33,24 @@ class TestAnalyze:
         report = analyzer.analyze(kernel, workload)
         resources = kernel.resource_counts(workload)
         expected = max(
-            resources.flops / analyzer.config.flops_rate,
-            resources.bytes_moved / analyzer.config.bandwidth,
+            resources.flops / analyzer.machine.flops_rate,
+            resources.bytes_moved / analyzer.machine.bandwidth,
         )
         assert report.time_seconds == pytest.approx(expected)
 
     def test_explicit_runtime_respected(self, analyzer):
         report = analyzer.analyze(
-            KERNELS["VM"], TEST_WORKLOADS["VM"], runtime=FixedRuntime(3.0)
+            KERNELS["VM"], TEST_WORKLOADS["VM"], time_seconds=3.0
         )
         assert report.time_seconds == 3.0
 
     def test_dvf_scales_with_fit(self):
         kernel, workload = KERNELS["VM"], TEST_WORKLOADS["VM"]
         low = DVFAnalyzer(
-            AnalyzerConfig(geometry=PAPER_CACHES["small"], fit=100)
+            MachineModel.from_geometry(PAPER_CACHES["small"], fit=100)
         ).analyze(kernel, workload)
         high = DVFAnalyzer(
-            AnalyzerConfig(geometry=PAPER_CACHES["small"], fit=200)
+            MachineModel.from_geometry(PAPER_CACHES["small"], fit=200)
         ).analyze(kernel, workload)
         assert high.dvf_application == pytest.approx(2 * low.dvf_application)
 
@@ -147,7 +146,7 @@ class TestStreamingValidation:
 
     def test_analyze_simulated_streaming_knobs(self):
         kernel, workload = KERNELS["VM"], TEST_WORKLOADS["VM"]
-        analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["small"]))
+        analyzer = DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES["small"]))
         base = analyzer.analyze_simulated(kernel, workload)
         streamed = analyzer.analyze_simulated(
             kernel, workload, chunk_refs=211
@@ -159,7 +158,7 @@ class TestStreamingValidation:
         self, tmp_path, monkeypatch
     ):
         kernel, workload = KERNELS["VM"], TEST_WORKLOADS["VM"]
-        analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["small"]))
+        analyzer = DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES["small"]))
         cached = self._exact(trace_cache=tmp_path)
         cached_report = analyzer.analyze_simulated(
             kernel, workload, trace_cache=tmp_path

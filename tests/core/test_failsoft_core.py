@@ -11,11 +11,11 @@ import pytest
 from repro.aspen import compile_source
 from repro.aspen.builtin import MACHINE_LIBRARY, builtin_source
 from repro.cachesim import PAPER_CACHES, CacheGeometry
-from repro.core.analyzer import AnalyzerConfig, DVFAnalyzer
+from repro.core.analyzer import DVFAnalyzer
 from repro.core.dvf import build_report, dvf_data, n_error
+from repro.core.machine import MachineModel
 from repro.core.validation import validate_kernel
 from repro.diagnostics import DiagnosticSink
-from repro.experiments.aspen_batch import compiled_report
 from repro.kernels import KERNELS, TEST_WORKLOADS
 from repro.kernels.vector_multiply import VectorMultiplyKernel
 from repro.kernels.base import Workload
@@ -76,7 +76,7 @@ class TestBuildReport:
 
 class TestAnalyzerModes:
     def test_lenient_analyze_matches_strict_on_healthy_kernel(self):
-        analyzer = DVFAnalyzer(AnalyzerConfig(geometry=GEOMETRY))
+        analyzer = DVFAnalyzer(MachineModel.from_geometry(GEOMETRY))
         kernel = VectorMultiplyKernel()
         workload = Workload("tiny", {"n": 512})
         strict = analyzer.analyze(kernel, workload)
@@ -93,7 +93,7 @@ class TestAnalyzerModes:
             raise ValueError("synthetic estimator failure")
 
         monkeypatch.setattr(StreamingAccess, "estimate_accesses", broken)
-        analyzer = DVFAnalyzer(AnalyzerConfig(geometry=GEOMETRY))
+        analyzer = DVFAnalyzer(MachineModel.from_geometry(GEOMETRY))
         kernel = VectorMultiplyKernel()
         workload = Workload("tiny", {"n": 512})
         with pytest.raises(ValueError):
@@ -116,7 +116,7 @@ class TestAnalyzerModes:
         monkeypatch.setattr(
             CompositeAccessModel, "estimate_by_structure", nan_for_p
         )
-        analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["small"]))
+        analyzer = DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES["small"]))
         report = analyzer.analyze(
             KERNELS["CG"], TEST_WORKLOADS["CG"], mode="lenient"
         )
@@ -124,13 +124,11 @@ class TestAnalyzerModes:
         assert "ASP303" in codes
         assert report.degraded_structures == ("p",)
         assert math.isfinite(report.dvf_application)
-        aspen = compiled_report(
-            compile_source(
-                builtin_source("CG", "test") + MACHINE_LIBRARY,
-                machine="small",
-                mode="lenient",
-            )
-        )
+        aspen = compile_source(
+            builtin_source("CG", "test") + MACHINE_LIBRARY,
+            machine="small",
+            mode="lenient",
+        ).report()
         assert [d.code for d in aspen.diagnostics] == codes
         assert aspen.degraded_structures == report.degraded_structures
 

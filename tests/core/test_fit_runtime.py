@@ -1,10 +1,16 @@
-"""Tests for ECC schemes (Table VII) and runtime providers."""
+"""Tests for ECC schemes (Table VII) and the execution time ``T``."""
 
 import pytest
 
-from repro.core import CHIPKILL, ECC_SCHEMES, NO_ECC, SECDED, lookup_scheme
+from repro.cachesim import PAPER_CACHES
+from repro.core import CHIPKILL, ECC_SCHEMES, NO_ECC, SECDED, DVFAnalyzer
 from repro.core.fit import ECCScheme
-from repro.core.runtime import FixedRuntime, MeasuredRuntime, RooflineRuntime
+from repro.core.machine import MachineModel
+from repro.kernels import KERNELS, TEST_WORKLOADS
+
+MACHINE = MachineModel.from_geometry(
+    PAPER_CACHES["small"], flops_rate=2e9, bandwidth=1e10
+)
 
 
 class TestTable7:
@@ -12,14 +18,6 @@ class TestTable7:
         assert NO_ECC.fit == 5000.0
         assert CHIPKILL.fit == 0.02
         assert SECDED.fit == 1300.0
-
-    def test_lookup_case_insensitive(self):
-        assert lookup_scheme("SECDED") is SECDED
-        assert lookup_scheme("chipkill") is CHIPKILL
-
-    def test_unknown_scheme(self):
-        with pytest.raises(KeyError, match="unknown ECC scheme"):
-            lookup_scheme("parity")
 
     def test_three_schemes_registered(self):
         assert set(ECC_SCHEMES) == {"none", "chipkill", "secded"}
@@ -54,39 +52,30 @@ class TestCoverageModel:
 
 
 class TestRuntimeProviders:
+    """``T`` is an explicit time or the machine's roofline estimate."""
+
     def test_fixed(self):
-        assert FixedRuntime(2.5).seconds() == 2.5
+        report = DVFAnalyzer(MACHINE).analyze(
+            KERNELS["VM"], TEST_WORKLOADS["VM"], time_seconds=2.5
+        )
+        assert report.time_seconds == 2.5
 
     def test_fixed_negative_rejected(self):
-        with pytest.raises(ValueError):
-            FixedRuntime(-1.0)
+        with pytest.raises(ValueError, match="time must be finite"):
+            DVFAnalyzer(MACHINE).analyze(
+                KERNELS["VM"], TEST_WORKLOADS["VM"], time_seconds=-1.0
+            )
 
     def test_roofline_compute_bound(self):
-        model = RooflineRuntime(
-            flops=4e9, bytes_moved=1e9, flops_rate=2e9, bandwidth=1e10
-        )
-        assert model.seconds() == pytest.approx(2.0)
+        assert MACHINE.roofline_seconds(4e9, 1e9) == pytest.approx(2.0)
 
     def test_roofline_memory_bound(self):
-        model = RooflineRuntime(
-            flops=1e9, bytes_moved=1e11, flops_rate=2e9, bandwidth=1e10
-        )
-        assert model.seconds() == pytest.approx(10.0)
+        assert MACHINE.roofline_seconds(1e9, 1e11) == pytest.approx(10.0)
 
     def test_roofline_validation(self):
         with pytest.raises(ValueError):
-            RooflineRuntime(flops=-1, bytes_moved=0)
+            MACHINE.roofline_seconds(-1, 0)
         with pytest.raises(ValueError):
-            RooflineRuntime(flops=1, bytes_moved=1, flops_rate=0)
-
-    def test_measured_caches_result(self):
-        calls = []
-        provider = MeasuredRuntime(lambda: calls.append(1), repeats=2)
-        t1 = provider.seconds()
-        t2 = provider.seconds()
-        assert t1 == t2
-        assert len(calls) == 2  # measured once (2 repeats), then cached
-
-    def test_measured_repeats_validation(self):
+            MACHINE.roofline_seconds(float("nan"), 0)
         with pytest.raises(ValueError):
-            MeasuredRuntime(lambda: None, repeats=0)
+            MACHINE.with_fit(-1.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import build_report, format_table, render_comparison
+from repro.core import build_report, format_table
 from repro.core.report import format_quantity, render_dvf_report
 
 
@@ -60,11 +60,3 @@ class TestRenderReport:
 
     def test_total_row_present(self):
         assert "(total)" in render_dvf_report(self.make())
-
-    def test_comparison_renders_multiple_machines(self):
-        reports = [self.make(), self.make()]
-        text = render_comparison(reports)
-        assert text.count("small") == 2
-
-    def test_empty_comparison(self):
-        assert render_comparison([]) == "(no reports)"

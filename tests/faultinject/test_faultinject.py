@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cachesim import PAPER_CACHES
-from repro.core import AnalyzerConfig, DVFAnalyzer
+from repro.core import DVFAnalyzer, MachineModel
 from repro.faultinject import (
     INJECTABLE_KERNELS,
     Outcome,
@@ -191,7 +191,7 @@ class TestCampaign:
 class TestComparison:
     @pytest.fixture(scope="class")
     def setup(self):
-        analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["8MB"]))
+        analyzer = DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES["8MB"]))
         workload = TEST_WORKLOADS["CG"]
         campaign = run_campaign("CG", workload, trials=60, seed=7)
         report = analyzer.analyze(KERNELS["CG"], workload)
@@ -216,7 +216,7 @@ class TestComparison:
         assert report.ranked()[0].name == "A"
 
     def test_underpowered_campaign_yields_nan(self):
-        analyzer = DVFAnalyzer(AnalyzerConfig(geometry=PAPER_CACHES["8MB"]))
+        analyzer = DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES["8MB"]))
         workload = TEST_WORKLOADS["MC"]
         campaign = run_campaign("MC", workload, trials=2, seed=0)
         report = analyzer.analyze(KERNELS["MC"], workload)

@@ -5,7 +5,7 @@ import pytest
 from barnes_hut_reference import _force_walk, _QuadTree
 
 from repro.cachesim import PAPER_CACHES, simulate_trace
-from repro.core import AnalyzerConfig, DVFAnalyzer
+from repro.core import DVFAnalyzer, MachineModel
 from repro.kernels import BarnesHutKernel, Workload, barnes_hut
 from repro.kernels.barnes_hut import _build_tree
 from repro.trace import TraceRecorder
@@ -238,15 +238,14 @@ class TestProfiling:
         workload = Workload("t", {"n": 300, "theta": 0.5, "k": k})
 
         def analyze(cache):
-            config = AnalyzerConfig(geometry=PAPER_CACHES[cache])
-            DVFAnalyzer(config).analyze(kernel, workload)
+            machine = MachineModel.from_geometry(PAPER_CACHES[cache])
+            DVFAnalyzer(machine).analyze(kernel, workload)
 
         analyze("small")
         assert len(builds) == 1
         for cache in ("large", "16KB", "8MB"):
             analyze(cache)
         kernel.data_structures(workload)
-        kernel.aspen_source(workload)
         assert len(builds) == 1
 
     def test_memoised_frequencies_are_read_only(self, kernel, workload):

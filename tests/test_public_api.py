@@ -6,12 +6,10 @@ import pytest
 class TestReadmeQuickstart:
     def test_analyzer_quickstart(self):
         from repro.cachesim import PAPER_CACHES
-        from repro.core import AnalyzerConfig, DVFAnalyzer
+        from repro.core import DVFAnalyzer, MachineModel
         from repro.kernels import KERNELS, workload_for
 
-        analyzer = DVFAnalyzer(
-            AnalyzerConfig(geometry=PAPER_CACHES["8MB"])
-        )
+        analyzer = DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES["8MB"]))
         report = analyzer.analyze(KERNELS["CG"], workload_for("CG", "test"))
         assert report.ranked()[0].name == "A"
         assert report.dvf_application > 0
@@ -34,7 +32,7 @@ class TestReadmeQuickstart:
             """
         )
         assert compiled.nha_by_structure()["A"] > 0
-        assert compiled.dvf_by_structure()["A"] > 0
+        assert compiled.report().dvf_by_structure()["A"] > 0
 
 
 class TestPackageSurface:
@@ -46,7 +44,8 @@ class TestPackageSurface:
     @pytest.mark.parametrize(
         "module,names",
         [
-            ("repro.core", ["DVFAnalyzer", "dvf_data", "n_error", "NO_ECC",
+            ("repro.core", ["DVFAnalyzer", "MachineModel", "dvf_data",
+                            "n_error", "NO_ECC",
                             "plan_protection", "analyze_cache_dvf",
                             "cg_vs_pcg_sweep", "ecc_tradeoff_sweep",
                             "validate_kernel"]),
