@@ -97,8 +97,6 @@ def validate(app: AppModel, machine: MachineModel | None = None) -> list[Diagnos
                         f"kernel {kernel.name!r}: data {name!r} appears in "
                         f"the access order but declares no pattern"
                     )
-        if kernel.time is not None and kernel.time <= 0:
-            error(f"kernel {kernel.name!r}: 'time' must be positive")
         if (
             kernel.time is None
             and kernel.flops == 0

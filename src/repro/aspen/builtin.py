@@ -23,7 +23,8 @@ from repro.core.machine import DEFAULT_BANDWIDTH, DEFAULT_FIT, DEFAULT_FLOPS
 from repro.kernels.registry import KERNELS
 from repro.kernels.workloads import WORKLOAD_TIERS
 
-#: Kernels with a DSL form at every tier.  (PCG has no closed DSL form.)
+#: Kernels whose builtin DSL form ``aspen`` evaluates, at every tier.
+#: (PCG, CG's ``variant: pcg``, has one too; NB has none.)
 DSL_KERNELS = ("VM", "CG", "MG", "FT", "MC")
 
 

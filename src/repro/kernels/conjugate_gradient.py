@@ -312,23 +312,36 @@ class ConjugateGradientKernel(Kernel):
 
     def aspen_source(self, workload: Workload) -> str:
         n, iterations, variant, _ = self._config(workload)
-        if variant != "cg":
-            raise NotImplementedError("Aspen source provided for plain CG only")
+        if variant == "pcg":
+            # access_model's M, z and order; resource_counts' PCG terms.
+            title = "Preconditioned Conjugate Gradient (paper Algorithm 5)"
+            model, order = "pcg", "(Ap)p(xp)r(Mz)r(zp)"
+            preconditioner = f"""\
+  data M {{ elements: n*n, element_size: {_E}, pattern streaming {{ aligned: 1 }} }}
+  data z {{ elements: n,   element_size: {_E}, pattern streaming {{ aligned: 1 }} }}
+"""
+            flops = "2*n*n + 10*n + 2*n*n + 2*n"
+            loads = "n*n + 6*n + n*n + 2*n"
+            stores = "(3*n + n)"
+        else:
+            title = "Conjugate Gradient (paper Algorithm 4)"
+            model, order, preconditioner = "cg", "(Ap)p(xp)rr(rp)", ""
+            flops, loads, stores = "2*n*n + 10*n", "n*n + 6*n", "3*n"
         return f"""\
-// Conjugate Gradient (paper Algorithm 4), dense-stored operator.
-model cg {{
+// {title}, dense-stored operator.
+model {model} {{
   param n = {n}
   param iters = {iterations}
   data A {{ elements: n*n, element_size: {_E}, pattern streaming {{ aligned: 1 }} }}
   data p {{ elements: n,   element_size: {_E}, pattern streaming {{ aligned: 1 }} }}
   data r {{ elements: n,   element_size: {_E}, pattern streaming {{ aligned: 1 }} }}
   data x {{ elements: n,   element_size: {_E}, pattern streaming {{ aligned: 1 }} }}
-  kernel solve {{
+{preconditioner}  kernel solve {{
     iterations: iters
-    order: "(Ap)p(xp)rr(rp)"
-    flops: iters * (2*n*n + 10*n)
-    loads: iters * {_E} * (n*n + 6*n)
-    stores: iters * {_E} * 3*n
+    order: "{order}"
+    flops: iters * ({flops})
+    loads: iters * {_E} * ({loads})
+    stores: iters * {_E} * {stores}
   }}
 }}
 """

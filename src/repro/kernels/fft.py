@@ -168,15 +168,17 @@ class FFTKernel(Kernel):
         # the DSL form approximates each stage as a paired sweep, which
         # keeps the same per-stage footprint and reuse behaviour.
         stages = int(np.log2(n))
+        transforms = int(workload.get("transforms", 1))
         return f"""\
 // 1-D FFT (NPB FT segment): each stage re-traverses X in pairs.
 model ft {{
   param n = {n}
+  param transforms = {transforms}
   data X {{
     elements: n
     element_size: {_E}
     pattern template {{
-      repeats: {stages}
+      repeats: {stages} * transforms
       sweep {{
         start: (X[0], X[1])
         step: 2
@@ -185,9 +187,9 @@ model ft {{
     }}
   }}
   kernel fft1d {{
-    flops: 10 * n / 2 * {stages}
-    loads: 2 * {_E} * n / 2 * {stages}
-    stores: 2 * {_E} * n / 2 * {stages}
+    flops: 10 * n / 2 * {stages} * transforms
+    loads: 2 * {_E} * n / 2 * {stages} * transforms
+    stores: 2 * {_E} * n / 2 * {stages} * transforms
   }}
 }}
 """

@@ -5,22 +5,20 @@ declarative YAML/JSON scenarios queue *jobs* (Aspen sources, registered
 kernels, or self-test probes) into a durable queue; a pool of
 crash-isolated workers drains it under per-job timeouts.  A failure the
 worker reports is final and dead-lettered; a timeout or a lost worker
-is retried with bounded exponential backoff and feeds a circuit breaker
-that degrades to the safe path (lenient mode for Aspen jobs) while the
-fast path keeps dying.  An append-only journal makes ``service resume``
+is retried with bounded exponential backoff.  A job's outcome depends
+on the job alone.  An append-only journal makes ``service resume``
 survive SIGINT/SIGKILL of the supervisor itself.
 
 Public surface:
 
 * :func:`~repro.service.scenario.load_scenario` /
   :class:`~repro.service.scenario.Scenario` /
-  :class:`~repro.service.scenario.JobSpec` — declarative job configs;
+  :class:`~repro.service.scenario.JobSpec` /
+  :class:`~repro.service.scenario.RetryConfig` — declarative job
+  configs and the retry budget;
 * :class:`~repro.service.supervisor.JobSupervisor` /
   :func:`~repro.service.supervisor.run_service` /
   :class:`~repro.service.supervisor.ServiceRun` — the engine;
-* :class:`~repro.service.retry.RetryPolicy` /
-  :class:`~repro.service.retry.CircuitBreaker` — failure-handling
-  policy;
 * :class:`~repro.service.journal.JobJournal` /
   :func:`~repro.service.journal.load_journal` — durability layer;
 * :func:`~repro.service.cli.main` — the ``service`` CLI.
@@ -33,9 +31,7 @@ from repro.service.journal import (
     load_journal,
     load_queue,
 )
-from repro.service.retry import CircuitBreaker, RetryPolicy
 from repro.service.scenario import (
-    BreakerConfig,
     JobSpec,
     RetryConfig,
     Scenario,
@@ -57,8 +53,6 @@ from repro.service.supervisor import (
 from repro.service.worker import execute_job
 
 __all__ = [
-    "BreakerConfig",
-    "CircuitBreaker",
     "JobJournal",
     "JobSpec",
     "JobState",
@@ -67,7 +61,6 @@ __all__ = [
     "OUTCOME_EXHAUSTED",
     "OUTCOME_SUCCEEDED",
     "RetryConfig",
-    "RetryPolicy",
     "Scenario",
     "ScenarioError",
     "ServiceConfig",

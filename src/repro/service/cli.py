@@ -155,10 +155,7 @@ def _render_run(state: Path, run: ServiceRun) -> str:
     for record in run.records:
         outcome = record["outcome"]
         detail = ""
-        if outcome == OUTCOME_SUCCEEDED:
-            if record.get("degraded_route"):
-                detail = " [degraded route]"
-        else:
+        if outcome != OUTCOME_SUCCEEDED:
             code = record.get("error_code") or record.get("last_error")
             detail = f" [{code}: {record.get('error', '')[:60]}]"
         lines.append(
@@ -168,11 +165,6 @@ def _render_run(state: Path, run: ServiceRun) -> str:
     counts = run.counts
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     lines.append(f"  -- {summary or 'no terminal records'}")
-    if run.degraded_launches:
-        lines.append(
-            f"  -- circuit breaker: {run.degraded_launches} launch(es) "
-            f"degraded to the safe path (state: {run.breaker_state})"
-        )
     lines.append(f"  results: {state / RESULTS_FILE}")
     if run.failed:
         lines.append(f"  dead letters: {state / DEADLETTER_FILE}")

@@ -55,7 +55,6 @@ class JobState:
     attempts: int = 0
     record: dict | None = None
     last_error: str | None = None
-    degraded_attempts: int = 0
 
     @property
     def terminal(self) -> bool:
@@ -101,8 +100,6 @@ def load_journal(
         if event == "attempt":
             state.attempts += 1
             state.last_error = obj.get("error_code")
-            if obj.get("degraded"):
-                state.degraded_attempts += 1
         elif event == "done":
             record = obj.get("record")
             if not isinstance(record, dict):
@@ -133,20 +130,18 @@ class JobJournal(JsonlWriter):
         attempt: int,
         error_code: str,
         error: str,
-        degraded: bool = False,
     ) -> None:
         """Journal one failed-but-retryable attempt."""
-        event = {
-            "job": spec.id,
-            "hash": spec.content_hash,
-            "event": "attempt",
-            "attempt": int(attempt),
-            "error_code": error_code,
-            "error": error,
-        }
-        if degraded:
-            event["degraded"] = True
-        self._write_line(event)
+        self._write_line(
+            {
+                "job": spec.id,
+                "hash": spec.content_hash,
+                "event": "attempt",
+                "attempt": int(attempt),
+                "error_code": error_code,
+                "error": error,
+            }
+        )
 
     def done(self, spec: JobSpec, record: dict) -> None:
         """Journal a job's terminal record."""

@@ -2,8 +2,8 @@
 
 A *scenario* replaces a pile of one-off CLI invocations with one
 reviewable, reproducible file: it names the campaign, sets service-level
-failure-handling knobs (worker pool size, retry/backoff, circuit
-breaker, timeouts) and lists the *jobs* — each an independent DVF
+failure-handling knobs (worker pool size, retry/backoff, timeouts) and
+lists the *jobs* — each an independent DVF
 analysis the supervisor runs on a crash-isolated worker.
 
 Schema (YAML shown; JSON is isomorphic)::
@@ -21,9 +21,6 @@ Schema (YAML shown; JSON is isomorphic)::
         base_delay: 0.5    # exponential backoff: base * 2^(attempt-1)
         max_delay: 30.0
         jitter: 0.5        # +[0, jitter] * delay, deterministic per (job, attempt)
-      breaker:
-        threshold: 3       # consecutive transient failures to open
-        cooldown: 2        # degraded launches before a fast-path probe
     jobs:
       - id: vm-dsl         # [A-Za-z0-9._-]+, unique within the queue
         kind: aspen        # evaluate an Aspen source into a DVFReport
@@ -92,22 +89,40 @@ class ScenarioError(ValueError):
     """
 
 
+def _unit_interval(job_id: str, attempt: int) -> float:
+    """Deterministic pseudo-uniform in [0, 1) keyed on (job, attempt)."""
+    digest = hashlib.sha256(f"{job_id}#{attempt}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") / 2.0**64
+
+
 @dataclass(frozen=True)
 class RetryConfig:
-    """Bounded-retry/backoff knobs (see :mod:`repro.service.retry`)."""
+    """Bounded retry with exponential backoff and deterministic jitter.
+
+    The supervisor retries only failures it observes itself (a timeout,
+    a lost worker); a failure record the worker returns is final.
+    """
 
     max_attempts: int = 3
     base_delay: float = 0.5
     max_delay: float = 30.0
     jitter: float = 0.5
 
+    def delay(self, job_id: str, attempt: int) -> float:
+        """Backoff before retrying ``job_id`` after failed ``attempt``.
 
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Circuit-breaker knobs for fast-path degradation."""
-
-    threshold: int = 3
-    cooldown: int = 2
+        ``base_delay * 2^(attempt-1)`` capped at ``max_delay``, then
+        stretched by ``+[0, jitter]`` — jitter decorrelates a thundering
+        herd of retries, and keying it on ``(job, attempt)`` rather than
+        wall-clock entropy keeps resumed schedules identical to
+        undisturbed ones.
+        """
+        base = min(
+            self.max_delay, self.base_delay * 2.0 ** max(0, attempt - 1)
+        )
+        if self.jitter <= 0.0:
+            return base
+        return base * (1.0 + self.jitter * _unit_interval(job_id, attempt))
 
 
 @dataclass(frozen=True)
@@ -117,7 +132,6 @@ class ServiceConfig:
     jobs: int = 1
     timeout: float | None = None
     retry: RetryConfig = field(default_factory=RetryConfig)
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
 
 
 @dataclass(frozen=True)
@@ -213,7 +227,7 @@ def _nonneg_float(value, what: str):
 
 
 def _parse_service(data: dict) -> ServiceConfig:
-    _check_keys(data, {"jobs", "timeout", "retry", "breaker"}, "service")
+    _check_keys(data, {"jobs", "timeout", "retry"}, "service")
     retry_data = _require_mapping(data.get("retry", {}), "service.retry")
     _check_keys(
         retry_data,
@@ -232,16 +246,6 @@ def _parse_service(data: dict) -> ServiceConfig:
         ),
         jitter=_nonneg_float(retry_data.get("jitter", 0.5), "retry.jitter"),
     )
-    breaker_data = _require_mapping(data.get("breaker", {}), "service.breaker")
-    _check_keys(breaker_data, {"threshold", "cooldown"}, "service.breaker")
-    breaker = BreakerConfig(
-        threshold=_positive_int(
-            breaker_data.get("threshold", 3), "breaker.threshold"
-        ),
-        cooldown=_positive_int(
-            breaker_data.get("cooldown", 2), "breaker.cooldown"
-        ),
-    )
     timeout = data.get("timeout")
     return ServiceConfig(
         jobs=_positive_int(data.get("jobs", 1), "service.jobs"),
@@ -249,7 +253,6 @@ def _parse_service(data: dict) -> ServiceConfig:
             timeout, "service.timeout"
         ),
         retry=retry,
-        breaker=breaker,
     )
 
 

@@ -1,4 +1,4 @@
-"""Supervised job-execution engine: pool, retries, breaker, journal.
+"""Supervised job-execution engine: pool, retries, journal.
 
 :class:`JobSupervisor` drains a set of queued
 :class:`~repro.service.scenario.JobSpec` through a pool of up to
@@ -16,11 +16,9 @@ them), with full failure semantics:
   worker returns is final and dead-letters the job after one attempt;
   a timeout, a lost worker or a protocol violation — failures the
   supervisor builds itself — is retried under the
-  :class:`~repro.service.retry.RetryPolicy` budget with exponential
-  backoff and deterministic jitter;
-* a :class:`~repro.service.retry.CircuitBreaker`, fed only those
-  retried failures, that degrades jobs to the safe path (lenient mode
-  for Aspen jobs) while the fast path keeps losing workers;
+  :class:`~repro.service.scenario.RetryConfig` budget with exponential
+  backoff and deterministic jitter.  A job's outcome depends on the job
+  alone, never on how other jobs in the run fared;
 * an append-only :class:`~repro.service.journal.JobJournal` flushed per
   event and continued when it exists, so SIGINT/SIGKILL of the
   *supervisor* loses at most one in-flight attempt and a rerun
@@ -42,7 +40,7 @@ import os
 import random
 import signal
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from multiprocessing import connection
 from pathlib import Path
 
@@ -55,9 +53,9 @@ from repro.service.journal import (
     load_journal,
     load_queue,
 )
-from repro.service.retry import CircuitBreaker, RetryPolicy
 from repro.service.scenario import (
     JobSpec,
+    RetryConfig,
     Scenario,
     ScenarioError,
     ServiceConfig,
@@ -88,8 +86,6 @@ class ServiceRun:
     records: tuple[dict, ...]
     complete: bool
     interrupted: bool = False
-    breaker_state: str = CircuitBreaker.CLOSED
-    degraded_launches: int = 0
     wall_seconds: float = 0.0
 
     @property
@@ -118,7 +114,6 @@ class _Running:
     spec: JobSpec
     attempt: int
     call: SupervisedCall
-    fast_path: bool
 
 
 @dataclass
@@ -142,10 +137,7 @@ class JobSupervisor:
         Worker pool size (concurrent attempts).  Workers are forked
         with the module's ``execute_job`` as it stands at the fork.
     retry:
-        :class:`RetryPolicy`; defaults to the scenario-schema defaults.
-    breaker:
-        :class:`CircuitBreaker` for fast-path degradation, or ``None``
-        to disable degradation entirely.
+        :class:`RetryConfig`; defaults to the scenario-schema defaults.
     default_timeout:
         Per-job wall-clock budget when a spec carries none.
     journal_path:
@@ -168,8 +160,7 @@ class JobSupervisor:
         self,
         *,
         jobs: int = 1,
-        retry: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
+        retry: RetryConfig | None = None,
         default_timeout: float | None = None,
         journal_path: str | os.PathLike | None = None,
         term_grace: float = 2.0,
@@ -178,8 +169,7 @@ class JobSupervisor:
         interrupt_after: int | None = None,
     ):
         self.jobs = max(1, int(jobs))
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.breaker = breaker
+        self.retry = retry if retry is not None else RetryConfig()
         self.default_timeout = default_timeout
         self.journal_path = journal_path
         self.term_grace = term_grace
@@ -237,12 +227,6 @@ class JobSupervisor:
             records=ordered,
             complete=len(ordered) == len(specs),
             interrupted=interrupted,
-            breaker_state=(
-                self.breaker.state if self.breaker else CircuitBreaker.CLOSED
-            ),
-            degraded_launches=(
-                self.breaker.degraded_launches if self.breaker else 0
-            ),
             wall_seconds=time.monotonic() - started,
         )
 
@@ -298,7 +282,6 @@ class JobSupervisor:
         return max(0.0, horizon - now)
 
     def _launch(self, spec: JobSpec, attempt: int) -> _Running:
-        fast = self.breaker.allow_fast_path() if self.breaker else True
         timeout = spec.timeout if spec.timeout is not None \
             else self.default_timeout
         worker = self._take_worker()
@@ -309,13 +292,13 @@ class JobSupervisor:
             os.kill(worker.pid, signal.SIGKILL)
         call = SupervisedCall(
             execute_job,
-            (spec, attempt, not fast),
+            (spec, attempt, False),
             worker=worker,
             timeout=timeout,
             term_grace=self.term_grace,
             label=f"job {spec.id} attempt {attempt}",
         ).start()
-        return _Running(spec=spec, attempt=attempt, call=call, fast_path=fast)
+        return _Running(spec=spec, attempt=attempt, call=call)
 
     def _take_worker(self) -> Worker:
         """An idle worker that is still alive, or a freshly forked one."""
@@ -392,17 +375,13 @@ class JobSupervisor:
         journal: JobJournal | None,
     ) -> None:
         spec, attempt = entry.spec, entry.attempt
-        degraded = not entry.fast_path
         record = {
             "job": spec.id,
             "kind": spec.kind,
             "outcome": OUTCOME_SUCCEEDED,
             "attempts": attempt,
-            "degraded_route": degraded,
         }
         if body.get("ok"):
-            if self.breaker:
-                self.breaker.record_success(entry.fast_path)
             record["payload"] = body.get("payload")
             if "mode" in body:
                 record["mode"] = body["mode"]
@@ -418,15 +397,11 @@ class JobSupervisor:
                 record["diagnostics"] = body["diagnostics"]
             self._finalize(spec, record, records, journal)
             return
-        if self.breaker:
-            self.breaker.record_transient_failure(entry.fast_path)
         max_attempts = spec.max_attempts if spec.max_attempts is not None \
             else self.retry.max_attempts
         if attempt < max_attempts:
             if journal is not None:
-                journal.attempt_failed(
-                    spec, attempt, code, error, degraded=degraded
-                )
+                journal.attempt_failed(spec, attempt, code, error)
             delay = self.retry.delay(spec.id, attempt)
             heapq.heappush(
                 heap,
@@ -480,8 +455,13 @@ def _load_service_config(state: Path) -> ServiceConfig:
     from repro.service.scenario import _parse_service
 
     try:
-        return _parse_service(json.loads(path.read_text()))
-    except (json.JSONDecodeError, ScenarioError, TypeError) as exc:
+        data = json.loads(path.read_text())
+        # A state directory written by an older version may store
+        # settings ServiceConfig no longer has; they select nothing.
+        known = {f.name for f in fields(ServiceConfig)}
+        return _parse_service({k: v for k, v in data.items() if k in known})
+    except (json.JSONDecodeError, ScenarioError, TypeError,
+            AttributeError) as exc:
         raise ScenarioError(
             f"{path}: unreadable persisted service config: {exc}"
         ) from None
@@ -545,8 +525,7 @@ def run_service(
         retry_cfg = replace(retry_cfg, max_attempts=max_attempts)
     supervisor = JobSupervisor(
         jobs=jobs if jobs is not None else config.jobs,
-        retry=RetryPolicy(retry_cfg),
-        breaker=CircuitBreaker(config.breaker),
+        retry=retry_cfg,
         default_timeout=timeout if timeout is not None else config.timeout,
         journal_path=state / JOURNAL_FILE,
         chaos_kill=chaos_kill,

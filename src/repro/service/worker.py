@@ -22,10 +22,8 @@ contract keeps the failure semantics sharp:
   :class:`~repro.faultinject.errors.WorkerLost`, which the supervisor
   treats as transient and retries with backoff on a fresh worker.
 
-``degraded=True`` selects the graceful-degradation route the circuit
-breaker falls back to when the fast path keeps dying: lenient
-evaluation mode for Aspen jobs.  Kernel jobs run the analytical path,
-which has no slower fallback, so they run the same either way.
+An Aspen job runs in the ``mode`` its spec names, on every attempt, so
+a job's outcome depends on the job alone.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ import time
 from repro.aspen.errors import AspenError
 from repro.cachesim.engine import CacheEngineError
 from repro.patterns.base import PatternError
-from repro.service.retry import _unit_interval
-from repro.service.scenario import JobSpec, ScenarioError
+from repro.service.scenario import JobSpec, ScenarioError, _unit_interval
 
 #: Exception families whose recurrence is a property of the *job*, not
 #: the worker: they become structured failure records (→ dead letter),
@@ -56,10 +53,15 @@ DETERMINISTIC_EXCEPTIONS: tuple[type[BaseException], ...] = (
 
 
 def execute_job(spec: JobSpec, attempt: int, degraded: bool) -> dict:
-    """Run one job attempt; returns the JSON-safe record body."""
+    """Run one job attempt; returns the JSON-safe record body.
+
+    ``degraded`` is ignored; the supervisor always passes ``False``.
+    The benchmark harness (``perfbench/tracer.py`` and
+    ``perfbench/pin.py``) still calls this with three arguments.
+    """
     try:
         if spec.kind == "aspen":
-            return _run_aspen(spec, degraded)
+            return _run_aspen(spec)
         if spec.kind == "kernel":
             return _run_kernel(spec)
         if spec.kind == "probe":
@@ -91,12 +93,12 @@ def execute_job(spec: JobSpec, attempt: int, degraded: bool) -> dict:
         return record
 
 
-def _run_aspen(spec: JobSpec, degraded: bool) -> dict:
+def _run_aspen(spec: JobSpec) -> dict:
     """Evaluate an Aspen source into a ``DVFReport`` payload."""
     from repro.experiments.aspen_batch import evaluate_source
 
     options = spec.options
-    mode = "lenient" if degraded else str(options.get("mode", "strict"))
+    mode = str(options.get("mode", "strict"))
     entry = evaluate_source(
         str(options.get("label", spec.id)),
         str(options["source"]),

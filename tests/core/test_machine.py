@@ -11,7 +11,7 @@ is estimated.
 import pytest
 
 from repro.aspen import AspenSemanticError, compile_source
-from repro.aspen.builtin import builtin_source
+from repro.aspen.builtin import MACHINE_LIBRARY, builtin_source
 from repro.cachesim import PAPER_CACHES
 from repro.core import DVFAnalyzer, MachineModel
 from repro.core.machine import DEFAULT_BANDWIDTH, DEFAULT_FIT, DEFAULT_FLOPS
@@ -47,6 +47,15 @@ def kernel_report(machine, mode="strict", **options):
 def aspen_report(machine, mode="strict", source=None):
     source = source if source is not None else builtin_source("VM", "test")
     return compile_source(source, machine=machine, mode=mode).report()
+
+
+def vm_with_time(seconds: str) -> str:
+    """VM's test-tier source declaring ``time: seconds``, plus machines."""
+    source = builtin_source("VM", "test").replace(
+        "flops: 2*n", f"time: {seconds}\n    flops: 2*n"
+    )
+    assert f"time: {seconds}" in source
+    return source + MACHINE_LIBRARY
 
 
 class TestDefaults:
@@ -130,20 +139,32 @@ class TestExplicitTime:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_aspen_time_refused(self, mode):
-        source = builtin_source("VM", "test").replace(
-            "flops: 2*n", "time: -1\n    flops: 2*n"
-        )
-        assert "time: -1" in source
+        # The report refuses it in both modes, as check_time does for an
+        # explicit time_seconds.
         machine = MachineModel.from_geometry(GEOMETRY)
-        # Strict validation refuses it at compile time; lenient
-        # compilation records the finding and the report refuses it.
-        with pytest.raises(
-            (AspenSemanticError, ValueError), match="time'? must be"
-        ):
-            aspen_report(machine, mode, source=source)
+        with pytest.raises(ValueError, match="time must be finite"):
+            aspen_report(machine, mode, source=vm_with_time("-1"))
+
+    def test_lenient_negative_time_is_one_failure(self):
+        entry = evaluate_source(
+            "vm", vm_with_time("-1"), machine="cache_8mb", mode="lenient"
+        )
+        assert not entry.ok
+        assert [d.code for d in entry.diagnostics] == ["ASP306"]
 
     def test_explicit_zero_time_accepted(self):
         report = kernel_report(
             MachineModel.from_geometry(GEOMETRY), time_seconds=0.0
         )
         assert report.dvf_application == 0.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_aspen_zero_time_accepted(self, mode):
+        # One rule on both paths: T = 0 is a usable time and DVF_a = 0.
+        entry = evaluate_source(
+            "vm", vm_with_time("0"), machine="cache_8mb", mode=mode
+        )
+        assert entry.ok
+        assert entry.report.time_seconds == 0.0
+        assert entry.report.dvf_application == 0.0
+        assert not [d for d in entry.diagnostics if d.is_error]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cachesim import PAPER_CACHES, simulate_trace
+from repro.experiments.configs import FIG6_SIZES
 from repro.kernels import ConjugateGradientKernel, Workload
 from repro.kernels.conjugate_gradient import (
     _apply_ic,
@@ -173,6 +174,20 @@ class TestTraceAndModel:
         for name, value in compiled.nha_by_structure().items():
             assert value == pytest.approx(direct[name], rel=1e-9)
 
-    def test_aspen_source_pcg_unsupported(self, kernel):
-        with pytest.raises(NotImplementedError):
-            kernel.aspen_source(wl(variant="pcg"))
+    @pytest.mark.parametrize("n", FIG6_SIZES)
+    def test_aspen_source_pcg_matches_direct_model(self, kernel, n):
+        from repro.aspen import compile_source
+        from repro.core import DVFAnalyzer, MachineModel
+
+        def numbers(report):
+            nha = {s.name: s.nha for s in report.structures}
+            return nha, report.time_seconds, report.dvf_application
+
+        for iterations in (2, 3, 99):
+            workload = wl(n=n, iterations=iterations, variant="pcg")
+            source = kernel.aspen_source(workload)
+            for cache in PAPER_CACHES.values():
+                machine = MachineModel.from_geometry(cache)
+                dsl = compile_source(source, machine=machine).report()
+                direct = DVFAnalyzer(machine).analyze(kernel, workload)
+                assert numbers(dsl) == numbers(direct), (iterations, cache)

@@ -7,6 +7,7 @@ from repro.cachesim import PAPER_CACHES, simulate_trace
 from repro.kernels import FFTKernel, MultigridKernel, Workload
 from repro.kernels.fft import butterfly_indices, butterfly_writes
 from repro.kernels.multigrid import smoother_indices
+from repro.kernels.workloads import WORKLOAD_TIERS
 
 
 class TestSmootherTemplate:
@@ -157,3 +158,24 @@ class TestFFTKernel:
             kernel.aspen_source(Workload("t", {"n": 256})), machine=machine
         )
         assert compiled.nha_by_structure()["X"] > 0
+
+    @pytest.mark.parametrize("transforms", [1, 2, 3])
+    @pytest.mark.parametrize("tier", sorted(WORKLOAD_TIERS))
+    def test_aspen_source_matches_direct_model(self, kernel, tier, transforms):
+        # The DSL's paired sweeps equal the butterfly template at these
+        # sizes only; ``transforms`` repeats both.
+        from repro.aspen import compile_source
+        from repro.core import DVFAnalyzer, MachineModel
+
+        def numbers(report):
+            (x,) = report.structures
+            return x.nha, report.time_seconds, report.dvf_application
+
+        base = WORKLOAD_TIERS[tier]["FT"]
+        workload = Workload(base.name, {**base.params, "transforms": transforms})
+        source = kernel.aspen_source(workload)
+        for cache in PAPER_CACHES.values():
+            machine = MachineModel.from_geometry(cache)
+            dsl = compile_source(source, machine=machine).report()
+            direct = DVFAnalyzer(machine).analyze(kernel, workload)
+            assert numbers(dsl) == numbers(direct), cache

@@ -53,9 +53,6 @@ def _chaos_scenario() -> dict:
             # make outcomes depend on the kill sequence.
             "retry": {"max_attempts": 25, "base_delay": 0.01,
                       "max_delay": 0.05, "jitter": 0.0},
-            # Keep the breaker quiet: degraded routing is tested
-            # elsewhere, and here it would depend on kill timing.
-            "breaker": {"threshold": 1000, "cooldown": 1},
         },
         "jobs": jobs,
     }

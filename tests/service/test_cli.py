@@ -12,6 +12,7 @@ from repro.service.cli import (
     EXIT_USAGE,
     main,
 )
+from repro.service.journal import load_queue
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
@@ -123,6 +124,63 @@ class TestRunAndResume:
             for line in (state / "results.jsonl").read_text().splitlines()
         ]
         assert all(r["attempts"] == 1 for r in results)
+
+    def test_state_from_a_version_with_a_circuit_breaker(
+        self, tmp_path, capsys
+    ):
+        # Such a version stored the breaker's knobs in service.json and
+        # marked attempts its degraded route ran in the journal.  The
+        # stored knobs are dropped; journaled records stay as written.
+        scenario = {**SCENARIO, "jobs": SCENARIO["jobs"] + [
+            {"id": "flaky", "kind": "probe", "behavior": "flaky",
+             "fail_attempts": 1}]}
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(scenario))
+        state = tmp_path / "state"
+        assert main(["submit", "--scenario", str(scenario_file),
+                     "--state", str(state)]) == EXIT_OK
+        config = state / "service.json"
+        config.write_text(json.dumps({
+            **json.loads(config.read_text()),
+            "breaker": {"cooldown": 2, "threshold": 3},
+        }))
+        hashes = {
+            spec.id: spec.content_hash
+            for spec in load_queue(state / "queue.jsonl")
+        }
+        events = [
+            {"kind": "dvf-job-journal", "version": 1},
+            {"job": "good", "hash": hashes["good"], "event": "done",
+             "record": {"job": "good", "kind": "probe",
+                        "outcome": "succeeded", "attempts": 1,
+                        "degraded_route": False,
+                        "payload": {"probe": "ok", "value": 3}}},
+            {"job": "flaky", "hash": hashes["flaky"], "event": "attempt",
+             "attempt": 1, "error_code": "WorkerLost", "error": "died",
+             "degraded": True},
+        ]
+        (state / "journal.jsonl").write_text(
+            "".join(json.dumps(event) + "\n" for event in events)
+        )
+        capsys.readouterr()
+        assert main(["status", "--state", str(state), "--json"]) == EXIT_OK
+        status = json.loads(capsys.readouterr().out)
+        assert status["counts"] == {"succeeded": 1}
+        assert status["in_flight"] == [
+            {"job": "flaky", "attempts": 1, "last_error": "WorkerLost"}]
+        assert status["pending"] == ["bad"]
+
+        assert main(["resume", "--state", str(state)]) == EXIT_JOBS_FAILED
+        results = {
+            r["job"]: r
+            for r in map(json.loads, (state / "results.jsonl").read_text()
+                         .splitlines())
+        }
+        assert results["good"]["degraded_route"] is False
+        assert results["flaky"]["outcome"] == "succeeded"
+        assert results["flaky"]["attempts"] == 2
+        assert "degraded_route" not in results["flaky"]
+        assert results["bad"]["outcome"] == "dead-letter"
 
 
 class TestExperimentsDelegation:

@@ -52,13 +52,12 @@ class TestJournal:
         spec = _spec("a")
         with JobJournal(path) as journal:
             journal.attempt_failed(spec, 1, "WorkerLost", "died")
-            journal.attempt_failed(spec, 2, "JobTimeout", "hung",
-                                   degraded=True)
+            journal.attempt_failed(spec, 2, "JobTimeout", "hung")
             journal.done(spec, {"job": "a", "outcome": "succeeded",
                                 "attempts": 3})
         states = load_journal(path, {"a": spec})
         assert states["a"].attempts == 2
-        assert states["a"].degraded_attempts == 1
+        assert states["a"].last_error == "JobTimeout"
         assert states["a"].terminal
         assert states["a"].record["attempts"] == 3
 

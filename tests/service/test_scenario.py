@@ -36,15 +36,12 @@ class TestParseScenario:
             "timeout": 30,
             "retry": {"max_attempts": 5, "base_delay": 0.1,
                       "max_delay": 2.0, "jitter": 0.0},
-            "breaker": {"threshold": 2, "cooldown": 3},
         }))
         service = scenario.service
         assert service.jobs == 4
         assert service.timeout == 30.0
         assert service.retry.max_attempts == 5
         assert service.retry.jitter == 0.0
-        assert service.breaker.threshold == 2
-        assert service.breaker.cooldown == 3
 
     def test_defaults_flow_into_jobs(self):
         scenario = parse_scenario({
@@ -89,6 +86,9 @@ class TestParseScenario:
          "max_attempts"),
         (lambda d: d.update(service={"retry": {"base_delay": -1}}),
          "base_delay"),
+        # The circuit breaker and its knobs are gone.
+        (lambda d: d.update(service={"breaker": {"threshold": 3}}),
+         "unknown key"),
     ])
     def test_rejects_malformed(self, mutate, match):
         data = _minimal()

@@ -1,4 +1,4 @@
-"""Supervisor semantics: retries, dead letters, timeouts, resume, breaker."""
+"""Supervisor semantics: retries, dead letters, timeouts, resume."""
 
 import json
 import multiprocessing as mp
@@ -12,13 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.service.journal import load_journal
-from repro.service.retry import CircuitBreaker, RetryPolicy
-from repro.service.scenario import (
-    BreakerConfig,
-    JobSpec,
-    RetryConfig,
-    parse_scenario,
-)
+from repro.service.scenario import JobSpec, RetryConfig, parse_scenario
 from repro.service import worker
 from repro.service.supervisor import (
     OUTCOME_DEAD_LETTER,
@@ -36,8 +30,8 @@ needs_fork = pytest.mark.skipif(
     not HAS_FORK, reason="fork start method unavailable"
 )
 
-FAST_RETRY = RetryPolicy(RetryConfig(
-    max_attempts=3, base_delay=0.01, max_delay=0.05, jitter=0.0))
+FAST_RETRY = RetryConfig(
+    max_attempts=3, base_delay=0.01, max_delay=0.05, jitter=0.0)
 
 
 def _probe(job_id, behavior="ok", **options):
@@ -46,7 +40,7 @@ def _probe(job_id, behavior="ok", **options):
 
 
 #: Strict evaluation fails on ``n``; lenient evaluation drops ``B`` and
-#: succeeds, so a retry on the breaker's degraded route would succeed.
+#: succeeds.
 DIVIDE_BY_ZERO_MODEL = """model broken {
   param n = 8/0
   param k = 500
@@ -76,6 +70,12 @@ DEEP_MODELS = {
 
 #: Every structure sized by ``n``: lenient evaluation has nothing left.
 UNSIZABLE_MODEL = DIVIDE_BY_ZERO_MODEL.replace("elements: k,", "elements: n,")
+
+#: Strict validation refuses ``A``'s ``stride: 0``
+#: (``AspenSemanticError``); lenient evaluation degrades ``A`` and
+#: succeeds.
+STRIDE_ZERO_MODEL = DIVIDE_BY_ZERO_MODEL.replace("8/0", "500").replace(
+    "stride: 1", "stride: 0", 1)
 
 
 class TestExecuteJob:
@@ -216,14 +216,10 @@ class TestProcessSupervision:
         self, tmp_path, spec, error_code
     ):
         # A failure the worker reports is final: dead-lettered on its
-        # first attempt, never retried, and never counted by the breaker
-        # (threshold 1 would open it and send a retry down the lenient
-        # route).
+        # first attempt and never retried.
         journal_path = tmp_path / "journal.jsonl"
         run = JobSupervisor(
-            retry=RetryPolicy(RetryConfig(
-                max_attempts=5, base_delay=0.01, jitter=0.0)),
-            breaker=CircuitBreaker(BreakerConfig(threshold=1, cooldown=2)),
+            retry=RetryConfig(max_attempts=5, base_delay=0.01, jitter=0.0),
             journal_path=journal_path,
         ).run([spec])
         record = run.records[0]
@@ -236,13 +232,10 @@ class TestProcessSupervision:
         assert all(
             json.loads(line)["event"] != "attempt" for line in events
         ), "dead-letter jobs must not journal retryable attempts"
-        assert run.breaker_state == CircuitBreaker.CLOSED
-        assert run.degraded_launches == 0
 
     def test_retry_exhausted_drains_queue_nonzero_exit(self):
         run = JobSupervisor(
-            retry=RetryPolicy(RetryConfig(
-                max_attempts=2, base_delay=0.01, jitter=0.0)),
+            retry=RetryConfig(max_attempts=2, base_delay=0.01, jitter=0.0),
         ).run([_probe("dies", "flaky", fail_attempts=99), _probe("fine")])
         dies, fine = run.records
         assert dies["outcome"] == OUTCOME_EXHAUSTED
@@ -254,8 +247,7 @@ class TestProcessSupervision:
 
     def test_hung_worker_times_out_and_exhausts(self):
         run = JobSupervisor(
-            retry=RetryPolicy(RetryConfig(
-                max_attempts=2, base_delay=0.01, jitter=0.0)),
+            retry=RetryConfig(max_attempts=2, base_delay=0.01, jitter=0.0),
             term_grace=0.5,
         ).run([JobSpec(id="hang", kind="probe",
                        options={"behavior": "sleep", "seconds": 30},
@@ -273,24 +265,47 @@ class TestProcessSupervision:
         assert run.records[0]["outcome"] == OUTCOME_EXHAUSTED
         assert run.records[0]["attempts"] == 1
 
-    def test_breaker_degrades_after_fast_path_deaths(self):
-        breaker = CircuitBreaker(BreakerConfig(threshold=1, cooldown=2))
-        run = JobSupervisor(
-            jobs=1,
-            retry=RetryPolicy(RetryConfig(
-                max_attempts=5, base_delay=0.01, jitter=0.0)),
-            breaker=breaker,
-        ).run([
-            _probe("flaky", "flaky", fail_attempts=2),
-            _probe("a"),
-            _probe("b"),
-        ])
-        assert all(
-            r["outcome"] == OUTCOME_SUCCEEDED for r in run.records
-        )
-        assert breaker.opened >= 1
-        assert run.degraded_launches >= 1
-        assert any(r["degraded_route"] for r in run.records)
+
+
+def _behind_crashes(crashes: int):
+    """``crashes`` worker-killing probes, then the stride-0 strict job."""
+    jobs = [
+        {"id": f"crash-{i}", "kind": "probe", "behavior": "crash",
+         "max_attempts": 1}
+        for i in range(crashes)
+    ]
+    jobs.append({"id": "stride-0", "kind": "aspen", "machine": "small",
+                 "mode": "strict", "source": STRIDE_ZERO_MODEL})
+    return parse_scenario(
+        {"name": "behind-crashes", "service": {"jobs": 1}, "jobs": jobs}
+    )
+
+
+@needs_fork
+class TestOutcomeDependsOnTheJobAlone:
+    """Workers lost earlier in a run do not change a later job's outcome."""
+
+    @pytest.mark.parametrize("crashes", [0, 3])
+    def test_strict_job_dead_letters_behind_crashes(self, tmp_path, crashes):
+        run = run_service(tmp_path / "state", _behind_crashes(crashes))
+        *lost, record = run.records
+        assert [r["outcome"] for r in lost] == [OUTCOME_EXHAUSTED] * crashes
+        assert record["outcome"] == OUTCOME_DEAD_LETTER
+        assert record["attempts"] == 1
+        assert record["error_code"] == "AspenSemanticError"
+        assert all("degraded_route" not in r for r in run.records)
+
+    def test_resume_after_the_crashes_is_bit_identical(self, tmp_path):
+        scenario = _behind_crashes(3)
+        undisturbed = tmp_path / "undisturbed"
+        disturbed = tmp_path / "disturbed"
+        run_service(undisturbed, scenario)
+        first = run_service(disturbed, scenario, interrupt_after=3)
+        assert first.interrupted and len(first.records) == 3
+        assert run_service(disturbed).complete
+        for name in ("results.jsonl", "deadletter.jsonl"):
+            assert (disturbed / name).read_bytes() == \
+                (undisturbed / name).read_bytes()
 
 
 @needs_fork
@@ -301,7 +316,6 @@ class TestResume:
             "jobs": 2,
             "retry": {"max_attempts": 4, "base_delay": 0.01,
                       "max_delay": 0.05, "jitter": 0.0},
-            "breaker": {"threshold": 50, "cooldown": 1},
         },
         "jobs": [
             {"id": "ok-1", "kind": "probe", "behavior": "ok", "value": 1},
@@ -463,8 +477,7 @@ class TestWorkerLifecycle:
         monkeypatch.setattr(supervisor, "execute_job", killed_when_idle)
         run = JobSupervisor(
             jobs=2,
-            retry=RetryPolicy(RetryConfig(
-                max_attempts=3, base_delay=0.5, jitter=0.0)),
+            retry=RetryConfig(max_attempts=3, base_delay=0.5, jitter=0.0),
         ).run([_probe("a"), _probe("flaky", "flaky", fail_attempts=1)])
         a, flaky = run.records
         assert a["outcome"] == OUTCOME_SUCCEEDED
@@ -474,8 +487,7 @@ class TestWorkerLifecycle:
     def test_timed_out_worker_is_replaced(self, attempt_log):
         run = JobSupervisor(
             jobs=1,
-            retry=RetryPolicy(RetryConfig(
-                max_attempts=2, base_delay=0.01, jitter=0.0)),
+            retry=RetryConfig(max_attempts=2, base_delay=0.01, jitter=0.0),
             term_grace=0.5,
         ).run([
             JobSpec(id="hang", kind="probe",

@@ -66,9 +66,8 @@ class TestPackageSurface:
             ("repro.experiments", ["run_fig4", "run_fig5", "run_fig6",
                                    "run_fig7"]),
             ("repro.service", ["load_scenario", "JobSupervisor",
-                               "run_service", "ServiceRun", "RetryPolicy",
-                               "CircuitBreaker", "JobJournal",
-                               "load_journal"]),
+                               "run_service", "ServiceRun", "RetryConfig",
+                               "JobJournal", "load_journal"]),
         ],
     )
     def test_documented_exports_exist(self, module, names):
