@@ -16,7 +16,6 @@ import numpy as np
 from repro.cachesim import PAPER_CACHES
 from repro.core import (
     CHIPKILL,
-    NO_ECC,
     SECDED,
     ecc_tradeoff_sweep,
     format_table,

@@ -8,7 +8,7 @@ data: semantics (parameter resolution, pattern construction) happen in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.aspen.expr import Expr
 

@@ -11,11 +11,7 @@
 """
 
 from repro.core.analyzer import DVFAnalyzer
-from repro.core.cache_dvf import (
-    CacheDVFReport,
-    CacheStructureDVF,
-    analyze_cache_dvf,
-)
+from repro.core.cache_dvf import analyze_cache_dvf
 from repro.core.protection import ProtectionPlan, greedy_ranking, plan_protection
 from repro.core.dvf import (
     DVFReport,
@@ -51,8 +47,6 @@ from repro.core.validation import (
 __all__ = [
     "DVFAnalyzer",
     "MachineModel",
-    "CacheDVFReport",
-    "CacheStructureDVF",
     "analyze_cache_dvf",
     "ProtectionPlan",
     "plan_protection",

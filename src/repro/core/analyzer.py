@@ -72,8 +72,6 @@ class DVFAnalyzer:
         kernel: Kernel,
         workload: Workload,
         time_seconds: float | None = None,
-        alpha: float = 1.0,
-        beta: float = 1.0,
         mode: str = "strict",
         sink: DiagnosticSink | None = None,
     ) -> DVFReport:
@@ -100,8 +98,6 @@ class DVFAnalyzer:
             workload,
             time_seconds,
             nha,
-            alpha=alpha,
-            beta=beta,
             degraded=degraded,
             mode=mode,
             sink=sink,

@@ -13,6 +13,10 @@ last-level cache:
 * ``FIT`` is the SRAM failure rate (typically far below DRAM's for
   ECC-protected caches, and above it for unprotected tag/data arrays).
 
+Only the two inputs are measured here; :func:`~repro.core.dvf.build_report`
+prices them, so the result is an ordinary
+:class:`~repro.core.dvf.DVFReport` (its ``machine`` is the cache's name).
+
 The residency measurement comes from an unsharded
 :class:`~repro.cachesim.simulator.CacheSimulator`, whose engines keep
 each label's eviction count and step sums on every replay
@@ -24,11 +28,10 @@ path is simulation-based by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.cachesim.configs import CacheGeometry
 from repro.cachesim.simulator import CacheSimulator
-from repro.core.dvf import n_error
+from repro.core.analyzer import DVFAnalyzer
+from repro.core.dvf import DVFReport, build_report
 from repro.core.machine import MachineModel
 from repro.kernels.base import Kernel, Workload
 
@@ -38,85 +41,34 @@ from repro.kernels.base import Kernel, Workload
 DEFAULT_SRAM_FIT = 100.0
 
 
-@dataclass(frozen=True)
-class CacheStructureDVF:
-    """Cache-DVF result for one data structure."""
-
-    name: str
-    avg_resident_bytes: float
-    cache_accesses: int
-    n_error: float
-    dvf: float
-
-
-@dataclass(frozen=True)
-class CacheDVFReport:
-    """Cache-vulnerability report of one kernel run."""
-
-    application: str
-    cache: str
-    fit: float
-    time_seconds: float
-    structures: tuple[CacheStructureDVF, ...]
-
-    @property
-    def dvf_application(self) -> float:
-        """Sum over structures (Eq. 2 applied to the cache component)."""
-        return sum(s.dvf for s in self.structures)
-
-    def structure(self, name: str) -> CacheStructureDVF:
-        for s in self.structures:
-            if s.name == name:
-                return s
-        raise KeyError(f"no structure {name!r} in cache-DVF report")
-
-    def ranked(self) -> list[CacheStructureDVF]:
-        return sorted(self.structures, key=lambda s: s.dvf, reverse=True)
-
-
 def analyze_cache_dvf(
     kernel: Kernel,
     workload: Workload,
     geometry: CacheGeometry,
     fit: float = DEFAULT_SRAM_FIT,
     time_seconds: float | None = None,
-) -> CacheDVFReport:
+) -> DVFReport:
     """Run the instrumented kernel and compute per-structure cache DVF.
 
     The recorded trace (:meth:`~repro.kernels.base.Kernel.record`) is
     replayed as recorded, so a periodic kernel's period is never tiled.
-    ``time_seconds`` defaults to the roofline estimate from the kernel's
-    resource counts on a default :class:`MachineModel` with this cache
-    (the main-memory analyzer's ``T``).
+    Each row's ``size_bytes`` is the structure's time-averaged resident
+    bytes and its ``nha`` its cache accesses.  ``time_seconds``
+    defaults to the main-memory analyzer's ``T`` on a default
+    :class:`MachineModel` with this cache.
     """
     if time_seconds is None:
-        resources = kernel.resource_counts(workload)
-        time_seconds = MachineModel.from_geometry(geometry).roofline_seconds(
-            resources.flops, resources.bytes_moved
-        )
+        time_seconds = DVFAnalyzer(
+            MachineModel.from_geometry(geometry)
+        ).runtime_provider(kernel, workload)
     simulator = CacheSimulator(geometry)
     simulator.run(kernel.record(workload))
-    rows = []
+    sizes: dict[str, float] = {}
+    nha: dict[str, float] = {}
     for name in kernel.data_structures(workload):
-        resident_bytes = (
-            simulator.average_resident_lines(name) * geometry.line_size
-        )
+        sizes[name] = simulator.average_resident_lines(name) * geometry.line_size
         label = simulator.stats.by_label.get(name)
-        accesses = label.accesses if label else 0
-        errors = n_error(fit, time_seconds, resident_bytes)
-        rows.append(
-            CacheStructureDVF(
-                name=name,
-                avg_resident_bytes=resident_bytes,
-                cache_accesses=accesses,
-                n_error=errors,
-                dvf=errors * accesses,
-            )
-        )
-    return CacheDVFReport(
-        application=kernel.name,
-        cache=geometry.name or "cache",
-        fit=fit,
-        time_seconds=time_seconds,
-        structures=tuple(rows),
+        nha[name] = float(label.accesses) if label else 0.0
+    return build_report(
+        kernel.name, geometry.name or "cache", fit, time_seconds, sizes, nha
     )

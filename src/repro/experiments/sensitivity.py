@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.cachesim.configs import CacheGeometry, PAPER_CACHES
 from repro.core.analyzer import DVFAnalyzer
+from repro.core.dvf import build_report
 from repro.core.machine import MachineModel
 from repro.core.report import format_table
 from repro.experiments.configs import KERNEL_ORDER, WORKLOADS
@@ -47,15 +48,23 @@ def weighting_sensitivity(
     ),
     geometry: CacheGeometry | None = None,
 ) -> list[WeightSensitivityRow]:
-    """Per-structure DVF rankings across weighting exponents."""
+    """Per-structure DVF rankings across weighting exponents.
+
+    Each kernel is analyzed once; the exponents reprice that report's
+    sizes, ``N_ha``, FIT and ``T`` with :func:`build_report`.
+    """
     geometry = geometry or PAPER_CACHES["8MB"]
     analyzer = DVFAnalyzer(MachineModel.from_geometry(geometry))
     rows: list[WeightSensitivityRow] = []
     for name in kernels:
-        kernel = KERNELS[name]
-        workload = WORKLOADS[tier][name]
+        base = analyzer.analyze(KERNELS[name], WORKLOADS[tier][name])
+        sizes = {s.name: s.size_bytes for s in base.structures}
+        nha = {s.name: s.nha for s in base.structures}
         for alpha, beta in weights:
-            report = analyzer.analyze(kernel, workload, alpha=alpha, beta=beta)
+            report = build_report(
+                base.application, base.machine, base.fit,
+                base.time_seconds, sizes, nha, alpha=alpha, beta=beta,
+            )
             ranking = tuple(s.name for s in report.ranked())
             rows.append(
                 WeightSensitivityRow(

@@ -7,13 +7,13 @@ the output the fault-free reference is compared against.
 
 The numerics are the kernels' own: each adapter draws its inputs with
 its kernel's ``inputs`` (CG: ``start``), and runs CG's
-:meth:`~repro.kernels.conjugate_gradient.CGState.step` and FT's
-:func:`~repro.kernels.fft.bit_reverse` / :func:`~repro.kernels.fft.fft_stage`,
-untraced.  What is left here is fault injection's part: where the
+:meth:`~repro.kernels.conjugate_gradient.CGState.step`, FT's
+:func:`~repro.kernels.fft.bit_reverse` / :func:`~repro.kernels.fft.fft_stage`
+and MC's :func:`~repro.kernels.monte_carlo.search_grid`, untraced, so a
+flip into MC's ``G`` sends the lookups to the rows the kernel's search
+would.  What is left here is fault injection's part: where the
 computation splits for the flip, and which arrays may be flipped.  VM
-and MC split their loops at the phase as vectorised slices.  MC's
-lookups use ``np.searchsorted``: on a sorted grid it finds the kernel's
-rows, but after a flip into ``G`` the two searches can differ.
+and MC split their loops at the phase as vectorised slices.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from repro.faultinject.flips import random_flip
 from repro.kernels.base import Workload
 from repro.kernels.fft import bit_reverse, fft_stage
+from repro.kernels.monte_carlo import search_grid
 from repro.kernels.registry import KERNELS
 
 
@@ -111,7 +112,7 @@ def _run_mc(workload, inject_into, phase, rng):
     split = min(int(phase * len(samples)), len(samples) - 1)
 
     def lookup(batch: np.ndarray) -> float:
-        rows = np.minimum(np.searchsorted(energies, batch), len(energies) - 1)
+        rows, _ = search_grid(energies, batch)
         return float(xs[rows].sum())
 
     total = lookup(samples[:split])

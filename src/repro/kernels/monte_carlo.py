@@ -53,6 +53,34 @@ def pivot_frequencies(grid: int) -> np.ndarray:
         prob = np.concatenate([left, prob - left])
     return freqs
 
+
+def search_grid(
+    energies: np.ndarray, samples: np.ndarray
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Every sample's binary search on the energy grid, run at once.
+
+    Each search narrows ``[0, grid - 1]`` by one probe level per numpy
+    step and drops out once its interval closes; on a sorted grid it
+    ends at the first point not below its sample (the last point if
+    none is).  Returns each sample's row and, per level, the searching
+    samples and the grid points they probe.  The traced run records
+    the probes and the fault-injection adapter reads only the rows, so
+    a flipped, unsorted grid sends both to the same rows.
+    """
+    lo = np.zeros(samples.size, dtype=np.int64)
+    hi = np.full(samples.size, energies.size - 1, dtype=np.int64)
+    levels: list[tuple[np.ndarray, np.ndarray]] = []
+    searching = np.flatnonzero(lo < hi)
+    while searching.size:
+        mid = (lo[searching] + hi[searching]) // 2
+        levels.append((searching, mid))
+        above = energies[mid] < samples[searching]
+        lo[searching[above]] = mid[above] + 1
+        hi[searching[~above]] = mid[~above]
+        searching = searching[lo[searching] < hi[searching]]
+    return lo, levels
+
+
 #: XSBench-style sizes: grid points and nuclides.  Even the "small"
 #: XSBench configuration has a unionized grid far larger than any LLC,
 #: which keeps the kernel in the regime the paper's random model (and
@@ -122,22 +150,11 @@ class MonteCarloKernel(Kernel):
         recorder.record_elements(
             "E", np.arange(grid * nuclides, dtype=np.int64), True
         )
-        # Every lookup's binary search on G runs at once, one probe
-        # level per numpy step.  A search drops out once its interval
-        # closes, so a lookup's probes are levels 0..depth-1.
-        lo = np.zeros(lookups, dtype=np.int64)
-        hi = np.full(lookups, grid - 1, dtype=np.int64)
+        # A lookup's probes are levels 0..depth-1 of its search.
+        rows, levels = search_grid(energies, samples)
         depth = np.zeros(lookups, dtype=np.int64)
-        levels: list[tuple[np.ndarray, np.ndarray]] = []
-        searching = np.flatnonzero(lo < hi)
-        while searching.size:
-            mid = (lo[searching] + hi[searching]) // 2
-            levels.append((searching, mid))
-            depth[searching] += 1
-            above = energies[mid] < samples[searching]
-            lo[searching[above]] = mid[above] + 1
-            hi[searching[~above]] = mid[~above]
-            searching = searching[lo[searching] < hi[searching]]
+        for searched, _ in levels:
+            depth[searched] += 1
         # References in the order the sequential loop makes them: each
         # lookup's G probes, then its E row (one cross section per
         # nuclide).
@@ -151,11 +168,11 @@ class MonteCarloKernel(Kernel):
             indices[at] = mid
         row_offsets = np.arange(nuclides, dtype=np.int64)
         indices[(start + depth)[:, None] + row_offsets] = (
-            lo[:, None] * nuclides + row_offsets
+            rows[:, None] * nuclides + row_offsets
         )
         recorder.record_labelled(("G", "E"), which, indices, False)
         # The running total adds each lookup's row sum in lookup order.
-        row_sums = xs[lo].sum(axis=1)
+        row_sums = xs[rows].sum(axis=1)
         return float(np.cumsum(row_sums)[-1]) if lookups else 0.0
 
     # ------------------------------------------------------------------

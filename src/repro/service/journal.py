@@ -32,7 +32,7 @@ loader discipline.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.faultinject.checkpoint import JsonlWriter, read_jsonl

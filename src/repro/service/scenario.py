@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -115,11 +116,11 @@ class RetryConfig:
         stretched by ``+[0, jitter]`` — jitter decorrelates a thundering
         herd of retries, and keying it on ``(job, attempt)`` rather than
         wall-clock entropy keeps resumed schedules identical to
-        undisturbed ones.
+        undisturbed ones.  The doubling stops at ``2^1023``, the largest
+        power of two a float holds, so no attempt overflows.
         """
-        base = min(
-            self.max_delay, self.base_delay * 2.0 ** max(0, attempt - 1)
-        )
+        doublings = min(max(0, attempt - 1), 1023)
+        base = min(self.max_delay, self.base_delay * 2.0**doublings)
         if self.jitter <= 0.0:
             return base
         return base * (1.0 + self.jitter * _unit_interval(job_id, attempt))
@@ -216,13 +217,17 @@ def _positive_int(value, what: str, minimum: int = 1) -> int:
     return out
 
 
-def _nonneg_float(value, what: str):
+def _finite_float(value, what: str, positive: bool = False) -> float:
+    """A finite number, ``>= 0`` (a delay) or ``> 0`` (a timeout)."""
     try:
         out = float(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{what} must be a number, got {value!r}") from None
-    if out < 0:
-        raise ScenarioError(f"{what} must be >= 0, got {out}")
+    if not math.isfinite(out) or out < 0 or (positive and out == 0):
+        raise ScenarioError(
+            f"{what} must be a finite number {'>' if positive else '>='} 0, "
+            f"got {out}"
+        )
     return out
 
 
@@ -238,19 +243,19 @@ def _parse_service(data: dict) -> ServiceConfig:
         max_attempts=_positive_int(
             retry_data.get("max_attempts", 3), "retry.max_attempts"
         ),
-        base_delay=_nonneg_float(
+        base_delay=_finite_float(
             retry_data.get("base_delay", 0.5), "retry.base_delay"
         ),
-        max_delay=_nonneg_float(
+        max_delay=_finite_float(
             retry_data.get("max_delay", 30.0), "retry.max_delay"
         ),
-        jitter=_nonneg_float(retry_data.get("jitter", 0.5), "retry.jitter"),
+        jitter=_finite_float(retry_data.get("jitter", 0.5), "retry.jitter"),
     )
     timeout = data.get("timeout")
     return ServiceConfig(
         jobs=_positive_int(data.get("jobs", 1), "service.jobs"),
-        timeout=None if timeout is None else _nonneg_float(
-            timeout, "service.timeout"
+        timeout=None if timeout is None else _finite_float(
+            timeout, "service.timeout", positive=True
         ),
         retry=retry,
     )
@@ -328,8 +333,8 @@ def _parse_job(
         id=job_id,
         kind=kind,
         options=options,
-        timeout=None if timeout is None else _nonneg_float(
-            timeout, f"{what}.timeout"
+        timeout=None if timeout is None else _finite_float(
+            timeout, f"{what}.timeout", positive=True
         ),
         max_attempts=None if max_attempts is None else _positive_int(
             max_attempts, f"{what}.max_attempts"
@@ -346,6 +351,8 @@ def parse_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
         raise ScenarioError("scenario needs a non-empty 'name'")
     defaults = _require_mapping(data.get("defaults", {}), "defaults")
     _check_keys(defaults, _DEFAULTABLE_KEYS, "defaults")
+    if defaults.get("timeout") is not None:
+        _finite_float(defaults["timeout"], "defaults.timeout", positive=True)
     service = _parse_service(
         _require_mapping(data.get("service", {}), "service")
     )

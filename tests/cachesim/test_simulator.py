@@ -1,7 +1,6 @@
 """Tests for the trace-driven cache simulator, including LRU properties."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -6,6 +6,7 @@ from repro.cachesim import PAPER_CACHES
 from repro.core import (
     DVFAnalyzer,
     MachineModel,
+    build_report,
     validate_kernel,
 )
 from repro.core.validation import ground_truth_stats
@@ -55,9 +56,16 @@ class TestAnalyze:
         assert high.dvf_application == pytest.approx(2 * low.dvf_application)
 
     def test_weighted_dvf(self, analyzer):
+        # The weighting reprices an analyzed report's own ingredients.
         plain = analyzer.analyze(KERNELS["VM"], TEST_WORKLOADS["VM"])
-        weighted = analyzer.analyze(
-            KERNELS["VM"], TEST_WORKLOADS["VM"], beta=0.0
+        weighted = build_report(
+            plain.application,
+            plain.machine,
+            plain.fit,
+            plain.time_seconds,
+            {s.name: s.size_bytes for s in plain.structures},
+            {s.name: s.nha for s in plain.structures},
+            beta=0.0,
         )
         # beta = 0 removes the N_ha term entirely.
         a = weighted.structure("A")

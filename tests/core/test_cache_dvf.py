@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cachesim import CacheGeometry, CacheSimulator, PAPER_CACHES
+from repro.core import DVFAnalyzer, DVFReport, MachineModel
 from repro.core.cache_dvf import analyze_cache_dvf
+from repro.core.protection import greedy_ranking, plan_protection
+from repro.core.report import render_dvf_report
 from repro.kernels import KERNELS, TEST_WORKLOADS
 from repro.trace import PeriodicTrace, TraceRecorder
 from repro.trace.reference import ReferenceTrace
@@ -115,10 +118,10 @@ class TestCacheDVF:
     def test_resident_bytes_bounded_by_cache(self, report):
         capacity = PAPER_CACHES["small"].capacity
         for s in report.structures:
-            assert 0 <= s.avg_resident_bytes <= capacity
+            assert 0 <= s.size_bytes <= capacity
 
     def test_structure_lookup(self, report):
-        assert report.structure("A").cache_accesses > 0
+        assert report.structure("A").nha > 0
         with pytest.raises(KeyError):
             report.structure("Z")
 
@@ -132,7 +135,7 @@ class TestCacheDVF:
         a = report.structure("A")
         # A's average residency is bounded by the cache, so its
         # resident footprint is a tiny slice of its 80 KB.
-        assert a.avg_resident_bytes < 0.3 * KERNELS["CG"].data_sizes(
+        assert a.size_bytes < 0.3 * KERNELS["CG"].data_sizes(
             TEST_WORKLOADS["CG"]
         )["A"]
 
@@ -161,6 +164,28 @@ class TestCacheDVF:
         )
         assert high.dvf_application == pytest.approx(
             2 * low.dvf_application
+        )
+
+    def test_is_a_dvf_report(self, report):
+        # One report type: the renderer, the planner and the payload
+        # take a cache report as they take a main-memory one.
+        assert isinstance(report, DVFReport)
+        assert report.machine == "small-verification"
+        text = render_dvf_report(report)
+        assert "DVF report: VM on small-verification" in text
+        # Each structure's overhead fits one 4 KiB quantum.
+        plan = plan_protection(report, budget_bytes=3 * 4096)
+        assert set(plan.protected) == {"A", "B", "C"}
+        assert plan.dvf_before == report.dvf_application
+        assert {name for name, _ in greedy_ranking(report)} == {"A", "B", "C"}
+        assert report.to_payload()["structures"][0]["name"] == "A"
+
+    def test_default_time_is_the_analyzers(self):
+        kernel, workload = KERNELS["VM"], TEST_WORKLOADS["VM"]
+        report = analyze_cache_dvf(kernel, workload, SMALL)
+        analyzer = DVFAnalyzer(MachineModel.from_geometry(SMALL))
+        assert report.time_seconds == analyzer.runtime_provider(
+            kernel, workload
         )
 
     def test_explicit_time(self):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import build_report, dvf_data, n_error
-from repro.core.dvf import DVFReport, StructureDVF
 
 
 class TestNError:

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.experiments.configs import KERNEL_ORDER
 from repro.experiments.sensitivity import (
     geometry_sensitivity,
     ranking_stability,
     render_sensitivity,
     weighting_sensitivity,
 )
+from repro.kernels.base import Kernel
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +43,21 @@ class TestWeightingSensitivity:
     def test_stability_in_unit_interval(self, weight_rows):
         for value in ranking_stability(weight_rows).values():
             assert 0.0 <= value <= 1.0
+
+    def test_each_kernel_analyzed_once(self, monkeypatch):
+        # The seven weightings reprice one analysis per kernel; they do
+        # not re-run the CGPMAC model.
+        calls = []
+        estimate = Kernel.estimate_nha
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.name)
+            return estimate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Kernel, "estimate_nha", counted)
+        rows = weighting_sensitivity(tier="test")
+        assert sorted(calls) == sorted(KERNEL_ORDER)
+        assert len(rows) == 7 * len(KERNEL_ORDER)
 
 
 class TestGeometrySensitivity:

@@ -123,6 +123,32 @@ class TestTargets:
         # rtol = 0 asks for exact equality.
         np.testing.assert_allclose(got, expected, rtol=rtol, atol=0)
 
+    def test_mc_searches_a_flipped_grid_like_the_kernel(self, monkeypatch):
+        # A flip into the exponent of G's middle point leaves the grid
+        # unsorted; the adapter must still read the rows the kernel's
+        # own search finds on that grid.
+        from repro.faultinject import targets
+        from repro.trace import TraceRecorder
+
+        kernel, workload = KERNELS["MC"], TEST_WORKLOADS["MC"]
+        energies, xs, samples = kernel.inputs(workload)
+        middle = (energies.size - 1) // 2
+        flip_bit(energies, middle, 62)
+        assert np.any(np.diff(energies) < 0)
+        monkeypatch.setattr(
+            targets, "random_flip",
+            lambda array, rng: flip_bit(array, middle, 62),
+        )
+        got = INJECTABLE_KERNELS["MC"].run(
+            workload, "G", 0.0, np.random.default_rng(0)
+        )
+        monkeypatch.setattr(kernel, "inputs", lambda w: (energies, xs, samples))
+        expected = kernel.run_traced(workload, TraceRecorder())
+        np.testing.assert_allclose(got, [expected], rtol=1e-12, atol=0)
+        # A search that assumes a sorted grid reads other rows.
+        rows = np.minimum(np.searchsorted(energies, samples), energies.size - 1)
+        assert not np.isclose(xs[rows].sum(), expected, rtol=1e-12, atol=0)
+
     def test_ft_matches_numpy_fft(self):
         workload = Workload("t", {"n": 128})
         got = INJECTABLE_KERNELS["FT"].run(

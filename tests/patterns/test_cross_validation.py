@@ -8,7 +8,6 @@ not only at the paper's chosen sizes.
 """
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """Tests for the data-reuse pattern (Eq. 8-15)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

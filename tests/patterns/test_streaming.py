@@ -1,6 +1,5 @@
 """Tests for the streaming access pattern (Eq. 3-4, three cases)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

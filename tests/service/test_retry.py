@@ -4,6 +4,8 @@ Which failures are retried is decided by the supervisor
 (``tests/service/test_supervisor.py``).
 """
 
+import math
+
 from repro.service.scenario import RetryConfig
 
 
@@ -19,3 +21,16 @@ class TestRetryPolicy:
         assert d1 == policy.delay("job-a", 1)  # same (job, attempt)
         assert d1 != policy.delay("job-b", 1)  # decorrelated across jobs
         assert 1.0 <= d1 <= 1.5
+
+    def test_late_attempts_do_not_overflow(self):
+        # 2.0 ** 5000 overflows a float; the backoff stays capped.
+        policy = RetryConfig()
+        delay = policy.delay("j", 5000)
+        assert math.isfinite(delay)
+        assert policy.max_delay <= delay <= policy.max_delay * (
+            1 + policy.jitter
+        )
+        assert RetryConfig(base_delay=0.0).delay("j", 5000) == 0.0
+        # Up to attempt 1024 the doubling is exact.
+        tiny = RetryConfig(base_delay=2.0**-1000, max_delay=1e300, jitter=0)
+        assert tiny.delay("j", 1024) == 2.0**23

@@ -13,6 +13,10 @@ from repro.service.scenario import (
 )
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
 def _minimal(**overrides):
     data = {
         "name": "t",
@@ -86,6 +90,19 @@ class TestParseScenario:
          "max_attempts"),
         (lambda d: d.update(service={"retry": {"base_delay": -1}}),
          "base_delay"),
+        # Delays are finite and >= 0; timeouts finite and > 0.
+        (lambda d: d.update(service={"retry": {"base_delay": NAN}}),
+         "retry.base_delay"),
+        (lambda d: d.update(service={"retry": {"max_delay": INF}}),
+         "max_delay"),
+        (lambda d: d.update(service={"retry": {"jitter": INF}}), "jitter"),
+        (lambda d: d.update(service={"timeout": NAN}), "service.timeout"),
+        (lambda d: d.update(service={"timeout": INF}), "service.timeout"),
+        (lambda d: d.update(service={"timeout": 0}), "service.timeout"),
+        (lambda d: d["jobs"][0].update(timeout=NAN), r"jobs\[0\]\.timeout"),
+        (lambda d: d["jobs"][0].update(timeout=0), r"jobs\[0\]\.timeout"),
+        (lambda d: d.update(defaults={"timeout": INF}), "defaults.timeout"),
+        (lambda d: d.update(defaults={"timeout": 0}), "defaults.timeout"),
         # The circuit breaker and its knobs are gone.
         (lambda d: d.update(service={"breaker": {"threshold": 3}}),
          "unknown key"),

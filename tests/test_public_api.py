@@ -44,7 +44,8 @@ class TestPackageSurface:
     @pytest.mark.parametrize(
         "module,names",
         [
-            ("repro.core", ["DVFAnalyzer", "MachineModel", "dvf_data",
+            ("repro.core", ["DVFAnalyzer", "MachineModel", "DVFReport",
+                            "StructureDVF", "build_report", "dvf_data",
                             "n_error", "NO_ECC",
                             "plan_protection", "analyze_cache_dvf",
                             "cg_vs_pcg_sweep", "ecc_tradeoff_sweep",
