@@ -43,9 +43,15 @@ strict contract (raise :class:`AspenSyntaxError` for the first error);
 partial :class:`Program` together with the sink.  An expression nested
 more than :data:`MAX_EXPR_DEPTH` levels deep is an error (ASP109), not
 a ``RecursionError`` in the parser or in its evaluation.
+
+Both entry points parse each source text once per process: the last 32
+distinct texts keep their program and diagnostics, so a service worker
+that evaluates one model on many machines lexes and parses it once.
 """
 
 from __future__ import annotations
+
+import functools
 
 from repro.aspen.ast import (
     DataDecl,
@@ -60,6 +66,7 @@ from repro.aspen.ast import (
 )
 from repro.aspen.errors import (
     AspenSyntaxError,
+    Diagnostic,
     DiagnosticSink,
     SourceSpan,
 )
@@ -148,12 +155,16 @@ class _Parser:
         self.report(code, message, token, hint=hint)
         raise _ParsePanic()
 
-    def synchronize_statement(self) -> None:
+    def synchronize_statement(self, first: int) -> None:
         """Panic-mode recovery inside a block: resume at the next boundary.
 
         Skips tokens (stepping over balanced nested braces) until a
         newline separator, a closing brace of the current block, any
-        declaration keyword, or EOF.
+        declaration keyword, or EOF.  A statement that failed on its
+        first token (at ``first``) always loses that token: a keyword no
+        enclosing block takes, such as ``pattern`` in a model body,
+        would otherwise stop recovery where the statement began, and
+        the block would fail on it forever.
         """
         depth = 0
         while not self.check(_T.EOF):
@@ -162,14 +173,14 @@ class _Parser:
                 if token.type in (_T.NEWLINE, _T.COMMA):
                     self.advance()
                     return
-                if token.type is _T.RBRACE:
-                    return
-                if token.type is _T.KEYWORD:
-                    return
+                if token.type in (_T.RBRACE, _T.KEYWORD):
+                    break
             if token.type is _T.LBRACE:
                 depth += 1
             elif token.type is _T.RBRACE:
                 depth -= 1
+            self.advance()
+        if self.pos == first:
             self.advance()
 
     def synchronize_top(self) -> None:
@@ -236,6 +247,7 @@ class _Parser:
         kernels: list[KernelDecl] = []
         self.skip_newlines()
         while not self.at_block_end(*_TOP_KEYWORDS):
+            first = self.pos
             try:
                 if self.check(_T.KEYWORD, "param"):
                     params.append(self.parse_param())
@@ -252,7 +264,7 @@ class _Parser:
                         token,
                     )
             except _ParsePanic:
-                self.synchronize_statement()
+                self.synchronize_statement(first)
             self.skip_newlines()
         self.close_block(f"model {name!r}")
         return ModelDecl(
@@ -280,6 +292,7 @@ class _Parser:
         pattern: PatternDecl | None = None
         self.skip_newlines()
         while not self.at_block_end(*_MODEL_ITEM_KEYWORDS, *_TOP_KEYWORDS):
+            first = self.pos
             try:
                 if self.check(_T.KEYWORD, "pattern"):
                     if pattern is not None:
@@ -302,7 +315,7 @@ class _Parser:
                     else:
                         properties[prop] = self.parse_expr()
             except _ParsePanic:
-                self.synchronize_statement()
+                self.synchronize_statement(first)
             self.skip_newlines()
         self.close_block(f"data {name!r}")
         return DataDecl(
@@ -322,6 +335,7 @@ class _Parser:
         if self.match(_T.LBRACE):
             self.skip_newlines()
             while not self.at_block_end(*_MODEL_ITEM_KEYWORDS, *_TOP_KEYWORDS):
+                first = self.pos
                 try:
                     if self.check(_T.KEYWORD, "sweep"):
                         sweeps.append(self.parse_sweep())
@@ -333,7 +347,7 @@ class _Parser:
                         else:
                             properties[prop] = self.parse_expr()
                 except _ParsePanic:
-                    self.synchronize_statement()
+                    self.synchronize_statement(first)
                 self.skip_newlines()
             self.close_block(f"pattern {kind!r}")
         return PatternDecl(
@@ -352,6 +366,7 @@ class _Parser:
         step: Expr | None = None
         self.skip_newlines()
         while not self.at_block_end(*_MODEL_ITEM_KEYWORDS, *_TOP_KEYWORDS):
+            first = self.pos
             try:
                 prop_token = self.peek()
                 prop = self.expect(_T.IDENT, "'start', 'step' or 'end'").value
@@ -370,7 +385,7 @@ class _Parser:
                         hint="sweeps take 'start', 'step' and 'end'",
                     )
             except _ParsePanic:
-                self.synchronize_statement()
+                self.synchronize_statement(first)
             self.skip_newlines()
         self.close_block("sweep")
         if start is None or end is None:
@@ -428,6 +443,7 @@ class _Parser:
         order: str | None = None
         self.skip_newlines()
         while not self.at_block_end(*_MODEL_ITEM_KEYWORDS, *_TOP_KEYWORDS):
+            first = self.pos
             try:
                 prop = self.expect(_T.IDENT, "property name").value
                 self.expect(_T.COLON, "':'")
@@ -436,7 +452,7 @@ class _Parser:
                 else:
                     properties[prop] = self.parse_expr()
             except _ParsePanic:
-                self.synchronize_statement()
+                self.synchronize_statement(first)
             self.skip_newlines()
         self.close_block(f"kernel {name!r}")
         return KernelDecl(
@@ -452,6 +468,7 @@ class _Parser:
         params: list[ParamDecl] = []
         self.skip_newlines()
         while not self.at_block_end(*_TOP_KEYWORDS):
+            first = self.pos
             try:
                 if self.check(_T.KEYWORD, "param"):
                     params.append(self.parse_param())
@@ -478,7 +495,7 @@ class _Parser:
                 else:
                     sections[section] = props
             except _ParsePanic:
-                self.synchronize_statement()
+                self.synchronize_statement(first)
             self.skip_newlines()
         self.close_block(f"machine {name!r}")
         return MachineDecl(
@@ -598,6 +615,22 @@ def _height(expr: Expr) -> int:
     return height
 
 
+@functools.lru_cache(maxsize=32)
+def _parse_source(source: str) -> tuple[Program, tuple[Diagnostic, ...]]:
+    """Lex and parse ``source`` once per process, keyed by its text.
+
+    The program and diagnostics are shared by every caller that parses
+    the same text, which is safe because both are immutable: the AST is
+    frozen dataclasses and tuples, and its ``properties`` and
+    ``sections`` dicts are written only while parsing.  An unexpected
+    exception is not cached.
+    """
+    sink = DiagnosticSink()
+    tokens = tokenize(source, sink)
+    program = _Parser(tokens, sink).parse_program()
+    return program, tuple(sink.diagnostics)
+
+
 def parse_with_diagnostics(
     source: str, sink: DiagnosticSink | None = None
 ) -> tuple[Program, DiagnosticSink]:
@@ -610,8 +643,8 @@ def parse_with_diagnostics(
     """
     if sink is None:
         sink = DiagnosticSink()
-    tokens = tokenize(source, sink)
-    program = _Parser(tokens, sink).parse_program()
+    program, diagnostics = _parse_source(source)
+    sink.extend(diagnostics)
     return program, sink
 
 

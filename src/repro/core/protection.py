@@ -65,7 +65,8 @@ def plan_protection(
         A DVF report (per-structure vulnerabilities).
     budget_bytes:
         Maximum protection overhead allowed, in bytes (e.g. spare
-        memory available for redundancy).
+        memory available for redundancy); ``inf`` protects every
+        structure.
     residual_factor:
         Remaining fraction of a structure's DVF once protected
         (0.01 ~ two orders of magnitude, a Chipkill-class mechanism).
@@ -83,7 +84,7 @@ def plan_protection(
     """
     if not 0 <= residual_factor <= 1:
         raise ValueError(f"residual_factor must be in [0, 1], got {residual_factor}")
-    if budget_bytes < 0:
+    if not budget_bytes >= 0:  # NaN fails this too
         raise ValueError(f"budget_bytes must be >= 0, got {budget_bytes}")
     if cost_per_byte <= 0:
         raise ValueError(f"cost_per_byte must be positive, got {cost_per_byte}")
@@ -99,7 +100,13 @@ def plan_protection(
         cost = s.size_bytes * cost_per_byte
         weights.append(max(int(-(-cost // granularity)), 1))
         values.append(s.dvf * (1.0 - residual_factor))
-    capacity = int(budget_bytes // granularity)
+    # A budget that covers every structure needs no larger table (and an
+    # infinite one has no quanta to count).
+    total = sum(weights)
+    if budget_bytes >= total * granularity:
+        capacity = total
+    else:
+        capacity = int(budget_bytes // granularity)
 
     # 0/1 knapsack DP over capacity quanta with choice reconstruction.
     n = len(structures)

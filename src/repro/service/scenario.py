@@ -96,6 +96,31 @@ def _unit_interval(job_id: str, attempt: int) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
+def check_count(value, what: str) -> None:
+    """``value`` is an int >= 1, not a bool: a pool size or attempt budget."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+
+
+def _check_finite(value, what: str, positive: bool = False) -> None:
+    """``value`` is a finite number, ``>= 0`` (a delay) or ``> 0``."""
+    try:
+        ok = math.isfinite(value) and (value > 0 if positive else value >= 0)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"{what} must be a finite number {'>' if positive else '>='} 0, "
+            f"got {value!r}"
+        )
+
+
+def check_timeout(value, what: str) -> None:
+    """A wall-clock budget is None (no limit), or finite and > 0."""
+    if value is not None:
+        _check_finite(value, what, positive=True)
+
+
 @dataclass(frozen=True)
 class RetryConfig:
     """Bounded retry with exponential backoff and deterministic jitter.
@@ -108,6 +133,11 @@ class RetryConfig:
     base_delay: float = 0.5
     max_delay: float = 30.0
     jitter: float = 0.5
+
+    def __post_init__(self) -> None:
+        check_count(self.max_attempts, "retry.max_attempts")
+        for key in ("base_delay", "max_delay", "jitter"):
+            _check_finite(getattr(self, key), f"retry.{key}")
 
     def delay(self, job_id: str, attempt: int) -> float:
         """Backoff before retrying ``job_id`` after failed ``attempt``.
@@ -133,6 +163,10 @@ class ServiceConfig:
     jobs: int = 1
     timeout: float | None = None
     retry: RetryConfig = field(default_factory=RetryConfig)
+
+    def __post_init__(self) -> None:
+        check_count(self.jobs, "service.jobs")
+        check_timeout(self.timeout, "service.timeout")
 
 
 @dataclass(frozen=True)
@@ -207,28 +241,18 @@ def _check_keys(mapping: dict, allowed: set[str], what: str) -> None:
         )
 
 
-def _positive_int(value, what: str, minimum: int = 1) -> int:
+def _integer(value, what: str) -> int:
     try:
-        out = int(value)
-    except (TypeError, ValueError):
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{what} must be an integer, got {value!r}") from None
-    if out < minimum:
-        raise ScenarioError(f"{what} must be >= {minimum}, got {out}")
-    return out
 
 
-def _finite_float(value, what: str, positive: bool = False) -> float:
-    """A finite number, ``>= 0`` (a delay) or ``> 0`` (a timeout)."""
+def _number(value, what: str) -> float:
     try:
-        out = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{what} must be a number, got {value!r}") from None
-    if not math.isfinite(out) or out < 0 or (positive and out == 0):
-        raise ScenarioError(
-            f"{what} must be a finite number {'>' if positive else '>='} 0, "
-            f"got {out}"
-        )
-    return out
 
 
 def _parse_service(data: dict) -> ServiceConfig:
@@ -239,26 +263,18 @@ def _parse_service(data: dict) -> ServiceConfig:
         {"max_attempts", "base_delay", "max_delay", "jitter"},
         "service.retry",
     )
-    retry = RetryConfig(
-        max_attempts=_positive_int(
-            retry_data.get("max_attempts", 3), "retry.max_attempts"
-        ),
-        base_delay=_finite_float(
-            retry_data.get("base_delay", 0.5), "retry.base_delay"
-        ),
-        max_delay=_finite_float(
-            retry_data.get("max_delay", 30.0), "retry.max_delay"
-        ),
-        jitter=_finite_float(retry_data.get("jitter", 0.5), "retry.jitter"),
-    )
-    timeout = data.get("timeout")
-    return ServiceConfig(
-        jobs=_positive_int(data.get("jobs", 1), "service.jobs"),
-        timeout=None if timeout is None else _finite_float(
-            timeout, "service.timeout", positive=True
-        ),
-        retry=retry,
-    )
+    retry = {
+        key: (_integer if key == "max_attempts" else _number)(
+            value, f"retry.{key}"
+        )
+        for key, value in retry_data.items()
+    }
+    service = {}
+    if "jobs" in data:
+        service["jobs"] = _integer(data["jobs"], "service.jobs")
+    if data.get("timeout") is not None:
+        service["timeout"] = _number(data["timeout"], "service.timeout")
+    return ServiceConfig(retry=RetryConfig(**retry), **service)
 
 
 def _parse_job(
@@ -328,22 +344,37 @@ def _parse_job(
         options["behavior"] = behavior
 
     timeout = data.get("timeout", defaults.get("timeout"))
+    if timeout is not None:
+        timeout = _number(timeout, f"{what}.timeout")
+        check_timeout(timeout, f"{what}.timeout")
     max_attempts = data.get("max_attempts")
+    if max_attempts is not None:
+        max_attempts = _integer(max_attempts, f"{what}.max_attempts")
+        check_count(max_attempts, f"{what}.max_attempts")
     return JobSpec(
         id=job_id,
         kind=kind,
         options=options,
-        timeout=None if timeout is None else _finite_float(
-            timeout, f"{what}.timeout", positive=True
-        ),
-        max_attempts=None if max_attempts is None else _positive_int(
-            max_attempts, f"{what}.max_attempts"
-        ),
+        timeout=timeout,
+        max_attempts=max_attempts,
     )
 
 
 def parse_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
-    """Validate a decoded scenario mapping into a :class:`Scenario`."""
+    """Validate a decoded scenario mapping into a :class:`Scenario`.
+
+    A value the settings types refuse (their ``ValueError``) is reported
+    as a :class:`ScenarioError` with the same message.
+    """
+    try:
+        return _parse_scenario(data, base_dir)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+
+
+def _parse_scenario(data: dict, base_dir: Path | None) -> Scenario:
     _require_mapping(data, "scenario")
     _check_keys(data, {"name", "defaults", "service", "jobs"}, "scenario")
     name = data.get("name")
@@ -352,7 +383,10 @@ def parse_scenario(data: dict, base_dir: Path | None = None) -> Scenario:
     defaults = _require_mapping(data.get("defaults", {}), "defaults")
     _check_keys(defaults, _DEFAULTABLE_KEYS, "defaults")
     if defaults.get("timeout") is not None:
-        _finite_float(defaults["timeout"], "defaults.timeout", positive=True)
+        check_timeout(
+            _number(defaults["timeout"], "defaults.timeout"),
+            "defaults.timeout",
+        )
     service = _parse_service(
         _require_mapping(data.get("service", {}), "service")
     )

@@ -59,6 +59,8 @@ from repro.service.scenario import (
     Scenario,
     ScenarioError,
     ServiceConfig,
+    check_count,
+    check_timeout,
 )
 from repro.service.worker import execute_job
 
@@ -134,12 +136,14 @@ class JobSupervisor:
     Parameters
     ----------
     jobs:
-        Worker pool size (concurrent attempts).  Workers are forked
-        with the module's ``execute_job`` as it stands at the fork.
+        Worker pool size (concurrent attempts), an int >= 1.  Workers
+        are forked with the module's ``execute_job`` as it stands at
+        the fork.
     retry:
         :class:`RetryConfig`; defaults to the scenario-schema defaults.
     default_timeout:
-        Per-job wall-clock budget when a spec carries none.
+        Per-job wall-clock budget when a spec carries none: None (no
+        limit), or finite and > 0 (else ``ValueError``).
     journal_path:
         Execution journal location; ``None`` runs without durability.
         An existing journal is continued: terminal jobs are not re-run
@@ -168,7 +172,9 @@ class JobSupervisor:
         chaos_seed: int = 0,
         interrupt_after: int | None = None,
     ):
-        self.jobs = max(1, int(jobs))
+        check_count(jobs, "jobs")
+        check_timeout(default_timeout, "default_timeout")
+        self.jobs = jobs
         self.retry = retry if retry is not None else RetryConfig()
         self.default_timeout = default_timeout
         self.journal_path = journal_path
@@ -460,8 +466,7 @@ def _load_service_config(state: Path) -> ServiceConfig:
         # settings ServiceConfig no longer has; they select nothing.
         known = {f.name for f in fields(ServiceConfig)}
         return _parse_service({k: v for k, v in data.items() if k in known})
-    except (json.JSONDecodeError, ScenarioError, TypeError,
-            AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise ScenarioError(
             f"{path}: unreadable persisted service config: {exc}"
         ) from None

@@ -83,6 +83,34 @@ class TestMultiErrorRecovery:
         assert len(sink) > first
 
 
+class TestKeywordOutOfPlace:
+    """A keyword no enclosing block takes is skipped, not stopped at.
+
+    Recovery stops at keywords so that an outer block can take them;
+    one that no block here takes must still be consumed, or the block
+    fails on it again and again without end.
+    """
+
+    @pytest.mark.parametrize("source,keyword", [
+        # `data A` lost its `{`, so `pattern` lands in the model body.
+        ("model m {\n  data A  elements: 1, pattern streaming { stride: 1 } }\n"
+         "  kernel k { time: 1 }\n}\n", "pattern"),
+        ("model m {\n  kernel k { sweep { step: 1 } }\n}\n", "sweep"),
+        ("model m {\n  data A { elements: 1, element_size: 8,\n"
+         "    pattern template { pattern x } }\n}\n", "pattern"),
+        ("model m {\n  data A { elements: 1, element_size: 8, pattern t {\n"
+         "    sweep { sweep { step: 1 } } } }\n}\n", "sweep"),
+        ("machine m {\n  data { x: 1 }\n}\n", "data"),
+    ])
+    def test_recovery_moves_past_it(self, source, keyword):
+        _, sink = parse_with_diagnostics(source)
+        found = [d for d in sink.errors if f"found {keyword!r}" in d.message]
+        assert len(found) == 1
+        assert len(sink.errors) < 10
+        with pytest.raises(AspenSyntaxError):
+            parse(source)
+
+
 class TestLexerRecovery:
     def test_unexpected_character_skipped(self):
         sink = DiagnosticSink()

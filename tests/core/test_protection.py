@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core import build_report
+from repro.cachesim import PAPER_CACHES
+from repro.core import DVFAnalyzer, MachineModel, build_report
 from repro.core.protection import greedy_ranking, plan_protection
+from repro.kernels import KERNELS, TEST_WORKLOADS
 
 
 def make_report(dvfs=None, sizes=None):
@@ -75,6 +77,33 @@ class TestPlanProtection:
             make_report(), budget_bytes=1e9, residual_factor=1.0
         )
         assert plan.dvf_after == pytest.approx(plan.dvf_before)
+
+
+class TestBudgetBeyondEveryStructure:
+    """A budget past the cost of protecting everything changes nothing."""
+
+    @pytest.fixture(scope="class")
+    def cg_report(self):
+        # Four structures costing 10,300 bytes to protect: 10,432 bytes
+        # in 64-byte quanta, 24,576 in 4,096-byte ones.
+        analyzer = DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES["8MB"]))
+        return analyzer.analyze(KERNELS["CG"], TEST_WORKLOADS["CG"])
+
+    def test_infinite_budget_protects_everything(self, cg_report):
+        plan = plan_protection(cg_report, budget_bytes=float("inf"))
+        assert plan.protected == ("A", "p", "r", "x")
+        assert plan.cost == 24576
+
+    def test_large_budget_plans_like_the_exact_cost(self, cg_report):
+        exact = plan_protection(cg_report, budget_bytes=10432, granularity=64)
+        assert exact.protected == ("A", "p", "r", "x")
+        assert plan_protection(
+            cg_report, budget_bytes=1e7, granularity=64
+        ) == exact
+
+    def test_nan_budget_refused(self, cg_report):
+        with pytest.raises(ValueError, match="budget_bytes"):
+            plan_protection(cg_report, budget_bytes=float("nan"))
 
 
 class TestGreedyRanking:

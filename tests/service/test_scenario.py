@@ -6,7 +6,9 @@ import pytest
 
 from repro.service.scenario import (
     JobSpec,
+    RetryConfig,
     ScenarioError,
+    ServiceConfig,
     _yaml,
     load_scenario,
     parse_scenario,
@@ -24,6 +26,44 @@ def _minimal(**overrides):
     }
     data.update(overrides)
     return data
+
+
+class TestSettingsCheckThemselves:
+    """The settings types hold the rules; scenario files reach them too."""
+
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(base_delay=NAN), "retry.base_delay"),
+        (dict(jitter=-0.5), "retry.jitter"),
+        (dict(max_delay=INF), "retry.max_delay"),
+        (dict(max_attempts=0), "retry.max_attempts"),
+        (dict(max_attempts=True), "retry.max_attempts"),
+        (dict(max_attempts=2.0), "retry.max_attempts"),
+    ])
+    def test_retry_config_refuses(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            RetryConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(jobs=0), "service.jobs"),
+        (dict(jobs=1.5), "service.jobs"),
+        (dict(timeout=NAN), "service.timeout"),
+        (dict(timeout=INF), "service.timeout"),
+        (dict(timeout=0), "service.timeout"),
+    ])
+    def test_service_config_refuses(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**kwargs)
+
+    def test_edge_values_accepted(self):
+        RetryConfig(max_attempts=1, base_delay=0, max_delay=0.0, jitter=0)
+        ServiceConfig(jobs=1, timeout=None)
+        ServiceConfig(timeout=1e-3)
+
+    def test_scenario_reports_the_types_rules(self):
+        with pytest.raises(ScenarioError, match="retry.jitter"):
+            parse_scenario(_minimal(service={"retry": {"jitter": -1}}))
+        with pytest.raises(ScenarioError, match="service.jobs"):
+            parse_scenario(_minimal(service={"jobs": 0}))
 
 
 class TestParseScenario:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.aspen.builtin import MACHINE_LIBRARY, builtin_source
 from repro.service.journal import load_journal
 from repro.service.scenario import JobSpec, RetryConfig, parse_scenario
 from repro.service import worker
@@ -29,6 +30,9 @@ HAS_FORK = "fork" in mp.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
     not HAS_FORK, reason="fork start method unavailable"
 )
+
+NAN = float("nan")
+INF = float("inf")
 
 FAST_RETRY = RetryConfig(
     max_attempts=3, base_delay=0.01, max_delay=0.05, jitter=0.0)
@@ -122,6 +126,26 @@ class TestExecuteJob:
         record = worker.execute_job(spec, attempt=1, degraded=False)
         assert record["ok"] is False
         assert record["error_code"] == "OverflowError"
+
+
+class TestSettings:
+    @pytest.mark.parametrize("timeout", [NAN, INF, 0, -1.0])
+    def test_default_timeout_refused(self, timeout):
+        with pytest.raises(ValueError, match="default_timeout"):
+            JobSupervisor(default_timeout=timeout)
+
+    @pytest.mark.parametrize("jobs", [0, -3, 2.7, True])
+    def test_pool_size_refused(self, jobs):
+        # It used to be coerced: 0 and -3 ran one worker, 2.7 two.
+        with pytest.raises(ValueError, match="jobs"):
+            JobSupervisor(jobs=jobs)
+
+    def test_nan_retry_delay_refused_before_any_run(self):
+        # It used to construct, and the crashed job's NaN ready time
+        # then kept the scheduler spinning without end.
+        with pytest.raises(ValueError, match="retry.base_delay"):
+            JobSupervisor(jobs=1, retry=RetryConfig(
+                max_attempts=2, base_delay=NAN))
 
 
 @needs_fork
@@ -306,6 +330,33 @@ class TestOutcomeDependsOnTheJobAlone:
         for name in ("results.jsonl", "deadletter.jsonl"):
             assert (disturbed / name).read_bytes() == \
                 (undisturbed / name).read_bytes()
+
+
+@needs_fork
+class TestRepeatedSources:
+    """A worker parses a source once; what it parsed before changes nothing."""
+
+    def test_repeats_give_the_records_of_single_job_runs(self):
+        vm = builtin_source("VM", "test") + MACHINE_LIBRARY
+        broken = "model broken {\n  data A { elements: }\n"
+        jobs = [
+            JobSpec("vm-small", "aspen", {"source": vm, "machine": "small"}),
+            JobSpec("vm-large", "aspen", {"source": vm, "machine": "large"}),
+            JobSpec("broken", "aspen", {"source": broken, "machine": "small"}),
+            JobSpec("broken-again", "aspen",
+                    {"source": broken, "machine": "small"}),
+        ]
+        together = JobSupervisor(jobs=1).run(jobs).records
+        alone = [JobSupervisor(jobs=1).run([job]).records[0] for job in jobs]
+        assert list(together) == alone
+        small, large, broken, again = together
+        assert small["outcome"] == large["outcome"] == OUTCOME_SUCCEEDED
+        assert small["payload"] != large["payload"]
+        assert broken["outcome"] == again["outcome"] == OUTCOME_DEAD_LETTER
+        assert broken["error_code"] == again["error_code"] == "AspenSyntaxError"
+        assert (broken["error"], broken["diagnostics"]) == (
+            again["error"], again["diagnostics"]
+        )
 
 
 @needs_fork
