@@ -213,7 +213,7 @@ class TestReplacementPolicyAblation:
         # capacity knee where no analytical model can resolve policies.
         workload = VERIFICATION_WORKLOADS["MG"]
         trace = kernel.trace(workload)
-        estimate = kernel.estimate_nha(workload, SMALL)["R"]
+        estimate = kernel.estimate_nha(workload, SMALL)[0]["R"]
         return trace, estimate
 
     def test_model_error_bounded_across_policies(self, mg_data):

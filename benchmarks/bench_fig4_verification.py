@@ -61,4 +61,4 @@ def test_fig4_model_evaluation_speed(benchmark, kernel):
     workload = VERIFICATION_WORKLOADS[kernel]
     k.estimate_nha(workload, geometry)  # warm caches (NB profiling)
     result = benchmark(k.estimate_nha, workload, geometry)
-    assert all(v > 0 for v in result.values())
+    assert all(v > 0 for v in result[0].values())

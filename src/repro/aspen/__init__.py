@@ -13,8 +13,8 @@ implementation of that extended language:
 * :mod:`repro.aspen.machine` / :mod:`repro.aspen.appmodel` — semantic
   models built from the AST (a ``machine`` block evaluates to the
   :class:`~repro.core.machine.MachineModel` kernels are analyzed on);
-* :mod:`repro.aspen.analysis` — semantic validation diagnostics;
-* :mod:`repro.aspen.compiler` — lowering onto the CGPMAC estimators;
+* :mod:`repro.aspen.compiler` — lowering onto the CGPMAC estimators,
+  the one place a model is checked;
 * :mod:`repro.aspen.builtin` — the paper's six kernels as Aspen source.
 
 Quickstart::
@@ -37,7 +37,6 @@ from repro.aspen.lexer import tokenize
 from repro.aspen.parser import parse, parse_with_diagnostics
 from repro.core.machine import MachineModel
 from repro.aspen.appmodel import AppModel, DataModel, KernelModel
-from repro.aspen.analysis import validate
 from repro.aspen.compiler import CompiledModel, compile_model, compile_source
 from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
 
@@ -56,7 +55,6 @@ __all__ = [
     "DataModel",
     "KernelModel",
     "Diagnostic",
-    "validate",
     "CompiledModel",
     "compile_model",
     "compile_source",

@@ -190,16 +190,9 @@ def build_app_model(
             data[d.name] = built
     kernels: dict[str, KernelModel] = {}
     for k in decl.kernels:
-        try:
-            kernels[k.name] = _build_kernel(k, env, decl.name)
-        except (AspenSemanticError, AspenEvalError) as exc:
-            if not lenient:
-                raise
-            sink.error(
-                "ASP206",
-                f"kernel {k.name!r} dropped: {exc}",
-                span=SourceSpan(k.line, 0),
-            )
+        built = _build_kernel(k, env, decl.name, sink)
+        if built is not None:
+            kernels[k.name] = built
     return AppModel(
         name=decl.name,
         params=dict(env),
@@ -362,34 +355,58 @@ def _build_sweep(
 _KERNEL_PROPS = frozenset({"iterations", "flops", "loads", "stores", "time"})
 
 
-def _build_kernel(decl: KernelDecl, env: dict[str, float], model: str) -> KernelModel:
-    unknown = set(decl.properties) - _KERNEL_PROPS
-    if unknown:
-        raise AspenSemanticError(
-            f"model {model!r}: kernel {decl.name!r} has unknown properties "
-            f"{sorted(unknown)} (known: {sorted(_KERNEL_PROPS)})"
-        )
+def _build_kernel(
+    decl: KernelDecl,
+    env: dict[str, float],
+    model: str,
+    sink: DiagnosticSink | None = None,
+) -> KernelModel | None:
+    """Evaluate a kernel declaration; None when a lenient build drops it.
+
+    Without a ``sink`` the first error raises.  With one, a kernel whose
+    ``iterations`` is not a whole number >= 1 is dropped with ``ASP207``
+    and one with an unknown or unevaluable property with ``ASP206``.
+    """
 
     def evalf(key: str, default: float) -> float:
         expr = decl.properties.get(key)
         return expr.evaluate(env) if expr is not None else default
 
-    iterations = (
-        evaluate_int(decl.properties["iterations"], env, "kernel iterations")
-        if "iterations" in decl.properties
-        else 1
-    )
-    if iterations < 1:
-        raise AspenSemanticError(
-            f"model {model!r}: kernel {decl.name!r} iterations must be >= 1"
+    code = "ASP206"
+    try:
+        unknown = set(decl.properties) - _KERNEL_PROPS
+        if unknown:
+            raise AspenSemanticError(
+                f"model {model!r}: kernel {decl.name!r} has unknown "
+                f"properties {sorted(unknown)} (known: {sorted(_KERNEL_PROPS)})"
+            )
+        code = "ASP207"
+        iterations = (
+            evaluate_int(decl.properties["iterations"], env, "kernel iterations")
+            if "iterations" in decl.properties
+            else 1
         )
-    time_expr = decl.properties.get("time")
-    return KernelModel(
-        name=decl.name,
-        iterations=iterations,
-        order=decl.order,
-        flops=evalf("flops", 0.0),
-        loads=evalf("loads", 0.0),
-        stores=evalf("stores", 0.0),
-        time=time_expr.evaluate(env) if time_expr is not None else None,
-    )
+        if iterations < 1:
+            raise AspenSemanticError(
+                f"model {model!r}: kernel {decl.name!r} iterations must be >= 1"
+            )
+        code = "ASP206"
+        time_expr = decl.properties.get("time")
+        return KernelModel(
+            name=decl.name,
+            iterations=iterations,
+            order=decl.order,
+            flops=evalf("flops", 0.0),
+            loads=evalf("loads", 0.0),
+            stores=evalf("stores", 0.0),
+            time=time_expr.evaluate(env) if time_expr is not None else None,
+        )
+    except (AspenSemanticError, AspenEvalError) as exc:
+        if sink is None:
+            raise
+        sink.error(
+            code,
+            f"kernel {decl.name!r} dropped: {exc}",
+            span=SourceSpan(decl.line, 0),
+        )
+        return None

@@ -6,16 +6,20 @@ plus hardware information (cache geometry, FIT) go through the extended
 Aspen compiler, producing the number of main-memory accesses per data
 structure and, combined with the execution-time model, DVF.
 
-Two evaluation modes are supported (see ``repro.diagnostics``):
+Lowering is the one checker of a model: each fault is found where
+lowering acts on it (the pattern constructors refuse bad parameters,
+the access order is parsed against the declared data).  A
+:class:`DiagnosticSink` is the strict/lenient switch (see
+``repro.diagnostics``):
 
-``strict``
-    The first semantic or estimator error raises — exactly the
-    historical behavior.
+no sink (strict)
+    The first fault raises :class:`AspenSemanticError` naming the
+    structure or kernel, chained from the underlying error.
 
-``lenient``
-    Errors become coded diagnostics in a :class:`DiagnosticSink`;
-    structures whose pattern cannot be built or evaluated degrade to the
-    documented worst-case bound ``N_ha = T*AE``
+a sink (lenient)
+    Each fault becomes one coded diagnostic; structures whose pattern
+    cannot be built or evaluated degrade to the documented worst-case
+    bound ``N_ha = T*AE``
     (:class:`~repro.patterns.base.WorstCaseAccess`) and are reported as
     *degraded*, so a batch over many models always completes.
 """
@@ -26,7 +30,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.aspen.analysis import require_valid, validate
 from repro.aspen.appmodel import (
     AppModel,
     DataModel,
@@ -39,9 +42,9 @@ from repro.aspen.machine import from_decl
 from repro.aspen.parser import parse, parse_with_diagnostics
 from repro.core.dvf import DVFReport, build_report, check_time
 from repro.core.machine import MachineModel
-from repro.diagnostics import check_mode
 from repro.patterns.base import AccessPattern, PatternError, WorstCaseAccess
 from repro.patterns.composite import (
+    AccessEvent,
     CompositeAccessModel,
     estimate_structures,
     parse_order,
@@ -75,6 +78,11 @@ def build_pattern(data: DataModel, spec: PatternSpec) -> AccessPattern:
             aligned=bool(props.get("aligned", 0)),
         )
     if spec.kind == "random":
+        missing = [key for key in ("distinct", "iterations") if key not in props]
+        if missing:
+            raise PatternError(
+                f"random pattern missing {' and '.join(map(repr, missing))}"
+            )
         return RandomAccess(
             num_elements=data.num_elements,
             element_size=data.element_size,
@@ -152,19 +160,21 @@ def degraded_pattern(data: DataModel) -> WorstCaseAccess:
     )
 
 
-def composite_base_pattern(data: DataModel, spec: PatternSpec) -> AccessPattern:
+def composite_base_pattern(
+    data: DataModel, pattern: AccessPattern
+) -> AccessPattern:
     """Base (first-use) pattern for a structure inside an access order.
 
     Inside a composite, later uses are charged through the reuse model;
-    a ``reuse``-kind declaration therefore lowers its *first* use to a
-    cold full load (a unit-stride stream), while the other kinds keep
-    their own estimator.
+    a reuse pattern therefore lowers its *first* use to a cold full load
+    (a unit-stride stream), while every other lowered pattern, a
+    degraded structure's worst-case bound included, is its own base.
     """
-    if spec.kind == "reuse":
+    if isinstance(pattern, ReuseAccess):
         return StreamingAccess(
             element_size=data.element_size, num_elements=data.num_elements
         )
-    return build_pattern(data, spec)
+    return pattern
 
 
 @dataclass(frozen=True)
@@ -175,10 +185,10 @@ class CompiledModel:
     and the DVF :meth:`report` built from it, plus the raw pattern
     objects for inspection.  ``N_ha`` comes from
     :func:`~repro.patterns.composite.estimate_structures`, the evaluator
-    kernel models use too.  In ``lenient`` mode ``degraded`` names the
-    structures replaced by the worst-case bound at compile time,
-    ``sink`` carries every diagnostic, and estimates are routed through
-    the guardrail layer (clamping and runtime degradation).
+    kernel models use too.  ``degraded`` names the structures replaced
+    by the worst-case bound at compile time.  A lenient model carries
+    its ``sink``: every diagnostic lands there, and estimates are routed
+    through the guardrail layer (clamping and runtime degradation).
     """
 
     app: AppModel
@@ -186,7 +196,6 @@ class CompiledModel:
     kernel: KernelModel
     patterns: dict[str, AccessPattern]
     composite: CompositeAccessModel | None
-    mode: str = "strict"
     degraded: frozenset[str] = frozenset()
     sink: DiagnosticSink | None = None
 
@@ -221,8 +230,8 @@ class CompiledModel:
         ``T`` is the kernel's declared ``time`` or else the machine's
         roofline estimate of its flops and bytes; a negative or
         non-finite ``time`` raises ``ValueError`` in both modes.  ``S_d``
-        is each modeled structure's footprint.  In ``lenient`` mode the
-        report carries every diagnostic in ``sink``.
+        is each modeled structure's footprint.  A lenient report carries
+        every diagnostic in ``sink``.
         """
         if self.kernel.time is not None:
             time_seconds = check_time(self.kernel.time)
@@ -241,103 +250,135 @@ class CompiledModel:
             },
             nha=self.nha_by_structure(),
             degraded=self.degraded_structures(),
-            mode=self.mode,
             sink=self.sink,
         )
+
+
+def _access_order(
+    app: AppModel, kernel: KernelModel, sink: DiagnosticSink | None
+) -> list[AccessEvent] | None:
+    """The kernel's access order over declared data, or None.
+
+    None when the kernel declares no order, or when the order is
+    unusable and lowering is lenient (``ASP212``: the composite model is
+    dropped); strict lowering raises instead.
+    """
+    if kernel.order is None:
+        return None
+    try:
+        events = parse_order(kernel.order)
+        undeclared = [
+            name
+            for name in dict.fromkeys(n for event in events for n in event)
+            if name not in app.data
+        ]
+        if undeclared:
+            raise AspenSemanticError(
+                f"access order references undeclared data {undeclared[0]!r}"
+            )
+    except (PatternError, AspenSemanticError) as exc:
+        problem = f"kernel {kernel.name!r}: invalid access order ({exc})"
+        if sink is None:
+            raise AspenSemanticError(problem) from exc
+        sink.error(
+            "ASP212",
+            f"{problem}; composite model dropped, structures are "
+            f"estimated independently",
+        )
+        return None
+    return events
 
 
 def compile_model(
     app: AppModel,
     machine: MachineModel,
     kernel: str | None = None,
-    mode: str = "strict",
     sink: DiagnosticSink | None = None,
 ) -> CompiledModel:
     """Lower an evaluated app model against a machine.
 
-    Both modes lower through the same loop.  ``mode="strict"`` raises
-    on the first invalid structure (historical behavior).
-    ``mode="lenient"`` records diagnostics in ``sink`` (created if
-    omitted), swaps unusable patterns for the worst-case bound and
-    keeps going; only model-level failures with nothing left to
-    evaluate (no usable kernel) still raise.
+    Without a ``sink`` the first fault raises :class:`AspenSemanticError`
+    naming the structure or kernel.  With one, each fault is recorded
+    once and lowering goes on: a structure whose pattern cannot be
+    built, or that the access order names but that declares no pattern,
+    degrades to the worst-case bound (``ASP304``), and an unusable
+    access order drops the composite model (``ASP212``).  ``ASP210``
+    warns of a model with no data, a structure left out of ``N_ha`` and
+    a kernel whose execution time will be zero.  A model with no kernel
+    to evaluate raises either way.
     """
-    check_mode(mode)
-    strict = mode == "strict"
-    if strict:
-        require_valid(app, machine)
-        sink = None
-    else:
-        sink = sink if sink is not None else DiagnosticSink()
-        # Advisory pass: record every validation finding, but drive the
-        # actual degradation decisions structurally below.
-        sink.extend(validate(app, machine))
     kernel_model = app.kernel(kernel)  # no kernel at all is fatal
+    if sink is not None and not app.data:
+        sink.warning("ASP210", f"model {app.name!r} declares no data structures")
+    events = _access_order(app, kernel_model, sink)
+    ordered = dict.fromkeys(name for event in events or () for name in event)
     patterns: dict[str, AccessPattern] = {}
     degraded: set[str] = set()
+
+    def degrade(data: DataModel, problem: str) -> None:
+        fallback = degraded_pattern(data)
+        sink.error(
+            "ASP304",
+            f"{problem}; degraded to the worst-case bound N_ha = T*AE with "
+            f"T = {fallback.total_references:g}",
+            structure=data.name,
+            hint="fix the pattern declaration to restore the "
+            "analytical estimate",
+        )
+        patterns[data.name] = fallback
+        degraded.add(data.name)
+
     for name, data in app.data.items():
-        if data.pattern_invalid:
+        if data.pattern_invalid:  # its own error is already recorded
             patterns[name] = degraded_pattern(data)
             degraded.add(name)
-            continue
-        if data.pattern is None:
-            continue
-        try:
-            patterns[name] = build_pattern(data, data.pattern)
-        except (PatternError, AspenSemanticError, ArithmeticError,
-                KeyError, TypeError, ValueError) as exc:
-            if strict:
-                raise
-            fallback = degraded_pattern(data)
-            worst = fallback.total_references
-            sink.error(
-                "ASP304",
-                f"pattern for {name!r} could not be built ({exc}); degraded "
-                f"to the worst-case bound N_ha = T*AE with T = {worst:g}",
-                structure=name,
-                hint="fix the pattern declaration to restore the "
-                "analytical estimate",
-            )
-            patterns[name] = fallback
-            degraded.add(name)
+        elif data.pattern is None:
+            if name in ordered:
+                problem = (
+                    f"kernel {kernel_model.name!r}: data {name!r} appears in "
+                    f"the access order but declares no pattern"
+                )
+                if sink is None:
+                    raise AspenSemanticError(problem)
+                degrade(data, problem)
+            elif sink is not None:
+                sink.warning(
+                    "ASP210",
+                    f"data {name!r} has no access pattern; it will be "
+                    f"excluded from N_ha estimation",
+                )
+        else:
+            try:
+                patterns[name] = build_pattern(data, data.pattern)
+            except (PatternError, AspenSemanticError, ArithmeticError,
+                    KeyError, TypeError, ValueError) as exc:
+                if sink is None:
+                    raise AspenSemanticError(f"data {name!r}: {exc}") from exc
+                degrade(data, f"pattern for {name!r} could not be built ({exc})")
+    if sink is not None and kernel_model.time is None and (
+        kernel_model.flops == kernel_model.loads == kernel_model.stores == 0
+    ):
+        sink.warning(
+            "ASP210",
+            f"kernel {kernel_model.name!r} declares neither 'time' nor any "
+            f"flops/loads/stores; execution time will be zero and so will DVF",
+        )
     composite = None
-    if kernel_model.order is not None:
-        try:
-            events = parse_order(kernel_model.order)
-            names = dict.fromkeys(n for event in events for n in event)
-            base = {}
-            for name in names:
-                data = app.data.get(name)
-                if data is None:
-                    raise AspenSemanticError(
-                        f"access order references undeclared data {name!r}"
-                    )
-                if name in degraded or data.pattern is None:
-                    base[name] = patterns.get(name, degraded_pattern(data))
-                else:
-                    base[name] = composite_base_pattern(data, data.pattern)
-            composite = CompositeAccessModel(
-                patterns=base,
-                order=events,
-                iterations=kernel_model.iterations,
-            )
-        except (PatternError, AspenSemanticError) as exc:
-            if strict:
-                raise
-            sink.error(
-                "ASP212",
-                f"kernel {kernel_model.name!r}: invalid access order "
-                f"({exc}); composite model dropped, structures are "
-                f"estimated independently",
-                structure=None,
-            )
+    if events is not None:
+        composite = CompositeAccessModel(
+            patterns={
+                name: composite_base_pattern(app.data[name], patterns[name])
+                for name in ordered
+            },
+            order=events,
+            iterations=kernel_model.iterations,
+        )
     return CompiledModel(
         app=app,
         machine=machine,
         kernel=kernel_model,
         patterns=patterns,
         composite=composite,
-        mode=mode,
         degraded=frozenset(degraded),
         sink=sink,
     )
@@ -349,7 +390,6 @@ def compile_source(
     machine: str | MachineModel | None = None,
     kernel: str | None = None,
     params: dict[str, float] | None = None,
-    mode: str = "strict",
     sink: DiagnosticSink | None = None,
 ) -> CompiledModel:
     """Parse, evaluate and lower Aspen source in one step.
@@ -364,24 +404,19 @@ def compile_source(
         when the source declares exactly one.
     params:
         Model parameter overrides (e.g. ``{"n": 800}``).
-    mode:
-        ``"strict"`` (default) raises on the first error; ``"lenient"``
-        recovers, records coded diagnostics in ``sink`` and degrades
-        broken structures to the worst-case bound.
     sink:
-        Diagnostic collector for lenient mode; created when omitted and
+        Omitted (strict), the first error raises.  Given (lenient),
+        evaluation recovers, records coded diagnostics here and degrades
+        broken structures to the worst-case bound; the sink is
         available afterwards as ``CompiledModel.sink``.
     """
-    check_mode(mode)
-    if mode == "strict":
+    if sink is None:
         program = parse(source)
-        app = build_app_model(program.model(model), overrides=params)
     else:
-        sink = sink if sink is not None else DiagnosticSink()
-        program, sink = parse_with_diagnostics(source, sink)
-        app = build_app_model(program.model(model), overrides=params, sink=sink)
+        program, _ = parse_with_diagnostics(source, sink)
+    app = build_app_model(program.model(model), overrides=params, sink=sink)
     if isinstance(machine, MachineModel):
         machine_model = machine
     else:
         machine_model = from_decl(program.machine(machine))
-    return compile_model(app, machine_model, kernel=kernel, mode=mode, sink=sink)
+    return compile_model(app, machine_model, kernel=kernel, sink=sink)

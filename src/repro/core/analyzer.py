@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.core.dvf import DVFReport, build_report, check_time
 from repro.core.machine import MachineModel
-from repro.diagnostics import DiagnosticSink, check_mode
+from repro.diagnostics import DiagnosticSink
 from repro.kernels.base import Kernel, Workload
 
 
@@ -72,35 +72,21 @@ class DVFAnalyzer:
         kernel: Kernel,
         workload: Workload,
         time_seconds: float | None = None,
-        mode: str = "strict",
         sink: DiagnosticSink | None = None,
     ) -> DVFReport:
         """Analytical DVF report (CGPMAC ``N_ha`` + roofline ``T``).
 
         ``time_seconds`` replaces the roofline ``T``; a negative or
-        non-finite time raises ``ValueError`` in both modes.  In
-        ``lenient`` mode estimator failures degrade to the worst-case
-        bound instead of raising; the report carries the collected
-        diagnostics and flags degraded structures.
+        non-finite time raises ``ValueError`` with or without a sink.
+        Without a ``sink`` the first estimator error raises.  With one,
+        estimator failures degrade to the worst-case bound instead; the
+        report carries the sink's diagnostics and flags degraded
+        structures.
         """
-        check_mode(mode)
         time_seconds = self._time(kernel, workload, time_seconds)
-        degraded: frozenset[str] = frozenset()
-        if mode == "lenient":
-            sink = sink if sink is not None else DiagnosticSink()
-            nha, degraded = kernel.estimate_nha_checked(
-                workload, self.machine.cache, sink
-            )
-        else:
-            nha = kernel.estimate_nha(workload, self.machine.cache)
+        nha, degraded = kernel.estimate_nha(workload, self.machine.cache, sink)
         return self._report(
-            kernel,
-            workload,
-            time_seconds,
-            nha,
-            degraded=degraded,
-            mode=mode,
-            sink=sink,
+            kernel, workload, time_seconds, nha, degraded=degraded, sink=sink
         )
 
     def analyze_simulated(

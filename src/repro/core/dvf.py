@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.diagnostics import Diagnostic, DiagnosticSink, check_mode
+from repro.diagnostics import Diagnostic, DiagnosticSink
 
 _SECONDS_PER_HOUR = 3600.0
 _BITS_PER_MBIT = 2.0**20
@@ -125,7 +125,7 @@ class DVFReport:
     diagnostics:
         Coded :class:`~repro.diagnostics.Diagnostic` records collected
         while producing the report (lenient evaluation); empty in a
-        clean strict run.
+        strict run.
     """
 
     application: str
@@ -196,24 +196,21 @@ def build_report(
     alpha: float = 1.0,
     beta: float = 1.0,
     degraded: set[str] | frozenset[str] | None = None,
-    mode: str = "strict",
     sink: DiagnosticSink | None = None,
 ) -> DVFReport:
     """Assemble a :class:`DVFReport` from per-structure sizes and N_ha.
 
     ``degraded`` names structures whose ``N_ha`` is the worst-case
-    degradation bound; they are flagged in the rows.  In ``lenient``
-    mode a structure whose inputs are rejected (NaN/inf, negative) is
-    flagged degraded with a zero contribution and an ``ASP305``
-    diagnostic instead of raising, so ``DVF_a`` stays finite.
+    degradation bound; they are flagged in the rows.  Without a
+    ``sink`` rejected inputs (NaN/inf, negative) raise.  With one, such
+    a structure is flagged degraded with a zero contribution and an
+    ``ASP305`` diagnostic, so ``DVF_a`` stays finite, and the report
+    carries every diagnostic in the sink.
     """
-    check_mode(mode)
     missing = set(nha) - set(sizes)
     if missing:
         raise ValueError(f"N_ha given for structures without sizes: {missing}")
     degraded = set(degraded or ())
-    if sink is None:
-        sink = DiagnosticSink()
     rows = []
     for name in nha:
         try:
@@ -223,7 +220,7 @@ def build_report(
             )
             row_nha = nha[name]
         except ValueError as exc:
-            if mode == "strict":
+            if sink is None:
                 raise
             sink.error(
                 "ASP305",
@@ -249,5 +246,5 @@ def build_report(
         fit=fit,
         time_seconds=time_seconds,
         structures=tuple(rows),
-        diagnostics=tuple(sink),
+        diagnostics=tuple(sink) if sink is not None else (),
     )

@@ -16,7 +16,7 @@ from repro.cachesim.configs import CacheGeometry
 from repro.cachesim.engine import CHUNK_SIZE
 from repro.cachesim.simulator import CacheSimulator
 from repro.cachesim.stats import CacheStats
-from repro.diagnostics import DiagnosticSink, check_mode
+from repro.diagnostics import DiagnosticSink
 from repro.kernels.base import Kernel, Workload
 
 
@@ -108,24 +108,22 @@ def validate_kernel(
     kernel: Kernel,
     workload: Workload,
     geometry: CacheGeometry,
-    mode: str = "strict",
     sink: DiagnosticSink | None = None,
     **replay,
 ) -> ValidationResult:
     """Run both evaluation paths and compare per data structure.
 
-    ``mode`` governs the *model* path only: in ``lenient`` mode
-    estimator failures degrade to the worst-case bound (recorded in
-    ``sink``) so a validation sweep completes.  The simulation path is
-    ground truth and always raises on failure; ``replay`` keyword
-    arguments go to :func:`ground_truth_stats`.  The reported
-    ``simulation_seconds`` covers trace acquisition (cached or
+    ``sink`` governs the *model* path only: with one, estimator
+    failures degrade to the worst-case bound (recorded in ``sink``) so
+    a validation sweep completes; without one they raise.  The
+    simulation path is ground truth and always raises on failure;
+    ``replay`` keyword arguments go to :func:`ground_truth_stats`.  The
+    reported ``simulation_seconds`` covers trace acquisition (cached or
     collected) plus simulation, so a warm trace cache shows up in the
     measured cost ratio.
     """
-    check_mode(mode)
     start = time.perf_counter()
-    estimated = kernel.estimate_nha(workload, geometry, mode=mode, sink=sink)
+    estimated, _ = kernel.estimate_nha(workload, geometry, sink)
     model_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -1,17 +1,19 @@
 """Structured diagnostics for the fail-soft evaluation pipeline.
 
 Every layer of the evaluation path — the Aspen lexer/parser, the
-semantic model builder, the CGPMAC estimator guardrails and the DVF
-assembly — reports problems as :class:`Diagnostic` records collected in
-a :class:`DiagnosticSink` instead of raising on the first error.  A
-batch over many models therefore always finishes with a complete result
-set plus a machine-readable list of everything that went wrong, which is
-what downstream consumers (rankers, ML pipelines, services) need.
+semantic model builder, the lowering onto the CGPMAC estimators, the
+estimator guardrails and the DVF assembly — can report problems as
+:class:`Diagnostic` records collected in a :class:`DiagnosticSink`
+instead of raising on the first error.  A batch over many models
+therefore always finishes with a complete result set plus a
+machine-readable list of everything that went wrong, which is what
+downstream consumers (rankers, ML pipelines, services) need.
 
 Stable error codes
 ------------------
 
-Codes are stable across releases so callers can match on them:
+Codes are stable across releases so callers can match on them.  A
+retired code is no longer emitted and is never reused.
 
 =======  ==============================================================
 ASP001   unexpected character (lexer)
@@ -30,16 +32,17 @@ ASP202   non-positive data dimensions
 ASP203   'dims' product disagrees with 'elements'
 ASP204   unknown pattern kind
 ASP205   invalid template reference
-ASP206   unknown kernel property
-ASP207   invalid kernel iterations
+ASP206   kernel dropped (unknown or unevaluable property)
+ASP207   kernel dropped (iterations not a whole number >= 1)
 ASP208   unknown parameter override
-ASP209   semantic validation error (model-level consistency)
-ASP210   semantic validation warning
+ASP209   retired (was: semantic validation error)
+ASP210   model warning (no data, structure left out of N_ha, zero time)
 ASP211   expression evaluation failed
+ASP212   invalid access order; composite model dropped
 ASP301   estimate below the physical floor (clamped up)
 ASP302   estimate above the physical ceiling (clamped down)
 ASP303   non-finite estimate (degraded to the worst-case bound)
-ASP304   estimator failed; structure degraded to ``N_ha = T*AE``
+ASP304   structure degraded to ``N_ha = T*AE`` (pattern or estimator unusable)
 ASP305   non-finite value reached the DVF computation
 ASP306   model could not be evaluated
 =======  ==============================================================
@@ -47,11 +50,16 @@ ASP306   model could not be evaluated
 Evaluation modes
 ----------------
 
-``strict``
+A user names a mode (``strict`` or ``lenient``) at the edges: the
+``aspen --mode`` flag, a service job's ``mode`` and
+:func:`~repro.experiments.aspen_batch.evaluate_source`.  Below them a
+``sink=`` argument is the only switch:
+
+no sink (``strict``)
     The first error raises immediately (historical behavior).
-``lenient``
-    Errors become diagnostics; invalid structures degrade to the
-    documented worst-case bound ``N_ha = T*AE`` and are marked
+a sink (``lenient``)
+    Errors become diagnostics in the sink; invalid structures degrade
+    to the documented worst-case bound ``N_ha = T*AE`` and are marked
     ``degraded`` in reports, so a batch always completes.
 """
 

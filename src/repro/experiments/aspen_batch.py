@@ -66,22 +66,20 @@ def evaluate_source(
 ) -> BatchEntry:
     """Evaluate one Aspen source into a :class:`BatchEntry`.
 
-    Strict mode propagates the first error; lenient mode always returns
-    an entry — degraded report or diagnosed failure, including when the
-    source lacks the one model or the named machine it is evaluated on
-    (the ``KeyError`` strict mode raises), or when not one of the
-    model's declared data structures could be sized (the error names
-    the first ASP211, the evaluation failure that left them unsized).
+    ``mode`` is checked here and becomes the switch the layers below
+    take: lenient evaluation hands :func:`compile_source` a
+    :class:`DiagnosticSink`, strict evaluation none.  Strict mode
+    propagates the first error; lenient mode always returns an entry —
+    degraded report or diagnosed failure, including when the source
+    lacks the one model or the named machine it is evaluated on (the
+    ``KeyError`` strict mode raises), or when not one of the model's
+    declared data structures could be sized (the error names the first
+    ASP211, the evaluation failure that left them unsized).
     """
-    check_mode(mode)
-    sink = DiagnosticSink()
+    sink = DiagnosticSink() if check_mode(mode) == "lenient" else None
     try:
         compiled = compile_source(
-            source,
-            machine=machine,
-            params=params,
-            mode=mode,
-            sink=sink if mode == "lenient" else None,
+            source, machine=machine, params=params, sink=sink
         )
         dropped = compiled.app.dropped
         if dropped and not compiled.app.data:
@@ -94,7 +92,7 @@ def evaluate_source(
             )
         report = compiled.report(application=label)
     except (AspenError, PatternError, ValueError, KeyError) as exc:
-        if mode == "strict":
+        if sink is None:
             raise
         # str() of a KeyError would quote its message.
         error = exc.args[0] if isinstance(exc, KeyError) else str(exc)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.cachesim.configs import CacheGeometry
-from repro.diagnostics import DiagnosticSink, check_mode
+from repro.diagnostics import DiagnosticSink
 from repro.patterns.base import AccessPattern
 from repro.patterns.composite import CompositeAccessModel, estimate_structures
 from repro.trace.cache import TraceCache, as_trace_cache
@@ -170,50 +170,21 @@ class Kernel(ABC):
         self,
         workload: Workload,
         geometry: CacheGeometry,
-        mode: str = "strict",
-        sink: DiagnosticSink | None = None,
-    ) -> dict[str, float]:
-        """Model-estimated main-memory accesses per data structure.
-
-        ``mode="lenient"`` routes every estimate through the guardrail
-        layer (finiteness + physical bounds), degrading failures to the
-        worst-case bound and recording diagnostics in ``sink``.
-        """
-        check_mode(mode)
-        if mode == "lenient":
-            values, _ = self.estimate_nha_checked(workload, geometry, sink)
-            return values
-        values, _ = estimate_structures(
-            *self._structure_models(workload), geometry
-        )
-        return values
-
-    def estimate_nha_checked(
-        self,
-        workload: Workload,
-        geometry: CacheGeometry,
         sink: DiagnosticSink | None = None,
     ) -> tuple[dict[str, float], frozenset[str]]:
-        """Guarded ``N_ha`` estimates: ``(values, degraded_structures)``.
+        """Model-estimated main-memory accesses per data structure.
 
-        The lenient mode of
-        :func:`~repro.patterns.composite.estimate_structures`;
-        diagnostics go to ``sink`` (dropped when it is omitted).
+        Returns ``(values, degraded_structures)`` from
+        :func:`~repro.patterns.composite.estimate_structures`.  Without
+        a ``sink`` the first estimator error raises.  With one, every
+        estimate goes through the guardrail layer (finiteness and
+        physical bounds), failures degrade to the worst-case bound and
+        diagnostics are recorded in ``sink``.
         """
-        return estimate_structures(
-            *self._structure_models(workload),
-            geometry,
-            sink if sink is not None else DiagnosticSink(),
-        )
-
-    def _structure_models(
-        self, workload: Workload
-    ) -> tuple[Mapping[str, AccessPattern], CompositeAccessModel | None]:
-        """The access model as ``(patterns, composite or None)``."""
         model = self.access_model(workload)
         if isinstance(model, CompositeAccessModel):
-            return model.patterns, model
-        return model, None
+            return estimate_structures(model.patterns, model, geometry, sink)
+        return estimate_structures(model, None, geometry, sink)
 
     # ------------------------------------------------------------------
     # performance model

@@ -18,7 +18,7 @@ import math
 from abc import ABC, abstractmethod
 
 from repro.cachesim.configs import CacheGeometry
-from repro.diagnostics import DiagnosticSink, check_mode
+from repro.diagnostics import DiagnosticSink
 
 #: Relative slack before an out-of-bounds estimate is reported: pure
 #: floating-point noise at the boundary is clamped silently.
@@ -81,18 +81,16 @@ class AccessPattern(ABC):
         geometry: CacheGeometry,
         sink: DiagnosticSink | None = None,
         structure: str | None = None,
-        mode: str = "strict",
     ) -> tuple[float, bool]:
         """Estimate with domain guardrails: ``(n_ha, degraded)``.
 
         The raw :meth:`estimate_accesses` value is checked for
         finiteness and clamped into ``[min_accesses, max_accesses]``
-        (diagnostics ``ASP301``/``ASP302``, warnings).  In ``lenient``
-        mode an estimator failure or non-finite result degrades to the
-        worst-case bound ``N_ha = T*AE`` (``ASP303``/``ASP304``) and is
-        flagged ``degraded=True``; in ``strict`` mode it raises.
+        (warnings ``ASP301``/``ASP302`` in ``sink``).  Without a ``sink``
+        an estimator failure or non-finite result raises; with one it
+        degrades to the worst-case bound ``N_ha = T*AE``
+        (``ASP303``/``ASP304``) and is flagged ``degraded=True``.
         """
-        check_mode(mode)
         label = structure or self.name
         lo = float(self.min_accesses(geometry))
         hi = float(self.max_accesses(geometry))
@@ -101,33 +99,31 @@ class AccessPattern(ABC):
         try:
             value = float(self.estimate_accesses(geometry))
         except (PatternError, ArithmeticError, ValueError) as exc:
-            if mode == "strict":
+            if sink is None:
                 raise
-            if sink is not None:
-                sink.error(
-                    "ASP304",
-                    f"estimator for {label!r} failed ({exc}); degraded to "
-                    f"the worst-case bound N_ha = T*AE = {worst:g}",
-                    structure=label,
-                    hint="fix the pattern parameters to restore the "
-                    "analytical estimate",
-                )
+            sink.error(
+                "ASP304",
+                f"estimator for {label!r} failed ({exc}); degraded to "
+                f"the worst-case bound N_ha = T*AE = {worst:g}",
+                structure=label,
+                hint="fix the pattern parameters to restore the "
+                "analytical estimate",
+            )
             return worst, True
 
         if not math.isfinite(value):
-            if mode == "strict":
+            if sink is None:
                 raise PatternError(
                     f"estimator for {label!r} produced non-finite "
                     f"N_ha = {value!r}"
                 )
-            if sink is not None:
-                sink.warning(
-                    "ASP303",
-                    f"estimator for {label!r} produced non-finite "
-                    f"N_ha = {value!r}; degraded to the worst-case bound "
-                    f"T*AE = {worst:g}",
-                    structure=label,
-                )
+            sink.warning(
+                "ASP303",
+                f"estimator for {label!r} produced non-finite "
+                f"N_ha = {value!r}; degraded to the worst-case bound "
+                f"T*AE = {worst:g}",
+                structure=label,
+            )
             return worst, True
 
         slack = _BOUND_RTOL * max(abs(lo), abs(hi if math.isfinite(hi) else lo), 1.0)
@@ -161,7 +157,7 @@ class AccessPattern(ABC):
 class WorstCaseAccess(AccessPattern):
     """Degradation bound for a structure whose estimator is unusable.
 
-    In ``lenient`` evaluation an invalid pattern declaration is replaced
+    In lenient evaluation an invalid pattern declaration is replaced
     by this bound: every one of the ``T`` references loads every line an
     element can span (``AE = floor(E/CL) + 1``), i.e. ``N_ha = T*AE``.
     It is deliberately pessimistic — a degraded structure ranks *at

@@ -316,7 +316,7 @@ def estimate_structures(
             )
             degraded.add(name)
         values[name], was_degraded = pattern.estimate_accesses_checked(
-            geometry, sink=sink, structure=name, mode="lenient"
+            geometry, sink=sink, structure=name
         )
         if was_degraded:
             degraded.add(name)

@@ -241,18 +241,11 @@ def _check_keys(mapping: dict, allowed: set[str], what: str) -> None:
         )
 
 
-def _integer(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{what} must be an integer, got {value!r}") from None
-
-
 def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+    """A number as written: an int or float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _parse_service(data: dict) -> ServiceConfig:
@@ -263,15 +256,15 @@ def _parse_service(data: dict) -> ServiceConfig:
         {"max_attempts", "base_delay", "max_delay", "jitter"},
         "service.retry",
     )
+    # Counts reach RetryConfig and ServiceConfig as written; their
+    # check refuses floats, bools and strings.
     retry = {
-        key: (_integer if key == "max_attempts" else _number)(
-            value, f"retry.{key}"
-        )
+        key: value if key == "max_attempts" else _number(value, f"retry.{key}")
         for key, value in retry_data.items()
     }
     service = {}
     if "jobs" in data:
-        service["jobs"] = _integer(data["jobs"], "service.jobs")
+        service["jobs"] = data["jobs"]
     if data.get("timeout") is not None:
         service["timeout"] = _number(data["timeout"], "service.timeout")
     return ServiceConfig(retry=RetryConfig(**retry), **service)
@@ -349,7 +342,6 @@ def _parse_job(
         check_timeout(timeout, f"{what}.timeout")
     max_attempts = data.get("max_attempts")
     if max_attempts is not None:
-        max_attempts = _integer(max_attempts, f"{what}.max_attempts")
         check_count(max_attempts, f"{what}.max_attempts")
     return JobSpec(
         id=job_id,

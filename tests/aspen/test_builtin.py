@@ -38,7 +38,7 @@ class TestBuiltinSources:
         geometry = PAPER_CACHES["small"]
         machine = MachineModel.from_geometry(geometry)
         compiled = compile_source(kernel.aspen_source(workload), machine=machine)
-        direct = kernel.estimate_nha(workload, geometry)
+        direct = kernel.estimate_nha(workload, geometry)[0]
         for structure, value in compiled.nha_by_structure().items():
             assert value == pytest.approx(direct[structure], rel=1e-6), (
                 name,
@@ -54,7 +54,7 @@ class TestBuiltinSources:
         geometry = PAPER_CACHES["small"]
         machine = MachineModel.from_geometry(geometry)
         compiled = compile_source(kernel.aspen_source(workload), machine=machine)
-        direct = kernel.estimate_nha(workload, geometry)
+        direct = kernel.estimate_nha(workload, geometry)[0]
         dsl = compiled.nha_by_structure()
         assert dsl["E"] == pytest.approx(direct["E"], rel=1e-6)
         assert dsl["G"] == pytest.approx(direct["G"], rel=0.5)

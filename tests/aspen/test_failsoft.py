@@ -3,7 +3,8 @@
 The acceptance behavior: a batch over many models always completes in
 lenient mode — invalid structures degrade to the worst-case bound
 ``N_ha = T*AE`` and are marked ``degraded=True`` in the report — while
-strict mode still raises on the first error.
+strict mode still raises on the first error.  Below ``evaluate_source``
+a ``DiagnosticSink`` is the switch: given, evaluation is lenient.
 """
 
 import math
@@ -61,8 +62,9 @@ class TestStrictVsLenient:
             compile_source(BROKEN_MODEL)
 
     def test_lenient_compiles_and_degrades(self):
-        compiled = compile_source(BROKEN_MODEL, mode="lenient")
-        assert compiled.mode == "lenient"
+        sink = DiagnosticSink()
+        compiled = compile_source(BROKEN_MODEL, sink=sink)
+        assert compiled.sink is sink
         degraded = compiled.degraded_structures()
         assert degraded == {"A", "B"}
         nha = compiled.nha_by_structure()
@@ -71,7 +73,7 @@ class TestStrictVsLenient:
             assert math.isfinite(value) and value >= 0
 
     def test_degraded_bound_is_worst_case(self):
-        compiled = compile_source(BROKEN_MODEL, mode="lenient")
+        compiled = compile_source(BROKEN_MODEL, sink=DiagnosticSink())
         nha = compiled.nha_by_structure()
         # A: T = n = 1000 references, AE = 1 for aligned-size 8B/64B
         # elements... but unaligned AE_max is 2; the bound is T*AE.
@@ -82,7 +84,7 @@ class TestStrictVsLenient:
         assert nha["C"] == pytest.approx(1000 * 8 / 64)
 
     def test_lenient_diagnostics_have_stable_codes(self):
-        compiled = compile_source(BROKEN_MODEL, mode="lenient")
+        compiled = compile_source(BROKEN_MODEL, sink=DiagnosticSink())
         codes = {d.code for d in compiled.sink}
         assert "ASP204" in codes  # unknown pattern kind
         assert "ASP304" in codes  # degraded to worst case
@@ -90,7 +92,7 @@ class TestStrictVsLenient:
 
     def test_lenient_matches_strict_on_valid_model(self):
         strict = compile_source(VALID_MODEL)
-        lenient = compile_source(VALID_MODEL, mode="lenient")
+        lenient = compile_source(VALID_MODEL, sink=DiagnosticSink())
         assert lenient.degraded_structures() == frozenset()
         assert strict.nha_by_structure() == pytest.approx(
             lenient.nha_by_structure()
@@ -101,13 +103,13 @@ class TestStrictVsLenient:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            compile_source(VALID_MODEL, mode="tolerant")
+            evaluate_source("fine", VALID_MODEL, mode="tolerant")
 
     def test_lenient_recovers_from_syntax_errors_too(self):
         source = BROKEN_MODEL.replace("param n = 1000", "param n = $1000")
         with pytest.raises(AspenSyntaxError):
             compile_source(source)
-        compiled = compile_source(source, mode="lenient")
+        compiled = compile_source(source, sink=DiagnosticSink())
         assert any(d.code == "ASP001" for d in compiled.sink)
         assert set(compiled.nha_by_structure()) == {"A", "B", "C"}
 
@@ -139,22 +141,29 @@ class TestFractionalCounts:
     @pytest.mark.parametrize("prop", sorted(FRACTIONAL_COUNTS))
     def test_strict_raises_naming_the_value(self, prop):
         pattern, value = FRACTIONAL_COUNTS[prop]
-        with pytest.raises(PatternError, match=f"'{prop}'.*got {value}$"):
+        # Lowering names the structure; the constructor's error is the
+        # cause.
+        with pytest.raises(
+            AspenSemanticError, match=f"^data 'A': .*'{prop}'.*got {value}$"
+        ) as excinfo:
             compile_source(_count_model(pattern))
+        assert isinstance(excinfo.value.__cause__, PatternError)
+        assert str(excinfo.value.__cause__).endswith(f"got {value}")
 
     @pytest.mark.parametrize("prop", sorted(FRACTIONAL_COUNTS))
     def test_lenient_degrades_with_asp304(self, prop):
         pattern, _ = FRACTIONAL_COUNTS[prop]
-        compiled = compile_source(_count_model(pattern), mode="lenient")
+        compiled = compile_source(_count_model(pattern), sink=DiagnosticSink())
         assert compiled.degraded_structures() == {"A"}
         (diagnostic,) = [d for d in compiled.sink if d.code == "ASP304"]
         assert diagnostic.structure == "A" and repr(prop) in diagnostic.message
 
     def test_fraction_below_one_names_the_value_written(self):
-        with pytest.raises(PatternError, match="got 0.5$"):
+        with pytest.raises(AspenSemanticError, match="got 0.5$") as excinfo:
             compile_source(
                 _count_model("template { repeats: 0.5, refs: (A[0], A[9]) }")
             )
+        assert isinstance(excinfo.value.__cause__, PatternError)
 
     def test_whole_number_floats_stay_valid(self):
         def nha(repeats):
@@ -167,7 +176,7 @@ class TestFractionalCounts:
 
 class TestReportFlags:
     def test_report_marks_degraded_structures(self):
-        compiled = compile_source(BROKEN_MODEL, mode="lenient")
+        compiled = compile_source(BROKEN_MODEL, sink=DiagnosticSink())
         report = compiled.report()
         assert set(report.degraded_structures) == {"A", "B"}
         assert report.structure("A").degraded
@@ -175,7 +184,7 @@ class TestReportFlags:
         assert math.isfinite(report.dvf_application)
 
     def test_report_payload_is_machine_readable(self):
-        compiled = compile_source(BROKEN_MODEL, mode="lenient")
+        compiled = compile_source(BROKEN_MODEL, sink=DiagnosticSink())
         payload = compiled.report().to_payload()
         assert payload["structures"][0].keys() >= {"name", "nha", "degraded"}
         assert payload["diagnostics"], "diagnostics section must be present"
@@ -184,7 +193,7 @@ class TestReportFlags:
     def test_rendered_report_footnotes_degradation(self):
         from repro.core.report import render_dvf_report
 
-        compiled = compile_source(BROKEN_MODEL, mode="lenient")
+        compiled = compile_source(BROKEN_MODEL, sink=DiagnosticSink())
         text = render_dvf_report(compiled.report())
         assert "A*" in text
         assert "degraded" in text
@@ -272,7 +281,7 @@ class TestInputErrors:
 class TestSinkSharing:
     def test_caller_sink_collects_everything(self):
         sink = DiagnosticSink()
-        compiled = compile_source(BROKEN_MODEL, mode="lenient", sink=sink)
+        compiled = compile_source(BROKEN_MODEL, sink=sink)
         assert compiled.sink is sink
         assert sink.has_errors
         payload = sink.to_payload()
@@ -332,9 +341,9 @@ class TestExpressionDepth:
         pytest.param("-" * 99 + "1", "-" * 100 + "1", id="negations"),
     ])
     def test_limit_is_100_levels(self, fits, too_deep):
-        compile_source(deep_model(fits), mode="strict")
+        compile_source(deep_model(fits))
         with pytest.raises(AspenSyntaxError, match="100 levels"):
-            compile_source(deep_model(too_deep), mode="strict")
+            compile_source(deep_model(too_deep))
 
 
 UNSIZABLE_MODEL = """

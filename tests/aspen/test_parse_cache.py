@@ -93,8 +93,9 @@ class TestSharingChangesNothing:
         ]
 
         def report(machine, mode, params):
+            sink = DiagnosticSink() if mode == "lenient" else None
             compiled = compile_source(
-                source, machine=machine, mode=mode, params=params
+                source, machine=machine, params=params, sink=sink
             )
             return compiled.report(application="vm").to_payload()
 

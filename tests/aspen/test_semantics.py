@@ -7,7 +7,6 @@ from repro.aspen import (
     MachineModel,
     compile_source,
     parse,
-    validate,
 )
 from repro.aspen.appmodel import build_app_model
 from repro.aspen.machine import from_decl
@@ -187,10 +186,22 @@ class TestMachineModel:
         assert machine.cache.num_sets == 4
 
 
+def _lower(source: str) -> tuple[DiagnosticSink, AspenSemanticError]:
+    """Lower ``source`` both ways: the lenient sink and the strict error."""
+    sink = DiagnosticSink()
+    compile_source(source + MACHINE, sink=sink)
+    with pytest.raises(AspenSemanticError) as excinfo:
+        compile_source(source + MACHINE)
+    return sink, excinfo.value
+
+
 class TestValidation:
+    """Lowering is the one checker: strict raises, lenient records once."""
+
     def test_clean_model_no_errors(self):
-        app = build_app_model(parse(VM).model())
-        assert not any(d.is_error for d in validate(app))
+        sink = DiagnosticSink()
+        compile_source(VM + MACHINE, sink=sink)
+        assert not sink.has_errors
 
     def test_order_with_undeclared_data(self):
         source = """
@@ -199,9 +210,10 @@ class TestValidation:
           kernel k { order: "AZ", flops: 1 }
         }
         """
-        app = build_app_model(parse(source).model())
-        errors = [d for d in validate(app) if d.is_error]
-        assert any("undeclared" in d.message for d in errors)
+        sink, error = _lower(source)
+        assert [d.code for d in sink.errors] == ["ASP212"]
+        assert "undeclared" in sink.errors[0].message
+        assert "undeclared" in str(error)
 
     def test_order_data_without_pattern(self):
         source = """
@@ -210,10 +222,10 @@ class TestValidation:
           kernel k { order: "A", flops: 1 }
         }
         """
-        app = build_app_model(parse(source).model())
-        assert any(
-            "declares no pattern" in d.message for d in validate(app) if d.is_error
-        )
+        sink, error = _lower(source)
+        assert [d.code for d in sink.errors] == ["ASP304"]
+        assert "declares no pattern" in sink.errors[0].message
+        assert "declares no pattern" in str(error)
 
     def test_random_missing_required_props(self):
         source = """
@@ -222,20 +234,23 @@ class TestValidation:
           kernel k { flops: 1 }
         }
         """
-        app = build_app_model(parse(source).model())
-        errors = [d.message for d in validate(app) if d.is_error]
-        assert any("distinct" in m for m in errors)
-        assert any("iterations" in m for m in errors)
+        sink, error = _lower(source)
+        (diagnostic,) = sink.errors
+        for message in (diagnostic.message, str(error)):
+            assert "distinct" in message
+            assert "iterations" in message
 
     def test_no_time_no_resources_warns(self):
-        source = "model m { kernel k { } }"
-        app = build_app_model(parse(source).model())
-        warnings = [d for d in validate(app) if not d.is_error]
+        sink = DiagnosticSink()
+        compile_source("model m { kernel k { } }" + MACHINE, sink=sink)
+        warnings = sink.warnings
         assert any("execution time will be zero" in d.message for d in warnings)
 
     def test_no_kernel_is_error(self):
-        app = build_app_model(parse("model m { param x = 1 }").model())
-        assert any(d.is_error for d in validate(app))
+        source = "model m { param x = 1 }" + MACHINE
+        for sink in (None, DiagnosticSink()):
+            with pytest.raises(AspenSemanticError, match="kernel"):
+                compile_source(source, sink=sink)
 
 
 class TestCompilation:

@@ -54,7 +54,6 @@ class TestBuildReport:
             "app", "m", 100.0, 1.0,
             sizes={"A": 10.0, "B": 10.0},
             nha={"A": float("inf"), "B": 5.0},
-            mode="lenient",
             sink=sink,
         )
         assert math.isfinite(report.dvf_application)
@@ -80,7 +79,7 @@ class TestAnalyzerModes:
         kernel = VectorMultiplyKernel()
         workload = Workload("tiny", {"n": 512})
         strict = analyzer.analyze(kernel, workload)
-        lenient = analyzer.analyze(kernel, workload, mode="lenient")
+        lenient = analyzer.analyze(kernel, workload, sink=DiagnosticSink())
         assert lenient.degraded_structures == ()
         assert strict.dvf_application == pytest.approx(
             lenient.dvf_application
@@ -98,7 +97,7 @@ class TestAnalyzerModes:
         workload = Workload("tiny", {"n": 512})
         with pytest.raises(ValueError):
             analyzer.analyze(kernel, workload)
-        report = analyzer.analyze(kernel, workload, mode="lenient")
+        report = analyzer.analyze(kernel, workload, sink=DiagnosticSink())
         assert set(report.degraded_structures) == {"A", "B", "C"}
         assert math.isfinite(report.dvf_application)
         assert any(d.code == "ASP304" for d in report.diagnostics)
@@ -118,7 +117,7 @@ class TestAnalyzerModes:
         )
         analyzer = DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES["small"]))
         report = analyzer.analyze(
-            KERNELS["CG"], TEST_WORKLOADS["CG"], mode="lenient"
+            KERNELS["CG"], TEST_WORKLOADS["CG"], sink=DiagnosticSink()
         )
         codes = [d.code for d in report.diagnostics]
         assert "ASP303" in codes
@@ -127,7 +126,7 @@ class TestAnalyzerModes:
         aspen = compile_source(
             builtin_source("CG", "test") + MACHINE_LIBRARY,
             machine="small",
-            mode="lenient",
+            sink=DiagnosticSink(),
         ).report()
         assert [d.code for d in aspen.diagnostics] == codes
         assert aspen.degraded_structures == report.degraded_structures
@@ -145,7 +144,7 @@ class TestAnalyzerModes:
             validate_kernel(kernel, workload, GEOMETRY)
         sink = DiagnosticSink()
         result = validate_kernel(
-            kernel, workload, GEOMETRY, mode="lenient", sink=sink
+            kernel, workload, GEOMETRY, sink=sink
         )
         assert result.structures
         assert sink.has_errors

@@ -277,7 +277,7 @@ class TestTraceAndModel:
     def test_model_matches_simulator(self, kernel, workload, cache):
         geometry = PAPER_CACHES[cache]
         stats = simulate_trace(kernel.trace(workload), geometry)
-        nha = kernel.estimate_nha(workload, geometry)
+        nha = kernel.estimate_nha(workload, geometry)[0]
         for name, estimate in nha.items():
             assert estimate == pytest.approx(
                 stats.misses(name), rel=0.15

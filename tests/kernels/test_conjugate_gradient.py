@@ -138,14 +138,14 @@ class TestTraceAndModel:
         workload = wl(n=100, iterations=2)
         geometry = PAPER_CACHES[cache]
         stats = simulate_trace(kernel.trace(workload), geometry)
-        nha = kernel.estimate_nha(workload, geometry)
+        nha = kernel.estimate_nha(workload, geometry)[0]
         assert nha["A"] == pytest.approx(stats.misses("A"), rel=0.15)
 
     def test_vector_model_accuracy_small_cache(self, kernel):
         workload = wl(n=100, iterations=2)
         geometry = PAPER_CACHES["small"]
         stats = simulate_trace(kernel.trace(workload), geometry)
-        nha = kernel.estimate_nha(workload, geometry)
+        nha = kernel.estimate_nha(workload, geometry)[0]
         for name in ("p", "r", "x"):
             assert nha[name] == pytest.approx(
                 stats.misses(name), rel=0.25
@@ -170,7 +170,7 @@ class TestTraceAndModel:
         compiled = compile_source(
             kernel.aspen_source(workload), machine=machine
         )
-        direct = kernel.estimate_nha(workload, PAPER_CACHES["small"])
+        direct = kernel.estimate_nha(workload, PAPER_CACHES["small"])[0]
         for name, value in compiled.nha_by_structure().items():
             assert value == pytest.approx(direct[name], rel=1e-9)
 

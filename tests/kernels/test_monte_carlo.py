@@ -175,7 +175,7 @@ class TestModel:
         workload = wl(grid_points=8192, nuclides=16, lookups=100)
         geometry = PAPER_CACHES[cache]
         stats = simulate_trace(kernel.trace(workload), geometry)
-        nha = kernel.estimate_nha(workload, geometry)
+        nha = kernel.estimate_nha(workload, geometry)[0]
         for name, estimate in nha.items():
             assert estimate == pytest.approx(
                 stats.misses(name), rel=0.15
@@ -189,8 +189,8 @@ class TestModel:
 
     def test_more_lookups_more_accesses_when_thrashing(self, kernel):
         geometry = PAPER_CACHES["small"]
-        few = kernel.estimate_nha(wl(lookups=100), geometry)
-        many = kernel.estimate_nha(wl(lookups=10_000), geometry)
+        few = kernel.estimate_nha(wl(lookups=100), geometry)[0]
+        many = kernel.estimate_nha(wl(lookups=10_000), geometry)[0]
         assert many["E"] > few["E"]
 
     def test_aspen_source_compiles(self, kernel):

@@ -66,7 +66,7 @@ class TestMultigridKernel:
         workload = Workload("t", {"n": 8})
         geometry = PAPER_CACHES[cache]
         stats = simulate_trace(kernel.trace(workload), geometry)
-        nha = kernel.estimate_nha(workload, geometry)
+        nha = kernel.estimate_nha(workload, geometry)[0]
         # Tiny grids sit at the capacity knee on the small cache; allow
         # the paper's envelope plus boundary slack.
         assert nha["R"] == pytest.approx(stats.misses("R"), rel=0.25)
@@ -135,7 +135,7 @@ class TestFFTKernel:
         workload = Workload("t", {"n": 512})
         geometry = PAPER_CACHES[cache]
         stats = simulate_trace(kernel.trace(workload), geometry)
-        nha = kernel.estimate_nha(workload, geometry)
+        nha = kernel.estimate_nha(workload, geometry)[0]
         assert nha["X"] == pytest.approx(stats.misses("X"), rel=0.15)
 
     def test_capacity_cliff(self, kernel):
@@ -145,8 +145,8 @@ class TestFFTKernel:
         small = CacheGeometry(4, 32, 32)   # 4 KB
         workload = Workload("t", {"n": 1024})  # 16 KB of complex data
         resident = Workload("t", {"n": 128})   # 2 KB
-        nha_thrash = kernel.estimate_nha(workload, small)["X"]
-        nha_fit = kernel.estimate_nha(resident, small)["X"]
+        nha_thrash = kernel.estimate_nha(workload, small)[0]["X"]
+        nha_fit = kernel.estimate_nha(resident, small)[0]["X"]
         assert nha_fit == 128 * 16 / 32  # compulsory only
         assert nha_thrash > 5 * (1024 * 16 / 32)
 

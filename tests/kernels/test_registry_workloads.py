@@ -95,7 +95,7 @@ class TestDataStructureTables:
         from repro.cachesim import PAPER_CACHES
 
         for name, kernel in KERNELS.items():
-            nha = kernel.estimate_nha(
+            nha, _ = kernel.estimate_nha(
                 TEST_WORKLOADS[name], PAPER_CACHES["small"]
             )
             assert all(v > 0 for v in nha.values()), name

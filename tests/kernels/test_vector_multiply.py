@@ -62,11 +62,11 @@ class TestModel:
     def test_model_matches_simulator(self, kernel, workload, cache):
         geometry = PAPER_CACHES[cache]
         stats = simulate_trace(kernel.trace(workload), geometry)
-        for name, estimate in kernel.estimate_nha(workload, geometry).items():
+        for name, estimate in kernel.estimate_nha(workload, geometry)[0].items():
             assert estimate == pytest.approx(stats.misses(name), rel=0.15)
 
     def test_a_has_larger_nha_than_b_and_c(self, kernel, workload):
-        nha = kernel.estimate_nha(workload, PAPER_CACHES["small"])
+        nha = kernel.estimate_nha(workload, PAPER_CACHES["small"])[0]
         assert nha["A"] > nha["B"]
         assert nha["A"] > nha["C"]
 
@@ -82,6 +82,6 @@ class TestAspenForm:
 
         machine = MachineModel.from_geometry(PAPER_CACHES["small"])
         compiled = compile_source(kernel.aspen_source(workload), machine=machine)
-        direct = kernel.estimate_nha(workload, PAPER_CACHES["small"])
+        direct = kernel.estimate_nha(workload, PAPER_CACHES["small"])[0]
         for name, value in compiled.nha_by_structure().items():
             assert value == pytest.approx(direct[name])

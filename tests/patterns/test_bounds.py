@@ -135,7 +135,7 @@ def test_bounds_invariant(family, geometry):
         hi = pattern.max_accesses(geometry)
         sink = DiagnosticSink()
         value, degraded = pattern.estimate_accesses_checked(
-            geometry, sink=sink, mode="lenient"
+            geometry, sink=sink
         )
         assert math.isfinite(value), (pattern, geometry)
         assert not degraded, (pattern, geometry, list(sink))
@@ -197,7 +197,7 @@ class TestGuardrailDegradation:
         p = self._Broken(8, 100)
         sink = DiagnosticSink()
         value, degraded = p.estimate_accesses_checked(
-            g, sink=sink, structure="X", mode="lenient"
+            g, sink=sink, structure="X"
         )
         assert degraded
         assert value == p.max_accesses(g)
@@ -212,7 +212,7 @@ class TestGuardrailDegradation:
         g = GEOMETRIES[0]
         sink = DiagnosticSink()
         value, degraded = self._NonFinite(8, 100).estimate_accesses_checked(
-            g, sink=sink, mode="lenient"
+            g, sink=sink
         )
         assert degraded and math.isfinite(value)
         assert [d.code for d in sink] == ["ASP303"]

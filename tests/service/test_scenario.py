@@ -143,6 +143,18 @@ class TestParseScenario:
         (lambda d: d["jobs"][0].update(timeout=0), r"jobs\[0\]\.timeout"),
         (lambda d: d.update(defaults={"timeout": INF}), "defaults.timeout"),
         (lambda d: d.update(defaults={"timeout": 0}), "defaults.timeout"),
+        # Numbers are taken as written: no truncation, no parsing.
+        (lambda d: d.update(service={"jobs": 2.7}), "service.jobs"),
+        (lambda d: d.update(service={"jobs": "2"}), "service.jobs"),
+        (lambda d: d.update(service={"retry": {"max_attempts": True}}),
+         "retry.max_attempts"),
+        (lambda d: d["jobs"][0].update(max_attempts=1.9),
+         r"jobs\[0\]\.max_attempts"),
+        (lambda d: d.update(service={"timeout": "30"}), "service.timeout"),
+        (lambda d: d.update(service={"timeout": True}), "service.timeout"),
+        (lambda d: d.update(service={"retry": {"base_delay": "0.5"}}),
+         r"retry\.base_delay"),
+        (lambda d: d.update(defaults={"timeout": True}), "defaults.timeout"),
         # The circuit breaker and its knobs are gone.
         (lambda d: d.update(service={"breaker": {"threshold": 3}}),
          "unknown key"),
