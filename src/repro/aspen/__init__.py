@@ -10,11 +10,10 @@ implementation of that extended language:
 
 * :mod:`repro.aspen.lexer` / :mod:`repro.aspen.parser` — text to AST;
 * :mod:`repro.aspen.expr` — the arithmetic expression sub-language;
-* :mod:`repro.aspen.machine` / :mod:`repro.aspen.appmodel` — semantic
-  models built from the AST (a ``machine`` block evaluates to the
-  :class:`~repro.core.machine.MachineModel` kernels are analyzed on);
-* :mod:`repro.aspen.compiler` — lowering onto the CGPMAC estimators,
-  the one place a model is checked;
+* :mod:`repro.aspen.machine` — a ``machine`` block evaluates to the
+  :class:`~repro.core.machine.MachineModel` kernels are analyzed on;
+* :mod:`repro.aspen.compiler` — one pass from a ``model`` declaration
+  to the CGPMAC estimators, the one place a model is checked;
 * :mod:`repro.aspen.builtin` — the paper's six kernels as Aspen source.
 
 Quickstart::
@@ -36,8 +35,7 @@ from repro.aspen.errors import (
 from repro.aspen.lexer import tokenize
 from repro.aspen.parser import parse, parse_with_diagnostics
 from repro.core.machine import MachineModel
-from repro.aspen.appmodel import AppModel, DataModel, KernelModel
-from repro.aspen.compiler import CompiledModel, compile_model, compile_source
+from repro.aspen.compiler import CompiledModel, compile_source
 from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
 
 __all__ = [
@@ -51,12 +49,8 @@ __all__ = [
     "parse",
     "parse_with_diagnostics",
     "MachineModel",
-    "AppModel",
-    "DataModel",
-    "KernelModel",
     "Diagnostic",
     "CompiledModel",
-    "compile_model",
     "compile_source",
     "builtin_source",
     "DSL_KERNELS",

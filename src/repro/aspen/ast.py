@@ -3,7 +3,7 @@
 The expression nodes live in :mod:`repro.aspen.expr`; this module holds
 the declaration-level nodes produced by the parser.  They are plain
 data: semantics (parameter resolution, pattern construction) happen in
-:mod:`repro.aspen.appmodel` and :mod:`repro.aspen.compiler`.
+:mod:`repro.aspen.compiler`.
 """
 
 from __future__ import annotations

@@ -6,20 +6,27 @@ plus hardware information (cache geometry, FIT) go through the extended
 Aspen compiler, producing the number of main-memory accesses per data
 structure and, combined with the execution-time model, DVF.
 
-Lowering is the one checker of a model: each fault is found where
-lowering acts on it (the pattern constructors refuse bad parameters,
-the access order is parsed against the declared data).  A
-:class:`DiagnosticSink` is the strict/lenient switch (see
-``repro.diagnostics``):
+:func:`compile_source` is one pass from a parsed ``model`` declaration
+to a :class:`CompiledModel`.  It evaluates the params (with overrides),
+sizes each data declaration and evaluates the kernels.  It lowers each
+sized structure's pattern, evaluating its properties, sweeps and
+references and building the estimator in the same step.  Then it takes
+the kernel, checks its access order against the declared names and
+composes the structures the order names.  So each structure's fate
+(sized, dropped or degraded) is decided once, where the pass meets its
+fault, and the pattern constructors are the checkers of their
+parameters.  A :class:`DiagnosticSink` is the strict/lenient switch
+(see ``repro.diagnostics``):
 
 no sink (strict)
-    The first fault raises :class:`AspenSemanticError` naming the
-    structure or kernel, chained from the underlying error.
+    The first fault raises: an evaluation error as it is, a pattern the
+    estimator refuses as :class:`AspenSemanticError` naming the
+    structure, chained from the underlying error.
 
 a sink (lenient)
-    Each fault becomes one coded diagnostic; structures whose pattern
-    cannot be built or evaluated degrade to the documented worst-case
-    bound ``N_ha = T*AE``
+    Each fault becomes one coded diagnostic naming what it dropped or
+    degraded; structures whose pattern cannot be evaluated or built
+    degrade to the documented worst-case bound ``N_ha = T*AE``
     (:class:`~repro.patterns.base.WorstCaseAccess`) and are reported as
     *degraded*, so a batch over many models always completes.
 """
@@ -27,17 +34,18 @@ a sink (lenient)
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.aspen.appmodel import (
-    AppModel,
-    DataModel,
-    KernelModel,
-    PatternSpec,
-    build_app_model,
+from repro.aspen.ast import DataDecl, IndexRef, KernelDecl, ModelDecl
+from repro.aspen.errors import (
+    AspenEvalError,
+    AspenSemanticError,
+    DiagnosticSink,
+    SourceSpan,
 )
-from repro.aspen.errors import AspenSemanticError, DiagnosticSink
+from repro.aspen.expr import evaluate_int
 from repro.aspen.machine import from_decl
 from repro.aspen.parser import parse, parse_with_diagnostics
 from repro.core.dvf import DVFReport, build_report, check_time
@@ -54,6 +62,46 @@ from repro.patterns.reuse import ReuseAccess
 from repro.patterns.streaming import StreamingAccess
 from repro.patterns.template import SweepTemplate, TemplateAccess
 
+_KINDS = ("random", "reuse", "streaming", "template")  # pattern kinds
+_KERNEL_PROPS = frozenset({"iterations", "flops", "loads", "stores", "time"})
+
+
+@dataclass(frozen=True, slots=True)
+class DataModel:
+    """A sized data declaration.
+
+    ``dims`` is None when lenient evaluation could not use the declared
+    ``dims`` (``ASP203``); that error then also stands for a pattern
+    that cannot be evaluated without them.
+    """
+
+    decl: DataDecl
+    num_elements: int
+    element_size: int
+    dims: tuple[int, ...] | None = ()
+
+    @property
+    def name(self) -> str:
+        return self.decl.name
+
+    @property
+    def size_bytes(self) -> int:
+        """Footprint ``S_d = N * E`` in bytes."""
+        return self.num_elements * self.element_size
+
+
+@dataclass(frozen=True, slots=True)
+class KernelModel:
+    """An evaluated kernel declaration."""
+
+    name: str
+    iterations: int = 1
+    order: str | None = None
+    flops: float = 0.0
+    loads: float = 0.0
+    stores: float = 0.0
+    time: float | None = None
+
 
 def _whole(key: str, value: float) -> int:
     """A count property's value; a fraction is an error, never truncated."""
@@ -66,53 +114,9 @@ def _whole(key: str, value: float) -> int:
     return whole
 
 
-def build_pattern(data: DataModel, spec: PatternSpec) -> AccessPattern:
-    """Instantiate the CGPMAC estimator for one data structure."""
-    props = spec.properties
-    if spec.kind == "streaming":
-        return StreamingAccess(
-            element_size=data.element_size,
-            num_elements=data.num_elements,
-            stride_elements=_whole("stride", props.get("stride", 1)),
-            sweeps=_whole("sweeps", props.get("sweeps", 1)),
-            aligned=bool(props.get("aligned", 0)),
-        )
-    if spec.kind == "random":
-        missing = [key for key in ("distinct", "iterations") if key not in props]
-        if missing:
-            raise PatternError(
-                f"random pattern missing {' and '.join(map(repr, missing))}"
-            )
-        return RandomAccess(
-            num_elements=data.num_elements,
-            element_size=data.element_size,
-            distinct_per_iteration=props["distinct"],
-            iterations=_whole("iterations", props["iterations"]),
-            cache_ratio=props.get("cache_ratio", 1.0),
-        )
-    if spec.kind == "template":
-        template: list = list(spec.refs)
-        for sweep in spec.sweeps:
-            template.append(
-                SweepTemplate(start=sweep.start, step=sweep.step, end=sweep.end)
-            )
-        return TemplateAccess(
-            element_size=data.element_size,
-            template=template,
-            num_elements=data.num_elements,
-            repeats=_whole("repeats", props.get("repeats", 1)),
-            cache_ratio=props.get("cache_ratio", 1.0),
-        )
-    if spec.kind == "reuse":
-        return ReuseAccess(
-            target_bytes=data.size_bytes,
-            interfering_bytes=_whole("interfering", props.get("interfering", 0)),
-            reuse_count=_whole("reuses", props.get("reuses", 1)),
-        )
-    raise AspenSemanticError(f"unknown pattern kind {spec.kind!r}")
-
-
-def _worst_case_references(data: DataModel, spec: PatternSpec | None) -> float:
+def _worst_case_references(
+    data: DataModel, kind: str | None, props: dict[str, float], template: list
+) -> float:
     """A generous but finite reference count ``T`` for the degraded bound.
 
     Pulls whatever usable numbers the (broken) pattern declaration
@@ -120,43 +124,48 @@ def _worst_case_references(data: DataModel, spec: PatternSpec | None) -> float:
     with one full traversal of the structure as the floor.
     """
     n = float(data.num_elements)
-    if spec is None:
-        return n
-    props = spec.properties
 
     def _pos(key: str, default: float) -> float:
-        try:
-            value = float(props[key])
-        except (KeyError, TypeError, ValueError):
-            return default
-        if not math.isfinite(value) or value <= 0:
-            return default
-        return value
+        value = props.get(key, default)
+        return value if math.isfinite(value) and value > 0 else default
 
-    if spec.kind == "streaming":
+    if kind == "streaming":
         return n * _pos("sweeps", 1.0)
-    if spec.kind == "random":
+    if kind == "random":
         return n + _pos("iterations", 1.0) * min(_pos("distinct", n), n)
-    if spec.kind == "reuse":
+    if kind == "reuse":
         return n * (1.0 + _pos("reuses", 1.0))
-    if spec.kind == "template":
-        refs = float(len(spec.refs))
-        for sweep in spec.sweeps:
+    if kind == "template":
+        refs = 0.0
+        for item in template:
+            if isinstance(item, int):
+                refs += 1
+                continue
+            start, step, end = item
             try:
-                groups = (sweep.end[0] - sweep.start[0]) // max(sweep.step, 1) + 1
+                groups = (end[0] - start[0]) // max(step, 1) + 1
             except IndexError:
                 groups = 1
-            refs += max(groups, 1) * len(sweep.start)
+            refs += max(groups, 1) * len(start)
         return max(refs * _pos("repeats", 1.0), n)
     return n
 
 
-def degraded_pattern(data: DataModel) -> WorstCaseAccess:
-    """Worst-case stand-in for a structure with an unusable estimator."""
+def degraded_pattern(
+    data: DataModel,
+    kind: str | None = None,
+    props: dict[str, float] | None = None,
+    template: list | tuple = (),
+) -> WorstCaseAccess:
+    """Worst-case stand-in for a structure with an unusable estimator.
+
+    ``T`` is one traversal of the structure when its pattern was never
+    evaluated (no ``kind``), else drawn from the evaluated declaration.
+    """
     return WorstCaseAccess(
         num_elements=data.num_elements,
         element_size=data.element_size,
-        total_references=_worst_case_references(data, data.pattern),
+        total_references=_worst_case_references(data, kind, props or {}, template),
     )
 
 
@@ -181,22 +190,24 @@ def composite_base_pattern(
 class CompiledModel:
     """An application model lowered against a machine.
 
-    Produced by :func:`compile_model`; exposes ``N_ha`` per structure
+    Produced by :func:`compile_source`; exposes ``N_ha`` per structure
     and the DVF :meth:`report` built from it, plus the raw pattern
     objects for inspection.  ``N_ha`` comes from
     :func:`~repro.patterns.composite.estimate_structures`, the evaluator
-    kernel models use too.  ``degraded`` names the structures replaced
-    by the worst-case bound at compile time.  A lenient model carries
-    its ``sink``: every diagnostic lands there, and estimates are routed
-    through the guardrail layer (clamping and runtime degradation).
+    kernel models use too.  ``sizes`` holds each sized structure's
+    footprint and ``dropped`` the declared structures that could not be
+    sized.  A lenient model carries its ``sink``: every diagnostic lands
+    there, and estimates are routed through the guardrail layer
+    (clamping and runtime degradation).
     """
 
-    app: AppModel
+    name: str
     machine: MachineModel
     kernel: KernelModel
+    sizes: dict[str, int]
     patterns: dict[str, AccessPattern]
     composite: CompositeAccessModel | None
-    degraded: frozenset[str] = frozenset()
+    dropped: tuple[str, ...] = ()
     sink: DiagnosticSink | None = None
 
     # ------------------------------------------------------------------
@@ -204,13 +215,17 @@ class CompiledModel:
     def _estimates(self) -> tuple[dict[str, float], frozenset[str]]:
         """``N_ha`` per structure and the degraded set, evaluated once.
 
-        Caching keeps a lenient evaluation from recording its
-        diagnostics in ``sink`` a second time.
+        A structure lowered to the worst-case bound is degraded, as is
+        one whose estimate the guardrails replace at run time.  Caching
+        keeps a lenient evaluation from recording its diagnostics in
+        ``sink`` a second time.
         """
         values, degraded = estimate_structures(
             self.patterns, self.composite, self.machine.cache, self.sink
         )
-        return values, self.degraded | degraded
+        lowered = {name for name, pattern in self.patterns.items()
+                   if isinstance(pattern, WorstCaseAccess)}
+        return values, degraded | lowered
 
     def nha_by_structure(self) -> dict[str, float]:
         """Expected main-memory accesses per data structure."""
@@ -237,44 +252,188 @@ class CompiledModel:
             time_seconds = check_time(self.kernel.time)
         else:
             time_seconds = self.machine.roofline_seconds(
-                self.kernel.flops, self.kernel.bytes_moved
+                self.kernel.flops, self.kernel.loads + self.kernel.stores
             )
         return build_report(
-            application=application or self.app.name,
+            application=application or self.name,
             machine=self.machine.name,
             fit=self.machine.fit,
             time_seconds=time_seconds,
-            sizes={
-                name: float(self.app.data[name].size_bytes)
-                for name in self.patterns
-            },
+            sizes={name: float(self.sizes[name]) for name in self.patterns},
             nha=self.nha_by_structure(),
             degraded=self.degraded_structures(),
             sink=self.sink,
         )
 
 
+def _fault(
+    sink: DiagnosticSink | None, code: str, message: str,
+    error: Exception | None = None, **where,
+) -> None:
+    """Strict, raise ``error`` (else ``message`` as a semantic error);
+    lenient, record ``message`` as ``code``."""
+    if sink is None:
+        raise error or AspenSemanticError(message)
+    sink.error(code, message, **where)
+
+
+def check_params(params) -> dict:
+    """Overrides as a dict; like an unknown mode, a non-mapping is the
+    caller's error, not the model's, so it raises ``ValueError``."""
+    if params is None:
+        return {}
+    if not isinstance(params, Mapping):
+        raise ValueError(
+            f"params must map parameter names to numbers, got {params!r}"
+        )
+    return dict(params)
+
+
+def _evaluate_params(
+    decl: ModelDecl, overrides: dict, sink: DiagnosticSink | None
+) -> dict[str, float]:
+    """The parameter environment, overrides applied in declaration order.
+
+    An override replaces its param's expression, so derived params see
+    it and its default never runs.  An unknown name, or a value that is
+    not a finite number as written (a bool or a string is not), is
+    ``ASP208``; lenient evaluation keeps the declared default.
+    """
+    unknown = set(overrides) - {param.name for param in decl.params}
+    if unknown:
+        _fault(sink, "ASP208", f"model {decl.name!r} has no parameters "
+               f"{sorted(unknown, key=str)}")
+    env: dict[str, float] = {}
+    for param in decl.params:
+        span = SourceSpan(param.line, 0)
+        if param.name in overrides:
+            value = overrides[param.name]
+            try:
+                finite = not isinstance(value, bool) and math.isfinite(value)
+            except (TypeError, OverflowError):  # not a number, or too large
+                finite = False
+            if finite:
+                env[param.name] = value
+                continue
+            _fault(sink, "ASP208", f"model {decl.name!r}: param "
+                   f"{param.name!r} must be a finite number, got {value!r}",
+                   span=span)
+        try:
+            env[param.name] = param.value.evaluate(env)
+        except AspenEvalError as exc:
+            _fault(sink, "ASP211", f"model {decl.name!r}: param "
+                   f"{param.name!r}: {exc}", exc, span=span)
+    return env
+
+
+def _size(
+    decl: DataDecl,
+    env: dict[str, float],
+    model: str,
+    sink: DiagnosticSink | None,
+) -> DataModel | None:
+    """Size one data declaration; None when a lenient pass drops it."""
+    where = {"span": SourceSpan(decl.line, 0), "structure": decl.name}
+    for key in ("elements", "element_size"):
+        if key not in decl.properties:
+            _fault(sink, "ASP201", f"model {model!r}: data {decl.name!r} "
+                   f"missing {key!r}", **where)
+            return None
+    try:
+        num_elements, element_size = (
+            evaluate_int(decl.properties[key], env, f"{decl.name}.{key}")
+            for key in ("elements", "element_size")
+        )
+    except AspenEvalError as exc:
+        _fault(sink, "ASP211", f"model {model!r}: data {decl.name!r} "
+               f"cannot be sized: {exc}", exc, **where)
+        return None
+    if num_elements < 1 or element_size < 1:
+        _fault(sink, "ASP202", f"model {model!r}: data {decl.name!r} must "
+               f"have positive elements and element_size", **where)
+        return None
+    try:
+        dims = tuple(
+            evaluate_int(d, env, f"{decl.name}.dims") for d in decl.dims
+        )
+        if dims and math.prod(dims) != num_elements:
+            raise AspenSemanticError(
+                f"model {model!r}: data {decl.name!r} dims {dims} do not "
+                f"multiply to elements={num_elements}"
+            )
+    except (AspenEvalError, AspenSemanticError) as exc:
+        _fault(sink, "ASP203", str(exc), exc, **where)
+        dims = None
+    return DataModel(decl, num_elements, element_size, dims)
+
+
+def _evaluate_kernel(
+    decl: KernelDecl,
+    env: dict[str, float],
+    model: str,
+    sink: DiagnosticSink | None,
+) -> KernelModel | None:
+    """Evaluate a kernel declaration; None when a lenient pass drops it.
+
+    A kernel whose ``iterations`` is not a whole number >= 1 is dropped
+    with ``ASP207``, one with an unknown or unevaluable property with
+    ``ASP206``.
+    """
+    props = decl.properties
+    code = "ASP206"
+    try:
+        unknown = set(props) - _KERNEL_PROPS
+        if unknown:
+            raise AspenSemanticError(
+                f"model {model!r}: kernel {decl.name!r} has unknown "
+                f"properties {sorted(unknown)} (known: {sorted(_KERNEL_PROPS)})"
+            )
+        code = "ASP207"
+        iterations = (
+            evaluate_int(props["iterations"], env, "kernel iterations")
+            if "iterations" in props
+            else 1
+        )
+        if iterations < 1:
+            raise AspenSemanticError(
+                f"model {model!r}: kernel {decl.name!r} iterations must be >= 1"
+            )
+        code = "ASP206"
+        resources = {
+            key: props[key].evaluate(env)
+            for key in ("flops", "loads", "stores", "time") if key in props
+        }
+        return KernelModel(decl.name, iterations, decl.order, **resources)
+    except (AspenSemanticError, AspenEvalError) as exc:
+        _fault(sink, code, f"kernel {decl.name!r} dropped: {exc}", exc,
+               span=SourceSpan(decl.line, 0))
+        return None
+
+
 def _access_order(
-    app: AppModel, kernel: KernelModel, sink: DiagnosticSink | None
+    kernel: KernelModel,
+    sized: dict[str, DataModel],
+    dropped: list[str],
+    sink: DiagnosticSink | None,
 ) -> list[AccessEvent] | None:
-    """The kernel's access order over declared data, or None.
+    """The kernel's access order over the sized data, or None.
 
     None when the kernel declares no order, or when the order is
-    unusable and lowering is lenient (``ASP212``: the composite model is
-    dropped); strict lowering raises instead.
+    unusable and the pass is lenient (``ASP212``, which tells a name
+    never declared from one the pass dropped); strict raises instead.
     """
     if kernel.order is None:
         return None
     try:
         events = parse_order(kernel.order)
-        undeclared = [
-            name
-            for name in dict.fromkeys(n for event in events for n in event)
-            if name not in app.data
-        ]
-        if undeclared:
+        for name in dict.fromkeys(n for event in events for n in event):
+            if name in sized:
+                continue
             raise AspenSemanticError(
-                f"access order references undeclared data {undeclared[0]!r}"
+                f"access order references data {name!r}, which was "
+                f"dropped because it could not be sized"
+                if name in dropped
+                else f"access order references undeclared data {name!r}"
             )
     except (PatternError, AspenSemanticError) as exc:
         problem = f"kernel {kernel.name!r}: invalid access order ({exc})"
@@ -289,72 +448,235 @@ def _access_order(
     return events
 
 
-def compile_model(
-    app: AppModel,
-    machine: MachineModel,
+def _flatten_ref(
+    ref: IndexRef, env: dict[str, float], data: DataModel, model: str
+) -> int:
+    """Flatten a multi-dim reference row-major over ``dims`` (0-based)."""
+    if ref.data != data.name:
+        raise AspenSemanticError(
+            f"model {model!r}: template for {data.name!r} references "
+            f"{ref.data!r}"
+        )
+    indices = [evaluate_int(e, env, f"{data.name} index") for e in ref.indices]
+    if len(indices) == 1 and not data.dims:
+        return indices[0]
+    if not data.dims:
+        raise AspenSemanticError(
+            f"model {model!r}: data {data.name!r} needs 'dims' for "
+            f"multi-dimensional template references"
+        )
+    if len(indices) != len(data.dims):
+        raise AspenSemanticError(
+            f"model {model!r}: reference {ref.data}{list(indices)} has "
+            f"{len(indices)} indices but dims has {len(data.dims)}"
+        )
+    flat = 0
+    for idx, dim in zip(indices, data.dims):
+        if not 0 <= idx < dim:
+            raise AspenSemanticError(
+                f"model {model!r}: index {idx} out of range [0, {dim}) in "
+                f"template reference for {data.name!r}"
+            )
+        flat = flat * dim + idx
+    return flat
+
+
+def _estimator(
+    data: DataModel, kind: str, props: dict[str, float], template: list
+) -> AccessPattern:
+    """Instantiate the CGPMAC estimator for one evaluated pattern."""
+    if kind == "streaming":
+        return StreamingAccess(
+            element_size=data.element_size,
+            num_elements=data.num_elements,
+            stride_elements=_whole("stride", props.get("stride", 1)),
+            sweeps=_whole("sweeps", props.get("sweeps", 1)),
+            aligned=bool(props.get("aligned", 0)),
+        )
+    if kind == "random":
+        missing = [key for key in ("distinct", "iterations") if key not in props]
+        if missing:
+            raise PatternError(
+                f"random pattern missing {' and '.join(map(repr, missing))}"
+            )
+        return RandomAccess(
+            num_elements=data.num_elements,
+            element_size=data.element_size,
+            distinct_per_iteration=props["distinct"],
+            iterations=_whole("iterations", props["iterations"]),
+            cache_ratio=props.get("cache_ratio", 1.0),
+        )
+    if kind == "template":
+        return TemplateAccess(
+            element_size=data.element_size,
+            template=[
+                item if isinstance(item, int) else SweepTemplate(*item)
+                for item in template
+            ],
+            num_elements=data.num_elements,
+            repeats=_whole("repeats", props.get("repeats", 1)),
+            cache_ratio=props.get("cache_ratio", 1.0),
+        )
+    return ReuseAccess(
+        target_bytes=data.size_bytes,
+        interfering_bytes=_whole("interfering", props.get("interfering", 0)),
+        reuse_count=_whole("reuses", props.get("reuses", 1)),
+    )
+
+
+def _degrade(
+    sink: DiagnosticSink, data: DataModel, problem: str, *evaluated
+) -> WorstCaseAccess:
+    """Record ``ASP304`` for ``data`` and stand its worst case in for it."""
+    fallback = degraded_pattern(data, *evaluated)
+    sink.error(
+        "ASP304",
+        f"{problem}; degraded to the worst-case bound N_ha = T*AE with "
+        f"T = {fallback.total_references:g}",
+        structure=data.name,
+        hint="fix the pattern declaration to restore the analytical estimate",
+    )
+    return fallback
+
+
+def _lower(
+    data: DataModel,
+    env: dict[str, float],
+    model: str,
+    sink: DiagnosticSink | None,
+) -> AccessPattern:
+    """Evaluate a sized structure's pattern and build its estimator.
+
+    The evaluated template lists each reference's flat index, then each
+    sweep as ``(start, step, end)``.  Lenient, a pattern that cannot be
+    evaluated is ``ASP204`` (unknown kind) or ``ASP205`` and degrades
+    with ``T = N``; one the estimator refuses is ``ASP304`` and degrades
+    with ``T`` drawn from its evaluated properties.
+    """
+    pattern = data.decl.pattern
+    try:
+        if pattern.kind not in _KINDS:
+            raise AspenSemanticError(
+                f"model {model!r}: unknown pattern kind {pattern.kind!r} for "
+                f"data {data.name!r}; known: {list(_KINDS)}"
+            )
+        props = {key: e.evaluate(env) for key, e in pattern.properties.items()}
+        sweeps = []
+        for sweep in pattern.sweeps:
+            start = tuple(_flatten_ref(r, env, data, model) for r in sweep.start)
+            end = tuple(_flatten_ref(r, env, data, model) for r in sweep.end)
+            step = evaluate_int(sweep.step, env, "sweep step")
+            sweeps.append((start, step, end))
+        template = [_flatten_ref(r, env, data, model) for r in pattern.refs]
+    except (AspenEvalError, AspenSemanticError) as exc:
+        if sink is None:
+            raise
+        if data.dims is not None:  # else its ASP203 names the fault
+            code = "ASP205" if pattern.kind in _KINDS else "ASP204"
+            sink.error(
+                code, str(exc), span=SourceSpan(data.decl.line, 0),
+                structure=data.name,
+            )
+        return degraded_pattern(data)
+    template += sweeps
+    try:
+        return _estimator(data, pattern.kind, props, template)
+    except (PatternError, ArithmeticError, KeyError, TypeError,
+            ValueError) as exc:
+        if sink is None:
+            raise AspenSemanticError(f"data {data.name!r}: {exc}") from exc
+        return _degrade(
+            sink, data, f"pattern for {data.name!r} could not be built ({exc})",
+            pattern.kind, props, template,
+        )
+
+
+def compile_source(
+    source: str,
+    model: str | None = None,
+    machine: str | MachineModel | None = None,
     kernel: str | None = None,
+    params: dict[str, float] | None = None,
     sink: DiagnosticSink | None = None,
 ) -> CompiledModel:
-    """Lower an evaluated app model against a machine.
+    """Parse, evaluate and lower Aspen source in one pass.
 
-    Without a ``sink`` the first fault raises :class:`AspenSemanticError`
-    naming the structure or kernel.  With one, each fault is recorded
-    once and lowering goes on: a structure whose pattern cannot be
-    built, or that the access order names but that declares no pattern,
-    degrades to the worst-case bound (``ASP304``), and an unusable
-    access order drops the composite model (``ASP212``).  ``ASP210``
-    warns of a model with no data, a structure left out of ``N_ha`` and
-    a kernel whose execution time will be zero.  A model with no kernel
-    to evaluate raises either way.
+    Parameters
+    ----------
+    source:
+        Aspen DSL text containing at least one ``model`` and (unless a
+        :class:`MachineModel` is passed) one ``machine``.
+    model / machine / kernel:
+        Names selecting among multiple declarations; each may be omitted
+        when the source declares exactly one.
+    params:
+        Model parameter overrides (e.g. ``{"n": 800}``), each a finite
+        int or float; a non-mapping raises ``ValueError``.
+    sink:
+        Omitted (strict), the first error raises.  Given (lenient),
+        evaluation recovers, records coded diagnostics here, drops a
+        structure it cannot size and degrades one whose pattern it
+        cannot lower to the worst-case bound; the sink is available
+        afterwards as ``CompiledModel.sink``.  A model with no kernel
+        to evaluate raises either way.
     """
-    kernel_model = app.kernel(kernel)  # no kernel at all is fatal
-    if sink is not None and not app.data:
-        sink.warning("ASP210", f"model {app.name!r} declares no data structures")
-    events = _access_order(app, kernel_model, sink)
-    ordered = dict.fromkeys(name for event in events or () for name in event)
-    patterns: dict[str, AccessPattern] = {}
-    degraded: set[str] = set()
-
-    def degrade(data: DataModel, problem: str) -> None:
-        fallback = degraded_pattern(data)
-        sink.error(
-            "ASP304",
-            f"{problem}; degraded to the worst-case bound N_ha = T*AE with "
-            f"T = {fallback.total_references:g}",
-            structure=data.name,
-            hint="fix the pattern declaration to restore the "
-            "analytical estimate",
-        )
-        patterns[data.name] = fallback
-        degraded.add(data.name)
-
-    for name, data in app.data.items():
-        if data.pattern_invalid:  # its own error is already recorded
-            patterns[name] = degraded_pattern(data)
-            degraded.add(name)
-        elif data.pattern is None:
-            if name in ordered:
-                problem = (
-                    f"kernel {kernel_model.name!r}: data {name!r} appears in "
-                    f"the access order but declares no pattern"
-                )
-                if sink is None:
-                    raise AspenSemanticError(problem)
-                degrade(data, problem)
-            elif sink is not None:
-                sink.warning(
-                    "ASP210",
-                    f"data {name!r} has no access pattern; it will be "
-                    f"excluded from N_ha estimation",
-                )
+    overrides = check_params(params)
+    if sink is None:
+        program = parse(source)
+    else:
+        program, _ = parse_with_diagnostics(source, sink)
+    decl = program.model(model)
+    env = _evaluate_params(decl, overrides, sink)
+    sized: dict[str, DataModel] = {}
+    dropped: list[str] = []
+    for data_decl in decl.data:
+        data = _size(data_decl, env, decl.name, sink)
+        if data is None:
+            dropped.append(data_decl.name)
         else:
-            try:
-                patterns[name] = build_pattern(data, data.pattern)
-            except (PatternError, AspenSemanticError, ArithmeticError,
-                    KeyError, TypeError, ValueError) as exc:
-                if sink is None:
-                    raise AspenSemanticError(f"data {name!r}: {exc}") from exc
-                degrade(data, f"pattern for {name!r} could not be built ({exc})")
+            sized[data.name] = data
+    kernels: dict[str, KernelModel] = {}
+    for kernel_decl in decl.kernels:
+        evaluated = _evaluate_kernel(kernel_decl, env, decl.name, sink)
+        if evaluated is not None:
+            kernels[evaluated.name] = evaluated
+    if not isinstance(machine, MachineModel):
+        machine = from_decl(program.machine(machine))
+    patterns = {
+        name: _lower(data, env, decl.name, sink)
+        for name, data in sized.items()
+        if data.decl.pattern is not None
+    }
+    if kernel is None and len(kernels) == 1:
+        (kernel,) = kernels
+    if kernel not in kernels:  # no kernel to evaluate is fatal in both modes
+        raise AspenSemanticError(
+            f"model {decl.name!r}: expected exactly one kernel, found "
+            f"{sorted(kernels)}" if kernel is None
+            else f"model {decl.name!r} has no kernel {kernel!r}"
+        )
+    kernel_model = kernels[kernel]
+    if sink is not None and not sized:
+        sink.warning("ASP210", f"model {decl.name!r} declares no data structures")
+    events = _access_order(kernel_model, sized, dropped, sink)
+    ordered = dict.fromkeys(name for event in events or () for name in event)
+    for name, data in sized.items():
+        if data.decl.pattern is not None:
+            continue
+        if name in ordered:
+            problem = (
+                f"kernel {kernel_model.name!r}: data {name!r} appears in "
+                f"the access order but declares no pattern"
+            )
+            if sink is None:
+                raise AspenSemanticError(problem)
+            patterns[name] = _degrade(sink, data, problem)
+        elif sink is not None:
+            sink.warning(
+                "ASP210",
+                f"data {name!r} has no access pattern; it will be "
+                f"excluded from N_ha estimation",
+            )
     if sink is not None and kernel_model.time is None and (
         kernel_model.flops == kernel_model.loads == kernel_model.stores == 0
     ):
@@ -367,56 +689,19 @@ def compile_model(
     if events is not None:
         composite = CompositeAccessModel(
             patterns={
-                name: composite_base_pattern(app.data[name], patterns[name])
+                name: composite_base_pattern(sized[name], patterns[name])
                 for name in ordered
             },
             order=events,
             iterations=kernel_model.iterations,
         )
     return CompiledModel(
-        app=app,
+        name=decl.name,
         machine=machine,
         kernel=kernel_model,
+        sizes={name: data.size_bytes for name, data in sized.items()},
         patterns=patterns,
         composite=composite,
-        degraded=frozenset(degraded),
+        dropped=tuple(dropped),
         sink=sink,
     )
-
-
-def compile_source(
-    source: str,
-    model: str | None = None,
-    machine: str | MachineModel | None = None,
-    kernel: str | None = None,
-    params: dict[str, float] | None = None,
-    sink: DiagnosticSink | None = None,
-) -> CompiledModel:
-    """Parse, evaluate and lower Aspen source in one step.
-
-    Parameters
-    ----------
-    source:
-        Aspen DSL text containing at least one ``model`` and (unless a
-        :class:`MachineModel` is passed) one ``machine``.
-    model / machine / kernel:
-        Names selecting among multiple declarations; each may be omitted
-        when the source declares exactly one.
-    params:
-        Model parameter overrides (e.g. ``{"n": 800}``).
-    sink:
-        Omitted (strict), the first error raises.  Given (lenient),
-        evaluation recovers, records coded diagnostics here and degrades
-        broken structures to the worst-case bound; the sink is
-        available afterwards as ``CompiledModel.sink``.
-    """
-    if sink is None:
-        program = parse(source)
-    else:
-        program, _ = parse_with_diagnostics(source, sink)
-    app = build_app_model(program.model(model), overrides=params, sink=sink)
-    if isinstance(machine, MachineModel):
-        machine_model = machine
-    else:
-        machine_model = from_decl(program.machine(machine))
-    return compile_model(app, machine_model, kernel=kernel, sink=sink)

@@ -34,7 +34,7 @@ ASP204   unknown pattern kind
 ASP205   invalid template reference
 ASP206   kernel dropped (unknown or unevaluable property)
 ASP207   kernel dropped (iterations not a whole number >= 1)
-ASP208   unknown parameter override
+ASP208   parameter override unknown, or not a finite number
 ASP209   retired (was: semantic validation error)
 ASP210   model warning (no data, structure left out of N_ha, zero time)
 ASP211   expression evaluation failed

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
-from repro.aspen.compiler import compile_source
+from repro.aspen.compiler import check_params, compile_source
 from repro.aspen.errors import (
     AspenError,
     AspenEvalError,
@@ -74,15 +74,18 @@ def evaluate_source(
     lacks the one model or the named machine it is evaluated on (the
     ``KeyError`` strict mode raises), or when not one of the model's
     declared data structures could be sized (the error names the first
-    ASP211, the evaluation failure that left them unsized).
+    ASP211, the evaluation failure that left them unsized).  Like an
+    unknown ``mode``, ``params`` that are not a mapping raise
+    ``ValueError`` in both modes.
     """
     sink = DiagnosticSink() if check_mode(mode) == "lenient" else None
+    params = check_params(params)
     try:
         compiled = compile_source(
             source, machine=machine, params=params, sink=sink
         )
-        dropped = compiled.app.dropped
-        if dropped and not compiled.app.data:
+        dropped = compiled.dropped
+        if dropped and not compiled.sizes:
             cause = next(
                 (d for d in sink if d.code == "ASP211"), sink.errors[0]
             )

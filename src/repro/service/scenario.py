@@ -245,7 +245,24 @@ def _number(value, what: str) -> float:
     """A number as written: an int or float, never a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int too large for a float
+        return math.inf
+
+
+def _check_params(params, kind: str, what: str) -> None:
+    """An aspen job's params are finite numbers; a kernel job's are
+    workload settings, which may be strings but never bools."""
+    if not isinstance(params, dict):
+        raise ScenarioError(f"{what}: 'params' must be a mapping, got {params!r}")
+    for key, value in params.items():
+        where = f"{what}: params.{key}"
+        if kind == "kernel":
+            if isinstance(value, bool):
+                raise ScenarioError(f"{where} must not be a bool, got {value!r}")
+        elif not math.isfinite(_number(value, where)):
+            raise ScenarioError(f"{where} must be a finite number, got {value!r}")
 
 
 def _parse_service(data: dict) -> ServiceConfig:
@@ -296,6 +313,8 @@ def _parse_job(
     for key, value in defaults.items():
         if key in _JOB_OPTION_KEYS[kind] and key not in options:
             options[key] = value
+    if "params" in options:
+        _check_params(options["params"], kind, f"{what} ({job_id})")
 
     if kind == "aspen":
         has_source = "source" in options

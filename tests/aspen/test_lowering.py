@@ -1,13 +1,13 @@
 """Lowering is the one checker of an Aspen model: one fault, one diagnostic.
 
-``compile_model`` finds each fault where it acts on it.  Strict
+``compile_source`` finds each fault where it acts on it.  Strict
 evaluation raises ``AspenSemanticError`` naming the structure or
 kernel; lenient evaluation records exactly one error, naming what it
 degraded or dropped.  A derandomized slice of one-lexeme mutations of
 the builtin sources (ROADMAP item 13) checks that lenient evaluation
-never raises and uses only live diagnostic codes, and that strict
-evaluation fails only in ways a service worker reports as a final
-record.
+never raises, uses only live diagnostic codes and names no structure
+in two errors, and that strict evaluation fails only in ways a service
+worker reports as a final record.
 """
 
 import ast
@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 
 import repro
 from repro import diagnostics
-from repro.aspen import AspenSemanticError, DiagnosticSink, compile_source
+from repro.aspen import (
+    AspenSemanticError,
+    DiagnosticSink,
+    compile_source,
+    parse_with_diagnostics,
+)
 from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
 from repro.experiments.aspen_batch import evaluate_source
 from repro.service.worker import DETERMINISTIC_EXCEPTIONS
@@ -118,6 +123,50 @@ class TestOneFaultOneDiagnostic:
         strict = evaluate_source("m", source + MACHINE, mode="strict")
         assert [s.name for s in strict.report.structures] == ["B"]
 
+    def test_order_naming_a_dropped_structure_says_dropped(self):
+        # A declares no elements, so the pass drops it; the order still
+        # names it.
+        source = """
+        model m {
+          param n = 64
+          data A { element_size: 8, pattern streaming { } }
+          data p { elements: n, element_size: 8, pattern reuse { } }
+          kernel k { iterations: 2, order: "(Ap)p", flops: n }
+        }
+        """ + MACHINE
+        entry = evaluate_source("m", source, mode="lenient")
+        assert entry.ok and entry.dropped == ("A",)
+        first, order = [d for d in entry.diagnostics if d.is_error]
+        assert (first.code, first.structure) == ("ASP201", "A")
+        assert order.code == "ASP212"
+        assert "data 'A', which was dropped because it could not be sized" in (
+            order.message
+        )
+        assert "undeclared" not in order.message
+        with pytest.raises(AspenSemanticError, match="'A' missing 'elements'"):
+            evaluate_source("m", source, mode="strict")
+
+    def test_dims_mismatch_is_one_error_on_the_structure(self):
+        # dims (n, n) cannot hold n*n*n elements; the template needs them.
+        source = """
+        model m {
+          param n = 8
+          data R {
+            elements: n*n*n, element_size: 8, dims: (n, n)
+            pattern template { refs: (R[1, 1, 1], R[2, 2, 2]) }
+          }
+          kernel k { flops: n }
+        }
+        """ + MACHINE
+        sink = DiagnosticSink()
+        compiled = compile_source(source, sink=sink)
+        assert [(d.code, d.structure) for d in sink.errors] == [("ASP203", "R")]
+        assert compiled.degraded_structures() == {"R"}
+        # Degraded as when the template could not be evaluated: T = N.
+        assert compiled.patterns["R"].total_references == 8**3
+        with pytest.raises(AspenSemanticError, match="do not multiply"):
+            compile_source(source)
+
     @pytest.mark.parametrize("iterations", ["0", "2.5", "-3"])
     def test_bad_kernel_iterations_is_asp207(self, iterations):
         source = HEALTHY.replace("flops: n,", f"iterations: {iterations}, flops: n,")
@@ -170,6 +219,15 @@ class TestMutatedSources:
         source += MACHINE_LIBRARY
         entry = evaluate_source(kernel, source, machine="small", mode="lenient")
         assert {d.code for d in entry.diagnostics} <= live_codes()
+        named = [d.structure for d in entry.diagnostics if d.is_error]
+        named = [name for name in named if name is not None]
+        assert len(named) == len(set(named)), entry.diagnostics
+        program, _ = parse_with_diagnostics(source)
+        declared = {d.name for m in program.models for d in m.data}
+        for d in entry.diagnostics:
+            undeclared = re.search(r"undeclared data '(\w+)'", d.message)
+            if d.code == "ASP212" and undeclared:
+                assert undeclared.group(1) not in declared, d
         assert entry.ok is (entry.report is not None)
         if entry.ok:
             assert entry.diagnostics == entry.report.diagnostics

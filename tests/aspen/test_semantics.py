@@ -8,10 +8,10 @@ from repro.aspen import (
     compile_source,
     parse,
 )
-from repro.aspen.appmodel import build_app_model
 from repro.aspen.machine import from_decl
 from repro.aspen.errors import AspenEvalError, DiagnosticSink
 from repro.cachesim import CacheGeometry
+from repro.experiments.aspen_batch import evaluate_source
 
 MACHINE = """
 machine box {
@@ -33,33 +33,39 @@ model vm {
 
 
 class TestAppModelEvaluation:
+    """Params, data sizes and kernels as the one pass evaluates them."""
+
     def test_params_resolved_in_order(self):
-        source = "model m { param a = 2, param b = a * 3, kernel k { flops: b } }"
-        app = build_app_model(parse(source).model())
-        assert app.params == {"a": 2.0, "b": 6.0}
+        source = (
+            "model m { param a = 2, param b = a * 3, "
+            "data A { elements: a, element_size: b }, kernel k { flops: b } }"
+        )
+        compiled = compile_source(source + MACHINE)
+        assert compiled.sizes == {"A": 2 * 6}
+        assert compiled.kernel.flops == 6.0
 
     def test_param_overrides(self):
-        app = build_app_model(parse(VM).model(), overrides={"n": 500})
-        assert app.data["A"].num_elements == 500
+        compiled = compile_source(VM + MACHINE, params={"n": 500})
+        assert compiled.sizes["A"] == 500 * 8
 
     def test_override_propagates_to_derived_params(self):
         source = (
             "model m { param n = 10, param n2 = n*n, "
             "kernel k { flops: n2 } }"
         )
-        app = build_app_model(parse(source).model(), overrides={"n": 20})
-        assert app.params["n2"] == 400.0
+        compiled = compile_source(source + MACHINE, params={"n": 20})
+        assert compiled.kernel.flops == 400.0
 
     def test_unknown_override_rejected(self):
         with pytest.raises(AspenSemanticError, match="no parameters"):
-            build_app_model(parse(VM).model(), overrides={"zz": 1})
+            compile_source(VM + MACHINE, params={"zz": 1})
 
     def test_override_replaces_a_failing_default(self):
         # The default 8/0 never runs: the override replaces it.
         source = VM.replace("param n = 200", "param n = 8/0") + MACHINE
         compiled = compile_source(source, params={"n": 100})
-        assert compiled.app.params["n"] == 100
-        assert compiled.app.data["A"].num_elements == 100
+        assert compiled.kernel.flops == 2 * 100
+        assert compiled.sizes["A"] == 100 * 8
 
     def test_lenient_override_reports_each_failing_param_once(self):
         source = (
@@ -67,25 +73,23 @@ class TestAppModelEvaluation:
             "data A { elements: n, element_size: 8 }, kernel main { flops: n } }"
         )
         sink = DiagnosticSink()
-        app = build_app_model(
-            parse(source).model(), overrides={"n": 16}, sink=sink
-        )
-        assert app.params == {"n": 16}
-        assert app.data["A"].num_elements == 16
-        assert [(d.code, d.message.split(": ")[1]) for d in sink] == [
+        compiled = compile_source(source + MACHINE, params={"n": 16}, sink=sink)
+        assert compiled.kernel.flops == 16
+        assert compiled.sizes == {"A": 16 * 8}
+        assert [(d.code, d.message.split(": ")[1]) for d in sink.errors] == [
             ("ASP211", "param 'k'"),
             ("ASP211", "param 'j'"),
         ]
 
     def test_data_sizes(self):
-        app = build_app_model(parse(VM).model())
-        assert app.data["A"].size_bytes == 1600
-        assert app.working_set_bytes() == 4800
+        compiled = compile_source(VM + MACHINE)
+        assert compiled.sizes == {"A": 1600, "B": 1600, "C": 1600}
+        assert sum(compiled.sizes.values()) == 4800
 
     def test_missing_elements_rejected(self):
         source = "model m { data D { element_size: 8 }, kernel k { flops: 1 } }"
         with pytest.raises(AspenSemanticError, match="missing 'elements'"):
-            build_app_model(parse(source).model())
+            compile_source(source + MACHINE)
 
     def test_fractional_elements_rejected(self):
         source = (
@@ -93,7 +97,7 @@ class TestAppModelEvaluation:
             "kernel k { flops: 1 } }"
         )
         with pytest.raises(AspenEvalError, match="integer"):
-            build_app_model(parse(source).model())
+            compile_source(source + MACHINE)
 
     def test_dims_must_multiply_to_elements(self):
         source = (
@@ -101,7 +105,7 @@ class TestAppModelEvaluation:
             "kernel k { flops: 1 } }"
         )
         with pytest.raises(AspenSemanticError, match="do not multiply"):
-            build_app_model(parse(source).model())
+            compile_source(source + MACHINE)
 
     def test_template_indices_flattened_row_major(self):
         source = """
@@ -113,8 +117,8 @@ class TestAppModelEvaluation:
           kernel k { flops: 1 }
         }
         """
-        app = build_app_model(parse(source).model())
-        assert app.data["D"].pattern.refs == (6, 11)
+        compiled = compile_source(source + MACHINE)
+        assert compiled.patterns["D"].element_indices.tolist() == [6, 11]
 
     def test_template_index_out_of_range(self):
         source = """
@@ -127,19 +131,70 @@ class TestAppModelEvaluation:
         }
         """
         with pytest.raises(AspenSemanticError, match="out of range"):
-            build_app_model(parse(source).model())
+            compile_source(source + MACHINE)
 
     def test_unknown_kernel_property_rejected(self):
         source = "model m { kernel k { jiggles: 3 } }"
         with pytest.raises(AspenSemanticError, match="unknown properties"):
-            build_app_model(parse(source).model())
+            compile_source(source + MACHINE)
 
     def test_kernel_defaults(self):
         source = "model m { kernel k { flops: 5 } }"
-        kernel = build_app_model(parse(source).model()).kernel()
+        kernel = compile_source(source + MACHINE).kernel
         assert kernel.iterations == 1
         assert kernel.loads == 0.0 and kernel.stores == 0.0
         assert kernel.time is None
+
+
+#: Override values that are not finite numbers as written.
+BAD_OVERRIDES = [
+    pytest.param("7", id="string"),
+    pytest.param("1e3", id="numeric-string"),
+    pytest.param(True, id="bool"),
+    pytest.param([3], id="list"),
+    pytest.param(None, id="none"),
+    pytest.param({}, id="dict"),
+    pytest.param(float("nan"), id="nan"),
+    pytest.param(float("inf"), id="inf"),
+    pytest.param(10**400, id="int-beyond-float"),
+]
+
+
+class TestParamOverrides:
+    """Overrides are taken as written: a finite int or float, or refused."""
+
+    @pytest.mark.parametrize("value", BAD_OVERRIDES)
+    def test_strict_raises_naming_the_param(self, value):
+        with pytest.raises(AspenSemanticError, match="param 'n' must be"):
+            compile_source(VM + MACHINE, params={"n": value})
+        with pytest.raises(AspenSemanticError, match="param 'n' must be"):
+            evaluate_source("vm", VM + MACHINE, params={"n": value})
+
+    @pytest.mark.parametrize("value", BAD_OVERRIDES)
+    def test_lenient_records_one_asp208_and_keeps_the_default(self, value):
+        entry = evaluate_source(
+            "vm", VM + MACHINE, mode="lenient", params={"n": value}
+        )
+        assert entry.ok
+        (error,) = [d for d in entry.diagnostics if d.is_error]
+        assert error.code == "ASP208"
+        assert "param 'n'" in error.message
+        default = evaluate_source("vm", VM + MACHINE, mode="lenient")
+        assert entry.report.structures == default.report.structures
+
+    @pytest.mark.parametrize("value", [7, 7.0, 1e3])
+    def test_numbers_are_taken(self, value):
+        compiled = compile_source(VM + MACHINE, params={"n": value})
+        assert compiled.sizes["A"] == int(value) * 8
+
+    @pytest.mark.parametrize("params", ["n=3", [("n", 3)], 3])
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_non_mapping_is_a_value_error(self, params, mode):
+        with pytest.raises(ValueError, match="params must map"):
+            evaluate_source("vm", VM + MACHINE, mode=mode, params=params)
+        sink = DiagnosticSink() if mode == "lenient" else None
+        with pytest.raises(ValueError, match="params must map"):
+            compile_source(VM + MACHINE, params=params, sink=sink)
 
 
 class TestMachineModel:

@@ -19,6 +19,14 @@ NAN = float("nan")
 INF = float("inf")
 
 
+def _aspen(**options):
+    return {"id": "a", "kind": "aspen", "source": "model m { }", **options}
+
+
+def _kernel(**options):
+    return {"id": "k", "kind": "kernel", "kernel": "CG", **options}
+
+
 def _minimal(**overrides):
     data = {
         "name": "t",
@@ -155,15 +163,43 @@ class TestParseScenario:
         (lambda d: d.update(service={"retry": {"base_delay": "0.5"}}),
          r"retry\.base_delay"),
         (lambda d: d.update(defaults={"timeout": True}), "defaults.timeout"),
+        (lambda d: d.update(service={"timeout": 10**400}), "service.timeout"),
         # The circuit breaker and its knobs are gone.
         (lambda d: d.update(service={"breaker": {"threshold": 3}}),
          "unknown key"),
+        # Params are taken as written: an aspen job's map names to
+        # finite numbers, a kernel job's hold no bools.
+        (lambda d: d.update(jobs=[_aspen(params="n=3")]),
+         r"jobs\[0\] \(a\): 'params' must be a mapping"),
+        (lambda d: d.update(jobs=[_aspen(params={"n": [3]})]),
+         r"jobs\[0\] \(a\): params\.n must be a number"),
+        (lambda d: d.update(jobs=[_aspen(params={"n": "7"})]),
+         r"jobs\[0\] \(a\): params\.n must be a number"),
+        (lambda d: d.update(jobs=[_aspen(params={"n": True})]),
+         r"jobs\[0\] \(a\): params\.n must be a number"),
+        (lambda d: d.update(jobs=[_aspen(params={"n": NAN})]),
+         r"jobs\[0\] \(a\): params\.n must be a finite number"),
+        (lambda d: d.update(jobs=[_aspen(params={"n": 10**400})]),
+         r"jobs\[0\] \(a\): params\.n must be a finite number"),
+        (lambda d: d.update(jobs=[_kernel(params={"n": True})]),
+         r"jobs\[0\] \(k\): params\.n must not be a bool"),
+        (lambda d: d.update(jobs=[_kernel(params=["n", 3])]),
+         r"jobs\[0\] \(k\): 'params' must be a mapping"),
     ])
     def test_rejects_malformed(self, mutate, match):
         data = _minimal()
         mutate(data)
         with pytest.raises(ScenarioError, match=match):
             parse_scenario(data)
+
+    def test_params_taken_as_written(self):
+        scenario = parse_scenario(_minimal(jobs=[
+            _aspen(params={"n": 3, "m": 2.5}),
+            _kernel(params={"n": 10, "variant": "pcg"}),
+        ]))
+        aspen, kernel = scenario.jobs
+        assert aspen.options["params"] == {"n": 3, "m": 2.5}
+        assert kernel.options["params"] == {"n": 10, "variant": "pcg"}
 
     def test_kernel_job_engine_rejected(self):
         # Kernel jobs run the analytical path; no replay engine applies.
