@@ -15,10 +15,13 @@ validation ground truth, quantifying why the default was chosen:
 import numpy as np
 import pytest
 
-from repro.cachesim import PAPER_CACHES, simulate_trace
-from repro.kernels import KERNELS, TEST_WORKLOADS
-from repro.patterns import RandomAccess, ReuseAccess, TemplateAccess
-from repro.patterns.random_access import WorkingSetRandomAccess
+from repro.cachesim.configs import PAPER_CACHES
+from repro.cachesim.simulator import simulate_trace
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import TEST_WORKLOADS
+from repro.patterns.random_access import RandomAccess, WorkingSetRandomAccess
+from repro.patterns.reuse import ReuseAccess
+from repro.patterns.template import TemplateAccess
 
 SMALL = PAPER_CACHES["small"]
 
@@ -64,7 +67,7 @@ class TestReuseScenarioAblation:
         """Ground truth where target and interferer co-stream (concurrent)."""
         rec_n = target // 8
         int_n = interferer // 8
-        from repro.trace import TraceRecorder
+        from repro.trace.recorder import TraceRecorder
 
         rec = TraceRecorder()
         rec.allocate("A", rec_n, 8)
@@ -139,7 +142,7 @@ class TestPlacementAblation:
     so the Bernoulli tails over-charge reloads."""
 
     def _ground_truth(self, target, interferer, reuses):
-        from repro.trace import TraceRecorder
+        from repro.trace.recorder import TraceRecorder
 
         rec = TraceRecorder()
         rec.allocate("A", target // 8, 8)
@@ -177,7 +180,7 @@ class TestTemplateConflictAblation:
 
     def test_conflict_aware_beats_fully_associative_near_capacity(self):
         import numpy as np
-        from repro.trace import TraceRecorder
+        from repro.trace.recorder import TraceRecorder
 
         # 257 blocks vs a 256-block cache: the knife edge.
         rng = np.random.default_rng(0)
@@ -206,7 +209,7 @@ class TestReplacementPolicyAblation:
 
     @pytest.fixture(scope="class")
     def mg_data(self):
-        from repro.kernels import VERIFICATION_WORKLOADS
+        from repro.kernels.workloads import VERIFICATION_WORKLOADS
 
         kernel = KERNELS["MG"]
         # Paper-scale workload: the test tier sits exactly at the

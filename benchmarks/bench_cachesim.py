@@ -12,7 +12,8 @@ breakdown in pytest-benchmark's comparison output::
 
 import pytest
 
-from repro.cachesim import PAPER_CACHES, VERIFICATION_CACHES, CacheSimulator
+from repro.cachesim.configs import PAPER_CACHES, VERIFICATION_CACHES
+from repro.cachesim.simulator import CacheSimulator
 from repro.experiments.configs import KERNEL_ORDER, WORKLOADS
 from repro.kernels.registry import KERNELS
 

@@ -53,8 +53,9 @@ def test_fig4_model_speed_advantage(fig4_rows):
 @pytest.mark.parametrize("kernel", ["VM", "CG", "NB", "MG", "FT", "MC"])
 def test_fig4_model_evaluation_speed(benchmark, kernel):
     """Time the analytical path alone, per kernel (the 'seconds' claim)."""
-    from repro.cachesim import VERIFICATION_CACHES
-    from repro.kernels import KERNELS, VERIFICATION_WORKLOADS
+    from repro.cachesim.configs import VERIFICATION_CACHES
+    from repro.kernels.registry import KERNELS
+    from repro.kernels.workloads import VERIFICATION_WORKLOADS
 
     geometry = VERIFICATION_CACHES["small"]
     k = KERNELS[kernel]

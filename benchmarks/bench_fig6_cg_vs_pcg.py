@@ -8,7 +8,7 @@ at small sizes, clearly less vulnerable at large sizes.
 
 import pytest
 
-from repro.core import crossover_size
+from repro.core.tradeoff import crossover_size
 from repro.experiments.fig6_cg_pcg import render_fig6, run_fig6
 
 

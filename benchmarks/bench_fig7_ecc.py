@@ -9,7 +9,7 @@ vulnerability again.
 
 import pytest
 
-from repro.core import optimal_degradation
+from repro.core.tradeoff import optimal_degradation
 from repro.experiments.fig7_ecc import render_fig7, run_fig7
 
 

@@ -8,9 +8,13 @@ analytical estimators — so regressions in either are visible.
 import numpy as np
 import pytest
 
-from repro.cachesim import PAPER_CACHES, CacheSimulator
-from repro.patterns import RandomAccess, ReuseAccess, StreamingAccess, TemplateAccess
-from repro.trace import TraceRecorder
+from repro.cachesim.configs import PAPER_CACHES
+from repro.cachesim.simulator import CacheSimulator
+from repro.patterns.random_access import RandomAccess
+from repro.patterns.reuse import ReuseAccess
+from repro.patterns.streaming import StreamingAccess
+from repro.patterns.template import TemplateAccess
+from repro.trace.recorder import TraceRecorder
 
 _N_REFS = 200_000
 

@@ -78,15 +78,11 @@ REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 if str(REPO_SRC) not in sys.path:  # allow running without PYTHONPATH
     sys.path.insert(0, str(REPO_SRC))
 
-from repro.cachesim import (  # noqa: E402
-    PAPER_CACHES,
-    VERIFICATION_CACHES,
-    CacheSimulator,
-    expanded_size,
-    shutdown_pool,
-)
+from repro.cachesim.configs import PAPER_CACHES, VERIFICATION_CACHES  # noqa: E402
 from repro.cachesim.engine import CHUNK_SIZE  # noqa: E402
-from repro.cachesim.simulator import _expand_lines  # noqa: E402
+from repro.cachesim.expand import _expand_lines, expanded_size  # noqa: E402
+from repro.cachesim.pool import shutdown_pool  # noqa: E402
+from repro.cachesim.simulator import CacheSimulator  # noqa: E402
 from repro.experiments.configs import KERNEL_ORDER, WORKLOADS  # noqa: E402
 from repro.kernels.registry import KERNELS  # noqa: E402
 from repro.trace.cache import TraceCache  # noqa: E402

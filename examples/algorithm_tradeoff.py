@@ -9,8 +9,9 @@ solvers, not assumed.
 Run:  python examples/algorithm_tradeoff.py
 """
 
-from repro.cachesim import CacheGeometry
-from repro.core import compare_cg_pcg, crossover_size, format_table
+from repro.cachesim.configs import CacheGeometry
+from repro.core.report import format_table
+from repro.core.tradeoff import compare_cg_pcg, crossover_size
 
 
 def main() -> None:

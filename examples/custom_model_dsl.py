@@ -13,8 +13,8 @@ randomly sampled.
 Run:  python examples/custom_model_dsl.py
 """
 
-from repro.aspen import compile_source
-from repro.core import format_table
+from repro.aspen.compiler import compile_source
+from repro.core.report import format_table
 
 HEAT_SOLVER = """
 // 2-D Jacobi heat diffusion, one time step modeled.

@@ -13,15 +13,12 @@ Run:  python examples/ecc_selection.py
 
 import numpy as np
 
-from repro.cachesim import PAPER_CACHES
-from repro.core import (
-    CHIPKILL,
-    SECDED,
-    ecc_tradeoff_sweep,
-    format_table,
-    optimal_degradation,
-)
-from repro.kernels import KERNELS, workload_for
+from repro.cachesim.configs import PAPER_CACHES
+from repro.core.fit import CHIPKILL, SECDED
+from repro.core.report import format_table
+from repro.core.tradeoff import ecc_tradeoff_sweep, optimal_degradation
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import workload_for
 
 
 def main() -> None:

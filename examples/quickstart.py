@@ -11,10 +11,14 @@ This walks the paper's basic workflow end to end:
 Run:  python examples/quickstart.py
 """
 
-from repro.cachesim import PAPER_CACHES
-from repro.core import DVFAnalyzer, MachineModel, NO_ECC, render_dvf_report
+from repro.cachesim.configs import PAPER_CACHES
+from repro.core.analyzer import DVFAnalyzer
+from repro.core.fit import NO_ECC
+from repro.core.machine import MachineModel
+from repro.core.report import render_dvf_report
 from repro.core.validation import validate_kernel
-from repro.kernels import KERNELS, workload_for
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import workload_for
 
 
 def main() -> None:

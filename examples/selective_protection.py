@@ -8,10 +8,13 @@ solver under a spare-memory budget and compares against naive policies.
 Run:  python examples/selective_protection.py
 """
 
-from repro.cachesim import PAPER_CACHES
-from repro.core import DVFAnalyzer, MachineModel, format_table
+from repro.cachesim.configs import PAPER_CACHES
+from repro.core.analyzer import DVFAnalyzer
+from repro.core.machine import MachineModel
 from repro.core.protection import greedy_ranking, plan_protection
-from repro.kernels import KERNELS, workload_for
+from repro.core.report import format_table
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import workload_for
 
 
 def main() -> None:

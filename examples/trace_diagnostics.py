@@ -15,14 +15,14 @@ Run:  python examples/trace_diagnostics.py
 
 import numpy as np
 
-from repro.core import format_table
-from repro.trace import TraceRecorder
+from repro.core.report import format_table
 from repro.trace.analysis import (
     footprint_summary,
     miss_ratio_curve,
     reuse_distance_histogram,
     suggest_pattern,
 )
+from repro.trace.recorder import TraceRecorder
 
 
 def record_mixed_workload() -> "ReferenceTrace":

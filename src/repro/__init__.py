@@ -9,9 +9,11 @@ table.
 
 Quickstart
 ----------
->>> from repro.cachesim import PAPER_CACHES
->>> from repro.core import DVFAnalyzer, MachineModel
->>> from repro.kernels import KERNELS, workload_for
+>>> from repro.cachesim.configs import PAPER_CACHES
+>>> from repro.core.analyzer import DVFAnalyzer
+>>> from repro.core.machine import MachineModel
+>>> from repro.kernels.registry import KERNELS
+>>> from repro.kernels.workloads import workload_for
 >>> analyzer = DVFAnalyzer(MachineModel.from_geometry(PAPER_CACHES["8MB"]))
 >>> report = analyzer.analyze(KERNELS["VM"], workload_for("VM", "test"))
 >>> report.ranked()[0].name   # most vulnerable data structure
@@ -19,5 +21,3 @@ Quickstart
 """
 
 __version__ = "1.0.0"
-
-__all__ = ["__version__"]

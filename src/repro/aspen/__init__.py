@@ -18,41 +18,7 @@ implementation of that extended language:
 
 Quickstart::
 
-    from repro.aspen import compile_source
+    from repro.aspen.compiler import compile_source
     compiled = compile_source(VM_SOURCE, machine="profiling_8mb")
     compiled.nha_by_structure()   # {"A": ..., "B": ..., "C": ...}
 """
-
-from repro.aspen.errors import (
-    AspenError,
-    AspenSyntaxError,
-    AspenSemanticError,
-    Diagnostic,
-    DiagnosticSink,
-    SourceSpan,
-    render_diagnostics,
-)
-from repro.aspen.lexer import tokenize
-from repro.aspen.parser import parse, parse_with_diagnostics
-from repro.core.machine import MachineModel
-from repro.aspen.compiler import CompiledModel, compile_source
-from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
-
-__all__ = [
-    "AspenError",
-    "AspenSyntaxError",
-    "AspenSemanticError",
-    "DiagnosticSink",
-    "SourceSpan",
-    "render_diagnostics",
-    "tokenize",
-    "parse",
-    "parse_with_diagnostics",
-    "MachineModel",
-    "Diagnostic",
-    "CompiledModel",
-    "compile_source",
-    "builtin_source",
-    "DSL_KERNELS",
-    "MACHINE_LIBRARY",
-]

@@ -8,7 +8,7 @@ machine descriptions matching paper Table IV.
 Example
 -------
 >>> from repro.aspen.builtin import builtin_source, MACHINE_LIBRARY
->>> from repro.aspen import compile_source
+>>> from repro.aspen.compiler import compile_source
 >>> compiled = compile_source(
 ...     builtin_source("VM", "test") + MACHINE_LIBRARY, machine="small"
 ... )

@@ -39,17 +39,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.aspen.ast import DataDecl, IndexRef, KernelDecl, ModelDecl
-from repro.aspen.errors import (
-    AspenEvalError,
-    AspenSemanticError,
-    DiagnosticSink,
-    SourceSpan,
-)
+from repro.aspen.errors import AspenEvalError, AspenSemanticError
 from repro.aspen.expr import evaluate_int
 from repro.aspen.machine import from_decl
 from repro.aspen.parser import parse, parse_with_diagnostics
 from repro.core.dvf import DVFReport, build_report, check_time
 from repro.core.machine import MachineModel
+from repro.diagnostics import DiagnosticSink, SourceSpan
 from repro.patterns.base import AccessPattern, PatternError, WorstCaseAccess
 from repro.patterns.composite import (
     AccessEvent,

@@ -1,19 +1,13 @@
 """Error types for the Aspen DSL with source-position reporting.
 
-The structured-diagnostics engine (:class:`Diagnostic`,
-:class:`DiagnosticSink`, :class:`SourceSpan`) lives in
-:mod:`repro.diagnostics` so the core evaluation layer can share it; it
-is re-exported here because the Aspen front-end is its primary producer.
+The structured-diagnostics engine (``Diagnostic``, ``DiagnosticSink``,
+``SourceSpan``) lives in :mod:`repro.diagnostics` so the core evaluation
+layer can share it.
 """
 
 from __future__ import annotations
 
-from repro.diagnostics import (  # noqa: F401  (re-exported API)
-    Diagnostic,
-    DiagnosticSink,
-    SourceSpan,
-    render_diagnostics,
-)
+from repro.diagnostics import Diagnostic, SourceSpan
 
 
 class AspenError(Exception):

@@ -15,8 +15,9 @@ reports every lexical problem in the source.
 
 from __future__ import annotations
 
-from repro.aspen.errors import AspenSyntaxError, DiagnosticSink, SourceSpan
+from repro.aspen.errors import AspenSyntaxError
 from repro.aspen.tokens import KEYWORDS, PUNCTUATION, Token, TokenType
+from repro.diagnostics import DiagnosticSink, SourceSpan
 
 
 def tokenize(source: str, sink: DiagnosticSink | None = None) -> list[Token]:

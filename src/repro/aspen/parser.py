@@ -64,15 +64,11 @@ from repro.aspen.ast import (
     Program,
     SweepDecl,
 )
-from repro.aspen.errors import (
-    AspenSyntaxError,
-    Diagnostic,
-    DiagnosticSink,
-    SourceSpan,
-)
+from repro.aspen.errors import AspenSyntaxError
 from repro.aspen.expr import BinOp, Call, Expr, Num, Unary, Var
 from repro.aspen.lexer import tokenize
 from repro.aspen.tokens import Token, TokenType
+from repro.diagnostics import Diagnostic, DiagnosticSink, SourceSpan
 
 _T = TokenType
 

@@ -77,8 +77,7 @@ from repro.trace.reference import PeriodicTrace, ReferenceTrace, iter_chunks
 
 # _expand_lines lives in repro.cachesim.expand (the sharded workers need
 # it without importing this module); run_chunk looks it up as this
-# module's global, and the tests and the bench harness import it from
-# here.
+# module's global.
 
 
 def _count_arg(value, name: str) -> int:

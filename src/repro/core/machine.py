@@ -4,8 +4,9 @@ A :class:`MachineModel` bundles the hardware information of the paper's
 workflow: the last-level cache geometry (for the CGPMAC ``N_ha``
 estimate), the memory FIT rate (the ``N_error`` term) and a roofline
 performance model, ``T = max(flops / flops_rate, bytes / bandwidth)``,
-for the execution time.  Kernels (:class:`~repro.core.DVFAnalyzer`) and
-Aspen models (:func:`~repro.aspen.compile_source`) are both evaluated
+for the execution time.  Kernels
+(:class:`~repro.core.analyzer.DVFAnalyzer`) and Aspen models
+(:func:`~repro.aspen.compiler.compile_source`) are both evaluated
 against it; an Aspen ``machine`` block evaluates to one
 (:func:`repro.aspen.machine.from_decl`).
 """

@@ -14,17 +14,3 @@ Each module reproduces one evaluation artifact:
 ``python -m repro.experiments <fig4|fig5|fig6|fig7|tables|all>``
 regenerates everything as text series (see :mod:`repro.experiments.runner`).
 """
-
-from repro.experiments.fig4_verification import Fig4Row, run_fig4
-from repro.experiments.fig5_profiling import Fig5Cell, run_fig5
-from repro.experiments.fig6_cg_pcg import run_fig6
-from repro.experiments.fig7_ecc import run_fig7
-
-__all__ = [
-    "run_fig4",
-    "run_fig5",
-    "run_fig6",
-    "run_fig7",
-    "Fig4Row",
-    "Fig5Cell",
-]

@@ -18,15 +18,10 @@ from dataclasses import dataclass
 
 from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
 from repro.aspen.compiler import check_params, compile_source
-from repro.aspen.errors import (
-    AspenError,
-    AspenEvalError,
-    Diagnostic,
-    DiagnosticSink,
-)
+from repro.aspen.errors import AspenError, AspenEvalError
 from repro.core.dvf import DVFReport
 from repro.core.report import render_dvf_report
-from repro.diagnostics import check_mode
+from repro.diagnostics import Diagnostic, DiagnosticSink, check_mode
 from repro.patterns.base import PatternError
 
 
@@ -44,17 +39,6 @@ class BatchEntry:
     @property
     def ok(self) -> bool:
         return self.report is not None
-
-    def to_payload(self) -> dict:
-        """Machine-readable entry (reports embed their own diagnostics)."""
-        if self.report is not None:
-            return {"label": self.label, "ok": True, **self.report.to_payload()}
-        return {
-            "label": self.label,
-            "ok": False,
-            "error": self.error,
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-        }
 
 
 def evaluate_source(

@@ -12,8 +12,6 @@ from repro.cachesim.configs import (
     VERIFICATION_CACHES,
 )
 from repro.core.fit import CHIPKILL, SECDED
-# Re-exported: fig5_profiling and fig6_cg_pcg import DEFAULT_FIT from here.
-from repro.core.machine import DEFAULT_FIT  # noqa: F401
 from repro.kernels.workloads import WORKLOAD_TIERS
 
 #: Kernel evaluation order, as in paper Table II / Figures 4-5.

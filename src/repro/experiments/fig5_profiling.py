@@ -16,14 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.analyzer import DVFAnalyzer
-from repro.core.machine import MachineModel
+from repro.core.machine import DEFAULT_FIT, MachineModel
 from repro.core.report import format_table
-from repro.experiments.configs import (
-    DEFAULT_FIT,
-    FIG5_CACHES,
-    KERNEL_ORDER,
-    WORKLOADS,
-)
+from repro.experiments.configs import FIG5_CACHES, KERNEL_ORDER, WORKLOADS
 from repro.kernels.registry import KERNELS
 
 

@@ -10,13 +10,14 @@ sizes (iteration savings dominate).
 
 from __future__ import annotations
 
+from repro.core.machine import DEFAULT_FIT
 from repro.core.report import format_table
 from repro.core.tradeoff import (
     AlgorithmComparison,
     cg_vs_pcg_sweep,
     crossover_size,
 )
-from repro.experiments.configs import DEFAULT_FIT, FIG6_CACHE, FIG6_SIZES
+from repro.experiments.configs import FIG6_CACHE, FIG6_SIZES
 
 
 def run_fig6(

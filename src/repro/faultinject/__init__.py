@@ -25,85 +25,3 @@ run at scale:
 * :mod:`repro.faultinject.compare` — rank agreement between DVF and
   empirical vulnerability.
 """
-
-from repro.faultinject.flips import flip_bit, random_flip
-from repro.faultinject.outcomes import Outcome, classify_outcome
-from repro.faultinject.targets import (
-    INJECTABLE_KERNELS,
-    InjectionTarget,
-    resolve_target,
-)
-from repro.faultinject.errors import (
-    CheckpointCorrupt,
-    CheckpointError,
-    CheckpointMismatch,
-    FaultInjectionError,
-    TrialCrash,
-    TrialError,
-    TrialTimeout,
-    WorkerLost,
-)
-from repro.faultinject.executor import (
-    PENDING,
-    InProcessExecutor,
-    ProcessTrialExecutor,
-    SupervisedCall,
-    TrialExecutor,
-    TrialSpec,
-    Worker,
-    make_executor,
-    run_trial,
-    trial_seed,
-)
-from repro.faultinject.checkpoint import (
-    CheckpointWriter,
-    campaign_fingerprint,
-    load_checkpoint,
-)
-from repro.faultinject.campaign import (
-    CampaignResult,
-    StructureStats,
-    run_campaign,
-    wilson_halfwidth,
-)
-from repro.faultinject.compare import (
-    empirical_vulnerability,
-    rank_agreement,
-)
-
-__all__ = [
-    "flip_bit",
-    "random_flip",
-    "Outcome",
-    "classify_outcome",
-    "InjectionTarget",
-    "INJECTABLE_KERNELS",
-    "resolve_target",
-    "FaultInjectionError",
-    "TrialError",
-    "TrialCrash",
-    "TrialTimeout",
-    "WorkerLost",
-    "CheckpointError",
-    "CheckpointCorrupt",
-    "CheckpointMismatch",
-    "TrialExecutor",
-    "InProcessExecutor",
-    "ProcessTrialExecutor",
-    "SupervisedCall",
-    "Worker",
-    "PENDING",
-    "TrialSpec",
-    "make_executor",
-    "run_trial",
-    "trial_seed",
-    "CheckpointWriter",
-    "campaign_fingerprint",
-    "load_checkpoint",
-    "run_campaign",
-    "CampaignResult",
-    "StructureStats",
-    "wilson_halfwidth",
-    "empirical_vulnerability",
-    "rank_agreement",
-]

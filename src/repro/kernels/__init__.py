@@ -13,46 +13,7 @@ MC        Monte Carlo (XSBench)        G, E            random (concurrent)
 
 Each kernel provides an instrumented execution (for the cache-simulator
 ground truth) and a CGPMAC analytical model (for DVF profiling); see
-:class:`repro.kernels.base.Kernel`.
+:class:`repro.kernels.base.Kernel`.  :data:`repro.kernels.registry.KERNELS`
+holds one instance of each, and :func:`repro.kernels.workloads.workload_for`
+gives a kernel's workload at each size tier.
 """
-
-from repro.kernels.base import Kernel, ResourceCounts, Workload
-from repro.kernels.barnes_hut import BarnesHutKernel
-from repro.kernels.conjugate_gradient import (
-    ConjugateGradientKernel,
-    SolveResult,
-    build_system,
-    incomplete_cholesky,
-)
-from repro.kernels.fft import FFTKernel
-from repro.kernels.monte_carlo import MonteCarloKernel
-from repro.kernels.multigrid import MultigridKernel
-from repro.kernels.registry import KERNELS, get_kernel
-from repro.kernels.vector_multiply import VectorMultiplyKernel
-from repro.kernels.workloads import (
-    PROFILING_WORKLOADS,
-    TEST_WORKLOADS,
-    VERIFICATION_WORKLOADS,
-    workload_for,
-)
-
-__all__ = [
-    "Kernel",
-    "ResourceCounts",
-    "Workload",
-    "VectorMultiplyKernel",
-    "ConjugateGradientKernel",
-    "SolveResult",
-    "build_system",
-    "incomplete_cholesky",
-    "BarnesHutKernel",
-    "MultigridKernel",
-    "FFTKernel",
-    "MonteCarloKernel",
-    "KERNELS",
-    "get_kernel",
-    "VERIFICATION_WORKLOADS",
-    "PROFILING_WORKLOADS",
-    "TEST_WORKLOADS",
-    "workload_for",
-]

@@ -4,8 +4,8 @@ Each paper kernel (Table II) is implemented twice, deliberately:
 
 1. an *instrumented execution* — the actual numerical algorithm in
    Python, recording every major-data-structure memory reference through
-   :class:`~repro.trace.TraceRecorder` (the Pin substitute).  This is the
-   ground truth the cache simulator consumes for Figure 4.
+   :class:`~repro.trace.recorder.TraceRecorder` (the Pin substitute).
+   This is the ground truth the cache simulator consumes for Figure 4.
 2. an *analytical model* — CGPMAC pattern objects (and an Aspen DSL
    source string) describing the same accesses, evaluated in
    microseconds.  This is what DVF profiling uses.
@@ -162,7 +162,7 @@ class Kernel(ABC):
         """CGPMAC patterns keyed by data-structure label.
 
         Implementations may instead return a
-        :class:`~repro.patterns.CompositeAccessModel` when an access
+        :class:`~repro.patterns.composite.CompositeAccessModel` when an access
         order couples the structures.
         """
 

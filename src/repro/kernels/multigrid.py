@@ -4,8 +4,8 @@ The paper models the MG smoother: a 3-D stencil sweep over the grid
 ``R`` whose access order is a *template* — four neighbour references
 advanced element-by-element until the grid boundary.  We implement the
 V-cycle's smoother sweeps over a grid hierarchy and model the finest
-grid ``R`` with a :class:`~repro.patterns.TemplateAccess` generated from
-exactly the paper's sweep rule.
+grid ``R`` with a :class:`~repro.patterns.template.TemplateAccess`
+generated from exactly the paper's sweep rule.
 
 The grid is stored flat with row-major layout ``R(i,j,k) = i*n2*n1 +
 j*n1 + k`` (the paper's indexing, 0-based here).

@@ -38,8 +38,6 @@ class AccessPattern(ABC):
     probabilistic and expected values are generally fractional.
     """
 
-    #: Single-letter code used in Aspen access-pattern strings.
-    code: str = "?"
     #: Human-readable pattern-family name.
     name: str = "abstract"
 
@@ -164,7 +162,6 @@ class WorstCaseAccess(AccessPattern):
     least* as vulnerable as any correct model of it would.
     """
 
-    code = "w"
     name = "worst-case"
 
     def __init__(

@@ -85,7 +85,6 @@ class CompositeAccessModel(AccessPattern):
     default ``"concurrent"`` interference scenario.
     """
 
-    code = "c"
     name = "composite"
 
     def __init__(

@@ -47,7 +47,6 @@ class RandomAccess(AccessPattern):
         the two agree to floating-point precision).
     """
 
-    code = "r"
     name = "random"
 
     def __init__(

@@ -116,7 +116,6 @@ class ReuseAccess(AccessPattern):
         reuse events in real kernels interleave with the interferers.
     """
 
-    code = "u"
     name = "reuse"
 
     def __init__(

@@ -51,7 +51,6 @@ class StreamingAccess(AccessPattern):
         with a whole tree walk in between, for example).
     """
 
-    code = "s"
     name = "streaming"
 
     def __init__(

@@ -23,55 +23,3 @@ Public surface:
   :func:`~repro.service.journal.load_journal` — durability layer;
 * :func:`~repro.service.cli.main` — the ``service`` CLI.
 """
-
-from repro.service.journal import (
-    JobJournal,
-    JobState,
-    append_queue,
-    load_journal,
-    load_queue,
-)
-from repro.service.scenario import (
-    JobSpec,
-    RetryConfig,
-    Scenario,
-    ScenarioError,
-    ServiceConfig,
-    load_scenario,
-    parse_scenario,
-)
-from repro.service.supervisor import (
-    OUTCOME_DEAD_LETTER,
-    OUTCOME_EXHAUSTED,
-    OUTCOME_SUCCEEDED,
-    JobSupervisor,
-    ServiceRun,
-    run_service,
-    service_status,
-    submit_scenario,
-)
-from repro.service.worker import execute_job
-
-__all__ = [
-    "JobJournal",
-    "JobSpec",
-    "JobState",
-    "JobSupervisor",
-    "OUTCOME_DEAD_LETTER",
-    "OUTCOME_EXHAUSTED",
-    "OUTCOME_SUCCEEDED",
-    "RetryConfig",
-    "Scenario",
-    "ScenarioError",
-    "ServiceConfig",
-    "ServiceRun",
-    "append_queue",
-    "execute_job",
-    "load_journal",
-    "load_queue",
-    "load_scenario",
-    "parse_scenario",
-    "run_service",
-    "service_status",
-    "submit_scenario",
-]

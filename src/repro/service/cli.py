@@ -250,6 +250,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one ``service`` subcommand (``argv`` defaults to
+    ``sys.argv[1:]``) and return its exit code (see the module
+    docstring)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

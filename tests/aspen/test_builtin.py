@@ -7,11 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.aspen import MachineModel, compile_source, parse
 from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
+from repro.aspen.compiler import compile_source
 from repro.aspen.machine import from_decl
-from repro.cachesim import PAPER_CACHES
-from repro.kernels import KERNELS, TEST_WORKLOADS
+from repro.aspen.parser import parse
+from repro.cachesim.configs import PAPER_CACHES
+from repro.core.machine import MachineModel
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import TEST_WORKLOADS
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -92,9 +95,9 @@ class TestHashSeedIndependence:
             "import json\n"
             "from repro.aspen.builtin import MACHINE_LIBRARY, builtin_source\n"
             "from repro.experiments.aspen_batch import evaluate_source\n"
-            "report = evaluate_source('cg', builtin_source('CG', 'test')"
+            "entry = evaluate_source('cg', builtin_source('CG', 'test')"
             " + MACHINE_LIBRARY, machine='cache_8mb')\n"
-            "print(json.dumps(report.to_payload()))\n"
+            "print(json.dumps(entry.report.to_payload()))\n"
         )
         payloads = []
         for seed in ("1", "2"):

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aspen.errors import AspenEvalError, AspenSyntaxError, DiagnosticSink
+from repro.aspen.errors import AspenEvalError, AspenSyntaxError
 from repro.aspen.expr import BinOp, Call, Num, Unary, Var, evaluate_int
-from repro.aspen.parser import _ParsePanic, _Parser
 from repro.aspen.lexer import tokenize
+from repro.aspen.parser import _ParsePanic, _Parser
+from repro.diagnostics import DiagnosticSink
 
 
 def parse_expr(text):

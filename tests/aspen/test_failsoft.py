@@ -11,19 +11,20 @@ import math
 
 import pytest
 
-from repro.aspen import DiagnosticSink, compile_source
+from repro.aspen.compiler import compile_source
 from repro.aspen.errors import (
     AspenEvalError,
     AspenSemanticError,
     AspenSyntaxError,
 )
-from repro.patterns import PatternError
+from repro.diagnostics import DiagnosticSink
 from repro.experiments.aspen_batch import (
     evaluate_batch,
     evaluate_source,
     render_aspen_batch,
     run_aspen_batch,
 )
+from repro.patterns.base import PatternError
 
 MACHINE = """
 machine box {

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.aspen import AspenSyntaxError, tokenize
+from repro.aspen.errors import AspenSyntaxError
+from repro.aspen.lexer import tokenize
 from repro.aspen.tokens import TokenType as T
 
 

@@ -20,13 +20,11 @@ from hypothesis import strategies as st
 
 import repro
 from repro import diagnostics
-from repro.aspen import (
-    AspenSemanticError,
-    DiagnosticSink,
-    compile_source,
-    parse_with_diagnostics,
-)
 from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
+from repro.aspen.compiler import compile_source
+from repro.aspen.errors import AspenSemanticError
+from repro.aspen.parser import parse_with_diagnostics
+from repro.diagnostics import DiagnosticSink
 from repro.experiments.aspen_batch import evaluate_source
 from repro.service.worker import DETERMINISTIC_EXCEPTIONS
 from test_parse_cache import _mutate

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aspen import AspenSyntaxError, compile_source
 from repro.aspen import parser as parser_mod
 from repro.aspen.builtin import DSL_KERNELS, MACHINE_LIBRARY, builtin_source
+from repro.aspen.compiler import compile_source
+from repro.aspen.errors import AspenSyntaxError
 from repro.aspen.parser import _parse_source, parse, parse_with_diagnostics
 from repro.diagnostics import EVAL_MODES, DiagnosticSink
 from repro.experiments.aspen_batch import evaluate_source

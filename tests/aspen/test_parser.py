@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.aspen import AspenSyntaxError, parse
+from repro.aspen.errors import AspenSyntaxError
+from repro.aspen.parser import parse
 
 
 VALID = """

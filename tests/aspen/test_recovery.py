@@ -8,14 +8,10 @@ error — with stable codes and source spans — in one pass, while
 
 import pytest
 
-from repro.aspen import parse, parse_with_diagnostics
-from repro.aspen.errors import (
-    AspenSyntaxError,
-    DiagnosticSink,
-    SourceSpan,
-    render_diagnostics,
-)
+from repro.aspen.errors import AspenSyntaxError
 from repro.aspen.lexer import tokenize
+from repro.aspen.parser import parse, parse_with_diagnostics
+from repro.diagnostics import DiagnosticSink, SourceSpan, render_diagnostics
 
 MULTI_ERROR_SOURCE = """\
 model broken {

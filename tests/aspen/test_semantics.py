@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.aspen import (
-    AspenSemanticError,
-    MachineModel,
-    compile_source,
-    parse,
-)
+from repro.aspen.compiler import compile_source
+from repro.aspen.errors import AspenEvalError, AspenSemanticError
 from repro.aspen.machine import from_decl
-from repro.aspen.errors import AspenEvalError, DiagnosticSink
-from repro.cachesim import CacheGeometry
+from repro.aspen.parser import parse
+from repro.cachesim.configs import CacheGeometry
+from repro.core.machine import MachineModel
+from repro.diagnostics import DiagnosticSink
 from repro.experiments.aspen_batch import evaluate_source
 
 MACHINE = """

@@ -17,9 +17,10 @@ at O(chunk) memory.
 import json
 from pathlib import Path
 
-from repro.cachesim import PROFILING_CACHES, CacheSimulator
+from repro.cachesim.configs import PROFILING_CACHES
+from repro.cachesim.simulator import CacheSimulator
 from repro.experiments.configs import WORKLOADS
-from repro.kernels import KERNELS
+from repro.kernels.registry import KERNELS
 
 FIXTURE = Path(__file__).parent / "cg_profiling_stats.json"
 

@@ -16,9 +16,10 @@ exactly what the fixtures exist to catch.
 import json
 from pathlib import Path
 
-from repro.cachesim import VERIFICATION_CACHES, CacheSimulator
+from repro.cachesim.configs import VERIFICATION_CACHES
+from repro.cachesim.simulator import CacheSimulator
 from repro.experiments.configs import WORKLOADS
-from repro.kernels import KERNELS
+from repro.kernels.registry import KERNELS
 from repro.trace.io import save_trace
 
 FIXTURE_DIR = Path(__file__).parent

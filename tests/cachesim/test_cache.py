@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cachesim import CacheGeometry, SetAssociativeCache
+from repro.cachesim.cache import SetAssociativeCache
+from repro.cachesim.configs import CacheGeometry
 
 
 @pytest.fixture

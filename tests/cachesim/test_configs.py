@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cachesim import (
+from repro.cachesim.configs import (
     PAPER_CACHES,
     PROFILING_CACHES,
     VERIFICATION_CACHES,

@@ -14,13 +14,9 @@ import numpy as np
 import pytest
 
 import repro.cachesim.engine as engine_mod
-from repro.cachesim import (
-    ArrayLRUEngine,
-    CacheEngineError,
-    CacheGeometry,
-    CacheSimulator,
-    check_engine,
-)
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.engine import ArrayLRUEngine, CacheEngineError, check_engine
+from repro.cachesim.simulator import CacheSimulator
 from repro.trace.reference import ReferenceTrace
 
 #: Geometry grid: ways 1/2/4/6/8/16 (every associativity of paper

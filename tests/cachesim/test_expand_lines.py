@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim import CacheGeometry, CacheSimulator
-from repro.cachesim.simulator import _expand_lines
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.expand import _expand_lines
+from repro.cachesim.simulator import CacheSimulator
 from repro.trace.reference import ReferenceTrace
 
 from test_engine_differential import counters, drain

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cachesim import VERIFICATION_CACHES, CacheSimulator
+from repro.cachesim.configs import VERIFICATION_CACHES
+from repro.cachesim.simulator import CacheSimulator
 from repro.experiments.configs import WORKLOADS
-from repro.kernels import KERNELS
+from repro.kernels.registry import KERNELS
 from repro.trace.io import load_trace
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"

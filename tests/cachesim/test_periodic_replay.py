@@ -17,14 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim import PAPER_CACHES, PROFILING_CACHES, CacheSimulator
-from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.configs import PAPER_CACHES, PROFILING_CACHES, CacheGeometry
+from repro.cachesim.simulator import CacheSimulator
 from repro.core.validation import ground_truth_stats
 from repro.experiments.configs import WORKLOADS
-from repro.kernels import KERNELS
 from repro.kernels.base import Workload
-from repro.trace import PeriodicTrace, ReferenceTrace, TraceCache
-from repro.trace.reference import iter_chunks
+from repro.kernels.registry import KERNELS
+from repro.trace.cache import TraceCache
+from repro.trace.reference import PeriodicTrace, ReferenceTrace, iter_chunks
 
 from test_engine_differential import counters, drain
 

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.cachesim import (
-    CacheGeometry,
-    CacheSimulator,
-    SetAssociativeCache,
-    simulate_trace,
-)
-from repro.trace import TraceRecorder
+from repro.cachesim.cache import SetAssociativeCache
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.simulator import CacheSimulator, simulate_trace
+from repro.trace.recorder import TraceRecorder
 
 SMALL = CacheGeometry(4, 64, 32, "small")
 

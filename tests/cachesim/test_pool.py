@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cachesim import CacheGeometry, CacheSimulator
 from repro.cachesim import pool as simpool
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.simulator import CacheSimulator
 
 from test_engine_differential import assert_identical, random_trace
 
@@ -107,8 +108,9 @@ class TestPoolLifecycle:
             """
             import os
             import numpy as np
-            from repro.cachesim import CacheGeometry, CacheSimulator
             from repro.cachesim import pool as simpool
+            from repro.cachesim.configs import CacheGeometry
+            from repro.cachesim.simulator import CacheSimulator
             from repro.trace.reference import ReferenceTrace
 
             rng = np.random.default_rng(0)

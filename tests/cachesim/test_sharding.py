@@ -13,20 +13,16 @@ import numpy as np
 import pytest
 
 import repro.cachesim.simulator as simulator
-from repro.cachesim import (
-    CacheEngineError,
-    CacheGeometry,
-    CacheSimulator,
-    ShardedLRUSimulator,
-    simulate_trace,
-)
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.engine import CacheEngineError
 from repro.cachesim.expand import (
+    _expand_lines,
     expand_shard,
     expanded_size,
     shard_entry_counts,
 )
-from repro.cachesim.sharding import partition_expanded
-from repro.cachesim.simulator import _expand_lines
+from repro.cachesim.sharding import ShardedLRUSimulator, partition_expanded
+from repro.cachesim.simulator import CacheSimulator, simulate_trace
 from repro.cachesim.stats import CacheStats
 from repro.trace.io import attach_trace_shm, trace_to_shm
 from repro.trace.reference import ReferenceTrace

@@ -4,9 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim import CacheGeometry, CacheSimulator, simulate_trace
 from repro.cachesim.cache import SetAssociativeCache
-from repro.trace import TraceRecorder
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.simulator import CacheSimulator, simulate_trace
+from repro.trace.recorder import TraceRecorder
 
 from test_engine_differential import drain
 

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim import CacheGeometry, CacheSimulator
-from repro.cachesim.simulator import _expand_lines
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.expand import _expand_lines
+from repro.cachesim.simulator import CacheSimulator
 from repro.trace.recorder import TraceRecorder
 from repro.trace.reference import ReferenceTrace, iter_chunks
 

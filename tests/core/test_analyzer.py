@@ -2,17 +2,15 @@
 
 import pytest
 
-from repro.cachesim import PAPER_CACHES
-from repro.core import (
-    DVFAnalyzer,
-    MachineModel,
-    build_report,
-    validate_kernel,
-)
-from repro.core.validation import ground_truth_stats
-from repro.kernels import KERNELS, TEST_WORKLOADS
+from repro.cachesim.configs import PAPER_CACHES
+from repro.core.analyzer import DVFAnalyzer
+from repro.core.dvf import build_report
+from repro.core.machine import MachineModel
+from repro.core.validation import ground_truth_stats, validate_kernel
 from repro.kernels.base import Kernel
-from repro.trace import TraceCache
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import TEST_WORKLOADS
+from repro.trace.cache import TraceCache
 
 
 @pytest.fixture

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.cachesim import CacheGeometry, CacheSimulator, PAPER_CACHES
-from repro.core import DVFAnalyzer, DVFReport, MachineModel
+from repro.cachesim.configs import PAPER_CACHES, CacheGeometry
+from repro.cachesim.simulator import CacheSimulator
+from repro.core.analyzer import DVFAnalyzer
 from repro.core.cache_dvf import analyze_cache_dvf
+from repro.core.dvf import DVFReport
+from repro.core.machine import MachineModel
 from repro.core.protection import greedy_ranking, plan_protection
 from repro.core.report import render_dvf_report
-from repro.kernels import KERNELS, TEST_WORKLOADS
-from repro.trace import PeriodicTrace, TraceRecorder
-from repro.trace.reference import ReferenceTrace
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import TEST_WORKLOADS
+from repro.trace.recorder import TraceRecorder
+from repro.trace.reference import PeriodicTrace, ReferenceTrace
 
 SMALL = CacheGeometry(4, 64, 32, "small")
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import build_report, dvf_data, n_error
+from repro.core.dvf import build_report, dvf_data, n_error
 
 
 class TestNError:

@@ -8,18 +8,19 @@ import math
 
 import pytest
 
-from repro.aspen import compile_source
 from repro.aspen.builtin import MACHINE_LIBRARY, builtin_source
-from repro.cachesim import PAPER_CACHES, CacheGeometry
+from repro.aspen.compiler import compile_source
+from repro.cachesim.configs import PAPER_CACHES, CacheGeometry
 from repro.core.analyzer import DVFAnalyzer
 from repro.core.dvf import build_report, dvf_data, n_error
 from repro.core.machine import MachineModel
 from repro.core.validation import validate_kernel
 from repro.diagnostics import DiagnosticSink
-from repro.kernels import KERNELS, TEST_WORKLOADS
-from repro.kernels.vector_multiply import VectorMultiplyKernel
 from repro.kernels.base import Workload
-from repro.patterns import CompositeAccessModel
+from repro.kernels.registry import KERNELS
+from repro.kernels.vector_multiply import VectorMultiplyKernel
+from repro.kernels.workloads import TEST_WORKLOADS
+from repro.patterns.composite import CompositeAccessModel
 
 GEOMETRY = CacheGeometry(4, 64, 32, "small")
 
@@ -86,7 +87,7 @@ class TestAnalyzerModes:
         )
 
     def test_lenient_analyze_survives_broken_estimator(self, monkeypatch):
-        from repro.patterns import StreamingAccess
+        from repro.patterns.streaming import StreamingAccess
 
         def broken(self, geometry):
             raise ValueError("synthetic estimator failure")
@@ -132,7 +133,7 @@ class TestAnalyzerModes:
         assert aspen.degraded_structures == report.degraded_structures
 
     def test_lenient_validation_completes(self, monkeypatch):
-        from repro.patterns import StreamingAccess
+        from repro.patterns.streaming import StreamingAccess
 
         def broken(self, geometry):
             raise ValueError("synthetic estimator failure")

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.cachesim import PAPER_CACHES
-from repro.core import CHIPKILL, ECC_SCHEMES, NO_ECC, SECDED, DVFAnalyzer
-from repro.core.fit import ECCScheme
+from repro.cachesim.configs import PAPER_CACHES
+from repro.core.analyzer import DVFAnalyzer
+from repro.core.fit import CHIPKILL, ECC_SCHEMES, NO_ECC, SECDED, ECCScheme
 from repro.core.machine import MachineModel
-from repro.kernels import KERNELS, TEST_WORKLOADS
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import TEST_WORKLOADS
 
 MACHINE = MachineModel.from_geometry(
     PAPER_CACHES["small"], flops_rate=2e9, bandwidth=1e10

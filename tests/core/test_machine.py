@@ -10,15 +10,22 @@ is estimated.
 
 import pytest
 
-from repro.aspen import AspenSemanticError, compile_source
 from repro.aspen.builtin import MACHINE_LIBRARY, builtin_source
-from repro.cachesim import PAPER_CACHES
-from repro.core import DVFAnalyzer, MachineModel
-from repro.core.machine import DEFAULT_BANDWIDTH, DEFAULT_FIT, DEFAULT_FLOPS
+from repro.aspen.compiler import compile_source
+from repro.aspen.errors import AspenSemanticError
+from repro.cachesim.configs import PAPER_CACHES
+from repro.core.analyzer import DVFAnalyzer
+from repro.core.machine import (
+    DEFAULT_BANDWIDTH,
+    DEFAULT_FIT,
+    DEFAULT_FLOPS,
+    MachineModel,
+)
 from repro.diagnostics import DiagnosticSink
 from repro.experiments.aspen_batch import evaluate_source
-from repro.kernels import KERNELS, TEST_WORKLOADS
 from repro.kernels.base import Kernel
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import TEST_WORKLOADS
 
 GEOMETRY = PAPER_CACHES["8MB"]
 NAN, INF = float("nan"), float("inf")

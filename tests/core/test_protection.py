@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.cachesim import PAPER_CACHES
-from repro.core import DVFAnalyzer, MachineModel, build_report
+from repro.cachesim.configs import PAPER_CACHES
+from repro.core.analyzer import DVFAnalyzer
+from repro.core.dvf import build_report
+from repro.core.machine import MachineModel
 from repro.core.protection import greedy_ranking, plan_protection
-from repro.kernels import KERNELS, TEST_WORKLOADS
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import TEST_WORKLOADS
 
 
 def make_report(dvfs=None, sizes=None):
@@ -13,7 +16,7 @@ def make_report(dvfs=None, sizes=None):
     sizes = sizes or {"A": 8000.0, "B": 4000.0, "C": 2000.0}
     # Reverse-engineer N_ha so build_report lands on the wanted DVFs.
     fit, time_s = 5000.0, 1.0
-    from repro.core import n_error
+    from repro.core.dvf import n_error
 
     nha = {
         name: dvfs[name] / n_error(fit, time_s, sizes[name]) for name in dvfs

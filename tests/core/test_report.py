@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import build_report, format_table
-from repro.core.report import format_quantity, render_dvf_report
+from repro.core.dvf import build_report
+from repro.core.report import format_quantity, format_table, render_dvf_report
 
 
 class TestFormatTable:

@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.cachesim import CacheGeometry, PAPER_CACHES
-from repro.core import (
-    CHIPKILL,
-    NO_ECC,
-    SECDED,
+from repro.cachesim.configs import PAPER_CACHES, CacheGeometry
+from repro.core.fit import CHIPKILL, NO_ECC, SECDED
+from repro.core.tradeoff import (
+    AlgorithmComparison,
     compare_cg_pcg,
     crossover_size,
     ecc_tradeoff_sweep,
     optimal_degradation,
 )
-from repro.core.tradeoff import AlgorithmComparison
-from repro.kernels import KERNELS, TEST_WORKLOADS
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import TEST_WORKLOADS
 
 RESIDENT = CacheGeometry(8, 32768, 64, "resident")
 

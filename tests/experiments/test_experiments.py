@@ -6,7 +6,8 @@ paper-scale sweeps are exercised by the benchmark harness.
 
 import pytest
 
-from repro.cachesim import CacheGeometry
+from repro.cachesim.configs import CacheGeometry
+from repro.experiments import tables
 from repro.experiments.configs import FIG6_CACHE, KERNEL_ORDER
 from repro.experiments.fig4_verification import (
     Fig4Row,
@@ -21,7 +22,6 @@ from repro.experiments.fig5_profiling import (
 )
 from repro.experiments.fig6_cg_pcg import render_fig6, run_fig6
 from repro.experiments.fig7_ecc import render_fig7, run_fig7
-from repro.experiments import tables
 from repro.experiments.runner import main
 
 
@@ -131,7 +131,7 @@ class TestFig7:
         assert {p.scheme for p in points} == {"SECDED", "Chipkill correct"}
 
     def test_paper_shape_minimum_at_five_percent(self, points):
-        from repro.core import optimal_degradation
+        from repro.core.tradeoff import optimal_degradation
 
         for scheme in ("SECDED", "Chipkill correct"):
             assert optimal_degradation(points, scheme).degradation == 0.05

@@ -4,19 +4,18 @@ import json
 
 import pytest
 
-from repro.faultinject import (
-    CheckpointCorrupt,
-    CheckpointMismatch,
+from repro.faultinject import campaign as campaign_module
+from repro.faultinject.campaign import run_campaign, wilson_halfwidth
+from repro.faultinject.checkpoint import (
     CheckpointWriter,
-    InProcessExecutor,
-    Outcome,
     campaign_fingerprint,
     load_checkpoint,
-    run_campaign,
-    wilson_halfwidth,
 )
-from repro.faultinject import campaign as campaign_module
-from repro.kernels import TEST_WORKLOADS, Workload
+from repro.faultinject.errors import CheckpointCorrupt, CheckpointMismatch
+from repro.faultinject.executor import InProcessExecutor
+from repro.faultinject.outcomes import Outcome
+from repro.kernels.base import Workload
+from repro.kernels.workloads import TEST_WORKLOADS
 
 
 class FusedExecutor(InProcessExecutor):

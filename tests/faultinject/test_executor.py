@@ -9,21 +9,20 @@ import time
 import numpy as np
 import pytest
 
-from repro.faultinject import (
-    INJECTABLE_KERNELS,
-    InjectionTarget,
+from repro.faultinject.campaign import run_campaign
+from repro.faultinject.errors import TrialCrash, TrialTimeout
+from repro.faultinject.executor import (
     InProcessExecutor,
-    Outcome,
     ProcessTrialExecutor,
-    TrialCrash,
     TrialSpec,
-    TrialTimeout,
     make_executor,
-    run_campaign,
     run_trial,
     trial_seed,
 )
-from repro.kernels import TEST_WORKLOADS, Workload
+from repro.faultinject.outcomes import Outcome
+from repro.faultinject.targets import INJECTABLE_KERNELS, InjectionTarget
+from repro.kernels.base import Workload
+from repro.kernels.workloads import TEST_WORKLOADS
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
 
@@ -100,7 +99,7 @@ class TestTrialSeeding:
 
     def test_trial_count_prefix_invariance(self, tmp_path):
         """The first N trials of a longer campaign are the same trials."""
-        from repro.faultinject import load_checkpoint
+        from repro.faultinject.checkpoint import load_checkpoint
 
         short_ck = tmp_path / "short.jsonl"
         long_ck = tmp_path / "long.jsonl"
@@ -306,7 +305,7 @@ class TestOutcomeTaxonomy:
         assert Outcome.TIMEOUT.is_failure
 
     def test_timeout_counts_in_failure_rate(self):
-        from repro.faultinject import StructureStats
+        from repro.faultinject.campaign import StructureStats
 
         stats = StructureStats(
             structure="S", trials=10, benign=6, sdc=1, crash=1, timeout=2
@@ -352,7 +351,7 @@ def _journal_forever(path):
 @contextlib.contextmanager
 def supervised(fn, args=(), **options):
     """A started :class:`SupervisedCall` of ``fn`` on a worker closed after."""
-    from repro.faultinject import SupervisedCall, Worker
+    from repro.faultinject.executor import SupervisedCall, Worker
 
     worker = Worker(fn)
     try:
@@ -364,7 +363,7 @@ def supervised(fn, args=(), **options):
 @needs_fork
 class TestSupervisedCall:
     def test_calls_share_a_worker(self):
-        from repro.faultinject import SupervisedCall, Worker
+        from repro.faultinject.executor import SupervisedCall, Worker
 
         worker = Worker(os.getpid)
         try:
@@ -379,7 +378,7 @@ class TestSupervisedCall:
         assert worker.exitcode == 0  # exited on EOF of its task pipe
 
     def test_worker_runs_only_its_own_function(self):
-        from repro.faultinject import SupervisedCall, Worker
+        from repro.faultinject.executor import SupervisedCall, Worker
 
         worker = Worker(_identity)
         try:
@@ -402,7 +401,8 @@ class TestSupervisedCall:
             assert np.array_equal(call.poll(), np.arange(100_000))
 
     def test_none_return_is_not_worker_lost(self):
-        from repro.faultinject import PENDING, WorkerLost
+        from repro.faultinject.errors import WorkerLost
+        from repro.faultinject.executor import PENDING
 
         with supervised(_identity, (None,)) as call:
             assert call.wait(10.0)
@@ -412,7 +412,7 @@ class TestSupervisedCall:
         assert not isinstance(result, WorkerLost)
 
     def test_child_exception_is_worker_lost(self):
-        from repro.faultinject import WorkerLost
+        from repro.faultinject.errors import WorkerLost
 
         with supervised(_raise_runtime, label="raiser") as call:
             assert call.wait(10.0)
@@ -422,7 +422,7 @@ class TestSupervisedCall:
         assert "raiser" in str(result)
 
     def test_hard_exit_is_worker_lost_with_exitcode(self):
-        from repro.faultinject import WorkerLost
+        from repro.faultinject.errors import WorkerLost
 
         with supervised(_exit_7) as call:
             assert call.wait(10.0)
@@ -431,7 +431,7 @@ class TestSupervisedCall:
         assert result.exitcode == 7
 
     def test_poll_while_running_is_pending(self):
-        from repro.faultinject import PENDING
+        from repro.faultinject.executor import PENDING
 
         with supervised(_sleep_forever, term_grace=1.0) as call:
             try:
@@ -440,7 +440,7 @@ class TestSupervisedCall:
                 call.terminate()
 
     def test_terminate_is_prompt_sigterm(self):
-        from repro.faultinject import WorkerLost
+        from repro.faultinject.errors import WorkerLost
         from repro.faultinject.executor import SIGTERM_EXIT
 
         # term_grace far above what the handler needs: if terminate()

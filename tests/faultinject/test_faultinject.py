@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.cachesim import PAPER_CACHES
-from repro.core import DVFAnalyzer, MachineModel
-from repro.faultinject import (
-    INJECTABLE_KERNELS,
-    Outcome,
-    classify_outcome,
-    empirical_vulnerability,
-    flip_bit,
-    random_flip,
-    rank_agreement,
-    run_campaign,
-)
-from repro.kernels import KERNELS, TEST_WORKLOADS, Workload
+from repro.cachesim.configs import PAPER_CACHES
+from repro.core.analyzer import DVFAnalyzer
+from repro.core.machine import MachineModel
+from repro.faultinject.campaign import run_campaign
+from repro.faultinject.compare import empirical_vulnerability, rank_agreement
+from repro.faultinject.flips import flip_bit, random_flip
+from repro.faultinject.outcomes import Outcome, classify_outcome
+from repro.faultinject.targets import INJECTABLE_KERNELS
+from repro.kernels.base import Workload
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import TEST_WORKLOADS
 
 
 class TestFlips:
@@ -114,7 +112,7 @@ class TestTargets:
         ("MC", TEST_WORKLOADS["MC"], 1e-12),
     ], ids=["VM", "CG", "PCG", "FT", "FT-2-transforms", "MC"])
     def test_adapter_matches_traced_kernel(self, name, workload, rtol):
-        from repro.trace import TraceRecorder
+        from repro.trace.recorder import TraceRecorder
 
         expected = KERNELS[name].run_traced(workload, TraceRecorder())
         got = INJECTABLE_KERNELS[name].run(
@@ -128,7 +126,7 @@ class TestTargets:
         # unsorted; the adapter must still read the rows the kernel's
         # own search finds on that grid.
         from repro.faultinject import targets
-        from repro.trace import TraceRecorder
+        from repro.trace.recorder import TraceRecorder
 
         kernel, workload = KERNELS["MC"], TEST_WORKLOADS["MC"]
         energies, xs, samples = kernel.inputs(workload)

@@ -7,7 +7,7 @@ kernels' numerics decide:
   ``python -m repro.experiments fi --tier test`` runs (seed 0, 100
   trials per structure, on ``FI_WORKLOADS`` and the test tier), one
   letter per trial in trial order: the first letter of its
-  :class:`~repro.faultinject.Outcome` value;
+  :class:`~repro.faultinject.outcomes.Outcome` value;
 * CG's and PCG's iteration counts and final residuals from
   ``ConjugateGradientKernel.solve`` at Fig 6's test-tier sizes.
 
@@ -24,9 +24,10 @@ import pytest
 
 from repro.experiments.configs import WORKLOADS
 from repro.experiments.fi_comparison import FI_KERNELS, FI_WORKLOADS
-from repro.faultinject import run_campaign
+from repro.faultinject.campaign import run_campaign
 from repro.faultinject.checkpoint import campaign_fingerprint, load_checkpoint
-from repro.kernels import ConjugateGradientKernel, Workload
+from repro.kernels.base import Workload
+from repro.kernels.conjugate_gradient import ConjugateGradientKernel
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_numerics.json"
 

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from barnes_hut_reference import _force_walk, _QuadTree
 
-from repro.cachesim import PAPER_CACHES, simulate_trace
-from repro.core import DVFAnalyzer, MachineModel
-from repro.kernels import BarnesHutKernel, Workload, barnes_hut
-from repro.kernels.barnes_hut import _build_tree
-from repro.trace import TraceRecorder
+from repro.cachesim.configs import PAPER_CACHES
+from repro.cachesim.simulator import simulate_trace
+from repro.core.analyzer import DVFAnalyzer
+from repro.core.machine import MachineModel
+from repro.kernels import barnes_hut
+from repro.kernels.barnes_hut import BarnesHutKernel, _build_tree
+from repro.kernels.base import Workload
+from repro.trace.recorder import TraceRecorder
 
 
 def pointer_tree_arrays(tree: _QuadTree) -> dict[str, np.ndarray]:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.cachesim import PAPER_CACHES, simulate_trace
+from repro.cachesim.configs import PAPER_CACHES
+from repro.cachesim.simulator import simulate_trace
 from repro.experiments.configs import FIG6_SIZES
-from repro.kernels import ConjugateGradientKernel, Workload
+from repro.kernels.base import Workload
 from repro.kernels.conjugate_gradient import (
+    ConjugateGradientKernel,
     _apply_ic,
     build_system,
     incomplete_cholesky,
@@ -163,7 +165,8 @@ class TestTraceAndModel:
         assert pcg.bytes_moved > cg.bytes_moved
 
     def test_aspen_source_matches_direct_model(self, kernel):
-        from repro.aspen import MachineModel, compile_source
+        from repro.aspen.compiler import compile_source
+        from repro.core.machine import MachineModel
 
         workload = wl(n=100, iterations=2)
         machine = MachineModel.from_geometry(PAPER_CACHES["small"])
@@ -176,8 +179,9 @@ class TestTraceAndModel:
 
     @pytest.mark.parametrize("n", FIG6_SIZES)
     def test_aspen_source_pcg_matches_direct_model(self, kernel, n):
-        from repro.aspen import compile_source
-        from repro.core import DVFAnalyzer, MachineModel
+        from repro.aspen.compiler import compile_source
+        from repro.core.analyzer import DVFAnalyzer
+        from repro.core.machine import MachineModel
 
         def numbers(report):
             nha = {s.name: s.nha for s in report.structures}

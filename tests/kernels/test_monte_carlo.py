@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.cachesim import PAPER_CACHES, simulate_trace
-from repro.kernels import MonteCarloKernel, Workload
-from repro.kernels.monte_carlo import _config, pivot_frequencies
+from repro.cachesim.configs import PAPER_CACHES
+from repro.cachesim.simulator import simulate_trace
+from repro.kernels.base import Workload
+from repro.kernels.monte_carlo import MonteCarloKernel, _config, pivot_frequencies
 from repro.kernels.workloads import TEST_WORKLOADS, VERIFICATION_WORKLOADS
-from repro.trace import TraceRecorder
+from repro.trace.recorder import TraceRecorder
 
 
 @pytest.fixture
@@ -118,7 +119,7 @@ class TestPivotFrequencies:
 
 class TestExecution:
     def test_lookup_sum_positive(self, kernel):
-        from repro.trace import TraceRecorder
+        from repro.trace.recorder import TraceRecorder
 
         total = kernel.run_traced(wl(), TraceRecorder())
         assert total > 0
@@ -194,7 +195,8 @@ class TestModel:
         assert many["E"] > few["E"]
 
     def test_aspen_source_compiles(self, kernel):
-        from repro.aspen import MachineModel, compile_source
+        from repro.aspen.compiler import compile_source
+        from repro.core.machine import MachineModel
 
         machine = MachineModel.from_geometry(PAPER_CACHES["small"])
         compiled = compile_source(kernel.aspen_source(wl()), machine=machine)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.cachesim import PAPER_CACHES, simulate_trace
-from repro.kernels import FFTKernel, MultigridKernel, Workload
-from repro.kernels.fft import butterfly_indices, butterfly_writes
-from repro.kernels.multigrid import smoother_indices
+from repro.cachesim.configs import PAPER_CACHES
+from repro.cachesim.simulator import simulate_trace
+from repro.kernels.base import Workload
+from repro.kernels.fft import FFTKernel, butterfly_indices, butterfly_writes
+from repro.kernels.multigrid import MultigridKernel, smoother_indices
 from repro.kernels.workloads import WORKLOAD_TIERS
 
 
@@ -56,7 +57,7 @@ class TestMultigridKernel:
         assert trace.labels == ["R"]
 
     def test_smoother_relaxes_toward_neighbour_average(self, kernel):
-        from repro.trace import TraceRecorder
+        from repro.trace.recorder import TraceRecorder
 
         grid = kernel.run_traced(Workload("t", {"n": 8}), TraceRecorder())
         assert np.isfinite(grid).all()
@@ -72,7 +73,8 @@ class TestMultigridKernel:
         assert nha["R"] == pytest.approx(stats.misses("R"), rel=0.25)
 
     def test_aspen_source_parses(self, kernel):
-        from repro.aspen import MachineModel, compile_source
+        from repro.aspen.compiler import compile_source
+        from repro.core.machine import MachineModel
 
         machine = MachineModel.from_geometry(PAPER_CACHES["small"])
         compiled = compile_source(
@@ -118,7 +120,7 @@ class TestFFTKernel:
         assert s["X"] == (2048, 16)
 
     def test_fft_matches_numpy(self, kernel):
-        from repro.trace import TraceRecorder
+        from repro.trace.recorder import TraceRecorder
 
         workload = Workload("t", {"n": 64})
         result = kernel.run_traced(workload, TraceRecorder())
@@ -140,7 +142,7 @@ class TestFFTKernel:
 
     def test_capacity_cliff(self, kernel):
         """Fits-in-cache -> compulsory only; too big -> per-stage reloads."""
-        from repro.cachesim import CacheGeometry
+        from repro.cachesim.configs import CacheGeometry
 
         small = CacheGeometry(4, 32, 32)   # 4 KB
         workload = Workload("t", {"n": 1024})  # 16 KB of complex data
@@ -151,7 +153,8 @@ class TestFFTKernel:
         assert nha_thrash > 5 * (1024 * 16 / 32)
 
     def test_aspen_source_parses(self, kernel):
-        from repro.aspen import MachineModel, compile_source
+        from repro.aspen.compiler import compile_source
+        from repro.core.machine import MachineModel
 
         machine = MachineModel.from_geometry(PAPER_CACHES["small"])
         compiled = compile_source(
@@ -164,8 +167,9 @@ class TestFFTKernel:
     def test_aspen_source_matches_direct_model(self, kernel, tier, transforms):
         # The DSL's paired sweeps equal the butterfly template at these
         # sizes only; ``transforms`` repeats both.
-        from repro.aspen import compile_source
-        from repro.core import DVFAnalyzer, MachineModel
+        from repro.aspen.compiler import compile_source
+        from repro.core.analyzer import DVFAnalyzer
+        from repro.core.machine import MachineModel
 
         def numbers(report):
             (x,) = report.structures

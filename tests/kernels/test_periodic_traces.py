@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from repro.experiments.configs import WORKLOADS
-from repro.kernels import KERNELS
 from repro.kernels.base import Workload
 from repro.kernels.conjugate_gradient import (
     _apply_ic,
     build_system,
     incomplete_cholesky,
 )
-from repro.trace import TraceRecorder
+from repro.kernels.registry import KERNELS
+from repro.trace.recorder import TraceRecorder
 
 COLUMNS = ("addresses", "is_write", "label_ids", "element_sizes")
 

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.kernels import (
-    KERNELS,
+from repro.kernels.registry import KERNELS, get_kernel
+from repro.kernels.workloads import (
     PROFILING_WORKLOADS,
     TEST_WORKLOADS,
     VERIFICATION_WORKLOADS,
-    get_kernel,
     workload_for,
 )
 
@@ -92,7 +91,7 @@ class TestDataStructureTables:
             assert actual == structures, name
 
     def test_estimates_are_positive_everywhere(self):
-        from repro.cachesim import PAPER_CACHES
+        from repro.cachesim.configs import PAPER_CACHES
 
         for name, kernel in KERNELS.items():
             nha, _ = kernel.estimate_nha(

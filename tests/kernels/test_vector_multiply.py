@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.cachesim import PAPER_CACHES, simulate_trace
-from repro.kernels import VectorMultiplyKernel, Workload
-from repro.trace import TraceRecorder
+from repro.cachesim.configs import PAPER_CACHES
+from repro.cachesim.simulator import simulate_trace
+from repro.kernels.base import Workload
+from repro.kernels.vector_multiply import VectorMultiplyKernel
+from repro.trace.recorder import TraceRecorder
 
 
 @pytest.fixture
@@ -78,7 +80,8 @@ class TestModel:
 
 class TestAspenForm:
     def test_aspen_source_compiles_to_same_nha(self, kernel, workload):
-        from repro.aspen import MachineModel, compile_source
+        from repro.aspen.compiler import compile_source
+        from repro.core.machine import MachineModel
 
         machine = MachineModel.from_geometry(PAPER_CACHES["small"])
         compiled = compile_source(kernel.aspen_source(workload), machine=machine)

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim import CacheGeometry
-from repro.patterns import (
-    PatternError,
-    RandomAccess,
-    WorkingSetRandomAccess,
-)
+from repro.cachesim.configs import CacheGeometry
+from repro.patterns.base import PatternError
+from repro.patterns.random_access import RandomAccess, WorkingSetRandomAccess
 
 SMALL = CacheGeometry(4, 64, 32, "small")
 LARGE = CacheGeometry(16, 4096, 64, "large")

@@ -15,19 +15,19 @@ import random
 
 import pytest
 
-from repro.cachesim import CacheGeometry
+from repro.cachesim.configs import CacheGeometry
 from repro.diagnostics import DiagnosticSink
-from repro.patterns import (
-    CompositeAccessModel,
+from repro.patterns.base import (
     PatternError,
-    RandomAccess,
-    ReuseAccess,
-    StreamingAccess,
-    SweepTemplate,
-    TemplateAccess,
     WorstCaseAccess,
+    alignment_probability,
+    ceil_div,
 )
-from repro.patterns.base import alignment_probability, ceil_div
+from repro.patterns.composite import CompositeAccessModel
+from repro.patterns.random_access import RandomAccess
+from repro.patterns.reuse import ReuseAccess
+from repro.patterns.streaming import StreamingAccess
+from repro.patterns.template import SweepTemplate, TemplateAccess
 
 GEOMETRIES = (
     CacheGeometry(2, 16, 32, "tiny"),

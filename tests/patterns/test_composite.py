@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.cachesim import CacheGeometry
-from repro.patterns import (
-    CompositeAccessModel,
-    PatternError,
-    StreamingAccess,
-    parse_order,
-)
+from repro.cachesim.configs import CacheGeometry
+from repro.patterns.base import PatternError
+from repro.patterns.composite import CompositeAccessModel, parse_order
+from repro.patterns.streaming import StreamingAccess
 
 SMALL = CacheGeometry(4, 64, 32, "small")
 LARGE = CacheGeometry(16, 4096, 64, "large")

@@ -11,9 +11,13 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim import CacheGeometry, simulate_trace
-from repro.patterns import RandomAccess, ReuseAccess, StreamingAccess, TemplateAccess
-from repro.trace import TraceRecorder
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.simulator import simulate_trace
+from repro.patterns.random_access import RandomAccess
+from repro.patterns.reuse import ReuseAccess
+from repro.patterns.streaming import StreamingAccess
+from repro.patterns.template import TemplateAccess
+from repro.trace.recorder import TraceRecorder
 
 geometries = st.sampled_from(
     [

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim import CacheGeometry, simulate_trace
-from repro.patterns import PatternError, RandomAccess
-from repro.patterns.random_access import split_cache_ratio
-from repro.trace import TraceRecorder
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.simulator import simulate_trace
+from repro.patterns.base import PatternError
+from repro.patterns.random_access import RandomAccess, split_cache_ratio
+from repro.trace.recorder import TraceRecorder
 
 SMALL = CacheGeometry(4, 64, 32, "small")   # 8 KB
 LARGE = CacheGeometry(16, 4096, 64, "large")  # 4 MB

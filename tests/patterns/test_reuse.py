@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim import CacheGeometry, simulate_trace
-from repro.patterns import PatternError, ReuseAccess, set_occupancy_pmf
-from repro.patterns.reuse import expected_set_occupancy
-from repro.trace import TraceRecorder
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.simulator import simulate_trace
+from repro.patterns.base import PatternError
+from repro.patterns.reuse import ReuseAccess, expected_set_occupancy, set_occupancy_pmf
+from repro.trace.recorder import TraceRecorder
 
 SMALL = CacheGeometry(4, 64, 32, "small")
 LARGE = CacheGeometry(16, 4096, 64, "large")

@@ -4,10 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim import CacheGeometry, simulate_trace
-from repro.patterns import PatternError, StreamingAccess
-from repro.patterns.base import alignment_probability, expected_accesses_per_element
-from repro.trace import TraceRecorder
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.simulator import simulate_trace
+from repro.patterns.base import (
+    PatternError,
+    alignment_probability,
+    expected_accesses_per_element,
+)
+from repro.patterns.streaming import StreamingAccess
+from repro.trace.recorder import TraceRecorder
 
 SMALL = CacheGeometry(4, 64, 32, "small")
 LARGE = CacheGeometry(16, 4096, 64, "large")

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim import CacheGeometry, simulate_trace
-from repro.patterns import (
-    PatternError,
-    SweepTemplate,
-    TemplateAccess,
-    expand_sweep,
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.simulator import simulate_trace
+from repro.patterns.base import PatternError
+from repro.patterns.distance import (
+    misses_for_cache_blocks,
+    positional_distances,
     stack_distances,
 )
-from repro.patterns.distance import misses_for_cache_blocks, positional_distances
-from repro.trace import TraceRecorder
+from repro.patterns.template import SweepTemplate, TemplateAccess, expand_sweep
+from repro.trace.recorder import TraceRecorder
 
 SMALL = CacheGeometry(4, 64, 32, "small")
 

@@ -16,18 +16,14 @@ from template_reference import (
     template_misses,
 )
 
-from repro.aspen import compile_source
 from repro.aspen.builtin import MACHINE_LIBRARY, builtin_source
-from repro.cachesim import PAPER_CACHES, CacheGeometry
+from repro.aspen.compiler import compile_source
+from repro.cachesim.configs import PAPER_CACHES, CacheGeometry
 from repro.cachesim.engine import CHUNK_SIZE
-from repro.kernels import KERNELS, PROFILING_WORKLOADS, TEST_WORKLOADS
-from repro.patterns import (
-    PatternError,
-    Repeat,
-    SweepTemplate,
-    TemplateAccess,
-    expand_sweep,
-)
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import PROFILING_WORKLOADS, TEST_WORKLOADS
+from repro.patterns.base import PatternError
+from repro.patterns.template import Repeat, SweepTemplate, TemplateAccess, expand_sweep
 
 
 def _line_template(stream, geometry, repeats=1):

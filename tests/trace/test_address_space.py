@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.trace import AddressSpace
+from repro.trace.address_space import AddressSpace
 
 
 class TestAllocation:

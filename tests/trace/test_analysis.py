@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.cachesim import CacheGeometry, simulate_trace
-from repro.kernels import KERNELS, TEST_WORKLOADS
-from repro.trace import TraceRecorder
+from repro.cachesim.configs import CacheGeometry
+from repro.cachesim.simulator import simulate_trace
+from repro.kernels.registry import KERNELS
+from repro.kernels.workloads import TEST_WORKLOADS
 from repro.trace.analysis import (
     footprint_summary,
     miss_ratio_curve,
     reuse_distance_histogram,
     suggest_pattern,
 )
+from repro.trace.recorder import TraceRecorder
 
 
 def stream_trace(n=256, label="A", repeats=1):
@@ -137,7 +139,7 @@ class TestChunkedAnalysis:
 
     @pytest.mark.parametrize("chunk_refs", [1, 7, 100, 4096])
     def test_reuse_histogram_chunked(self, chunk_refs):
-        from repro.trace import iter_chunks
+        from repro.trace.reference import iter_chunks
 
         trace = self._trace()
         whole = reuse_distance_histogram(trace, line_size=64)
@@ -148,7 +150,7 @@ class TestChunkedAnalysis:
 
     @pytest.mark.parametrize("chunk_refs", [1, 7, 100, 4096])
     def test_miss_ratio_curve_chunked(self, chunk_refs):
-        from repro.trace import iter_chunks
+        from repro.trace.reference import iter_chunks
 
         trace = self._trace()
         whole = miss_ratio_curve(trace, line_size=64)
@@ -159,7 +161,7 @@ class TestChunkedAnalysis:
 
     @pytest.mark.parametrize("chunk_refs", [1, 7, 100, 4096])
     def test_footprint_summary_chunked(self, chunk_refs):
-        from repro.trace import iter_chunks
+        from repro.trace.reference import iter_chunks
 
         trace = self._trace()
         assert footprint_summary(
@@ -169,7 +171,7 @@ class TestChunkedAnalysis:
     def test_label_filter_across_growing_tables(self):
         # Chunked from a recorder, "B" is absent from early chunk label
         # tables; the filter must skip those chunks, not raise.
-        from repro.trace import iter_chunks
+        from repro.trace.reference import iter_chunks
 
         trace = self._trace()
         whole = reuse_distance_histogram(trace, line_size=64, label="B")
@@ -179,7 +181,7 @@ class TestChunkedAnalysis:
         assert chunked == whole
 
     def test_missing_label_still_raises(self):
-        from repro.trace import iter_chunks
+        from repro.trace.reference import iter_chunks
 
         trace = self._trace()
         with pytest.raises(KeyError, match="missing"):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.trace import ReferenceTrace, TraceRecorder
+from repro.trace.recorder import TraceRecorder
+from repro.trace.reference import ReferenceTrace
 
 
 def make_rec():
@@ -220,7 +221,7 @@ class TestReferenceTrace:
 
 class TestTraceIO:
     def test_roundtrip(self, rec, tmp_path):
-        from repro.trace import load_trace, save_trace
+        from repro.trace.io import load_trace, save_trace
 
         rec.record_stream("A", 0, 10)
         rec.record_stream("B", 0, 5, is_write=True)
@@ -236,7 +237,7 @@ class TestTraceIO:
     def test_archives_load_without_pickle(self, rec, tmp_path):
         # New archives must be entirely pickle-free: every column,
         # including the label table, reads under allow_pickle=False.
-        from repro.trace import save_trace
+        from repro.trace.io import save_trace
 
         rec.record_stream("A", 0, 4)
         path = tmp_path / "trace.npz"
@@ -250,7 +251,7 @@ class TestTraceIO:
         # MC's deflates to about 1/16 of them.
         from repro.kernels.registry import KERNELS
         from repro.kernels.workloads import TEST_WORKLOADS
-        from repro.trace import save_trace
+        from repro.trace.io import save_trace
 
         trace = KERNELS["MC"].trace(TEST_WORKLOADS["MC"])
         raw = sum(
@@ -262,7 +263,7 @@ class TestTraceIO:
         assert path.stat().st_size < raw / 8
 
     def test_bare_path_gets_npz_suffix(self, rec, tmp_path):
-        from repro.trace import load_trace, save_trace
+        from repro.trace.io import load_trace, save_trace
 
         rec.record_stream("A", 0, 3)
         save_trace(rec.finish(), tmp_path / "trace")
@@ -302,7 +303,7 @@ class TestTraceIO:
     ):
         # A label table saved as an object array needs pickle, which no
         # trace read runs: unpickling this one would fail the test.
-        from repro.trace import load_periodic_trace, save_trace
+        from repro.trace.io import load_periodic_trace, save_trace
 
         rec.record_stream("A", 0, 3)
         path = tmp_path / "t.npz"
@@ -357,7 +358,7 @@ def recorded_again(tmp_path, write_older, trace):
     """
     from repro.kernels.registry import KERNELS
     from repro.kernels.workloads import TEST_WORKLOADS
-    from repro.trace import TraceCache
+    from repro.trace.cache import TraceCache
     from repro.trace.cache import trace_key
 
     kernel, workload = KERNELS["VM"], TEST_WORKLOADS["VM"]
@@ -520,7 +521,7 @@ class TestPeriodicTraceIO:
         return rec.finish_periodic()
 
     def test_roundtrip_keeps_the_period(self, tmp_path):
-        from repro.trace import load_periodic_trace, load_trace, save_trace
+        from repro.trace.io import load_periodic_trace, load_trace, save_trace
 
         trace = self._periodic()
         save_trace(trace, tmp_path / "t.npz")
@@ -540,7 +541,7 @@ class TestPeriodicTraceIO:
         # it loads as one pass.
         from pathlib import Path
 
-        from repro.trace import load_periodic_trace
+        from repro.trace.io import load_periodic_trace
 
         path = (Path(__file__).parents[1] / "cachesim" / "fixtures"
                 / "vm_test.npz")
@@ -551,7 +552,7 @@ class TestPeriodicTraceIO:
     def test_golden_fixtures_are_schema4(self, name):
         from pathlib import Path
 
-        from repro.trace import load_periodic_trace
+        from repro.trace.io import load_periodic_trace
 
         path = Path(__file__).parents[1] / "cachesim" / "fixtures" / name
         with np.load(path, allow_pickle=False) as archive:
@@ -566,7 +567,7 @@ class TestPeriodicTraceIO:
         pytest.param(np.float64(2.0), ValueError, id="not-an-integer"),
     ])
     def test_bad_repeat_count_is_damage(self, tmp_path, repeats, error):
-        from repro.trace import load_periodic_trace, save_trace
+        from repro.trace.io import load_periodic_trace, save_trace
 
         path = tmp_path / "t.npz"
         save_trace(self._periodic(), path)
@@ -619,7 +620,7 @@ class TestSchema4:
     def test_save_writes_exactly_the_schema4_members(self, tmp_path):
         import zipfile
 
-        from repro.trace import TRACE_SCHEMA_VERSION, save_trace
+        from repro.trace.io import TRACE_SCHEMA_VERSION, save_trace
 
         assert TRACE_SCHEMA_VERSION == 4
         save_trace(self._trace(), tmp_path / "t.npz")
@@ -638,7 +639,7 @@ class TestSchema4:
     ])
     def test_other_schemas_refused(self, tmp_path, schema, error):
         # Schema 1 has no version member; the others name theirs.
-        from repro.trace import load_periodic_trace
+        from repro.trace.io import load_periodic_trace
 
         _archive_of_schema(tmp_path / "old.npz", self._trace(), schema)
         with pytest.raises(error):
@@ -649,7 +650,7 @@ class TestSchema4:
         # An older archive does not load itself: the trace cache drops
         # it, and the trace recorded again loads from a schema-4 archive
         # with the same period and repeat count.
-        from repro.trace import PeriodicTrace
+        from repro.trace.reference import PeriodicTrace
 
         trace = PeriodicTrace(self._trace(), repeats)
         loaded = recorded_again(
@@ -670,7 +671,7 @@ class TestSchema4:
     def test_sizes_varying_within_a_label_rejected(self, tmp_path, schema):
         # Schemas 2 and 3 stored a size per reference, which could vary
         # within a label as schema 4's per-label sizes cannot.
-        from repro.trace import load_periodic_trace
+        from repro.trace.io import load_periodic_trace
 
         trace = self._trace()
         sizes = trace.element_sizes[trace.label_ids].copy()
@@ -680,7 +681,7 @@ class TestSchema4:
             load_periodic_trace(tmp_path / "old.npz")
 
     def test_label_id_past_the_table_is_damage(self, tmp_path):
-        from repro.trace import load_periodic_trace, save_trace
+        from repro.trace.io import load_periodic_trace, save_trace
 
         trace, path = self._trace(), tmp_path / "t.npz"
         save_trace(trace, path)
@@ -691,7 +692,7 @@ class TestSchema4:
             load_periodic_trace(path)
 
     def test_older_archive_label_id_past_the_table_is_damage(self, tmp_path):
-        from repro.trace import load_periodic_trace
+        from repro.trace.io import load_periodic_trace
 
         trace = self._trace()
         np.savez_compressed(
@@ -707,7 +708,7 @@ class TestSchema4:
             load_periodic_trace(tmp_path / "old.npz")
 
     def test_schema4_archive_without_element_sizes_is_damage(self, tmp_path):
-        from repro.trace import load_periodic_trace, save_trace
+        from repro.trace.io import load_periodic_trace, save_trace
 
         path = tmp_path / "t.npz"
         save_trace(self._trace(), path)
@@ -720,7 +721,7 @@ class TestSchema4:
         self, tmp_path, member
     ):
         # numpy would allocate the header's 8 PiB before reading a byte.
-        from repro.trace import load_periodic_trace, save_trace
+        from repro.trace.io import load_periodic_trace, save_trace
 
         path = tmp_path / "t.npz"
         save_trace(self._trace(), path)
@@ -747,7 +748,7 @@ def huge_header(path, member) -> bytes:
 class TestPeriodicTrace:
     @pytest.mark.parametrize("repeats", [0, -1, 1.5, True])
     def test_repeats_must_be_a_positive_int(self, repeats):
-        from repro.trace import PeriodicTrace
+        from repro.trace.reference import PeriodicTrace
 
         period = make_rec().finish()
         with pytest.raises(ValueError, match="repeats"):

@@ -18,8 +18,9 @@ import repro.trace.cache as cache_mod
 from repro.kernels.base import Workload
 from repro.kernels.registry import KERNELS
 from repro.kernels.workloads import TEST_WORKLOADS
-from repro.trace import PeriodicTrace, TraceCache, load_trace, save_trace
-from repro.trace.cache import as_trace_cache, kernel_fingerprint, trace_key
+from repro.trace.cache import TraceCache, as_trace_cache, kernel_fingerprint, trace_key
+from repro.trace.io import load_trace, save_trace
+from repro.trace.reference import PeriodicTrace
 
 from test_recorder import huge_header, rewrite_members
 
