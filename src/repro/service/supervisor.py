@@ -35,6 +35,7 @@ layout (queue / journal / results / dead-letter files) used by the
 from __future__ import annotations
 
 import heapq
+import importlib
 import json
 import os
 import random
@@ -62,7 +63,7 @@ from repro.service.scenario import (
     check_count,
     check_timeout,
 )
-from repro.service.worker import execute_job
+from repro.service.worker import JOB_MODULES, execute_job
 
 #: Terminal outcome taxonomy for job records.
 OUTCOME_SUCCEEDED = "succeeded"
@@ -138,7 +139,7 @@ class JobSupervisor:
     jobs:
         Worker pool size (concurrent attempts), an int >= 1.  Workers
         are forked with the module's ``execute_job`` as it stands at
-        the fork.
+        the fork, and with the worker's ``JOB_MODULES`` imported.
     retry:
         :class:`RetryConfig`; defaults to the scenario-schema defaults.
     default_timeout:
@@ -186,6 +187,8 @@ class JobSupervisor:
     # -- public entry --------------------------------------------------
     def run(self, specs: list[JobSpec]) -> ServiceRun:
         """Drain ``specs`` to terminal records; trap SIGINT cleanly."""
+        for name in JOB_MODULES:
+            importlib.import_module(name)
         started = time.monotonic()
         states: dict[str, JobState] = {}
         journal: JobJournal | None = None

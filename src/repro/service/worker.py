@@ -51,6 +51,21 @@ DETERMINISTIC_EXCEPTIONS: tuple[type[BaseException], ...] = (
     ArithmeticError,
 )
 
+#: The modules :func:`_run_aspen` and :func:`_run_kernel` import when
+#: they run, so importing this module stays cheap for the CLI commands
+#: that run no job.  A supervisor imports them before it forks, so no
+#: worker, a replacement after a crash included, spends its first job's
+#: time budget on imports.
+JOB_MODULES = (
+    "repro.cachesim.configs",
+    "repro.core.analyzer",
+    "repro.core.machine",
+    "repro.experiments.aspen_batch",
+    "repro.experiments.configs",
+    "repro.kernels.base",
+    "repro.kernels.registry",
+)
+
 
 def execute_job(spec: JobSpec, attempt: int, degraded: bool) -> dict:
     """Run one job attempt; returns the JSON-safe record body.
